@@ -40,6 +40,8 @@ from .errors import ConfigurationError, DivergenceError, StepError
 from .measures import EmpiricalMeasure
 
 BLOWUP_GUARD = 1e8
+BALL_NEWTON_MAX_ITER = 50
+ACTIVE_SET_MAX_COND = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +286,39 @@ def _box_step(geom, H, Y):
     return X, dK
 
 
+def _ball_multiplier(w, d, r):
+    """Root ``lam > 0`` of the secular equation ``|w / (1 + lam d)| = r``.
+
+    Rows of ``w`` are points outside the ball in the eigenbasis of H and
+    rows of ``d`` the eigenvalues.  With ``s = w / (1 + lam d)`` this is a
+    trust-region secular equation (Hessian ``diag(1/d)``, gradient
+    ``w/d``), so ``psi(lam) = 1/|s| - 1/r`` is concave and increasing and
+    Newton's iterates from ``lam = 0`` rise monotonically to the root
+    (Moré & Sorensen 1983).  The loop stops on the residual ``| |s| - r |``,
+    whose rounding floor grows with the dimension; ``StepError`` reports
+    the worst residual if it is not met within ``BALL_NEWTON_MAX_ITER``
+    steps.  Returns ``lam`` and ``s``.
+    """
+    tol = 4 * (d.shape[1] + 1) * np.finfo(float).eps * r
+    lam = np.zeros(w.shape[0])
+    for step in range(BALL_NEWTON_MAX_ITER + 1):
+        q = 1.0 + lam[:, None] * d
+        s = w / q
+        norm = np.sqrt(np.einsum("ki,ki->k", s, s))
+        gap = norm - r
+        open_rows = np.abs(gap) > tol
+        if not open_rows.any():
+            return lam, s
+        if step == BALL_NEWTON_MAX_ITER:
+            raise StepError(
+                "ball Newton solve did not converge in %d iterations"
+                % BALL_NEWTON_MAX_ITER,
+                residual=float(np.max(np.abs(gap))),
+            )
+        slope = np.einsum("ki,ki->k", d * s, s / q)
+        lam = np.where(open_rows, lam + gap * norm**2 / (r * slope), lam)
+
+
 def _ball_step(geom, H, Y):
     c, r = geom.center, geom.radius
     rel = Y - c
@@ -305,23 +340,7 @@ def _ball_step(geom, H, Y):
         d, Q = np.linalg.eigh(Hsub)
         w = np.einsum("kji,kj->ki", Q, relsub)
         back = Q
-    # phi(lam) = sum w_i^2 / (1 + lam d_i)^2 - r^2, strictly decreasing
-    lam_lo = np.zeros(idx.size)
-    lam_hi = np.full(idx.size, 1.0 / np.max(d))
-    for _ in range(200):
-        val = np.sum(w**2 / (1 + lam_hi[:, None] * d) ** 2, axis=1) - r**2
-        todo = val > 0
-        if not np.any(todo):
-            break
-        lam_hi[todo] *= 2.0
-    for _ in range(110):
-        mid = 0.5 * (lam_lo + lam_hi)
-        val = np.sum(w**2 / (1 + mid[:, None] * d) ** 2, axis=1) - r**2
-        hi_side = val > 0
-        lam_lo = np.where(hi_side, mid, lam_lo)
-        lam_hi = np.where(hi_side, lam_hi, mid)
-    lam = 0.5 * (lam_lo + lam_hi)
-    scaled = w / (1 + lam[:, None] * d)
+    lam, scaled = _ball_multiplier(w, d, r)
     relsol = scaled if back is None else np.einsum("kij,kj->ki", back, scaled)
     X[idx] = c + relsol
     dK[idx] = lam[:, None] * relsol
@@ -334,7 +353,9 @@ def _intersection_point(geom, H, y):
     The solution satisfies ``x = y + H N_A' lam`` with ``lam >= 0`` on the
     active rows and all constraints feasible; at most ``m`` independent
     rows can be active, so subsets up to that size are enumerated in a
-    fixed order.
+    fixed order.  Dependent rows (e.g. antiparallel faces of a hexagon)
+    make ``M`` singular; ``solve`` may still return huge multipliers that
+    pass the sign and feasibility tests, so such sets are skipped.
     """
     N, c = geom.normals, geom.offsets
     m = y.size
@@ -350,7 +371,7 @@ def _intersection_point(geom, H, y):
             if np.any(lam < -1e-12):
                 continue
             x = y + H @ (Na.T @ lam)
-            if np.min(N @ x - c) >= -1e-11:
+            if np.min(N @ x - c) >= -1e-11 and np.linalg.cond(M) <= ACTIVE_SET_MAX_COND:
                 return x, -(Na.T @ lam)
     raise StepError("no consistent active set for the intersection step")
 

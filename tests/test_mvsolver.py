@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oblique_mv import library
+from oblique_mv import library, mvsolver
 from oblique_mv.convexcore import (
     ConvexConstraint,
     InteriorCertificate,
@@ -9,7 +13,7 @@ from oblique_mv.convexcore import (
     project,
 )
 from oblique_mv.dynamics import CoefficientField, ObliqueField
-from oblique_mv.errors import ConfigurationError, DivergenceError
+from oblique_mv.errors import ConfigurationError, DivergenceError, StepError
 from oblique_mv.measures import second_moment_sup
 from oblique_mv.mvsolver import (
     NoiseSource,
@@ -130,6 +134,90 @@ class TestSkorohodStep:
             assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * max(1, np.linalg.norm(y))
             probes = project(c, rng.standard_normal((64, m)))
             assert normal_cone_residual(c, x, dk, probes) <= 1e-8
+
+    def test_hexagon_skips_singular_active_set(self):
+        # Rows 1 and 4 of the hexagon are antiparallel, so their reduced
+        # matrix is singular; solving it anyway yielded an interior point
+        # with a nonzero correction for this y and H.
+        angles = 2.0 * np.pi * np.arange(6) / 6
+        hexagon = ConvexConstraint.half_space_intersection(
+            np.column_stack([np.cos(angles), np.sin(angles)]), -np.ones(6))
+        H = np.array([[28.12814385143604, 0.07079310112555688],
+                      [0.07079310112555687, 14.134437328840546]])
+        y = np.array([4.132943433090703, -2.932586339178288])
+        x, dk = oblique_skorohod_step(hexagon, H, y)
+        assert float(hexagon.distance(x)) <= 1e-10
+        assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * np.linalg.norm(y)
+        probes = project(hexagon, 3 * np.random.default_rng(0).standard_normal((64, 2)))
+        assert normal_cone_residual(hexagon, x, dk, probes) <= 1e-8
+
+
+def _ball_bisection_oracle(center, radius, H, y):
+    """Reference ball step state: bracket doubling, then 110 bisections."""
+    d, Q = np.linalg.eigh(H)
+    w = Q.T @ (y - center)
+
+    def excess(lam):
+        return np.sum(w**2 / (1 + lam * d) ** 2) - radius**2
+
+    lo, hi = 0.0, 1.0 / np.max(d)
+    while excess(hi) > 0:
+        hi *= 2.0
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    lam = 0.5 * (lo + hi)
+    return center + Q @ (w / (1 + lam * d))
+
+
+@st.composite
+def ball_cases(draw):
+    """Ball, SPD H (cond <= 1e4, diagonal or rotated) and a point outside."""
+    m = draw(st.sampled_from([2, 3, 5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    radius = draw(st.floats(0.1, 10.0))
+    log_eigs = draw(st.lists(st.floats(0.0, math.log(1e4)), min_size=m, max_size=m))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rotated = draw(st.booleans())
+    excess = 10.0 ** draw(st.floats(-13.0, 6.0))
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-0.5, 0.5, m) * radius / math.sqrt(m)
+    H = np.diag(scale * np.exp(log_eigs))
+    if rotated:
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        H = q @ H @ q.T
+    u = rng.standard_normal(m)
+    y = center + u / np.linalg.norm(u) * radius * (1.0 + excess)
+    return ConvexConstraint.ball(center, radius), H, y
+
+
+class TestBallStep:
+    """The ball step against the one-step contract and a bisection oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ball_cases())
+    def test_contract_and_oracle(self, case):
+        ball, H, y = case
+        geom = ball.geometry
+        x, dk = oblique_skorohod_step(ball, H, y)
+        assert float(ball.distance(x)) <= 1e-10
+        assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * max(1.0, np.linalg.norm(y))
+        probes = project(ball, geom.center + 2 * geom.radius
+                         * np.random.default_rng(1).standard_normal((64, y.size)))
+        assert normal_cone_residual(ball, x, dk, probes) <= 1e-8
+        x_ref = _ball_bisection_oracle(geom.center, geom.radius, H, y)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * geom.radius
+
+    def test_iteration_cap_raises_step_error(self, monkeypatch):
+        monkeypatch.setattr(mvsolver, "BALL_NEWTON_MAX_ITER", 1)
+        ball = ConvexConstraint.ball([0.0, 0.0], 1.0)
+        with pytest.raises(StepError) as err:
+            oblique_skorohod_step(ball, np.diag([1.0, 100.0]), np.array([300.0, 400.0]))
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
+        with pytest.raises(StepError, match=r"^step \d+: ") as err:
+            simulate_projected(library.make_system("example31"),
+                               TimeGrid(0.0, 0.25, 64), 32, NoiseSource(3))
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
 
 
 class TestSimulators:

@@ -20,7 +20,6 @@ normal-cone inclusion of ``dk = H^{-1}(y - x)``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +40,6 @@ from .measures import EmpiricalMeasure
 
 BLOWUP_GUARD = 1e8
 BALL_NEWTON_MAX_ITER = 50
-ACTIVE_SET_MAX_COND = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -228,46 +226,6 @@ def _halfspace_step(geom, H, Y):
     return X, dK
 
 
-def _box_step_point(geom, W, y):
-    """Exact active-set solve of the box-constrained weighted projection."""
-    lo, hi = geom.lower, geom.upper
-    m = y.size
-    options = []
-    for i in range(m):
-        opts = [("free", 0.0)]
-        if np.isfinite(lo[i]):
-            opts.append(("lo", lo[i]))
-        if np.isfinite(hi[i]):
-            opts.append(("hi", hi[i]))
-        options.append(opts)
-    for combo in itertools.product(*options):
-        active = [i for i, (s, _) in enumerate(combo) if s != "free"]
-        free = [i for i, (s, _) in enumerate(combo) if s == "free"]
-        x = np.empty(m)
-        for i, (s, v) in enumerate(combo):
-            if s != "free":
-                x[i] = v
-        if free:
-            rhs = -W[np.ix_(free, active)] @ (x[active] - y[active]) if active else np.zeros(len(free))
-            x[free] = y[free] + np.linalg.solve(W[np.ix_(free, free)], rhs)
-            if np.any(x[free] < lo[free] - 1e-12) or np.any(x[free] > hi[free] + 1e-12):
-                continue
-        dk = W @ (y - x)
-        ok = True
-        for i, (s, _) in enumerate(combo):
-            if s == "lo" and dk[i] > 1e-11:
-                ok = False
-            elif s == "hi" and dk[i] < -1e-11:
-                ok = False
-            elif s == "free" and abs(dk[i]) > 1e-11:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            return x, dk
-    raise StepError("box step found no consistent active set")
-
-
 def _box_step(geom, H, Y):
     X = np.clip(Y, geom.lower, geom.upper)
     dK = np.zeros_like(Y)
@@ -278,12 +236,11 @@ def _box_step(geom, H, Y):
         diag = np.einsum("...ii->...i", H)
         dK[mask] = (Y[mask] - X[mask]) / (diag[mask] if diag.ndim == 2 else diag)
         return X, dK
-    idx = np.flatnonzero(mask)
-    Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
-    for i in idx:
-        W = np.linalg.inv(Hs[i])
-        X[i], dK[i] = _box_step_point(geom, W, Y[i])
-    return X, dK
+    eye = np.eye(Y.shape[1])
+    offsets = np.concatenate([geom.lower, -geom.upper])
+    finite = np.isfinite(offsets)
+    rows = HalfSpaceIntersection(np.vstack([eye, -eye])[finite], offsets[finite])
+    return _intersection_step(rows, H, Y)
 
 
 def _ball_multiplier(w, d, r):
@@ -347,77 +304,13 @@ def _ball_step(geom, H, Y):
     return X, dK
 
 
-def _intersection_point(geom, H, y):
-    """Exact KKT active-set enumeration for a half-space intersection.
-
-    The solution satisfies ``x = y + H N_A' lam`` with ``lam >= 0`` on the
-    active rows and all constraints feasible; at most ``m`` independent
-    rows can be active, so subsets up to that size are enumerated in a
-    fixed order.  Dependent rows (e.g. antiparallel faces of a hexagon)
-    make ``M`` singular; ``solve`` may still return huge multipliers that
-    pass the sign and feasibility tests, so such sets are skipped.
-    """
-    N, c = geom.normals, geom.offsets
-    m = y.size
-    k = N.shape[0]
-    for size in range(1, min(k, m) + 1):
-        for active in itertools.combinations(range(k), size):
-            Na = N[list(active)]
-            M = Na @ H @ Na.T
-            try:
-                lam = np.linalg.solve(M, c[list(active)] - Na @ y)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam < -1e-12):
-                continue
-            x = y + H @ (Na.T @ lam)
-            if np.min(N @ x - c) >= -1e-11 and np.linalg.cond(M) <= ACTIVE_SET_MAX_COND:
-                return x, -(Na.T @ lam)
-    raise StepError("no consistent active set for the intersection step")
-
-
-def _intersection_dykstra(geom, Hsub, pts0):
-    """Dykstra in the H^{-1} inner product; fallback for many constraints."""
-    pts = pts0.copy()
-    Hn = np.einsum("kij,cj->kci", Hsub, geom.normals)        # (k, ncons, m)
-    nHn = np.einsum("kci,ci->kc", Hn, geom.normals)
-    corrections = np.zeros((geom.normals.shape[0],) + pts.shape)
-    for _ in range(convexcore.DYKSTRA_MAX_SWEEPS):
-        prev = pts.copy()
-        for i, (n, c) in enumerate(zip(geom.normals, geom.offsets)):
-            z = pts + corrections[i]
-            t = np.maximum(c - z @ n, 0.0) / nHn[:, i]
-            proj = z + t[:, None] * Hn[:, i, :]
-            corrections[i] = z - proj
-            pts = proj
-        gap = np.max(np.maximum(geom.offsets - pts @ geom.normals.T, 0.0))
-        if gap <= convexcore.DYKSTRA_TOL and \
-                np.max(np.linalg.norm(pts - prev, axis=1)) <= convexcore.DYKSTRA_TOL:
-            break
-    else:
-        raise StepError(
-            "oblique Dykstra step did not converge",
-            residual=float(np.max(np.linalg.norm(pts - prev, axis=1))),
-        )
-    return pts
-
-
 def _intersection_step(geom, H, Y):
-    dist_ok = np.min(Y @ geom.normals.T - geom.offsets, axis=1) >= 0
     X = Y.copy()
     dK = np.zeros_like(Y)
-    idx = np.flatnonzero(~dist_ok)
-    if idx.size == 0:
-        return X, dK
+    outside = np.min(Y @ geom.normals.T - geom.offsets, axis=1) < 0
     Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
-    Hsub = np.ascontiguousarray(Hs[idx])
-    if geom.normals.shape[0] <= 12:
-        for j, i in enumerate(idx):
-            X[i], dK[i] = _intersection_point(geom, Hsub[j], Y[i])
-        return X, dK
-    pts = _intersection_dykstra(geom, Hsub, Y[idx])
-    X[idx] = pts
-    dK[idx] = np.linalg.solve(Hsub, (Y[idx] - pts)[..., None])[..., 0]
+    for i in np.flatnonzero(outside):
+        X[i], dK[i] = convexcore.polyhedral_step(geom.normals, geom.offsets, Hs[i], Y[i])
     return X, dK
 
 

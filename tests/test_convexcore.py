@@ -171,6 +171,15 @@ class TestYosidaProperties:
         report = check_yosida_properties(QUAD, [0.1, 0.01], pts)
         assert report.passed, report.failing()
 
+    def test_triangle_suite_passes(self):
+        # The triangle of the CLI properties mode; an alternating-projection
+        # solver stopped on step size missed (b) by about 2e-7 here.
+        tri = ConvexConstraint.half_space_intersection(
+            [[1, 0], [0, 1], [-1, -1]], [-1, -1, -1])
+        pts = 2.0 * np.random.default_rng(0).standard_normal((200, 2))
+        report = check_yosida_properties(tri, [0.1, 0.01, 0.001], pts)
+        assert report.passed, report.failing()
+
     def test_exact_trivial_cases(self):
         # monotonicity on an identical pair and the sandwich at the origin
         # hold with zero slack

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblique_mv import library, mvsolver
+from oblique_mv import convexcore, library, mvsolver
 from oblique_mv.convexcore import (
     ConvexConstraint,
     InteriorCertificate,
@@ -151,6 +152,21 @@ class TestSkorohodStep:
         probes = project(hexagon, 3 * np.random.default_rng(0).standard_normal((64, 2)))
         assert normal_cone_residual(hexagon, x, dk, probes) <= 1e-8
 
+    def test_sixteen_gon_point(self):
+        # Alternating projections stopped short of the projection here and
+        # left a cone residual of 9e-3.
+        angles = 2.0 * np.pi * np.arange(16) / 16
+        gon = ConvexConstraint.half_space_intersection(
+            np.column_stack([np.cos(angles), np.sin(angles)]), -np.ones(16))
+        H = np.array([[91.17081007447165, -24.40400148652318],
+                      [-24.40400148652318, 7.614699386593139]])
+        y = np.array([-3.1470157286898726, -3.733186324532751])
+        x, dk = oblique_skorohod_step(gon, H, y)
+        assert float(gon.distance(x)) <= 1e-10
+        assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * np.linalg.norm(y)
+        probes = project(gon, 3 * np.random.default_rng(0).standard_normal((64, 2)))
+        assert normal_cone_residual(gon, x, dk, probes) <= 1e-8
+
 
 def _ball_bisection_oracle(center, radius, H, y):
     """Reference ball step state: bracket doubling, then 110 bisections."""
@@ -217,6 +233,137 @@ class TestBallStep:
         with pytest.raises(StepError, match=r"^step \d+: ") as err:
             simulate_projected(library.make_system("example31"),
                                TimeGrid(0.0, 0.25, 64), 32, NoiseSource(3))
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
+
+
+def _rows(geom):
+    """Rows ``(normals, offsets)`` of a box or half-space intersection."""
+    if isinstance(geom, convexcore.Box):
+        eye = np.eye(geom.lower.size)
+        normals = np.vstack([eye, -eye])
+        offsets = np.concatenate([geom.lower, -geom.upper])
+        finite = np.isfinite(offsets)
+        return normals[finite], offsets[finite]
+    return geom.normals, geom.offsets
+
+
+def _enumeration_oracle(normals, offsets, H, y):
+    """Reference polyhedral step state by KKT active-set enumeration.
+
+    The solution is ``x = y + H N_A' lam`` with ``lam >= 0`` on an active
+    set ``A`` of at most ``m`` rows and every row feasible; subsets are
+    tried by size in a fixed order.  Dependent rows (antiparallel or
+    duplicate faces) make the reduced matrix singular, and ``solve`` can
+    still return huge multipliers that pass the sign and feasibility
+    tests, so nearly singular sets are skipped.
+    """
+    tol = 1e-11 * (1.0 + np.linalg.norm(y))
+    if np.min(normals @ y - offsets, initial=0.0) >= 0:
+        return y
+    for size in range(1, min(normals.shape[0], y.size) + 1):
+        for active in itertools.combinations(range(normals.shape[0]), size):
+            Na = normals[list(active)]
+            M = Na @ H @ Na.T
+            if np.linalg.cond(M) > 1e12:
+                continue
+            lam = np.linalg.solve(M, offsets[list(active)] - Na @ y)
+            if np.any(lam < -1e-12 * (1.0 + np.max(np.abs(lam)))):
+                continue
+            x = y + H @ (Na.T @ lam)
+            if np.min(normals @ x - offsets) >= -tol:
+                return x
+    raise AssertionError("no consistent active set")
+
+
+@st.composite
+def polyhedral_cases(draw):
+    """Box (some bounds infinite) or intersection, SPD H (cond <= 1e4), point.
+
+    Intersections have 1 to 5 random rows, so ``k < m`` (unbounded sets)
+    occurs, plus optionally a row antiparallel to or a copy of the first.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    log_eigs = draw(st.lists(st.floats(0.0, math.log(1e4)), min_size=m, max_size=m))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    size = 10.0 ** draw(st.floats(-3.0, 3.0))
+    reach = 10.0 ** draw(st.floats(-1.0, 3.0))
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    H = (q * (scale * np.exp(log_eigs))) @ q.T
+    if draw(st.booleans()):
+        lo = -size * rng.uniform(0.1, 1.0, m)
+        hi = size * rng.uniform(0.1, 1.0, m)
+        lo[rng.random(m) < 0.25] = -np.inf
+        hi[rng.random(m) < 0.25] = np.inf
+        constraint = ConvexConstraint.box(lo, hi)
+    else:
+        k = draw(st.integers(1, 5))
+        normals = rng.standard_normal((k, m))
+        offsets = -size * rng.uniform(0.1, 1.0, k)
+        extra = draw(st.sampled_from(["none", "antiparallel", "duplicate"]))
+        if extra == "antiparallel":
+            normals = np.vstack([normals, -normals[0]])
+            offsets = np.append(offsets, -size * rng.uniform(0.1, 1.0))
+        elif extra == "duplicate":
+            normals = np.vstack([normals, normals[0]])
+            offsets = np.append(offsets, offsets[0])
+        constraint = ConvexConstraint.half_space_intersection(normals, offsets)
+    y = size * reach * rng.standard_normal(m)
+    return constraint, H, y
+
+
+TRIANGLE = ConvexConstraint.half_space_intersection(
+    [[1, 0], [0, 1], [-1, -1]], [-1, -1, -1])
+
+
+def triangle_system():
+    """Constant outward drift on the triangle, no noise: every step reflects."""
+    coeffs = CoefficientField(
+        lambda x, mu: np.full_like(x, -20.0), lambda x, mu: np.zeros((2, 1)),
+        1e-9, 2, 1, uses_measure=False, normalized=False,
+    )
+    return System(coeffs, ObliqueField.identity(2), TRIANGLE, [0.0, 0.0])
+
+
+class TestPolyhedralStep:
+    """The box and intersection steps against the contract and an oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(polyhedral_cases())
+    def test_contract_and_oracle(self, case):
+        constraint, H, y = case
+        normals, offsets = _rows(constraint.geometry)
+        x, dk = oblique_skorohod_step(constraint, H, y)
+        scale = 1.0 + np.linalg.norm(y)
+        assert np.min(normals @ x - offsets, initial=0.0) >= -1e-10 * scale
+        assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * scale
+        probes = project(constraint, scale
+                         * np.random.default_rng(1).standard_normal((64, y.size)))
+        pairing = np.max((probes - x) @ dk, initial=0.0)
+        assert pairing <= 1e-10 * scale * (1.0 + np.linalg.norm(dk))
+        if normals.shape[0] <= 6:
+            x_ref = _enumeration_oracle(normals, offsets, H, y)
+            assert np.linalg.norm(x - x_ref) <= 1e-10 * scale
+
+    def test_nnls_failure_raises_step_error(self, monkeypatch):
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(convexcore, "nnls", capped)
+        with pytest.raises(StepError):
+            oblique_skorohod_step(TRIANGLE, np.eye(2), np.array([-3.0, -2.0]))
+        with pytest.raises(StepError, match=r"^step \d+: "):
+            simulate_projected(triangle_system(), TimeGrid(0.0, 1.0, 8), 4, NoiseSource(0))
+
+    def test_infeasible_answer_raises_step_error(self, monkeypatch):
+        monkeypatch.setattr(convexcore, "nnls",
+                            lambda A, b: (np.zeros(A.shape[1]), float(np.linalg.norm(b))))
+        with pytest.raises(StepError) as err:
+            oblique_skorohod_step(TRIANGLE, np.eye(2), np.array([-3.0, -2.0]))
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
+        with pytest.raises(StepError, match=r"^step \d+: ") as err:
+            simulate_projected(triangle_system(), TimeGrid(0.0, 1.0, 8), 4, NoiseSource(0))
         assert math.isfinite(err.value.residual) and err.value.residual > 0
 
 

@@ -424,7 +424,8 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
                                    ("penalized", e), ctrl_steps,
                                    increments=inc)
             if prev is not None:
-                diff = np.linalg.norm(ens.states - prev, axis=2)
+                # C order keeps the time sum's order independent of the path layout
+                diff = np.ascontiguousarray(np.linalg.norm(ens.states - prev, axis=2))
                 l2s.append(np.sum(diff**2, axis=1) * grid.h)
                 sups.append(np.max(diff, axis=1) ** 2)
             prev = ens.states

@@ -123,19 +123,13 @@ class NoiseSource:
 
 
 @dataclass
-class ConstrainedPath:
-    """Single-particle record of state, reflection, variation, and density."""
-
-    times: np.ndarray
-    states: np.ndarray
-    reflection: np.ndarray
-    variation: np.ndarray
-    density: np.ndarray
-
-
-@dataclass
 class PathEnsemble:
-    """Ensemble arrays for one replication of the particle system."""
+    """Ensemble arrays for one replication of the particle system.
+
+    The step loops fill time-major buffers, one contiguous row per step;
+    the path arrays here are particle-major views of them (not
+    C-contiguous, so ``reshape`` copies them).
+    """
 
     grid: TimeGrid
     states: np.ndarray        # (N, steps+1, m)
@@ -152,18 +146,9 @@ class PathEnsemble:
     def particles(self):
         return self.states.shape[0]
 
-    def particle(self, i):
-        return ConstrainedPath(
-            self.grid.times,
-            self.states[i],
-            self.reflection[i],
-            self.variation[i],
-            self.density[i],
-        )
-
     def feasibility_gap(self):
         """Largest distance of any recorded state to the constraint set."""
-        flat = self.states.reshape(-1, self.states.shape[-1])
+        flat = self.states.transpose(1, 0, 2).reshape(-1, self.states.shape[-1])
         return float(np.max(self.system.constraint.distance(flat)))
 
 
@@ -385,11 +370,11 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     )
 
     X = np.tile(system.x0, (N, 1))
-    states = np.empty((N, steps + 1, m))
-    reflection = np.zeros((N, steps + 1, m))
-    variation = np.zeros((N, steps + 1))
-    density = np.empty((N, steps, m))
-    states[:, 0] = X
+    states = np.empty((steps + 1, N, m))
+    reflection = np.zeros((steps + 1, N, m))
+    variation = np.zeros((steps + 1, N))
+    density = np.empty((steps, N, m))
+    states[0] = X
 
     frozen_cache = (None, None)  # (snap index, (fk, gk, Hk))
     for k in range(steps):
@@ -428,18 +413,21 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
         else:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
 
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > BLOWUP_GUARD:
+        if not np.max(np.abs(X)) <= BLOWUP_GUARD:      # also true for NaN
             raise DivergenceError(
-                f"state magnitude exceeded {BLOWUP_GUARD:g} at step {k}", step=k
+                f"state magnitude exceeded {BLOWUP_GUARD:g} or is not finite "
+                f"at step {k}", step=k
             )
-        states[:, k + 1] = X
-        reflection[:, k + 1] = reflection[:, k] + dk_step
-        variation[:, k + 1] = variation[:, k] + np.linalg.norm(dk_step, axis=1)
-        density[:, k] = dk_step / h
+        states[k + 1] = X
+        np.add(reflection[k], dk_step, out=reflection[k + 1])
+        np.add(variation[k], np.linalg.norm(dk_step, axis=1), out=variation[k + 1])
+        np.divide(dk_step, h, out=density[k])
 
     return PathEnsemble(
-        grid=grid, states=states, reflection=reflection, variation=variation,
-        density=density, increments=increments, system=system, scheme=scheme,
+        grid=grid, states=states.transpose(1, 0, 2),
+        reflection=reflection.transpose(1, 0, 2), variation=variation.T,
+        density=density.transpose(1, 0, 2), increments=increments,
+        system=system, scheme=scheme,
         eps=eps, control=None if control is None else np.asarray(control),
     )
 
@@ -569,11 +557,15 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual
         eq_worst = max(eq_worst, float(np.max(np.linalg.norm(node_res, axis=1))))
 
-    # subdifferential inequality against probe paths
+    # subdifferential inequality against probe paths.  The sums over time
+    # run on C-ordered (N, steps, ...) arrays, so their summation order, and
+    # hence every bit of the result, does not depend on the path layout.
     post = ensemble.states[:, 1:, :]
-    dK = ensemble.density * h
+    dK = np.multiply(ensemble.density, h, order="C")
+    post_tm = ensemble.states.transpose(1, 0, 2)[1:]    # no copy for time-major paths
     pi_x = np.asarray(system.constraint.value(
-        post.reshape(-1, m), feasibility_band=band)).reshape(N, steps)
+        post_tm.reshape(-1, m), feasibility_band=band)).reshape(steps, N)
+    x_term = h * np.sum(np.ascontiguousarray(pi_x.T), axis=1)
     ineq = -np.inf
     probe_paths = [np.broadcast_to(np.asarray(p, dtype=float), (steps, m))
                    for p in probes]
@@ -584,8 +576,8 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
             np.asarray(y).reshape(-1, m), feasibility_band=band)).reshape(steps)
         if not np.all(np.isfinite(pi_y)):
             continue
-        pairing = np.einsum("nkm,nkm->n", y[None, :, :] - post, dK)
-        value = pairing + h * np.sum(pi_x, axis=1) - h * np.sum(pi_y)
+        pairing = np.einsum("nkm,nkm->n", np.subtract(y[None, :, :], post, order="C"), dK)
+        value = pairing + x_term - h * np.sum(pi_y)
         ineq = max(ineq, float(np.max(value)))
 
     return SolutionDiagnostics(

@@ -176,9 +176,9 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     if increments is None:
         increments = noise.brownian(N, grid.steps, coeffs.noise_dim, h)
     X = np.tile(prob.x0, (N, 1))
-    states = np.empty((N, grid.steps + 1, 1))
-    reflection = np.zeros((N, grid.steps + 1, 1))
-    states[:, 0] = X
+    states = np.empty((grid.steps + 1, N, 1))       # time-major, as in mvsolver
+    reflection = np.zeros((grid.steps + 1, N, 1))
+    states[0] = X
     for k in range(grid.steps):
         tk = times[k]
         Hk = prob.hfield(t=tk)[0, 0]
@@ -190,9 +190,9 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
         Y = X + h * fk + gdB
         Hnext = prob.hfield(t=times[k + 1])[0, 0]
         X = np.clip(Y, geom.lower[0] * Hnext, geom.upper[0] * Hnext)
-        states[:, k + 1] = X
-        reflection[:, k + 1] = reflection[:, k] + (Y - X)
-    return MovingPaths(times, states, reflection)
+        states[k + 1] = X
+        np.add(reflection[k], Y - X, out=reflection[k + 1])
+    return MovingPaths(times, states.transpose(1, 0, 2), reflection.transpose(1, 0, 2))
 
 
 @dataclass

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblique_mv import convexcore, library, mvsolver
+from oblique_mv.control import SimConfig, penalization_rate_probe
 from oblique_mv.convexcore import (
     ConvexConstraint,
     InteriorCertificate,
@@ -15,7 +16,7 @@ from oblique_mv.convexcore import (
 )
 from oblique_mv.dynamics import CoefficientField, ObliqueField
 from oblique_mv.errors import ConfigurationError, DivergenceError, StepError
-from oblique_mv.measures import second_moment_sup
+from oblique_mv.measures import EmpiricalMeasure, second_moment_sup
 from oblique_mv.mvsolver import (
     NoiseSource,
     System,
@@ -367,6 +368,61 @@ class TestPolyhedralStep:
         assert math.isfinite(err.value.residual) and err.value.residual > 0
 
 
+@st.composite
+def halfspace_cases(draw):
+    """Half-space, SPD H (cond <= 1e4, shared or one per point) and points.
+
+    Every point comes with its mirror image in the boundary plane, so each
+    batch holds points on both sides, plus two points just outside.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    per_point = draw(st.booleans())
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    size = 10.0 ** draw(st.floats(-3.0, 3.0))
+    reach = 10.0 ** draw(st.floats(-1.0, 3.0))
+    rng = np.random.default_rng(seed)
+
+    def spd():
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        return (q * (scale * np.exp(rng.uniform(0.0, math.log(1e4), m)))) @ q.T
+
+    constraint = ConvexConstraint.half_space(rng.standard_normal(m),
+                                             -size * rng.uniform(0.0, 1.0))
+    n, c = constraint.geometry.normal, constraint.geometry.offset
+    excess = size * 10.0 ** draw(st.floats(-13.0, 0.0))
+    Y = size * reach * rng.standard_normal((4, m))
+    Y = np.vstack([Y, Y + 2.0 * (c - Y @ n)[:, None] * n,
+                   Y[:2] + (c - excess - Y[:2] @ n)[:, None] * n])
+    H = np.stack([spd() for _ in Y]) if per_point else spd()
+    return constraint, H, Y
+
+
+class TestHalfSpaceStep:
+    """The closed-form half-space step against the one-step contract."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(halfspace_cases())
+    def test_contract(self, case):
+        constraint, H, Y = case
+        n, c = constraint.geometry.normal, constraint.geometry.offset
+        X, dK = mvsolver._halfspace_step(constraint.geometry, H, Y)
+        Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:])
+        for x, dk, y, h in zip(X, dK, Y, Hs):
+            scale = 1.0 + np.linalg.norm(y) + np.linalg.norm(x)
+            assert n @ x - c >= -1e-12 * scale
+            assert np.linalg.norm(x + h @ dk - y) <= 1e-12 * scale
+            # dk = -t n with t >= 0, and t > 0 only on the boundary
+            t = -(dk @ n)
+            assert t >= 0.0
+            assert np.linalg.norm(dk + t * n) <= 1e-15 * np.linalg.norm(dk)
+            if n @ y >= c:
+                np.testing.assert_array_equal(x, y)
+                np.testing.assert_array_equal(dk, 0.0)
+            else:
+                assert t > 0.0 and abs(n @ x - c) <= 1e-12 * scale
+
+
 class TestSimulators:
     def test_zero_coefficients_constant_paths(self):
         sys1 = free_system([0.5])
@@ -554,3 +610,202 @@ class TestDiagnostics:
                                      NoiseSource(47))
             vals.append(second_moment_sup(ens))
         assert abs(vals[1] - vals[0]) <= 0.1 * max(vals)
+
+
+def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None,
+                             control=None, increments=None, frozen_from=None,
+                             frozen_level=None):
+    """Reference step loop: the engine's arithmetic with particle-major storage.
+
+    Every array is allocated ``(N, steps+1, ...)`` and written one strided
+    column per step; the arithmetic is the engine's, so its paths must
+    match the time-major engine's bit for bit.
+    """
+    coeffs = system.coeffs
+    m, d = system.state_dim, system.noise_dim
+    steps, h = grid.steps, grid.h
+    times = grid.times
+    N = int(particles)
+    if increments is None:
+        increments = noise.brownian(N, steps, d, h)
+    oblique = system.oblique
+    need_mu = coeffs.uses_measure or (
+        not oblique.time_dependent and getattr(oblique, "uses_measure", True)
+    )
+    X = np.tile(system.x0, (N, 1))
+    states = np.empty((N, steps + 1, m))
+    reflection = np.zeros((N, steps + 1, m))
+    variation = np.zeros((N, steps + 1))
+    density = np.empty((N, steps, m))
+    states[:, 0] = X
+    frozen_cache = (None, None)
+    for k in range(steps):
+        tk = times[k]
+        uk = mvsolver._control_value(control, k)
+        if frozen_from is not None:
+            j = grid.snap_index(tk, frozen_level)
+            if frozen_cache[0] == j and control is None and not oblique.time_dependent:
+                fk, gk, Hk = frozen_cache[1]
+            else:
+                Xe = frozen_from.states[:, j, :]
+                mu = EmpiricalMeasure(Xe) if need_mu else None
+                fk = coeffs.drift(Xe, mu, uk, tk)
+                gk = coeffs.diffusion(Xe, mu, uk, tk)
+                Hk = oblique(t=tk) if oblique.time_dependent else oblique(Xe, mu)
+                frozen_cache = (j, (fk, gk, Hk))
+        else:
+            mu = EmpiricalMeasure(X) if need_mu else None
+            fk = coeffs.drift(X, mu, uk, tk)
+            gk = coeffs.diffusion(X, mu, uk, tk)
+            Hk = oblique(t=tk) if oblique.time_dependent else oblique(X, mu)
+        gdB = mvsolver._gdb(gk, increments[:, k, :])
+        if scheme == "penalized":
+            U = (X - convexcore.project(system.constraint, X)) / eps \
+                if system.constraint.kind == "indicator" \
+                else convexcore.yosida_gradient(system.constraint, eps, X)
+            X = X + h * (fk - mvsolver._hu(Hk, U)) + gdB
+            dk_step = U * h
+        else:
+            Y = X + h * fk + gdB
+            X, dk_step = mvsolver._skorohod_batch(system.constraint, Hk, Y)
+        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > mvsolver.BLOWUP_GUARD:
+            raise DivergenceError("oracle diverged", step=k)
+        states[:, k + 1] = X
+        reflection[:, k + 1] = reflection[:, k] + dk_step
+        variation[:, k + 1] = variation[:, k] + np.linalg.norm(dk_step, axis=1)
+        density[:, k] = dk_step / h
+    return mvsolver.PathEnsemble(
+        grid=grid, states=states, reflection=reflection, variation=variation,
+        density=density, increments=increments, system=system, scheme=scheme,
+        eps=eps, control=None if control is None else np.asarray(control),
+    )
+
+
+PATH_FIELDS = ("states", "reflection", "variation", "density")
+
+
+def controlled_planar_system():
+    """example31's oblique field and ball with a control- and mean-dependent drift."""
+    ex = library.make_system("example31")
+    coeffs = CoefficientField(
+        lambda x, mu, u: u * (x - mu.mean()) + 1.5,
+        lambda x, mu, u: np.array([[0.4], [0.7]]),
+        3.0, 2, 1, controlled=True, uses_measure=True, normalized=False,
+    )
+    return System(coeffs, ex.oblique, ex.constraint, ex.x0)
+
+
+def _storage_runs():
+    """(label, call) pairs; each call runs one engine entry on a small grid.
+
+    ``frozen-m1-mean`` is the one run not expected to match bit for bit:
+    its frozen coefficients call ``EmpiricalMeasure.mean`` (a BLAS dot) on
+    a stored time slice, which the particle-major layout made strided and
+    the time-major layout makes contiguous, and BLAS rounds the two
+    differently (about 1e-17 per evaluation).
+    """
+    grid = TimeGrid(0.0, 1.0, 96)
+    two = library.make_control_problem("two_control").system
+    ctrl = np.where(np.arange(grid.steps) < 40, -1.0, 1.0)
+    ex, linear = library.make_system("example31"), library.make_system("linear", b=-2.0)
+    planar = controlled_planar_system()
+    return [
+        ("projected-m1", lambda: simulate_projected(linear, grid, 33, NoiseSource(1))),
+        ("projected-m2", lambda: simulate_projected(ex, grid, 33, NoiseSource(2))),
+        ("penalized-m1", lambda: simulate_penalized(linear, 0.05, grid, 33, NoiseSource(3))),
+        ("penalized-m2", lambda: simulate_penalized(ex, 0.05, grid, 33, NoiseSource(4))),
+        ("controlled-m1", lambda: simulate_projected(two, grid, 33, NoiseSource(5),
+                                                     control=ctrl)),
+        ("controlled-m2", lambda: simulate_penalized(planar, 0.1, grid, 33, NoiseSource(6),
+                                                     control=ctrl)),
+        ("frozen-m1", lambda: euler_iteration(library.make_system("ou"), 3, 3, grid, 33,
+                                              NoiseSource(7))[0]),
+        ("frozen-m2", lambda: euler_iteration(ex, 3, 3, grid, 33, NoiseSource(8))[0]),
+        ("frozen-m1-mean", lambda: euler_iteration(linear, 3, 3, grid, 33,
+                                                   NoiseSource(9))[0]),
+    ]
+
+
+class TestTimeMajorStorage:
+    """The time-major engine against the particle-major reference loop."""
+
+    @pytest.mark.parametrize("index", range(9), ids=[r[0] for r in _storage_runs()])
+    def test_paths_match_particle_major_oracle(self, index, monkeypatch):
+        label, run = _storage_runs()[index]
+        monkeypatch.setattr(mvsolver, "_simulate", _particle_major_simulate)
+        expected = run()
+        monkeypatch.undo()
+        got = run()
+        if not isinstance(got, list):
+            expected, got = [expected], [got]
+        assert len(got) == len(expected)
+        for ens_ref, ens in zip(expected, got):
+            assert np.any(ens.variation > 0)
+            for name in PATH_FIELDS:
+                arr = getattr(ens, name)
+                if label.endswith("-mean"):
+                    np.testing.assert_allclose(arr, getattr(ens_ref, name), rtol=0, atol=1e-13)
+                else:
+                    np.testing.assert_array_equal(arr, getattr(ens_ref, name))
+                # a particle-major view of a contiguous time-major buffer
+                assert np.swapaxes(arr, 0, 1).flags.c_contiguous
+                assert arr.base is not None and not arr.flags.c_contiguous
+
+    def test_diagnostics_do_not_depend_on_layout(self):
+        # the step loop's re-integration aside (see ``_storage_runs`` on
+        # ``mean``), residual_report's sums over time run in one fixed order
+        ou = library.make_system("ou")
+        quadratic = System(ou.coeffs, ou.oblique, ConvexConstraint.sum_of(
+            ConvexConstraint.half_line(),
+            ConvexConstraint.smooth(lambda z: float(z @ z), lambda z: 2.0 * z, 1)), [0.5])
+        grid = TimeGrid(0.0, 1.0, 128)
+        for system, ens in (
+            (ou, simulate_projected(ou, grid, 24, NoiseSource(9))),
+            (quadratic, simulate_projected(quadratic, grid, 24, NoiseSource(9))),
+            (library.make_system("example31"),
+             simulate_projected(library.make_system("example31"), grid, 24, NoiseSource(9))),
+        ):
+            m = system.state_dim
+            copy = mvsolver.PathEnsemble(**{
+                **vars(ens), **{f: np.ascontiguousarray(getattr(ens, f))
+                                for f in PATH_FIELDS}})
+            kwargs = dict(probes=[np.zeros(m), np.full(m, 0.25)], shifts=[np.full(m, 0.1)])
+            a, b = residual_report(ens, system, **kwargs), residual_report(copy, system, **kwargs)
+            assert (a.equation_residual, a.feasibility_gap, a.inequality_residual) \
+                == (b.equation_residual, b.feasibility_gap, b.inequality_residual)
+            cert = InteriorCertificate(np.full(m, 1.0 if m == 1 else 0.0), 0.5)
+            assert interior_reflection_margin(ens, cert) == interior_reflection_margin(copy, cert)
+            assert second_moment_sup(ens) == second_moment_sup(copy)
+
+    def test_rate_probe_matches_particle_major_oracle(self, monkeypatch):
+        cfg = SimConfig(steps=256, particles=24, replications=2, seed=3)
+        ou = library.make_system("ou")
+
+        def run():
+            rep = penalization_rate_probe(ou, None, [2.0**-k for k in range(3, 7)], cfg,
+                                          horizon=(0.0, 1.0))
+            return rep.ys, rep.extras["sup_distances"], rep.slope
+
+        monkeypatch.setattr(mvsolver, "_simulate", _particle_major_simulate)
+        expected = run()
+        monkeypatch.undo()
+        assert run() == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scheme", ["projected", "penalized"])
+    def test_divergence_guard_catches_non_finite_states(self, bad, scheme):
+        # x grows by 0.1 a step from 1 and the drift turns bad once x > 1.55,
+        # so step 6 is the first to produce a non-finite state
+        coeffs = CoefficientField(
+            lambda x, mu: np.where(x > 1.55, bad, 1.0), lambda x, mu: np.zeros((1, 1)),
+            1.0, 1, 1, uses_measure=False, normalized=False,
+        )
+        sys1 = System(coeffs, ObliqueField.identity(1), ConvexConstraint.half_line(), [1.0])
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(DivergenceError) as err:
+            if scheme == "projected":
+                simulate_projected(sys1, grid, 3, NoiseSource(0))
+            else:
+                simulate_penalized(sys1, 0.1, grid, 3, NoiseSource(0))
+        assert err.value.step == 6

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 probe failure under --strict.  All outputs are written atomically
-(temp file + rename) and depend only on (config, seed), never on the
-worker-thread count.
+(temp file + rename) and depend only on (config, seed).  The thread count
+(``--threads``, the ``threads`` key, ``OBLIQUE_MV_THREADS``) is accepted
+for compatibility and changes nothing: every mode runs its ensembles as
+batches of one step loop.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import os
 import platform
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -31,9 +32,9 @@ from .measures import second_moment_sup
 from .mvsolver import (
     NoiseSource,
     TimeGrid,
+    _replication_increments,
+    _simulate,
     residual_report,
-    simulate_penalized,
-    simulate_projected,
 )
 from .timedep import equivalence_check
 
@@ -122,13 +123,6 @@ def write_csv(path, header, rows):
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require(cfg, *keys):
     for key in keys:
         if key not in cfg:
@@ -150,7 +144,7 @@ def _stability_check(cfg, eps_values, system):
 # Mode runners (each returns (passed, outputs))
 
 
-def _run_simulate(cfg, seed, threads, outdir):
+def _run_simulate(cfg, seed, outdir):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     g = cfg["grid"]
     grid = TimeGrid(g["start"], g["end"], g["steps"], g.get("dyadic_level"))
@@ -163,14 +157,13 @@ def _run_simulate(cfg, seed, threads, outdir):
     particles = cfg.get("particles", 256)
     reps = cfg.get("replications", 1)
     noise = NoiseSource(seed)
-
-    def run_rep(r):
-        rn = noise.for_replication(r)
-        if scheme == "penalized":
-            return simulate_penalized(system, eps, grid, particles, rn)
-        return simulate_projected(system, grid, particles, rn)
-
-    ensembles = _map_ordered(run_rep, range(reps), threads)
+    increments = _replication_increments(noise, range(reps), particles, grid.steps,
+                                         system.noise_dim, grid.h)
+    ensembles = _simulate(system, grid, particles, noise, scheme=scheme,
+                          eps=eps if scheme == "penalized" else None,
+                          increments=increments, groups=reps)
+    if reps == 1:
+        ensembles = [ensembles]
 
     rows = []
     m = system.state_dim
@@ -203,7 +196,7 @@ def _run_simulate(cfg, seed, threads, outdir):
     return True, ["trajectories.csv", "diagnostics.csv"]
 
 
-def _run_converge(cfg, seed, threads, outdir):
+def _run_converge(cfg, seed, outdir):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     ladder = cfg.get("epsilon_ladder", [])
     if len(ladder) < 3:
@@ -214,7 +207,7 @@ def _run_converge(cfg, seed, threads, outdir):
     g = cfg["grid"]
     sim = SimConfig(
         steps=g["steps"], particles=cfg.get("particles", 256),
-        replications=cfg.get("replications", 16), seed=seed, threads=threads,
+        replications=cfg.get("replications", 16), seed=seed,
     )
     report = penalization_rate_probe(
         system, None, ladder, sim, noise=NoiseSource(seed).child(3),
@@ -238,7 +231,7 @@ def _run_converge(cfg, seed, threads, outdir):
     return passed, ["rate_table.csv", "rate_summary.csv"]
 
 
-def _run_control(cfg, seed, threads, outdir):
+def _run_control(cfg, seed, outdir):
     prob = library.make_control_problem(
         cfg["system"]["name"], **cfg["system"].get("params", {})
     )
@@ -246,7 +239,7 @@ def _run_control(cfg, seed, threads, outdir):
     ctl = cfg.get("control", {})
     sim = SimConfig(
         steps=g["steps"], particles=cfg.get("particles", 128),
-        replications=cfg.get("replications", 16), seed=seed, threads=threads,
+        replications=cfg.get("replications", 16), seed=seed,
         switches=ctl.get("switches", 0), clusters=ctl.get("clusters", 8),
         inner_replications=ctl.get("inner_replications", 8),
     )
@@ -269,7 +262,7 @@ def _run_control(cfg, seed, threads, outdir):
     return passed, ["value.csv", "dpp.csv"]
 
 
-def _run_validate(cfg, seed, threads, outdir):
+def _run_validate(cfg, seed, outdir):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     pairs = cfg.get("samples", 2000)
     lip = validate_lipschitz(system.coeffs, pairs=pairs, seed=seed)
@@ -288,7 +281,7 @@ def _run_validate(cfg, seed, threads, outdir):
     return all(r[1] for r in rows), ["validation.csv"]
 
 
-def _run_transform(cfg, seed, threads, outdir):
+def _run_transform(cfg, seed, outdir):
     prob = library.make_moving_problem(
         cfg["system"]["name"], **cfg["system"].get("params", {})
     )
@@ -312,7 +305,7 @@ def _run_transform(cfg, seed, threads, outdir):
     return passed, ["equivalence.csv"]
 
 
-def _run_properties(cfg, seed, threads, outdir):
+def _run_properties(cfg, seed, outdir):
     if "constraint" not in cfg:
         raise ConfigurationError("constraint: required for properties mode")
     constraint = library.constraint_from_config(cfg["constraint"])
@@ -350,22 +343,23 @@ _MODE_KEYS = {
 
 
 def run(config_path, seed=None, threads=None, strict=False, out=None):
-    """Execute one experiment config; returns the process exit code."""
+    """Execute one experiment config; returns the process exit code.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     try:
         raw = Path(config_path).read_bytes()
         cfg = json.loads(raw)
         jsonschema.validate(cfg, CONFIG_SCHEMA)
         _require(cfg, *_MODE_KEYS[cfg["mode"]])
         seed = cfg["seed"] if seed is None else int(seed)
-        threads = threads or cfg.get("threads") \
-            or int(os.environ.get("OBLIQUE_MV_THREADS", "1"))
         outdir = Path(out or cfg.get("output_dir", "out"))
-        passed, outputs = _RUNNERS[cfg["mode"]](cfg, seed, int(threads), outdir)
+        passed, outputs = _RUNNERS[cfg["mode"]](cfg, seed, outdir)
     except jsonschema.ValidationError as err:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         print(f"config error at {path}: {err.message}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as err:
+    except (json.JSONDecodeError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except ConfigurationError as err:
@@ -408,8 +402,8 @@ def main(argv=None):
     runp.add_argument("--config", required=True, help="path to the JSON config")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: config, then "
-                           "OBLIQUE_MV_THREADS, then 1)")
+                      help="accepted for compatibility; has no effect (ensembles "
+                           "run as batches of one step loop)")
     runp.add_argument("--strict", action="store_true",
                       help="exit 4 when an acceptance-style probe fails")
     runp.add_argument("--out", default=None, help="output directory override")

@@ -6,13 +6,18 @@ is the minimum of the estimated cost over the enumerated family.  All
 comparisons (across controls, penalization levels, or start-point
 perturbations) run under common random numbers: every replication keys its
 Brownian increments off the same counter-based stream.
+
+Every multi-ensemble estimate runs as batches of the one step loop in
+``mvsolver._simulate``: the groups of a batch are the variants (controls or
+penalization levels) times a chunk of replications, ordered variant-major
+so that each variant's rows are contiguous, and streaming observers reduce
+the paths to what the estimate needs while the loop runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +28,9 @@ from .mvsolver import (
     NoiseSource,
     System,
     TimeGrid,
-    simulate_penalized,
-    simulate_projected,
+    _replication_chunks,
+    _replication_increments,
+    _simulate,
 )
 
 CONTROL_FAMILY_LIMIT = 100_000
@@ -92,7 +98,7 @@ class SimConfig:
     particles: int
     replications: int
     seed: int
-    threads: int = 1
+    threads: int = 1            # accepted for compatibility; runs are single-threaded
     switches: int = 0
     clusters: int = 8
     inner_replications: int = 12
@@ -194,49 +200,73 @@ def control_family(prob, switches):
     ]
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+class _CostStream:
+    """Streams each particle's trapezoid of the running cost along the loop.
+
+    The rows form ``len(u_nodes)`` equal contiguous blocks; block ``b`` runs
+    under the control ``u_nodes[b]`` (one value per grid node), and the
+    running cost is called once per block and node.  ``integral`` is the
+    per-row trapezoid of the running cost and ``X`` the latest states.
+    """
+
+    def __init__(self, running, u_nodes, h):
+        self.running, self.u_nodes, self.h = running, np.asarray(u_nodes), h
+
+    def _z(self, X, node):
+        blocks = np.split(X, len(self.u_nodes))
+        return np.concatenate([np.broadcast_to(self.running(Xb, u[node]), Xb.shape[:1])
+                               for Xb, u in zip(blocks, self.u_nodes)])
+
+    def start(self, X):
+        self.X, self.z = X, self._z(X, 0)
+        self.integral = np.zeros(X.shape[0])
+
+    def step(self, k, X, dk_step):
+        z = self._z(X, k + 1)
+        self.integral += self.h * (z + self.z) / 2.0
+        self.X, self.z = X, z
 
 
-def _simulate_scheme(system, grid, particles, noise, scheme, control_steps,
-                     increments=None):
-    if scheme[0] == "projected":
-        return simulate_projected(system, grid, particles, noise,
-                                  control=control_steps, increments=increments)
-    if scheme[0] == "penalized":
-        return simulate_penalized(system, scheme[1], grid, particles, noise,
-                                  control=control_steps, increments=increments)
-    raise ConfigurationError(f"unknown scheme {scheme!r}")
+def _family_runs(prob, scheme, particles, grid, noise, reps, u_nodes, draw_steps=None,
+                 draw_h=None):
+    """One batch: every control of ``u_nodes`` on every replication of ``reps``.
+
+    Replication ``r`` draws ``draw_steps`` increments of step ``draw_h``
+    (default: ``grid``'s) from ``noise.for_replication(r)`` and the run
+    consumes the last ``grid.steps`` of them.  Returns the ``_CostStream``;
+    its rows are ``(control, replication, particle)`` in C order.
+    """
+    system = prob.system
+    draw_steps = grid.steps if draw_steps is None else draw_steps
+    inc = _replication_increments(noise, reps, particles, draw_steps, system.noise_dim,
+                                  grid.h if draw_h is None else draw_h)
+    return _simulate(
+        system, grid, particles, noise, scheme=scheme[0],
+        eps=scheme[1] if len(scheme) > 1 else None,
+        control=np.repeat(u_nodes, len(reps), axis=0),
+        increments=inc[:, :, draw_steps - grid.steps:, :],
+        groups=len(u_nodes) * len(reps),
+        observer=_CostStream(prob.costs.running, u_nodes, grid.h),
+    )
 
 
-def _simulate_controlled(prob, grid, particles, noise, scheme, control_steps,
-                         increments=None):
-    return _simulate_scheme(prob.system, grid, particles, noise, scheme,
-                            control_steps, increments)
+def _value_costs(prob, scheme, cfg, noise, family, skip=0, draw_h=None):
+    """Per-replication cost table, one column per control, shared increments.
 
-
-def _value_costs(prob, scheme, cfg, noise, family, grid=None):
-    """Per-replication cost table, one row per control, shared increments."""
-    if grid is None:
-        grid = TimeGrid(prob.horizon[0], prob.horizon[1], cfg.steps)
-    steps_per_control = [c.per_step(grid) for c in family]
-
-    def run_rep(r):
-        rep_noise = noise.for_replication(r)
-        inc = rep_noise.brownian(cfg.particles, grid.steps,
-                                 prob.system.noise_dim, grid.h)
-        out = np.empty(len(family))
-        for i, ctrl_steps in enumerate(steps_per_control):
-            ens = _simulate_controlled(prob, grid, cfg.particles, rep_noise,
-                                       scheme, ctrl_steps, increments=inc)
-            out[i], _ = cost(ens, ctrl_steps, prob.costs)
-        return out
-
-    rows = _map_ordered(run_rep, range(cfg.replications), cfg.threads)
-    return np.array(rows), grid  # (replications, len(family))
+    Runs on the problem's horizon in ``cfg.steps - skip`` steps, driven by
+    the last steps of each replication's ``cfg.steps`` increments (step
+    ``draw_h``, default the run grid's).
+    """
+    grid = TimeGrid(prob.horizon[0], prob.horizon[1], cfg.steps - skip)
+    u_nodes = np.array([c.per_step(grid) for c in family])
+    N = cfg.particles
+    rows = []
+    for reps in _replication_chunks(cfg.replications, N, cfg.steps, prob.system.noise_dim):
+        run = _family_runs(prob, scheme, N, grid, noise, reps, u_nodes,
+                           draw_steps=cfg.steps, draw_h=draw_h)
+        per_particle = run.integral + prob.costs.terminal(run.X)
+        rows.append(per_particle.reshape(len(family), len(reps), N).mean(axis=2).T)
+    return np.concatenate(rows), grid  # (replications, len(family))
 
 
 def value(prob, scheme, cfg, noise=None, family=None):
@@ -306,8 +336,7 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     controls = list(prob.control_set)
     inner_cfg = SimConfig(
         steps=cfg.steps - tau_idx, particles=cfg.particles,
-        replications=cfg.inner_replications, seed=cfg.seed,
-        threads=cfg.threads, switches=0,
+        replications=cfg.inner_replications, seed=cfg.seed, switches=0,
     )
     inner_sims = cfg.clusters * len(controls) * cfg.inner_replications
     if tau_idx > 0 and inner_sims > cfg.nested_budget:
@@ -326,29 +355,18 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     ]
     lhs = value(prob, scheme, cfg, noise=noise.child(1), family=pair_family)
 
-    # first leg per initial control
+    # first leg per initial control, all controls and replications batched
     head_grid = TimeGrid(s, tau_snap, tau_idx)
+    u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
+    N, m = cfg.particles, prob.system.state_dim
+    heads = [_family_runs(prob, scheme, N, head_grid, noise.child(1), reps, u_nodes)
+             for reps in _replication_chunks(cfg.replications, N, tau_idx,
+                                             prob.system.noise_dim)]
+    running_all = np.concatenate(
+        [h.integral.reshape(len(controls), -1, N) for h in heads], axis=1)
+    ends_all = np.concatenate([h.X.reshape(len(controls), -1, N, m) for h in heads], axis=1)
     best_rhs, best_se = np.inf, 0.0
-    for u1 in controls:
-        ctrl_steps = np.full(tau_idx + 1, float(u1))
-
-        def run_head(r):
-            rep_noise = noise.child(1).for_replication(r)
-            inc = rep_noise.brownian(cfg.particles, tau_idx,
-                                     prob.system.noise_dim, head_grid.h)
-            ens = _simulate_controlled(prob, head_grid, cfg.particles, rep_noise,
-                                       scheme, ctrl_steps, increments=inc)
-            states = ens.states
-            z = np.empty((cfg.particles, tau_idx + 1))
-            for k in range(tau_idx + 1):
-                z[:, k] = prob.costs.running(states[:, k, :], u1)
-            running = np.trapezoid(z, dx=head_grid.h, axis=1)
-            return running, states[:, -1, :]
-
-        head = _map_ordered(run_head, range(cfg.replications), cfg.threads)
-        running = np.stack([h[0] for h in head])        # (R, N)
-        ends = np.stack([h[1] for h in head])           # (R, N, m)
-
+    for running, ends in zip(running_all, ends_all):      # (R, N), (R, N, m)
         pooled = ends.reshape(-1, ends.shape[-1])
         centers, _ = _kmeans(pooled, cfg.clusters, cfg.seed)
         center_vals = np.empty(centers.shape[0])
@@ -387,6 +405,29 @@ def _fit_loglog(xs, ys):
     return float(slope), float(r2)
 
 
+class _LadderGaps:
+    """Streams the distance between consecutive smoothing levels.
+
+    The rows are ``levels`` equal blocks, one per level, each holding the
+    same replications in the same order; ``sq_sum`` accumulates
+    ``|x^(l+1) - x^l|^2`` over the grid nodes and ``sup`` keeps the pathwise
+    maximum of ``|x^(l+1) - x^l|``, both ``(levels - 1, rows per level)``.
+    """
+
+    def __init__(self, levels):
+        self.levels = levels
+
+    def start(self, X):
+        shape = (self.levels - 1, X.shape[0] // self.levels)
+        self.sq_sum, self.sup = np.zeros(shape), np.zeros(shape)
+
+    def step(self, k, X, dk_step):
+        Xl = X.reshape(self.levels, -1, X.shape[1])
+        gap = np.linalg.norm(Xl[1:] - Xl[:-1], axis=2)
+        self.sq_sum += gap**2
+        np.maximum(self.sup, gap, out=self.sup)
+
+
 def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
                             horizon=None):
     """Fit the decay of the coupled distance between smoothing levels.
@@ -413,27 +454,18 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
     ctrl_steps = control.per_step(grid) if isinstance(control, ControlPath) \
         else control
 
-    def run_rep(r):
-        rep_noise = noise.for_replication(r)
-        inc = rep_noise.brownian(cfg.particles, grid.steps,
-                                 system.noise_dim, grid.h)
-        l2s, sups = [], []
-        prev = None
-        for e in ladder:
-            ens = _simulate_scheme(system, grid, cfg.particles, rep_noise,
-                                   ("penalized", e), ctrl_steps,
-                                   increments=inc)
-            if prev is not None:
-                # C order keeps the time sum's order independent of the path layout
-                diff = np.ascontiguousarray(np.linalg.norm(ens.states - prev, axis=2))
-                l2s.append(np.sum(diff**2, axis=1) * grid.h)
-                sups.append(np.max(diff, axis=1) ** 2)
-            prev = ens.states
-        return np.array(l2s), np.array(sups)        # each (len-1, N)
-
-    results = _map_ordered(run_rep, range(cfg.replications), cfg.threads)
-    per_rep = np.stack([r[0] for r in results])
-    per_rep_sup = np.stack([r[1] for r in results])
+    L, N = len(ladder), cfg.particles
+    l2s, sups = [], []
+    for reps in _replication_chunks(cfg.replications, N, grid.steps, system.noise_dim):
+        inc = _replication_increments(noise, reps, N, grid.steps, system.noise_dim, grid.h)
+        gaps = _simulate(system, grid, N, noise, scheme="penalized",
+                         eps=np.repeat(ladder, len(reps)), control=ctrl_steps,
+                         increments=inc, groups=L * len(reps), observer=_LadderGaps(L))
+        l2s.append(gaps.sq_sum.reshape(L - 1, len(reps), N) * grid.h)
+        sups.append(gaps.sup.reshape(L - 1, len(reps), N) ** 2)
+    # (replications, len - 1, N), C order as the means below expect
+    per_rep = np.ascontiguousarray(np.concatenate(l2s, axis=1).transpose(1, 0, 2))
+    per_rep_sup = np.ascontiguousarray(np.concatenate(sups, axis=1).transpose(1, 0, 2))
     dists = per_rep.mean(axis=(0, 2))
     sup_dists = per_rep_sup.mean(axis=(0, 2))
     stderrs = per_rep.mean(axis=2).std(axis=0, ddof=1) / math.sqrt(cfg.replications) \
@@ -494,27 +526,14 @@ def value_regularity_probe(prob, perturbations, cfg, scheme=("projected",),
     h = base_grid.h
 
     def costs_from(start_idx, x0):
-        steps = cfg.steps - start_idx
         start = base_grid.times[start_idx]
         sub = prob.restarted(start, x0) if start_idx or not np.allclose(
             x0, prob.system.x0) else prob
-        grid = TimeGrid(start, t_end, steps)
         sub_family = [ControlPath(c.values, ()) for c in family] \
             if cfg.switches == 0 else control_family(sub, cfg.switches)
-
-        def run_rep(r):
-            rep_noise = noise.for_replication(r)
-            inc = rep_noise.brownian(cfg.particles, cfg.steps,
-                                     prob.system.noise_dim, h)[:, start_idx:, :]
-            out = np.empty(len(sub_family))
-            for i, ctrl in enumerate(sub_family):
-                ctrl_steps = ctrl.per_step(grid)
-                ens = _simulate_controlled(sub, grid, cfg.particles, rep_noise,
-                                           scheme, ctrl_steps, increments=inc)
-                out[i], _ = cost(ens, ctrl_steps, prob.costs)
-            return out
-
-        return np.array(_map_ordered(run_rep, range(cfg.replications), cfg.threads))
+        # the shifted run consumes the tail of the base grid's increments
+        return _value_costs(sub, scheme, cfg, noise, sub_family, skip=start_idx,
+                            draw_h=h)[0]
 
     base_table = costs_from(0, prob.system.x0)
     v_base = float(base_table.mean(axis=0).min())

@@ -1,7 +1,11 @@
 """Coefficient fields, the oblique matrix field, and assumption validators.
 
 Coefficients are callables over (state, measure[, control][, time]) and are
-expected to be numpy-vectorized over a leading particle axis.  Validators
+expected to be numpy-vectorized over a leading particle axis.  The control
+is a scalar, or a ``(n, 1)`` column with one value per state row when the
+simulation engine runs groups under different controls through one
+measure-free evaluation; the bundled controlled fields and the reduced
+field of :mod:`oblique_mv.timedep` broadcast either.  Validators
 probe declared Lipschitz constants and ellipticity bounds statistically;
 declared constants are user inputs that are cross-checked, never inferred.
 """

@@ -206,16 +206,22 @@ def _moving_interval(outward=2.0, sigma=0.5, coupling=0.25, x0=0.5,
 def constraint_from_config(cfg):
     """Build a constraint from a config mapping (see the CLI schema)."""
     kind = cfg.get("kind")
+
+    def key(name):
+        if name not in cfg:
+            raise ConfigurationError(f"constraint: kind {kind!r} requires key {name!r}")
+        return cfg[name]
+
     if kind == "half-space":
-        return ConvexConstraint.half_space(cfg["normal"], cfg.get("offset", 0.0))
+        return ConvexConstraint.half_space(key("normal"), cfg.get("offset", 0.0))
     if kind == "box":
-        lower = [-math.inf if v is None else v for v in cfg["lower"]]
-        upper = [math.inf if v is None else v for v in cfg["upper"]]
+        lower = [-math.inf if v is None else v for v in key("lower")]
+        upper = [math.inf if v is None else v for v in key("upper")]
         return ConvexConstraint.box(lower, upper)
     if kind == "ball":
-        return ConvexConstraint.ball(cfg["center"], cfg["radius"])
+        return ConvexConstraint.ball(key("center"), key("radius"))
     if kind == "intersection":
-        return ConvexConstraint.half_space_intersection(cfg["normals"], cfg["offsets"])
+        return ConvexConstraint.half_space_intersection(key("normals"), key("offsets"))
     if kind == "quadratic":
         weights = np.asarray(cfg.get("weights", [1.0]), dtype=float)
         return ConvexConstraint.smooth(

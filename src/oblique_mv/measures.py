@@ -25,7 +25,9 @@ class EmpiricalMeasure:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] < 1:
             raise ConfigurationError("atoms must form a nonempty (n, m) array")
-        self.atoms = atoms
+        # C order makes mean() and the moments independent of the caller's
+        # layout: BLAS rounds a strided view and its copy differently
+        self.atoms = np.ascontiguousarray(atoms)
         n = atoms.shape[0]
         if weights is None:
             self.weights = np.full(n, 1.0 / n)

@@ -40,6 +40,7 @@ from .measures import EmpiricalMeasure
 
 BLOWUP_GUARD = 1e8
 BALL_NEWTON_MAX_ITER = 50
+BATCH_NOISE_BYTES = 32 * 2**20      # increments one batch of replications holds
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +111,37 @@ class NoiseSource:
         return gen.standard_normal((steps, dim))
 
     def brownian(self, particles, steps, dim, h):
-        """Brownian increments, sqrt(h)-scaled, for a whole ensemble."""
-        out = np.empty((particles, steps, dim))
+        """Brownian increments, sqrt(h)-scaled, for a whole ensemble.
+
+        Filled into a time-major ``(steps, N, d)`` buffer; the result is its
+        ``(N, steps, d)`` view, so one step's increments are a contiguous row.
+        """
+        out = np.empty((steps, particles, dim))
         for i in range(particles):
-            out[i] = self.gaussians(i, steps, dim)
+            out[:, i, :] = self.gaussians(i, steps, dim)
         out *= math.sqrt(h)
-        return out
+        return out.transpose(1, 0, 2)
+
+
+def _replication_increments(noise, reps, particles, steps, dim, h):
+    """Increments of the replications ``reps`` as one ``(R, N, steps, d)`` array.
+
+    A view of a time-major ``(R, steps, N, d)`` buffer: replication ``r``
+    draws from ``noise.for_replication(r)``, and a step's rows of all the
+    replications form one ``(R, N, d)`` slab.
+    """
+    if len(reps) == 1:
+        return noise.for_replication(reps[0]).brownian(particles, steps, dim, h)[None]
+    out = np.empty((len(reps), steps, particles, dim))
+    for i, r in enumerate(reps):
+        out[i] = noise.for_replication(r).brownian(particles, steps, dim, h).transpose(1, 0, 2)
+    return out.transpose(0, 2, 1, 3)
+
+
+def _replication_chunks(replications, particles, steps, dim):
+    """Ranges of replications whose increments together fit ``BATCH_NOISE_BYTES``."""
+    per = max(1, BATCH_NOISE_BYTES // (8 * particles * steps * dim))
+    return [range(a, min(a + per, replications)) for a in range(0, replications, per)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +353,13 @@ def oblique_skorohod_step(constraint, H, y):
 
 
 def _control_value(control, k):
+    """Control at step ``k``: shared (a scalar) or one value per group."""
     if control is None:
         return None
     arr = np.asarray(control)
     if arr.ndim == 0:
         return control
-    return arr[k]
+    return arr[k] if arr.ndim == 1 else arr[:, k]
 
 
 def _gdb(gk, dB):
@@ -349,94 +376,184 @@ def _hu(Hk, U):
     return np.einsum("nij,nj->ni", Hk, U)
 
 
+def _per_row(values, rows):
+    """A per-group scalar or ``(G,)`` array as a ``(G * rows, 1)`` column."""
+    if values is None or np.ndim(values) == 0:
+        return values
+    return np.repeat(values, rows)[:, None]
+
+
+def _stack_groups(parts, rows):
+    """One batch matrix from per-group ones: shared if all agree, else one per row."""
+    if all(p.ndim == 2 and np.array_equal(p, parts[0]) for p in parts):
+        return parts[0]
+    return np.concatenate([np.broadcast_to(p, (rows,) + p.shape[-2:]) for p in parts])
+
+
+def _coefficients(system, X, u, t, groups=1):
+    """Drift, diffusion and oblique matrix at time ``t`` for a batch of groups.
+
+    ``X`` holds ``groups`` contiguous blocks of rows and ``u`` is the
+    control, shared or one value per group.  Measure-free fields are
+    evaluated once on the whole batch (a per-group control reaches them as
+    a ``(rows, 1)`` column).  Otherwise every group is evaluated on its own
+    rows with its own empirical measure and scalar control, exactly as a
+    run of that group alone.
+    """
+    coeffs, oblique = system.coeffs, system.oblique
+    need_mu = coeffs.uses_measure or (not oblique.time_dependent and oblique.uses_measure)
+    if groups == 1 or not need_mu:
+        mu = EmpiricalMeasure(X) if need_mu else None
+        u = _per_row(u, X.shape[0] // groups)
+        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
+                oblique(t=t) if oblique.time_dependent else oblique(X, mu))
+    parts = []
+    for g, Xg in enumerate(np.split(X, groups)):
+        mu = EmpiricalMeasure(Xg)
+        ug = u if np.ndim(u) == 0 else u[g]
+        parts.append((coeffs.drift(Xg, mu, ug, t), coeffs.diffusion(Xg, mu, ug, t),
+                      oblique(t=t) if oblique.time_dependent else oblique(Xg, mu)))
+    drift, diffusion, matrix = zip(*parts)
+    rows = X.shape[0] // groups
+    return (np.concatenate([np.broadcast_to(f, (rows, X.shape[1])) for f in drift]),
+            _stack_groups(diffusion, rows), _stack_groups(matrix, rows))
+
+
+def _increment_rows(increments, groups):
+    """Step ``k``'s increments as ``(G N, d)`` rows; group g uses replication g % R."""
+    inc = increments if increments.ndim == 4 else increments[None]
+    reps, N, _, d = inc.shape
+    if groups == 1:
+        return lambda k: inc[0, :, k, :]
+    shape = (groups // reps, reps, N, d)
+    return lambda k: np.broadcast_to(inc[:, :, k, :], shape).reshape(-1, d)
+
+
+class _PathRecorder:
+    """The default step observer: stores every step in time-major buffers."""
+
+    def __init__(self, grid):
+        self.steps, self.h = grid.steps, grid.h
+
+    def start(self, X):
+        rows, m = X.shape
+        self.states = np.empty((self.steps + 1, rows, m))
+        self.reflection = np.zeros((self.steps + 1, rows, m))
+        self.variation = np.zeros((self.steps + 1, rows))
+        self.density = np.empty((self.steps, rows, m))
+        self.states[0] = X
+
+    def step(self, k, X, dk_step):
+        self.states[k + 1] = X
+        np.add(self.reflection[k], dk_step, out=self.reflection[k + 1])
+        np.add(self.variation[k], np.linalg.norm(dk_step, axis=1), out=self.variation[k + 1])
+        np.divide(dk_step, self.h, out=self.density[k])
+
+
 def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
-              increments=None, frozen_from=None, frozen_level=None):
-    coeffs = system.coeffs
-    m, d = system.state_dim, system.noise_dim
+              increments=None, frozen_from=None, frozen_level=None, groups=1,
+              observer=None):
+    """One step loop for ``groups`` independent ensembles of ``particles`` each.
+
+    The groups advance together as one ``(groups * N, m)`` array, group g
+    in rows ``g N .. (g+1) N``; each has its own ``eps`` (a scalar or one
+    per group), its own control (``None``, a scalar, one value per step, or
+    one row of such values per group) and its own empirical measure.
+    ``increments`` is ``(N, steps, d)``, shared by all groups, or
+    ``(R, N, steps, d)`` with group g driven by replication ``g % R``.
+
+    Every step is handed to ``observer`` (``start(X)``, then ``step(k, X,
+    dk)``), which is returned.  Without one the paths are recorded and
+    returned as a ``PathEnsemble``, or a list of one per group.
+    """
+    d = system.noise_dim
     steps, h = grid.steps, grid.h
     times = grid.times
-    N = int(particles)
+    N, G = int(particles), int(groups)
+    if scheme not in ("penalized", "projected"):
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    if scheme == "penalized" and not np.all(np.asarray(eps) > 0):
+        raise ValueError(f"penalization parameter must be positive, got {eps}")
+    if scheme == "projected" and not system.constraint.has_indicator():
+        raise ConfigurationError("projected scheme requires an indicator constraint")
+    if frozen_from is not None and G != 1:
+        raise ConfigurationError("frozen coefficients need a single group")
 
     if increments is None:
         increments = noise.brownian(N, steps, d, h)
-    elif increments.shape != (N, steps, d):
+    reps = 1 if increments.ndim == 3 else increments.shape[0]
+    if increments.shape[-3:] != (N, steps, d) or G % reps:
         raise ConfigurationError(
-            f"increments shape {increments.shape} does not match (N, steps, d)"
+            f"increments shape {increments.shape} does not match (N, steps, d) "
+            f"for {G} groups"
         )
+    increment_rows = _increment_rows(increments, G)
+    eps_rows = _per_row(eps, N)
+    if control is not None:
+        control = np.asarray(control)
 
-    oblique = system.oblique
-    need_mu = coeffs.uses_measure or (
-        not oblique.time_dependent and getattr(oblique, "uses_measure", True)
-    )
-
-    X = np.tile(system.x0, (N, 1))
-    states = np.empty((steps + 1, N, m))
-    reflection = np.zeros((steps + 1, N, m))
-    variation = np.zeros((steps + 1, N))
-    density = np.empty((steps, N, m))
-    states[0] = X
-
+    X = np.tile(system.x0, (N * G, 1))
+    watch = _PathRecorder(grid) if observer is None else observer
+    watch.start(X)
     frozen_cache = (None, None)  # (snap index, (fk, gk, Hk))
     for k in range(steps):
         tk = times[k]
         uk = _control_value(control, k)
-        if frozen_from is not None:
-            j = grid.snap_index(tk, frozen_level)
-            if frozen_cache[0] == j and control is None and not oblique.time_dependent:
-                fk, gk, Hk = frozen_cache[1]
-            else:
-                Xe = frozen_from.states[:, j, :]
-                mu = EmpiricalMeasure(Xe) if need_mu else None
-                fk = coeffs.drift(Xe, mu, uk, tk)
-                gk = coeffs.diffusion(Xe, mu, uk, tk)
-                Hk = oblique(t=tk) if oblique.time_dependent else oblique(Xe, mu)
-                frozen_cache = (j, (fk, gk, Hk))
+        if frozen_from is None:
+            fk, gk, Hk = _coefficients(system, X, uk, tk, G)
         else:
-            mu = EmpiricalMeasure(X) if need_mu else None
-            fk = coeffs.drift(X, mu, uk, tk)
-            gk = coeffs.diffusion(X, mu, uk, tk)
-            Hk = oblique(t=tk) if oblique.time_dependent else oblique(X, mu)
+            j = grid.snap_index(tk, frozen_level)
+            if not (frozen_cache[0] == j and control is None
+                    and not system.oblique.time_dependent):
+                frozen_cache = (j, _coefficients(system, frozen_from.states[:, j, :], uk, tk))
+            fk, gk, Hk = frozen_cache[1]
 
-        gdB = _gdb(gk, increments[:, k, :])
+        gdB = _gdb(gk, increment_rows(k))
         if scheme == "penalized":
-            U = (X - convexcore.project(system.constraint, X)) / eps \
-                if system.constraint.kind == "indicator" \
-                else convexcore.yosida_gradient(system.constraint, eps, X)
+            if system.constraint.kind == "indicator":
+                U = (X - convexcore.project(system.constraint, X)) / eps_rows
+            elif np.ndim(eps) == 0:
+                U = convexcore.yosida_gradient(system.constraint, eps, X)
+            else:
+                U = np.concatenate([convexcore.yosida_gradient(system.constraint, e, Xg)
+                                    for e, Xg in zip(eps, np.split(X, G))])
             X = X + h * (fk - _hu(Hk, U)) + gdB
             dk_step = U * h
-        elif scheme == "projected":
+        else:
             Y = X + h * fk + gdB
             try:
                 X, dk_step = _skorohod_batch(system.constraint, Hk, Y)
             except StepError as err:
                 raise StepError(f"step {k}: {err}", residual=err.residual) from err
-        else:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
 
         if not np.max(np.abs(X)) <= BLOWUP_GUARD:      # also true for NaN
             raise DivergenceError(
                 f"state magnitude exceeded {BLOWUP_GUARD:g} or is not finite "
                 f"at step {k}", step=k
             )
-        states[k + 1] = X
-        np.add(reflection[k], dk_step, out=reflection[k + 1])
-        np.add(variation[k], np.linalg.norm(dk_step, axis=1), out=variation[k + 1])
-        np.divide(dk_step, h, out=density[k])
+        watch.step(k, X, dk_step)
 
-    return PathEnsemble(
-        grid=grid, states=states.transpose(1, 0, 2),
-        reflection=reflection.transpose(1, 0, 2), variation=variation.T,
-        density=density.transpose(1, 0, 2), increments=increments,
-        system=system, scheme=scheme,
-        eps=eps, control=None if control is None else np.asarray(control),
-    )
+    if observer is not None:
+        return observer
+    ensembles = []
+    for g in range(G):
+        rows = slice(g * N, (g + 1) * N)
+        ensembles.append(PathEnsemble(
+            grid=grid, states=watch.states[:, rows].transpose(1, 0, 2),
+            reflection=watch.reflection[:, rows].transpose(1, 0, 2),
+            variation=watch.variation[:, rows].T,
+            density=watch.density[:, rows].transpose(1, 0, 2),
+            increments=increments if increments.ndim == 3 else increments[g % reps],
+            system=system, scheme=scheme,
+            eps=eps if np.ndim(eps) == 0 else float(eps[g]),
+            control=control if control is None or control.ndim < 2 else control[g],
+        ))
+    return ensembles[0] if G == 1 else ensembles
 
 
 def simulate_penalized(system, eps, grid, particles, noise, control=None,
                        increments=None):
     """Explicit Euler on the smoothed equation at penalization level eps."""
-    if not eps > 0:
-        raise ValueError(f"penalization parameter must be positive, got {eps}")
     return _simulate(system, grid, particles, noise, scheme="penalized", eps=eps,
                      control=control, increments=increments)
 
@@ -444,8 +561,6 @@ def simulate_penalized(system, eps, grid, particles, noise, control=None,
 def simulate_projected(system, grid, particles, noise, control=None,
                        increments=None):
     """Projected Euler with per-step oblique Skorohod corrections."""
-    if not system.constraint.has_indicator():
-        raise ConfigurationError("projected scheme requires an indicator constraint")
     return _simulate(system, grid, particles, noise, scheme="projected",
                      control=control, increments=increments)
 
@@ -526,7 +641,6 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
             f"diagnostics expect a penalized or projected ensemble, got {ensemble.scheme!r}"
         )
     grid = ensemble.grid
-    coeffs = system.coeffs
     h = grid.h
     times = grid.times
     N, steps = ensemble.density.shape[0], grid.steps
@@ -536,20 +650,12 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
     band = max(feas * (1 + 1e-9), convexcore.TOL_GEOM) \
         if feasibility_band is None else feasibility_band
 
-    oblique = system.oblique
-    need_mu = coeffs.uses_measure or (
-        not oblique.time_dependent and getattr(oblique, "uses_measure", True)
-    )
     residual = np.zeros((N, m))
     eq_worst = 0.0
     for k in range(steps):
         tk = times[k]
-        Xk = ensemble.states[:, k, :]
-        uk = _control_value(ensemble.control, k)
-        mu = EmpiricalMeasure(Xk) if need_mu else None
-        fk = coeffs.drift(Xk, mu, uk, tk)
-        gk = coeffs.diffusion(Xk, mu, uk, tk)
-        Hk = oblique(t=tk) if oblique.time_dependent else oblique(Xk, mu)
+        fk, gk, Hk = _coefficients(system, ensemble.states[:, k, :],
+                                   _control_value(ensemble.control, k), tk)
         dk_step = ensemble.density[:, k, :] * h
         Hdk = _hu(Hk, dk_step)
         residual = residual + Hdk - h * np.broadcast_to(np.asarray(fk), (N, m)) \

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from oblique_mv import cli
 from oblique_mv.cli import main, run
 
 
@@ -85,6 +88,22 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         assert run(tmp_path / "absent.json") == 2
+
+    def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(cfg, seed, outdir):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli._RUNNERS, "properties", broken)
+        cfg = write_config(tmp_path, properties_config(tmp_path / "out"))
+        with pytest.raises(KeyError):
+            run(cfg)
+
+    def test_missing_nested_key_named(self, tmp_path, capsys):
+        payload = properties_config(tmp_path / "out")
+        payload["constraint"] = {"kind": "ball", "center": [0.0, 0.0]}
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'radius'" in err
 
     def test_strict_flips_probe_failures(self, tmp_path):
         # an unreflective system makes the converge probe degenerate

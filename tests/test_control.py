@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oblique_mv import library
+from oblique_mv import library, mvsolver
 from oblique_mv.control import (
     ControlPath,
     ControlProblem,
@@ -13,10 +13,18 @@ from oblique_mv.control import (
     value,
     value_rate_probe,
     value_regularity_probe,
+    _family_runs,
+    _value_costs,
 )
 from oblique_mv.dynamics import CoefficientField, CostField
 from oblique_mv.errors import BudgetError, ConfigurationError
-from oblique_mv.mvsolver import NoiseSource, System, TimeGrid, simulate_projected
+from oblique_mv.mvsolver import (
+    NoiseSource,
+    System,
+    TimeGrid,
+    simulate_penalized,
+    simulate_projected,
+)
 
 
 def deterministic_problem(x0=0.5, controls=(-1.0, 1.0), cost_shape="abs"):
@@ -241,3 +249,93 @@ class TestProbes:
         )
         r1, r2 = (p.ratio for p in report.probes)
         assert r2 <= 3 * r1 and r1 <= 3 * r2
+
+
+class TestStreamingObservers:
+    """Streamed reductions of the batched loop against recorded paths."""
+
+    @pytest.mark.parametrize("scheme", [("projected",), ("penalized", 0.05)])
+    def test_value_costs_match_recorded_paths(self, scheme):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=128, particles=16, replications=3, seed=5)
+        family = control_family(prob, 1)
+        noise = NoiseSource(5).child(1)
+        table, grid = _value_costs(prob, scheme, cfg, noise, family)
+        assert table.shape == (3, len(family))
+        for r in range(3):
+            rep_noise = noise.for_replication(r)
+            inc = rep_noise.brownian(16, 128, 1, grid.h)
+            for i, ctrl in enumerate(family):
+                u = ctrl.per_step(grid)
+                if scheme[0] == "projected":
+                    ens = simulate_projected(prob.system, grid, 16, rep_noise, control=u,
+                                             increments=inc)
+                else:
+                    ens = simulate_penalized(prob.system, scheme[1], grid, 16, rep_noise,
+                                             control=u, increments=inc)
+                assert np.any(ens.variation > 0)
+                assert table[r, i] == pytest.approx(cost(ens, u, prob.costs)[0],
+                                                    rel=1e-12, abs=0)
+
+    def test_shifted_start_consumes_the_increment_tail(self):
+        # value_regularity_probe's shifted runs: 96 of 128 base steps, driven
+        # by the last 96 increments of each replication's base draw
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=128, particles=16, replications=2, seed=6)
+        base = TimeGrid(0.0, 1.0, 128)
+        sub = prob.restarted(base.times[32], [0.3])
+        family = control_family(sub, 0)
+        noise = NoiseSource(6).child(5)
+        table, grid = _value_costs(sub, ("projected",), cfg, noise, family, skip=32,
+                                   draw_h=base.h)
+        assert grid.steps == 96
+        for r in range(2):
+            rep_noise = noise.for_replication(r)
+            inc = rep_noise.brownian(16, 128, 1, base.h)[:, 32:, :]
+            for i, ctrl in enumerate(family):
+                u = ctrl.per_step(grid)
+                ens = simulate_projected(sub.system, grid, 16, rep_noise, control=u,
+                                         increments=inc)
+                assert table[r, i] == pytest.approx(cost(ens, u, prob.costs)[0],
+                                                    rel=1e-12, abs=0)
+
+    def test_dpp_head_matches_recorded_paths(self):
+        prob = library.make_control_problem("two_control")
+        grid = TimeGrid(0.0, 0.5, 64)
+        controls = prob.control_set
+        u_nodes = np.repeat(np.asarray(controls)[:, None], 65, axis=1)
+        noise = NoiseSource(9).child(1)
+        run = _family_runs(prob, ("projected",), 16, grid, noise, range(3), u_nodes)
+        running = run.integral.reshape(len(controls), 3, 16)
+        ends = run.X.reshape(len(controls), 3, 16, 1)
+        for i, u1 in enumerate(controls):
+            for r in range(3):
+                rep_noise = noise.for_replication(r)
+                ens = simulate_projected(prob.system, grid, 16, rep_noise,
+                                         control=np.full(65, float(u1)),
+                                         increments=rep_noise.brownian(16, 64, 1, grid.h))
+                z = np.stack([prob.costs.running(ens.states[:, k, :], u1)
+                              for k in range(65)], axis=1)
+                np.testing.assert_allclose(running[i, r], np.trapezoid(z, dx=grid.h, axis=1),
+                                           rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(ends[i, r], ens.states[:, -1, :])
+
+    def test_replication_chunks_do_not_change_results(self, monkeypatch):
+        # every estimate is per replication, so splitting the replications
+        # into batches of one changes no bit
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=64, particles=8, replications=3, seed=17,
+                        clusters=2, inner_replications=2)
+        ou = library.make_system("ou")
+
+        def estimates():
+            rate = penalization_rate_probe(ou, None, [0.1, 0.05, 0.025], cfg,
+                                           horizon=(0.0, 1.0))
+            return (value(prob, ("projected",), cfg).rep_costs.tolist(),
+                    dpp_residual(prob, 0.5, cfg), rate.ys, rate.extras["sup_distances"])
+
+        whole = estimates()
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)
+        assert mvsolver._replication_chunks(3, 8, 64, 1) == [range(0, 1), range(1, 2),
+                                                             range(2, 3)]
+        assert estimates() == whole

@@ -88,6 +88,14 @@ class TestNoiseSource:
         assert inc.shape == (64, 256, 1)
         assert np.var(inc) == pytest.approx(0.01, rel=0.05)
 
+    def test_brownian_is_a_time_major_view(self):
+        noise = NoiseSource(5).for_replication(2)
+        inc = noise.brownian(7, 33, 2, h=0.01)
+        assert inc.shape == (7, 33, 2)
+        assert not inc.flags.c_contiguous and np.swapaxes(inc, 0, 1).flags.c_contiguous
+        for i in range(7):
+            np.testing.assert_array_equal(inc[i], noise.gaussians(i, 33, 2) * math.sqrt(0.01))
+
 
 class TestSkorohodStep:
     def test_identity_matrix_reduces_to_projection(self):
@@ -698,11 +706,10 @@ def controlled_planar_system():
 def _storage_runs():
     """(label, call) pairs; each call runs one engine entry on a small grid.
 
-    ``frozen-m1-mean`` is the one run not expected to match bit for bit:
-    its frozen coefficients call ``EmpiricalMeasure.mean`` (a BLAS dot) on
-    a stored time slice, which the particle-major layout made strided and
-    the time-major layout makes contiguous, and BLAS rounds the two
-    differently (about 1e-17 per evaluation).
+    ``frozen-m1-mean`` freezes coefficients that call
+    ``EmpiricalMeasure.mean`` on a stored time slice, strided in the
+    particle-major layout and contiguous in the time-major one; it matches
+    because the measure stores its atoms in C order.
     """
     grid = TimeGrid(0.0, 1.0, 96)
     two = library.make_control_problem("two_control").system
@@ -743,17 +750,13 @@ class TestTimeMajorStorage:
             assert np.any(ens.variation > 0)
             for name in PATH_FIELDS:
                 arr = getattr(ens, name)
-                if label.endswith("-mean"):
-                    np.testing.assert_allclose(arr, getattr(ens_ref, name), rtol=0, atol=1e-13)
-                else:
-                    np.testing.assert_array_equal(arr, getattr(ens_ref, name))
+                np.testing.assert_array_equal(arr, getattr(ens_ref, name))
                 # a particle-major view of a contiguous time-major buffer
                 assert np.swapaxes(arr, 0, 1).flags.c_contiguous
                 assert arr.base is not None and not arr.flags.c_contiguous
 
     def test_diagnostics_do_not_depend_on_layout(self):
-        # the step loop's re-integration aside (see ``_storage_runs`` on
-        # ``mean``), residual_report's sums over time run in one fixed order
+        # residual_report's sums over time run in one fixed order
         ou = library.make_system("ou")
         quadratic = System(ou.coeffs, ou.oblique, ConvexConstraint.sum_of(
             ConvexConstraint.half_line(),
@@ -777,19 +780,27 @@ class TestTimeMajorStorage:
             assert interior_reflection_margin(ens, cert) == interior_reflection_margin(copy, cert)
             assert second_moment_sup(ens) == second_moment_sup(copy)
 
-    def test_rate_probe_matches_particle_major_oracle(self, monkeypatch):
+    def test_rate_probe_matches_particle_major_oracle(self):
+        # the probe streams its sums through one batched loop; the reference
+        # reduces the oracle's recorded paths one pair of levels at a time
         cfg = SimConfig(steps=256, particles=24, replications=2, seed=3)
         ou = library.make_system("ou")
-
-        def run():
-            rep = penalization_rate_probe(ou, None, [2.0**-k for k in range(3, 7)], cfg,
-                                          horizon=(0.0, 1.0))
-            return rep.ys, rep.extras["sup_distances"], rep.slope
-
-        monkeypatch.setattr(mvsolver, "_simulate", _particle_major_simulate)
-        expected = run()
-        monkeypatch.undo()
-        assert run() == expected
+        ladder = [2.0**-k for k in range(6, 2, -1)]
+        rep = penalization_rate_probe(ou, None, ladder, cfg, horizon=(0.0, 1.0))
+        grid = TimeGrid(0.0, 1.0, cfg.steps)
+        l2s, sups = [], []
+        for r in range(cfg.replications):
+            noise = NoiseSource(cfg.seed).child(3).for_replication(r)
+            inc = noise.brownian(cfg.particles, cfg.steps, 1, grid.h)
+            paths = [_particle_major_simulate(ou, grid, cfg.particles, noise, scheme="penalized",
+                                              eps=e, increments=inc).states for e in ladder]
+            gaps = [np.linalg.norm(b - a, axis=2) for a, b in zip(paths, paths[1:])]
+            l2s.append([np.sum(g**2, axis=1) * grid.h for g in gaps])
+            sups.append([np.max(g, axis=1) ** 2 for g in gaps])
+        assert np.all(np.mean(l2s, axis=(0, 2)) > 0)
+        np.testing.assert_allclose(rep.ys, np.mean(l2s, axis=(0, 2)), rtol=1e-12, atol=0)
+        # a running maximum is exact in any order
+        np.testing.assert_array_equal(rep.extras["sup_distances"], np.mean(sups, axis=(0, 2)))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -809,3 +820,104 @@ class TestTimeMajorStorage:
             else:
                 simulate_penalized(sys1, 0.1, grid, 3, NoiseSource(0))
         assert err.value.step == 6
+
+
+def _batch_cases():
+    """name -> (system, batch keywords, keywords of each variant run alone).
+
+    The batch runs every variant on every replication, variant-major.
+    """
+    grid = TimeGrid(0.0, 1.0, 96)
+    reps = 3
+    ou, ex = library.make_system("ou"), library.make_system("example31")
+    two = library.make_control_problem("two_control").system
+    planar = controlled_planar_system()
+    smooth = System(ou.coeffs, ou.oblique, ConvexConstraint.sum_of(
+        ConvexConstraint.half_line(),
+        ConvexConstraint.smooth(lambda z: float(z @ z), lambda z: 2.0 * z, 1)), [0.5])
+    eps = [0.05, 0.1]
+    switch = [np.where(np.arange(grid.steps + 1) < s, -1.0, 1.0) for s in (30, 60)]
+    per_control = np.repeat(switch, reps, axis=0)
+    return grid, reps, {
+        "ou-penalized-per-group-eps": (
+            ou, dict(scheme="penalized", eps=np.repeat(eps, reps)),
+            [dict(scheme="penalized", eps=e) for e in eps]),
+        "smooth-penalized-per-group-eps": (
+            smooth, dict(scheme="penalized", eps=np.repeat(eps, reps)),
+            [dict(scheme="penalized", eps=e) for e in eps]),
+        "two_control-projected-per-group-control": (
+            two, dict(scheme="projected", control=per_control),
+            [dict(scheme="projected", control=c) for c in switch]),
+        "example31-projected-per-group-measure": (
+            ex, dict(scheme="projected"), [dict(scheme="projected")]),
+        "planar-penalized-per-group-measure-and-control": (
+            planar, dict(scheme="penalized", eps=0.1, control=per_control),
+            [dict(scheme="penalized", eps=0.1, control=c) for c in switch]),
+    }
+
+
+def _assert_batch_matches(name, particles=17, seed=11):
+    grid, reps, cases = _batch_cases()
+    system, batch_kw, variant_kws = cases[name]
+    noise = NoiseSource(seed)
+    d = system.noise_dim
+    inc = mvsolver._replication_increments(noise, range(reps), particles, grid.steps, d, grid.h)
+    batch = mvsolver._simulate(system, grid, particles, noise, increments=inc,
+                               groups=len(variant_kws) * reps, **batch_kw)
+    assert len(batch) == len(variant_kws) * reps
+    for g, ens in enumerate(batch):
+        v, r = divmod(g, reps)
+        rep_noise = noise.for_replication(r)
+        alone = mvsolver._simulate(
+            system, grid, particles, rep_noise, **variant_kws[v],
+            increments=rep_noise.brownian(particles, grid.steps, d, grid.h))
+        assert np.any(alone.variation > 0)
+        for field_name in PATH_FIELDS + ("increments",):
+            np.testing.assert_array_equal(getattr(ens, field_name), getattr(alone, field_name))
+        np.testing.assert_array_equal(ens.control, alone.control)
+        assert ens.eps == alone.eps
+
+
+class TestBatchedEngine:
+    """Groups of one batched step loop against separate runs, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_batch_cases()[2]))
+    def test_groups_match_separate_runs(self, name):
+        # the smooth part's prox is one minimization per particle and step
+        _assert_batch_matches(name, particles=6 if name.startswith("smooth") else 17)
+
+    @pytest.mark.parametrize("name", ["example31-projected-per-group-measure",
+                                      "planar-penalized-per-group-measure-and-control"])
+    def test_one_measure_over_the_batch_is_caught(self, name, monkeypatch):
+        # mutation: every group sees the empirical measure of the whole batch
+        def one_measure(system, X, u, t, groups=1):
+            mu = EmpiricalMeasure(X)
+            u = mvsolver._per_row(u, X.shape[0] // groups)
+            return (system.coeffs.drift(X, mu, u, t), system.coeffs.diffusion(X, mu, u, t),
+                    system.oblique(X, mu))
+
+        monkeypatch.setattr(mvsolver, "_coefficients", one_measure)
+        with pytest.raises(AssertionError):
+            _assert_batch_matches(name)
+
+    def test_single_group_is_the_public_entry(self):
+        ex = library.make_system("example31")
+        grid = TimeGrid(0.0, 1.0, 64)
+        ens = mvsolver._simulate(ex, grid, 9, NoiseSource(4), scheme="projected")
+        ref = simulate_projected(ex, grid, 9, NoiseSource(4))
+        for name in PATH_FIELDS:
+            np.testing.assert_array_equal(getattr(ens, name), getattr(ref, name))
+
+    def test_shape_and_group_checks(self):
+        ou = library.make_system("ou")
+        grid = TimeGrid(0.0, 1.0, 8)
+        inc = mvsolver._replication_increments(NoiseSource(0), range(2), 4, 8, 1, grid.h)
+        with pytest.raises(ConfigurationError):        # 3 groups over 2 replications
+            mvsolver._simulate(ou, grid, 4, None, scheme="projected", increments=inc,
+                               groups=3)
+        with pytest.raises(ConfigurationError):
+            mvsolver._simulate(ou, grid, 5, None, scheme="projected", increments=inc,
+                               groups=2)
+        with pytest.raises(ValueError):
+            mvsolver._simulate(ou, grid, 4, None, scheme="penalized", eps=[0.1, 0.0],
+                               increments=inc, groups=2)

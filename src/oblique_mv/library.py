@@ -7,6 +7,7 @@ by the validators in :mod:`oblique_mv.dynamics`.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -19,23 +20,26 @@ from .measures import w2_to_origin
 from .mvsolver import System
 from .timedep import MovingConstraintProblem
 
-SYSTEM_NAMES = ("example31", "ou", "linear", "rbm")
-CONTROL_NAMES = ("two_control",)
-MOVING_NAMES = ("moving_interval",)
+
+def _build(kind, name, builders, params):
+    """Call the builder named ``name`` after checking ``params`` against it."""
+    if name not in builders:
+        raise ConfigurationError(
+            f"unknown {kind} {name!r}; available: {', '.join(builders)}"
+        )
+    accepted = inspect.signature(builders[name]).parameters
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"{kind} {name!r}: unknown parameter {unknown[0]!r}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+    return builders[name](**params)
 
 
 def make_system(name, **params):
-    if name == "example31":
-        return _example31(**params)
-    if name == "ou":
-        return _reflected_ou(**params)
-    if name == "linear":
-        return _linear(**params)
-    if name == "rbm":
-        return _reflected_bm(**params)
-    raise ConfigurationError(
-        f"unknown system {name!r}; available: {', '.join(SYSTEM_NAMES)}"
-    )
+    return _build("system", name, {"example31": _example31, "ou": _reflected_ou,
+                                   "linear": _linear, "rbm": _reflected_bm}, params)
 
 
 def _example31(x0=(0.2, 0.0), radius=1.0):
@@ -119,11 +123,7 @@ def _reflected_bm(sigma=1.0, x0=0.0):
 
 
 def make_control_problem(name, **params):
-    if name == "two_control":
-        return _two_control(**params)
-    raise ConfigurationError(
-        f"unknown control problem {name!r}; available: {', '.join(CONTROL_NAMES)}"
-    )
+    return _build("control problem", name, {"two_control": _two_control}, params)
 
 
 def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
@@ -176,11 +176,7 @@ def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
 
 
 def make_moving_problem(name, **params):
-    if name == "moving_interval":
-        return _moving_interval(**params)
-    raise ConfigurationError(
-        f"unknown moving problem {name!r}; available: {', '.join(MOVING_NAMES)}"
-    )
+    return _build("moving problem", name, {"moving_interval": _moving_interval}, params)
 
 
 def _moving_interval(outward=2.0, sigma=0.5, coupling=0.25, x0=0.5,

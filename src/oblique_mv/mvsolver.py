@@ -12,6 +12,12 @@ Two discretizations of the same constrained dynamics are provided:
 ``euler_iteration`` repeats the projected scheme with coefficients frozen at
 the previous iterate's states, sampled on a dyadic lattice.
 
+All of them run through one step loop, ``_simulate``.  It asks an
+``inputs(k, X, u)`` callable for each step's coefficients and the set the
+step ends in: by default the coefficients at the current states and the
+fixed constraint, the frozen ones in ``euler_iteration``, and a moving
+interval in :func:`oblique_mv.timedep.simulate_moving_interval`.
+
 The one-step Skorohod problem is solved exactly as the metric projection of
 ``y`` onto the set in the norm induced by ``H^{-1}``: its variational
 inequality is precisely feasibility, the linear relation, and the
@@ -211,8 +217,7 @@ class System:
 
 
 def _is_diagonal(H):
-    off = H - np.einsum("...ii->...i", H)[..., None] * np.eye(H.shape[-1])
-    return float(np.max(np.abs(off * (1 - np.eye(H.shape[-1]))))) <= 1e-14
+    return float(np.max(np.abs(H * (1 - np.eye(H.shape[-1]))))) <= 1e-14
 
 
 def _halfspace_step(geom, H, Y):
@@ -223,29 +228,18 @@ def _halfspace_step(geom, H, Y):
     dK = np.zeros_like(Y)
     if not np.any(mask):
         return X, dK
-    if H.ndim == 2:
-        Hn = H @ n
-        nHn = float(n @ Hn)
-        t = gap[mask] / nHn
-        X[mask] = Y[mask] + t[:, None] * Hn
-    else:
-        Hn = H[mask] @ n
-        nHn = Hn @ n
-        t = gap[mask] / nHn
-        X[mask] = Y[mask] + t[:, None] * Hn
+    Hn = (H if H.ndim == 2 else H[mask]) @ n
+    t = gap[mask] / (Hn @ n)
+    X[mask] = Y[mask] + t[:, None] * Hn
     dK[mask] = -t[:, None] * n
     return X, dK
 
 
 def _box_step(geom, H, Y):
     X = np.clip(Y, geom.lower, geom.upper)
-    dK = np.zeros_like(Y)
-    mask = np.any(np.abs(X - Y) > 0, axis=1)
-    if not np.any(mask):
-        return X, dK
     if _is_diagonal(H):
-        diag = np.einsum("...ii->...i", H)
-        dK[mask] = (Y[mask] - X[mask]) / (diag[mask] if diag.ndim == 2 else diag)
+        dK = (Y - X) / np.einsum("...ii->...i", H)
+        dK += 0.0       # unclipped rows get +0.0, also where -0.0 met a bound at 0.0
         return X, dK
     eye = np.eye(Y.shape[1])
     offsets = np.concatenate([geom.lower, -geom.upper])
@@ -451,8 +445,7 @@ class _PathRecorder:
 
 
 def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
-              increments=None, frozen_from=None, frozen_level=None, groups=1,
-              observer=None):
+              increments=None, groups=1, observer=None, inputs=None):
     """One step loop for ``groups`` independent ensembles of ``particles`` each.
 
     The groups advance together as one ``(groups * N, m)`` array, group g
@@ -461,6 +454,12 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     one row of such values per group) and its own empirical measure.
     ``increments`` is ``(N, steps, d)``, shared by all groups, or
     ``(R, N, steps, d)`` with group g driven by replication ``g % R``.
+
+    ``inputs(k, X, u)`` gives step ``k``'s drift, diffusion, oblique matrix
+    and the constraint the step ends in; the default evaluates
+    ``_coefficients`` on ``X`` and keeps ``system.constraint``.  Frozen
+    coefficients (``euler_iteration``) and moving sets
+    (``timedep.simulate_moving_interval``) are other ``inputs``.
 
     Every step is handed to ``observer`` (``start(X)``, then ``step(k, X,
     dk)``), which is returned.  Without one the paths are recorded and
@@ -476,8 +475,9 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
         raise ValueError(f"penalization parameter must be positive, got {eps}")
     if scheme == "projected" and not system.constraint.has_indicator():
         raise ConfigurationError("projected scheme requires an indicator constraint")
-    if frozen_from is not None and G != 1:
-        raise ConfigurationError("frozen coefficients need a single group")
+    if inputs is None:
+        def inputs(k, X, u):
+            return (*_coefficients(system, X, u, times[k], G), system.constraint)
 
     if increments is None:
         increments = noise.brownian(N, steps, d, h)
@@ -495,34 +495,23 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     X = np.tile(system.x0, (N * G, 1))
     watch = _PathRecorder(grid) if observer is None else observer
     watch.start(X)
-    frozen_cache = (None, None)  # (snap index, (fk, gk, Hk))
     for k in range(steps):
-        tk = times[k]
-        uk = _control_value(control, k)
-        if frozen_from is None:
-            fk, gk, Hk = _coefficients(system, X, uk, tk, G)
-        else:
-            j = grid.snap_index(tk, frozen_level)
-            if not (frozen_cache[0] == j and control is None
-                    and not system.oblique.time_dependent):
-                frozen_cache = (j, _coefficients(system, frozen_from.states[:, j, :], uk, tk))
-            fk, gk, Hk = frozen_cache[1]
-
+        fk, gk, Hk, constraint = inputs(k, X, _control_value(control, k))
         gdB = _gdb(gk, increment_rows(k))
         if scheme == "penalized":
-            if system.constraint.kind == "indicator":
-                U = (X - convexcore.project(system.constraint, X)) / eps_rows
+            if constraint.kind == "indicator":
+                U = (X - convexcore.project(constraint, X)) / eps_rows
             elif np.ndim(eps) == 0:
-                U = convexcore.yosida_gradient(system.constraint, eps, X)
+                U = convexcore.yosida_gradient(constraint, eps, X)
             else:
-                U = np.concatenate([convexcore.yosida_gradient(system.constraint, e, Xg)
+                U = np.concatenate([convexcore.yosida_gradient(constraint, e, Xg)
                                     for e, Xg in zip(eps, np.split(X, G))])
             X = X + h * (fk - _hu(Hk, U)) + gdB
             dk_step = U * h
         else:
             Y = X + h * fk + gdB
             try:
-                X, dk_step = _skorohod_batch(system.constraint, Hk, Y)
+                X, dk_step = _skorohod_batch(constraint, Hk, Y)
             except StepError as err:
                 raise StepError(f"step {k}: {err}", residual=err.residual) from err
 
@@ -565,20 +554,6 @@ def simulate_projected(system, grid, particles, noise, control=None,
                      control=control, increments=increments)
 
 
-def _constant_ensemble(system, grid, particles):
-    N = int(particles)
-    m = system.state_dim
-    states = np.tile(system.x0, (N, grid.steps + 1, 1))
-    zeros = np.zeros((N, grid.steps + 1, m))
-    return PathEnsemble(
-        grid=grid, states=states, reflection=zeros,
-        variation=np.zeros((N, grid.steps + 1)),
-        density=np.zeros((N, grid.steps, m)),
-        increments=np.zeros((N, grid.steps, system.noise_dim)),
-        system=system, scheme="constant",
-    )
-
-
 def euler_iteration(system, level, iterations, grid, particles, noise,
                     control=None):
     """Frozen-coefficient iteration of the projected scheme.
@@ -588,28 +563,45 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
     (level ``level``) of each step's left endpoint.  The zeroth iterate is
     the constant path at the start point, so the first pass freezes
     coefficients at the initial state and its point mass.  All passes share
-    one set of Brownian increments.
+    one set of Brownian increments.  Steps in one snap window reuse their
+    coefficients when nothing but the snapped states feeds them: no
+    control, and neither the coefficients nor the oblique matrix depend on
+    time.
 
     Returns the list of iterates and the root-mean-square sup-distances
     between consecutive iterates.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration")
-    increments = noise.brownian(int(particles), grid.steps, system.noise_dim, grid.h)
-    prev = _constant_ensemble(system, grid, particles)
+    N = int(particles)
+    increments = noise.brownian(N, grid.steps, system.noise_dim, grid.h)
+    times = grid.times
+    snaps = [grid.snap_index(t, level) for t in times[:-1]]
+    reuse = control is None and not (system.coeffs.time_dependent
+                                     or system.oblique.time_dependent)
+    prev = np.broadcast_to(system.x0, (N, grid.steps + 1, system.state_dim))
+
+    def frozen(k, X, u):
+        nonlocal cache
+        j = snaps[k]
+        if not (reuse and cache[0] == j):
+            cache = (j, (*_coefficients(system, prev[:, j, :], u, times[k]),
+                         system.constraint))
+        return cache[1]
+
     iterates = []
     distances = []
     for _ in range(iterations):
-        ens = _simulate(system, grid, particles, noise, scheme="projected",
-                        control=control, increments=increments,
-                        frozen_from=prev, frozen_level=level)
+        cache = (None, None)    # (snap index, step inputs)
+        ens = _simulate(system, grid, N, noise, scheme="projected", control=control,
+                        increments=increments, inputs=frozen)
         if iterates:
             gap = np.max(
                 np.linalg.norm(ens.states - iterates[-1].states, axis=2), axis=1
             )
             distances.append(float(np.sqrt(np.mean(gap**2))))
         iterates.append(ens)
-        prev = ens
+        prev = ens.states
     return iterates, distances
 
 

@@ -12,6 +12,10 @@ alternative ``correction="as-printed"`` flips the sign of the ``H' xbar``
 term and also injects it into the diffusion; it reproduces a published
 variant of the formula and is kept for side-by-side reporting, but it is
 not consistent with direct simulation of the moving-set dynamics.
+
+The direct reference, ``simulate_moving_interval``, is no loop of its own:
+it hands the step loop of :mod:`oblique_mv.mvsolver` the pulled-back
+measure, identity reflection and the interval at each step's end.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .convexcore import Box, ConvexConstraint
 from .dynamics import CoefficientField, ObliqueField, inverse_spd, validate_oblique
 from .errors import ConfigurationError, ReductionError
 from .measures import EmpiricalMeasure
-from .mvsolver import System, TimeGrid, simulate_projected
+from .mvsolver import System, TimeGrid, _simulate, simulate_projected
 
 CORRECTIONS = ("chain-rule", "as-printed")
 
@@ -150,49 +154,39 @@ def moving_set_distance(x, hfield, t, base_set):
     return base_set.distance(xbar) * hfield.b_h
 
 
-@dataclass
-class MovingPaths:
-    """Trajectories of the directly simulated moving-interval dynamics."""
-
-    times: np.ndarray
-    states: np.ndarray      # (N, steps+1, 1)
-    reflection: np.ndarray
-
-
 def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     """Direct projected Euler on a 1-d moving interval [H(t) lo, H(t) hi].
 
-    Serves as the reference dynamics for the equivalence check; the measure
-    fed to the coefficients is the empirical law of ``H^{-1}(t) x``, which
-    is exactly the law carried by the reduced fixed-set system.
+    The reference dynamics for the equivalence check, a discrete
+    Skorohod problem in the moving domain (Nyström & Önskog 2010): the
+    coefficients see the empirical law of ``H^{-1}(t_k) x``, which is
+    exactly the law carried by the reduced fixed-set system, the
+    reflection is the identity, and step ``k`` ends in the interval
+    scaled to ``t_{k+1}``, i.e. a clip.  Runs through the step loop of
+    :mod:`oblique_mv.mvsolver` and returns its ``PathEnsemble``; that
+    ensemble's system carries the base interval, so measure feasibility
+    with ``moving_set_distance``, not ``feasibility_gap()``.
     """
     geom = prob.base_set.geometry
     if prob.coeffs.state_dim != 1 or not isinstance(geom, Box):
         raise ConfigurationError("direct moving-set simulation supports 1-d intervals")
     coeffs = prob.coeffs
-    h = grid.h
     times = grid.times
-    N = int(particles)
-    if increments is None:
-        increments = noise.brownian(N, grid.steps, coeffs.noise_dim, h)
-    X = np.tile(prob.x0, (N, 1))
-    states = np.empty((grid.steps + 1, N, 1))       # time-major, as in mvsolver
-    reflection = np.zeros((grid.steps + 1, N, 1))
-    states[0] = X
-    for k in range(grid.steps):
-        tk = times[k]
-        Hk = prob.hfield(t=tk)[0, 0]
-        mu = EmpiricalMeasure(X / Hk) if coeffs.uses_measure else None
-        fk = coeffs.drift(X, mu, None, tk)
-        gk = coeffs.diffusion(X, mu, None, tk)
-        gdB = increments[:, k, :] @ gk.T if gk.ndim == 2 else \
-            np.einsum("nmd,nd->nm", gk, increments[:, k, :])
-        Y = X + h * fk + gdB
-        Hnext = prob.hfield(t=times[k + 1])[0, 0]
-        X = np.clip(Y, geom.lower[0] * Hnext, geom.upper[0] * Hnext)
-        states[k + 1] = X
-        np.add(reflection[k], Y - X, out=reflection[k + 1])
-    return MovingPaths(times, states.transpose(1, 0, 2), reflection.transpose(1, 0, 2))
+    scales = [prob.hfield(t=t)[0, 0] for t in times]
+    # H(t) > 0 scales the validated base interval to another valid one
+    intervals = [ConvexConstraint("indicator", 1, geometry=Box(geom.lower * s, geom.upper * s))
+                 for s in scales]
+    identity = np.eye(1)
+
+    def moving(k, X, u):
+        mu = EmpiricalMeasure(X / scales[k]) if coeffs.uses_measure else None
+        return (coeffs.drift(X, mu, None, times[k]), coeffs.diffusion(X, mu, None, times[k]),
+                identity, intervals[k + 1])
+
+    system = System(coeffs, ObliqueField.identity(1), prob.base_set, prob.x0,
+                    label="moving-direct")
+    return _simulate(system, grid, particles, noise, scheme="projected",
+                     increments=increments, inputs=moving)
 
 
 @dataclass

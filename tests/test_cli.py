@@ -69,6 +69,18 @@ class TestExitCodes:
         payload["system"] = {"name": "nope"}
         assert run(write_config(tmp_path, payload)) == 2
 
+    @pytest.mark.parametrize("mode,name,extra", [
+        ("validate", "ou", {"samples": 10}),
+        ("control", "two_control", {"grid": {"start": 0.0, "end": 1.0, "steps": 8}}),
+        ("transform-demo", "moving_interval", {"grid_ladder": [4, 8]}),
+    ])
+    def test_unknown_system_param_named(self, tmp_path, capsys, mode, name, extra):
+        payload = {"mode": mode, "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": name, "params": {"sigma": 0.5, "bogus": 1}}, **extra}
+        assert run(write_config(tmp_path, payload)) == 2
+        assert "unknown parameter 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_penalized_needs_epsilon(self, tmp_path):
         payload = simulate_config(tmp_path / "out", scheme="penalized")
         assert run(write_config(tmp_path, payload)) == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,34 @@ class TestSkorohodStep:
             assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * max(1, np.linalg.norm(y))
             probes = project(c, rng.standard_normal((64, m)))
             assert normal_cone_residual(c, x, dk, probes) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_is_diagonal_keeps_nan_and_inf_semantics(self):
+        # against the subtract-the-diagonal form it replaced
+        def two_eyes(H):
+            off = H - np.einsum("...ii->...i", H)[..., None] * np.eye(H.shape[-1])
+            return float(np.max(np.abs(off * (1 - np.eye(H.shape[-1]))))) <= 1e-14
+
+        rng = np.random.default_rng(2)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-15, 1e-13]
+        for _ in range(2000):
+            m = int(rng.integers(1, 4))
+            H = np.diag(rng.uniform(0.5, 2.0, m))
+            for _ in range(int(rng.integers(0, 3))):
+                H[tuple(rng.integers(0, m, 2))] = specials[rng.integers(len(specials))]
+            assert mvsolver._is_diagonal(H) == two_eyes(H)
+
+    def test_box_step_leaves_inside_rows_at_positive_zero(self):
+        box = ConvexConstraint.box([0.0, -1.0], [1.0, 1.0]).geometry
+        Y = np.array([[-0.0, 0.5], [0.3, -0.0], [2.0, 0.5], [-0.5, 3.0]])
+        for H in (np.diag([2.0, 3.0]), np.stack([np.diag([2.0, 3.0 + i]) for i in range(4)])):
+            X, dK = mvsolver._box_step(box, H, Y)
+            np.testing.assert_array_equal(X, [[-0.0, 0.5], [0.3, -0.0], [1.0, 0.5], [0.0, 1.0]])
+            assert not np.any(np.signbit(dK[:2]))
+            np.testing.assert_array_equal(dK[:2], 0.0)
+            diag = np.einsum("...ii->...i", H)
+            np.testing.assert_array_equal(dK[2:], (Y[2:] - X[2:]) / (diag[2:] if H.ndim == 3
+                                                                     else diag))
 
     def test_hexagon_skips_singular_active_set(self):
         # Rows 1 and 4 of the hexagon are antiparallel, so their reduced
@@ -430,6 +459,35 @@ class TestHalfSpaceStep:
             else:
                 assert t > 0.0 and abs(n @ x - c) <= 1e-12 * scale
 
+    def test_one_form_for_shared_and_per_row_matrices(self):
+        # against the two branches it replaced, bit for bit
+        def two_branches(geom, H, Y):
+            n, c = geom.normal, geom.offset
+            gap = c - Y @ n
+            mask = gap > 0
+            X, dK = Y.copy(), np.zeros_like(Y)
+            if H.ndim == 2:
+                Hn = H @ n
+                t = gap[mask] / float(n @ Hn)
+            else:
+                Hn = H[mask] @ n
+                t = gap[mask] / (Hn @ n)
+            X[mask] = Y[mask] + t[:, None] * Hn
+            dK[mask] = -t[:, None] * n
+            return X, dK
+
+        rng = np.random.default_rng(4)
+        for case in range(600):
+            m = int(rng.integers(1, 4))
+            geom = ConvexConstraint.half_space(rng.standard_normal(m),
+                                               -abs(rng.normal())).geometry
+            spd = [(q * np.exp(rng.uniform(0.0, np.log(100), m))) @ q.T
+                   for q in (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(6))]
+            H = spd[0] if case % 2 else np.stack(spd)
+            Y = 2.0 * rng.standard_normal((6, m))
+            for a, b in zip(mvsolver._halfspace_step(geom, H, Y), two_branches(geom, H, Y)):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestSimulators:
     def test_zero_coefficients_constant_paths(self):
@@ -557,6 +615,23 @@ class TestEulerIteration:
         for a, b in zip(dists[1:], dists[2:]):
             assert b <= a + 1e-12
 
+    def test_window_reuse_needs_time_independent_coefficients(self):
+        # drift t changes inside every snap window, so no window may reuse
+        # the coefficients of its first step, whether H is I or I(t)
+        coeffs = CoefficientField(
+            lambda x, mu, t: np.full_like(x, t), lambda x, mu, t: np.array([[0.3]]),
+            1.0, 1, 1, time_dependent=True, uses_measure=False, normalized=False,
+        )
+        grid = TimeGrid(0.0, 1.0, 16)
+        runs = [euler_iteration(System(coeffs, oblique, ConvexConstraint.half_line(), [0.5]),
+                                2, 2, grid, 8, NoiseSource(3))[0]
+                for oblique in (ObliqueField.identity(1),
+                                ObliqueField(lambda t: np.eye(1), 1.0, 1.0, 1,
+                                             time_dependent=True))]
+        for a, b in zip(*runs):
+            for name in PATH_FIELDS:
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_common_noise_across_iterates(self):
         ex = library.make_system("ou")
         iterates, _ = euler_iteration(ex, 3, 2, TimeGrid(0.0, 1.0, 128),
@@ -652,7 +727,8 @@ def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None
         uk = mvsolver._control_value(control, k)
         if frozen_from is not None:
             j = grid.snap_index(tk, frozen_level)
-            if frozen_cache[0] == j and control is None and not oblique.time_dependent:
+            if frozen_cache[0] == j and control is None \
+                    and not (coeffs.time_dependent or oblique.time_dependent):
                 fk, gk, Hk = frozen_cache[1]
             else:
                 Xe = frozen_from.states[:, j, :]
@@ -689,6 +765,20 @@ def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None
     )
 
 
+def _particle_major_iteration(system, level, iterations, grid, particles, noise):
+    """Reference frozen iteration: each pass is one ``_particle_major_simulate`` run."""
+    N = int(particles)
+    increments = noise.brownian(N, grid.steps, system.noise_dim, grid.h)
+    prev = SimpleNamespace(states=np.tile(system.x0, (N, grid.steps + 1, 1)))
+    iterates = []
+    for _ in range(iterations):
+        prev = _particle_major_simulate(system, grid, N, noise, scheme="projected",
+                                        increments=increments, frozen_from=prev,
+                                        frozen_level=level)
+        iterates.append(prev)
+    return iterates
+
+
 PATH_FIELDS = ("states", "reflection", "variation", "density")
 
 
@@ -704,8 +794,11 @@ def controlled_planar_system():
 
 
 def _storage_runs():
-    """(label, call) pairs; each call runs one engine entry on a small grid.
+    """(label, call, reference) triples; each call runs one engine entry on a small grid.
 
+    Without a reference the call itself is rerun with the particle-major
+    oracle as its step loop.  The frozen iterations are compared with
+    ``_particle_major_iteration``, which keeps its own frozen arithmetic.
     ``frozen-m1-mean`` freezes coefficients that call
     ``EmpiricalMeasure.mean`` on a stored time slice, strided in the
     particle-major layout and contiguous in the time-major one; it matches
@@ -716,20 +809,23 @@ def _storage_runs():
     ctrl = np.where(np.arange(grid.steps) < 40, -1.0, 1.0)
     ex, linear = library.make_system("example31"), library.make_system("linear", b=-2.0)
     planar = controlled_planar_system()
+    frozen = [("frozen-m1", library.make_system("ou"), 7), ("frozen-m2", ex, 8),
+              ("frozen-m1-mean", linear, 9)]
     return [
-        ("projected-m1", lambda: simulate_projected(linear, grid, 33, NoiseSource(1))),
-        ("projected-m2", lambda: simulate_projected(ex, grid, 33, NoiseSource(2))),
-        ("penalized-m1", lambda: simulate_penalized(linear, 0.05, grid, 33, NoiseSource(3))),
-        ("penalized-m2", lambda: simulate_penalized(ex, 0.05, grid, 33, NoiseSource(4))),
+        ("projected-m1", lambda: simulate_projected(linear, grid, 33, NoiseSource(1)), None),
+        ("projected-m2", lambda: simulate_projected(ex, grid, 33, NoiseSource(2)), None),
+        ("penalized-m1", lambda: simulate_penalized(linear, 0.05, grid, 33, NoiseSource(3)),
+         None),
+        ("penalized-m2", lambda: simulate_penalized(ex, 0.05, grid, 33, NoiseSource(4)), None),
         ("controlled-m1", lambda: simulate_projected(two, grid, 33, NoiseSource(5),
-                                                     control=ctrl)),
+                                                     control=ctrl), None),
         ("controlled-m2", lambda: simulate_penalized(planar, 0.1, grid, 33, NoiseSource(6),
-                                                     control=ctrl)),
-        ("frozen-m1", lambda: euler_iteration(library.make_system("ou"), 3, 3, grid, 33,
-                                              NoiseSource(7))[0]),
-        ("frozen-m2", lambda: euler_iteration(ex, 3, 3, grid, 33, NoiseSource(8))[0]),
-        ("frozen-m1-mean", lambda: euler_iteration(linear, 3, 3, grid, 33,
-                                                   NoiseSource(9))[0]),
+                                                     control=ctrl), None),
+    ] + [
+        (label, lambda s=system, n=seed: euler_iteration(s, 3, 3, grid, 33, NoiseSource(n))[0],
+         lambda s=system, n=seed: _particle_major_iteration(s, 3, 3, grid, 33,
+                                                            NoiseSource(n)))
+        for label, system, seed in frozen
     ]
 
 
@@ -738,10 +834,13 @@ class TestTimeMajorStorage:
 
     @pytest.mark.parametrize("index", range(9), ids=[r[0] for r in _storage_runs()])
     def test_paths_match_particle_major_oracle(self, index, monkeypatch):
-        label, run = _storage_runs()[index]
-        monkeypatch.setattr(mvsolver, "_simulate", _particle_major_simulate)
-        expected = run()
-        monkeypatch.undo()
+        label, run, reference = _storage_runs()[index]
+        if reference is None:
+            monkeypatch.setattr(mvsolver, "_simulate", _particle_major_simulate)
+            expected = run()
+            monkeypatch.undo()
+        else:
+            expected = reference()
         got = run()
         if not isinstance(got, list):
             expected, got = [expected], [got]

@@ -10,7 +10,7 @@ from oblique_mv.dynamics import (
     validate_oblique,
 )
 from oblique_mv.errors import ConfigurationError
-from oblique_mv.measures import dirac
+from oblique_mv.measures import EmpiricalMeasure, dirac
 from oblique_mv.mvsolver import NoiseSource, TimeGrid, simulate_projected
 from oblique_mv.timedep import (
     MovingConstraintProblem,
@@ -148,6 +148,24 @@ class TestEquivalence:
         lifted = lift_solution(ens.states, prob.hfield, grid.times)
         direct = simulate_moving_interval(prob, grid, 16, noise, increments=inc)
         np.testing.assert_array_equal(lifted, direct.states)
+
+    def test_direct_run_is_the_clip_recursion(self):
+        # by hand: an Euler step fed the law of x / H(t_k), then a clip to
+        # [0, H(t_{k+1})]; the reflection sums what the clips removed
+        prob = library.make_moving_problem("moving_interval")
+        grid = TimeGrid(0.0, 1.0, 4)
+        inc = NoiseSource(2).brownian(3, grid.steps, 1, grid.h)
+        direct = simulate_moving_interval(prob, grid, 3, None, increments=inc)
+        x, k_total = np.full((3, 1), 0.5), np.zeros((3, 1))
+        for k, t in enumerate(grid.times[:-1]):
+            mu = EmpiricalMeasure(x / prob.hfield(t=t)[0, 0])
+            y = x + grid.h * prob.coeffs.drift(x, mu, None, t) \
+                + inc[:, k, :] @ prob.coeffs.diffusion(x, mu, None, t).T
+            x = np.clip(y, 0.0, prob.hfield(t=grid.times[k + 1])[0, 0])
+            k_total = k_total + (y - x)
+            np.testing.assert_array_equal(direct.states[:, k + 1], x)
+            np.testing.assert_array_equal(direct.reflection[:, k + 1], k_total)
+        assert np.any(direct.reflection > 0)
 
     def test_moving_interval_convergence(self):
         prob = library.make_moving_problem("moving_interval")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 probe failure under --strict.  All outputs are written atomically
-(temp file + rename) and depend only on (config, seed).  The thread count
+(temp file + rename) and depend only on (config, seed); a run that fails
+leaves no manifest and none of its own files.  The thread count
 (``--threads``, the ``threads`` key, ``OBLIQUE_MV_THREADS``) is accepted
 for compatibility and changes nothing: every mode runs its ensembles as
 batches of one step loop.
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import os
 import platform
 import sys
@@ -96,6 +99,10 @@ CONFIG_SCHEMA = {
 }
 
 
+# Rows per formatted block of an array table.
+CSV_CHUNK_ROWS = 1024
+
+
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
@@ -104,12 +111,14 @@ def _fmt(v):
     return str(v)
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Write the strings ``chunks`` to a temp file, then rename it to ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -117,10 +126,48 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
+def _array_lines(table):
+    """CSV text of a 2-D float array, one ``%`` per block of CSV_CHUNK_ROWS rows.
+
+    ``%.17g`` prints a float as ``_fmt`` does, and an integer-valued float up
+    to 2**53 as that integer's ``str``, so index columns can be float columns.
+    """
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CSV_CHUNK_ROWS):
+        block = table[start:start + CSV_CHUNK_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    """Write a CSV atomically; ``rows`` is a list of tuples or a 2-D float array."""
+    if isinstance(rows, np.ndarray):
+        body = _array_lines(rows)
+    else:
+        body = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    _atomic_write(Path(path), itertools.chain([",".join(header) + "\n"], body))
+
+
+class _Outputs:
+    """One run's output directory and the files written into it, in order."""
+
+    def __init__(self, directory):
+        self.dir = directory
+        self.written = []
+
+    def write_csv(self, name, header, rows):
+        write_csv(self.dir / name, header, rows)
+        self.written.append(name)
+
+
+def _gate(name, value, low=-math.inf, high=math.inf):
+    """None if ``low <= value <= high``, else the failure naming gate, value and bounds."""
+    if low <= value <= high:
+        return None
+    return f"{name} {value:.4g} outside [{low:.4g}, {high:.4g}]"
+
+
+def _failures(*gates):
+    return [g for g in gates if g is not None]
 
 
 def _require(cfg, *keys):
@@ -141,10 +188,26 @@ def _stability_check(cfg, eps_values, system):
 
 
 # ---------------------------------------------------------------------------
-# Mode runners (each returns (passed, outputs))
+# Mode runners: each writes its CSVs through ``out`` and returns its failed
+# probe gates (none means pass)
 
 
-def _run_simulate(cfg, seed, outdir):
+def _trajectory_table(ensembles, times):
+    """One row per (replication, particle, time), in that order:
+    replication, particle, t, states, reflection, variation."""
+    particles, steps1, m = ensembles[0].states.shape
+    table = np.empty((len(ensembles), particles, steps1, 2 * m + 4))
+    table[..., 0] = np.arange(len(ensembles))[:, None, None]
+    table[..., 1] = np.arange(particles)[:, None]
+    table[..., 2] = times
+    for r, ens in enumerate(ensembles):
+        table[r, ..., 3:3 + m] = ens.states
+        table[r, ..., 3 + m:3 + 2 * m] = ens.reflection
+        table[r, ..., -1] = ens.variation
+    return table.reshape(-1, 2 * m + 4)
+
+
+def _run_simulate(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     g = cfg["grid"]
     grid = TimeGrid(g["start"], g["end"], g["steps"], g.get("dyadic_level"))
@@ -165,23 +228,14 @@ def _run_simulate(cfg, seed, outdir):
     if reps == 1:
         ensembles = [ensembles]
 
-    rows = []
     m = system.state_dim
-    times = grid.times
-    for r, ens in enumerate(ensembles):
-        for i in range(particles):
-            for k, t in enumerate(times):
-                rows.append(
-                    (r, i, t, *ens.states[i, k], *ens.reflection[i, k],
-                     ens.variation[i, k])
-                )
     header = (
         ["replication", "particle", "t"]
         + [f"x_{j + 1}" for j in range(m)]
         + [f"k_{j + 1}" for j in range(m)]
         + ["variation"]
     )
-    write_csv(outdir / "trajectories.csv", header, rows)
+    out.write_csv("trajectories.csv", header, _trajectory_table(ensembles, grid.times))
 
     # every supported geometry contains the origin, so it is a valid probe
     probe = [np.zeros(m)] if system.constraint.has_indicator() else []
@@ -192,11 +246,11 @@ def _run_simulate(cfg, seed, outdir):
         diag_rows.append((r, "feasibility_gap", rep.feasibility_gap))
         diag_rows.append((r, "inequality_residual", rep.inequality_residual))
         diag_rows.append((r, "second_moment_sup", second_moment_sup(ens)))
-    write_csv(outdir / "diagnostics.csv", ["replication", "check", "value"], diag_rows)
-    return True, ["trajectories.csv", "diagnostics.csv"]
+    out.write_csv("diagnostics.csv", ["replication", "check", "value"], diag_rows)
+    return []
 
 
-def _run_converge(cfg, seed, outdir):
+def _run_converge(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     ladder = cfg.get("epsilon_ladder", [])
     if len(ladder) < 3:
@@ -213,25 +267,27 @@ def _run_converge(cfg, seed, outdir):
         system, None, ladder, sim, noise=NoiseSource(seed).child(3),
         horizon=(g["start"], g["end"]),
     )
-    write_csv(
-        outdir / "rate_table.csv",
+    out.write_csv(
+        "rate_table.csv",
         ["eps_pair_sum", "distance", "stderr", "sup_distance"],
         list(zip(report.xs, report.ys, report.stderrs,
                  report.extras.get("sup_distances", [float("nan")] * len(report.xs)))),
     )
-    write_csv(
-        outdir / "rate_summary.csv",
+    out.write_csv(
+        "rate_summary.csv",
         ["slope", "r_squared", "sup_slope", "sup_r_squared", "degenerate"],
         [(report.slope, report.r_squared,
           report.extras.get("sup_slope", float("nan")),
           report.extras.get("sup_r_squared", float("nan")), report.degenerate)],
     )
-    passed = (not report.degenerate) and 0.7 <= report.slope <= 1.3 \
-        and report.r_squared >= 0.9
-    return passed, ["rate_table.csv", "rate_summary.csv"]
+    return _failures(
+        "degenerate rate fit" if report.degenerate else None,
+        _gate("slope", report.slope, 0.7, 1.3),
+        _gate("r_squared", report.r_squared, low=0.9),
+    )
 
 
-def _run_control(cfg, seed, outdir):
+def _run_control(cfg, seed, out):
     prob = library.make_control_problem(
         cfg["system"]["name"], **cfg["system"].get("params", {})
     )
@@ -247,41 +303,47 @@ def _run_control(cfg, seed, outdir):
     rows = [(str(k), v) for k, v in est.per_control.items()]
     rows.append(("minimum", est.value))
     rows.append(("mc_stderr", est.mc_stderr))
-    write_csv(outdir / "value.csv", ["control", "cost"], rows)
+    out.write_csv("value.csv", ["control", "cost"], rows)
 
     s, t_end = prob.horizon
     tau = ctl.get("tau", 0.5 * (s + t_end))
     residual, stderr = dpp_residual(prob, tau, sim, noise=NoiseSource(seed))
     threshold = max(3 * stderr, 5 * (t_end - s) / g["steps"])
-    passed = residual <= threshold
-    write_csv(
-        outdir / "dpp.csv",
+    failures = _failures(_gate("dpp_residual", residual, high=threshold))
+    out.write_csv(
+        "dpp.csv",
         ["tau", "residual", "stderr", "threshold", "passed"],
-        [(tau, residual, stderr, threshold, passed)],
+        [(tau, residual, stderr, threshold, not failures)],
     )
-    return passed, ["value.csv", "dpp.csv"]
+    return failures
 
 
-def _run_validate(cfg, seed, outdir):
+def _run_validate(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     pairs = cfg.get("samples", 2000)
     lip = validate_lipschitz(system.coeffs, pairs=pairs, seed=seed)
     obl = validate_oblique(system.oblique, samples=pairs, seed=seed)
-    rows = [
-        ("lipschitz", lip.passed, lip.estimate, lip.declared),
-        ("oblique_symmetry", obl.details["symmetry_residual"] <= 1e-10,
-         obl.details["symmetry_residual"], 1e-10),
-        ("oblique_band_low", obl.details["rayleigh_min"] >= obl.details["a_h"] - 1e-9,
-         obl.details["rayleigh_min"], obl.details["a_h"]),
-        ("oblique_band_high", obl.details["rayleigh_max"] <= obl.details["b_h"] + 1e-9,
-         obl.details["rayleigh_max"], obl.details["b_h"]),
+    d = obl.details
+    checks = [  # (check, failure or None, estimate, declared)
+        ("lipschitz", None if lip.passed else
+         f"lipschitz {lip.estimate:.4g} above declared {lip.declared:.4g}",
+         lip.estimate, lip.declared),
+        ("oblique_symmetry",
+         _gate("oblique_symmetry", d["symmetry_residual"], high=1e-10),
+         d["symmetry_residual"], 1e-10),
+        ("oblique_band_low",
+         _gate("oblique_band_low", d["rayleigh_min"], low=d["a_h"] - 1e-9),
+         d["rayleigh_min"], d["a_h"]),
+        ("oblique_band_high",
+         _gate("oblique_band_high", d["rayleigh_max"], high=d["b_h"] + 1e-9),
+         d["rayleigh_max"], d["b_h"]),
     ]
-    write_csv(outdir / "validation.csv",
-              ["check", "passed", "estimate", "declared"], rows)
-    return all(r[1] for r in rows), ["validation.csv"]
+    out.write_csv("validation.csv", ["check", "passed", "estimate", "declared"],
+                  [(name, fail is None, est, declared) for name, fail, est, declared in checks])
+    return _failures(*(c[1] for c in checks))
 
 
-def _run_transform(cfg, seed, outdir):
+def _run_transform(cfg, seed, out):
     prob = library.make_moving_problem(
         cfg["system"]["name"], **cfg["system"].get("params", {})
     )
@@ -296,16 +358,20 @@ def _run_transform(cfg, seed, outdir):
         for c in report.sup_distances:
             dist = report.sup_distances[c][i] if report.sup_distances[c] else float("nan")
             rows.append((c, h, dist, report.feasibility[c][i]))
-    write_csv(outdir / "equivalence.csv",
-              ["correction", "h", "sup_distance", "feasibility_gap"], rows)
+    out.write_csv("equivalence.csv",
+                  ["correction", "h", "sup_distance", "feasibility_gap"], rows)
     chain = report.sup_distances.get("chain-rule", [])
-    passed = report.monotone("chain-rule") and (
-        not chain or chain[-1] <= 10 * np.sqrt(report.step_sizes[-1])
-    ) and max(report.feasibility["chain-rule"]) <= 1e-8
-    return passed, ["equivalence.csv"]
+    return _failures(
+        None if report.monotone("chain-rule") else
+        "chain-rule sup_distance not decreasing along the grid ladder",
+        _gate("chain-rule sup_distance", chain[-1],
+              high=10 * np.sqrt(report.step_sizes[-1])) if chain else None,
+        _gate("chain-rule feasibility_gap", max(report.feasibility["chain-rule"]),
+              high=1e-8),
+    )
 
 
-def _run_properties(cfg, seed, outdir):
+def _run_properties(cfg, seed, out):
     if "constraint" not in cfg:
         raise ConfigurationError("constraint: required for properties mode")
     constraint = library.constraint_from_config(cfg["constraint"])
@@ -314,13 +380,13 @@ def _run_properties(cfg, seed, outdir):
     rng = np.random.default_rng(seed)
     pts = 2.0 * rng.standard_normal((samples, constraint.dim))
     report = check_yosida_properties(constraint, ladder, pts)
-    rows = [
-        (name, viol, report.tolerance, viol <= report.tolerance)
+    checks = [
+        (name, viol, _gate(f"property {name}", viol, high=report.tolerance))
         for name, viol in sorted(report.violations.items())
     ]
-    write_csv(outdir / "properties.csv",
-              ["property", "max_violation", "tolerance", "passed"], rows)
-    return report.passed, ["properties.csv"]
+    out.write_csv("properties.csv", ["property", "max_violation", "tolerance", "passed"],
+                  [(name, viol, report.tolerance, fail is None) for name, viol, fail in checks])
+    return _failures(*(fail for _, _, fail in checks))
 
 
 _RUNNERS = {
@@ -342,6 +408,24 @@ _MODE_KEYS = {
 }
 
 
+def _execute(runner, cfg, seed, outdir):
+    """Run one mode all-or-nothing; returns (failures, files written).
+
+    A previous run's manifest is removed first, so it cannot vouch for files
+    this run replaces; if the runner fails, every file it wrote is removed.
+    """
+    if outdir.exists() and not outdir.is_dir():
+        raise ConfigurationError(f"output directory {str(outdir)!r} is not a directory")
+    out = _Outputs(outdir)
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    try:
+        return runner(cfg, seed, out), out.written
+    except BaseException:
+        for name in out.written:
+            (outdir / name).unlink(missing_ok=True)
+        raise
+
+
 def run(config_path, seed=None, threads=None, strict=False, out=None):
     """Execute one experiment config; returns the process exit code.
 
@@ -354,7 +438,7 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
         _require(cfg, *_MODE_KEYS[cfg["mode"]])
         seed = cfg["seed"] if seed is None else int(seed)
         outdir = Path(out or cfg.get("output_dir", "out"))
-        passed, outputs = _RUNNERS[cfg["mode"]](cfg, seed, outdir)
+        failures, outputs = _execute(_RUNNERS[cfg["mode"]], cfg, seed, outdir)
     except jsonschema.ValidationError as err:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         print(f"config error at {path}: {err.message}", file=sys.stderr)
@@ -384,10 +468,10 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
             "scipy": scipy.__version__,
         },
     }
-    _atomic_write(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-    print(f"mode {cfg['mode']}: {'pass' if passed else 'probe failed'}; "
-          f"outputs in {outdir}")
-    if strict and not passed:
+    _atomic_write(outdir / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])
+    verdict = "probe failed: " + ", ".join(failures) if failures else "pass"
+    print(f"mode {cfg['mode']}: {verdict}; outputs in {outdir}")
+    if strict and failures:
         return 4
     return 0
 

@@ -328,7 +328,8 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
         noise = NoiseSource(cfg.seed)
     s, t_end = prob.horizon
     grid = TimeGrid(s, t_end, cfg.steps)
-    tau_idx = int(round((tau - s) / grid.h))
+    lattice = (tau - s) / grid.h
+    tau_idx = int(round(lattice)) if math.isfinite(lattice) else -1
     if tau_idx < 0 or tau_idx >= cfg.steps:
         raise ConfigurationError("need s <= tau < T on the step lattice")
     tau_snap = grid.times[tau_idx]

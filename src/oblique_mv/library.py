@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -21,8 +22,29 @@ from .mvsolver import System
 from .timedep import MovingConstraintProblem
 
 
+def _finite_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _param_error(default, value):
+    """Why ``value`` cannot stand in for a builder default, or None if it can.
+
+    A number default takes a finite number, a tuple default a non-empty
+    list of finite numbers, a string default a string."""
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) > 0 \
+            and all(_finite_number(v) for v in value)
+        return None if ok else "a non-empty list of finite numbers"
+    return None if _finite_number(value) else "a finite number"
+
+
 def _build(kind, name, builders, params):
-    """Call the builder named ``name`` after checking ``params`` against it."""
+    """Call the builder named ``name`` after checking ``params`` against it.
+
+    Unknown or ill-typed parameters, and values the builder rejects with a
+    ``ValueError``, are configuration errors."""
     if name not in builders:
         raise ConfigurationError(
             f"unknown {kind} {name!r}; available: {', '.join(builders)}"
@@ -34,7 +56,16 @@ def _build(kind, name, builders, params):
             f"{kind} {name!r}: unknown parameter {unknown[0]!r}; "
             f"accepted: {', '.join(accepted)}"
         )
-    return builders[name](**params)
+    for key, value in params.items():
+        expected = _param_error(accepted[key].default, value)
+        if expected:
+            raise ConfigurationError(
+                f"{kind} {name!r}: parameter {key!r} must be {expected}, got {value!r}"
+            )
+    try:
+        return builders[name](**params)
+    except ValueError as err:
+        raise ConfigurationError(f"{kind} {name!r}: {err}") from err
 
 
 def make_system(name, **params):

@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
+import math
+from types import SimpleNamespace
 
+import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblique_mv import cli
 from oblique_mv.cli import main, run
+from oblique_mv.control import RateReport
+from oblique_mv.errors import ObliqueMVError
+from oblique_mv.timedep import ConvergenceReport
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -80,6 +91,45 @@ class TestExitCodes:
         assert run(write_config(tmp_path, payload)) == 2
         assert "unknown parameter 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("ou", {"x0": "abc"}, "parameter 'x0' must be a finite number, got 'abc'"),
+        ("linear", {"c": []}, "parameter 'c' must be a finite number"),
+        ("ou", {"sigma": True}, "parameter 'sigma' must be a finite number"),
+        ("example31", {"x0": [0.1, None]}, "must be a non-empty list of finite numbers"),
+        ("two_control", {"controls": True}, "must be a non-empty list of finite numbers"),
+        ("two_control", {"ramp": None}, "parameter 'ramp' must be a finite number"),
+        ("two_control", {"cost_shape": 1.0}, "parameter 'cost_shape' must be a string"),
+        ("two_control", {"horizon": [0.5]}, "not enough values to unpack"),
+        ("moving_interval", {"outward": ""}, "parameter 'outward' must be a finite number"),
+    ])
+    def test_ill_typed_system_param_is_config_error(self, tmp_path, capsys, name, params,
+                                                     message):
+        mode = {"two_control": "control", "moving_interval": "transform-demo"}.get(name,
+                                                                                    "validate")
+        payload = {"mode": mode, "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": name, "params": params}, "samples": 10,
+                   "grid": {"start": 0.0, "end": 1.0, "steps": 8}, "grid_ladder": [4, 8]}
+        assert run(write_config(tmp_path, payload)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tau", [1e308, -1e308, float("nan")])
+    def test_unrepresentable_tau_is_config_error(self, tmp_path, capsys, tau):
+        payload = {"mode": "control", "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": "two_control"}, "particles": 2, "replications": 1,
+                   "grid": {"start": 0.0, "end": 1.0, "steps": 10},
+                   "control": {"tau": tau, "clusters": 1, "inner_replications": 1}}
+        assert run(write_config(tmp_path, payload)) == 2
+        assert "tau" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_output_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        assert run(write_config(tmp_path, properties_config(target))) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert target.read_text() == "keep"
 
     def test_penalized_needs_epsilon(self, tmp_path):
         payload = simulate_config(tmp_path / "out", scheme="penalized")
@@ -191,6 +241,149 @@ class TestOutputs:
         assert "chain-rule" in body and "as-printed" in body
 
 
+def oracle_trajectories(ensembles, times, header):
+    """The tuple-per-row, ``_fmt``-per-value trajectory text that the array
+    writer replaced; the byte reference for ``write_csv`` on array tables."""
+    rows = []
+    for r, ens in enumerate(ensembles):
+        for i in range(ens.states.shape[0]):
+            for k, t in enumerate(times):
+                rows.append(
+                    (r, i, t, *ens.states[i, k], *ens.reflection[i, k],
+                     ens.variation[i, k])
+                )
+    lines = [",".join(header)]
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                  1.7976931348623157e308, 1 / 3, -2.0, 1e17, 123456789.0]
+
+
+def trajectory_header(m):
+    return (["replication", "particle", "t"] + [f"x_{j + 1}" for j in range(m)]
+            + [f"k_{j + 1}" for j in range(m)] + ["variation"])
+
+
+def assert_writer_matches_oracle(tmp_path, values, reps, particles, steps1, m):
+    """Fill ``reps`` fake ensembles from ``values`` (cycled) and compare bytes."""
+    per_rep = particles * steps1 * (2 * m + 1)
+    pool = np.resize(np.array(values, dtype=float), reps * per_rep + steps1)
+    times = pool[-steps1:]
+    ensembles = []
+    for r in range(reps):
+        block = pool[r * per_rep:(r + 1) * per_rep].reshape(particles, steps1, 2 * m + 1)
+        ensembles.append(SimpleNamespace(states=block[..., :m], reflection=block[..., m:2 * m],
+                                         variation=block[..., 2 * m]))
+    header = trajectory_header(m)
+    path = tmp_path / "trajectories.csv"
+    cli.write_csv(path, header, cli._trajectory_table(ensembles, times))
+    assert path.read_bytes() == oracle_trajectories(ensembles, times, header).encode()
+
+
+class TestArrayWriter:
+    @given(
+        m=st.sampled_from([1, 2, 3]),
+        reps=st.sampled_from([1, 3]),
+        particles=st.integers(1, 3),
+        steps1=st.integers(1, 4),
+        chunk_offset=st.sampled_from([-1, 0, 1, None]),
+        values=st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
+                        min_size=1, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_bytes_match_tuple_oracle(self, tmp_path_factory, m, reps, particles, steps1,
+                                      chunk_offset, values):
+        rows = reps * particles * steps1
+        # just under, at and just over one chunk, or several small chunks
+        chunk = 2 if chunk_offset is None else max(1, rows + chunk_offset)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+            assert_writer_matches_oracle(tmp_path_factory.mktemp("w"), values, reps,
+                                         particles, steps1, m)
+
+    @pytest.mark.parametrize("chunk", [1, 11, 12, 13, 1024])
+    def test_special_values_match_oracle(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        assert_writer_matches_oracle(tmp_path, SPECIAL_VALUES, 3, 2, 2, 2)
+
+
+class TestAllOrNothing:
+    def test_failed_rerun_leaves_no_manifest_and_none_of_its_files(self, tmp_path,
+                                                                    monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, simulate_config(out, seed=1))
+        assert run(cfg) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"manifest.json", "trajectories.csv", "diagnostics.csv"} <= set(first)
+
+        def failing_report(*args, **kwargs):
+            raise ObliqueMVError("injected")
+
+        monkeypatch.setattr(cli, "residual_report", failing_report)
+        assert run(cfg, seed=2) == 3
+        left = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the failed run wrote trajectories.csv before failing: it is gone,
+        # and the old manifest no longer vouches for the directory
+        assert "manifest.json" not in left and "trajectories.csv" not in left
+        assert left == {"diagnostics.csv": first["diagnostics.csv"]}
+
+    def test_unexpected_error_also_removes_written_files(self, tmp_path, monkeypatch):
+        def broken(cfg, seed, out):
+            out.write_csv("partial.csv", ["a"], [(1,)])
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli._RUNNERS, "properties", broken)
+        cfg = write_config(tmp_path, properties_config(tmp_path / "out"))
+        with pytest.raises(KeyError):
+            run(cfg)
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+def fake_rate_report(*args, **kwargs):
+    return RateReport(xs=[0.1, 0.2, 0.3], ys=[0.1, 0.2, 0.3], slope=0.41,
+                      r_squared=0.99, stderrs=[0.0] * 3)
+
+
+def fake_equivalence(*args, **kwargs):
+    return ConvergenceReport(step_sizes=[0.25, 0.125], sup_distances={"chain-rule": [0.1, 0.2]},
+                             feasibility={"chain-rule": [0.0, 0.0]})
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("mode,patch,payload,verdict", [
+        ("converge", {"penalization_rate_probe": fake_rate_report},
+         {"system": {"name": "ou"}, "grid": {"start": 0.0, "end": 1.0, "steps": 64},
+          "epsilon_ladder": [0.5, 0.25, 0.125]},
+         "slope 0.41 outside [0.7, 1.3]"),
+        ("control", {"dpp_residual": lambda *a, **k: (1.0, 0.01)},
+         {"system": {"name": "two_control"}, "grid": {"start": 0.0, "end": 1.0, "steps": 8},
+          "particles": 4, "replications": 2,
+          "control": {"clusters": 1, "inner_replications": 2}},
+         "dpp_residual 1 outside [-inf, 0.625]"),
+        ("transform-demo", {"equivalence_check": fake_equivalence},
+         {"system": {"name": "moving_interval"}, "grid_ladder": [4, 8]},
+         "chain-rule sup_distance not decreasing along the grid ladder"),
+    ])
+    def test_failed_probe_names_its_gate(self, tmp_path, monkeypatch, capsys, mode, patch,
+                                         payload, verdict):
+        for name, fake in patch.items():
+            monkeypatch.setattr(cli, name, fake)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"mode": mode, "seed": 1, "output_dir": str(out),
+                                      **payload})
+        assert run(cfg, strict=True) == 4
+        assert f"mode {mode}: probe failed: {verdict}; outputs in" in capsys.readouterr().out
+        assert (out / "manifest.json").is_file()
+        assert run(cfg) == 0
+
+    def test_gate_bounds(self):
+        assert cli._gate("slope", 1.0, 0.7, 1.3) is None
+        assert cli._gate("r", math.nan, low=0.9) == "r nan outside [0.9, inf]"
+        assert cli._gate("x", 2.5e-7, high=1e-8) == "x 2.5e-07 outside [-inf, 1e-08]"
+
+
 class TestDescribe:
     def test_known_system(self, capsys):
         assert main(["describe", "example31"]) == 0
@@ -201,3 +394,97 @@ class TestDescribe:
         assert main(["describe", "mystery"]) == 2
         err = capsys.readouterr().err
         assert "available" in err
+
+
+# system names each mode accepts; any other name must be a config error
+MODE_NAMES = {"control": ["two_control"], "transform-demo": ["moving_interval"]}
+SYSTEM_NAMES = ["example31", "ou", "linear", "rbm"]
+PARAM_KEYS = {
+    "example31": ["x0", "radius"], "ou": ["theta", "sigma", "x0"],
+    "linear": ["a", "b", "c", "x0"], "rbm": ["sigma", "x0"],
+    "two_control": ["theta", "sigma", "x0", "horizon", "controls", "ramp",
+                    "control_mode", "cost_shape"],
+    "moving_interval": ["outward", "sigma", "coupling", "x0", "horizon", "growth"],
+    "nope": ["x0"],
+}
+# JSON values of every type; numbers mostly of a plausible size
+PARAM_VALUES = st.one_of(
+    st.floats(-2, 2), st.floats(-2, 2), st.integers(-3, 3), st.floats(),
+    st.lists(st.floats(-2, 2), max_size=3), st.text(max_size=3), st.none(), st.booleans(),
+    st.sampled_from(["scale", "shift", "abs", "linear"]),
+)
+CONSTRAINTS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("half-space"),
+                           "normal": st.lists(st.floats(-2, 2), min_size=1, max_size=3)},
+                          optional={"offset": st.floats(-1, 1)}),
+    st.fixed_dictionaries({"kind": st.just("box"),
+                           "lower": st.lists(st.one_of(st.none(), st.floats(-2, 0)),
+                                             min_size=1, max_size=2),
+                           "upper": st.lists(st.one_of(st.none(), st.floats(0, 2)),
+                                             min_size=1, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("ball"),
+                           "center": st.lists(st.floats(-1, 1), min_size=1, max_size=2),
+                           "radius": st.floats(-1, 2)}),
+    st.fixed_dictionaries({"kind": st.just("intersection"),
+                           "normals": st.lists(st.lists(st.floats(-1, 1), min_size=2,
+                                                        max_size=2), min_size=1, max_size=3),
+                           "offsets": st.lists(st.floats(-1, 1), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["quadratic", "wedge"])},
+                          optional={"weights": st.lists(st.floats(0, 2), min_size=1,
+                                                        max_size=2)}),
+)
+OPTIONAL_KEYS = {
+    "threads": st.integers(1, 4),
+    "grid": st.fixed_dictionaries(
+        {"start": st.one_of(st.sampled_from([0.0, -0.5, 0.25]), st.floats()),
+         "end": st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats()),
+         "steps": st.integers(1, 16)},
+        optional={"dyadic_level": st.one_of(st.none(), st.integers(0, 4))}),
+    "grid_ladder": st.lists(st.sampled_from([2, 3, 4, 8, 16]), min_size=2, max_size=3),
+    "particles": st.integers(1, 8),
+    "replications": st.integers(1, 2),
+    "scheme": st.sampled_from(["projected", "penalized"]),
+    "epsilon": st.sampled_from([0.01, 0.1, 1.0, 4.0]),
+    "epsilon_ladder": st.lists(st.sampled_from([4.0, 2.0, 1.0, 0.5, 0.1]), max_size=4),
+    "constraint": CONSTRAINTS,
+    "samples": st.integers(1, 20),
+    "control": st.fixed_dictionaries({}, optional={
+        "tau": st.one_of(st.floats(-0.5, 1.5), st.floats()), "switches": st.integers(0, 1),
+        "clusters": st.integers(1, 2), "inner_replications": st.integers(1, 2)}),
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config valid under CONFIG_SCHEMA, mostly carrying its mode's keys.
+
+    Sizes stay small: at most 16 steps, 8 particles, 2 replications."""
+    mode = draw(st.sampled_from(cli.MODES))
+    names = MODE_NAMES.get(mode, SYSTEM_NAMES)
+    system = {"name": draw(st.sampled_from(names * 3 + ["nope"]))}
+    if draw(st.integers(0, 2)) > 0:
+        system["params"] = draw(st.dictionaries(st.sampled_from(PARAM_KEYS[system["name"]]),
+                                                PARAM_VALUES, max_size=2))
+    cfg = {"mode": mode, "seed": draw(st.integers(0, 2**32)), "system": system,
+           "particles": draw(OPTIONAL_KEYS["particles"]),
+           "replications": draw(OPTIONAL_KEYS["replications"])}
+    for key in cli._MODE_KEYS[mode]:
+        if key != "system" and draw(st.integers(0, 9)) > 0:
+            cfg[key] = draw(OPTIONAL_KEYS[key])
+    cfg.update(draw(st.fixed_dictionaries({}, optional=OPTIONAL_KEYS)))
+    jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    return cfg
+
+
+class TestFuzz:
+    @given(cfg=fuzz_configs())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_schema_configs_exit_cleanly(self, tmp_path_factory, cfg):
+        """Every drawn config ends in a documented exit code, without a traceback."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = write_config(tmp, cfg)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--strict", "--out", str(tmp / "out")])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -292,6 +292,11 @@ def _run_control(cfg, seed, out):
         cfg["system"]["name"], **cfg["system"].get("params", {})
     )
     g = cfg["grid"]
+    if (g["start"], g["end"]) != tuple(prob.horizon):
+        raise ConfigurationError(
+            f"grid: [start, end] = [{g['start']}, {g['end']}] does not match the "
+            f"problem horizon [{prob.horizon[0]}, {prob.horizon[1]}]"
+        )
     ctl = cfg.get("control", {})
     sim = SimConfig(
         steps=g["steps"], particles=cfg.get("particles", 128),

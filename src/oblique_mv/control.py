@@ -11,7 +11,9 @@ Every multi-ensemble estimate runs as batches of the one step loop in
 ``mvsolver._simulate``: the groups of a batch are the variants (controls or
 penalization levels) times a chunk of replications, ordered variant-major
 so that each variant's rows are contiguous, and streaming observers reduce
-the paths to what the estimate needs while the loop runs.
+the paths to what the estimate needs while the loop runs.  The nested
+values of the DPP residual are one such batch too, each group starting
+from its own cluster center.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .mvsolver import (
     _replication_chunks,
     _replication_increments,
     _simulate,
+    _stream_increments,
 )
 
 CONTROL_FAMILY_LIMIT = 100_000
@@ -213,9 +216,12 @@ class _CostStream:
         self.running, self.u_nodes, self.h = running, np.asarray(u_nodes), h
 
     def _z(self, X, node):
-        blocks = np.split(X, len(self.u_nodes))
-        return np.concatenate([np.broadcast_to(self.running(Xb, u[node]), Xb.shape[:1])
-                               for Xb, u in zip(blocks, self.u_nodes)])
+        blocks = len(self.u_nodes)
+        z = np.empty(X.shape[0])
+        for zb, Xb, u in zip(z.reshape(blocks, -1), X.reshape(blocks, -1, X.shape[1]),
+                             self.u_nodes):
+            zb[...] = self.running(Xb, u[node])
+        return z
 
     def start(self, X):
         self.X, self.z = X, self._z(X, 0)
@@ -236,16 +242,24 @@ def _family_runs(prob, scheme, particles, grid, noise, reps, u_nodes, draw_steps
     consumes the last ``grid.steps`` of them.  Returns the ``_CostStream``;
     its rows are ``(control, replication, particle)`` in C order.
     """
-    system = prob.system
     draw_steps = grid.steps if draw_steps is None else draw_steps
-    inc = _replication_increments(noise, reps, particles, draw_steps, system.noise_dim,
+    inc = _replication_increments(noise, reps, particles, draw_steps, prob.system.noise_dim,
                                   grid.h if draw_h is None else draw_h)
+    return _cost_batch(prob, scheme, grid, particles, u_nodes,
+                       inc[:, :, draw_steps - grid.steps:, :], len(u_nodes) * len(reps))
+
+
+def _cost_batch(prob, scheme, grid, particles, u_nodes, increments, groups, x0=None):
+    """``groups`` runs in equal blocks, block ``b`` under the control ``u_nodes[b]``.
+
+    ``increments`` and ``x0`` are as ``_simulate`` takes them.  Returns the
+    ``_CostStream``.
+    """
     return _simulate(
-        system, grid, particles, noise, scheme=scheme[0],
+        prob.system, grid, particles, None, scheme=scheme[0],
         eps=scheme[1] if len(scheme) > 1 else None,
-        control=np.repeat(u_nodes, len(reps), axis=0),
-        increments=inc[:, :, draw_steps - grid.steps:, :],
-        groups=len(u_nodes) * len(reps),
+        control=np.repeat(u_nodes, groups // len(u_nodes), axis=0),
+        increments=increments, groups=groups, x0=x0,
         observer=_CostStream(prob.costs.running, u_nodes, grid.h),
     )
 
@@ -269,6 +283,16 @@ def _value_costs(prob, scheme, cfg, noise, family, skip=0, draw_h=None):
     return np.concatenate(rows), grid  # (replications, len(family))
 
 
+def _best_control(table):
+    """Per-control means of a ``(replications, controls)`` cost table, the
+    index of the smallest and the Monte-Carlo standard error of that one."""
+    means = table.mean(axis=0)
+    best = int(np.argmin(means))
+    reps = table.shape[0]
+    stderr = float(table[:, best].std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    return means, best, stderr
+
+
 def value(prob, scheme, cfg, noise=None, family=None):
     """Minimum estimated cost over the enumerated control family."""
     if noise is None:
@@ -276,14 +300,11 @@ def value(prob, scheme, cfg, noise=None, family=None):
     if family is None:
         family = control_family(prob, cfg.switches)
     table, _ = _value_costs(prob, scheme, cfg, noise, family)
-    means = table.mean(axis=0)
-    best = int(np.argmin(means))
-    reps = table.shape[0]
-    stderr = float(table[:, best].std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    means, best, stderr = _best_control(table)
     return ValueEstimate(
         value=float(means[best]),
         mc_stderr=stderr,
-        replications=reps,
+        replications=table.shape[0],
         minimizer=family[best],
         per_control={f.values: float(m) for f, m in zip(family, means)},
         rep_costs=table,
@@ -315,6 +336,45 @@ def _kmeans(points, k, seed):
     return centers, labels
 
 
+def _nested_values(prob, scheme, grid, particles, replications, noise, centers):
+    """Values on ``grid`` from every center of every first control, as one batch.
+
+    ``centers[i]`` holds first control i's cluster centers.  The value from
+    center ``j`` is the minimum over the constant controls of the mean cost
+    over ``replications`` replications keyed by ``noise.child(2, j)``,
+    exactly as ``value`` estimates it.  The groups run ordered (inner
+    control, first control, cluster, replication), so each (cluster,
+    replication) slot draws its increments once for all of them; the slots
+    go in chunks that fit ``BATCH_NOISE_BYTES``.  First controls with fewer
+    clusters than the most run padding groups that are discarded.  Returns
+    ``(values, stderrs)`` per first control.
+    """
+    family = control_family(prob, 0)
+    u_nodes = np.array([c.per_step(grid) for c in family])
+    U, I, R, N = len(family), len(centers), replications, particles
+    J = max(len(c) for c in centers)
+    m, d = prob.system.state_dim, prob.system.noise_dim
+    starts = np.array([np.concatenate([c, np.repeat(c[:1], J - len(c), axis=0)])
+                       for c in centers])                       # (I, J, m)
+    costs = np.empty((U, I, J * R))
+    for slots in _replication_chunks(J * R, N, grid.steps, d):
+        S = len(slots)
+        inc = _stream_increments([noise.child(2, s // R).for_replication(s % R)
+                                  for s in slots], N, grid.steps, d, grid.h)
+        x0 = np.broadcast_to(starts[:, [s // R for s in slots]], (U, I, S, m))
+        run = _cost_batch(prob, scheme, grid, N, u_nodes, inc, U * I * S,
+                          x0=x0.reshape(-1, m))
+        per_particle = run.integral + prob.costs.terminal(run.X)
+        costs[:, :, slots.start:slots.stop] = per_particle.reshape(U, I, S, N).mean(axis=3)
+    costs = costs.reshape(U, I, J, R)
+    out = []
+    for i, c in enumerate(centers):
+        best = [_best_control(np.ascontiguousarray(costs[:, i, j].T)) for j in range(len(c))]
+        out.append((np.array([means[b] for means, b, _ in best]),
+                    np.array([se for _, _, se in best])))
+    return out
+
+
 def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     """Gap between the value and its one-step dynamic-programming rewrite.
 
@@ -335,10 +395,6 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     tau_snap = grid.times[tau_idx]
 
     controls = list(prob.control_set)
-    inner_cfg = SimConfig(
-        steps=cfg.steps - tau_idx, particles=cfg.particles,
-        replications=cfg.inner_replications, seed=cfg.seed, switches=0,
-    )
     inner_sims = cfg.clusters * len(controls) * cfg.inner_replications
     if tau_idx > 0 and inner_sims > cfg.nested_budget:
         raise BudgetError(
@@ -366,20 +422,16 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     running_all = np.concatenate(
         [h.integral.reshape(len(controls), -1, N) for h in heads], axis=1)
     ends_all = np.concatenate([h.X.reshape(len(controls), -1, N, m) for h in heads], axis=1)
+    pooled_all = ends_all.reshape(len(controls), -1, m)
+    centers = [_kmeans(pooled, cfg.clusters, cfg.seed)[0] for pooled in pooled_all]
+    tail_grid = TimeGrid(tau_snap, t_end, cfg.steps - tau_idx)
+    nested = _nested_values(prob, scheme, tail_grid, N, cfg.inner_replications,
+                            noise, centers)
     best_rhs, best_se = np.inf, 0.0
-    for running, ends in zip(running_all, ends_all):      # (R, N), (R, N, m)
-        pooled = ends.reshape(-1, ends.shape[-1])
-        centers, _ = _kmeans(pooled, cfg.clusters, cfg.seed)
-        center_vals = np.empty(centers.shape[0])
-        center_ses = np.empty(centers.shape[0])
-        for j, c in enumerate(centers):
-            sub = prob.restarted(tau_snap, c)
-            est = value(sub, scheme, inner_cfg, noise=noise.child(2, j))
-            center_vals[j] = est.value
-            center_ses[j] = est.mc_stderr
-
-        d2 = np.sum((pooled[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        lookup = center_vals[np.argmin(d2, axis=1)].reshape(ends.shape[:2])
+    for running, pooled, cs, (center_vals, center_ses) in zip(running_all, pooled_all,
+                                                              centers, nested):
+        d2 = np.sum((pooled[:, None, :] - cs[None, :, :]) ** 2, axis=2)
+        lookup = center_vals[np.argmin(d2, axis=1)].reshape(running.shape)
         rep_means = (running + lookup).mean(axis=1)
         rhs_u1 = float(rep_means.mean())
         se_outer = float(rep_means.std(ddof=1) / math.sqrt(cfg.replications)) \

@@ -116,32 +116,39 @@ class NoiseSource:
         gen = np.random.Generator(np.random.Philox(ss))
         return gen.standard_normal((steps, dim))
 
-    def brownian(self, particles, steps, dim, h):
+    def brownian(self, particles, steps, dim, h, out=None):
         """Brownian increments, sqrt(h)-scaled, for a whole ensemble.
 
-        Filled into a time-major ``(steps, N, d)`` buffer; the result is its
-        ``(N, steps, d)`` view, so one step's increments are a contiguous row.
+        Filled into a time-major ``(steps, N, d)`` buffer, ``out`` if given;
+        the result is its ``(N, steps, d)`` view, so one step's increments
+        are a contiguous row.
         """
-        out = np.empty((steps, particles, dim))
+        if out is None:
+            out = np.empty((steps, particles, dim))
         for i in range(particles):
             out[:, i, :] = self.gaussians(i, steps, dim)
         out *= math.sqrt(h)
         return out.transpose(1, 0, 2)
 
 
-def _replication_increments(noise, reps, particles, steps, dim, h):
-    """Increments of the replications ``reps`` as one ``(R, N, steps, d)`` array.
+def _stream_increments(sources, particles, steps, dim, h):
+    """Increments of the streams ``sources`` as one ``(S, N, steps, d)`` array.
 
-    A view of a time-major ``(R, steps, N, d)`` buffer: replication ``r``
-    draws from ``noise.for_replication(r)``, and a step's rows of all the
-    replications form one ``(R, N, d)`` slab.
+    A view of a time-major ``(S, steps, N, d)`` buffer that each source's
+    draws fill in place: a step's rows of all the streams form one
+    ``(S, N, d)`` slab.
     """
-    if len(reps) == 1:
-        return noise.for_replication(reps[0]).brownian(particles, steps, dim, h)[None]
-    out = np.empty((len(reps), steps, particles, dim))
-    for i, r in enumerate(reps):
-        out[i] = noise.for_replication(r).brownian(particles, steps, dim, h).transpose(1, 0, 2)
+    out = np.empty((len(sources), steps, particles, dim))
+    for slab, source in zip(out, sources):
+        source.brownian(particles, steps, dim, h, out=slab)
     return out.transpose(0, 2, 1, 3)
+
+
+def _replication_increments(noise, reps, particles, steps, dim, h):
+    """Increments of the replications ``reps``; replication ``r`` draws from
+    ``noise.for_replication(r)``.  See ``_stream_increments``."""
+    return _stream_increments([noise.for_replication(r) for r in reps],
+                              particles, steps, dim, h)
 
 
 def _replication_chunks(replications, particles, steps, dim):
@@ -217,6 +224,8 @@ class System:
 
 
 def _is_diagonal(H):
+    if H.shape[-1] == 1:        # no off-diagonal; a non-finite H is still not diagonal
+        return bool(np.isfinite(H).all())
     return float(np.max(np.abs(H * (1 - np.eye(H.shape[-1]))))) <= 1e-14
 
 
@@ -445,7 +454,7 @@ class _PathRecorder:
 
 
 def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
-              increments=None, groups=1, observer=None, inputs=None):
+              increments=None, groups=1, observer=None, inputs=None, x0=None):
     """One step loop for ``groups`` independent ensembles of ``particles`` each.
 
     The groups advance together as one ``(groups * N, m)`` array, group g
@@ -454,6 +463,8 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     one row of such values per group) and its own empirical measure.
     ``increments`` is ``(N, steps, d)``, shared by all groups, or
     ``(R, N, steps, d)`` with group g driven by replication ``g % R``.
+    Every group starts at ``system.x0``, or at its own row of a ``(groups,
+    m)`` array ``x0``.
 
     ``inputs(k, X, u)`` gives step ``k``'s drift, diffusion, oblique matrix
     and the constraint the step ends in; the default evaluates
@@ -492,7 +503,16 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     if control is not None:
         control = np.asarray(control)
 
-    X = np.tile(system.x0, (N * G, 1))
+    if x0 is None:
+        X = np.tile(system.x0, (N * G, 1))
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (G, system.state_dim):
+            raise ConfigurationError(
+                f"start points of shape {x0.shape} do not match (groups, m) = "
+                f"({G}, {system.state_dim})"
+            )
+        X = np.repeat(x0, N, axis=0)
     watch = _PathRecorder(grid) if observer is None else observer
     watch.start(X)
     for k in range(steps):

@@ -72,13 +72,22 @@ def reduce_time_dependent(prob, correction="chain-rule"):
     sign = -1.0 if correction == "chain-rule" else 1.0
     noise_correction = correction == "as-printed"
 
+    frame_cache = [None, None]      # [t, (H(t), H(t)^{-1}, H'(t))]
+
+    def frame(t):
+        """``H(t)``, its inverse and ``H'(t)``, computed once per time ``t``:
+        a step evaluates the matrix, drift and diffusion at the same ``t``."""
+        if frame_cache[0] is None or frame_cache[0] != t:
+            h = hf(t=t)
+            frame_cache[:] = t, (h, inverse_spd(h), hf.derivative_at(t, span))
+        return frame_cache[1]
+
     def matrix(t):
-        hi = inverse_spd(hf(t=t))
+        _, hi, _ = frame(t)
         return hi @ hi
 
     def matrix_derivative(t):
-        hi = inverse_spd(hf(t=t))
-        hp = hf.derivative_at(t, span)
+        _, hi, hp = frame(t)
         hih = hi @ hp @ hi
         return -(hih @ hi + hi @ hih)
 
@@ -92,20 +101,17 @@ def reduce_time_dependent(prob, correction="chain-rule"):
     )
 
     def drift(xbar, mu, u, t):
-        h = hf(t=t)
-        hi = inverse_spd(h)
-        hp = hf.derivative_at(t, span)
+        h, hi, hp = frame(t)
         x = xbar @ h.T
         inner = base.drift(x, mu, u, t) + sign * (xbar @ hp.T)
         return inner @ hi.T
 
     def diffusion(xbar, mu, u, t):
-        h = hf(t=t)
-        hi = inverse_spd(h)
+        h, hi, hp = frame(t)
         x = xbar @ h.T
         g = base.diffusion(x, mu, u, t)
         if noise_correction:
-            g = g + (xbar @ hf.derivative_at(t, span).T)[..., None]
+            g = g + (xbar @ hp.T)[..., None]
         if g.ndim == 2:
             return hi @ g
         return np.einsum("ij,njd->nid", hi, g)

@@ -124,6 +124,31 @@ class TestExitCodes:
         assert "tau" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("grid, params, names", [
+        ({"start": 5.0, "end": -3.0}, {}, ("[5.0, -3.0]", "[0.0, 1.0]")),
+        ({"start": 0.0, "end": 2.0}, {}, ("[0.0, 2.0]", "[0.0, 1.0]")),
+        ({"start": 0.0, "end": 1.0}, {"horizon": [0.0, 2.0]}, ("[0.0, 1.0]", "[0.0, 2.0]")),
+    ])
+    def test_control_grid_must_match_the_horizon(self, tmp_path, capsys, grid, params,
+                                                 names):
+        payload = {"mode": "control", "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": "two_control", "params": params},
+                   "particles": 2, "replications": 1, "grid": dict(grid, steps=8),
+                   "control": {"clusters": 1, "inner_replications": 1}}
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert "horizon" in err and all(name in err for name in names)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_control_grid_on_a_longer_horizon_runs(self, tmp_path):
+        payload = {"mode": "control", "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": "two_control", "params": {"horizon": [0, 2]}},
+                   "particles": 2, "replications": 2,
+                   "grid": {"start": 0.0, "end": 2.0, "steps": 8},
+                   "control": {"clusters": 1, "inner_replications": 1}}
+        assert run(write_config(tmp_path, payload)) == 0
+        assert (tmp_path / "out" / "dpp.csv").is_file()
+
     def test_output_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("keep")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oblique_mv import library, mvsolver
+import math
+
+from oblique_mv import control, library, mvsolver
 from oblique_mv.control import (
     ControlPath,
     ControlProblem,
@@ -14,6 +16,7 @@ from oblique_mv.control import (
     value_rate_probe,
     value_regularity_probe,
     _family_runs,
+    _kmeans,
     _value_costs,
 )
 from oblique_mv.dynamics import CoefficientField, CostField
@@ -43,6 +46,72 @@ def ode_cost_oracle(x0, u, theta=0.5, T=1.0, n=200_000):
         acc += abs(x) * h
         x = max(x + h * (-theta * x + u), 0.0)
     return acc + abs(x)
+
+
+def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
+    """The DPP residual with one ``value`` call per first control and cluster."""
+    noise = NoiseSource(cfg.seed)
+    s, t_end = prob.horizon
+    grid = TimeGrid(s, t_end, cfg.steps)
+    tau_idx = int(round((tau - s) / grid.h))
+    tau_snap = grid.times[tau_idx]
+    controls = list(prob.control_set)
+    inner_cfg = SimConfig(
+        steps=cfg.steps - tau_idx, particles=cfg.particles,
+        replications=cfg.inner_replications, seed=cfg.seed, switches=0,
+    )
+    pair_family = [
+        ControlPath(values=(u1, u2), switch_times=(tau_snap,))
+        for u1 in controls for u2 in controls
+    ]
+    lhs = value(prob, scheme, cfg, noise=noise.child(1), family=pair_family)
+    head_grid = TimeGrid(s, tau_snap, tau_idx)
+    u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
+    N, m = cfg.particles, prob.system.state_dim
+    heads = [_family_runs(prob, scheme, N, head_grid, noise.child(1), reps, u_nodes)
+             for reps in mvsolver._replication_chunks(cfg.replications, N, tau_idx,
+                                                      prob.system.noise_dim)]
+    running_all = np.concatenate(
+        [h.integral.reshape(len(controls), -1, N) for h in heads], axis=1)
+    ends_all = np.concatenate([h.X.reshape(len(controls), -1, N, m) for h in heads], axis=1)
+    best_rhs, best_se = np.inf, 0.0
+    for running, ends in zip(running_all, ends_all):
+        pooled = ends.reshape(-1, ends.shape[-1])
+        centers, _ = _kmeans(pooled, cfg.clusters, cfg.seed)
+        center_vals = np.empty(centers.shape[0])
+        center_ses = np.empty(centers.shape[0])
+        for j, c in enumerate(centers):
+            sub = prob.restarted(tau_snap, c)
+            est = value(sub, scheme, inner_cfg, noise=noise.child(2, j))
+            center_vals[j] = est.value
+            center_ses[j] = est.mc_stderr
+        d2 = np.sum((pooled[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        lookup = center_vals[np.argmin(d2, axis=1)].reshape(ends.shape[:2])
+        rep_means = (running + lookup).mean(axis=1)
+        rhs_u1 = float(rep_means.mean())
+        se_outer = float(rep_means.std(ddof=1) / math.sqrt(cfg.replications)) \
+            if cfg.replications > 1 else 0.0
+        se_u1 = math.sqrt(se_outer**2 + float(np.max(center_ses)) ** 2)
+        if rhs_u1 < best_rhs:
+            best_rhs, best_se = rhs_u1, se_u1
+    return abs(lhs.value - best_rhs), math.sqrt(lhs.mc_stderr**2 + best_se**2)
+
+
+def noiseless_under_low_control():
+    """``two_control`` whose diffusion vanishes under the control -1.
+
+    Under -1 every particle of every replication follows one path, so its
+    end states at tau form a single cluster; under +1 they spread.
+    """
+    base = library.make_control_problem("two_control")
+    coeffs = CoefficientField(
+        lambda x, mu, u: (u - 0.5) * x,
+        lambda x, mu, u: (0.6 * (np.asarray(u) > 0) + 0.0 * x)[..., None],
+        lipschitz=1.5, state_dim=1, noise_dim=1,
+        controlled=True, uses_measure=False, normalized=False,
+    )
+    system = System(coeffs, base.system.oblique, base.system.constraint, [0.4])
+    return ControlProblem(system, base.costs, base.control_set, base.horizon)
 
 
 class TestControlPath:
@@ -197,6 +266,66 @@ class TestDPP:
         cfg = SimConfig(steps=64, particles=8, replications=2, seed=10)
         with pytest.raises(ConfigurationError):
             dpp_residual(prob, 1.5, cfg)
+
+
+class TestNestedBatch:
+    """The nested values of the DPP residual as one batch, against one
+    ``value`` call per first control and cluster, bit for bit."""
+
+    def _assert_matches_oracle(self, monkeypatch, prob, cfg, scheme=("projected",),
+                               counts=None):
+        calls, found = [], []
+        real_value, real_kmeans = control.value, control._kmeans
+
+        def counted_value(*args, **kwargs):
+            calls.append(1)
+            return real_value(*args, **kwargs)
+
+        def recorded_kmeans(*args):
+            centers, labels = real_kmeans(*args)
+            found.append(centers.shape[0])
+            return centers, labels
+
+        monkeypatch.setattr(control, "value", counted_value)
+        monkeypatch.setattr(control, "_kmeans", recorded_kmeans)
+        batched = dpp_residual(prob, 0.5, cfg, scheme=scheme)
+        assert len(calls) == 1                  # the left side only
+        if counts is not None:
+            assert found == counts
+        monkeypatch.undo()
+        assert batched == oracle_dpp_residual(prob, 0.5, cfg, scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", [("projected",), ("penalized", 0.05)])
+    def test_schemes(self, monkeypatch, scheme):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=64, particles=8, replications=3, seed=21,
+                        clusters=3, inner_replications=2)
+        self._assert_matches_oracle(monkeypatch, prob, cfg, scheme, counts=[3, 3])
+
+    def test_first_controls_with_different_cluster_counts(self, monkeypatch):
+        cfg = SimConfig(steps=64, particles=6, replications=2, seed=22,
+                        clusters=4, inner_replications=3)
+        self._assert_matches_oracle(monkeypatch, noiseless_under_low_control(), cfg,
+                                    counts=[1, 4])
+
+    def test_nested_batch_in_several_chunks(self, monkeypatch):
+        # 3 (cluster, replication) slots a chunk: chunks cut across clusters
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=64, particles=8, replications=2, seed=23,
+                        clusters=3, inner_replications=2)
+        slot_bytes = 8 * cfg.particles * 32 * prob.system.noise_dim
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 3 * slot_bytes)
+        assert [len(c) for c in mvsolver._replication_chunks(6, 8, 32, 1)] == [3, 3]
+        batched = dpp_residual(prob, 0.5, cfg)
+        assert batched == oracle_dpp_residual(prob, 0.5, cfg)
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 32 * 2**20)
+        assert dpp_residual(prob, 0.5, cfg) == batched
+
+    def test_one_inner_replication(self, monkeypatch):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=64, particles=8, replications=3, seed=24,
+                        clusters=2, inner_replications=1)
+        self._assert_matches_oracle(monkeypatch, prob, cfg, counts=[2, 2])
 
 
 class TestProbes:

@@ -999,6 +999,43 @@ class TestBatchedEngine:
         with pytest.raises(AssertionError):
             _assert_batch_matches(name)
 
+    @pytest.mark.parametrize("name", ["example31-projected-per-group-measure",
+                                      "two_control-projected-per-group-control"])
+    def test_per_group_start_points_match_runs_alone(self, name):
+        grid, reps, cases = _batch_cases()
+        system, batch_kw, variant_kws = cases[name]
+        G, m, particles = len(variant_kws) * reps, system.state_dim, 13
+        radii = np.linspace(0.1, 0.9, G)
+        angles = np.linspace(0.0, 2 * np.pi, G, endpoint=False)
+        starts = radii[:, None] if m == 1 else \
+            radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        noise = NoiseSource(12)
+        d = system.noise_dim
+        inc = mvsolver._replication_increments(noise, range(reps), particles, grid.steps,
+                                               d, grid.h)
+        batch = mvsolver._simulate(system, grid, particles, noise, increments=inc,
+                                   groups=G, x0=starts, **batch_kw)
+        for g, ens in enumerate(batch):
+            v, r = divmod(g, reps)
+            rep_noise = noise.for_replication(r)
+            moved = System(system.coeffs, system.oblique, system.constraint, starts[g])
+            alone = mvsolver._simulate(
+                moved, grid, particles, rep_noise, **variant_kws[v],
+                increments=rep_noise.brownian(particles, grid.steps, d, grid.h))
+            assert np.any(alone.variation > 0)
+            np.testing.assert_array_equal(ens.states[:, 0], np.tile(starts[g], (particles, 1)))
+            for field_name in PATH_FIELDS:
+                np.testing.assert_array_equal(getattr(ens, field_name),
+                                              getattr(alone, field_name))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2,), (2, 2), (1, 2, 1)])
+    def test_start_points_need_one_row_per_group(self, shape):
+        ou = library.make_system("ou")
+        grid = TimeGrid(0.0, 1.0, 8)
+        with pytest.raises(ConfigurationError, match="start points"):
+            mvsolver._simulate(ou, grid, 4, NoiseSource(0), scheme="projected", groups=2,
+                               x0=np.full(shape, 0.5))
+
     def test_single_group_is_the_public_entry(self):
         ex = library.make_system("example31")
         grid = TimeGrid(0.0, 1.0, 64)

@@ -6,6 +6,7 @@ from oblique_mv.convexcore import ConvexConstraint
 from oblique_mv.dynamics import (
     CoefficientField,
     ObliqueField,
+    inverse_spd,
     validate_lipschitz,
     validate_oblique,
 )
@@ -103,6 +104,88 @@ class TestReduction:
         prob = library.make_moving_problem("moving_interval")
         with pytest.raises(ConfigurationError):
             reduce_time_dependent(prob, correction="bogus")
+
+
+def formula_reduction(prob, correction):
+    """The reduced matrix, its derivative, drift and diffusion, each computing
+    ``H(t)``, its inverse and ``H'(t)`` afresh on every call."""
+    hf, base, span = prob.hfield, prob.coeffs, prob.horizon[1] - prob.horizon[0]
+    sign = -1.0 if correction == "chain-rule" else 1.0
+
+    def matrix(t):
+        hi = inverse_spd(hf(t=t))
+        return hi @ hi
+
+    def matrix_derivative(t):
+        hi = inverse_spd(hf(t=t))
+        hih = hi @ hf.derivative_at(t, span) @ hi
+        return -(hih @ hi + hi @ hih)
+
+    def drift(xbar, mu, u, t):
+        h = hf(t=t)
+        x = xbar @ h.T
+        inner = base.drift(x, mu, u, t) + sign * (xbar @ hf.derivative_at(t, span).T)
+        return inner @ inverse_spd(h).T
+
+    def diffusion(xbar, mu, u, t):
+        h = hf(t=t)
+        g = base.diffusion(xbar @ h.T, mu, u, t)
+        if correction == "as-printed":
+            g = g + (xbar @ hf.derivative_at(t, span).T)[..., None]
+        hi = inverse_spd(h)
+        return hi @ g if g.ndim == 2 else np.einsum("ij,njd->nid", hi, g)
+
+    return matrix, matrix_derivative, drift, diffusion
+
+
+def tilted_problem(analytic):
+    """A 2-d non-diagonal H(t) on the unit ball, with a per-particle diffusion."""
+    return make_problem(
+        lambda t: np.array([[2.0 + np.sin(t), 0.3 * t], [0.3 * t, 1.5 + t * t]]),
+        (lambda t: np.array([[np.cos(t), 0.3], [0.3, 2.0 * t]])) if analytic else None,
+        0.5, 4.0,
+        lambda x, mu: np.stack([-0.5 * x[..., 0] + x[..., 1] ** 2, np.sin(x[..., 0])],
+                               axis=-1),
+        lambda x, mu: (0.2 + 0.1 * np.abs(x))[..., None],
+        [0.3, 0.1], base=ConvexConstraint.ball([0.0, 0.0], 1.0), dim=2,
+    )
+
+
+class TestFrame:
+    """The reduced fields share one (H, H^{-1}, H') frame per time; each value
+    must equal the formulas evaluated afresh, whatever the call order."""
+
+    @pytest.mark.parametrize("correction", ["chain-rule", "as-printed"])
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_frame_matches_fresh_formulas(self, analytic, correction):
+        prob = tilted_problem(analytic)
+        reduced = reduce_time_dependent(prob, correction=correction)
+        matrix, matrix_derivative, drift, diffusion = formula_reduction(prob, correction)
+        xbar = np.array([[0.2, -0.1], [0.05, 0.4], [-0.3, 0.0]])
+        mu = EmpiricalMeasure(xbar)
+        fields = {
+            "matrix": (lambda t: reduced.oblique(t=t), matrix),
+            "drift": (lambda t: reduced.coeffs.drift(xbar, mu, None, t),
+                      lambda t: drift(xbar, mu, None, t)),
+            "diffusion": (lambda t: reduced.coeffs.diffusion(xbar, mu, None, t),
+                          lambda t: diffusion(xbar, mu, None, t)),
+        }
+        if analytic:
+            fields["derivative"] = (lambda t: reduced.oblique.derivative_at(t),
+                                    matrix_derivative)
+        else:       # the reduced field's own central difference, around two frames
+            fields["derivative"] = (
+                lambda t: reduced.oblique.derivative_at(t),
+                lambda t: (matrix(t + 1e-6) - matrix(t - 1e-6)) / 2e-6)
+        names = sorted(fields)
+        # repeated, interleaved and out-of-order times, each field in turn
+        calls = [(t, names[(i + k) % len(names)])
+                 for i, t in enumerate([0.3, 0.3, 0.7, 0.0, 0.3, 1.0, 0.7, 0.5, 0.5, 0.0])
+                 for k in range(len(names) + 1)]
+        for t, name in calls:
+            got, want = fields[name]
+            np.testing.assert_array_equal(got(t), want(t), err_msg=f"{name} at t={t}")
+        assert not np.allclose(fields["drift"][0](0.3), fields["drift"][0](0.7))
 
 
 class TestLift:

@@ -8,12 +8,12 @@ perturbations) run under common random numbers: every replication keys its
 Brownian increments off the same counter-based stream.
 
 Every multi-ensemble estimate runs as batches of the one step loop in
-``mvsolver._simulate``: the groups of a batch are the variants (controls or
-penalization levels) times a chunk of replications, ordered variant-major
-so that each variant's rows are contiguous, and streaming observers reduce
-the paths to what the estimate needs while the loop runs.  The nested
-values of the DPP residual are one such batch too, each group starting
-from its own cluster center.
+``mvsolver._simulate``, and streaming observers reduce the paths to what the
+estimate needs while the loop runs.  The cost estimates (``value``, both
+legs of the DPP residual and the value ladder) share one runner,
+``_cost_runs``: the groups of a batch are (variant, control, stream), where
+a variant is a penalization level or a set of start points, one per stream.
+The penalization probe batches its ladder levels the same way.
 """
 
 from __future__ import annotations
@@ -233,54 +233,62 @@ class _CostStream:
         self.X, self.z = X, z
 
 
-def _family_runs(prob, scheme, particles, grid, noise, reps, u_nodes, draw_steps=None,
-                 draw_h=None):
-    """One batch: every control of ``u_nodes`` on every replication of ``reps``.
+def _cost_runs(prob, scheme, grid, particles, streams, u_nodes, levels=None, x0=None,
+               draw_steps=None, draw_h=None):
+    """Running-cost integrals ``(V, F, S, N)`` and end states ``(V, F, S, N, m)``
+    of every (variant, control, stream), in chunks of streams that fit
+    ``BATCH_NOISE_BYTES``, each drawn once and run as one ``_simulate`` batch.
 
-    Replication ``r`` draws ``draw_steps`` increments of step ``draw_h``
-    (default: ``grid``'s) from ``noise.for_replication(r)`` and the run
-    consumes the last ``grid.steps`` of them.  Returns the ``_CostStream``;
-    its rows are ``(control, replication, particle)`` in C order.
+    Stream ``s`` draws ``draw_steps`` increments of step ``draw_h`` (default:
+    ``grid``'s); the runs consume the last ``grid.steps``.  The variants are
+    the penalized scheme's ``levels``, or the first axis of ``x0``, one start
+    point per (variant, stream); by default there is one.
     """
     draw_steps = grid.steps if draw_steps is None else draw_steps
-    inc = _replication_increments(noise, reps, particles, draw_steps, prob.system.noise_dim,
-                                  grid.h if draw_h is None else draw_h)
-    return _cost_batch(prob, scheme, grid, particles, u_nodes,
-                       inc[:, :, draw_steps - grid.steps:, :], len(u_nodes) * len(reps))
+    F, S, N = len(u_nodes), len(streams), particles
+    m, d = prob.system.state_dim, prob.system.noise_dim
+    V = len(levels) if levels is not None else 1 if x0 is None else x0.shape[0]
+    blocks = np.tile(u_nodes, (V, 1))                           # (variant, control)
+    integral, ends = np.empty((V, F, S, N)), np.empty((V, F, S, N, m))
+    for chunk in _replication_chunks(S, N, draw_steps, d):
+        C, part = len(chunk), slice(chunk.start, chunk.stop)
+        inc = _stream_increments(streams[part], N, draw_steps, d,
+                                 grid.h if draw_h is None else draw_h)
+        run = _simulate(
+            prob.system, grid, N, None, scheme=scheme[0],
+            eps=np.repeat(levels, F * C) if levels is not None
+            else scheme[1] if len(scheme) > 1 else None,
+            control=np.repeat(blocks, C, axis=0),
+            increments=inc[:, :, draw_steps - grid.steps:], groups=V * F * C,
+            x0=None if x0 is None
+            else np.broadcast_to(x0[:, None, part], (V, F, C, m)).reshape(-1, m),
+            observer=_CostStream(prob.costs.running, blocks, grid.h),
+        )
+        integral[:, :, part] = run.integral.reshape(V, F, C, N)
+        ends[:, :, part] = run.X.reshape(V, F, C, N, m)
+    return integral, ends
 
 
-def _cost_batch(prob, scheme, grid, particles, u_nodes, increments, groups, x0=None):
-    """``groups`` runs in equal blocks, block ``b`` under the control ``u_nodes[b]``.
-
-    ``increments`` and ``x0`` are as ``_simulate`` takes them.  Returns the
-    ``_CostStream``.
-    """
-    return _simulate(
-        prob.system, grid, particles, None, scheme=scheme[0],
-        eps=scheme[1] if len(scheme) > 1 else None,
-        control=np.repeat(u_nodes, groups // len(u_nodes), axis=0),
-        increments=increments, groups=groups, x0=x0,
-        observer=_CostStream(prob.costs.running, u_nodes, grid.h),
-    )
+def _mean_costs(prob, integral, ends):
+    """Mean over the particles of running plus terminal cost, per run."""
+    terminal = prob.costs.terminal(ends.reshape(-1, ends.shape[-1]))
+    return (integral + terminal.reshape(integral.shape)).mean(axis=-1)
 
 
-def _value_costs(prob, scheme, cfg, noise, family, skip=0, draw_h=None):
-    """Per-replication cost table, one column per control, shared increments.
+def _value_costs(prob, scheme, cfg, noise, family, skip=0, draw_h=None, levels=None):
+    """Per-replication cost tables ``(variants, replications, controls)``.
 
     Runs on the problem's horizon in ``cfg.steps - skip`` steps, driven by
     the last steps of each replication's ``cfg.steps`` increments (step
-    ``draw_h``, default the run grid's).
+    ``draw_h``, default the run grid's).  Each column is contiguous, so sums
+    over replications add in one order however they were chunked.
     """
     grid = TimeGrid(prob.horizon[0], prob.horizon[1], cfg.steps - skip)
     u_nodes = np.array([c.per_step(grid) for c in family])
-    N = cfg.particles
-    rows = []
-    for reps in _replication_chunks(cfg.replications, N, cfg.steps, prob.system.noise_dim):
-        run = _family_runs(prob, scheme, N, grid, noise, reps, u_nodes,
-                           draw_steps=cfg.steps, draw_h=draw_h)
-        per_particle = run.integral + prob.costs.terminal(run.X)
-        rows.append(per_particle.reshape(len(family), len(reps), N).mean(axis=2).T)
-    return np.concatenate(rows), grid  # (replications, len(family))
+    streams = [noise.for_replication(r) for r in range(cfg.replications)]
+    runs = _cost_runs(prob, scheme, grid, cfg.particles, streams, u_nodes, levels=levels,
+                      draw_steps=cfg.steps, draw_h=draw_h)
+    return _mean_costs(prob, *runs).transpose(0, 2, 1), grid
 
 
 def _best_control(table):
@@ -299,7 +307,7 @@ def value(prob, scheme, cfg, noise=None, family=None):
         noise = NoiseSource(cfg.seed).child(1)
     if family is None:
         family = control_family(prob, cfg.switches)
-    table, _ = _value_costs(prob, scheme, cfg, noise, family)
+    table = _value_costs(prob, scheme, cfg, noise, family)[0][0]
     means, best, stderr = _best_control(table)
     return ValueEstimate(
         value=float(means[best]),
@@ -315,7 +323,7 @@ def value(prob, scheme, cfg, noise=None, family=None):
 # Dynamic programming residual
 
 
-def _kmeans(points, k, seed):
+def _kmeans(points, k):
     """Small deterministic Lloyd iteration; centers are cluster means."""
     pts = np.asarray(points, dtype=float)
     uniq = np.unique(pts, axis=0)
@@ -342,34 +350,25 @@ def _nested_values(prob, scheme, grid, particles, replications, noise, centers):
     ``centers[i]`` holds first control i's cluster centers.  The value from
     center ``j`` is the minimum over the constant controls of the mean cost
     over ``replications`` replications keyed by ``noise.child(2, j)``,
-    exactly as ``value`` estimates it.  The groups run ordered (inner
-    control, first control, cluster, replication), so each (cluster,
-    replication) slot draws its increments once for all of them; the slots
-    go in chunks that fit ``BATCH_NOISE_BYTES``.  First controls with fewer
-    clusters than the most run padding groups that are discarded.  Returns
-    ``(values, stderrs)`` per first control.
+    exactly as ``value`` estimates it.  The first controls are the
+    variants of ``_cost_runs`` and the (cluster, replication) slots its
+    streams, so each slot draws its increments once for all of them.  First
+    controls with fewer clusters than the most run padding groups that are
+    discarded.  Returns ``(values, stderrs)`` per first control.
     """
     family = control_family(prob, 0)
     u_nodes = np.array([c.per_step(grid) for c in family])
-    U, I, R, N = len(family), len(centers), replications, particles
+    I, U, R = len(centers), len(family), replications
     J = max(len(c) for c in centers)
-    m, d = prob.system.state_dim, prob.system.noise_dim
     starts = np.array([np.concatenate([c, np.repeat(c[:1], J - len(c), axis=0)])
                        for c in centers])                       # (I, J, m)
-    costs = np.empty((U, I, J * R))
-    for slots in _replication_chunks(J * R, N, grid.steps, d):
-        S = len(slots)
-        inc = _stream_increments([noise.child(2, s // R).for_replication(s % R)
-                                  for s in slots], N, grid.steps, d, grid.h)
-        x0 = np.broadcast_to(starts[:, [s // R for s in slots]], (U, I, S, m))
-        run = _cost_batch(prob, scheme, grid, N, u_nodes, inc, U * I * S,
-                          x0=x0.reshape(-1, m))
-        per_particle = run.integral + prob.costs.terminal(run.X)
-        costs[:, :, slots.start:slots.stop] = per_particle.reshape(U, I, S, N).mean(axis=3)
-    costs = costs.reshape(U, I, J, R)
+    streams = [noise.child(2, j).for_replication(r) for j in range(J) for r in range(R)]
+    runs = _cost_runs(prob, scheme, grid, particles, streams, u_nodes,
+                      x0=np.repeat(starts, R, axis=1))
+    costs = _mean_costs(prob, *runs).reshape(I, U, J, R)
     out = []
     for i, c in enumerate(centers):
-        best = [_best_control(np.ascontiguousarray(costs[:, i, j].T)) for j in range(len(c))]
+        best = [_best_control(costs[i, :, j].T) for j in range(len(c))]
         out.append((np.array([means[b] for means, b, _ in best]),
                     np.array([se for _, _, se in best])))
     return out
@@ -392,6 +391,10 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     tau_idx = int(round(lattice)) if math.isfinite(lattice) else -1
     if tau_idx < 0 or tau_idx >= cfg.steps:
         raise ConfigurationError("need s <= tau < T on the step lattice")
+    if abs(lattice - tau_idx) > 1e-9:         # rounding noise only, not a snap
+        near = s + math.floor(lattice) * grid.h
+        raise ConfigurationError(f"tau = {tau} is not on the step lattice (step {grid.h}); "
+                                 f"the nearest lattice times are {near} and {near + grid.h}")
     tau_snap = grid.times[tau_idx]
 
     controls = list(prob.control_set)
@@ -415,18 +418,14 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
     # first leg per initial control, all controls and replications batched
     head_grid = TimeGrid(s, tau_snap, tau_idx)
     u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
-    N, m = cfg.particles, prob.system.state_dim
-    heads = [_family_runs(prob, scheme, N, head_grid, noise.child(1), reps, u_nodes)
-             for reps in _replication_chunks(cfg.replications, N, tau_idx,
-                                             prob.system.noise_dim)]
-    running_all = np.concatenate(
-        [h.integral.reshape(len(controls), -1, N) for h in heads], axis=1)
-    ends_all = np.concatenate([h.X.reshape(len(controls), -1, N, m) for h in heads], axis=1)
-    pooled_all = ends_all.reshape(len(controls), -1, m)
-    centers = [_kmeans(pooled, cfg.clusters, cfg.seed)[0] for pooled in pooled_all]
+    streams = [noise.child(1).for_replication(r) for r in range(cfg.replications)]
+    running_all, ends_all = (a[0] for a in _cost_runs(prob, scheme, head_grid, cfg.particles,
+                                                      streams, u_nodes))
+    pooled_all = ends_all.reshape(len(controls), -1, prob.system.state_dim)
+    centers = [_kmeans(pooled, cfg.clusters)[0] for pooled in pooled_all]
     tail_grid = TimeGrid(tau_snap, t_end, cfg.steps - tau_idx)
-    nested = _nested_values(prob, scheme, tail_grid, N, cfg.inner_replications,
-                            noise, centers)
+    nested = _nested_values(prob, scheme, tail_grid, cfg.particles,
+                            cfg.inner_replications, noise, centers)
     best_rhs, best_se = np.inf, 0.0
     for running, pooled, cs, (center_vals, center_ses) in zip(running_all, pooled_all,
                                                               centers, nested):
@@ -542,12 +541,12 @@ def value_rate_probe(prob, eps_ladder, cfg, noise=None):
     if noise is None:
         noise = NoiseSource(cfg.seed).child(4)
     family = control_family(prob, cfg.switches)
-    ref_table, grid = _value_costs(prob, ("projected",), cfg, noise, family)
+    ref_table = _value_costs(prob, ("projected",), cfg, noise, family)[0][0]
+    tables = _value_costs(prob, ("penalized",), cfg, noise, family, levels=ladder)[0]
     ref_rep = ref_table.min(axis=1)
     v_ref = float(ref_table.mean(axis=0).min())
     dists, stderrs = [], []
-    for e in ladder:
-        table, _ = _value_costs(prob, ("penalized", e), cfg, noise, family)
+    for table in tables:
         v_eps = float(table.mean(axis=0).min())
         diff_rep = table.min(axis=1) - ref_rep
         se = float(diff_rep.std(ddof=1) / math.sqrt(len(diff_rep))) \
@@ -586,7 +585,7 @@ def value_regularity_probe(prob, perturbations, cfg, scheme=("projected",),
             if cfg.switches == 0 else control_family(sub, cfg.switches)
         # the shifted run consumes the tail of the base grid's increments
         return _value_costs(sub, scheme, cfg, noise, sub_family, skip=start_idx,
-                            draw_h=h)[0]
+                            draw_h=h)[0][0]
 
     base_table = costs_from(0, prob.system.x0)
     v_base = float(base_table.mean(axis=0).min())

@@ -124,6 +124,17 @@ class TestExitCodes:
         assert "tau" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_off_lattice_tau_is_config_error(self, tmp_path, capsys):
+        payload = {"mode": "control", "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": "two_control"}, "particles": 2, "replications": 1,
+                   "grid": {"start": 0.0, "end": 1.0, "steps": 8},
+                   "control": {"tau": 0.3, "clusters": 1, "inner_replications": 1}}
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in ("tau = 0.3", "0.125", "0.25", "0.375"))
+        assert not (tmp_path / "out" / "dpp.csv").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("grid, params, names", [
         ({"start": 5.0, "end": -3.0}, {}, ("[5.0, -3.0]", "[0.0, 1.0]")),
         ({"start": 0.0, "end": 2.0}, {}, ("[0.0, 2.0]", "[0.0, 1.0]")),

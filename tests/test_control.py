@@ -1,7 +1,8 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-
-import math
 
 from oblique_mv import control, library, mvsolver
 from oblique_mv.control import (
@@ -15,7 +16,8 @@ from oblique_mv.control import (
     value,
     value_rate_probe,
     value_regularity_probe,
-    _family_runs,
+    _cost_runs,
+    _CostStream,
     _kmeans,
     _value_costs,
 )
@@ -48,6 +50,24 @@ def ode_cost_oracle(x0, u, theta=0.5, T=1.0, n=200_000):
     return acc + abs(x)
 
 
+def family_runs(prob, scheme, particles, grid, noise, reps, u_nodes):
+    """One batch: every control of ``u_nodes`` on every replication of ``reps``.
+
+    Replication ``r`` draws from ``noise.for_replication(r)``.  Returns the
+    ``_CostStream``; its rows are ``(control, replication, particle)`` in C
+    order.
+    """
+    inc = mvsolver._replication_increments(noise, reps, particles, grid.steps,
+                                           prob.system.noise_dim, grid.h)
+    return mvsolver._simulate(
+        prob.system, grid, particles, None, scheme=scheme[0],
+        eps=scheme[1] if len(scheme) > 1 else None,
+        control=np.repeat(u_nodes, len(reps), axis=0), increments=inc,
+        groups=len(u_nodes) * len(reps),
+        observer=_CostStream(prob.costs.running, u_nodes, grid.h),
+    )
+
+
 def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
     """The DPP residual with one ``value`` call per first control and cluster."""
     noise = NoiseSource(cfg.seed)
@@ -68,7 +88,7 @@ def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
     head_grid = TimeGrid(s, tau_snap, tau_idx)
     u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
     N, m = cfg.particles, prob.system.state_dim
-    heads = [_family_runs(prob, scheme, N, head_grid, noise.child(1), reps, u_nodes)
+    heads = [family_runs(prob, scheme, N, head_grid, noise.child(1), reps, u_nodes)
              for reps in mvsolver._replication_chunks(cfg.replications, N, tau_idx,
                                                       prob.system.noise_dim)]
     running_all = np.concatenate(
@@ -77,7 +97,7 @@ def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
     best_rhs, best_se = np.inf, 0.0
     for running, ends in zip(running_all, ends_all):
         pooled = ends.reshape(-1, ends.shape[-1])
-        centers, _ = _kmeans(pooled, cfg.clusters, cfg.seed)
+        centers, _ = _kmeans(pooled, cfg.clusters)
         center_vals = np.empty(centers.shape[0])
         center_ses = np.empty(centers.shape[0])
         for j, c in enumerate(centers):
@@ -267,6 +287,23 @@ class TestDPP:
         with pytest.raises(ConfigurationError):
             dpp_residual(prob, 1.5, cfg)
 
+    def test_off_lattice_tau_rejected(self):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=8, particles=4, replications=2, seed=10,
+                        clusters=2, inner_replications=2)
+        with pytest.raises(ConfigurationError) as err:
+            dpp_residual(prob, 0.3, cfg)
+        message = str(err.value)
+        assert all(part in message for part in ("tau = 0.3", "0.125", "0.25", "0.375"))
+
+    def test_tau_within_rounding_of_a_node_runs_at_the_node(self):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=8, particles=4, replications=2, seed=10,
+                        clusters=2, inner_replications=2)
+        exact = dpp_residual(prob, 0.25, cfg)
+        assert dpp_residual(prob, 0.25 + 1e-12, cfg) == exact
+        assert dpp_residual(prob, 0.25 - 1e-12, cfg) == exact
+
 
 class TestNestedBatch:
     """The nested values of the DPP residual as one batch, against one
@@ -321,11 +358,53 @@ class TestNestedBatch:
         monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 32 * 2**20)
         assert dpp_residual(prob, 0.5, cfg) == batched
 
+    def test_many_inner_replications(self, monkeypatch):
+        # from 8 replications on numpy sums pairwise, so the nested means
+        # must be taken over the same layout as ``value``'s
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=64, particles=8, replications=3, seed=25,
+                        clusters=2, inner_replications=20)
+        self._assert_matches_oracle(monkeypatch, prob, cfg, counts=[2, 2])
+
     def test_one_inner_replication(self, monkeypatch):
         prob = library.make_control_problem("two_control")
         cfg = SimConfig(steps=64, particles=8, replications=3, seed=24,
                         clusters=2, inner_replications=1)
         self._assert_matches_oracle(monkeypatch, prob, cfg, counts=[2, 2])
+
+
+class TestCostRuns:
+    """Every (variant, control, stream) group of the shared cost runner
+    against a ``_simulate`` run of that group alone, bit for bit."""
+
+    @pytest.mark.parametrize("variants", ["levels", "starts"])
+    def test_groups_match_solo_runs(self, monkeypatch, variants):
+        prob = library.make_control_problem("two_control")
+        N, draw_steps, S = 4, 64, 5
+        grid, draw_h = TimeGrid(0.0, 1.0, 48), 1.0 / draw_steps
+        streams = [NoiseSource(31).child(s % 2, s) for s in range(S)]
+        u_nodes = np.array([ControlPath((-1.0, 1.0), (0.5,)).per_step(grid),
+                            np.full(grid.steps + 1, 1.0)])
+        if variants == "levels":
+            scheme, levels, x0 = ("penalized",), [0.2, 0.05], None
+        else:
+            scheme, levels = ("projected",), None
+            x0 = np.random.default_rng(3).uniform(0.0, 1.0, (2, S, 1))
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw_steps)
+        assert len(mvsolver._replication_chunks(S, N, draw_steps, 1)) == 3
+        integral, ends = _cost_runs(prob, scheme, grid, N, streams, u_nodes, levels=levels,
+                                    x0=x0, draw_steps=draw_steps, draw_h=draw_h)
+        assert integral.shape == (2, 2, S, N) and ends.shape == (2, 2, S, N, 1)
+        for v, f, s in itertools.product(range(2), range(2), range(S)):
+            inc = streams[s].brownian(N, draw_steps, 1, draw_h)[:, draw_steps - grid.steps:]
+            solo = mvsolver._simulate(
+                prob.system, grid, N, None, scheme=scheme[0],
+                eps=None if levels is None else levels[v], control=u_nodes[f],
+                increments=inc, x0=None if x0 is None else x0[v, s][None],
+                observer=_CostStream(prob.costs.running, u_nodes[f][None], grid.h),
+            )
+            np.testing.assert_array_equal(integral[v, f, s], solo.integral)
+            np.testing.assert_array_equal(ends[v, f, s], solo.X)
 
 
 class TestProbes:
@@ -389,7 +468,8 @@ class TestStreamingObservers:
         cfg = SimConfig(steps=128, particles=16, replications=3, seed=5)
         family = control_family(prob, 1)
         noise = NoiseSource(5).child(1)
-        table, grid = _value_costs(prob, scheme, cfg, noise, family)
+        tables, grid = _value_costs(prob, scheme, cfg, noise, family)
+        table = tables[0]
         assert table.shape == (3, len(family))
         for r in range(3):
             rep_noise = noise.for_replication(r)
@@ -415,8 +495,9 @@ class TestStreamingObservers:
         sub = prob.restarted(base.times[32], [0.3])
         family = control_family(sub, 0)
         noise = NoiseSource(6).child(5)
-        table, grid = _value_costs(sub, ("projected",), cfg, noise, family, skip=32,
-                                   draw_h=base.h)
+        tables, grid = _value_costs(sub, ("projected",), cfg, noise, family, skip=32,
+                                    draw_h=base.h)
+        table = tables[0]
         assert grid.steps == 96
         for r in range(2):
             rep_noise = noise.for_replication(r)
@@ -434,9 +515,10 @@ class TestStreamingObservers:
         controls = prob.control_set
         u_nodes = np.repeat(np.asarray(controls)[:, None], 65, axis=1)
         noise = NoiseSource(9).child(1)
-        run = _family_runs(prob, ("projected",), 16, grid, noise, range(3), u_nodes)
-        running = run.integral.reshape(len(controls), 3, 16)
-        ends = run.X.reshape(len(controls), 3, 16, 1)
+        integral, end_states = _cost_runs(prob, ("projected",), grid, 16,
+                                          [noise.for_replication(r) for r in range(3)],
+                                          u_nodes)
+        running, ends = integral[0], end_states[0]
         for i, u1 in enumerate(controls):
             for r in range(3):
                 rep_noise = noise.for_replication(r)
@@ -451,20 +533,25 @@ class TestStreamingObservers:
 
     def test_replication_chunks_do_not_change_results(self, monkeypatch):
         # every estimate is per replication, so splitting the replications
-        # into batches of one changes no bit
+        # into batches of one changes no bit; 40 replications are enough for
+        # a pairwise sum over them to differ from a sequential one
         prob = library.make_control_problem("two_control")
-        cfg = SimConfig(steps=64, particles=8, replications=3, seed=17,
-                        clusters=2, inner_replications=2)
         ou = library.make_system("ou")
 
-        def estimates():
+        def estimates(cfg):
             rate = penalization_rate_probe(ou, None, [0.1, 0.05, 0.025], cfg,
                                            horizon=(0.0, 1.0))
-            return (value(prob, ("projected",), cfg).rep_costs.tolist(),
-                    dpp_residual(prob, 0.5, cfg), rate.ys, rate.extras["sup_distances"])
+            est = value(prob, ("projected",), cfg)
+            return (est.value, est.mc_stderr, est.rep_costs.tolist(),
+                    dpp_residual(prob, 0.5, cfg), rate.ys, rate.extras["sup_distances"],
+                    value_rate_probe(prob, [0.2, 0.1, 0.05], cfg).ys)
 
-        whole = estimates()
-        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)
-        assert mvsolver._replication_chunks(3, 8, 64, 1) == [range(0, 1), range(1, 2),
-                                                             range(2, 3)]
-        assert estimates() == whole
+        for replications, inner in [(3, 2), (40, 20)]:
+            cfg = SimConfig(steps=64, particles=8, replications=replications, seed=17,
+                            clusters=2, inner_replications=inner)
+            whole = estimates(cfg)
+            monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)
+            assert mvsolver._replication_chunks(replications, 8, 64, 1) == [
+                range(r, r + 1) for r in range(replications)]
+            assert estimates(cfg) == whole
+            monkeypatch.undo()

@@ -12,6 +12,7 @@ batches of one step loop.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -97,6 +98,18 @@ CONFIG_SCHEMA = {
         },
     },
 }
+
+
+@functools.cache
+def _config_validator():
+    """The validator of ``CONFIG_SCHEMA``, checked and built once per process.
+
+    Built on first use, not at import, so importing the module stays cheap;
+    ``jsonschema.validate`` would re-check the constant schema on every call.
+    """
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
 
 
 # Rows per formatted block of an array table.
@@ -217,14 +230,17 @@ def _run_simulate(cfg, seed, out):
         if eps is None:
             raise ConfigurationError("epsilon: required for the penalized scheme")
         _stability_check(cfg, [eps], system)
+    elif eps is not None:
+        raise ConfigurationError(
+            f"epsilon: only the penalized scheme uses it, but scheme is {scheme!r}"
+        )
     particles = cfg.get("particles", 256)
     reps = cfg.get("replications", 1)
     noise = NoiseSource(seed)
     increments = _replication_increments(noise, range(reps), particles, grid.steps,
                                          system.noise_dim, grid.h)
     ensembles = _simulate(system, grid, particles, noise, scheme=scheme,
-                          eps=eps if scheme == "penalized" else None,
-                          increments=increments, groups=reps)
+                          eps=eps, increments=increments, groups=reps)
     if reps == 1:
         ensembles = [ensembles]
 
@@ -439,7 +455,10 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
     try:
         raw = Path(config_path).read_bytes()
         cfg = json.loads(raw)
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        # the error jsonschema.validate raises, without re-checking the schema
+        error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+        if error is not None:
+            raise error
         _require(cfg, *_MODE_KEYS[cfg["mode"]])
         seed = cfg["seed"] if seed is None else int(seed)
         outdir = Path(out or cfg.get("output_dir", "out"))

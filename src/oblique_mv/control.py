@@ -26,6 +26,7 @@ import numpy as np
 
 from .dynamics import CostField
 from .errors import BudgetError, ConfigurationError
+from .measures import sq_norms
 from .mvsolver import (
     NoiseSource,
     System,
@@ -475,7 +476,7 @@ class _LadderGaps:
 
     def step(self, k, X, dk_step):
         Xl = X.reshape(self.levels, -1, X.shape[1])
-        gap = np.linalg.norm(Xl[1:] - Xl[:-1], axis=2)
+        gap = np.sqrt(sq_norms(Xl[1:] - Xl[:-1]))
         self.sq_sum += gap**2
         np.maximum(self.sup, gap, out=self.sup)
 

@@ -29,6 +29,7 @@ from .errors import (
     InfeasibleSetError,
     StepError,
 )
+from .measures import sq_norms
 
 # Global tolerance hierarchy: arithmetic identities, geometric identities,
 # composite identities, grid/numerically minimized estimates.
@@ -202,7 +203,7 @@ class ConvexConstraint:
         x = np.asarray(x, dtype=float)
         if self.geometry is None:
             return np.zeros(x.shape[:-1])
-        return np.linalg.norm(x - _project_geometry(self.geometry, x), axis=-1)
+        return np.sqrt(sq_norms(x - _project_geometry(self.geometry, x)))
 
     def contains(self, x, tol=TOL_GEOM):
         return np.all(self.distance(x) <= tol)
@@ -250,7 +251,7 @@ def _project_geometry(geom, x):
         return np.clip(x, geom.lower, geom.upper)
     if isinstance(geom, Ball):
         rel = x - geom.center
-        dist = np.linalg.norm(rel, axis=-1)
+        dist = np.sqrt(sq_norms(rel))
         scale = np.where(dist > geom.radius, geom.radius / np.maximum(dist, 1e-300), 1.0)
         return geom.center + rel * scale[..., None]
     if isinstance(geom, HalfSpaceIntersection):

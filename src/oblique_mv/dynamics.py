@@ -232,7 +232,7 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
         sampler = default_sampler(fld.dim)
     rng = np.random.default_rng(seed)
     lo, hi, asym, lip = np.inf, -np.inf, 0.0, 0.0
-    prev = None
+    prev = None     # (H, key, inverse of H or None) of the previous sample
     for _ in range(samples):
         if fld.time_dependent:
             t0, t1 = horizon if horizon is not None else (0.0, 1.0)
@@ -249,17 +249,21 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
         q = float(u @ H @ u)
         lo, hi = min(lo, q), max(hi, q)
         symmetric = asym <= 1e-10 * max(1.0, float(np.max(np.abs(H))))
+        inv = None
         if prev is not None and symmetric:
-            Hp, keyp = prev
+            Hp, keyp, inv_p = prev
             if fld.time_dependent:
                 den = abs(key - keyp)
             else:
                 den = np.linalg.norm(key[0] - keyp[0]) + wasserstein2(key[1], keyp[1])
             if den > 1e-12:
+                inv = inverse_spd(H)
+                if inv_p is None:
+                    inv_p = inverse_spd(Hp)
                 dH = np.linalg.norm(H - Hp)
-                dHinv = np.linalg.norm(inverse_spd(H) - inverse_spd(Hp))
+                dHinv = np.linalg.norm(inv - inv_p)
                 lip = max(lip, (dH + dHinv) / den)
-        prev = (H, key)
+        prev = (H, key, inv)
     passed = (
         asym <= 1e-10
         and lo >= fld.a_h - 1e-9

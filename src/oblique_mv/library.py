@@ -17,7 +17,7 @@ from .control import ControlProblem
 from .convexcore import ConvexConstraint
 from .dynamics import CoefficientField, CostField, ObliqueField
 from .errors import ConfigurationError
-from .measures import w2_to_origin
+from .measures import sq_norms, w2_to_origin
 from .mvsolver import System
 from .timedep import MovingConstraintProblem
 
@@ -86,12 +86,12 @@ def _example31(x0=(0.2, 0.0), radius=1.0):
 
     def drift(x, mu):
         w = w2_to_origin(mu)
-        s = np.sqrt(np.sum(np.square(x), axis=-1) + 5.0) + w
+        s = np.sqrt(sq_norms(x) + 5.0) + w
         return s[..., None] * np.ones(2)
 
     def diffusion(x, mu):
         w = w2_to_origin(mu)
-        c = np.exp(np.minimum(1.0, np.linalg.norm(x, axis=-1))) + math.sin(w)
+        c = np.exp(np.minimum(1.0, np.sqrt(sq_norms(x)))) + math.sin(w)
         return c[..., None, None] * np.ones((2, 1))
 
     def matrix(x, mu):

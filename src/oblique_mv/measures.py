@@ -16,6 +16,24 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ConfigurationError
 
 
+def sq_norms(x):
+    """Squared Euclidean norms of ``x`` over its last axis.
+
+    Adds ``x[..., j] * x[..., j]`` one column at a time, so every addition
+    runs along the long axis; a reduction over a short last axis instead
+    runs one tiny inner loop per row.  numpy's ``add.reduce`` adds fewer
+    than 8 terms left to right, so up to ``m = 7`` the result equals
+    ``np.sum(x * x, axis=-1)`` (and its root ``np.linalg.norm(x,
+    axis=-1)``) bit for bit; from 8 on numpy sums pairwise and the last
+    bits may differ.
+    """
+    x = np.asarray(x, dtype=float)
+    out = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] * x[..., j]
+    return out
+
+
 class EmpiricalMeasure:
     """Weighted point cloud on R^m."""
 
@@ -52,7 +70,7 @@ class EmpiricalMeasure:
 
     @cached_property
     def _second_moment(self):
-        return float(self.weights @ np.sum(self.atoms**2, axis=1))
+        return float(self.weights @ sq_norms(self.atoms))
 
     def second_moment(self):
         """Weighted mean squared norm of the atoms."""
@@ -131,7 +149,7 @@ def wasserstein2(mu, nu):
             "multi-dimensional W2 needs equally many atoms on both sides"
         )
     diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-    cost = np.sum(diff * diff, axis=-1)
+    cost = sq_norms(diff)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
@@ -143,5 +161,4 @@ def second_moment_sup(ensemble):
         states = np.asarray(ensemble, dtype=float)
     if states.size == 0:
         raise ValueError("empty path ensemble")
-    sq = np.sum(states**2, axis=-1)
-    return float(np.mean(np.max(sq, axis=-1)))
+    return float(np.mean(np.max(sq_norms(states), axis=-1)))

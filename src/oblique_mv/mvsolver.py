@@ -42,7 +42,7 @@ from .convexcore import (
 )
 from .dynamics import CoefficientField, ObliqueField
 from .errors import ConfigurationError, DivergenceError, StepError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, sq_norms
 
 BLOWUP_GUARD = 1e8
 BALL_NEWTON_MAX_ITER = 50
@@ -260,25 +260,26 @@ def _box_step(geom, H, Y):
 def _ball_multiplier(w, d, r):
     """Root ``lam > 0`` of the secular equation ``|w / (1 + lam d)| = r``.
 
-    Rows of ``w`` are points outside the ball in the eigenbasis of H and
-    rows of ``d`` the eigenvalues.  With ``s = w / (1 + lam d)`` this is a
-    trust-region secular equation (Hessian ``diag(1/d)``, gradient
-    ``w/d``), so ``psi(lam) = 1/|s| - 1/r`` is concave and increasing and
-    Newton's iterates from ``lam = 0`` rise monotonically to the root
-    (Moré & Sorensen 1983).  The loop stops on the residual ``| |s| - r |``,
-    whose rounding floor grows with the dimension; ``StepError`` reports
-    the worst residual if it is not met within ``BALL_NEWTON_MAX_ITER``
-    steps.  Returns ``lam`` and ``s``.
+    Columns of the ``(m, k)`` array ``w`` are points outside the ball in
+    the eigenbasis of H and columns of ``d`` the eigenvalues; column-major,
+    every broadcast runs along the long axis.  With ``s = w / (1 + lam d)``
+    this is a trust-region secular equation (Hessian ``diag(1/d)``,
+    gradient ``w/d``), so ``psi(lam) = 1/|s| - 1/r`` is concave and
+    increasing and Newton's iterates from ``lam = 0`` rise monotonically to
+    the root (Moré & Sorensen 1983).  The loop stops on the residual
+    ``| |s| - r |``, whose rounding floor grows with the dimension;
+    ``StepError`` reports the worst residual if it is not met within
+    ``BALL_NEWTON_MAX_ITER`` steps.  Returns ``lam`` and ``s``.
     """
-    tol = 4 * (d.shape[1] + 1) * np.finfo(float).eps * r
-    lam = np.zeros(w.shape[0])
+    tol = 4 * (d.shape[0] + 1) * np.finfo(float).eps * r
+    lam = np.zeros(w.shape[1])
     for step in range(BALL_NEWTON_MAX_ITER + 1):
-        q = 1.0 + lam[:, None] * d
+        q = 1.0 + lam * d
         s = w / q
-        norm = np.sqrt(np.einsum("ki,ki->k", s, s))
+        norm = np.sqrt(sq_norms(s.T))
         gap = norm - r
-        open_rows = np.abs(gap) > tol
-        if not open_rows.any():
+        open_pts = np.abs(gap) > tol
+        if not open_pts.any():
             return lam, s
         if step == BALL_NEWTON_MAX_ITER:
             raise StepError(
@@ -286,14 +287,14 @@ def _ball_multiplier(w, d, r):
                 % BALL_NEWTON_MAX_ITER,
                 residual=float(np.max(np.abs(gap))),
             )
-        slope = np.einsum("ki,ki->k", d * s, s / q)
-        lam = np.where(open_rows, lam + gap * norm**2 / (r * slope), lam)
+        slope = np.add.reduce(d * s * (s / q), axis=0)     # np.sum costs more per call
+        lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
 
 
 def _ball_step(geom, H, Y):
     c, r = geom.center, geom.radius
     rel = Y - c
-    dist = np.linalg.norm(rel, axis=1)
+    dist = np.sqrt(sq_norms(rel))
     X = Y.copy()
     dK = np.zeros_like(Y)
     mask = dist > r
@@ -311,8 +312,8 @@ def _ball_step(geom, H, Y):
         d, Q = np.linalg.eigh(Hsub)
         w = np.einsum("kji,kj->ki", Q, relsub)
         back = Q
-    lam, scaled = _ball_multiplier(w, d, r)
-    relsol = scaled if back is None else np.einsum("kij,kj->ki", back, scaled)
+    lam, scaled = _ball_multiplier(np.ascontiguousarray(w.T), np.ascontiguousarray(d.T), r)
+    relsol = scaled.T if back is None else np.einsum("kij,kj->ki", back, scaled.T)
     X[idx] = c + relsol
     dK[idx] = lam[:, None] * relsol
     return X, dK
@@ -449,7 +450,7 @@ class _PathRecorder:
     def step(self, k, X, dk_step):
         self.states[k + 1] = X
         np.add(self.reflection[k], dk_step, out=self.reflection[k + 1])
-        np.add(self.variation[k], np.linalg.norm(dk_step, axis=1), out=self.variation[k + 1])
+        np.add(self.variation[k], np.sqrt(sq_norms(dk_step)), out=self.variation[k + 1])
         np.divide(dk_step, self.h, out=self.density[k])
 
 
@@ -616,9 +617,7 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
         ens = _simulate(system, grid, N, noise, scheme="projected", control=control,
                         increments=increments, inputs=frozen)
         if iterates:
-            gap = np.max(
-                np.linalg.norm(ens.states - iterates[-1].states, axis=2), axis=1
-            )
+            gap = np.sqrt(np.max(sq_norms(ens.states - iterates[-1].states), axis=1))
             distances.append(float(np.sqrt(np.mean(gap**2))))
         iterates.append(ens)
         prev = ens.states
@@ -673,7 +672,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         residual = residual + Hdk - h * np.broadcast_to(np.asarray(fk), (N, m)) \
             - _gdb(gk, ensemble.increments[:, k, :])
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual
-        eq_worst = max(eq_worst, float(np.max(np.linalg.norm(node_res, axis=1))))
+        eq_worst = max(eq_worst, float(np.max(np.sqrt(sq_norms(node_res)))))
 
     # subdifferential inequality against probe paths.  The sums over time
     # run on C-ordered (N, steps, ...) arrays, so their summation order, and
@@ -723,8 +722,8 @@ def interior_reflection_margin(ensemble, cert, constants=None):
     dK = ensemble.density * h
     terms = (
         np.einsum("nkm,nkm->nk", post, dK)
-        - l1 * np.linalg.norm(dK, axis=2)
-        + l2 * np.linalg.norm(post, axis=2) * h
+        - l1 * np.sqrt(sq_norms(dK))
+        + l2 * np.sqrt(sq_norms(post)) * h
         + l3 * h
     )
     prefix = np.concatenate(

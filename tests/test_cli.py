@@ -160,6 +160,36 @@ class TestExitCodes:
         assert run(write_config(tmp_path, payload)) == 0
         assert (tmp_path / "out" / "dpp.csv").is_file()
 
+    @pytest.mark.parametrize("scheme", [None, "projected"])
+    def test_epsilon_without_the_penalized_scheme_is_config_error(self, tmp_path, capsys,
+                                                                  scheme):
+        payload = {"mode": "simulate", "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": "ou"}, "grid": {"start": 0, "end": 1, "steps": 4},
+                   "particles": 2, "epsilon": 0.5}
+        if scheme is not None:
+            payload["scheme"] = scheme
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert "epsilon" in err and "scheme is 'projected'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "simulate", "seed": -1, "particles": 0, "wibble": 1,
+         "grid": {"start": "a", "steps": 0}},
+        {"mode": "nope", "seed": "x", "system": {"params": 3}},
+        {"seed": 1.5, "epsilon": 0, "control": {"tau": "m", "clusters": 0}},
+        {"mode": "converge", "seed": 1, "epsilon_ladder": [0.1, -1.0, "x"]},
+        [],
+    ])
+    def test_schema_error_line_is_jsonschemas(self, tmp_path, capsys, payload):
+        # the same error, and so the same line, as jsonschema.validate raises
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, cli.CONFIG_SCHEMA)
+        err = expected.value
+        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        assert run(write_config(tmp_path, payload)) == 2
+        assert capsys.readouterr().err == f"config error at {path}: {err.message}\n"
+
     def test_output_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("keep")

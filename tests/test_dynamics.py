@@ -7,13 +7,15 @@ from oblique_mv import library
 from oblique_mv.dynamics import (
     CoefficientField,
     ObliqueField,
+    ValidationReport,
+    default_sampler,
     inverse_spd,
     sqrt_spd,
     validate_lipschitz,
     validate_oblique,
 )
 from oblique_mv.errors import ConfigurationError, SpectralError
-from oblique_mv.measures import EmpiricalMeasure
+from oblique_mv.measures import EmpiricalMeasure, wasserstein2
 
 
 def random_spd(rng, n, cond=100.0):
@@ -127,3 +129,117 @@ class TestObliqueField:
     def test_band_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
             ObliqueField(lambda x, mu: np.eye(1), 2.0, 1.0, 1)
+
+
+def oracle_validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
+    """``validate_oblique`` inverting both matrices of every Lipschitz pair afresh."""
+    if sampler is None:
+        sampler = default_sampler(fld.dim)
+    rng = np.random.default_rng(seed)
+    lo, hi, asym, lip = np.inf, -np.inf, 0.0, 0.0
+    prev = None
+    for _ in range(samples):
+        if fld.time_dependent:
+            t0, t1 = horizon if horizon is not None else (0.0, 1.0)
+            t = rng.uniform(t0, t1)
+            H = fld(t=t)
+            key = t
+        else:
+            x, mu = sampler(rng)
+            H = fld(x, mu)
+            key = (x, mu)
+        asym = max(asym, float(np.max(np.abs(H - H.T))))
+        u = rng.standard_normal(fld.dim)
+        u /= np.linalg.norm(u)
+        q = float(u @ H @ u)
+        lo, hi = min(lo, q), max(hi, q)
+        symmetric = asym <= 1e-10 * max(1.0, float(np.max(np.abs(H))))
+        if prev is not None and symmetric:
+            Hp, keyp = prev
+            if fld.time_dependent:
+                den = abs(key - keyp)
+            else:
+                den = np.linalg.norm(key[0] - keyp[0]) + wasserstein2(key[1], keyp[1])
+            if den > 1e-12:
+                dH = np.linalg.norm(H - Hp)
+                dHinv = np.linalg.norm(inverse_spd(H) - inverse_spd(Hp))
+                lip = max(lip, (dH + dHinv) / den)
+        prev = (H, key)
+    passed = (
+        asym <= 1e-10
+        and lo >= fld.a_h - 1e-9
+        and hi <= fld.b_h + 1e-9
+        and (fld.lipschitz is None or lip <= fld.lipschitz * (1 + 1e-9))
+    )
+    return ValidationReport(
+        name="oblique", passed=passed, estimate=lip, declared=fld.lipschitz,
+        details={"rayleigh_min": lo, "rayleigh_max": hi, "symmetry_residual": asym,
+                 "a_h": fld.a_h, "b_h": fld.b_h},
+    )
+
+
+def rotating_field():
+    """A 2-d ``H(t)``: eigenvalues 1 + t and 2 on axes turning with t."""
+    def matrix(t):
+        c, s = math.cos(t), math.sin(t)
+        q = np.array([[c, -s], [s, c]])
+        return (q * [1.0 + t, 2.0]) @ q.T
+    return ObliqueField(matrix, a_h=1.0, b_h=2.0, dim=2, time_dependent=True,
+                        lipschitz=10.0)
+
+
+def skew_after(k):
+    """Measure-dependent ``H``, symmetric until its ``k``-th call, then skewed."""
+    calls = [0]
+
+    def matrix(x, mu):
+        calls[0] += 1
+        skew = 0.3 if calls[0] > k else 0.0
+        a = 3.0 + math.tanh(x[0]) + 0.1 * mu.second_moment()
+        return np.array([[a, 0.5 + skew], [0.5, 2.0 + math.cos(x[1])]])
+    return ObliqueField(matrix, a_h=0.5, b_h=10.0, dim=2, lipschitz=5.0)
+
+
+def repeating_sampler(period):
+    """The default sampler, but every ``period``-th draw repeats the last one."""
+    base, last, count = default_sampler(2), [None], [0]
+
+    def sample(rng):
+        count[0] += 1
+        if last[0] is None or count[0] % period:
+            last[0] = base(rng)
+        return last[0]
+    return sample
+
+
+# case -> fresh (field, validator keywords); fields and samplers keep state
+ORACLE_CASES = {
+    "example31": lambda: (library.make_system("example31").oblique, {}),
+    "moving_interval": lambda: (library.make_moving_problem("moving_interval").hfield,
+                                {"horizon": (0.0, 1.0)}),
+    "rotating": lambda: (rotating_field(), {"horizon": (0.0, 2.0)}),
+    "skewed": lambda: (skew_after(150), {}),
+    "repeated": lambda: (library.make_system("example31").oblique,
+                         {"sampler": repeating_sampler(3)}),
+}
+
+
+class TestValidateObliqueInverses:
+    """Each sample's inverse is reused as the next pair's ``H^{-1}``, same numbers."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_report_equals_fresh_inverse_loop(self, case):
+        fld, kwargs = ORACLE_CASES[case]()
+        got = validate_oblique(fld, samples=300, seed=5, **kwargs)
+        fld, kwargs = ORACLE_CASES[case]()
+        ref = oracle_validate_oblique(fld, samples=300, seed=5, **kwargs)
+        assert got == ref
+        assert ref.estimate > 0
+
+    def test_one_inverse_per_sample(self, monkeypatch):
+        from oblique_mv import dynamics
+        calls = []
+        real = dynamics.inverse_spd
+        monkeypatch.setattr(dynamics, "inverse_spd", lambda A: calls.append(1) or real(A))
+        validate_oblique(library.make_system("example31").oblique, samples=200, seed=1)
+        assert len(calls) == 200

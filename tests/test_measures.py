@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblique_mv.errors import ConfigurationError
 from oblique_mv.measures import (
     EmpiricalMeasure,
     dirac,
     second_moment_sup,
+    sq_norms,
     w2_to_origin,
     wasserstein2,
 )
@@ -160,3 +163,54 @@ class TestSecondMomentSup:
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "weight,x1,x2"
         assert len(rows) == 3
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e200, -1e200]
+
+
+@st.composite
+def state_arrays(draw, dims):
+    """``(n, m)`` rows, C-ordered or the particle-major view of a time-major buffer.
+
+    Values mix normal draws over 40 decades with signed zeros, ``nan``,
+    ``+-inf``, the smallest subnormal and ``1e200`` (whose square overflows).
+    """
+    m = draw(dims)
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3, m)) * 10.0 ** rng.uniform(-20, 20, (n, 3, m))
+    specials = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                                       st.integers(0, m - 1),
+                                       st.sampled_from(SPECIAL_VALUES)), max_size=8))
+    for i, k, j, v in specials:
+        x[i, k, j] = v
+    if draw(st.booleans()):
+        return np.ascontiguousarray(x[:, draw(st.integers(0, 2)), :])
+    # a (steps, N, m) buffer read particle-major, as the step loops' paths are
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+class TestSqNorms:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(state_arrays(st.integers(1, 7)))
+    def test_bit_equal_to_numpy_reductions_up_to_seven_columns(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sq_norms(x)
+            np.testing.assert_array_equal(got, np.sum(x * x, axis=-1), strict=True)
+            np.testing.assert_array_equal(np.sqrt(got), np.linalg.norm(x, axis=-1),
+                                          strict=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(state_arrays(st.integers(8, 20)))
+    def test_close_to_pairwise_sum_from_eight_columns(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = sq_norms(x), np.sum(x * x, axis=-1)
+        finite = np.isfinite(ref)
+        np.testing.assert_array_equal(got[~finite], ref[~finite])
+        np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-14, atol=0.0)
+
+    def test_leading_axes_and_single_point(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(sq_norms(x), np.sum(x * x, axis=-1))
+        assert sq_norms(np.array([3.0, 4.0])) == 25.0

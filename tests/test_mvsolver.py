@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblique_mv import convexcore, library, mvsolver
+from oblique_mv import control, convexcore, library, measures, mvsolver, timedep
 from oblique_mv.control import SimConfig, penalization_rate_probe
 from oblique_mv.convexcore import (
     ConvexConstraint,
@@ -272,6 +272,163 @@ class TestBallStep:
             simulate_projected(library.make_system("example31"),
                                TimeGrid(0.0, 0.25, 64), 32, NoiseSource(3))
         assert math.isfinite(err.value.residual) and err.value.residual > 0
+
+
+def head_ball_multiplier(w, d, r):
+    """The ball Newton loop on row-major ``(k, m)`` arrays: the reference for
+    the column-major ``mvsolver._ball_multiplier``.
+
+    Each iterate broadcasts ``(k, 1)`` columns against ``(k, m)`` rows and
+    sums over the short axis with ``einsum``.  Returns ``lam`` and ``s``
+    with one row per point.
+    """
+    tol = 4 * (d.shape[1] + 1) * np.finfo(float).eps * r
+    lam = np.zeros(w.shape[0])
+    for step in range(mvsolver.BALL_NEWTON_MAX_ITER + 1):
+        q = 1.0 + lam[:, None] * d
+        s = w / q
+        norm = np.sqrt(np.einsum("ki,ki->k", s, s))
+        gap = norm - r
+        open_rows = np.abs(gap) > tol
+        if not open_rows.any():
+            return lam, s
+        if step == mvsolver.BALL_NEWTON_MAX_ITER:
+            raise StepError("ball Newton solve did not converge",
+                            residual=float(np.max(np.abs(gap))))
+        slope = np.einsum("ki,ki->k", d * s, s / q)
+        lam = np.where(open_rows, lam + gap * norm**2 / (r * slope), lam)
+
+
+def head_ball_step(geom, H, Y):
+    """The ball step with row norms reduced by numpy and the row-major Newton loop."""
+    c, r = geom.center, geom.radius
+    rel = Y - c
+    dist = np.linalg.norm(rel, axis=1)
+    X = Y.copy()
+    dK = np.zeros_like(Y)
+    mask = dist > r
+    if not np.any(mask):
+        return X, dK
+    idx = np.flatnonzero(mask)
+    Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
+    Hsub = np.ascontiguousarray(Hs[idx])
+    relsub = rel[idx]
+    if mvsolver._is_diagonal(Hsub):
+        d, w, back = np.einsum("kii->ki", Hsub), relsub, None
+    else:
+        d, back = np.linalg.eigh(Hsub)
+        w = np.einsum("kji,kj->ki", back, relsub)
+    lam, scaled = head_ball_multiplier(w, d, r)
+    relsol = scaled if back is None else np.einsum("kij,kj->ki", back, scaled)
+    X[idx] = c + relsol
+    dK[idx] = lam[:, None] * relsol
+    return X, dK
+
+
+@st.composite
+def multiplier_cases(draw):
+    """``k`` points outside a ball of radius ``r`` and per-point SPD spectra (cond <= 1e4)."""
+    m = draw(st.sampled_from([1, 2, 3, 5]))
+    k = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.floats(0.1, 10.0))
+    d = 10.0 ** draw(st.floats(-3.0, 3.0)) * np.exp(rng.uniform(0.0, math.log(1e4), (k, m)))
+    u = rng.standard_normal((k, m))
+    excess = 10.0 ** rng.uniform(-13.0, 6.0, k)
+    w = u / np.linalg.norm(u, axis=1)[:, None] * (r * (1.0 + excess))[:, None]
+    return m, w, d, r
+
+
+class TestBallMultiplier:
+    """The column-major Newton loop against the row-major one it replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(multiplier_cases())
+    def test_matches_row_major_loop(self, case):
+        m, w, d, r = case
+        lam, s = mvsolver._ball_multiplier(np.ascontiguousarray(w.T),
+                                           np.ascontiguousarray(d.T), r)
+        lam_ref, s_ref = head_ball_multiplier(w, d, r)
+        assert s.shape == (m, w.shape[0])
+        if m <= 2:
+            # two terms add in the same order either way
+            np.testing.assert_array_equal(lam, lam_ref)
+            np.testing.assert_array_equal(s.T, s_ref)
+            return
+        # from three terms the column sums may round differently than einsum;
+        # the step contract and TestBallStep's agreement tolerance still hold
+        assert np.all(np.abs(np.linalg.norm(s, axis=0) - r) <= 1e-10)
+        residual = np.linalg.norm(s.T * (1.0 + lam[:, None] * d) - w, axis=1)
+        assert np.all(residual <= 1e-10 * np.maximum(1.0, np.linalg.norm(w, axis=1)))
+        assert np.all(np.linalg.norm(s.T - s_ref, axis=1) <= 1e-12 * r)
+
+
+SQ_NORM_MODULES = (control, convexcore, library, measures, mvsolver, timedep)
+
+
+def head_record_step(self, k, X, dk_step):
+    """``_PathRecorder.step`` with numpy's row norm."""
+    self.states[k + 1] = X
+    np.add(self.reflection[k], dk_step, out=self.reflection[k + 1])
+    np.add(self.variation[k], np.linalg.norm(dk_step, axis=1), out=self.variation[k + 1])
+    np.divide(dk_step, self.h, out=self.density[k])
+
+
+def head_ladder_step(self, k, X, dk_step):
+    """``control._LadderGaps.step`` with numpy's row norm."""
+    Xl = X.reshape(self.levels, -1, X.shape[1])
+    gap = np.linalg.norm(Xl[1:] - Xl[:-1], axis=2)
+    self.sq_sum += gap**2
+    np.maximum(self.sup, gap, out=self.sup)
+
+
+def patch_row_reductions(monkeypatch):
+    """Put numpy's per-row reductions, the step observers that used them and
+    the row-major ball step back in."""
+    for module in SQ_NORM_MODULES:
+        monkeypatch.setattr(module, "sq_norms", lambda x: np.sum(x * x, axis=-1))
+    monkeypatch.setattr(mvsolver._PathRecorder, "step", head_record_step)
+    monkeypatch.setattr(control._LadderGaps, "step", head_ladder_step)
+    monkeypatch.setattr(mvsolver, "_ball_step", head_ball_step)
+
+
+class TestColumnReductions:
+    """Whole runs with column-by-column norms equal runs with numpy's row reductions."""
+
+    def _runs(self):
+        ex = library.make_system("example31")
+        ens = simulate_projected(ex, TimeGrid(0.0, 1.0, 128), 64, NoiseSource(21))
+        pen = simulate_penalized(ex, 0.05, TimeGrid(0.0, 0.25, 128), 64, NoiseSource(22))
+        rep = residual_report(ens, ex, probes=[np.zeros(2)])
+        probe = penalization_rate_probe(ex, None, [0.05, 0.1, 0.2],
+                                        SimConfig(steps=512, particles=16, replications=3,
+                                                  seed=23), horizon=(0.0, 1.0))
+        arrays = {f"{label}.{name}": getattr(e, name)
+                  for label, e in (("projected", ens), ("penalized", pen))
+                  for name in PATH_FIELDS}
+        sums = {
+            "equation_residual": rep.equation_residual,
+            "feasibility_gap": rep.feasibility_gap,
+            "inequality_residual": rep.inequality_residual,
+            "second_moment_sup": second_moment_sup(ens),
+            "margin": interior_reflection_margin(ens, InteriorCertificate([0.0, 0.0], 0.9)),
+            "probe.ys": probe.ys, "probe.stderrs": probe.stderrs,
+            "probe.slope": probe.slope,
+            "probe.sup_distances": probe.extras["sup_distances"],
+        }
+        return arrays, sums
+
+    def test_bit_equal_to_row_reductions(self, monkeypatch):
+        arrays, sums = self._runs()
+        patch_row_reductions(monkeypatch)
+        ref_arrays, ref_sums = self._runs()
+        assert np.any(arrays["projected.variation"] > 0)
+        assert np.any(arrays["penalized.variation"] > 0)
+        assert np.all(np.asarray(sums["probe.ys"]) > 0)
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(arr, ref_arrays[name], err_msg=name)
+        for name, value in sums.items():
+            np.testing.assert_array_equal(value, ref_sums[name], err_msg=name)
 
 
 def _rows(geom):

@@ -183,12 +183,6 @@ def _failures(*gates):
     return [g for g in gates if g is not None]
 
 
-def _require(cfg, *keys):
-    for key in keys:
-        if key not in cfg:
-            raise ConfigurationError(f"mode {cfg['mode']!r} requires config key {key!r}")
-
-
 def _stability_check(cfg, eps_values, system):
     grid = cfg["grid"]
     h = (grid["end"] - grid["start"]) / grid["steps"]
@@ -225,15 +219,9 @@ def _run_simulate(cfg, seed, out):
     g = cfg["grid"]
     grid = TimeGrid(g["start"], g["end"], g["steps"], g.get("dyadic_level"))
     scheme = cfg.get("scheme", "projected")
-    eps = cfg.get("epsilon")
-    if scheme == "penalized":
-        if eps is None:
-            raise ConfigurationError("epsilon: required for the penalized scheme")
+    eps = cfg.get("epsilon")        # given exactly for the penalized scheme
+    if eps is not None:
         _stability_check(cfg, [eps], system)
-    elif eps is not None:
-        raise ConfigurationError(
-            f"epsilon: only the penalized scheme uses it, but scheme is {scheme!r}"
-        )
     particles = cfg.get("particles", 256)
     reps = cfg.get("replications", 1)
     noise = NoiseSource(seed)
@@ -368,11 +356,8 @@ def _run_transform(cfg, seed, out):
     prob = library.make_moving_problem(
         cfg["system"]["name"], **cfg["system"].get("params", {})
     )
-    ladder = cfg.get("grid_ladder")
-    if not ladder:
-        raise ConfigurationError("grid_ladder: required for transform-demo mode")
     report = equivalence_check(
-        prob, ladder, cfg.get("particles", 128), NoiseSource(seed).child(6)
+        prob, cfg["grid_ladder"], cfg.get("particles", 128), NoiseSource(seed).child(6)
     )
     rows = []
     for i, h in enumerate(report.step_sizes):
@@ -393,8 +378,6 @@ def _run_transform(cfg, seed, out):
 
 
 def _run_properties(cfg, seed, out):
-    if "constraint" not in cfg:
-        raise ConfigurationError("constraint: required for properties mode")
     constraint = library.constraint_from_config(cfg["constraint"])
     ladder = cfg.get("epsilon_ladder", [0.1, 0.01, 0.001])
     samples = cfg.get("samples", 200)
@@ -419,14 +402,33 @@ _RUNNERS = {
     "properties": _run_properties,
 }
 
+# (mode, scheme) -> (keys a config must have, further keys it may have); only
+# simulate takes a scheme.  Every config may also have the _COMMON_KEYS.
 _MODE_KEYS = {
-    "simulate": ("system", "grid"),
-    "converge": ("system", "grid", "epsilon_ladder"),
-    "control": ("system", "grid"),
-    "validate": ("system",),
-    "transform-demo": ("system", "grid_ladder"),
-    "properties": ("constraint",),
+    ("simulate", "projected"): (("system", "grid"), ("scheme", "particles", "replications")),
+    ("simulate", "penalized"): (("system", "grid", "epsilon"),
+                                ("scheme", "particles", "replications")),
+    ("converge", None): (("system", "grid", "epsilon_ladder"), ("particles", "replications")),
+    ("control", None): (("system", "grid"), ("particles", "replications", "control")),
+    ("validate", None): (("system",), ("samples",)),
+    ("transform-demo", None): (("system", "grid_ladder"), ("particles",)),
+    ("properties", None): (("constraint",), ("epsilon_ladder", "samples")),
 }
+_COMMON_KEYS = ("mode", "seed", "output_dir", "threads")
+
+
+def _check_keys(cfg):
+    """Every key the mode (and scheme) needs is in ``cfg``, and no key it does not read."""
+    mode = cfg["mode"]
+    scheme = cfg.get("scheme", "projected") if mode == "simulate" else None
+    required, optional = _MODE_KEYS[mode, scheme]
+    where = f"mode {mode!r}" + (f" where scheme is {scheme!r}" if scheme else "")
+    for key in required:
+        if key not in cfg:
+            raise ConfigurationError(f"{where} requires config key {key!r}")
+    for key in cfg:
+        if key not in required + optional + _COMMON_KEYS:
+            raise ConfigurationError(f"config key {key!r} is not used by {where}")
 
 
 def _execute(runner, cfg, seed, outdir):
@@ -459,7 +461,7 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
         error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
         if error is not None:
             raise error
-        _require(cfg, *_MODE_KEYS[cfg["mode"]])
+        _check_keys(cfg)
         seed = cfg["seed"] if seed is None else int(seed)
         outdir = Path(out or cfg.get("output_dir", "out"))
         failures, outputs = _execute(_RUNNERS[cfg["mode"]], cfg, seed, outdir)

@@ -108,11 +108,13 @@ class ObliqueField:
     Either state/measure dependent, ``H(x, mu)``, or deterministic in time,
     ``H(t)``.  ``a_h`` and ``b_h`` are the declared ellipticity bounds; an
     analytic time derivative can be supplied for the time-dependent case and
-    a central difference is used as a flagged fallback.
+    a central difference is used as a flagged fallback.  A ``diagonal`` field
+    gives only the diagonal of ``H``, ``(m,)`` or ``(rows, m)`` (other shapes
+    raise), in its calls and in the simulation engine's step inputs alike.
     """
 
     def __init__(self, matrix, a_h, b_h, dim, time_dependent=False,
-                 derivative=None, lipschitz=None, uses_measure=True):
+                 derivative=None, lipschitz=None, uses_measure=True, diagonal=False):
         self.matrix = matrix
         self.a_h = float(a_h)
         self.b_h = float(b_h)
@@ -122,18 +124,22 @@ class ObliqueField:
         self.derivative_is_analytic = derivative is not None
         self.lipschitz = lipschitz
         self.uses_measure = uses_measure
+        self.diagonal = diagonal
         if self.a_h <= 0 or self.b_h < self.a_h:
             raise ConfigurationError("need 0 < a_h <= b_h")
 
     @staticmethod
     def identity(dim):
-        eye = np.eye(dim)
-        return ObliqueField(lambda x, mu: eye, 1.0, 1.0, dim, uses_measure=False)
+        return ObliqueField(lambda x, mu, ones=np.ones(dim): ones, 1.0, 1.0, dim,
+                            uses_measure=False, diagonal=True)
 
     def __call__(self, x=None, mu=None, t=None):
-        if self.time_dependent:
-            return np.asarray(self.matrix(t), dtype=float)
-        return np.asarray(self.matrix(x, mu), dtype=float)
+        H = np.asarray(self.matrix(t) if self.time_dependent else self.matrix(x, mu),
+                       dtype=float)
+        if self.diagonal and H.shape not in ((self.dim,), np.shape(x)[:-1] + (self.dim,)):
+            raise ConfigurationError(f"diagonal oblique field returned shape {H.shape}, "
+                                     f"not ({self.dim},) or (rows, {self.dim})")
+        return H
 
     def derivative_at(self, t, span=1.0):
         if not self.time_dependent:
@@ -243,6 +249,7 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
             x, mu = sampler(rng)
             H = fld(x, mu)
             key = (x, mu)
+        H = np.diag(H) if fld.diagonal else H
         asym = max(asym, float(np.max(np.abs(H - H.T))))
         u = rng.standard_normal(fld.dim)
         u /= np.linalg.norm(u)

@@ -84,23 +84,25 @@ def _example31(x0=(0.2, 0.0), radius=1.0):
     keeps the reflection active.
     """
 
+    # filled column by column: a broadcast over the short state axis loops per row
     def drift(x, mu):
         w = w2_to_origin(mu)
-        s = np.sqrt(sq_norms(x) + 5.0) + w
-        return s[..., None] * np.ones(2)
+        out = np.empty(x.shape)
+        out[..., 0] = out[..., 1] = np.sqrt(sq_norms(x) + 5.0) + w
+        return out
 
     def diffusion(x, mu):
         w = w2_to_origin(mu)
         c = np.exp(np.minimum(1.0, np.sqrt(sq_norms(x)))) + math.sin(w)
-        return c[..., None, None] * np.ones((2, 1))
+        out = np.empty(x.shape + (1,))
+        out[..., 0, 0] = out[..., 1, 0] = c
+        return out
 
     def matrix(x, mu):
         w = w2_to_origin(mu)
-        h11 = np.sin(x[..., 0]) + 5.0 + math.cos(w)
-        h22 = np.exp(np.cos(x[..., 1])) + 4.0 + min(w, 1.0)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = h11
-        out[..., 1, 1] = h22
+        out = np.empty(x.shape)
+        out[..., 0] = np.sin(x[..., 0]) + 5.0 + math.cos(w)
+        out[..., 1] = np.exp(np.cos(x[..., 1])) + 4.0 + min(w, 1.0)
         return out
 
     coeffs = CoefficientField(
@@ -108,7 +110,7 @@ def _example31(x0=(0.2, 0.0), radius=1.0):
         uses_measure=True, normalized=False,
     )
     oblique = ObliqueField(matrix, a_h=3.0, b_h=5.0 + math.e, dim=2,
-                           lipschitz=4.5)
+                           lipschitz=4.5, diagonal=True)
     constraint = ConvexConstraint.ball(np.zeros(2), radius)
     return System(coeffs, oblique, constraint, np.asarray(x0, dtype=float),
                   label="example31")

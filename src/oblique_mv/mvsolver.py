@@ -47,6 +47,7 @@ from .measures import EmpiricalMeasure, sq_norms
 BLOWUP_GUARD = 1e8
 BALL_NEWTON_MAX_ITER = 50
 BATCH_NOISE_BYTES = 32 * 2**20      # increments one batch of replications holds
+NOISE_BLOCK = 64                    # streams drawn particle-major before one transposed copy
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +122,17 @@ class NoiseSource:
 
         Filled into a time-major ``(steps, N, d)`` buffer, ``out`` if given;
         the result is its ``(N, steps, d)`` view, so one step's increments
-        are a contiguous row.
+        are a contiguous row.  Streams are drawn ``NOISE_BLOCK`` at a time
+        into a particle-major block, which is scaled into the buffer in one
+        transposed copy instead of one strided write per stream.
         """
         if out is None:
             out = np.empty((steps, particles, dim))
-        for i in range(particles):
-            out[:, i, :] = self.gaussians(i, steps, dim)
-        out *= math.sqrt(h)
+        for start in range(0, particles, NOISE_BLOCK):
+            block = np.stack([self.gaussians(i, steps, dim)
+                              for i in range(start, min(start + NOISE_BLOCK, particles))])
+            np.multiply(block.transpose(1, 0, 2), math.sqrt(h),
+                        out=out[:, start:start + len(block)])
         return out.transpose(1, 0, 2)
 
 
@@ -229,7 +234,7 @@ def _is_diagonal(H):
     return float(np.max(np.abs(H * (1 - np.eye(H.shape[-1]))))) <= 1e-14
 
 
-def _halfspace_step(geom, H, Y):
+def _halfspace_step(geom, H, Y, diagonal=False):
     n, c = geom.normal, geom.offset
     gap = c - Y @ n
     mask = gap > 0
@@ -237,17 +242,18 @@ def _halfspace_step(geom, H, Y):
     dK = np.zeros_like(Y)
     if not np.any(mask):
         return X, dK
-    Hn = (H if H.ndim == 2 else H[mask]) @ n
+    Hm = H if H.ndim == (1 if diagonal else 2) else H[mask]   # shared, or rows outside
+    Hn = Hm * n + 0.0 if diagonal else Hm @ n     # + 0.0: a zero is +0.0, as from H @ n
     t = gap[mask] / (Hn @ n)
     X[mask] = Y[mask] + t[:, None] * Hn
     dK[mask] = -t[:, None] * n
     return X, dK
 
 
-def _box_step(geom, H, Y):
+def _box_step(geom, H, Y, diagonal=False):
     X = np.clip(Y, geom.lower, geom.upper)
-    if _is_diagonal(H):
-        dK = (Y - X) / np.einsum("...ii->...i", H)
+    if diagonal or _is_diagonal(H):
+        dK = (Y - X) / (H if diagonal else np.einsum("...ii->...i", H))
         dK += 0.0       # unclipped rows get +0.0, also where -0.0 met a bound at 0.0
         return X, dK
     eye = np.eye(Y.shape[1])
@@ -291,7 +297,7 @@ def _ball_multiplier(w, d, r):
         lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
 
 
-def _ball_step(geom, H, Y):
+def _ball_step(geom, H, Y, diagonal=False):
     c, r = geom.center, geom.radius
     rel = Y - c
     dist = np.sqrt(sq_norms(rel))
@@ -301,17 +307,15 @@ def _ball_step(geom, H, Y):
     if not np.any(mask):
         return X, dK
     idx = np.flatnonzero(mask)
-    Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
-    Hsub = np.ascontiguousarray(Hs[idx])
     relsub = rel[idx]
-    if _is_diagonal(Hsub):
-        d = np.einsum("kii->ki", Hsub)
-        w = relsub
-        back = None
+    Hsub = np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:])[idx]
+    if not diagonal and _is_diagonal(Hsub):
+        Hsub, diagonal = np.einsum("kii->ki", Hsub), True
+    if diagonal:
+        d, w, back = Hsub, relsub, None
     else:
-        d, Q = np.linalg.eigh(Hsub)
-        w = np.einsum("kji,kj->ki", Q, relsub)
-        back = Q
+        d, back = np.linalg.eigh(Hsub)
+        w = np.einsum("kji,kj->ki", back, relsub)
     lam, scaled = _ball_multiplier(np.ascontiguousarray(w.T), np.ascontiguousarray(d.T), r)
     relsol = scaled.T if back is None else np.einsum("kij,kj->ki", back, scaled.T)
     X[idx] = c + relsol
@@ -319,7 +323,8 @@ def _ball_step(geom, H, Y):
     return X, dK
 
 
-def _intersection_step(geom, H, Y):
+def _intersection_step(geom, H, Y, diagonal=False):
+    H = H[..., None] * np.eye(Y.shape[1]) if diagonal else H
     X = Y.copy()
     dK = np.zeros_like(Y)
     outside = np.min(Y @ geom.normals.T - geom.offsets, axis=1) < 0
@@ -329,16 +334,17 @@ def _intersection_step(geom, H, Y):
     return X, dK
 
 
-def _skorohod_batch(constraint, H, Y):
+def _skorohod_batch(constraint, H, Y, diagonal=False):
+    """One step per row of ``Y``; ``H`` is dense or, if ``diagonal``, its diagonal."""
     geom = constraint.geometry
     if isinstance(geom, HalfSpace):
-        return _halfspace_step(geom, H, Y)
+        return _halfspace_step(geom, H, Y, diagonal)
     if isinstance(geom, Box):
-        return _box_step(geom, H, Y)
+        return _box_step(geom, H, Y, diagonal)
     if isinstance(geom, Ball):
-        return _ball_step(geom, H, Y)
+        return _ball_step(geom, H, Y, diagonal)
     if isinstance(geom, HalfSpaceIntersection):
-        return _intersection_step(geom, H, Y)
+        return _intersection_step(geom, H, Y, diagonal)
     raise ConfigurationError(f"unsupported geometry {type(geom).__name__}")
 
 
@@ -369,12 +375,20 @@ def _control_value(control, k):
 def _gdb(gk, dB):
     if gk.ndim == 2:          # shared (m, d)
         return dB @ gk.T
-    if gk.ndim == 3:          # per particle (N, m, d)
-        return np.einsum("nmd,nd->nm", gk, dB)
-    raise ConfigurationError(f"diffusion returned unexpected shape {gk.shape}")
+    if gk.ndim != 3:          # else per particle (N, m, d), summed column by column
+        raise ConfigurationError(f"diffusion returned unexpected shape {gk.shape}")
+    out = np.empty(gk.shape[:2])
+    for j, col in enumerate(out.T):
+        np.multiply(gk[:, j, 0], dB[:, 0], out=col)
+        for gl, dBl in zip(gk[:, j, 1:].T, dB[:, 1:].T):
+            col += gl * dBl
+    out += 0.0                # a zero sum is +0.0, as from a matrix product
+    return out
 
 
-def _hu(Hk, U):
+def _hu(Hk, U, diagonal=False):
+    if diagonal:
+        return U * Hk + 0.0   # + 0.0: a zero is +0.0, as from the dense product
     if Hk.ndim == 2:
         return U @ Hk.T
     return np.einsum("nij,nj->ni", Hk, U)
@@ -387,11 +401,11 @@ def _per_row(values, rows):
     return np.repeat(values, rows)[:, None]
 
 
-def _stack_groups(parts, rows):
-    """One batch matrix from per-group ones: shared if all agree, else one per row."""
-    if all(p.ndim == 2 and np.array_equal(p, parts[0]) for p in parts):
+def _stack_groups(parts, rows, core=2):
+    """Per-group values as one batch array: shared (``core`` axes) if all agree, else per row."""
+    if all(p.ndim == core and np.array_equal(p, parts[0]) for p in parts):
         return parts[0]
-    return np.concatenate([np.broadcast_to(p, (rows,) + p.shape[-2:]) for p in parts])
+    return np.concatenate([np.broadcast_to(p, (rows,) + p.shape[-core:]) for p in parts])
 
 
 def _coefficients(system, X, u, t, groups=1):
@@ -420,7 +434,8 @@ def _coefficients(system, X, u, t, groups=1):
     drift, diffusion, matrix = zip(*parts)
     rows = X.shape[0] // groups
     return (np.concatenate([np.broadcast_to(f, (rows, X.shape[1])) for f in drift]),
-            _stack_groups(diffusion, rows), _stack_groups(matrix, rows))
+            _stack_groups(diffusion, rows),
+            _stack_groups(matrix, rows, 1 if oblique.diagonal else 2))
 
 
 def _increment_rows(increments, groups):
@@ -434,21 +449,24 @@ def _increment_rows(increments, groups):
 
 
 class _PathRecorder:
-    """The default step observer: stores every step in time-major buffers."""
+    """The default step observer: stores every step (``states_only``: the states) time-major."""
 
-    def __init__(self, grid):
-        self.steps, self.h = grid.steps, grid.h
+    def __init__(self, grid, states_only=False):
+        self.steps, self.h, self.states_only = grid.steps, grid.h, states_only
 
     def start(self, X):
         rows, m = X.shape
         self.states = np.empty((self.steps + 1, rows, m))
-        self.reflection = np.zeros((self.steps + 1, rows, m))
-        self.variation = np.zeros((self.steps + 1, rows))
-        self.density = np.empty((self.steps, rows, m))
         self.states[0] = X
+        if not self.states_only:
+            self.reflection = np.zeros((self.steps + 1, rows, m))
+            self.variation = np.zeros((self.steps + 1, rows))
+            self.density = np.empty((self.steps, rows, m))
 
     def step(self, k, X, dk_step):
         self.states[k + 1] = X
+        if self.states_only:
+            return
         np.add(self.reflection[k], dk_step, out=self.reflection[k + 1])
         np.add(self.variation[k], np.sqrt(sq_norms(dk_step)), out=self.variation[k + 1])
         np.divide(dk_step, self.h, out=self.density[k])
@@ -468,7 +486,8 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     m)`` array ``x0``.
 
     ``inputs(k, X, u)`` gives step ``k``'s drift, diffusion, oblique matrix
-    and the constraint the step ends in; the default evaluates
+    (in the form ``system.oblique`` declares: dense, or its diagonal) and
+    the constraint the step ends in; the default evaluates
     ``_coefficients`` on ``X`` and keeps ``system.constraint``.  Frozen
     coefficients (``euler_iteration``) and moving sets
     (``timedep.simulate_moving_interval``) are other ``inputs``.
@@ -527,12 +546,12 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
             else:
                 U = np.concatenate([convexcore.yosida_gradient(constraint, e, Xg)
                                     for e, Xg in zip(eps, np.split(X, G))])
-            X = X + h * (fk - _hu(Hk, U)) + gdB
+            X = X + h * (fk - _hu(Hk, U, system.oblique.diagonal)) + gdB
             dk_step = U * h
         else:
             Y = X + h * fk + gdB
             try:
-                X, dk_step = _skorohod_batch(constraint, Hk, Y)
+                X, dk_step = _skorohod_batch(constraint, Hk, Y, system.oblique.diagonal)
             except StepError as err:
                 raise StepError(f"step {k}: {err}", residual=err.residual) from err
 
@@ -668,7 +687,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         fk, gk, Hk = _coefficients(system, ensemble.states[:, k, :],
                                    _control_value(ensemble.control, k), tk)
         dk_step = ensemble.density[:, k, :] * h
-        Hdk = _hu(Hk, dk_step)
+        Hdk = _hu(Hk, dk_step, system.oblique.diagonal)
         residual = residual + Hdk - h * np.broadcast_to(np.asarray(fk), (N, m)) \
             - _gdb(gk, ensemble.increments[:, k, :])
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual

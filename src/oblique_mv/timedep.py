@@ -28,7 +28,7 @@ from .convexcore import Box, ConvexConstraint
 from .dynamics import CoefficientField, ObliqueField, inverse_spd, validate_oblique
 from .errors import ConfigurationError, ReductionError
 from .measures import EmpiricalMeasure, sq_norms
-from .mvsolver import System, TimeGrid, _simulate, simulate_projected
+from .mvsolver import System, TimeGrid, _PathRecorder, _simulate
 
 CORRECTIONS = ("chain-rule", "as-printed")
 
@@ -45,8 +45,8 @@ class MovingConstraintProblem:
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if not self.hfield.time_dependent:
-            raise ConfigurationError("moving constraints need a time-dependent matrix")
+        if not self.hfield.time_dependent or self.hfield.diagonal:
+            raise ConfigurationError("moving constraints need a time-dependent dense matrix")
         if not self.base_set.has_indicator():
             raise ConfigurationError("the base set must be an indicator constraint")
         t0, t1 = self.horizon
@@ -173,6 +173,11 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     ensemble's system carries the base interval, so measure feasibility
     with ``moving_set_distance``, not ``feasibility_gap()``.
     """
+    return _moving_interval_run(prob, grid, particles, noise, increments)
+
+
+def _moving_interval_run(prob, grid, particles, noise, increments, observer=None):
+    """``simulate_moving_interval``, its steps handed to ``observer`` if given."""
     geom = prob.base_set.geometry
     if prob.coeffs.state_dim != 1 or not isinstance(geom, Box):
         raise ConfigurationError("direct moving-set simulation supports 1-d intervals")
@@ -182,7 +187,7 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     # H(t) > 0 scales the validated base interval to another valid one
     intervals = [ConvexConstraint("indicator", 1, geometry=Box(geom.lower * s, geom.upper * s))
                  for s in scales]
-    identity = np.eye(1)
+    identity = np.ones(1)       # the declared diagonal of ObliqueField.identity(1)
 
     def moving(k, X, u):
         mu = EmpiricalMeasure(X / scales[k]) if coeffs.uses_measure else None
@@ -192,7 +197,7 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     system = System(coeffs, ObliqueField.identity(1), prob.base_set, prob.x0,
                     label="moving-direct")
     return _simulate(system, grid, particles, noise, scheme="projected",
-                     increments=increments, inputs=moving)
+                     increments=increments, inputs=moving, observer=observer)
 
 
 @dataclass
@@ -216,6 +221,7 @@ def equivalence_check(prob, step_ladder, particles, noise,
 
     Increments are drawn on the finest grid and block-summed for coarser
     levels, so distances across the ladder reflect discretization alone.
+    Only the states of each solve are kept.
     """
     steps_list = sorted(int(s) for s in step_ladder)
     t0, t1 = prob.horizon
@@ -236,19 +242,22 @@ def equivalence_check(prob, step_ladder, particles, noise,
         factor = finest // steps
         inc = fine_inc.reshape(N, steps, factor, -1).sum(axis=2)
         hs.append(grid.h)
-        direct = simulate_moving_interval(prob, grid, N, noise, increments=inc) \
-            if direct_one_d else None
+        if direct_one_d:
+            direct = _moving_interval_run(prob, grid, N, noise, inc,
+                                          _PathRecorder(grid, states_only=True))
         for c in corrections:
-            ens = simulate_projected(reduced[c], grid, N, noise, increments=inc)
-            lifted = lift_solution(ens.states, prob.hfield, grid.times)
+            run = _simulate(reduced[c], grid, N, noise, scheme="projected", increments=inc,
+                            observer=_PathRecorder(grid, states_only=True))
+            lifted = lift_solution(run.states.transpose(1, 0, 2), prob.hfield, grid.times)
             gaps = [
                 float(np.max(moving_set_distance(
                     lifted[:, j, :], prob.hfield, t, prob.base_set)))
                 for j, t in enumerate(grid.times)
             ]
             feasibility[c].append(max(gaps))
-            if direct is not None:
-                diff = np.sqrt(np.max(sq_norms(lifted - direct.states), axis=1))
+            if direct_one_d:
+                diff = np.sqrt(np.max(sq_norms(lifted - direct.states.transpose(1, 0, 2)),
+                                      axis=1))
                 distances[c].append(float(np.mean(diff)))
     return ConvergenceReport(
         step_sizes=hs,

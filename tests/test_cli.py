@@ -105,11 +105,12 @@ class TestExitCodes:
     ])
     def test_ill_typed_system_param_is_config_error(self, tmp_path, capsys, name, params,
                                                      message):
-        mode = {"two_control": "control", "moving_interval": "transform-demo"}.get(name,
-                                                                                    "validate")
+        mode, extra = {
+            "two_control": ("control", {"grid": {"start": 0.0, "end": 1.0, "steps": 8}}),
+            "moving_interval": ("transform-demo", {"grid_ladder": [4, 8]}),
+        }.get(name, ("validate", {"samples": 10}))
         payload = {"mode": mode, "seed": 1, "output_dir": str(tmp_path / "out"),
-                   "system": {"name": name, "params": params}, "samples": 10,
-                   "grid": {"start": 0.0, "end": 1.0, "steps": 8}, "grid_ladder": [4, 8]}
+                   "system": {"name": name, "params": params}, **extra}
         assert run(write_config(tmp_path, payload)) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -172,6 +173,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "epsilon" in err and "scheme is 'projected'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode,extra,stray", [
+        ("converge", {"epsilon": 0.5, "scheme": "penalized"}, "epsilon"),
+        ("control", {"scheme": "penalized"}, "scheme"),
+        ("validate", {"grid": {"start": 0, "end": 1, "steps": 4}, "particles": 2},
+         "grid"),
+        ("validate", {"scheme": "projected"}, "scheme"),
+        ("properties", {"system": {"name": "ou"}}, "system"),
+        ("transform-demo", {"replications": 2}, "replications"),
+        ("simulate", {"scheme": "projected", "epsilon_ladder": [0.1, 0.2, 0.3]},
+         "epsilon_ladder"),
+    ])
+    def test_key_the_mode_does_not_read_is_config_error(self, tmp_path, capsys, mode,
+                                                         extra, stray):
+        base = {
+            "simulate": {"system": {"name": "ou"}, "grid": {"start": 0, "end": 1, "steps": 4}},
+            "converge": {"system": {"name": "ou"}, "grid": {"start": 0, "end": 1, "steps": 16},
+                         "epsilon_ladder": [0.5, 0.25, 0.125], "particles": 2,
+                         "replications": 2},
+            "control": {"system": {"name": "two_control"},
+                        "grid": {"start": 0, "end": 1, "steps": 4}},
+            "validate": {"system": {"name": "ou"}, "samples": 4},
+            "transform-demo": {"system": {"name": "moving_interval"}, "grid_ladder": [4, 8]},
+            "properties": properties_config(tmp_path / "out"),
+        }[mode]
+        payload = {**base, "mode": mode, "seed": 1, "output_dir": str(tmp_path / "out")}
+        # valid as it is (exit 0, or 4 for a failed probe on these tiny sizes)
+        assert run(write_config(tmp_path, payload), out=tmp_path / "valid") in (0, 4)
+        assert run(write_config(tmp_path, {**payload, **extra})) == 2
+        err = capsys.readouterr().err
+        assert f"config key {stray!r} is not used by mode {mode!r}" in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", list(cli.MODES) + ["penalized"])
+    def test_every_mode_key_has_a_schema_entry(self, mode):
+        scheme = {"simulate": "projected", "penalized": "penalized"}.get(mode)
+        required, optional = cli._MODE_KEYS["simulate" if scheme else mode, scheme]
+        props = cli.CONFIG_SCHEMA["properties"]
+        assert set(required + optional + cli._COMMON_KEYS) <= set(props)
+        assert set(cli._COMMON_KEYS) >= set(cli.CONFIG_SCHEMA["required"])
 
     @pytest.mark.parametrize("payload", [
         {"mode": "simulate", "seed": -1, "particles": 0, "wibble": 1,
@@ -522,22 +563,27 @@ OPTIONAL_KEYS = {
 
 @st.composite
 def fuzz_configs(draw):
-    """A config valid under CONFIG_SCHEMA, mostly carrying its mode's keys.
+    """A config valid under CONFIG_SCHEMA, mostly carrying only keys its mode reads.
 
     Sizes stay small: at most 16 steps, 8 particles, 2 replications."""
     mode = draw(st.sampled_from(cli.MODES))
-    names = MODE_NAMES.get(mode, SYSTEM_NAMES)
-    system = {"name": draw(st.sampled_from(names * 3 + ["nope"]))}
-    if draw(st.integers(0, 2)) > 0:
-        system["params"] = draw(st.dictionaries(st.sampled_from(PARAM_KEYS[system["name"]]),
-                                                PARAM_VALUES, max_size=2))
-    cfg = {"mode": mode, "seed": draw(st.integers(0, 2**32)), "system": system,
-           "particles": draw(OPTIONAL_KEYS["particles"]),
-           "replications": draw(OPTIONAL_KEYS["replications"])}
-    for key in cli._MODE_KEYS[mode]:
-        if key != "system" and draw(st.integers(0, 9)) > 0:
+    scheme = draw(OPTIONAL_KEYS["scheme"]) if mode == "simulate" else None
+    required, optional = cli._MODE_KEYS[mode, scheme]
+    cfg = {"mode": mode, "seed": draw(st.integers(0, 2**32))}
+    if scheme == "penalized" or (scheme and draw(st.booleans())):
+        cfg["scheme"] = scheme
+    for key in required + optional:
+        if key == "system":
+            names = MODE_NAMES.get(mode, SYSTEM_NAMES)
+            system = {"name": draw(st.sampled_from(names * 3 + ["nope"]))}
+            if draw(st.integers(0, 2)) > 0:
+                system["params"] = draw(st.dictionaries(
+                    st.sampled_from(PARAM_KEYS[system["name"]]), PARAM_VALUES, max_size=2))
+            cfg["system"] = system
+        elif key != "scheme" and draw(st.integers(0, 9)) > 0:
             cfg[key] = draw(OPTIONAL_KEYS[key])
-    cfg.update(draw(st.fixed_dictionaries({}, optional=OPTIONAL_KEYS)))
+    if draw(st.integers(0, 4)) == 0:        # now and then keys the mode does not read
+        cfg.update(draw(st.fixed_dictionaries({}, optional=OPTIONAL_KEYS)))
     jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
     return cfg
 

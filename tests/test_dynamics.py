@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from oblique_mv.dynamics import (
     validate_oblique,
 )
 from oblique_mv.errors import ConfigurationError, SpectralError
-from oblique_mv.measures import EmpiricalMeasure, wasserstein2
+from oblique_mv.measures import EmpiricalMeasure, dirac, wasserstein2
 
 
 def random_spd(rng, n, cond=100.0):
@@ -126,6 +127,32 @@ class TestObliqueField:
         np.testing.assert_allclose(fallback.derivative_at(0.5), [[1.0]], atol=1e-6)
         assert fld.max_derivative_norm(0.0, 1.0) == pytest.approx(2.0, abs=1e-2)
 
+    def test_declared_diagonal_forms(self):
+        ex = library.make_system("example31").oblique
+        assert ex.diagonal and ObliqueField.identity(3).diagonal
+        x = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.5]])
+        mu = EmpiricalMeasure(x)
+        assert ex(x, mu).shape == (3, 2) and ex(x[0], mu).shape == (2,)
+        np.testing.assert_array_equal(ex(x, mu)[1], ex(x[1], mu))
+        np.testing.assert_array_equal(ObliqueField.identity(2)(x, mu), [1.0, 1.0])
+
+    @pytest.mark.parametrize("shape,rows", [((3, 2, 2), 3), ((2, 2), 3), ((4, 2), 3),
+                                            ((3,), 3), ((3, 1), 3), ((2, 2), None),
+                                            ((1, 2), None)])
+    def test_diagonal_of_a_wrong_shape_is_config_error(self, shape, rows):
+        fld = ObliqueField(lambda x, mu: np.ones(shape), 1.0, 1.0, 2, diagonal=True)
+        x = np.zeros((rows, 2) if rows else 2)
+        with pytest.raises(ConfigurationError, match=re.escape(f"shape {shape}")):
+            fld(x, dirac(np.zeros(2)))
+
+    def test_validate_diagonal_equals_its_dense_twin(self):
+        ex = library.make_system("example31").oblique
+        twin = ObliqueField(lambda x, mu: np.diag(ex.matrix(x, mu)), ex.a_h, ex.b_h, 2,
+                            lipschitz=ex.lipschitz)
+        a = validate_oblique(ex, samples=300, seed=4)
+        b = validate_oblique(twin, samples=300, seed=4)
+        assert a.passed and (a.estimate, a.details) == (b.estimate, b.details)
+
     def test_band_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
             ObliqueField(lambda x, mu: np.eye(1), 2.0, 1.0, 1)
@@ -148,6 +175,8 @@ def oracle_validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=Non
             x, mu = sampler(rng)
             H = fld(x, mu)
             key = (x, mu)
+        if fld.diagonal:
+            H = np.diag(H)
         asym = max(asym, float(np.max(np.abs(H - H.T))))
         u = rng.standard_normal(fld.dim)
         u /= np.linalg.norm(u)

@@ -299,8 +299,10 @@ def head_ball_multiplier(w, d, r):
         lam = np.where(open_rows, lam + gap * norm**2 / (r * slope), lam)
 
 
-def head_ball_step(geom, H, Y):
-    """The ball step with row norms reduced by numpy and the row-major Newton loop."""
+def head_ball_step(geom, H, Y, diagonal=False):
+    """The ball step with row norms reduced by numpy and the row-major Newton loop.
+
+    A declared diagonal ``H`` is expanded to the dense matrices the step took before."""
     c, r = geom.center, geom.radius
     rel = Y - c
     dist = np.linalg.norm(rel, axis=1)
@@ -310,6 +312,8 @@ def head_ball_step(geom, H, Y):
     if not np.any(mask):
         return X, dK
     idx = np.flatnonzero(mask)
+    if diagonal:
+        H = H[..., None] * np.eye(Y.shape[1])
     Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
     Hsub = np.ascontiguousarray(Hs[idx])
     relsub = rel[idx]
@@ -904,11 +908,11 @@ def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None
             U = (X - convexcore.project(system.constraint, X)) / eps \
                 if system.constraint.kind == "indicator" \
                 else convexcore.yosida_gradient(system.constraint, eps, X)
-            X = X + h * (fk - mvsolver._hu(Hk, U)) + gdB
+            X = X + h * (fk - mvsolver._hu(Hk, U, oblique.diagonal)) + gdB
             dk_step = U * h
         else:
             Y = X + h * fk + gdB
-            X, dk_step = mvsolver._skorohod_batch(system.constraint, Hk, Y)
+            X, dk_step = mvsolver._skorohod_batch(system.constraint, Hk, Y, oblique.diagonal)
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > mvsolver.BLOWUP_GUARD:
             raise DivergenceError("oracle diverged", step=k)
         states[:, k + 1] = X
@@ -1214,3 +1218,190 @@ class TestBatchedEngine:
         with pytest.raises(ValueError):
             mvsolver._simulate(ou, grid, 4, None, scheme="penalized", eps=[0.1, 0.0],
                                increments=inc, groups=2)
+
+
+def dense_twin(system):
+    """``system`` with its declared-diagonal oblique field turned into one that
+    declares nothing and returns the ``np.diag``-style dense matrices."""
+    fld = system.oblique
+
+    def matrix(*args):
+        diag = fld.matrix(*args)
+        out = np.zeros(np.shape(diag) + (fld.dim,))
+        np.einsum("...ii->...i", out)[...] = diag
+        return out
+
+    twin = ObliqueField(matrix, fld.a_h, fld.b_h, fld.dim, time_dependent=fld.time_dependent,
+                        lipschitz=fld.lipschitz, uses_measure=fld.uses_measure)
+    assert fld.diagonal and not twin.diagonal
+    return System(system.coeffs, twin, system.constraint, system.x0)
+
+
+def as_dense(d):
+    """The dense matrices of a shared ``(m,)`` or per-row ``(k, m)`` diagonal."""
+    return np.diag(d) if d.ndim == 1 else np.stack([np.diag(row) for row in d])
+
+
+def signed_zeros(rng, a, share=0.3):
+    """``a`` with about ``share`` of its entries set to 0.0 or -0.0."""
+    a = a.copy()
+    hit = rng.random(a.shape) < share
+    a[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    return a
+
+
+@st.composite
+def diagonal_cases(draw):
+    """A positive diagonal (shared or one per point) and points holding signed zeros."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_point = draw(st.booleans())
+    d = np.exp(rng.uniform(-3.0, 3.0, (k, m) if per_point else m))
+    Y = signed_zeros(rng, 2.0 * rng.standard_normal((k, m)))
+    return rng, d, Y
+
+
+def same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() and x.shape == y.shape for x, y in zip(a, b))
+
+
+class TestDeclaredDiagonal:
+    """Kernels and runs on a declared diagonal against the dense path on its
+    ``np.diag`` matrices, bit for bit (signed zeros included)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(diagonal_cases())
+    def test_kernels_match_dense_path(self, case):
+        rng, d, Y = case
+        m = Y.shape[1]
+        dense = as_dense(d)
+        normal = rng.standard_normal(m)
+        if m > 1:
+            normal[rng.integers(m)] = -0.0
+        geoms = [
+            ConvexConstraint.ball(signed_zeros(rng, 0.1 * rng.standard_normal(m)), 1.0),
+            ConvexConstraint.box(np.full(m, -0.5), np.where(rng.random(m) < 0.5, 0.0, 1.0)),
+            ConvexConstraint.half_space(normal, -0.3 * rng.random()),
+            ConvexConstraint.half_space_intersection(np.vstack([np.eye(m), -np.eye(m)]),
+                                                     np.full(2 * m, -1.0)),
+        ]
+        for constraint in geoms:
+            got = mvsolver._skorohod_batch(constraint, d, Y, diagonal=True)
+            assert same_bits(got, mvsolver._skorohod_batch(constraint, dense, Y)), \
+                type(constraint.geometry).__name__
+        if m <= 2:      # and the row-major ball step it replaced, on the dense matrices
+            ball = geoms[0].geometry
+            assert same_bits(mvsolver._ball_step(ball, d, Y, diagonal=True),
+                             head_ball_step(ball, dense, Y))
+        U = signed_zeros(rng, rng.standard_normal(Y.shape), share=0.5)
+        U[rng.random(U.shape) < 0.2] = 5e-324        # d * U may round to zero
+        assert same_bits([mvsolver._hu(d, U, diagonal=True)], [mvsolver._hu(dense, U)])
+
+    @pytest.mark.parametrize("run", [
+        lambda s: simulate_projected(s, TimeGrid(0.0, 1.0, 96), 40, NoiseSource(31)),
+        lambda s: simulate_penalized(s, 0.05, TimeGrid(0.0, 0.25, 96), 40, NoiseSource(32)),
+        lambda s: mvsolver._simulate(
+            s, TimeGrid(0.0, 1.0, 64), 12, NoiseSource(33), scheme="projected", groups=3,
+            increments=mvsolver._replication_increments(NoiseSource(33), range(3), 12, 64, 1,
+                                                        1 / 64)),
+        lambda s: euler_iteration(s, 3, 2, TimeGrid(0.0, 1.0, 64), 16, NoiseSource(34))[0],
+    ], ids=["projected", "penalized", "groups", "euler"])
+    @pytest.mark.parametrize("name", ["example31", "ou", "rbm", "triangle"])
+    def test_runs_match_dense_twin(self, name, run):
+        system = triangle_system() if name == "triangle" else library.make_system(name)
+        got, ref = run(system), run(dense_twin(system))
+        got, ref = (got, ref) if isinstance(got, list) else ([got], [ref])
+        assert any(np.any(e.variation > 0) for e in got)
+        for ens, ens_ref in zip(got, ref):
+            for field_name in PATH_FIELDS:
+                assert getattr(ens, field_name).tobytes() == getattr(ens_ref, field_name).tobytes()
+        probes = [np.zeros(system.state_dim)]
+        a, b = residual_report(got[0], system, probes=probes), \
+            residual_report(ref[0], ref[0].system, probes=probes)
+        assert (a.equation_residual, a.feasibility_gap, a.inequality_residual) \
+            == (b.equation_residual, b.feasibility_gap, b.inequality_residual)
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 33])
+    def test_example31_columns_match_broadcasts(self, rows):
+        # the column-filled coefficients against the broadcasts and the dense
+        # H they replaced
+        ex = library.make_system("example31")
+        rng = np.random.default_rng(5)
+        atoms = signed_zeros(rng, rng.standard_normal((33, 2)))
+        x = atoms[0] if rows is None else atoms[:rows]
+        mu = EmpiricalMeasure(atoms)
+        w = measures.w2_to_origin(mu)
+        s = np.sqrt(np.sum(np.square(x), axis=-1) + 5.0) + w
+        c = np.exp(np.minimum(1.0, np.linalg.norm(x, axis=-1))) + math.sin(w)
+        H = np.zeros(x.shape[:-1] + (2, 2))
+        H[..., 0, 0] = np.sin(x[..., 0]) + 5.0 + math.cos(w)
+        H[..., 1, 1] = np.exp(np.cos(x[..., 1])) + 4.0 + min(w, 1.0)
+        assert same_bits(
+            [ex.coeffs.drift(x, mu), ex.coeffs.diffusion(x, mu), ex.oblique(x, mu)],
+            [s[..., None] * np.ones(2), c[..., None, None] * np.ones((2, 1)),
+             np.einsum("...ii->...i", H)])
+
+    def test_per_row_matrices_from_a_declared_diagonal_raise(self):
+        ex = library.make_system("example31")
+        bad = ObliqueField(lambda x, mu: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)),
+                           1.0, 1.0, 2, diagonal=True)
+        with pytest.raises(ConfigurationError, match=r"shape \(5, 2, 2\)"):
+            simulate_projected(System(ex.coeffs, bad, ex.constraint, ex.x0),
+                               TimeGrid(0.0, 1.0, 4), 5, NoiseSource(0))
+
+
+class TestDiffusionColumns:
+    """``_gdb``'s column loop against ``einsum``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_against_einsum(self, m, d, n, seed):
+        rng = np.random.default_rng(seed)
+        gk = signed_zeros(rng, rng.standard_normal((n, m, d))
+                          * 10.0 ** rng.uniform(-3.0, 3.0, (n, m, d)))
+        dB = signed_zeros(rng, rng.standard_normal((n, d)))
+        got, ref = mvsolver._gdb(gk, dB), np.einsum("nmd,nd->nm", gk, dB)
+        if d == 1:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            # the columns add left to right, einsum in its own order
+            scale = np.einsum("nmd,nd->nm", np.abs(gk), np.abs(dB))
+            assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+
+
+def per_particle_brownian(noise, particles, steps, dim, h):
+    """``NoiseSource.brownian`` as one strided write per stream."""
+    out = np.empty((steps, particles, dim))
+    for i in range(particles):
+        out[:, i, :] = noise.gaussians(i, steps, dim)
+    out *= math.sqrt(h)
+    return out.transpose(1, 0, 2)
+
+
+class TestBlockedNoise:
+    """The blocked noise fill against the per-stream loop, byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("particles", [1, 5, mvsolver.NOISE_BLOCK - 1, mvsolver.NOISE_BLOCK,
+                                           mvsolver.NOISE_BLOCK + 1, 2 * mvsolver.NOISE_BLOCK + 7])
+    def test_matches_per_stream_loop(self, particles, dim, monkeypatch):
+        noise = NoiseSource(9).for_replication(1)
+        ref = per_particle_brownian(noise, particles, 17, dim, 0.03)
+        streams = []
+        draw = NoiseSource.gaussians
+        monkeypatch.setattr(NoiseSource, "gaussians",
+                            lambda self, i, steps, d: streams.append(i) or draw(self, i, steps, d))
+        got = noise.brownian(particles, 17, dim, 0.03)
+        assert streams == list(range(particles))       # one call per stream
+        assert got.shape == ref.shape and np.swapaxes(got, 0, 1).flags.c_contiguous
+        assert np.swapaxes(got, 0, 1).tobytes() == np.swapaxes(ref, 0, 1).tobytes()
+
+    def test_stream_slabs_match(self):
+        sources = [NoiseSource(3).for_replication(r) for r in range(3)]
+        particles = mvsolver.NOISE_BLOCK + 6
+        got = mvsolver._stream_increments(sources, particles, 9, 2, 0.1)
+        for slab, source in zip(got, sources):
+            ref = per_particle_brownian(source, particles, 9, 2, 0.1)
+            assert np.swapaxes(slab, 0, 1).tobytes() == np.swapaxes(ref, 0, 1).tobytes()

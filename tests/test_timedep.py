@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oblique_mv import library
+from oblique_mv import library, mvsolver
 from oblique_mv.convexcore import ConvexConstraint
 from oblique_mv.dynamics import (
     CoefficientField,
@@ -11,7 +11,7 @@ from oblique_mv.dynamics import (
     validate_oblique,
 )
 from oblique_mv.errors import ConfigurationError
-from oblique_mv.measures import EmpiricalMeasure, dirac
+from oblique_mv.measures import EmpiricalMeasure, dirac, sq_norms
 from oblique_mv.mvsolver import NoiseSource, TimeGrid, simulate_projected
 from oblique_mv.timedep import (
     MovingConstraintProblem,
@@ -249,6 +249,41 @@ class TestEquivalence:
             np.testing.assert_array_equal(direct.states[:, k + 1], x)
             np.testing.assert_array_equal(direct.reflection[:, k + 1], k_total)
         assert np.any(direct.reflection > 0)
+
+    def test_check_records_states_only(self, monkeypatch):
+        # its solves keep no reflection, variation or density, and its
+        # distances equal those of full-path runs through the public entries
+        prob = library.make_moving_problem("moving_interval")
+        noise = NoiseSource(8)
+
+        start = mvsolver._PathRecorder.start
+
+        def states_only(self, X):
+            assert self.states_only, "full paths recorded"
+            start(self, X)
+
+        monkeypatch.setattr(mvsolver._PathRecorder, "start", states_only)
+        rep = equivalence_check(prob, [32, 64], 16, noise)
+        monkeypatch.undo()
+        grid = TimeGrid(0.0, 1.0, 64)
+        inc = noise.brownian(16, 64, 1, grid.h)
+        direct = simulate_moving_interval(prob, grid, 16, noise, increments=inc)
+        for c in ("chain-rule", "as-printed"):
+            ens = simulate_projected(reduce_time_dependent(prob, c), grid, 16, noise,
+                                     increments=inc)
+            lifted = lift_solution(ens.states, prob.hfield, grid.times)
+            diff = np.sqrt(np.max(sq_norms(lifted - direct.states), axis=1))
+            assert rep.sup_distances[c][-1] == float(np.mean(diff))
+
+    def test_diagonal_matrix_path_rejected(self):
+        with pytest.raises(ConfigurationError, match="dense"):
+            MovingConstraintProblem(
+                ConvexConstraint.box([0.0], [1.0]),
+                ObliqueField(lambda t: np.ones(1), 1.0, 1.0, 1, time_dependent=True,
+                             diagonal=True),
+                CoefficientField(lambda x, mu: 0.0 * x, lambda x, mu: np.ones((1, 1)), 1.0,
+                                 1, 1, uses_measure=False, normalized=False),
+                [0.5], (0.0, 1.0))
 
     def test_moving_interval_convergence(self):
         prob = library.make_moving_problem("moving_interval")

@@ -36,8 +36,7 @@ from .measures import second_moment_sup
 from .mvsolver import (
     NoiseSource,
     TimeGrid,
-    _replication_increments,
-    _simulate,
+    _stream_batches,
     residual_report,
 )
 from .timedep import equivalence_check
@@ -223,14 +222,10 @@ def _run_simulate(cfg, seed, out):
     if eps is not None:
         _stability_check(cfg, [eps], system)
     particles = cfg.get("particles", 256)
-    reps = cfg.get("replications", 1)
-    noise = NoiseSource(seed)
-    increments = _replication_increments(noise, range(reps), particles, grid.steps,
-                                         system.noise_dim, grid.h)
-    ensembles = _simulate(system, grid, particles, noise, scheme=scheme,
-                          eps=eps, increments=increments, groups=reps)
-    if reps == 1:
-        ensembles = [ensembles]
+    streams = [NoiseSource(seed).for_replication(r) for r in range(cfg.get("replications", 1))]
+    ensembles = [ens for _, run in _stream_batches(system, grid, particles, streams,
+                                                   scheme=scheme, eps=eps)
+                 for ens in run]
 
     m = system.state_dim
     header = (

@@ -7,13 +7,13 @@ comparisons (across controls, penalization levels, or start-point
 perturbations) run under common random numbers: every replication keys its
 Brownian increments off the same counter-based stream.
 
-Every multi-ensemble estimate runs as batches of the one step loop in
-``mvsolver._simulate``, and streaming observers reduce the paths to what the
-estimate needs while the loop runs.  The cost estimates (``value``, both
-legs of the DPP residual and the value ladder) share one runner,
-``_cost_runs``: the groups of a batch are (variant, control, stream), where
-a variant is a penalization level or a set of start points, one per stream.
-The penalization probe batches its ladder levels the same way.
+Every multi-ensemble estimate runs through the one ensemble runner,
+``mvsolver._stream_batches``, as batches of the step loop whose streaming
+observers reduce the paths to what the estimate needs.  The cost estimates
+(``value``, both legs of the DPP residual and the value ladder) go through
+``_cost_runs``, whose runner variants are (level or start points, control);
+the penalization probe's are its ladder levels.  ``_stderr`` is the one
+Monte-Carlo standard error.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from .mvsolver import (
     NoiseSource,
     System,
     TimeGrid,
-    _replication_chunks,
-    _replication_increments,
-    _simulate,
-    _stream_increments,
+    _stream_batches,
 )
 
 CONTROL_FAMILY_LIMIT = 100_000
@@ -175,14 +172,19 @@ def cost(ensemble, control, costs):
         elif u_nodes.size == grid.steps:
             u_nodes = np.append(u_nodes, u_nodes[-1])
     states = ensemble.states
-    n, nodes = states.shape[0], states.shape[1]
-    z = np.empty((n, nodes))
-    for k in range(nodes):
+    z = np.empty(states.shape[:2])
+    for k in range(states.shape[1]):
         z[:, k] = costs.running(states[:, k, :], u_nodes[k])
     per_particle = np.trapezoid(z, dx=grid.h, axis=1) + costs.terminal(states[:, -1, :])
-    est = float(np.mean(per_particle))
-    stderr = float(np.std(per_particle, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, stderr
+    return float(np.mean(per_particle)), float(_stderr(per_particle))
+
+
+def _stderr(samples):
+    """Monte-Carlo standard error of the mean over the first axis; zeros for one sample."""
+    n = samples.shape[0]
+    if n < 2:
+        return np.zeros(samples.shape[1:])
+    return samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -237,36 +239,29 @@ class _CostStream:
 def _cost_runs(prob, scheme, grid, particles, streams, u_nodes, levels=None, x0=None,
                draw_steps=None, draw_h=None):
     """Running-cost integrals ``(V, F, S, N)`` and end states ``(V, F, S, N, m)``
-    of every (variant, control, stream), in chunks of streams that fit
-    ``BATCH_NOISE_BYTES``, each drawn once and run as one ``_simulate`` batch.
+    of every (variant, control, stream), run by ``_stream_batches`` with
+    (variant, control) as its variants and ``draw_steps``, ``draw_h`` passed on.
 
-    Stream ``s`` draws ``draw_steps`` increments of step ``draw_h`` (default:
-    ``grid``'s); the runs consume the last ``grid.steps``.  The variants are
-    the penalized scheme's ``levels``, or the first axis of ``x0``, one start
-    point per (variant, stream); by default there is one.
+    The variants are the penalized scheme's ``levels``, or the first axis of
+    ``x0``, one start point per (variant, stream); by default there is one.
     """
-    draw_steps = grid.steps if draw_steps is None else draw_steps
     F, S, N = len(u_nodes), len(streams), particles
-    m, d = prob.system.state_dim, prob.system.noise_dim
+    m = prob.system.state_dim
     V = len(levels) if levels is not None else 1 if x0 is None else x0.shape[0]
     blocks = np.tile(u_nodes, (V, 1))                           # (variant, control)
     integral, ends = np.empty((V, F, S, N)), np.empty((V, F, S, N, m))
-    for chunk in _replication_chunks(S, N, draw_steps, d):
-        C, part = len(chunk), slice(chunk.start, chunk.stop)
-        inc = _stream_increments(streams[part], N, draw_steps, d,
-                                 grid.h if draw_h is None else draw_h)
-        run = _simulate(
-            prob.system, grid, N, None, scheme=scheme[0],
-            eps=np.repeat(levels, F * C) if levels is not None
-            else scheme[1] if len(scheme) > 1 else None,
-            control=np.repeat(blocks, C, axis=0),
-            increments=inc[:, :, draw_steps - grid.steps:], groups=V * F * C,
-            x0=None if x0 is None
-            else np.broadcast_to(x0[:, None, part], (V, F, C, m)).reshape(-1, m),
-            observer=_CostStream(prob.costs.running, blocks, grid.h),
-        )
-        integral[:, :, part] = run.integral.reshape(V, F, C, N)
-        ends[:, :, part] = run.X.reshape(V, F, C, N, m)
+    batches = _stream_batches(
+        prob.system, grid, N, streams, scheme=scheme[0], variants=V * F,
+        eps=np.repeat(levels, F) if levels is not None
+        else scheme[1] if len(scheme) > 1 else None,
+        control=blocks,
+        x0=None if x0 is None
+        else np.broadcast_to(x0[:, None], (V, F, S, m)).reshape(V * F, S, m),
+        observer=lambda: _CostStream(prob.costs.running, blocks, grid.h),
+        draw_steps=draw_steps, draw_h=draw_h)
+    for chunk, run in batches:
+        integral[:, :, chunk] = run.integral.reshape(V, F, -1, N)
+        ends[:, :, chunk] = run.X.reshape(V, F, -1, N, m)
     return integral, ends
 
 
@@ -297,9 +292,7 @@ def _best_control(table):
     index of the smallest and the Monte-Carlo standard error of that one."""
     means = table.mean(axis=0)
     best = int(np.argmin(means))
-    reps = table.shape[0]
-    stderr = float(table[:, best].std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return means, best, stderr
+    return means, best, float(_stderr(table[:, best]))
 
 
 def value(prob, scheme, cfg, noise=None, family=None):
@@ -434,8 +427,7 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
         lookup = center_vals[np.argmin(d2, axis=1)].reshape(running.shape)
         rep_means = (running + lookup).mean(axis=1)
         rhs_u1 = float(rep_means.mean())
-        se_outer = float(rep_means.std(ddof=1) / math.sqrt(cfg.replications)) \
-            if cfg.replications > 1 else 0.0
+        se_outer = float(_stderr(rep_means))
         se_u1 = math.sqrt(se_outer**2 + float(np.max(center_ses)) ** 2)
         if rhs_u1 < best_rhs:
             best_rhs, best_se = rhs_u1, se_u1
@@ -507,22 +499,18 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
     ctrl_steps = control.per_step(grid) if isinstance(control, ControlPath) \
         else control
 
-    L, N = len(ladder), cfg.particles
-    l2s, sups = [], []
-    for reps in _replication_chunks(cfg.replications, N, grid.steps, system.noise_dim):
-        inc = _replication_increments(noise, reps, N, grid.steps, system.noise_dim, grid.h)
-        gaps = _simulate(system, grid, N, noise, scheme="penalized",
-                         eps=np.repeat(ladder, len(reps)), control=ctrl_steps,
-                         increments=inc, groups=L * len(reps), observer=_LadderGaps(L))
-        l2s.append(gaps.sq_sum.reshape(L - 1, len(reps), N) * grid.h)
-        sups.append(gaps.sup.reshape(L - 1, len(reps), N) ** 2)
+    L, R, N = len(ladder), cfg.replications, cfg.particles
     # (replications, len - 1, N), C order as the means below expect
-    per_rep = np.ascontiguousarray(np.concatenate(l2s, axis=1).transpose(1, 0, 2))
-    per_rep_sup = np.ascontiguousarray(np.concatenate(sups, axis=1).transpose(1, 0, 2))
+    per_rep, per_rep_sup = np.empty((R, L - 1, N)), np.empty((R, L - 1, N))
+    streams = [noise.for_replication(r) for r in range(R)]
+    for chunk, gaps in _stream_batches(system, grid, N, streams, scheme="penalized",
+                                       variants=L, eps=ladder, control=ctrl_steps,
+                                       observer=lambda: _LadderGaps(L)):
+        per_rep[chunk] = (gaps.sq_sum.reshape(L - 1, -1, N) * grid.h).transpose(1, 0, 2)
+        per_rep_sup[chunk] = (gaps.sup.reshape(L - 1, -1, N) ** 2).transpose(1, 0, 2)
     dists = per_rep.mean(axis=(0, 2))
     sup_dists = per_rep_sup.mean(axis=(0, 2))
-    stderrs = per_rep.mean(axis=2).std(axis=0, ddof=1) / math.sqrt(cfg.replications) \
-        if cfg.replications > 1 else np.zeros(len(ladder) - 1)
+    stderrs = _stderr(per_rep.mean(axis=2))
     xs = [ladder[i] + ladder[i + 1] for i in range(len(ladder) - 1)]
     if float(np.max(dists)) < 1e-16:
         return RateReport(xs, list(dists), float("nan"), 0.0, list(stderrs),
@@ -546,14 +534,8 @@ def value_rate_probe(prob, eps_ladder, cfg, noise=None):
     tables = _value_costs(prob, ("penalized",), cfg, noise, family, levels=ladder)[0]
     ref_rep = ref_table.min(axis=1)
     v_ref = float(ref_table.mean(axis=0).min())
-    dists, stderrs = [], []
-    for table in tables:
-        v_eps = float(table.mean(axis=0).min())
-        diff_rep = table.min(axis=1) - ref_rep
-        se = float(diff_rep.std(ddof=1) / math.sqrt(len(diff_rep))) \
-            if len(diff_rep) > 1 else 0.0
-        dists.append(abs(v_eps - v_ref))
-        stderrs.append(se)
+    dists = [abs(float(table.mean(axis=0).min()) - v_ref) for table in tables]
+    stderrs = [float(_stderr(table.min(axis=1) - ref_rep)) for table in tables]
     floor = dists[-1] <= 3 * stderrs[-1] or (len(dists) > 1 and dists[-1] >= dists[-2])
     if float(np.max(dists)) < 1e-16:
         return RateReport(list(ladder), dists, float("nan"), 0.0, stderrs,
@@ -599,9 +581,7 @@ def value_regularity_probe(prob, perturbations, cfg, scheme=("projected",),
         ds_real = ds_idx * h
         table = costs_from(ds_idx, prob.system.x0 + dx)
         v_pert = float(table.mean(axis=0).min())
-        diff_rep = table.min(axis=1) - base_rep
-        se = float(diff_rep.std(ddof=1) / math.sqrt(len(diff_rep))) \
-            if len(diff_rep) > 1 else 0.0
+        se = float(_stderr(table.min(axis=1) - base_rep))
         denom = float(np.linalg.norm(dx)) + math.sqrt(ds_real)
         if denom <= 0:
             ratio, ratio_se = 0.0, 0.0

@@ -11,7 +11,8 @@ Polyhedral sets have one exact projection, ``polyhedral_step``: the
 projection onto ``{x : N x >= c}`` in the ``H^{-1}`` norm, solved as a
 least-distance program by one NNLS call.  It gives the Euclidean projection
 onto a half-space intersection (``H = I``) and the oblique Skorohod step of
-``mvsolver`` for boxes with non-diagonal ``H`` and for intersections.
+``mvsolver`` for boxes with non-diagonal ``H`` and for intersections, both
+row by row through ``polyhedral_rows``.
 """
 
 from __future__ import annotations
@@ -256,12 +257,7 @@ def _project_geometry(geom, x):
         return geom.center + rel * scale[..., None]
     if isinstance(geom, HalfSpaceIntersection):
         pts = x.reshape(-1, x.shape[-1])
-        out = pts.copy()
-        eye = np.eye(x.shape[-1])
-        outside = np.min(pts @ geom.normals.T - geom.offsets, axis=1) < 0
-        for i in np.flatnonzero(outside):
-            out[i] = polyhedral_step(geom.normals, geom.offsets, eye, pts[i])[0]
-        return out.reshape(x.shape)
+        return polyhedral_rows(geom, np.eye(x.shape[-1]), pts)[0].reshape(x.shape)
     raise ConfigurationError(f"unsupported geometry {type(geom).__name__}")
 
 
@@ -297,6 +293,18 @@ def polyhedral_step(normals, offsets, H, y):
             "polyhedral step missed feasibility by %.3e" % miss, residual=miss
         )
     return x, -(normals.T @ lam)
+
+
+def polyhedral_rows(geom, H, Y):
+    """``(X, dK)``: ``polyhedral_step`` on each row of ``Y`` outside the polytope
+    ``geom``, with ``H`` shared ``(m, m)`` or one per row; rows inside get ``dk = 0``."""
+    X = Y.copy()
+    dK = np.zeros_like(Y)
+    outside = np.min(Y @ geom.normals.T - geom.offsets, axis=1) < 0
+    for i in np.flatnonzero(outside):
+        X[i], dK[i] = polyhedral_step(geom.normals, geom.offsets,
+                                      H if H.ndim == 2 else H[i], Y[i])
+    return X, dK
 
 
 def project(constraint, x):

@@ -111,6 +111,8 @@ class ObliqueField:
     a central difference is used as a flagged fallback.  A ``diagonal`` field
     gives only the diagonal of ``H``, ``(m,)`` or ``(rows, m)`` (other shapes
     raise), in its calls and in the simulation engine's step inputs alike.
+    A state-dependent one is called once at construction on ``m + 1`` rows
+    at the origin, so a dense ``(m, m)`` return cannot pass for ``m`` rows.
     """
 
     def __init__(self, matrix, a_h, b_h, dim, time_dependent=False,
@@ -127,6 +129,9 @@ class ObliqueField:
         self.diagonal = diagonal
         if self.a_h <= 0 or self.b_h < self.a_h:
             raise ConfigurationError("need 0 < a_h <= b_h")
+        if diagonal and not time_dependent:
+            rows = np.zeros((self.dim + 1, self.dim))
+            self(rows, EmpiricalMeasure(rows))
 
     @staticmethod
     def identity(dim):

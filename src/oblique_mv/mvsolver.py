@@ -149,19 +149,6 @@ def _stream_increments(sources, particles, steps, dim, h):
     return out.transpose(0, 2, 1, 3)
 
 
-def _replication_increments(noise, reps, particles, steps, dim, h):
-    """Increments of the replications ``reps``; replication ``r`` draws from
-    ``noise.for_replication(r)``.  See ``_stream_increments``."""
-    return _stream_increments([noise.for_replication(r) for r in reps],
-                              particles, steps, dim, h)
-
-
-def _replication_chunks(replications, particles, steps, dim):
-    """Ranges of replications whose increments together fit ``BATCH_NOISE_BYTES``."""
-    per = max(1, BATCH_NOISE_BYTES // (8 * particles * steps * dim))
-    return [range(a, min(a + per, replications)) for a in range(0, replications, per)]
-
-
 # ---------------------------------------------------------------------------
 # Paths and systems
 
@@ -324,14 +311,8 @@ def _ball_step(geom, H, Y, diagonal=False):
 
 
 def _intersection_step(geom, H, Y, diagonal=False):
-    H = H[..., None] * np.eye(Y.shape[1]) if diagonal else H
-    X = Y.copy()
-    dK = np.zeros_like(Y)
-    outside = np.min(Y @ geom.normals.T - geom.offsets, axis=1) < 0
-    Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
-    for i in np.flatnonzero(outside):
-        X[i], dK[i] = convexcore.polyhedral_step(geom.normals, geom.offsets, Hs[i], Y[i])
-    return X, dK
+    return convexcore.polyhedral_rows(geom, H[..., None] * np.eye(Y.shape[1])
+                                      if diagonal else H, Y)
 
 
 def _skorohod_batch(constraint, H, Y, diagonal=False):
@@ -494,7 +475,7 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
 
     Every step is handed to ``observer`` (``start(X)``, then ``step(k, X,
     dk)``), which is returned.  Without one the paths are recorded and
-    returned as a ``PathEnsemble``, or a list of one per group.
+    returned as a list of one ``PathEnsemble`` per group.
     """
     d = system.noise_dim
     steps, h = grid.steps, grid.h
@@ -520,8 +501,7 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
         )
     increment_rows = _increment_rows(increments, G)
     eps_rows = _per_row(eps, N)
-    if control is not None:
-        control = np.asarray(control)
+    control = None if control is None else np.asarray(control)
 
     if x0 is None:
         X = np.tile(system.x0, (N * G, 1))
@@ -577,21 +557,51 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
             eps=eps if np.ndim(eps) == 0 else float(eps[g]),
             control=control if control is None or control.ndim < 2 else control[g],
         ))
-    return ensembles[0] if G == 1 else ensembles
+    return ensembles
+
+
+def _stream_batches(system, grid, particles, streams, *, scheme, observer=None,
+                    variants=1, eps=None, control=None, x0=None, draw_steps=None,
+                    draw_h=None):
+    """The one runner of independent ensembles: yields ``(chunk, run)`` per batch.
+
+    ``streams`` go in chunks (slices) whose ``draw_steps`` increments of step
+    ``draw_h`` (default: ``grid``'s) fit ``BATCH_NOISE_BYTES``.  Each chunk
+    is drawn once and runs, on the last ``grid.steps`` increments, as one
+    ``_simulate`` batch of groups ordered (variant, stream): ``eps`` shared
+    or one per variant, ``control`` shared or one row per variant, ``x0``
+    ``(variants, streams, m)``, and a fresh ``observer()`` if given.
+    """
+    S, N, d = len(streams), int(particles), system.noise_dim
+    draw_steps = grid.steps if draw_steps is None else draw_steps
+    per = max(1, BATCH_NOISE_BYTES // (8 * N * draw_steps * d))
+    for start in range(0, S, per):
+        chunk = slice(start, min(start + per, S))
+        C = chunk.stop - start
+        inc = _stream_increments(streams[chunk], N, draw_steps, d,
+                                 grid.h if draw_h is None else draw_h)
+        yield chunk, _simulate(
+            system, grid, N, None, scheme=scheme,
+            eps=eps if np.ndim(eps) == 0 else np.repeat(eps, C),
+            control=control if np.ndim(control) < 2 else np.repeat(control, C, axis=0),
+            increments=inc[:, :, draw_steps - grid.steps:], groups=variants * C,
+            x0=None if x0 is None else x0[:, chunk].reshape(-1, system.state_dim),
+            observer=None if observer is None else observer(),
+        )
 
 
 def simulate_penalized(system, eps, grid, particles, noise, control=None,
                        increments=None):
     """Explicit Euler on the smoothed equation at penalization level eps."""
     return _simulate(system, grid, particles, noise, scheme="penalized", eps=eps,
-                     control=control, increments=increments)
+                     control=control, increments=increments)[0]
 
 
 def simulate_projected(system, grid, particles, noise, control=None,
                        increments=None):
     """Projected Euler with per-step oblique Skorohod corrections."""
     return _simulate(system, grid, particles, noise, scheme="projected",
-                     control=control, increments=increments)
+                     control=control, increments=increments)[0]
 
 
 def euler_iteration(system, level, iterations, grid, particles, noise,
@@ -634,7 +644,7 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
     for _ in range(iterations):
         cache = (None, None)    # (snap index, step inputs)
         ens = _simulate(system, grid, N, noise, scheme="projected", control=control,
-                        increments=increments, inputs=frozen)
+                        increments=increments, inputs=frozen)[0]
         if iterates:
             gap = np.sqrt(np.max(sq_norms(ens.states - iterates[-1].states), axis=1))
             distances.append(float(np.sqrt(np.mean(gap**2))))

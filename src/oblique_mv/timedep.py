@@ -173,7 +173,7 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     ensemble's system carries the base interval, so measure feasibility
     with ``moving_set_distance``, not ``feasibility_gap()``.
     """
-    return _moving_interval_run(prob, grid, particles, noise, increments)
+    return _moving_interval_run(prob, grid, particles, noise, increments)[0]
 
 
 def _moving_interval_run(prob, grid, particles, noise, increments, observer=None):

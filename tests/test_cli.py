@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblique_mv import cli
+from oblique_mv import cli, mvsolver
 from oblique_mv.cli import main, run
 from oblique_mv.control import RateReport
 from oblique_mv.errors import ObliqueMVError
@@ -311,6 +311,25 @@ class TestOutputs:
         assert run(cfg, out=out_b) == 0
         for name in ("trajectories.csv", "diagnostics.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("over", [
+        {"system": {"name": "example31"}},
+        {"scheme": "penalized", "epsilon": 0.1},
+    ], ids=["example31-projected", "ou-penalized"])
+    def test_replication_batches_do_not_change_bytes(self, tmp_path, monkeypatch, over):
+        # simulate runs its replications through the ensemble runner: at a
+        # budget of one byte every replication is its own batch
+        cfg = write_config(tmp_path, simulate_config(tmp_path / "a", replications=3, **over))
+        calls = []
+        real = mvsolver._simulate
+        monkeypatch.setattr(mvsolver, "_simulate",
+                            lambda *a, **kw: calls.append(kw["groups"]) or real(*a, **kw))
+        assert run(cfg) == 0
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)
+        assert run(cfg, out=tmp_path / "b") == 0
+        assert calls == [3, 1, 1, 1]
+        for name in ("trajectories.csv", "diagnostics.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

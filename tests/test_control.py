@@ -57,8 +57,8 @@ def family_runs(prob, scheme, particles, grid, noise, reps, u_nodes):
     ``_CostStream``; its rows are ``(control, replication, particle)`` in C
     order.
     """
-    inc = mvsolver._replication_increments(noise, reps, particles, grid.steps,
-                                           prob.system.noise_dim, grid.h)
+    inc = mvsolver._stream_increments([noise.for_replication(r) for r in reps], particles,
+                                      grid.steps, prob.system.noise_dim, grid.h)
     return mvsolver._simulate(
         prob.system, grid, particles, None, scheme=scheme[0],
         eps=scheme[1] if len(scheme) > 1 else None,
@@ -66,6 +66,20 @@ def family_runs(prob, scheme, particles, grid, noise, reps, u_nodes):
         groups=len(u_nodes) * len(reps),
         observer=_CostStream(prob.costs.running, u_nodes, grid.h),
     )
+
+
+def recorded_chunks(monkeypatch):
+    """The stream count of every batch that ``control`` runs through
+    ``_stream_batches``, in order; filled as the batches run."""
+    sizes, real = [], mvsolver._stream_batches
+
+    def recording(*args, **kwargs):
+        for chunk, run in real(*args, **kwargs):
+            sizes.append(chunk.stop - chunk.start)
+            yield chunk, run
+
+    monkeypatch.setattr(control, "_stream_batches", recording)
+    return sizes
 
 
 def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
@@ -88,12 +102,10 @@ def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
     head_grid = TimeGrid(s, tau_snap, tau_idx)
     u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
     N, m = cfg.particles, prob.system.state_dim
-    heads = [family_runs(prob, scheme, N, head_grid, noise.child(1), reps, u_nodes)
-             for reps in mvsolver._replication_chunks(cfg.replications, N, tau_idx,
-                                                      prob.system.noise_dim)]
-    running_all = np.concatenate(
-        [h.integral.reshape(len(controls), -1, N) for h in heads], axis=1)
-    ends_all = np.concatenate([h.X.reshape(len(controls), -1, N, m) for h in heads], axis=1)
+    head = family_runs(prob, scheme, N, head_grid, noise.child(1), range(cfg.replications),
+                       u_nodes)
+    running_all = head.integral.reshape(len(controls), -1, N)
+    ends_all = head.X.reshape(len(controls), -1, N, m)
     best_rhs, best_se = np.inf, 0.0
     for running, ends in zip(running_all, ends_all):
         pooled = ends.reshape(-1, ends.shape[-1])
@@ -352,8 +364,11 @@ class TestNestedBatch:
                         clusters=3, inner_replications=2)
         slot_bytes = 8 * cfg.particles * 32 * prob.system.noise_dim
         monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 3 * slot_bytes)
-        assert [len(c) for c in mvsolver._replication_chunks(6, 8, 32, 1)] == [3, 3]
+        chunks = recorded_chunks(monkeypatch)
         batched = dpp_residual(prob, 0.5, cfg)
+        # the left side's 64-step draws go one per batch, the head leg's two
+        # replications in one, the nested leg's 6 slots in two
+        assert chunks == [1, 1, 2, 3, 3]
         assert batched == oracle_dpp_residual(prob, 0.5, cfg)
         monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 32 * 2**20)
         assert dpp_residual(prob, 0.5, cfg) == batched
@@ -374,8 +389,9 @@ class TestNestedBatch:
 
 
 class TestCostRuns:
-    """Every (variant, control, stream) group of the shared cost runner
-    against a ``_simulate`` run of that group alone, bit for bit."""
+    """Every (variant, control, stream) group of the cost runs, batched by
+    ``_stream_batches``, against a ``_simulate`` run of that group alone,
+    bit for bit."""
 
     @pytest.mark.parametrize("variants", ["levels", "starts"])
     def test_groups_match_solo_runs(self, monkeypatch, variants):
@@ -391,9 +407,10 @@ class TestCostRuns:
             scheme, levels = ("projected",), None
             x0 = np.random.default_rng(3).uniform(0.0, 1.0, (2, S, 1))
         monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw_steps)
-        assert len(mvsolver._replication_chunks(S, N, draw_steps, 1)) == 3
+        chunks = recorded_chunks(monkeypatch)
         integral, ends = _cost_runs(prob, scheme, grid, N, streams, u_nodes, levels=levels,
                                     x0=x0, draw_steps=draw_steps, draw_h=draw_h)
+        assert chunks == [2, 2, 1]
         assert integral.shape == (2, 2, S, N) and ends.shape == (2, 2, S, N, 1)
         for v, f, s in itertools.product(range(2), range(2), range(S)):
             inc = streams[s].brownian(N, draw_steps, 1, draw_h)[:, draw_steps - grid.steps:]
@@ -551,7 +568,7 @@ class TestStreamingObservers:
                             clusters=2, inner_replications=inner)
             whole = estimates(cfg)
             monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)
-            assert mvsolver._replication_chunks(replications, 8, 64, 1) == [
-                range(r, r + 1) for r in range(replications)]
+            chunks = recorded_chunks(monkeypatch)
             assert estimates(cfg) == whole
+            assert len(chunks) > replications and set(chunks) == {1}
             monkeypatch.undo()

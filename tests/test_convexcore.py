@@ -8,6 +8,8 @@ from oblique_mv.convexcore import (
     interior_constants,
     interior_margin,
     normal_cone_residual,
+    polyhedral_rows,
+    polyhedral_step,
     project,
     resolvent,
     yosida_gradient,
@@ -82,6 +84,23 @@ class TestProjection:
             feas = [z for z in cands if np.min(normals @ z - offsets) >= -1e-12]
             oracle = min(feas, key=lambda z: np.linalg.norm(z - y))
             np.testing.assert_allclose(project(tri, y), oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_polyhedral_rows_match_one_step_per_row(self, per_row):
+        tri = ConvexConstraint.half_space_intersection(
+            [[1, 0], [0, 1], [-1, -1]], [0.0, 0.0, -1.5]).geometry
+        rng = np.random.default_rng(2)
+        Y = 2 * rng.standard_normal((40, 2))
+        A = rng.standard_normal((40, 2, 2))
+        H = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(2)
+        H = H if per_row else H[0]
+        X, dK = polyhedral_rows(tri, H, Y)
+        inside = np.min(Y @ tri.normals.T - tri.offsets, axis=1) >= 0
+        assert 0 < inside.sum() < len(Y)
+        for i, y in enumerate(Y):
+            x, dk = (y, np.zeros(2)) if inside[i] else \
+                polyhedral_step(tri.normals, tri.offsets, H[i] if per_row else H, y)
+            assert X[i].tobytes() == x.tobytes() and dK[i].tobytes() == dk.tobytes()
 
     def test_origin_excluding_geometries_rejected(self):
         with pytest.raises(InfeasibleSetError):

@@ -140,10 +140,18 @@ class TestObliqueField:
                                             ((3,), 3), ((3, 1), 3), ((2, 2), None),
                                             ((1, 2), None)])
     def test_diagonal_of_a_wrong_shape_is_config_error(self, shape, rows):
-        fld = ObliqueField(lambda x, mu: np.ones(shape), 1.0, 1.0, 2, diagonal=True)
+        # a constant wrong shape is caught by the probe at construction
         x = np.zeros((rows, 2) if rows else 2)
         with pytest.raises(ConfigurationError, match=re.escape(f"shape {shape}")):
+            fld = ObliqueField(lambda x, mu: np.ones(shape), 1.0, 1.0, 2, diagonal=True)
             fld(x, dirac(np.zeros(2)))
+
+    def test_diagonal_of_a_wrong_shape_later_is_config_error(self):
+        # a return that passes the probe is still checked on every call
+        fld = ObliqueField(lambda x, mu: np.ones(x.shape if len(x) == 3 else (4, 2)),
+                           1.0, 1.0, 2, diagonal=True)
+        with pytest.raises(ConfigurationError, match=re.escape("shape (4, 2)")):
+            fld(np.zeros((5, 2)), dirac(np.zeros(2)))
 
     def test_validate_diagonal_equals_its_dense_twin(self):
         ex = library.make_system("example31").oblique

@@ -997,7 +997,8 @@ class TestTimeMajorStorage:
     def test_paths_match_particle_major_oracle(self, index, monkeypatch):
         label, run, reference = _storage_runs()[index]
         if reference is None:
-            monkeypatch.setattr(mvsolver, "_simulate", _particle_major_simulate)
+            monkeypatch.setattr(mvsolver, "_simulate",
+                                lambda *a, **kw: [_particle_major_simulate(*a, **kw)])
             expected = run()
             monkeypatch.undo()
         else:
@@ -1121,7 +1122,8 @@ def _assert_batch_matches(name, particles=17, seed=11):
     system, batch_kw, variant_kws = cases[name]
     noise = NoiseSource(seed)
     d = system.noise_dim
-    inc = mvsolver._replication_increments(noise, range(reps), particles, grid.steps, d, grid.h)
+    inc = mvsolver._stream_increments([noise.for_replication(r) for r in range(reps)],
+                                      particles, grid.steps, d, grid.h)
     batch = mvsolver._simulate(system, grid, particles, noise, increments=inc,
                                groups=len(variant_kws) * reps, **batch_kw)
     assert len(batch) == len(variant_kws) * reps
@@ -1130,7 +1132,7 @@ def _assert_batch_matches(name, particles=17, seed=11):
         rep_noise = noise.for_replication(r)
         alone = mvsolver._simulate(
             system, grid, particles, rep_noise, **variant_kws[v],
-            increments=rep_noise.brownian(particles, grid.steps, d, grid.h))
+            increments=rep_noise.brownian(particles, grid.steps, d, grid.h))[0]
         assert np.any(alone.variation > 0)
         for field_name in PATH_FIELDS + ("increments",):
             np.testing.assert_array_equal(getattr(ens, field_name), getattr(alone, field_name))
@@ -1172,8 +1174,8 @@ class TestBatchedEngine:
             radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         noise = NoiseSource(12)
         d = system.noise_dim
-        inc = mvsolver._replication_increments(noise, range(reps), particles, grid.steps,
-                                               d, grid.h)
+        inc = mvsolver._stream_increments([noise.for_replication(r) for r in range(reps)],
+                                          particles, grid.steps, d, grid.h)
         batch = mvsolver._simulate(system, grid, particles, noise, increments=inc,
                                    groups=G, x0=starts, **batch_kw)
         for g, ens in enumerate(batch):
@@ -1182,7 +1184,7 @@ class TestBatchedEngine:
             moved = System(system.coeffs, system.oblique, system.constraint, starts[g])
             alone = mvsolver._simulate(
                 moved, grid, particles, rep_noise, **variant_kws[v],
-                increments=rep_noise.brownian(particles, grid.steps, d, grid.h))
+                increments=rep_noise.brownian(particles, grid.steps, d, grid.h))[0]
             assert np.any(alone.variation > 0)
             np.testing.assert_array_equal(ens.states[:, 0], np.tile(starts[g], (particles, 1)))
             for field_name in PATH_FIELDS:
@@ -1200,7 +1202,7 @@ class TestBatchedEngine:
     def test_single_group_is_the_public_entry(self):
         ex = library.make_system("example31")
         grid = TimeGrid(0.0, 1.0, 64)
-        ens = mvsolver._simulate(ex, grid, 9, NoiseSource(4), scheme="projected")
+        ens, = mvsolver._simulate(ex, grid, 9, NoiseSource(4), scheme="projected")
         ref = simulate_projected(ex, grid, 9, NoiseSource(4))
         for name in PATH_FIELDS:
             np.testing.assert_array_equal(getattr(ens, name), getattr(ref, name))
@@ -1208,7 +1210,8 @@ class TestBatchedEngine:
     def test_shape_and_group_checks(self):
         ou = library.make_system("ou")
         grid = TimeGrid(0.0, 1.0, 8)
-        inc = mvsolver._replication_increments(NoiseSource(0), range(2), 4, 8, 1, grid.h)
+        inc = mvsolver._stream_increments([NoiseSource(0).for_replication(r) for r in range(2)],
+                                          4, 8, 1, grid.h)
         with pytest.raises(ConfigurationError):        # 3 groups over 2 replications
             mvsolver._simulate(ou, grid, 4, None, scheme="projected", increments=inc,
                                groups=3)
@@ -1218,6 +1221,61 @@ class TestBatchedEngine:
         with pytest.raises(ValueError):
             mvsolver._simulate(ou, grid, 4, None, scheme="penalized", eps=[0.1, 0.0],
                                increments=inc, groups=2)
+
+
+class TestStreamBatches:
+    """The one ensemble runner: chunks that cut across the streams, and every
+    (variant, stream) group against its solo ``_simulate`` run, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["penalized", "projected"])
+    def test_groups_match_solo_runs(self, monkeypatch, scheme):
+        system = controlled_planar_system()
+        N, S, V, d = 5, 5, 3, system.noise_dim
+        grid, draw_steps, draw_h = TimeGrid(0.0, 0.75, 24), 32, 1.0 / 32
+        streams = [NoiseSource(41).child(s % 2, s) for s in range(S)]
+        eps = [0.2, 0.1, 0.05] if scheme == "penalized" else None
+        control = np.array([np.where(np.arange(grid.steps) < 8 * (v + 1), -1.0, 1.0)
+                            for v in range(V)])
+        rng = np.random.default_rng(4)
+        x0 = 0.5 * rng.uniform(-1.0, 1.0, (V, S, 2))
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw_steps * d)
+        batches = list(mvsolver._stream_batches(
+            system, grid, N, streams, scheme=scheme, variants=V, eps=eps, control=control,
+            x0=x0, draw_steps=draw_steps, draw_h=draw_h))
+        assert [c for c, _ in batches] == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        for chunk, run in batches:
+            C = chunk.stop - chunk.start
+            assert len(run) == V * C
+            for g, ens in enumerate(run):
+                v, s = divmod(g, C)
+                s += chunk.start
+                moved = System(system.coeffs, system.oblique, system.constraint, x0[v, s])
+                inc = streams[s].brownian(N, draw_steps, d, draw_h)[:, draw_steps - grid.steps:]
+                alone, = mvsolver._simulate(
+                    moved, grid, N, None, scheme=scheme,
+                    eps=None if eps is None else eps[v], control=control[v], increments=inc)
+                assert np.any(alone.variation > 0)
+                for field_name in PATH_FIELDS + ("increments",):
+                    np.testing.assert_array_equal(getattr(ens, field_name),
+                                                  getattr(alone, field_name))
+                np.testing.assert_array_equal(ens.control, control[v])
+                assert ens.eps == alone.eps
+
+    def test_observer_is_built_per_batch(self, monkeypatch):
+        ou = library.make_system("ou")
+        grid = TimeGrid(0.0, 1.0, 16)
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)
+        built = []
+
+        def observer():
+            built.append(mvsolver._PathRecorder(grid, states_only=True))
+            return built[-1]
+
+        runs = [run for _, run in mvsolver._stream_batches(
+            ou, grid, 4, [NoiseSource(2).for_replication(r) for r in range(3)],
+            scheme="projected", variants=2, observer=observer)]
+        assert runs == built and len({id(r) for r in runs}) == 3
+        assert all(r.states.shape == (17, 8, 1) for r in runs)
 
 
 def dense_twin(system):
@@ -1303,8 +1361,8 @@ class TestDeclaredDiagonal:
         lambda s: simulate_penalized(s, 0.05, TimeGrid(0.0, 0.25, 96), 40, NoiseSource(32)),
         lambda s: mvsolver._simulate(
             s, TimeGrid(0.0, 1.0, 64), 12, NoiseSource(33), scheme="projected", groups=3,
-            increments=mvsolver._replication_increments(NoiseSource(33), range(3), 12, 64, 1,
-                                                        1 / 64)),
+            increments=mvsolver._stream_increments(
+                [NoiseSource(33).for_replication(r) for r in range(3)], 12, 64, 1, 1 / 64)),
         lambda s: euler_iteration(s, 3, 2, TimeGrid(0.0, 1.0, 64), 16, NoiseSource(34))[0],
     ], ids=["projected", "penalized", "groups", "euler"])
     @pytest.mark.parametrize("name", ["example31", "ou", "rbm", "triangle"])
@@ -1343,12 +1401,20 @@ class TestDeclaredDiagonal:
              np.einsum("...ii->...i", H)])
 
     def test_per_row_matrices_from_a_declared_diagonal_raise(self):
+        # caught by the construction probe on m + 1 = 3 rows
+        with pytest.raises(ConfigurationError, match=r"shape \(3, 2, 2\)"):
+            ObliqueField(lambda x, mu: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)),
+                         1.0, 1.0, 2, diagonal=True)
+
+    def test_dense_matrix_from_a_declared_diagonal_raises(self):
+        # on m = 2 rows a dense (2, 2) return has the shape of two diagonals;
+        # the probe's m + 1 rows tell them apart before any run
         ex = library.make_system("example31")
-        bad = ObliqueField(lambda x, mu: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)),
-                           1.0, 1.0, 2, diagonal=True)
-        with pytest.raises(ConfigurationError, match=r"shape \(5, 2, 2\)"):
-            simulate_projected(System(ex.coeffs, bad, ex.constraint, ex.x0),
-                               TimeGrid(0.0, 1.0, 4), 5, NoiseSource(0))
+        with pytest.raises(ConfigurationError, match=r"shape \(2, 2\)"):
+            dense = ObliqueField(lambda x, mu: np.array([[4.0, 0.5], [0.5, 5.0]]),
+                                 3.0, 6.0, 2, diagonal=True)
+            simulate_projected(System(ex.coeffs, dense, ex.constraint, ex.x0),
+                               TimeGrid(0.0, 1.0, 4), 2, NoiseSource(0))
 
 
 class TestDiffusionColumns:

@@ -69,7 +69,6 @@ CONFIG_SCHEMA = {
                 "start": {"type": "number"},
                 "end": {"type": "number"},
                 "steps": {"type": "integer", "minimum": 1},
-                "dyadic_level": {"type": ["integer", "null"]},
             },
         },
         "grid_ladder": {
@@ -216,7 +215,7 @@ def _trajectory_table(ensembles, times):
 def _run_simulate(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     g = cfg["grid"]
-    grid = TimeGrid(g["start"], g["end"], g["steps"], g.get("dyadic_level"))
+    grid = TimeGrid(g["start"], g["end"], g["steps"])
     scheme = cfg.get("scheme", "projected")
     eps = cfg.get("epsilon")        # given exactly for the penalized scheme
     if eps is not None:
@@ -458,6 +457,8 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
             raise error
         _check_keys(cfg)
         seed = cfg["seed"] if seed is None else int(seed)
+        if seed < 0:
+            raise ConfigurationError(f"--seed must be a nonnegative integer, got {seed}")
         outdir = Path(out or cfg.get("output_dir", "out"))
         failures, outputs = _execute(_RUNNERS[cfg["mode"]], cfg, seed, outdir)
     except jsonschema.ValidationError as err:

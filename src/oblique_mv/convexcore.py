@@ -7,12 +7,20 @@ smooth convex function given by value/gradient callables, plus their sum.
 All evaluation routines accept single points of shape ``(m,)`` or batches of
 shape ``(n, m)``.
 
+Each geometry carries what depends on its shape: the Euclidean projection
+``project(x)``, the interior margin ``margin(a)`` and ``oblique_step(H, Y,
+diagonal=False)``, the one-step Skorohod problem ``x + H dk = y`` for each
+row ``y`` of ``Y``, with ``x`` in the set, ``dk`` in the exterior normal
+cone at ``x`` and ``H`` dense or, if ``diagonal``, its diagonal.  It is
+solved exactly as the metric projection of ``y`` onto the set in the norm
+induced by ``H^{-1}``: its variational inequality is precisely feasibility,
+the linear relation, and the normal-cone inclusion of ``dk = H^{-1}(y - x)``.
+
 Polyhedral sets have one exact projection, ``polyhedral_step``: the
 projection onto ``{x : N x >= c}`` in the ``H^{-1}`` norm, solved as a
-least-distance program by one NNLS call.  It gives the Euclidean projection
-onto a half-space intersection (``H = I``) and the oblique Skorohod step of
-``mvsolver`` for boxes with non-diagonal ``H`` and for intersections, both
-row by row through ``polyhedral_rows``.
+least-distance program by one NNLS call.  Row by row, it is the Euclidean
+projection onto a half-space intersection (``H = I``) and the oblique step
+of intersections and of boxes with non-diagonal ``H``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ TOL_GEOM = 1e-10
 TOL_COMPOSITE = 1e-8
 TOL_GRID = 1e-5
 
+BALL_NEWTON_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -46,6 +56,28 @@ class HalfSpace:
 
     normal: np.ndarray
     offset: float
+
+    def project(self, x):
+        gap = self.offset - x @ self.normal
+        return x + np.maximum(gap, 0.0)[..., None] * self.normal
+
+    def margin(self, a):
+        return float(a @ self.normal - self.offset)
+
+    def oblique_step(self, H, Y, diagonal=False):
+        n, c = self.normal, self.offset
+        gap = c - Y @ n
+        mask = gap > 0
+        X = Y.copy()
+        dK = np.zeros_like(Y)
+        if not np.any(mask):
+            return X, dK
+        Hm = H if H.ndim == (1 if diagonal else 2) else H[mask]   # shared, or rows outside
+        Hn = Hm * n + 0.0 if diagonal else Hm @ n     # + 0.0: a zero is +0.0, as from H @ n
+        t = gap[mask] / (Hn @ n)
+        X[mask] = Y[mask] + t[:, None] * Hn
+        dK[mask] = -t[:, None] * n
+        return X, dK
 
 
 @dataclass(frozen=True)
@@ -55,6 +87,24 @@ class Box:
     lower: np.ndarray
     upper: np.ndarray
 
+    def project(self, x):
+        return np.clip(x, self.lower, self.upper)
+
+    def margin(self, a):
+        return float(min(np.min(a - self.lower), np.min(self.upper - a)))
+
+    def oblique_step(self, H, Y, diagonal=False):
+        X = np.clip(Y, self.lower, self.upper)
+        if diagonal or _is_diagonal(H):
+            dK = (Y - X) / (H if diagonal else np.einsum("...ii->...i", H))
+            dK += 0.0       # unclipped rows get +0.0, also where -0.0 met a bound at 0.0
+            return X, dK
+        eye = np.eye(Y.shape[1])
+        offsets = np.concatenate([self.lower, -self.upper])
+        finite = np.isfinite(offsets)
+        rows = HalfSpaceIntersection(np.vstack([eye, -eye])[finite], offsets[finite])
+        return rows.oblique_step(H, Y)
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -63,6 +113,40 @@ class Ball:
     center: np.ndarray
     radius: float
 
+    def project(self, x):
+        rel = x - self.center
+        dist = np.sqrt(sq_norms(rel))
+        scale = np.where(dist > self.radius, self.radius / np.maximum(dist, 1e-300), 1.0)
+        return self.center + rel * scale[..., None]
+
+    def margin(self, a):
+        return float(self.radius - np.linalg.norm(a - self.center))
+
+    def oblique_step(self, H, Y, diagonal=False):
+        c, r = self.center, self.radius
+        rel = Y - c
+        dist = np.sqrt(sq_norms(rel))
+        X = Y.copy()
+        dK = np.zeros_like(Y)
+        mask = dist > r
+        if not np.any(mask):
+            return X, dK
+        idx = np.flatnonzero(mask)
+        relsub = rel[idx]
+        Hsub = np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:])[idx]
+        if not diagonal and _is_diagonal(Hsub):
+            Hsub, diagonal = np.einsum("kii->ki", Hsub), True
+        if diagonal:
+            d, w, back = Hsub, relsub, None
+        else:
+            d, back = np.linalg.eigh(Hsub)
+            w = np.einsum("kji,kj->ki", back, relsub)
+        lam, scaled = _ball_multiplier(np.ascontiguousarray(w.T), np.ascontiguousarray(d.T), r)
+        relsol = scaled.T if back is None else np.einsum("kij,kj->ki", back, scaled.T)
+        X[idx] = c + relsol
+        dK[idx] = lam[:, None] * relsol
+        return X, dK
+
 
 @dataclass(frozen=True)
 class HalfSpaceIntersection:
@@ -70,6 +154,26 @@ class HalfSpaceIntersection:
 
     normals: np.ndarray
     offsets: np.ndarray
+
+    def project(self, x):
+        pts = x.reshape(-1, x.shape[-1])
+        return self.oblique_step(np.eye(x.shape[-1]), pts)[0].reshape(x.shape)
+
+    def margin(self, a):
+        return float(np.min(self.normals @ a - self.offsets))
+
+    def oblique_step(self, H, Y, diagonal=False):
+        """``polyhedral_step`` on each row of ``Y`` outside the polytope; rows
+        inside get ``dk = 0``."""
+        if diagonal:
+            H = H[..., None] * np.eye(Y.shape[1])
+        X = Y.copy()
+        dK = np.zeros_like(Y)
+        outside = np.min(Y @ self.normals.T - self.offsets, axis=1) < 0
+        for i in np.flatnonzero(outside):
+            X[i], dK[i] = polyhedral_step(self.normals, self.offsets,
+                                          H if H.ndim == 2 else H[i], Y[i])
+        return X, dK
 
 
 Geometry = HalfSpace | Box | Ball | HalfSpaceIntersection
@@ -91,6 +195,10 @@ class ConvexConstraint:
     smooth_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     _smooth_shift: float = field(default=0.0, repr=False)
+
+    def __post_init__(self):
+        if self.geometry is not None and not isinstance(self.geometry, Geometry):
+            raise ConfigurationError(f"unsupported geometry {type(self.geometry).__name__}")
 
     # -- constructors ---------------------------------------------------
 
@@ -204,7 +312,7 @@ class ConvexConstraint:
         x = np.asarray(x, dtype=float)
         if self.geometry is None:
             return np.zeros(x.shape[:-1])
-        return np.sqrt(sq_norms(x - _project_geometry(self.geometry, x)))
+        return np.sqrt(sq_norms(x - self.geometry.project(x)))
 
     def contains(self, x, tol=TOL_GEOM):
         return np.all(self.distance(x) <= tol)
@@ -240,25 +348,47 @@ class InteriorCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Euclidean projection
+# Projections
 
 
-def _project_geometry(geom, x):
-    x = np.asarray(x, dtype=float)
-    if isinstance(geom, HalfSpace):
-        gap = geom.offset - x @ geom.normal
-        return x + np.maximum(gap, 0.0)[..., None] * geom.normal
-    if isinstance(geom, Box):
-        return np.clip(x, geom.lower, geom.upper)
-    if isinstance(geom, Ball):
-        rel = x - geom.center
-        dist = np.sqrt(sq_norms(rel))
-        scale = np.where(dist > geom.radius, geom.radius / np.maximum(dist, 1e-300), 1.0)
-        return geom.center + rel * scale[..., None]
-    if isinstance(geom, HalfSpaceIntersection):
-        pts = x.reshape(-1, x.shape[-1])
-        return polyhedral_rows(geom, np.eye(x.shape[-1]), pts)[0].reshape(x.shape)
-    raise ConfigurationError(f"unsupported geometry {type(geom).__name__}")
+def _is_diagonal(H):
+    if H.shape[-1] == 1:        # no off-diagonal; a non-finite H is still not diagonal
+        return bool(np.isfinite(H).all())
+    return float(np.max(np.abs(H * (1 - np.eye(H.shape[-1]))))) <= 1e-14
+
+
+def _ball_multiplier(w, d, r):
+    """Root ``lam > 0`` of the secular equation ``|w / (1 + lam d)| = r``.
+
+    Columns of the ``(m, k)`` array ``w`` are points outside the ball in
+    the eigenbasis of H and columns of ``d`` the eigenvalues; column-major,
+    every broadcast runs along the long axis.  With ``s = w / (1 + lam d)``
+    this is a trust-region secular equation (Hessian ``diag(1/d)``,
+    gradient ``w/d``), so ``psi(lam) = 1/|s| - 1/r`` is concave and
+    increasing and Newton's iterates from ``lam = 0`` rise monotonically to
+    the root (Moré & Sorensen 1983).  The loop stops on the residual
+    ``| |s| - r |``, whose rounding floor grows with the dimension;
+    ``StepError`` reports the worst residual if it is not met within
+    ``BALL_NEWTON_MAX_ITER`` steps.  Returns ``lam`` and ``s``.
+    """
+    tol = 4 * (d.shape[0] + 1) * np.finfo(float).eps * r
+    lam = np.zeros(w.shape[1])
+    for step in range(BALL_NEWTON_MAX_ITER + 1):
+        q = 1.0 + lam * d
+        s = w / q
+        norm = np.sqrt(sq_norms(s.T))
+        gap = norm - r
+        open_pts = np.abs(gap) > tol
+        if not open_pts.any():
+            return lam, s
+        if step == BALL_NEWTON_MAX_ITER:
+            raise StepError(
+                "ball Newton solve did not converge in %d iterations"
+                % BALL_NEWTON_MAX_ITER,
+                residual=float(np.max(np.abs(gap))),
+            )
+        slope = np.add.reduce(d * s * (s / q), axis=0)     # np.sum costs more per call
+        lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
 
 
 def polyhedral_step(normals, offsets, H, y):
@@ -295,23 +425,11 @@ def polyhedral_step(normals, offsets, H, y):
     return x, -(normals.T @ lam)
 
 
-def polyhedral_rows(geom, H, Y):
-    """``(X, dK)``: ``polyhedral_step`` on each row of ``Y`` outside the polytope
-    ``geom``, with ``H`` shared ``(m, m)`` or one per row; rows inside get ``dk = 0``."""
-    X = Y.copy()
-    dK = np.zeros_like(Y)
-    outside = np.min(Y @ geom.normals.T - geom.offsets, axis=1) < 0
-    for i in np.flatnonzero(outside):
-        X[i], dK[i] = polyhedral_step(geom.normals, geom.offsets,
-                                      H if H.ndim == 2 else H[i], Y[i])
-    return X, dK
-
-
 def project(constraint, x):
     """Metric projection onto the indicator set of the constraint."""
     if not constraint.has_indicator():
         raise ConfigurationError("projection requires an indicator constraint")
-    return _project_geometry(constraint.geometry, np.asarray(x, dtype=float))
+    return constraint.geometry.project(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +467,7 @@ def _smooth_prox(constraint, eps, x):
     step = eps / 2.0
     for _ in range(2000):
         g = (z - x) / eps + np.asarray(grad(z), dtype=float)
-        z_new = _project_geometry(constraint.geometry, z - step * g)
+        z_new = constraint.geometry.project(z - step * g)
         if np.linalg.norm(z_new - z) <= 1e-13:
             z = z_new
             break
@@ -439,7 +557,7 @@ def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None)
 
     # feasible probes for the subdifferential inequality in (b)
     if constraint.has_indicator():
-        probes = _project_geometry(constraint.geometry, pts)
+        probes = constraint.geometry.project(pts)
     else:
         probes = pts
     probe_vals = np.atleast_1d(constraint.value(probes, feasibility_band=TOL_GEOM))
@@ -515,17 +633,9 @@ def normal_cone_residual(constraint, x, u, probes, feasibility_tol=TOL_COMPOSITE
 
 def interior_margin(constraint, a):
     """Distance from a to the complement of the indicator set (<=0 outside)."""
-    geom = constraint.geometry
-    a = np.asarray(a, dtype=float)
-    if isinstance(geom, HalfSpace):
-        return float(a @ geom.normal - geom.offset)
-    if isinstance(geom, Box):
-        return float(min(np.min(a - geom.lower), np.min(geom.upper - a)))
-    if isinstance(geom, Ball):
-        return float(geom.radius - np.linalg.norm(a - geom.center))
-    if isinstance(geom, HalfSpaceIntersection):
-        return float(np.min(geom.normals @ a - geom.offsets))
-    raise ConfigurationError(f"unsupported geometry {type(geom).__name__}")
+    if not constraint.has_indicator():
+        raise ConfigurationError("interior margin requires an indicator constraint")
+    return constraint.geometry.margin(np.asarray(a, dtype=float))
 
 
 def interior_constants(constraint, cert):

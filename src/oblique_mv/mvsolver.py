@@ -16,12 +16,9 @@ All of them run through one step loop, ``_simulate``.  It asks an
 ``inputs(k, X, u)`` callable for each step's coefficients and the set the
 step ends in: by default the coefficients at the current states and the
 fixed constraint, the frozen ones in ``euler_iteration``, and a moving
-interval in :func:`oblique_mv.timedep.simulate_moving_interval`.
-
-The one-step Skorohod problem is solved exactly as the metric projection of
-``y`` onto the set in the norm induced by ``H^{-1}``: its variational
-inequality is precisely feasibility, the linear relation, and the
-normal-cone inclusion of ``dk = H^{-1}(y - x)``.
+interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  The
+one-step Skorohod correction is the ``oblique_step`` of the set's geometry
+(:mod:`oblique_mv.convexcore`).
 """
 
 from __future__ import annotations
@@ -32,20 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convexcore
-from .convexcore import (
-    Ball,
-    Box,
-    ConvexConstraint,
-    HalfSpace,
-    HalfSpaceIntersection,
-    interior_constants,
-)
+from .convexcore import ConvexConstraint, interior_constants
 from .dynamics import CoefficientField, ObliqueField
 from .errors import ConfigurationError, DivergenceError, StepError
 from .measures import EmpiricalMeasure, sq_norms
 
 BLOWUP_GUARD = 1e8
-BALL_NEWTON_MAX_ITER = 50
 BATCH_NOISE_BYTES = 32 * 2**20      # increments one batch of replications holds
 NOISE_BLOCK = 64                    # streams drawn particle-major before one transposed copy
 
@@ -215,127 +204,12 @@ class System:
 # One-step oblique Skorohod problem
 
 
-def _is_diagonal(H):
-    if H.shape[-1] == 1:        # no off-diagonal; a non-finite H is still not diagonal
-        return bool(np.isfinite(H).all())
-    return float(np.max(np.abs(H * (1 - np.eye(H.shape[-1]))))) <= 1e-14
-
-
-def _halfspace_step(geom, H, Y, diagonal=False):
-    n, c = geom.normal, geom.offset
-    gap = c - Y @ n
-    mask = gap > 0
-    X = Y.copy()
-    dK = np.zeros_like(Y)
-    if not np.any(mask):
-        return X, dK
-    Hm = H if H.ndim == (1 if diagonal else 2) else H[mask]   # shared, or rows outside
-    Hn = Hm * n + 0.0 if diagonal else Hm @ n     # + 0.0: a zero is +0.0, as from H @ n
-    t = gap[mask] / (Hn @ n)
-    X[mask] = Y[mask] + t[:, None] * Hn
-    dK[mask] = -t[:, None] * n
-    return X, dK
-
-
-def _box_step(geom, H, Y, diagonal=False):
-    X = np.clip(Y, geom.lower, geom.upper)
-    if diagonal or _is_diagonal(H):
-        dK = (Y - X) / (H if diagonal else np.einsum("...ii->...i", H))
-        dK += 0.0       # unclipped rows get +0.0, also where -0.0 met a bound at 0.0
-        return X, dK
-    eye = np.eye(Y.shape[1])
-    offsets = np.concatenate([geom.lower, -geom.upper])
-    finite = np.isfinite(offsets)
-    rows = HalfSpaceIntersection(np.vstack([eye, -eye])[finite], offsets[finite])
-    return _intersection_step(rows, H, Y)
-
-
-def _ball_multiplier(w, d, r):
-    """Root ``lam > 0`` of the secular equation ``|w / (1 + lam d)| = r``.
-
-    Columns of the ``(m, k)`` array ``w`` are points outside the ball in
-    the eigenbasis of H and columns of ``d`` the eigenvalues; column-major,
-    every broadcast runs along the long axis.  With ``s = w / (1 + lam d)``
-    this is a trust-region secular equation (Hessian ``diag(1/d)``,
-    gradient ``w/d``), so ``psi(lam) = 1/|s| - 1/r`` is concave and
-    increasing and Newton's iterates from ``lam = 0`` rise monotonically to
-    the root (Moré & Sorensen 1983).  The loop stops on the residual
-    ``| |s| - r |``, whose rounding floor grows with the dimension;
-    ``StepError`` reports the worst residual if it is not met within
-    ``BALL_NEWTON_MAX_ITER`` steps.  Returns ``lam`` and ``s``.
-    """
-    tol = 4 * (d.shape[0] + 1) * np.finfo(float).eps * r
-    lam = np.zeros(w.shape[1])
-    for step in range(BALL_NEWTON_MAX_ITER + 1):
-        q = 1.0 + lam * d
-        s = w / q
-        norm = np.sqrt(sq_norms(s.T))
-        gap = norm - r
-        open_pts = np.abs(gap) > tol
-        if not open_pts.any():
-            return lam, s
-        if step == BALL_NEWTON_MAX_ITER:
-            raise StepError(
-                "ball Newton solve did not converge in %d iterations"
-                % BALL_NEWTON_MAX_ITER,
-                residual=float(np.max(np.abs(gap))),
-            )
-        slope = np.add.reduce(d * s * (s / q), axis=0)     # np.sum costs more per call
-        lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
-
-
-def _ball_step(geom, H, Y, diagonal=False):
-    c, r = geom.center, geom.radius
-    rel = Y - c
-    dist = np.sqrt(sq_norms(rel))
-    X = Y.copy()
-    dK = np.zeros_like(Y)
-    mask = dist > r
-    if not np.any(mask):
-        return X, dK
-    idx = np.flatnonzero(mask)
-    relsub = rel[idx]
-    Hsub = np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:])[idx]
-    if not diagonal and _is_diagonal(Hsub):
-        Hsub, diagonal = np.einsum("kii->ki", Hsub), True
-    if diagonal:
-        d, w, back = Hsub, relsub, None
-    else:
-        d, back = np.linalg.eigh(Hsub)
-        w = np.einsum("kji,kj->ki", back, relsub)
-    lam, scaled = _ball_multiplier(np.ascontiguousarray(w.T), np.ascontiguousarray(d.T), r)
-    relsol = scaled.T if back is None else np.einsum("kij,kj->ki", back, scaled.T)
-    X[idx] = c + relsol
-    dK[idx] = lam[:, None] * relsol
-    return X, dK
-
-
-def _intersection_step(geom, H, Y, diagonal=False):
-    return convexcore.polyhedral_rows(geom, H[..., None] * np.eye(Y.shape[1])
-                                      if diagonal else H, Y)
-
-
-def _skorohod_batch(constraint, H, Y, diagonal=False):
-    """One step per row of ``Y``; ``H`` is dense or, if ``diagonal``, its diagonal."""
-    geom = constraint.geometry
-    if isinstance(geom, HalfSpace):
-        return _halfspace_step(geom, H, Y, diagonal)
-    if isinstance(geom, Box):
-        return _box_step(geom, H, Y, diagonal)
-    if isinstance(geom, Ball):
-        return _ball_step(geom, H, Y, diagonal)
-    if isinstance(geom, HalfSpaceIntersection):
-        return _intersection_step(geom, H, Y, diagonal)
-    raise ConfigurationError(f"unsupported geometry {type(geom).__name__}")
-
-
 def oblique_skorohod_step(constraint, H, y):
     """Solve x + H dk = y with x in the set and dk in the normal cone at x."""
     if not constraint.has_indicator():
         raise ConfigurationError("Skorohod steps require an indicator constraint")
-    H = np.asarray(H, dtype=float)
-    y = np.asarray(y, dtype=float)
-    X, dK = _skorohod_batch(constraint, H, y[None, :])
+    X, dK = constraint.geometry.oblique_step(np.asarray(H, dtype=float),
+                                             np.asarray(y, dtype=float)[None, :])
     return X[0], dK[0]
 
 
@@ -531,7 +405,7 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
         else:
             Y = X + h * fk + gdB
             try:
-                X, dk_step = _skorohod_batch(constraint, Hk, Y, system.oblique.diagonal)
+                X, dk_step = constraint.geometry.oblique_step(Hk, Y, system.oblique.diagonal)
             except StepError as err:
                 raise StepError(f"step {k}: {err}", residual=err.residual) from err
 

@@ -231,6 +231,19 @@ class TestExitCodes:
         assert run(write_config(tmp_path, payload)) == 2
         assert capsys.readouterr().err == f"config error at {path}: {err.message}\n"
 
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, simulate_config(tmp_path / "out"))
+        assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_dyadic_level_is_config_error(self, tmp_path, capsys):
+        # no mode snaps to a dyadic level, so the grid key is rejected like any unread key
+        grid = {"start": 0.0, "end": 0.5, "steps": 64, "dyadic_level": 2}
+        assert run(write_config(tmp_path, simulate_config(tmp_path / "out", grid=grid))) == 2
+        assert "dyadic_level" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("keep")
@@ -564,8 +577,7 @@ OPTIONAL_KEYS = {
     "grid": st.fixed_dictionaries(
         {"start": st.one_of(st.sampled_from([0.0, -0.5, 0.25]), st.floats()),
          "end": st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats()),
-         "steps": st.integers(1, 16)},
-        optional={"dyadic_level": st.one_of(st.none(), st.integers(0, 4))}),
+         "steps": st.integers(1, 16)}),
     "grid_ladder": st.lists(st.sampled_from([2, 3, 4, 8, 16]), min_size=2, max_size=3),
     "particles": st.integers(1, 8),
     "replications": st.integers(1, 2),

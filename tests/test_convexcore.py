@@ -8,7 +8,6 @@ from oblique_mv.convexcore import (
     interior_constants,
     interior_margin,
     normal_cone_residual,
-    polyhedral_rows,
     polyhedral_step,
     project,
     resolvent,
@@ -86,7 +85,7 @@ class TestProjection:
             np.testing.assert_allclose(project(tri, y), oracle, atol=1e-9)
 
     @pytest.mark.parametrize("per_row", [False, True])
-    def test_polyhedral_rows_match_one_step_per_row(self, per_row):
+    def test_oblique_step_matches_one_step_per_row(self, per_row):
         tri = ConvexConstraint.half_space_intersection(
             [[1, 0], [0, 1], [-1, -1]], [0.0, 0.0, -1.5]).geometry
         rng = np.random.default_rng(2)
@@ -94,7 +93,7 @@ class TestProjection:
         A = rng.standard_normal((40, 2, 2))
         H = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(2)
         H = H if per_row else H[0]
-        X, dK = polyhedral_rows(tri, H, Y)
+        X, dK = tri.oblique_step(H, Y)
         inside = np.min(Y @ tri.normals.T - tri.offsets, axis=1) >= 0
         assert 0 < inside.sum() < len(Y)
         for i, y in enumerate(Y):
@@ -115,6 +114,12 @@ class TestProjection:
     def test_project_requires_indicator(self):
         with pytest.raises(ConfigurationError):
             project(QUAD, np.zeros(2))
+        with pytest.raises(ConfigurationError):
+            interior_margin(QUAD, np.zeros(2))
+
+    def test_unknown_geometry_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="unsupported geometry"):
+            ConvexConstraint("indicator", 2, geometry=object())
 
 
 class TestMoreauEnvelope:

@@ -160,13 +160,13 @@ class TestSkorohodStep:
             H = np.diag(rng.uniform(0.5, 2.0, m))
             for _ in range(int(rng.integers(0, 3))):
                 H[tuple(rng.integers(0, m, 2))] = specials[rng.integers(len(specials))]
-            assert mvsolver._is_diagonal(H) == two_eyes(H)
+            assert convexcore._is_diagonal(H) == two_eyes(H)
 
-    def test_box_step_leaves_inside_rows_at_positive_zero(self):
+    def test_box_oblique_step_leaves_inside_rows_at_positive_zero(self):
         box = ConvexConstraint.box([0.0, -1.0], [1.0, 1.0]).geometry
         Y = np.array([[-0.0, 0.5], [0.3, -0.0], [2.0, 0.5], [-0.5, 3.0]])
         for H in (np.diag([2.0, 3.0]), np.stack([np.diag([2.0, 3.0 + i]) for i in range(4)])):
-            X, dK = mvsolver._box_step(box, H, Y)
+            X, dK = box.oblique_step(H, Y)
             np.testing.assert_array_equal(X, [[-0.0, 0.5], [0.3, -0.0], [1.0, 0.5], [0.0, 1.0]])
             assert not np.any(np.signbit(dK[:2]))
             np.testing.assert_array_equal(dK[:2], 0.0)
@@ -263,7 +263,7 @@ class TestBallStep:
         assert np.linalg.norm(x - x_ref) <= 1e-12 * geom.radius
 
     def test_iteration_cap_raises_step_error(self, monkeypatch):
-        monkeypatch.setattr(mvsolver, "BALL_NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(convexcore, "BALL_NEWTON_MAX_ITER", 1)
         ball = ConvexConstraint.ball([0.0, 0.0], 1.0)
         with pytest.raises(StepError) as err:
             oblique_skorohod_step(ball, np.diag([1.0, 100.0]), np.array([300.0, 400.0]))
@@ -276,7 +276,7 @@ class TestBallStep:
 
 def head_ball_multiplier(w, d, r):
     """The ball Newton loop on row-major ``(k, m)`` arrays: the reference for
-    the column-major ``mvsolver._ball_multiplier``.
+    the column-major ``convexcore._ball_multiplier``.
 
     Each iterate broadcasts ``(k, 1)`` columns against ``(k, m)`` rows and
     sums over the short axis with ``einsum``.  Returns ``lam`` and ``s``
@@ -284,7 +284,7 @@ def head_ball_multiplier(w, d, r):
     """
     tol = 4 * (d.shape[1] + 1) * np.finfo(float).eps * r
     lam = np.zeros(w.shape[0])
-    for step in range(mvsolver.BALL_NEWTON_MAX_ITER + 1):
+    for step in range(convexcore.BALL_NEWTON_MAX_ITER + 1):
         q = 1.0 + lam[:, None] * d
         s = w / q
         norm = np.sqrt(np.einsum("ki,ki->k", s, s))
@@ -292,14 +292,14 @@ def head_ball_multiplier(w, d, r):
         open_rows = np.abs(gap) > tol
         if not open_rows.any():
             return lam, s
-        if step == mvsolver.BALL_NEWTON_MAX_ITER:
+        if step == convexcore.BALL_NEWTON_MAX_ITER:
             raise StepError("ball Newton solve did not converge",
                             residual=float(np.max(np.abs(gap))))
         slope = np.einsum("ki,ki->k", d * s, s / q)
         lam = np.where(open_rows, lam + gap * norm**2 / (r * slope), lam)
 
 
-def head_ball_step(geom, H, Y, diagonal=False):
+def head_ball_oblique_step(geom, H, Y, diagonal=False):
     """The ball step with row norms reduced by numpy and the row-major Newton loop.
 
     A declared diagonal ``H`` is expanded to the dense matrices the step took before."""
@@ -317,7 +317,7 @@ def head_ball_step(geom, H, Y, diagonal=False):
     Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
     Hsub = np.ascontiguousarray(Hs[idx])
     relsub = rel[idx]
-    if mvsolver._is_diagonal(Hsub):
+    if convexcore._is_diagonal(Hsub):
         d, w, back = np.einsum("kii->ki", Hsub), relsub, None
     else:
         d, back = np.linalg.eigh(Hsub)
@@ -350,8 +350,8 @@ class TestBallMultiplier:
     @given(multiplier_cases())
     def test_matches_row_major_loop(self, case):
         m, w, d, r = case
-        lam, s = mvsolver._ball_multiplier(np.ascontiguousarray(w.T),
-                                           np.ascontiguousarray(d.T), r)
+        lam, s = convexcore._ball_multiplier(np.ascontiguousarray(w.T),
+                                             np.ascontiguousarray(d.T), r)
         lam_ref, s_ref = head_ball_multiplier(w, d, r)
         assert s.shape == (m, w.shape[0])
         if m <= 2:
@@ -393,7 +393,7 @@ def patch_row_reductions(monkeypatch):
         monkeypatch.setattr(module, "sq_norms", lambda x: np.sum(x * x, axis=-1))
     monkeypatch.setattr(mvsolver._PathRecorder, "step", head_record_step)
     monkeypatch.setattr(control._LadderGaps, "step", head_ladder_step)
-    monkeypatch.setattr(mvsolver, "_ball_step", head_ball_step)
+    monkeypatch.setattr(convexcore.Ball, "oblique_step", head_ball_oblique_step)
 
 
 class TestColumnReductions:
@@ -604,7 +604,7 @@ class TestHalfSpaceStep:
     def test_contract(self, case):
         constraint, H, Y = case
         n, c = constraint.geometry.normal, constraint.geometry.offset
-        X, dK = mvsolver._halfspace_step(constraint.geometry, H, Y)
+        X, dK = constraint.geometry.oblique_step(H, Y)
         Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:])
         for x, dk, y, h in zip(X, dK, Y, Hs):
             scale = 1.0 + np.linalg.norm(y) + np.linalg.norm(x)
@@ -646,7 +646,7 @@ class TestHalfSpaceStep:
                    for q in (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(6))]
             H = spd[0] if case % 2 else np.stack(spd)
             Y = 2.0 * rng.standard_normal((6, m))
-            for a, b in zip(mvsolver._halfspace_step(geom, H, Y), two_branches(geom, H, Y)):
+            for a, b in zip(geom.oblique_step(H, Y), two_branches(geom, H, Y)):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -912,7 +912,7 @@ def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None
             dk_step = U * h
         else:
             Y = X + h * fk + gdB
-            X, dk_step = mvsolver._skorohod_batch(system.constraint, Hk, Y, oblique.diagonal)
+            X, dk_step = system.constraint.geometry.oblique_step(Hk, Y, oblique.diagonal)
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > mvsolver.BLOWUP_GUARD:
             raise DivergenceError("oracle diverged", step=k)
         states[:, k + 1] = X
@@ -1223,6 +1223,73 @@ class TestBatchedEngine:
                                increments=inc, groups=2)
 
 
+@st.composite
+def loop_cases(draw):
+    """A planar set, a scheme and a split of one ``_simulate`` batch into groups.
+
+    The drift ``u (x - mean) + v``, with ``|v| = 3``, pushes every group
+    out of its set, and each group has its own start point, control row
+    and, for the penalized scheme, ``eps``.  ``H`` is constant: dense and
+    non-diagonal for the box, so its polytope fallback runs in the loop,
+    and dense or declared diagonal for the other sets.  Groups have at
+    least two particles: a one-row matrix product takes another BLAS kernel
+    than a taller one, so a one-particle run alone can differ in the last
+    bits from its group in a batch (the half-space step's ``Y @ n`` and the
+    dense penalized term).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["half-space", "box", "ball", "triangle"]))
+    scheme = draw(st.sampled_from(["projected", "penalized"]))
+    reps = draw(st.integers(1, 2))
+    groups = reps * draw(st.integers(1, 2))
+    particles = draw(st.integers(2, 5))
+    push = rng.standard_normal(2)
+    push *= 3.0 / np.linalg.norm(push)
+    constraint = {
+        "half-space": lambda: ConvexConstraint.half_space(-push, -0.3),
+        "box": lambda: ConvexConstraint.box([-0.5, -0.4], [0.6, np.inf]),
+        "ball": lambda: ConvexConstraint.ball([0.1, -0.1], 0.8),
+        "triangle": lambda: ConvexConstraint.half_space_intersection(
+            [[1, 0], [0, 1], [-1, -1]], [-0.5, -0.5, -0.5]),
+    }[kind]()
+    H = np.array([[2.0, 0.7], [0.7, 1.0]])
+    oblique = ObliqueField(lambda x, mu: H, 0.5, 2.5, 2, uses_measure=False) \
+        if kind == "box" or draw(st.booleans()) else \
+        ObliqueField(lambda x, mu: np.diag(H), 0.5, 2.5, 2, uses_measure=False, diagonal=True)
+    coeffs = CoefficientField(lambda x, mu, u: u * (x - mu.mean()) + push,
+                              lambda x, mu, u: np.array([[0.5], [0.3]]),
+                              3.0, 2, 1, controlled=True, normalized=False)
+    x0 = project(constraint, 0.6 * rng.standard_normal((groups, 2)))
+    system = System(coeffs, oblique, constraint, x0[0])
+    eps = rng.uniform(0.2, 0.5, groups) if scheme == "penalized" else None
+    return system, scheme, particles, reps, eps, rng.uniform(-1.0, 1.0, (groups, 24)), x0
+
+
+class TestEngineProperties:
+    """The whole step loop on drawn sets, schemes and group splits."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(loop_cases())
+    def test_groups_match_solo_runs_and_meet_the_contract(self, case):
+        system, scheme, N, reps, eps, control, x0 = case
+        grid = TimeGrid(0.0, 0.5, 24)
+        noise = NoiseSource(5)
+        inc = mvsolver._stream_increments([noise.for_replication(r) for r in range(reps)],
+                                          N, grid.steps, 1, grid.h)
+        batch = mvsolver._simulate(system, grid, N, None, scheme=scheme, eps=eps,
+                                   control=control, increments=inc, groups=len(x0), x0=x0)
+        for g, ens in enumerate(batch):
+            moved = System(system.coeffs, system.oblique, system.constraint, x0[g])
+            alone, = mvsolver._simulate(moved, grid, N, None, scheme=scheme,
+                                        eps=None if eps is None else eps[g],
+                                        control=control[g], increments=inc[g % reps])
+            for name in PATH_FIELDS:
+                assert getattr(ens, name).tobytes() == getattr(alone, name).tobytes(), name
+            if scheme == "projected":
+                rep = residual_report(ens, system, probes=[np.zeros(2)])
+                assert rep.equation_residual <= 1e-8 and rep.feasibility_gap <= 1e-10
+
+
 class TestStreamBatches:
     """The one ensemble runner: chunks that cut across the streams, and every
     (variant, stream) group against its solo ``_simulate`` run, bit for bit."""
@@ -1345,13 +1412,13 @@ class TestDeclaredDiagonal:
                                                      np.full(2 * m, -1.0)),
         ]
         for constraint in geoms:
-            got = mvsolver._skorohod_batch(constraint, d, Y, diagonal=True)
-            assert same_bits(got, mvsolver._skorohod_batch(constraint, dense, Y)), \
+            got = constraint.geometry.oblique_step(d, Y, diagonal=True)
+            assert same_bits(got, constraint.geometry.oblique_step(dense, Y)), \
                 type(constraint.geometry).__name__
         if m <= 2:      # and the row-major ball step it replaced, on the dense matrices
             ball = geoms[0].geometry
-            assert same_bits(mvsolver._ball_step(ball, d, Y, diagonal=True),
-                             head_ball_step(ball, dense, Y))
+            assert same_bits(ball.oblique_step(d, Y, diagonal=True),
+                             head_ball_oblique_step(ball, dense, Y))
         U = signed_zeros(rng, rng.standard_normal(Y.shape), share=0.5)
         U[rng.random(U.shape) < 0.2] = 5e-324        # d * U may round to zero
         assert same_bits([mvsolver._hu(d, U, diagonal=True)], [mvsolver._hu(dense, U)])

@@ -216,14 +216,12 @@ def _run_simulate(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     g = cfg["grid"]
     grid = TimeGrid(g["start"], g["end"], g["steps"])
-    scheme = cfg.get("scheme", "projected")
     eps = cfg.get("epsilon")        # given exactly for the penalized scheme
     if eps is not None:
         _stability_check(cfg, [eps], system)
     particles = cfg.get("particles", 256)
     streams = [NoiseSource(seed).for_replication(r) for r in range(cfg.get("replications", 1))]
-    ensembles = [ens for _, run in _stream_batches(system, grid, particles, streams,
-                                                   scheme=scheme, eps=eps)
+    ensembles = [ens for _, run in _stream_batches(system, grid, particles, streams, eps=eps)
                  for ens in run]
 
     m = system.state_dim
@@ -302,7 +300,7 @@ def _run_control(cfg, seed, out):
         switches=ctl.get("switches", 0), clusters=ctl.get("clusters", 8),
         inner_replications=ctl.get("inner_replications", 8),
     )
-    est = value(prob, ("projected",), sim, noise=NoiseSource(seed).child(1))
+    est = value(prob, sim, noise=NoiseSource(seed).child(1))
     rows = [(str(k), v) for k, v in est.per_control.items()]
     rows.append(("minimum", est.value))
     rows.append(("mc_stderr", est.mc_stderr))

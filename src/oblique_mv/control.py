@@ -9,11 +9,12 @@ Brownian increments off the same counter-based stream.
 
 Every multi-ensemble estimate runs through the one ensemble runner,
 ``mvsolver._stream_batches``, as batches of the step loop whose streaming
-observers reduce the paths to what the estimate needs.  The cost estimates
-(``value``, both legs of the DPP residual and the value ladder) go through
-``_cost_runs``, whose runner variants are (level or start points, control);
-the penalization probe's are its ladder levels.  ``_stderr`` is the one
-Monte-Carlo standard error.
+observers reduce the paths to what the estimate needs.  As in the loop,
+``eps=None`` names the projected scheme and a positive ``eps`` the
+penalized one.  The cost estimates (``value``, both legs of the DPP
+residual and the value ladder) go through ``_cost_runs``, whose runner
+variants are (level or start points, control); the penalization probe's
+are its ladder levels.  ``_stderr`` is the one Monte-Carlo standard error.
 """
 
 from __future__ import annotations
@@ -146,9 +147,6 @@ class RegularityReport:
     base_value: float
     probes: list
 
-    def max_ratio(self):
-        return max(p.ratio for p in self.probes)
-
 
 # ---------------------------------------------------------------------------
 # Cost functional
@@ -236,29 +234,25 @@ class _CostStream:
         self.X, self.z = X, z
 
 
-def _cost_runs(prob, scheme, grid, particles, streams, u_nodes, levels=None, x0=None,
-               draw_steps=None, draw_h=None):
+def _cost_runs(prob, eps, grid, particles, streams, u_nodes, x0=None, draw=None):
     """Running-cost integrals ``(V, F, S, N)`` and end states ``(V, F, S, N, m)``
     of every (variant, control, stream), run by ``_stream_batches`` with
-    (variant, control) as its variants and ``draw_steps``, ``draw_h`` passed on.
+    (variant, control) as its variants and ``draw`` passed on.
 
-    The variants are the penalized scheme's ``levels``, or the first axis of
+    The variants are the levels of an array ``eps``, or the first axis of
     ``x0``, one start point per (variant, stream); by default there is one.
     """
     F, S, N = len(u_nodes), len(streams), particles
     m = prob.system.state_dim
-    V = len(levels) if levels is not None else 1 if x0 is None else x0.shape[0]
+    V = len(eps) if np.ndim(eps) else 1 if x0 is None else x0.shape[0]
     blocks = np.tile(u_nodes, (V, 1))                           # (variant, control)
     integral, ends = np.empty((V, F, S, N)), np.empty((V, F, S, N, m))
     batches = _stream_batches(
-        prob.system, grid, N, streams, scheme=scheme[0], variants=V * F,
-        eps=np.repeat(levels, F) if levels is not None
-        else scheme[1] if len(scheme) > 1 else None,
-        control=blocks,
+        prob.system, grid, N, streams, variants=V * F,
+        eps=np.repeat(eps, F) if np.ndim(eps) else eps, control=blocks,
         x0=None if x0 is None
         else np.broadcast_to(x0[:, None], (V, F, S, m)).reshape(V * F, S, m),
-        observer=lambda: _CostStream(prob.costs.running, blocks, grid.h),
-        draw_steps=draw_steps, draw_h=draw_h)
+        observer=lambda: _CostStream(prob.costs.running, blocks, grid.h), draw=draw)
     for chunk, run in batches:
         integral[:, :, chunk] = run.integral.reshape(V, F, -1, N)
         ends[:, :, chunk] = run.X.reshape(V, F, -1, N, m)
@@ -271,19 +265,19 @@ def _mean_costs(prob, integral, ends):
     return (integral + terminal.reshape(integral.shape)).mean(axis=-1)
 
 
-def _value_costs(prob, scheme, cfg, noise, family, skip=0, draw_h=None, levels=None):
+def _value_costs(prob, eps, cfg, noise, family, skip=0, draw=None):
     """Per-replication cost tables ``(variants, replications, controls)``.
 
     Runs on the problem's horizon in ``cfg.steps - skip`` steps, driven by
-    the last steps of each replication's ``cfg.steps`` increments (step
-    ``draw_h``, default the run grid's).  Each column is contiguous, so sums
-    over replications add in one order however they were chunked.
+    the last steps of each replication's increments on the ``draw`` grid
+    (default the run grid), with one variant per level of an array ``eps``.
+    Each column is contiguous, so sums over replications add in one order
+    however they were chunked.
     """
     grid = TimeGrid(prob.horizon[0], prob.horizon[1], cfg.steps - skip)
     u_nodes = np.array([c.per_step(grid) for c in family])
     streams = [noise.for_replication(r) for r in range(cfg.replications)]
-    runs = _cost_runs(prob, scheme, grid, cfg.particles, streams, u_nodes, levels=levels,
-                      draw_steps=cfg.steps, draw_h=draw_h)
+    runs = _cost_runs(prob, eps, grid, cfg.particles, streams, u_nodes, draw=draw)
     return _mean_costs(prob, *runs).transpose(0, 2, 1), grid
 
 
@@ -295,13 +289,13 @@ def _best_control(table):
     return means, best, float(_stderr(table[:, best]))
 
 
-def value(prob, scheme, cfg, noise=None, family=None):
-    """Minimum estimated cost over the enumerated control family."""
+def value(prob, cfg, eps=None, noise=None, family=None):
+    """Minimum estimated cost over the enumerated control family, under ``eps``."""
     if noise is None:
         noise = NoiseSource(cfg.seed).child(1)
     if family is None:
         family = control_family(prob, cfg.switches)
-    table = _value_costs(prob, scheme, cfg, noise, family)[0][0]
+    table = _value_costs(prob, eps, cfg, noise, family)[0][0]
     means, best, stderr = _best_control(table)
     return ValueEstimate(
         value=float(means[best]),
@@ -338,7 +332,7 @@ def _kmeans(points, k):
     return centers, labels
 
 
-def _nested_values(prob, scheme, grid, particles, replications, noise, centers):
+def _nested_values(prob, eps, grid, particles, replications, noise, centers):
     """Values on ``grid`` from every center of every first control, as one batch.
 
     ``centers[i]`` holds first control i's cluster centers.  The value from
@@ -357,7 +351,7 @@ def _nested_values(prob, scheme, grid, particles, replications, noise, centers):
     starts = np.array([np.concatenate([c, np.repeat(c[:1], J - len(c), axis=0)])
                        for c in centers])                       # (I, J, m)
     streams = [noise.child(2, j).for_replication(r) for j in range(J) for r in range(R)]
-    runs = _cost_runs(prob, scheme, grid, particles, streams, u_nodes,
+    runs = _cost_runs(prob, eps, grid, particles, streams, u_nodes,
                       x0=np.repeat(starts, R, axis=1))
     costs = _mean_costs(prob, *runs).reshape(I, U, J, R)
     out = []
@@ -368,7 +362,7 @@ def _nested_values(prob, scheme, grid, particles, replications, noise, centers):
     return out
 
 
-def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
+def dpp_residual(prob, tau, cfg, eps=None, noise=None):
     """Gap between the value and its one-step dynamic-programming rewrite.
 
     The left side is the value over controls allowed to switch at ``tau``;
@@ -399,7 +393,7 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
         )
 
     if tau_idx == 0:
-        lhs = value(prob, scheme, cfg, noise=noise.child(1))
+        lhs = value(prob, cfg, eps, noise=noise.child(1))
         return 0.0, lhs.mc_stderr
 
     # left side: allow a switch exactly at tau
@@ -407,18 +401,18 @@ def dpp_residual(prob, tau, cfg, scheme=("projected",), noise=None):
         ControlPath(values=(u1, u2), switch_times=(tau_snap,))
         for u1 in controls for u2 in controls
     ]
-    lhs = value(prob, scheme, cfg, noise=noise.child(1), family=pair_family)
+    lhs = value(prob, cfg, eps, noise=noise.child(1), family=pair_family)
 
     # first leg per initial control, all controls and replications batched
     head_grid = TimeGrid(s, tau_snap, tau_idx)
     u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
     streams = [noise.child(1).for_replication(r) for r in range(cfg.replications)]
-    running_all, ends_all = (a[0] for a in _cost_runs(prob, scheme, head_grid, cfg.particles,
+    running_all, ends_all = (a[0] for a in _cost_runs(prob, eps, head_grid, cfg.particles,
                                                       streams, u_nodes))
     pooled_all = ends_all.reshape(len(controls), -1, prob.system.state_dim)
     centers = [_kmeans(pooled, cfg.clusters)[0] for pooled in pooled_all]
     tail_grid = TimeGrid(tau_snap, t_end, cfg.steps - tau_idx)
-    nested = _nested_values(prob, scheme, tail_grid, cfg.particles,
+    nested = _nested_values(prob, eps, tail_grid, cfg.particles,
                             cfg.inner_replications, noise, centers)
     best_rhs, best_se = np.inf, 0.0
     for running, pooled, cs, (center_vals, center_ses) in zip(running_all, pooled_all,
@@ -487,6 +481,9 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
     ladder = sorted(float(e) for e in eps_ladder)
     if len(ladder) < 3:
         raise ConfigurationError("the penalization ladder needs at least 3 levels")
+    repeats = [a for a, b in zip(ladder, ladder[1:]) if a == b]
+    if repeats:     # a zero gap between equal levels has no logarithm
+        raise ConfigurationError(f"the penalization ladder repeats the level {repeats[0]}")
     if noise is None:
         noise = NoiseSource(cfg.seed).child(3)
     if isinstance(prob, ControlProblem):
@@ -503,9 +500,8 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
     # (replications, len - 1, N), C order as the means below expect
     per_rep, per_rep_sup = np.empty((R, L - 1, N)), np.empty((R, L - 1, N))
     streams = [noise.for_replication(r) for r in range(R)]
-    for chunk, gaps in _stream_batches(system, grid, N, streams, scheme="penalized",
-                                       variants=L, eps=ladder, control=ctrl_steps,
-                                       observer=lambda: _LadderGaps(L)):
+    for chunk, gaps in _stream_batches(system, grid, N, streams, variants=L, eps=ladder,
+                                       control=ctrl_steps, observer=lambda: _LadderGaps(L)):
         per_rep[chunk] = (gaps.sq_sum.reshape(L - 1, -1, N) * grid.h).transpose(1, 0, 2)
         per_rep_sup[chunk] = (gaps.sup.reshape(L - 1, -1, N) ** 2).transpose(1, 0, 2)
     dists = per_rep.mean(axis=(0, 2))
@@ -530,8 +526,8 @@ def value_rate_probe(prob, eps_ladder, cfg, noise=None):
     if noise is None:
         noise = NoiseSource(cfg.seed).child(4)
     family = control_family(prob, cfg.switches)
-    ref_table = _value_costs(prob, ("projected",), cfg, noise, family)[0][0]
-    tables = _value_costs(prob, ("penalized",), cfg, noise, family, levels=ladder)[0]
+    ref_table = _value_costs(prob, None, cfg, noise, family)[0][0]
+    tables = _value_costs(prob, ladder, cfg, noise, family)[0]
     ref_rep = ref_table.min(axis=1)
     v_ref = float(ref_table.mean(axis=0).min())
     dists = [abs(float(table.mean(axis=0).min()) - v_ref) for table in tables]
@@ -545,8 +541,7 @@ def value_rate_probe(prob, eps_ladder, cfg, noise=None):
                       floor_suspected=floor)
 
 
-def value_regularity_probe(prob, perturbations, cfg, scheme=("projected",),
-                           noise=None):
+def value_regularity_probe(prob, perturbations, cfg, eps=None, noise=None):
     """Ratios |dV| / (|dx| + sqrt(ds)) for start-point perturbations.
 
     Start-time shifts are snapped to the base step lattice and the shifted
@@ -557,18 +552,15 @@ def value_regularity_probe(prob, perturbations, cfg, scheme=("projected",),
         noise = NoiseSource(cfg.seed).child(5)
     s, t_end = prob.horizon
     base_grid = TimeGrid(s, t_end, cfg.steps)
-    family = control_family(prob, cfg.switches)
     h = base_grid.h
 
     def costs_from(start_idx, x0):
         start = base_grid.times[start_idx]
         sub = prob.restarted(start, x0) if start_idx or not np.allclose(
             x0, prob.system.x0) else prob
-        sub_family = [ControlPath(c.values, ()) for c in family] \
-            if cfg.switches == 0 else control_family(sub, cfg.switches)
         # the shifted run consumes the tail of the base grid's increments
-        return _value_costs(sub, scheme, cfg, noise, sub_family, skip=start_idx,
-                            draw_h=h)[0][0]
+        return _value_costs(sub, eps, cfg, noise, control_family(sub, cfg.switches),
+                            skip=start_idx, draw=base_grid)[0][0]
 
     base_table = costs_from(0, prob.system.x0)
     v_base = float(base_table.mean(axis=0).min())

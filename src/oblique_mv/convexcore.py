@@ -437,7 +437,7 @@ def project(constraint, x):
 
 
 def _check_eps(eps):
-    if not eps > 0:
+    if not np.all(eps > 0):
         raise ValueError(f"smoothing parameter must be positive, got {eps}")
 
 
@@ -476,18 +476,20 @@ def _smooth_prox(constraint, eps, x):
 
 
 def resolvent(constraint, eps, x):
-    """The proximal point J_eps x = x - eps * yosida_gradient(x)."""
+    """The proximal point J_eps x = x - eps * yosida_gradient(x); for rows
+    ``x``, ``eps`` may be a ``(rows, 1)`` column of one level per row."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
     if constraint.kind == "indicator":
         return project(constraint, x)
     if x.ndim == 1:
         return _smooth_prox(constraint, eps, x)
-    return np.array([_smooth_prox(constraint, eps, p) for p in x])
+    levels = np.broadcast_to(eps, (x.shape[0], 1))[:, 0]
+    return np.array([_smooth_prox(constraint, e, p) for e, p in zip(levels, x)])
 
 
 def yosida_gradient(constraint, eps, x):
-    """Gradient of the Moreau envelope, (x - J_eps x) / eps."""
+    """Gradient of the Moreau envelope, (x - J_eps x) / eps; ``eps`` as in ``resolvent``."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
     return (x - resolvent(constraint, eps, x)) / eps

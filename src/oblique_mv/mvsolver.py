@@ -12,7 +12,8 @@ Two discretizations of the same constrained dynamics are provided:
 ``euler_iteration`` repeats the projected scheme with coefficients frozen at
 the previous iterate's states, sampled on a dyadic lattice.
 
-All of them run through one step loop, ``_simulate``.  It asks an
+All of them run through one step loop, ``_simulate``, whose level ``eps``
+names the scheme (``None``: projected, positive: penalized).  It asks an
 ``inputs(k, X, u)`` callable for each step's coefficients and the set the
 step ends in: by default the coefficients at the current states and the
 fixed constraint, the frozen ones in ``euler_iteration``, and a moving
@@ -278,14 +279,13 @@ def _coefficients(system, X, u, t, groups=1):
     if groups == 1 or not need_mu:
         mu = EmpiricalMeasure(X) if need_mu else None
         u = _per_row(u, X.shape[0] // groups)
-        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
-                oblique(t=t) if oblique.time_dependent else oblique(X, mu))
+        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t), oblique(X, mu, t))
     parts = []
     for g, Xg in enumerate(np.split(X, groups)):
         mu = EmpiricalMeasure(Xg)
         ug = u if np.ndim(u) == 0 else u[g]
         parts.append((coeffs.drift(Xg, mu, ug, t), coeffs.diffusion(Xg, mu, ug, t),
-                      oblique(t=t) if oblique.time_dependent else oblique(Xg, mu)))
+                      oblique(Xg, mu, t)))
     drift, diffusion, matrix = zip(*parts)
     rows = X.shape[0] // groups
     return (np.concatenate([np.broadcast_to(f, (rows, X.shape[1])) for f in drift]),
@@ -327,14 +327,15 @@ class _PathRecorder:
         np.divide(dk_step, self.h, out=self.density[k])
 
 
-def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
+def _simulate(system, grid, particles, noise, *, eps=None, control=None,
               increments=None, groups=1, observer=None, inputs=None, x0=None):
     """One step loop for ``groups`` independent ensembles of ``particles`` each.
 
     The groups advance together as one ``(groups * N, m)`` array, group g
-    in rows ``g N .. (g+1) N``; each has its own ``eps`` (a scalar or one
-    per group), its own control (``None``, a scalar, one value per step, or
-    one row of such values per group) and its own empirical measure.
+    in rows ``g N .. (g+1) N``; each has its own penalization level
+    (``eps``, shared or one per group; ``None`` runs the projected scheme),
+    its own control (``None``, a scalar, one value per step, or one row of
+    such values per group) and its own empirical measure.
     ``increments`` is ``(N, steps, d)``, shared by all groups, or
     ``(R, N, steps, d)`` with group g driven by replication ``g % R``.
     Every group starts at ``system.x0``, or at its own row of a ``(groups,
@@ -355,11 +356,9 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     steps, h = grid.steps, grid.h
     times = grid.times
     N, G = int(particles), int(groups)
-    if scheme not in ("penalized", "projected"):
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if scheme == "penalized" and not np.all(np.asarray(eps) > 0):
+    if eps is not None and not np.all(np.asarray(eps) > 0):
         raise ValueError(f"penalization parameter must be positive, got {eps}")
-    if scheme == "projected" and not system.constraint.has_indicator():
+    if eps is None and not system.constraint.has_indicator():
         raise ConfigurationError("projected scheme requires an indicator constraint")
     if inputs is None:
         def inputs(k, X, u):
@@ -392,14 +391,11 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
     for k in range(steps):
         fk, gk, Hk, constraint = inputs(k, X, _control_value(control, k))
         gdB = _gdb(gk, increment_rows(k))
-        if scheme == "penalized":
+        if eps is not None:
             if constraint.kind == "indicator":
                 U = (X - convexcore.project(constraint, X)) / eps_rows
-            elif np.ndim(eps) == 0:
-                U = convexcore.yosida_gradient(constraint, eps, X)
             else:
-                U = np.concatenate([convexcore.yosida_gradient(constraint, e, Xg)
-                                    for e, Xg in zip(eps, np.split(X, G))])
+                U = convexcore.yosida_gradient(constraint, eps_rows, X)
             X = X + h * (fk - _hu(Hk, U, system.oblique.diagonal)) + gdB
             dk_step = U * h
         else:
@@ -427,38 +423,36 @@ def _simulate(system, grid, particles, noise, *, scheme, eps=None, control=None,
             variation=watch.variation[:, rows].T,
             density=watch.density[:, rows].transpose(1, 0, 2),
             increments=increments if increments.ndim == 3 else increments[g % reps],
-            system=system, scheme=scheme,
+            system=system, scheme="projected" if eps is None else "penalized",
             eps=eps if np.ndim(eps) == 0 else float(eps[g]),
             control=control if control is None or control.ndim < 2 else control[g],
         ))
     return ensembles
 
 
-def _stream_batches(system, grid, particles, streams, *, scheme, observer=None,
-                    variants=1, eps=None, control=None, x0=None, draw_steps=None,
-                    draw_h=None):
+def _stream_batches(system, grid, particles, streams, *, observer=None,
+                    variants=1, eps=None, control=None, x0=None, draw=None):
     """The one runner of independent ensembles: yields ``(chunk, run)`` per batch.
 
-    ``streams`` go in chunks (slices) whose ``draw_steps`` increments of step
-    ``draw_h`` (default: ``grid``'s) fit ``BATCH_NOISE_BYTES``.  Each chunk
-    is drawn once and runs, on the last ``grid.steps`` increments, as one
+    ``streams`` go in chunks (slices) whose increments on the ``draw`` grid
+    (default: ``grid``) fit ``BATCH_NOISE_BYTES``.  Each chunk is drawn once
+    and runs, on the last ``grid.steps`` steps of ``draw``, as one
     ``_simulate`` batch of groups ordered (variant, stream): ``eps`` shared
     or one per variant, ``control`` shared or one row per variant, ``x0``
     ``(variants, streams, m)``, and a fresh ``observer()`` if given.
     """
     S, N, d = len(streams), int(particles), system.noise_dim
-    draw_steps = grid.steps if draw_steps is None else draw_steps
-    per = max(1, BATCH_NOISE_BYTES // (8 * N * draw_steps * d))
+    draw = grid if draw is None else draw
+    per = max(1, BATCH_NOISE_BYTES // (8 * N * draw.steps * d))
     for start in range(0, S, per):
         chunk = slice(start, min(start + per, S))
         C = chunk.stop - start
-        inc = _stream_increments(streams[chunk], N, draw_steps, d,
-                                 grid.h if draw_h is None else draw_h)
+        inc = _stream_increments(streams[chunk], N, draw.steps, d, draw.h)
         yield chunk, _simulate(
-            system, grid, N, None, scheme=scheme,
+            system, grid, N, None,
             eps=eps if np.ndim(eps) == 0 else np.repeat(eps, C),
             control=control if np.ndim(control) < 2 else np.repeat(control, C, axis=0),
-            increments=inc[:, :, draw_steps - grid.steps:], groups=variants * C,
+            increments=inc[:, :, draw.steps - grid.steps:], groups=variants * C,
             x0=None if x0 is None else x0[:, chunk].reshape(-1, system.state_dim),
             observer=None if observer is None else observer(),
         )
@@ -467,15 +461,17 @@ def _stream_batches(system, grid, particles, streams, *, scheme, observer=None,
 def simulate_penalized(system, eps, grid, particles, noise, control=None,
                        increments=None):
     """Explicit Euler on the smoothed equation at penalization level eps."""
-    return _simulate(system, grid, particles, noise, scheme="penalized", eps=eps,
-                     control=control, increments=increments)[0]
+    if eps is None:
+        raise ValueError("penalization parameter must be positive, got None")
+    return _simulate(system, grid, particles, noise, eps=eps, control=control,
+                     increments=increments)[0]
 
 
 def simulate_projected(system, grid, particles, noise, control=None,
                        increments=None):
     """Projected Euler with per-step oblique Skorohod corrections."""
-    return _simulate(system, grid, particles, noise, scheme="projected",
-                     control=control, increments=increments)[0]
+    return _simulate(system, grid, particles, noise, control=control,
+                     increments=increments)[0]
 
 
 def euler_iteration(system, level, iterations, grid, particles, noise,
@@ -517,8 +513,8 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
     distances = []
     for _ in range(iterations):
         cache = (None, None)    # (snap index, step inputs)
-        ens = _simulate(system, grid, N, noise, scheme="projected", control=control,
-                        increments=increments, inputs=frozen)[0]
+        ens = _simulate(system, grid, N, noise, control=control, increments=increments,
+                        inputs=frozen)[0]
         if iterates:
             gap = np.sqrt(np.max(sq_norms(ens.states - iterates[-1].states), axis=1))
             distances.append(float(np.sqrt(np.mean(gap**2))))
@@ -550,10 +546,6 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
     equation residual obtained by re-integrating drift, noise, and oblique
     reflection from the recorded path.
     """
-    if ensemble.scheme not in ("penalized", "projected"):
-        raise ConfigurationError(
-            f"diagnostics expect a penalized or projected ensemble, got {ensemble.scheme!r}"
-        )
     grid = ensemble.grid
     h = grid.h
     times = grid.times

@@ -196,8 +196,8 @@ def _moving_interval_run(prob, grid, particles, noise, increments, observer=None
 
     system = System(coeffs, ObliqueField.identity(1), prob.base_set, prob.x0,
                     label="moving-direct")
-    return _simulate(system, grid, particles, noise, scheme="projected",
-                     increments=increments, inputs=moving, observer=observer)
+    return _simulate(system, grid, particles, noise, increments=increments, inputs=moving,
+                     observer=observer)
 
 
 @dataclass
@@ -224,6 +224,9 @@ def equivalence_check(prob, step_ladder, particles, noise,
     Only the states of each solve are kept.
     """
     steps_list = sorted(int(s) for s in step_ladder)
+    repeats = [a for a, b in zip(steps_list, steps_list[1:]) if a == b]
+    if repeats:
+        raise ConfigurationError(f"the step ladder repeats the level {repeats[0]}")
     t0, t1 = prob.horizon
     finest = steps_list[-1]
     for s in steps_list:
@@ -246,7 +249,7 @@ def equivalence_check(prob, step_ladder, particles, noise,
             direct = _moving_interval_run(prob, grid, N, noise, inc,
                                           _PathRecorder(grid, states_only=True))
         for c in corrections:
-            run = _simulate(reduced[c], grid, N, noise, scheme="projected", increments=inc,
+            run = _simulate(reduced[c], grid, N, noise, increments=inc,
                             observer=_PathRecorder(grid, states_only=True))
             lifted = lift_solution(run.states.transpose(1, 0, 2), prob.hfield, grid.times)
             gaps = [

@@ -303,6 +303,20 @@ class TestExitCodes:
         assert run(cfg, strict=False) == 0
         assert run(cfg, strict=True) == 4
 
+    @pytest.mark.parametrize("extra,level", [
+        ({"mode": "transform-demo", "system": {"name": "moving_interval"},
+          "grid_ladder": [64, 64, 128]}, "64"),
+        ({"mode": "converge", "system": {"name": "ou"},
+          "grid": {"start": 0.0, "end": 1.0, "steps": 256},
+          "epsilon_ladder": [0.125, 0.125, 0.0625, 0.03125], "replications": 2}, "0.125"),
+    ], ids=["grid_ladder", "epsilon_ladder"])
+    def test_repeated_ladder_level_is_config_error(self, tmp_path, capsys, extra, level):
+        out = tmp_path / "out"
+        payload = {"seed": 1, "output_dir": str(out), "particles": 8, **extra}
+        assert run(write_config(tmp_path, payload), strict=True) == 2
+        assert f"repeats the level {level}" in capsys.readouterr().err
+        assert not (out.exists() and any(out.iterdir()))
+
 
 class TestOutputs:
     def test_simulate_outputs_and_manifest(self, tmp_path):

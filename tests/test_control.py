@@ -50,7 +50,7 @@ def ode_cost_oracle(x0, u, theta=0.5, T=1.0, n=200_000):
     return acc + abs(x)
 
 
-def family_runs(prob, scheme, particles, grid, noise, reps, u_nodes):
+def family_runs(prob, eps, particles, grid, noise, reps, u_nodes):
     """One batch: every control of ``u_nodes`` on every replication of ``reps``.
 
     Replication ``r`` draws from ``noise.for_replication(r)``.  Returns the
@@ -60,8 +60,7 @@ def family_runs(prob, scheme, particles, grid, noise, reps, u_nodes):
     inc = mvsolver._stream_increments([noise.for_replication(r) for r in reps], particles,
                                       grid.steps, prob.system.noise_dim, grid.h)
     return mvsolver._simulate(
-        prob.system, grid, particles, None, scheme=scheme[0],
-        eps=scheme[1] if len(scheme) > 1 else None,
+        prob.system, grid, particles, None, eps=eps,
         control=np.repeat(u_nodes, len(reps), axis=0), increments=inc,
         groups=len(u_nodes) * len(reps),
         observer=_CostStream(prob.costs.running, u_nodes, grid.h),
@@ -82,7 +81,7 @@ def recorded_chunks(monkeypatch):
     return sizes
 
 
-def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
+def oracle_dpp_residual(prob, tau, cfg, eps=None):
     """The DPP residual with one ``value`` call per first control and cluster."""
     noise = NoiseSource(cfg.seed)
     s, t_end = prob.horizon
@@ -98,11 +97,11 @@ def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
         ControlPath(values=(u1, u2), switch_times=(tau_snap,))
         for u1 in controls for u2 in controls
     ]
-    lhs = value(prob, scheme, cfg, noise=noise.child(1), family=pair_family)
+    lhs = value(prob, cfg, eps, noise=noise.child(1), family=pair_family)
     head_grid = TimeGrid(s, tau_snap, tau_idx)
     u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
     N, m = cfg.particles, prob.system.state_dim
-    head = family_runs(prob, scheme, N, head_grid, noise.child(1), range(cfg.replications),
+    head = family_runs(prob, eps, N, head_grid, noise.child(1), range(cfg.replications),
                        u_nodes)
     running_all = head.integral.reshape(len(controls), -1, N)
     ends_all = head.X.reshape(len(controls), -1, N, m)
@@ -114,7 +113,7 @@ def oracle_dpp_residual(prob, tau, cfg, scheme=("projected",)):
         center_ses = np.empty(centers.shape[0])
         for j, c in enumerate(centers):
             sub = prob.restarted(tau_snap, c)
-            est = value(sub, scheme, inner_cfg, noise=noise.child(2, j))
+            est = value(sub, inner_cfg, eps, noise=noise.child(2, j))
             center_vals[j] = est.value
             center_ses[j] = est.mc_stderr
         d2 = np.sum((pooled[:, None, :] - centers[None, :, :]) ** 2, axis=2)
@@ -216,14 +215,14 @@ class TestValue:
     def test_singleton_equals_cost(self):
         prob = library.make_control_problem("two_control", controls=(-1.0,))
         cfg = SimConfig(steps=128, particles=32, replications=4, seed=2)
-        est = value(prob, ("projected",), cfg)
+        est = value(prob, cfg)
         assert est.minimizer.values == (-1.0,)
         assert est.value == pytest.approx(est.per_control[(-1.0,)])
 
     def test_deterministic_two_control_oracle(self):
         prob = deterministic_problem()
         cfg = SimConfig(steps=2048, particles=1, replications=1, seed=3)
-        est = value(prob, ("projected",), cfg)
+        est = value(prob, cfg)
         assert est.minimizer.values == (-1.0,)
         oracle = ode_cost_oracle(0.5, -1.0)
         assert est.value == pytest.approx(oracle, abs=5e-3)
@@ -232,8 +231,8 @@ class TestValue:
         base = library.make_control_problem("two_control", controls=(-1.0, 1.0))
         wider = library.make_control_problem("two_control", controls=(-1.0, 0.0, 1.0))
         cfg = SimConfig(steps=256, particles=64, replications=6, seed=4)
-        v_base = value(base, ("projected",), cfg).value
-        v_wide = value(wider, ("projected",), cfg).value
+        v_base = value(base, cfg).value
+        v_wide = value(wider, cfg).value
         assert v_wide <= v_base + 1e-12
 
     def test_argmin_invariant_under_cost_scaling(self):
@@ -244,10 +243,16 @@ class TestValue:
         scaled = ControlProblem(prob.system, scaled_costs, prob.control_set,
                                 prob.horizon)
         cfg = SimConfig(steps=256, particles=64, replications=6, seed=5)
-        a = value(prob, ("projected",), cfg)
-        b = value(scaled, ("projected",), cfg)
+        a = value(prob, cfg)
+        b = value(scaled, cfg)
         assert a.minimizer.values == b.minimizer.values
         assert b.value == pytest.approx(7.0 * a.value, rel=1e-12)
+
+    def test_nonpositive_level_rejected(self):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=8, particles=2, replications=2, seed=2)
+        with pytest.raises(ValueError, match="must be positive"):
+            value(prob, cfg, eps=0.0)
 
     def test_state_dependent_oblique_rejected(self):
         sys_ = library.make_system("ou")
@@ -321,8 +326,7 @@ class TestNestedBatch:
     """The nested values of the DPP residual as one batch, against one
     ``value`` call per first control and cluster, bit for bit."""
 
-    def _assert_matches_oracle(self, monkeypatch, prob, cfg, scheme=("projected",),
-                               counts=None):
+    def _assert_matches_oracle(self, monkeypatch, prob, cfg, eps=None, counts=None):
         calls, found = [], []
         real_value, real_kmeans = control.value, control._kmeans
 
@@ -337,19 +341,19 @@ class TestNestedBatch:
 
         monkeypatch.setattr(control, "value", counted_value)
         monkeypatch.setattr(control, "_kmeans", recorded_kmeans)
-        batched = dpp_residual(prob, 0.5, cfg, scheme=scheme)
+        batched = dpp_residual(prob, 0.5, cfg, eps=eps)
         assert len(calls) == 1                  # the left side only
         if counts is not None:
             assert found == counts
         monkeypatch.undo()
-        assert batched == oracle_dpp_residual(prob, 0.5, cfg, scheme=scheme)
+        assert batched == oracle_dpp_residual(prob, 0.5, cfg, eps=eps)
 
-    @pytest.mark.parametrize("scheme", [("projected",), ("penalized", 0.05)])
+    @pytest.mark.parametrize("scheme", [dict(eps=None), dict(eps=0.05)])
     def test_schemes(self, monkeypatch, scheme):
         prob = library.make_control_problem("two_control")
         cfg = SimConfig(steps=64, particles=8, replications=3, seed=21,
                         clusters=3, inner_replications=2)
-        self._assert_matches_oracle(monkeypatch, prob, cfg, scheme, counts=[3, 3])
+        self._assert_matches_oracle(monkeypatch, prob, cfg, scheme["eps"], counts=[3, 3])
 
     def test_first_controls_with_different_cluster_counts(self, monkeypatch):
         cfg = SimConfig(steps=64, particles=6, replications=2, seed=22,
@@ -396,27 +400,26 @@ class TestCostRuns:
     @pytest.mark.parametrize("variants", ["levels", "starts"])
     def test_groups_match_solo_runs(self, monkeypatch, variants):
         prob = library.make_control_problem("two_control")
-        N, draw_steps, S = 4, 64, 5
-        grid, draw_h = TimeGrid(0.0, 1.0, 48), 1.0 / draw_steps
+        N, S = 4, 5
+        grid, draw = TimeGrid(0.0, 1.0, 48), TimeGrid(0.0, 1.0, 64)
         streams = [NoiseSource(31).child(s % 2, s) for s in range(S)]
         u_nodes = np.array([ControlPath((-1.0, 1.0), (0.5,)).per_step(grid),
                             np.full(grid.steps + 1, 1.0)])
         if variants == "levels":
-            scheme, levels, x0 = ("penalized",), [0.2, 0.05], None
+            eps, x0 = [0.2, 0.05], None
         else:
-            scheme, levels = ("projected",), None
+            eps = None
             x0 = np.random.default_rng(3).uniform(0.0, 1.0, (2, S, 1))
-        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw_steps)
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw.steps)
         chunks = recorded_chunks(monkeypatch)
-        integral, ends = _cost_runs(prob, scheme, grid, N, streams, u_nodes, levels=levels,
-                                    x0=x0, draw_steps=draw_steps, draw_h=draw_h)
+        integral, ends = _cost_runs(prob, eps, grid, N, streams, u_nodes, x0=x0, draw=draw)
         assert chunks == [2, 2, 1]
         assert integral.shape == (2, 2, S, N) and ends.shape == (2, 2, S, N, 1)
         for v, f, s in itertools.product(range(2), range(2), range(S)):
-            inc = streams[s].brownian(N, draw_steps, 1, draw_h)[:, draw_steps - grid.steps:]
+            inc = streams[s].brownian(N, draw.steps, 1, draw.h)[:, draw.steps - grid.steps:]
             solo = mvsolver._simulate(
-                prob.system, grid, N, None, scheme=scheme[0],
-                eps=None if levels is None else levels[v], control=u_nodes[f],
+                prob.system, grid, N, None,
+                eps=None if eps is None else eps[v], control=u_nodes[f],
                 increments=inc, x0=None if x0 is None else x0[v, s][None],
                 observer=_CostStream(prob.costs.running, u_nodes[f][None], grid.h),
             )
@@ -479,13 +482,13 @@ class TestProbes:
 class TestStreamingObservers:
     """Streamed reductions of the batched loop against recorded paths."""
 
-    @pytest.mark.parametrize("scheme", [("projected",), ("penalized", 0.05)])
+    @pytest.mark.parametrize("scheme", [dict(eps=None), dict(eps=0.05)])
     def test_value_costs_match_recorded_paths(self, scheme):
         prob = library.make_control_problem("two_control")
         cfg = SimConfig(steps=128, particles=16, replications=3, seed=5)
         family = control_family(prob, 1)
         noise = NoiseSource(5).child(1)
-        tables, grid = _value_costs(prob, scheme, cfg, noise, family)
+        tables, grid = _value_costs(prob, scheme["eps"], cfg, noise, family)
         table = tables[0]
         assert table.shape == (3, len(family))
         for r in range(3):
@@ -493,11 +496,11 @@ class TestStreamingObservers:
             inc = rep_noise.brownian(16, 128, 1, grid.h)
             for i, ctrl in enumerate(family):
                 u = ctrl.per_step(grid)
-                if scheme[0] == "projected":
+                if scheme["eps"] is None:
                     ens = simulate_projected(prob.system, grid, 16, rep_noise, control=u,
                                              increments=inc)
                 else:
-                    ens = simulate_penalized(prob.system, scheme[1], grid, 16, rep_noise,
+                    ens = simulate_penalized(prob.system, scheme["eps"], grid, 16, rep_noise,
                                              control=u, increments=inc)
                 assert np.any(ens.variation > 0)
                 assert table[r, i] == pytest.approx(cost(ens, u, prob.costs)[0],
@@ -512,8 +515,7 @@ class TestStreamingObservers:
         sub = prob.restarted(base.times[32], [0.3])
         family = control_family(sub, 0)
         noise = NoiseSource(6).child(5)
-        tables, grid = _value_costs(sub, ("projected",), cfg, noise, family, skip=32,
-                                    draw_h=base.h)
+        tables, grid = _value_costs(sub, None, cfg, noise, family, skip=32, draw=base)
         table = tables[0]
         assert grid.steps == 96
         for r in range(2):
@@ -532,7 +534,7 @@ class TestStreamingObservers:
         controls = prob.control_set
         u_nodes = np.repeat(np.asarray(controls)[:, None], 65, axis=1)
         noise = NoiseSource(9).child(1)
-        integral, end_states = _cost_runs(prob, ("projected",), grid, 16,
+        integral, end_states = _cost_runs(prob, None, grid, 16,
                                           [noise.for_replication(r) for r in range(3)],
                                           u_nodes)
         running, ends = integral[0], end_states[0]
@@ -558,7 +560,7 @@ class TestStreamingObservers:
         def estimates(cfg):
             rate = penalization_rate_probe(ou, None, [0.1, 0.05, 0.025], cfg,
                                            horizon=(0.0, 1.0))
-            est = value(prob, ("projected",), cfg)
+            est = value(prob, cfg)
             return (est.value, est.mc_stderr, est.rep_costs.tolist(),
                     dpp_residual(prob, 0.5, cfg), rate.ys, rate.extras["sup_distances"],
                     value_rate_probe(prob, [0.2, 0.1, 0.05], cfg).ys)

@@ -662,6 +662,12 @@ class TestSimulators:
             assert np.all(ens.reflection == 0.0)
             assert np.all(ens.variation == 0.0)
 
+    def test_penalized_scheme_needs_a_level(self):
+        # None names the projected scheme in the step loop; here it is an error
+        with pytest.raises(ValueError, match="must be positive, got None"):
+            simulate_penalized(free_system([0.5]), None, TimeGrid(0.0, 1.0, 8), 2,
+                               NoiseSource(0))
+
     def test_penalized_relaxation_matches_exact_ode(self):
         # with no noise and an infeasible start the smoothed flow solves
         # x' = -x/eps, so x(t) = -exp(-t/eps)
@@ -856,9 +862,8 @@ class TestDiagnostics:
         assert abs(vals[1] - vals[0]) <= 0.1 * max(vals)
 
 
-def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None,
-                             control=None, increments=None, frozen_from=None,
-                             frozen_level=None):
+def _particle_major_simulate(system, grid, particles, noise, *, eps=None, control=None,
+                             increments=None, frozen_from=None, frozen_level=None):
     """Reference step loop: the engine's arithmetic with particle-major storage.
 
     Every array is allocated ``(N, steps+1, ...)`` and written one strided
@@ -904,7 +909,7 @@ def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None
             gk = coeffs.diffusion(X, mu, uk, tk)
             Hk = oblique(t=tk) if oblique.time_dependent else oblique(X, mu)
         gdB = mvsolver._gdb(gk, increments[:, k, :])
-        if scheme == "penalized":
+        if eps is not None:
             U = (X - convexcore.project(system.constraint, X)) / eps \
                 if system.constraint.kind == "indicator" \
                 else convexcore.yosida_gradient(system.constraint, eps, X)
@@ -921,8 +926,9 @@ def _particle_major_simulate(system, grid, particles, noise, *, scheme, eps=None
         density[:, k] = dk_step / h
     return mvsolver.PathEnsemble(
         grid=grid, states=states, reflection=reflection, variation=variation,
-        density=density, increments=increments, system=system, scheme=scheme,
-        eps=eps, control=None if control is None else np.asarray(control),
+        density=density, increments=increments, system=system,
+        scheme="projected" if eps is None else "penalized", eps=eps,
+        control=None if control is None else np.asarray(control),
     )
 
 
@@ -933,9 +939,8 @@ def _particle_major_iteration(system, level, iterations, grid, particles, noise)
     prev = SimpleNamespace(states=np.tile(system.x0, (N, grid.steps + 1, 1)))
     iterates = []
     for _ in range(iterations):
-        prev = _particle_major_simulate(system, grid, N, noise, scheme="projected",
-                                        increments=increments, frozen_from=prev,
-                                        frozen_level=level)
+        prev = _particle_major_simulate(system, grid, N, noise, increments=increments,
+                                        frozen_from=prev, frozen_level=level)
         iterates.append(prev)
     return iterates
 
@@ -1053,8 +1058,8 @@ class TestTimeMajorStorage:
         for r in range(cfg.replications):
             noise = NoiseSource(cfg.seed).child(3).for_replication(r)
             inc = noise.brownian(cfg.particles, cfg.steps, 1, grid.h)
-            paths = [_particle_major_simulate(ou, grid, cfg.particles, noise, scheme="penalized",
-                                              eps=e, increments=inc).states for e in ladder]
+            paths = [_particle_major_simulate(ou, grid, cfg.particles, noise, eps=e,
+                                              increments=inc).states for e in ladder]
             gaps = [np.linalg.norm(b - a, axis=2) for a, b in zip(paths, paths[1:])]
             l2s.append([np.sum(g**2, axis=1) * grid.h for g in gaps])
             sups.append([np.max(g, axis=1) ** 2 for g in gaps])
@@ -1101,19 +1106,15 @@ def _batch_cases():
     per_control = np.repeat(switch, reps, axis=0)
     return grid, reps, {
         "ou-penalized-per-group-eps": (
-            ou, dict(scheme="penalized", eps=np.repeat(eps, reps)),
-            [dict(scheme="penalized", eps=e) for e in eps]),
+            ou, dict(eps=np.repeat(eps, reps)), [dict(eps=e) for e in eps]),
         "smooth-penalized-per-group-eps": (
-            smooth, dict(scheme="penalized", eps=np.repeat(eps, reps)),
-            [dict(scheme="penalized", eps=e) for e in eps]),
+            smooth, dict(eps=np.repeat(eps, reps)), [dict(eps=e) for e in eps]),
         "two_control-projected-per-group-control": (
-            two, dict(scheme="projected", control=per_control),
-            [dict(scheme="projected", control=c) for c in switch]),
-        "example31-projected-per-group-measure": (
-            ex, dict(scheme="projected"), [dict(scheme="projected")]),
+            two, dict(control=per_control), [dict(control=c) for c in switch]),
+        "example31-projected-per-group-measure": (ex, dict(), [dict()]),
         "planar-penalized-per-group-measure-and-control": (
-            planar, dict(scheme="penalized", eps=0.1, control=per_control),
-            [dict(scheme="penalized", eps=0.1, control=c) for c in switch]),
+            planar, dict(eps=0.1, control=per_control),
+            [dict(eps=0.1, control=c) for c in switch]),
     }
 
 
@@ -1196,13 +1197,12 @@ class TestBatchedEngine:
         ou = library.make_system("ou")
         grid = TimeGrid(0.0, 1.0, 8)
         with pytest.raises(ConfigurationError, match="start points"):
-            mvsolver._simulate(ou, grid, 4, NoiseSource(0), scheme="projected", groups=2,
-                               x0=np.full(shape, 0.5))
+            mvsolver._simulate(ou, grid, 4, NoiseSource(0), groups=2, x0=np.full(shape, 0.5))
 
     def test_single_group_is_the_public_entry(self):
         ex = library.make_system("example31")
         grid = TimeGrid(0.0, 1.0, 64)
-        ens, = mvsolver._simulate(ex, grid, 9, NoiseSource(4), scheme="projected")
+        ens, = mvsolver._simulate(ex, grid, 9, NoiseSource(4))
         ref = simulate_projected(ex, grid, 9, NoiseSource(4))
         for name in PATH_FIELDS:
             np.testing.assert_array_equal(getattr(ens, name), getattr(ref, name))
@@ -1213,14 +1213,11 @@ class TestBatchedEngine:
         inc = mvsolver._stream_increments([NoiseSource(0).for_replication(r) for r in range(2)],
                                           4, 8, 1, grid.h)
         with pytest.raises(ConfigurationError):        # 3 groups over 2 replications
-            mvsolver._simulate(ou, grid, 4, None, scheme="projected", increments=inc,
-                               groups=3)
+            mvsolver._simulate(ou, grid, 4, None, increments=inc, groups=3)
         with pytest.raises(ConfigurationError):
-            mvsolver._simulate(ou, grid, 5, None, scheme="projected", increments=inc,
-                               groups=2)
+            mvsolver._simulate(ou, grid, 5, None, increments=inc, groups=2)
         with pytest.raises(ValueError):
-            mvsolver._simulate(ou, grid, 4, None, scheme="penalized", eps=[0.1, 0.0],
-                               increments=inc, groups=2)
+            mvsolver._simulate(ou, grid, 4, None, eps=[0.1, 0.0], increments=inc, groups=2)
 
 
 @st.composite
@@ -1276,11 +1273,11 @@ class TestEngineProperties:
         noise = NoiseSource(5)
         inc = mvsolver._stream_increments([noise.for_replication(r) for r in range(reps)],
                                           N, grid.steps, 1, grid.h)
-        batch = mvsolver._simulate(system, grid, N, None, scheme=scheme, eps=eps,
-                                   control=control, increments=inc, groups=len(x0), x0=x0)
+        batch = mvsolver._simulate(system, grid, N, None, eps=eps, control=control,
+                                   increments=inc, groups=len(x0), x0=x0)
         for g, ens in enumerate(batch):
             moved = System(system.coeffs, system.oblique, system.constraint, x0[g])
-            alone, = mvsolver._simulate(moved, grid, N, None, scheme=scheme,
+            alone, = mvsolver._simulate(moved, grid, N, None,
                                         eps=None if eps is None else eps[g],
                                         control=control[g], increments=inc[g % reps])
             for name in PATH_FIELDS:
@@ -1298,17 +1295,16 @@ class TestStreamBatches:
     def test_groups_match_solo_runs(self, monkeypatch, scheme):
         system = controlled_planar_system()
         N, S, V, d = 5, 5, 3, system.noise_dim
-        grid, draw_steps, draw_h = TimeGrid(0.0, 0.75, 24), 32, 1.0 / 32
+        grid, draw = TimeGrid(0.0, 0.75, 24), TimeGrid(0.0, 1.0, 32)
         streams = [NoiseSource(41).child(s % 2, s) for s in range(S)]
         eps = [0.2, 0.1, 0.05] if scheme == "penalized" else None
         control = np.array([np.where(np.arange(grid.steps) < 8 * (v + 1), -1.0, 1.0)
                             for v in range(V)])
         rng = np.random.default_rng(4)
         x0 = 0.5 * rng.uniform(-1.0, 1.0, (V, S, 2))
-        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw_steps * d)
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 2 * 8 * N * draw.steps * d)
         batches = list(mvsolver._stream_batches(
-            system, grid, N, streams, scheme=scheme, variants=V, eps=eps, control=control,
-            x0=x0, draw_steps=draw_steps, draw_h=draw_h))
+            system, grid, N, streams, variants=V, eps=eps, control=control, x0=x0, draw=draw))
         assert [c for c, _ in batches] == [slice(0, 2), slice(2, 4), slice(4, 5)]
         for chunk, run in batches:
             C = chunk.stop - chunk.start
@@ -1317,9 +1313,9 @@ class TestStreamBatches:
                 v, s = divmod(g, C)
                 s += chunk.start
                 moved = System(system.coeffs, system.oblique, system.constraint, x0[v, s])
-                inc = streams[s].brownian(N, draw_steps, d, draw_h)[:, draw_steps - grid.steps:]
+                inc = streams[s].brownian(N, draw.steps, d, draw.h)[:, draw.steps - grid.steps:]
                 alone, = mvsolver._simulate(
-                    moved, grid, N, None, scheme=scheme,
+                    moved, grid, N, None,
                     eps=None if eps is None else eps[v], control=control[v], increments=inc)
                 assert np.any(alone.variation > 0)
                 for field_name in PATH_FIELDS + ("increments",):
@@ -1340,7 +1336,7 @@ class TestStreamBatches:
 
         runs = [run for _, run in mvsolver._stream_batches(
             ou, grid, 4, [NoiseSource(2).for_replication(r) for r in range(3)],
-            scheme="projected", variants=2, observer=observer)]
+            variants=2, observer=observer)]
         assert runs == built and len({id(r) for r in runs}) == 3
         assert all(r.states.shape == (17, 8, 1) for r in runs)
 
@@ -1427,7 +1423,7 @@ class TestDeclaredDiagonal:
         lambda s: simulate_projected(s, TimeGrid(0.0, 1.0, 96), 40, NoiseSource(31)),
         lambda s: simulate_penalized(s, 0.05, TimeGrid(0.0, 0.25, 96), 40, NoiseSource(32)),
         lambda s: mvsolver._simulate(
-            s, TimeGrid(0.0, 1.0, 64), 12, NoiseSource(33), scheme="projected", groups=3,
+            s, TimeGrid(0.0, 1.0, 64), 12, NoiseSource(33), groups=3,
             increments=mvsolver._stream_increments(
                 [NoiseSource(33).for_replication(r) for r in range(3)], 12, 64, 1, 1 / 64)),
         lambda s: euler_iteration(s, 3, 2, TimeGrid(0.0, 1.0, 64), 16, NoiseSource(34))[0],

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__, library
-from .control import SimConfig, dpp_residual, penalization_rate_probe, value
+from .control import SimConfig, dpp_residual, penalization_ladder, penalization_rate_probe, value
 from .convexcore import check_yosida_properties
 from .dynamics import validate_lipschitz, validate_oblique
 from .errors import ConfigurationError, DivergenceError, ObliqueMVError
@@ -248,11 +248,7 @@ def _run_simulate(cfg, seed, out):
 
 def _run_converge(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
-    ladder = cfg.get("epsilon_ladder", [])
-    if len(ladder) < 3:
-        raise ConfigurationError(
-            f"epsilon_ladder: needs at least 3 levels, got {len(ladder)}"
-        )
+    ladder = penalization_ladder(cfg["epsilon_ladder"])
     _stability_check(cfg, ladder, system)
     g = cfg["grid"]
     sim = SimConfig(

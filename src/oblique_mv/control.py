@@ -444,6 +444,18 @@ def _fit_loglog(xs, ys):
     return float(slope), float(r2)
 
 
+def penalization_ladder(eps_ladder):
+    """The levels of a rate fit, sorted: at least 3, none repeated."""
+    ladder = sorted(float(e) for e in eps_ladder)
+    if len(ladder) < 3:
+        raise ConfigurationError(
+            f"the penalization ladder needs at least 3 levels, got {len(ladder)}")
+    repeats = [a for a, b in zip(ladder, ladder[1:]) if a == b]
+    if repeats:     # a zero gap between equal levels has no logarithm
+        raise ConfigurationError(f"the penalization ladder repeats the level {repeats[0]}")
+    return ladder
+
+
 class _LadderGaps:
     """Streams the distance between consecutive smoothing levels.
 
@@ -478,12 +490,7 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
     reported in ``extras``.  ``prob`` may be a control problem (with
     ``control`` fixed) or a bare system plus an explicit horizon.
     """
-    ladder = sorted(float(e) for e in eps_ladder)
-    if len(ladder) < 3:
-        raise ConfigurationError("the penalization ladder needs at least 3 levels")
-    repeats = [a for a, b in zip(ladder, ladder[1:]) if a == b]
-    if repeats:     # a zero gap between equal levels has no logarithm
-        raise ConfigurationError(f"the penalization ladder repeats the level {repeats[0]}")
+    ladder = penalization_ladder(eps_ladder)
     if noise is None:
         noise = NoiseSource(cfg.seed).child(3)
     if isinstance(prob, ControlProblem):
@@ -520,9 +527,7 @@ def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
 
 def value_rate_probe(prob, eps_ladder, cfg, noise=None):
     """Fit |V_eps - V_projected| against eps over the penalization ladder."""
-    ladder = sorted(float(e) for e in eps_ladder)
-    if len(ladder) < 3:
-        raise ConfigurationError("the penalization ladder needs at least 3 levels")
+    ladder = penalization_ladder(eps_ladder)
     if noise is None:
         noise = NoiseSource(cfg.seed).child(4)
     family = control_family(prob, cfg.switches)

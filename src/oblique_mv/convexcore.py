@@ -437,7 +437,7 @@ def project(constraint, x):
 
 
 def _check_eps(eps):
-    if not np.all(eps > 0):
+    if eps is None or not np.all(eps > 0):
         raise ValueError(f"smoothing parameter must be positive, got {eps}")
 
 

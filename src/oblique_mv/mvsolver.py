@@ -19,7 +19,8 @@ step ends in: by default the coefficients at the current states and the
 fixed constraint, the frozen ones in ``euler_iteration``, and a moving
 interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  The
 one-step Skorohod correction is the ``oblique_step`` of the set's geometry
-(:mod:`oblique_mv.convexcore`).
+(:mod:`oblique_mv.convexcore`).  The loop records the states and each
+step's reflection increment ``dk``; ``PathEnsemble`` derives the rest.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ NOISE_BLOCK = 64                    # streams drawn particle-major before one tr
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [start, end] with an optional dyadic snap level."""
+    """Uniform grid on [start, end]."""
 
     start: float
     end: float
     steps: int
-    dyadic_level: int | None = None
 
     def __post_init__(self):
         if not self.end > self.start:
@@ -67,15 +67,12 @@ class TimeGrid:
     def times(self):
         return self.start + self.h * np.arange(self.steps + 1)
 
-    def dyadic_snap(self, t, level=None):
-        """Largest lattice point 2^-n * k not exceeding t."""
-        n = self.dyadic_level if level is None else level
-        if n is None:
-            raise ConfigurationError("no dyadic level configured")
-        scale = 2.0**n
+    def dyadic_snap(self, t, level):
+        """Largest lattice point 2^-level * k not exceeding t."""
+        scale = 2.0**level
         return math.floor(t * scale + 1e-12) / scale
 
-    def snap_index(self, t, level=None):
+    def snap_index(self, t, level):
         """Index of the last grid node at or before the dyadic snap of t."""
         s = self.dyadic_snap(t, level)
         idx = int(math.floor((s - self.start) / self.h + 1e-9))
@@ -143,29 +140,51 @@ def _stream_increments(sources, particles, steps, dim, h):
 # Paths and systems
 
 
+def _running_sum(rows):
+    """Sums of ``rows`` in step order from a zero row, so ``0.0 + -0.0`` is ``+0.0``."""
+    out = np.zeros((len(rows) + 1,) + rows.shape[1:])
+    for k, row in enumerate(rows):
+        np.add(out[k], row, out=out[k + 1])
+    return out
+
+
 @dataclass
 class PathEnsemble:
     """Ensemble arrays for one replication of the particle system.
 
-    The step loops fill time-major buffers, one contiguous row per step;
-    the path arrays here are particle-major views of them (not
-    C-contiguous, so ``reshape`` copies them).
+    The step loop records the states and each step's reflection increment
+    ``dk`` in time-major buffers, one contiguous row per step; the path
+    arrays here, stored or worked out from ``dk`` on each access, are
+    particle-major views of time-major arrays (so ``reshape`` copies them).
     """
 
     grid: TimeGrid
     states: np.ndarray        # (N, steps+1, m)
-    reflection: np.ndarray    # (N, steps+1, m), cumulative k
-    variation: np.ndarray     # (N, steps+1), cumulative total variation
-    density: np.ndarray       # (N, steps, m), dk = density * h
+    dk: np.ndarray            # (N, steps, m), reflection increment of each step
     increments: np.ndarray    # (N, steps, d)
     system: "System"
-    scheme: str
     eps: float | None = None
     control: np.ndarray | None = None
 
     @property
     def particles(self):
         return self.states.shape[0]
+
+    @property
+    def scheme(self):
+        return "projected" if self.eps is None else "penalized"
+
+    @property
+    def reflection(self):         # (N, steps+1, m), cumulative k
+        return _running_sum(self.dk.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+    @property
+    def variation(self):          # (N, steps+1), cumulative total variation
+        return _running_sum(np.sqrt(sq_norms(self.dk.transpose(1, 0, 2)))).T
+
+    @property
+    def density(self):            # (N, steps, m), dk / h
+        return (self.dk.transpose(1, 0, 2) / self.grid.h).transpose(1, 0, 2)
 
     def feasibility_gap(self):
         """Largest distance of any recorded state to the constraint set."""
@@ -304,27 +323,19 @@ def _increment_rows(increments, groups):
 
 
 class _PathRecorder:
-    """The default step observer: stores every step (``states_only``: the states) time-major."""
+    """The default step observer: stores the states and each step's ``dk`` time-major."""
 
-    def __init__(self, grid, states_only=False):
-        self.steps, self.h, self.states_only = grid.steps, grid.h, states_only
+    def __init__(self, grid):
+        self.steps = grid.steps
 
     def start(self, X):
-        rows, m = X.shape
-        self.states = np.empty((self.steps + 1, rows, m))
+        self.states = np.empty((self.steps + 1,) + X.shape)
         self.states[0] = X
-        if not self.states_only:
-            self.reflection = np.zeros((self.steps + 1, rows, m))
-            self.variation = np.zeros((self.steps + 1, rows))
-            self.density = np.empty((self.steps, rows, m))
+        self.dk = np.empty((self.steps,) + X.shape)
 
     def step(self, k, X, dk_step):
         self.states[k + 1] = X
-        if self.states_only:
-            return
-        np.add(self.reflection[k], dk_step, out=self.reflection[k + 1])
-        np.add(self.variation[k], np.sqrt(sq_norms(dk_step)), out=self.variation[k + 1])
-        np.divide(dk_step, self.h, out=self.density[k])
+        self.dk[k] = dk_step
 
 
 def _simulate(system, grid, particles, noise, *, eps=None, control=None,
@@ -419,12 +430,9 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
         rows = slice(g * N, (g + 1) * N)
         ensembles.append(PathEnsemble(
             grid=grid, states=watch.states[:, rows].transpose(1, 0, 2),
-            reflection=watch.reflection[:, rows].transpose(1, 0, 2),
-            variation=watch.variation[:, rows].T,
-            density=watch.density[:, rows].transpose(1, 0, 2),
+            dk=watch.dk[:, rows].transpose(1, 0, 2),
             increments=increments if increments.ndim == 3 else increments[g % reps],
-            system=system, scheme="projected" if eps is None else "penalized",
-            eps=eps if np.ndim(eps) == 0 else float(eps[g]),
+            system=system, eps=eps if np.ndim(eps) == 0 else float(eps[g]),
             control=control if control is None or control.ndim < 2 else control[g],
         ))
     return ensembles
@@ -549,8 +557,9 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
     grid = ensemble.grid
     h = grid.h
     times = grid.times
-    N, steps = ensemble.density.shape[0], grid.steps
+    N, steps = ensemble.particles, grid.steps
     m = system.state_dim
+    dK = np.multiply(ensemble.density, h, order="C")
 
     feas = ensemble.feasibility_gap()
     band = max(feas * (1 + 1e-9), convexcore.TOL_GEOM) \
@@ -562,8 +571,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         tk = times[k]
         fk, gk, Hk = _coefficients(system, ensemble.states[:, k, :],
                                    _control_value(ensemble.control, k), tk)
-        dk_step = ensemble.density[:, k, :] * h
-        Hdk = _hu(Hk, dk_step, system.oblique.diagonal)
+        Hdk = _hu(Hk, dK[:, k, :], system.oblique.diagonal)
         residual = residual + Hdk - h * np.broadcast_to(np.asarray(fk), (N, m)) \
             - _gdb(gk, ensemble.increments[:, k, :])
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual
@@ -573,7 +581,6 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
     # run on C-ordered (N, steps, ...) arrays, so their summation order, and
     # hence every bit of the result, does not depend on the path layout.
     post = ensemble.states[:, 1:, :]
-    dK = np.multiply(ensemble.density, h, order="C")
     post_tm = ensemble.states.transpose(1, 0, 2)[1:]    # no copy for time-major paths
     pi_x = np.asarray(system.constraint.value(
         post_tm.reshape(-1, m), feasibility_band=band)).reshape(steps, N)

@@ -15,7 +15,8 @@ not consistent with direct simulation of the moving-set dynamics.
 
 The direct reference, ``simulate_moving_interval``, is no loop of its own:
 it hands the step loop of :mod:`oblique_mv.mvsolver` the pulled-back
-measure, identity reflection and the interval at each step's end.
+measure, identity reflection and the interval at each step's end, and
+``equivalence_check`` compares its states with the lifted reduced ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .convexcore import Box, ConvexConstraint
 from .dynamics import CoefficientField, ObliqueField, inverse_spd, validate_oblique
 from .errors import ConfigurationError, ReductionError
 from .measures import EmpiricalMeasure, sq_norms
-from .mvsolver import System, TimeGrid, _PathRecorder, _simulate
+from .mvsolver import System, TimeGrid, _simulate
 
 CORRECTIONS = ("chain-rule", "as-printed")
 
@@ -173,11 +174,6 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     ensemble's system carries the base interval, so measure feasibility
     with ``moving_set_distance``, not ``feasibility_gap()``.
     """
-    return _moving_interval_run(prob, grid, particles, noise, increments)[0]
-
-
-def _moving_interval_run(prob, grid, particles, noise, increments, observer=None):
-    """``simulate_moving_interval``, its steps handed to ``observer`` if given."""
     geom = prob.base_set.geometry
     if prob.coeffs.state_dim != 1 or not isinstance(geom, Box):
         raise ConfigurationError("direct moving-set simulation supports 1-d intervals")
@@ -196,8 +192,7 @@ def _moving_interval_run(prob, grid, particles, noise, increments, observer=None
 
     system = System(coeffs, ObliqueField.identity(1), prob.base_set, prob.x0,
                     label="moving-direct")
-    return _simulate(system, grid, particles, noise, increments=increments, inputs=moving,
-                     observer=observer)
+    return _simulate(system, grid, particles, noise, increments=increments, inputs=moving)[0]
 
 
 @dataclass
@@ -221,7 +216,6 @@ def equivalence_check(prob, step_ladder, particles, noise,
 
     Increments are drawn on the finest grid and block-summed for coarser
     levels, so distances across the ladder reflect discretization alone.
-    Only the states of each solve are kept.
     """
     steps_list = sorted(int(s) for s in step_ladder)
     repeats = [a for a, b in zip(steps_list, steps_list[1:]) if a == b]
@@ -246,12 +240,10 @@ def equivalence_check(prob, step_ladder, particles, noise,
         inc = fine_inc.reshape(N, steps, factor, -1).sum(axis=2)
         hs.append(grid.h)
         if direct_one_d:
-            direct = _moving_interval_run(prob, grid, N, noise, inc,
-                                          _PathRecorder(grid, states_only=True))
+            direct = simulate_moving_interval(prob, grid, N, noise, inc)
         for c in corrections:
-            run = _simulate(reduced[c], grid, N, noise, increments=inc,
-                            observer=_PathRecorder(grid, states_only=True))
-            lifted = lift_solution(run.states.transpose(1, 0, 2), prob.hfield, grid.times)
+            run = _simulate(reduced[c], grid, N, noise, increments=inc)[0]
+            lifted = lift_solution(run.states, prob.hfield, grid.times)
             gaps = [
                 float(np.max(moving_set_distance(
                     lifted[:, j, :], prob.hfield, t, prob.base_set)))
@@ -259,8 +251,7 @@ def equivalence_check(prob, step_ladder, particles, noise,
             ]
             feasibility[c].append(max(gaps))
             if direct_one_d:
-                diff = np.sqrt(np.max(sq_norms(lifted - direct.states.transpose(1, 0, 2)),
-                                      axis=1))
+                diff = np.sqrt(np.max(sq_norms(lifted - direct.states), axis=1))
                 distances[c].append(float(np.mean(diff)))
     return ConvergenceReport(
         step_sizes=hs,

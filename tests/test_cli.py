@@ -70,6 +70,19 @@ class TestExitCodes:
         }
         assert run(write_config(tmp_path, payload)) == 2
 
+    def test_empty_ladder_rejected(self, tmp_path, capsys):
+        payload = {
+            "mode": "converge",
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+            "system": {"name": "ou"},
+            "grid": {"start": 0.0, "end": 1.0, "steps": 256},
+            "epsilon_ladder": [],
+        }
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert "at least 3 levels, got 0" in err and "Traceback" not in err
+
     def test_unknown_key_rejected(self, tmp_path):
         payload = simulate_config(tmp_path / "out")
         payload["wibble"] = 1
@@ -445,7 +458,7 @@ class TestArrayWriter:
         values=st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
                         min_size=1, max_size=40),
     )
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     def test_bytes_match_tuple_oracle(self, tmp_path_factory, m, reps, particles, steps1,
                                       chunk_offset, values):
         rows = reps * particles * steps1
@@ -635,7 +648,7 @@ def fuzz_configs(draw):
 
 class TestFuzz:
     @given(cfg=fuzz_configs())
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     def test_schema_configs_exit_cleanly(self, tmp_path_factory, cfg):
         """Every drawn config ends in a documented exit code, without a traceback."""
         tmp = tmp_path_factory.mktemp("fuzz")

@@ -460,6 +460,12 @@ class TestProbes:
         assert report.slope > 0
         assert len(report.ys) == 3
 
+    def test_value_rate_probe_rejects_a_repeated_level(self):
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=64, particles=4, replications=2, seed=14)
+        with pytest.raises(ConfigurationError, match="repeats the level 0.125"):
+            value_rate_probe(prob, [0.125, 0.0625, 0.125], cfg)
+
     def test_regularity_zero_perturbation(self):
         prob = library.make_control_problem("two_control")
         cfg = SimConfig(steps=128, particles=16, replications=3, seed=15)

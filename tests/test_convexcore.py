@@ -169,6 +169,11 @@ class TestMoreauEnvelope:
         with pytest.raises(ValueError):
             yosida_gradient(HALF_LINE, -0.5, np.array([1.0]))
 
+    @pytest.mark.parametrize("entry", [resolvent, yosida_gradient, yosida_value])
+    def test_missing_eps_rejected(self, entry):
+        with pytest.raises(ValueError, match="must be positive, got None"):
+            entry(HALF_LINE, None, np.array([1.0]))
+
     def test_value_agrees_with_grid_oracle_2d(self):
         # grid resolution error scales with dist/eps, so probe points sit
         # within unit distance of the sets

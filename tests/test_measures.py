@@ -192,7 +192,7 @@ def state_arrays(draw, dims):
 
 
 class TestSqNorms:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(state_arrays(st.integers(1, 7)))
     def test_bit_equal_to_numpy_reductions_up_to_seven_columns(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -201,7 +201,7 @@ class TestSqNorms:
             np.testing.assert_array_equal(np.sqrt(got), np.linalg.norm(x, axis=-1),
                                           strict=True)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(state_arrays(st.integers(8, 20)))
     def test_close_to_pairwise_sum_from_eight_columns(self, x):
         with np.errstate(over="ignore", invalid="ignore"):

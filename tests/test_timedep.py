@@ -250,20 +250,25 @@ class TestEquivalence:
             np.testing.assert_array_equal(direct.reflection[:, k + 1], k_total)
         assert np.any(direct.reflection > 0)
 
-    def test_check_records_states_only(self, monkeypatch):
-        # its solves keep no reflection, variation or density, and its
-        # distances equal those of full-path runs through the public entries
+    def test_check_records_states_and_dk(self, monkeypatch):
+        # each of its solves allocates the states and the dk rows and no
+        # other path buffer, and its distances equal those of runs through
+        # the public entries
         prob = library.make_moving_problem("moving_interval")
         noise = NoiseSource(8)
 
         start = mvsolver._PathRecorder.start
+        buffers = []
 
-        def states_only(self, X):
-            assert self.states_only, "full paths recorded"
+        def recorded(self, X):
             start(self, X)
+            buffers.append({name: arr.shape for name, arr in vars(self).items()
+                            if isinstance(arr, np.ndarray)})
 
-        monkeypatch.setattr(mvsolver._PathRecorder, "start", states_only)
+        monkeypatch.setattr(mvsolver._PathRecorder, "start", recorded)
         rep = equivalence_check(prob, [32, 64], 16, noise)
+        assert buffers == [{"states": (s + 1, 16, 1), "dk": (s, 16, 1)}
+                           for s in (32, 64) for _ in range(3)]
         monkeypatch.undo()
         grid = TimeGrid(0.0, 1.0, 64)
         inc = noise.brownian(16, 64, 1, grid.h)

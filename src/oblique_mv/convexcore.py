@@ -11,7 +11,8 @@ Each geometry carries what depends on its shape: the Euclidean projection
 ``project(x)``, the interior margin ``margin(a)`` and ``oblique_step(H, Y,
 diagonal=False)``, the one-step Skorohod problem ``x + H dk = y`` for each
 row ``y`` of ``Y``, with ``x`` in the set, ``dk`` in the exterior normal
-cone at ``x`` and ``H`` dense or, if ``diagonal``, its diagonal.  It is
+cone at ``x`` and ``H`` dense or, if ``diagonal``, its diagonal: shared,
+one per row, or ``H(rows)``, read on the rows the step corrects.  It is
 solved exactly as the metric projection of ``y`` onto the set in the norm
 induced by ``H^{-1}``: its variational inequality is precisely feasibility,
 the linear relation, and the normal-cone inclusion of ``dk = H^{-1}(y - x)``.
@@ -67,13 +68,13 @@ class HalfSpace:
         n, c = self.normal, self.offset
         gap = c - Y @ n
         mask = gap > 0
-        X = Y.copy()
-        dK = np.zeros_like(Y)
+        X, dK = Y.copy(), np.zeros_like(Y)
         if not np.any(mask):
             return X, dK
-        Hm = H if H.ndim == (1 if diagonal else 2) else H[mask]   # shared, or rows outside
+        Hm = _rows_of(H, mask, diagonal)                # shared, or rows outside
         Hn = Hm * n + 0.0 if diagonal else Hm @ n     # + 0.0: a zero is +0.0, as from H @ n
-        t = gap[mask] / (Hn @ n)
+        lone = Hn.ndim == 2 and len(Hn) == 1     # numpy's dot: rounds unlike gemv on more rows
+        t = gap[mask] / ((np.repeat(Hn, 2, axis=0) @ n)[:1] if lone else Hn @ n)
         X[mask] = Y[mask] + t[:, None] * Hn
         dK[mask] = -t[:, None] * n
         return X, dK
@@ -94,6 +95,7 @@ class Box:
 
     def oblique_step(self, H, Y, diagonal=False):
         X = np.clip(Y, self.lower, self.upper)
+        H = _rows_of(H, slice(None), diagonal)
         if diagonal or _is_diagonal(H):
             dK = (Y - X) / (H if diagonal else np.einsum("...ii->...i", H))
             dK += 0.0       # unclipped rows get +0.0, also where -0.0 met a bound at 0.0
@@ -124,15 +126,13 @@ class Ball:
     def oblique_step(self, H, Y, diagonal=False):
         c, r = self.center, self.radius
         rel = Y - c
-        dist = np.sqrt(sq_norms(rel))
-        X = Y.copy()
-        dK = np.zeros_like(Y)
-        mask = dist > r
-        if not np.any(mask):
+        X, dK = Y.copy(), np.zeros_like(Y)
+        idx = np.flatnonzero(np.sqrt(sq_norms(rel)) > r)
+        if not idx.size:
             return X, dK
-        idx = np.flatnonzero(mask)
         relsub = rel[idx]
-        Hsub = np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:])[idx]
+        Hsub = _rows_of(H, idx, diagonal)
+        Hsub = np.broadcast_to(Hsub, idx.shape + Hsub.shape[-1 if diagonal else -2:])
         if not diagonal and _is_diagonal(Hsub):
             Hsub, diagonal = np.einsum("kii->ki", Hsub), True
         if diagonal:
@@ -140,7 +140,7 @@ class Ball:
         else:
             d, back = np.linalg.eigh(Hsub)
             w = np.einsum("kji,kj->ki", back, relsub)
-        lam, scaled = _ball_multiplier(np.ascontiguousarray(w.T), np.ascontiguousarray(d.T), r)
+        lam, scaled = _ball_multiplier(np.ascontiguousarray(w.T), np.ascontiguousarray(d.T), r, idx)
         relsol = scaled.T if back is None else np.einsum("kij,kj->ki", back, scaled.T)
         X[idx] = c + relsol
         dK[idx] = lam[:, None] * relsol
@@ -164,14 +164,14 @@ class HalfSpaceIntersection:
     def oblique_step(self, H, Y, diagonal=False):
         """``polyhedral_step`` on each row of ``Y`` outside the polytope; rows
         inside get ``dk = 0``."""
-        if diagonal:
-            H = H[..., None] * np.eye(Y.shape[1])
-        X = Y.copy()
-        dK = np.zeros_like(Y)
-        outside = np.min(Y @ self.normals.T - self.offsets, axis=1) < 0
-        for i in np.flatnonzero(outside):
+        X, dK = Y.copy(), np.zeros_like(Y)
+        outside = np.flatnonzero(np.min(Y @ self.normals.T - self.offsets, axis=1) < 0)
+        if outside.size:
+            H = _rows_of(H, outside, diagonal)
+            H = H[..., None] * np.eye(Y.shape[1]) if diagonal else H
+        for j, i in enumerate(outside):
             X[i], dK[i] = polyhedral_step(self.normals, self.offsets,
-                                          H if H.ndim == 2 else H[i], Y[i])
+                                          H if H.ndim == 2 else H[j], Y[i], int(i))
         return X, dK
 
 
@@ -350,13 +350,20 @@ class InteriorCertificate:
 # Projections
 
 
+def _rows_of(H, rows, diagonal=False):
+    """``H`` on ``rows`` of the step (index array, mask or slice): shared or one per row."""
+    if callable(H):
+        return H(rows)
+    return H if H.ndim == (1 if diagonal else 2) else H[rows]
+
+
 def _is_diagonal(H):
     if H.shape[-1] == 1:        # no off-diagonal; a non-finite H is still not diagonal
         return bool(np.isfinite(H).all())
     return float(np.max(np.abs(H * (1 - np.eye(H.shape[-1]))))) <= 1e-14
 
 
-def _ball_multiplier(w, d, r):
+def _ball_multiplier(w, d, r, rows=None):
     """Root ``lam > 0`` of the secular equation ``|w / (1 + lam d)| = r``.
 
     Columns of the ``(m, k)`` array ``w`` are points outside the ball in
@@ -367,8 +374,9 @@ def _ball_multiplier(w, d, r):
     increasing and Newton's iterates from ``lam = 0`` rise monotonically to
     the root (Moré & Sorensen 1983).  The loop stops on the residual
     ``| |s| - r |``, whose rounding floor grows with the dimension;
-    ``StepError`` reports the worst residual if it is not met within
-    ``BALL_NEWTON_MAX_ITER`` steps.  Returns ``lam`` and ``s``.
+    ``StepError`` reports the worst residual and its column (its entry of
+    ``rows``, if given) if it is not met within ``BALL_NEWTON_MAX_ITER``
+    steps.  Returns ``lam`` and ``s``.
     """
     tol = 4 * (d.shape[0] + 1) * np.finfo(float).eps * r
     lam = np.zeros(w.shape[1])
@@ -381,16 +389,15 @@ def _ball_multiplier(w, d, r):
         if not open_pts.any():
             return lam, s
         if step == BALL_NEWTON_MAX_ITER:
-            raise StepError(
-                "ball Newton solve did not converge in %d iterations"
-                % BALL_NEWTON_MAX_ITER,
-                residual=float(np.max(np.abs(gap))),
-            )
+            worst = int(np.argmax(np.abs(gap)))
+            raise StepError("ball Newton solve did not converge in %d iterations"
+                            % BALL_NEWTON_MAX_ITER, residual=float(abs(gap[worst])),
+                            row=worst if rows is None else int(rows[worst]))
         slope = np.add.reduce(d * s * (s / q), axis=0)     # np.sum costs more per call
         lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
 
 
-def polyhedral_step(normals, offsets, H, y):
+def polyhedral_step(normals, offsets, H, y, row=None):
     """Projection of ``y`` onto ``{x : normals x >= offsets}`` in the ``H^{-1}`` norm.
 
     Returns ``(x, dk)`` with ``x + H dk = y`` and ``dk = -normals' lam``,
@@ -401,7 +408,7 @@ def polyhedral_step(normals, offsets, H, y):
     1974, ch. 23); ``gap`` is divided by its largest entry so the NNLS
     residual is of order one.  ``StepError`` is raised when NNLS hits its
     iteration cap or its answer misses feasibility by more than
-    ``TOL_GEOM (1 + |y|)``.
+    ``TOL_GEOM (1 + |y|)``; it names ``row``, the row ``y`` came from.
     """
     from scipy.optimize import nnls         # deferred: scipy.optimize is slow to import
     gap = offsets - normals @ y
@@ -414,13 +421,13 @@ def polyhedral_step(normals, offsets, H, y):
     try:
         u, _ = nnls(E, f)
     except RuntimeError as err:
-        raise StepError(f"polyhedral step: NNLS failed ({err})") from err
+        raise StepError(f"polyhedral step: NNLS failed ({err})", row=row) from err
     lam = u * (top / (1.0 - E[-1] @ u))
     x = y + H @ (normals.T @ lam)
     miss = float(np.max(offsets - normals @ x))
     if not miss <= TOL_GEOM * (1.0 + np.linalg.norm(y)):
         raise StepError(
-            "polyhedral step missed feasibility by %.3e" % miss, residual=miss
+            "polyhedral step missed feasibility by %.3e" % miss, residual=miss, row=row
         )
     return x, -(normals.T @ lam)
 

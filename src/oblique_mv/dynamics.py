@@ -113,6 +113,8 @@ class ObliqueField:
     raise), in its calls and in the simulation engine's step inputs alike.
     A state-dependent one is called once at construction on ``m + 1`` rows
     at the origin, so a dense ``(m, m)`` return cannot pass for ``m`` rows.
+    A projected step calls it only on the rows it corrects, with the whole
+    ensemble's measure: a row's matrix may depend only on that row and the measure.
     """
 
     def __init__(self, matrix, a_h, b_h, dim, time_dependent=False,

@@ -22,19 +22,19 @@ class SpectralError(ObliqueMVError):
 
 
 class StepError(ObliqueMVError):
-    """A single constrained step failed to converge."""
+    """A single constrained step failed to converge, worst at ``row``."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, row=None):
         super().__init__(message)
-        self.residual = residual
+        self.residual, self.row = residual, row
 
 
 class DivergenceError(ObliqueMVError):
-    """A simulated state exceeded the blow-up guard."""
+    """A simulated state exceeded the blow-up guard, first in ``particle`` of ``group``."""
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, group=None, particle=None):
         super().__init__(message)
-        self.step = step
+        self.step, self.group, self.particle = step, group, particle
 
 
 class BudgetError(ConfigurationError):

@@ -297,6 +297,7 @@ def _gdb(gk, dB):
 
 
 def _hu(Hk, U, diagonal=False):
+    Hk = Hk(slice(None)) if callable(Hk) else Hk      # a function of rows: all of them
     if diagonal:
         return U * Hk + 0.0   # + 0.0: a zero is +0.0, as from the dense product
     if Hk.ndim == 2:
@@ -311,11 +312,12 @@ def _per_row(values, rows):
     return np.repeat(values, rows)[:, None]
 
 
-def _stack_groups(parts, rows, core=2):
+def _stack_groups(parts, counts, core=2):
     """Per-group values as one batch array: shared (``core`` axes) if all agree, else per row."""
     if all(p.ndim == core and np.array_equal(p, parts[0]) for p in parts):
         return parts[0]
-    return np.concatenate([np.broadcast_to(p, (rows,) + p.shape[-core:]) for p in parts])
+    return np.concatenate([np.broadcast_to(p, (n,) + p.shape[-core:])
+                           for p, n in zip(parts, counts)])
 
 
 def _coefficients(system, X, u, t, groups=1):
@@ -326,25 +328,29 @@ def _coefficients(system, X, u, t, groups=1):
     evaluated once on the whole batch (a per-group control reaches them as
     a ``(rows, 1)`` column).  Otherwise every group is evaluated on its own
     rows with its own empirical measure and scalar control, exactly as a
-    run of that group alone.
+    run of that group alone.  A time-only oblique matrix is an array, any
+    other the function ``H(rows)`` of row indices (array, mask or slice):
+    the field on ``X[rows]`` under their group's measure, in row order.
     """
     coeffs, oblique = system.coeffs, system.oblique
     need_mu = coeffs.uses_measure or (not oblique.time_dependent and oblique.uses_measure)
+    N = X.shape[0] // groups
     if groups == 1 or not need_mu:
         mu = EmpiricalMeasure(X) if need_mu else None
-        u = _per_row(u, X.shape[0] // groups)
-        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t), oblique(X, mu, t))
-    parts = []
-    for g, Xg in enumerate(np.split(X, groups)):
-        mu = EmpiricalMeasure(Xg)
-        ug = u if np.ndim(u) == 0 else u[g]
-        parts.append((coeffs.drift(Xg, mu, ug, t), coeffs.diffusion(Xg, mu, ug, t),
-                      oblique(Xg, mu, t)))
-    drift, diffusion, matrix = zip(*parts)
-    rows = X.shape[0] // groups
-    return (np.concatenate([np.broadcast_to(f, (rows, X.shape[1])) for f in drift]),
-            _stack_groups(diffusion, rows),
-            _stack_groups(matrix, rows, 1 if oblique.diagonal else 2))
+        u = _per_row(u, N)
+        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
+                oblique(t=t) if oblique.time_dependent else lambda rows: oblique(X[rows], mu))
+    blocks = [(Xg, EmpiricalMeasure(Xg), u if np.ndim(u) == 0 else u[g], t)
+              for g, Xg in enumerate(np.split(X, groups))]
+
+    def matrix(rows):
+        idx = np.arange(X.shape[0])[rows]
+        parts = [p for p in np.split(idx, np.searchsorted(idx, N * np.arange(1, groups))) if p.size]
+        return _stack_groups([oblique(X[p], blocks[p[0] // N][1]) for p in parts],
+                             [p.size for p in parts], 1 if oblique.diagonal else 2)
+    return (np.concatenate([np.broadcast_to(coeffs.drift(*b), (N, X.shape[1])) for b in blocks]),
+            _stack_groups([coeffs.diffusion(*b) for b in blocks], [N] * groups),
+            oblique(t=t) if oblique.time_dependent else matrix)
 
 
 def _increment_rows(increments, groups):
@@ -389,7 +395,10 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
 
     ``inputs(k, X, u)`` gives step ``k``'s drift, diffusion, oblique matrix
     (in the form ``system.oblique`` declares: dense, or its diagonal) and
-    the constraint the step ends in; the default evaluates
+    the constraint the step ends in.  The matrix is an array or ``H(rows)``,
+    which the Skorohod step calls only on the rows it corrects, with the whole
+    ensemble's measure: a row's matrix may depend only on that row and the
+    measure.  The default evaluates
     ``_coefficients`` on ``X`` and keeps ``system.constraint``.  Frozen
     coefficients (``euler_iteration``) and moving sets
     (``timedep.simulate_moving_interval``) are other ``inputs``.
@@ -399,8 +408,7 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     returned as a list of one ``PathEnsemble`` per group.
     """
     d = system.noise_dim
-    steps, h = grid.steps, grid.h
-    times = grid.times
+    steps, h, times = grid.steps, grid.h, grid.times
     N, G = int(particles), int(groups)
     if eps is not None and not np.all(np.asarray(eps) > 0):
         raise ValueError(f"penalization parameter must be positive, got {eps}")
@@ -449,12 +457,15 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
             try:
                 X, dk_step = constraint.geometry.oblique_step(Hk, Y, system.oblique.diagonal)
             except StepError as err:
-                raise StepError(f"step {k}: {err}", residual=err.residual) from err
+                g, i = divmod(err.row, N)
+                raise StepError(f"step {k}: {type(constraint.geometry).__name__}, group {g}, "
+                                f"particle {i}: {err}", residual=err.residual, row=err.row) from err
 
         if not np.max(np.abs(X)) <= BLOWUP_GUARD:      # also true for NaN
+            g, i = divmod(int(np.argmin(np.all(np.abs(X) <= BLOWUP_GUARD, axis=1))), N)
             raise DivergenceError(
                 f"state magnitude exceeded {BLOWUP_GUARD:g} or is not finite "
-                f"at step {k}", step=k
+                f"at step {k}, group {g}, particle {i}", step=k, group=g, particle=i
             )
         watch.step(k, X, dk_step)
 

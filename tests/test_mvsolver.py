@@ -325,7 +325,10 @@ def head_ball_multiplier(w, d, r):
 def head_ball_oblique_step(geom, H, Y, diagonal=False):
     """The ball step with row norms reduced by numpy and the row-major Newton loop.
 
-    A declared diagonal ``H`` is expanded to the dense matrices the step took before."""
+    A declared diagonal ``H`` is expanded to the dense matrices the step took
+    before, and a function of rows is read on all of them."""
+    if callable(H):
+        H = H(slice(None))
     c, r = geom.center, geom.radius
     rel = Y - c
     dist = np.linalg.norm(rel, axis=1)
@@ -635,7 +638,8 @@ class TestHalfSpaceStep:
                 assert t > 0.0 and abs(n @ x - c) <= 1e-12 * scale
 
     def test_one_form_for_shared_and_per_row_matrices(self):
-        # against the two branches it replaced, bit for bit
+        # against the two branches it replaced, bit for bit, but for the one
+        # change since: a lone row outside takes gemv on two copies of itself
         def two_branches(geom, H, Y):
             n, c = geom.normal, geom.offset
             gap = c - Y @ n
@@ -646,7 +650,7 @@ class TestHalfSpaceStep:
                 t = gap[mask] / float(n @ Hn)
             else:
                 Hn = H[mask] @ n
-                t = gap[mask] / (Hn @ n)
+                t = gap[mask] / (Hn @ n if len(Hn) > 1 else (np.vstack([Hn, Hn]) @ n)[:1])
             X[mask] = Y[mask] + t[:, None] * Hn
             dK[mask] = -t[:, None] * n
             return X, dK
@@ -977,12 +981,28 @@ def controlled_planar_system():
     return System(coeffs, ex.oblique, ex.constraint, ex.x0)
 
 
+def dense_varying_field():
+    """A dense SPD oblique field that depends on the state and the measure
+    (eigenvalues in [0.5, 4.5]): no declared structure, every row its own matrix."""
+    def matrix(x, mu):
+        w = min(measures.w2_to_origin(mu), 1.0)
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 2.0 + np.sin(x[..., 0]) + w
+        out[..., 1, 1] = 3.0 + np.cos(x[..., 1]) * w
+        out[..., 0, 1] = out[..., 1, 0] = 0.5 * np.cos(x[..., 0] - x[..., 1])
+        return out
+
+    return ObliqueField(matrix, a_h=0.5, b_h=4.5, dim=2)
+
+
 def _storage_runs():
     """(label, call, reference) triples; each call runs one engine entry on a small grid.
 
     Without a reference the call itself is rerun with the particle-major
-    oracle as its step loop.  The frozen iterations are compared with
-    ``_particle_major_iteration``, which keeps its own frozen arithmetic.
+    oracle as its step loop, which reads the oblique matrix on every row
+    where the engine reads it on the rows its Skorohod step corrects.  The
+    frozen iterations are compared with ``_particle_major_iteration``,
+    which keeps its own frozen arithmetic.
     ``frozen-m1-mean`` freezes coefficients that call
     ``EmpiricalMeasure.mean`` on a stored time slice, strided in the
     particle-major layout and contiguous in the time-major one; it matches
@@ -993,6 +1013,8 @@ def _storage_runs():
     ctrl = np.where(np.arange(grid.steps) < 40, -1.0, 1.0)
     ex, linear = library.make_system("example31"), library.make_system("linear", b=-2.0)
     planar = controlled_planar_system()
+    dense_ball = System(ex.coeffs, dense_varying_field(), ex.constraint, ex.x0)
+    dense_triangle = System(ex.coeffs, dense_varying_field(), TRIANGLE, ex.x0)
     frozen = [("frozen-m1", library.make_system("ou"), 7), ("frozen-m2", ex, 8),
               ("frozen-m1-mean", linear, 9)]
     return [
@@ -1005,6 +1027,10 @@ def _storage_runs():
                                                      control=ctrl), None),
         ("controlled-m2", lambda: simulate_penalized(planar, 0.1, grid, 33, NoiseSource(6),
                                                      control=ctrl), None),
+        ("dense-ball-m2", lambda: simulate_projected(dense_ball, grid, 33, NoiseSource(10)),
+         None),
+        ("dense-triangle-m2",
+         lambda: simulate_projected(dense_triangle, grid, 33, NoiseSource(11)), None),
     ] + [
         (label, lambda s=system, n=seed: euler_iteration(s, 3, 3, grid, 33, NoiseSource(n))[0],
          lambda s=system, n=seed: _particle_major_iteration(s, 3, 3, grid, 33,
@@ -1016,7 +1042,7 @@ def _storage_runs():
 class TestTimeMajorStorage:
     """The time-major engine against the particle-major reference loop."""
 
-    @pytest.mark.parametrize("index", range(9), ids=[r[0] for r in _storage_runs()])
+    @pytest.mark.parametrize("index", range(11), ids=[r[0] for r in _storage_runs()])
     def test_paths_match_particle_major_oracle(self, index, monkeypatch):
         label, run, reference = _storage_runs()[index]
         if reference is None:
@@ -1262,7 +1288,9 @@ def loop_cases(draw):
 
     The drift ``u (x - mean) + v``, with ``|v| = 3``, pushes every group
     out of its set, and each group has its own start point, control row
-    and, for the penalized scheme, ``eps``.  ``H`` is constant: dense and
+    and, for the penalized scheme, ``eps``.  ``H`` is constant, or a
+    constant matrix scaled per row by a function of the state and the
+    group's measure, so a batch reads it group by group; it is dense and
     non-diagonal for the box, so its polytope fallback runs in the loop,
     and dense or declared diagonal for the other sets.  Groups have at
     least two particles: a one-row matrix product takes another BLAS kernel
@@ -1286,9 +1314,16 @@ def loop_cases(draw):
             [[1, 0], [0, 1], [-1, -1]], [-0.5, -0.5, -0.5]),
     }[kind]()
     H = np.array([[2.0, 0.7], [0.7, 1.0]])
-    oblique = ObliqueField(lambda x, mu: H, 0.5, 2.5, 2, uses_measure=False) \
-        if kind == "box" or draw(st.booleans()) else \
-        ObliqueField(lambda x, mu: np.diag(H), 0.5, 2.5, 2, uses_measure=False, diagonal=True)
+    dense = kind == "box" or draw(st.booleans())
+    if draw(st.booleans()):
+        def varying(x, mu):     # H times a factor in [1, 2] for each row
+            scale = 1.5 + 0.5 * np.sin(x[:, :1] - 2.0 * x[:, 1:] + mu.mean()[0])
+            return scale[..., None] * H if dense else scale * np.diag(H)
+
+        oblique = ObliqueField(varying, 0.5, 5.0, 2, diagonal=not dense)
+    else:
+        oblique = ObliqueField(lambda x, mu: H if dense else np.diag(H), 0.5, 2.5, 2,
+                               uses_measure=False, diagonal=not dense)
     coeffs = CoefficientField(lambda x, mu, u: u * (x - mu.mean()) + push,
                               lambda x, mu, u: np.array([[0.5], [0.3]]),
                               3.0, 2, 1, controlled=True, normalized=False)
@@ -1321,6 +1356,96 @@ class TestEngineProperties:
             if scheme == "projected":
                 rep = residual_report(ens, system, probes=[np.zeros(2)])
                 assert rep.equation_residual <= 1e-8 and rep.feasibility_gap <= 1e-10
+
+
+class TestRowsTheStepCorrects:
+    """A state- and measure-dependent ``H`` is read only on the rows the
+    Skorohod step corrects."""
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_example31_matrix_sees_only_reflected_rows(self, groups):
+        ex = library.make_system("example31")
+        field, seen = ex.oblique.matrix, []
+
+        def recording(x, mu):
+            seen.append(len(x))
+            return field(x, mu)
+
+        ex.oblique.matrix = recording
+        grid = TimeGrid(0.0, 1.0, 128)
+        inc = mvsolver._stream_increments([NoiseSource(21).for_replication(r)
+                                           for r in range(groups)], 64, grid.steps, 1, grid.h)
+        runs = mvsolver._simulate(ex, grid, 64, None, increments=inc, groups=groups)
+        reflected = np.concatenate([np.any(e.dk != 0, axis=2) for e in runs])  # (G N, steps)
+        per_step = np.count_nonzero(reflected, axis=0)
+        # one call per reflecting group and step: no call on a step without a reflection
+        calls = sum(np.count_nonzero(np.any(block, axis=0))
+                    for block in np.split(reflected, groups))
+        assert 0 < np.count_nonzero(per_step) < grid.steps
+        assert sum(seen) == reflected.sum() and len(seen) == calls
+
+
+class TestErrorsNameTheParticle:
+    """A failed step and a divergence name the step, group and particle."""
+
+    def test_ball_newton_cap(self, monkeypatch):
+        # group 0 starts at the centre, group 1 near the boundary; identity H,
+        # so at the first reflecting step the worst Newton residual is the
+        # row of Y = x + dk farthest from the centre
+        coeffs = CoefficientField(lambda x, mu: np.zeros_like(x),
+                                  lambda x, mu: 0.3 * np.eye(2), 1.0, 2, 2,
+                                  uses_measure=False, normalized=False)
+        system = System(coeffs, ObliqueField.identity(2),
+                        ConvexConstraint.ball([0.0, 0.0], 1.0), [0.0, 0.0])
+        grid, N = TimeGrid(0.0, 1.0, 32), 16
+        x0 = np.array([[0.0, 0.0], [0.85, 0.0]])
+        inc = mvsolver._stream_increments([NoiseSource(4).for_replication(r) for r in range(2)],
+                                          N, grid.steps, 2, grid.h)
+        runs = mvsolver._simulate(system, grid, N, None, increments=inc, groups=2, x0=x0)
+        dk = np.concatenate([e.dk for e in runs])
+        Y = np.concatenate([e.states for e in runs])[:, 1:] + dk
+        k = int(np.flatnonzero(np.any(dk != 0, axis=(0, 2)))[0])
+        row = int(np.argmax(np.linalg.norm(Y[:, k], axis=1)))
+        group, particle = divmod(row, N)
+        assert group == 1 and particle > 0
+
+        monkeypatch.setattr(convexcore, "BALL_NEWTON_MAX_ITER", 0)
+        with pytest.raises(StepError, match=rf"^step {k}: Ball, group 1, particle "
+                                            rf"{particle}: ball Newton") as err:
+            mvsolver._simulate(system, grid, N, None, increments=inc, groups=2, x0=x0)
+        e = err.value
+        assert e.row == row
+        assert math.isfinite(e.residual) and e.residual > 0
+
+    def test_triangle_step_failure(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "nnls", lambda A, b: (np.zeros(A.shape[1]), 0.0))
+        with pytest.raises(StepError, match=r"^step 0: HalfSpaceIntersection, group 0, "
+                                            r"particle 0: polyhedral step") as err:
+            simulate_projected(triangle_system(), TimeGrid(0.0, 1.0, 8), 4, NoiseSource(0))
+        assert err.value.row == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence(self):
+        # the drift turns NaN above 1.55; group 1 starts at 1.0, group 0 far
+        # below, so the rows that diverge first are those of group 1 above
+        # 1.55, and the error names the first of them
+        coeffs = CoefficientField(lambda x, mu: np.where(x > 1.55, np.nan, 1.0),
+                                  lambda x, mu: np.array([[0.3]]), 1.0, 1, 1,
+                                  uses_measure=False, normalized=False)
+        system = System(coeffs, ObliqueField.identity(1), ConvexConstraint.half_line(), [0.0])
+        grid, N = TimeGrid(0.0, 1.0, 8), 8
+        last = SimpleNamespace()
+        last.start = lambda X: setattr(last, "X", X)
+        last.step = lambda k, X, dk: last.start(X)
+        with pytest.raises(DivergenceError) as err:
+            mvsolver._simulate(system, grid, N, NoiseSource(7), groups=2, observer=last,
+                               x0=np.array([[0.0], [1.0]]))
+        rows = np.flatnonzero(last.X[:, 0] > 1.55)
+        group, particle = divmod(int(rows[0]), N)
+        e = err.value
+        assert len(rows) > 1 and group == 1 and particle > 0
+        assert (e.group, e.particle) == (1, particle)
+        assert str(e).endswith(f"at step {e.step}, group 1, particle {particle}")
 
 
 class TestStreamBatches:

@@ -487,8 +487,8 @@ def _smooth_prox(constraint, eps, x):
 
 
 def resolvent(constraint, eps, x):
-    """The proximal point J_eps x = x - eps * yosida_gradient(x); for rows
-    ``x``, ``eps`` may be a ``(rows, 1)`` column of one level per row."""
+    """The proximal point J_eps x = x - eps * yosida_gradient(x); for rows ``x``,
+    ``eps`` may be a ``(rows, 1)`` column of one level per row, and ``StepError`` names the row."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
     if constraint.kind == "indicator":
@@ -496,7 +496,13 @@ def resolvent(constraint, eps, x):
     if x.ndim == 1:
         return _smooth_prox(constraint, eps, x)
     levels = np.broadcast_to(eps, (x.shape[0], 1))[:, 0]
-    return np.array([_smooth_prox(constraint, e, p) for e, p in zip(levels, x)])
+    out = np.empty_like(x)
+    for i, (e, p) in enumerate(zip(levels, x)):
+        try:
+            out[i] = _smooth_prox(constraint, e, p)
+        except StepError as err:
+            raise StepError(str(err), residual=err.residual, row=i) from err
+    return out
 
 
 def yosida_gradient(constraint, eps, x):

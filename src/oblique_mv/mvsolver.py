@@ -19,14 +19,16 @@ step ends in: by default the coefficients at the current states and the
 fixed constraint, the frozen ones in ``euler_iteration``, and a moving
 interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  The
 one-step Skorohod correction is the ``oblique_step`` of the set's geometry
-(:mod:`oblique_mv.convexcore`).  The loop records the states and each
-step's reflection increment ``dk``; ``PathEnsemble`` derives the rest.
+(:mod:`oblique_mv.convexcore`).  The loop records the states and logs each
+step's reflection increment ``dk`` on the rows it corrects, the rows where
+a bit of ``dk`` is set; ``PathEnsemble`` derives ``dk`` and the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -187,15 +189,18 @@ def _running_sum(rows):
 class PathEnsemble:
     """Ensemble arrays for one replication of the particle system.
 
-    The step loop records the states and each step's reflection increment
-    ``dk`` in time-major buffers, one contiguous row per step; the path
-    arrays here, stored or worked out from ``dk`` on each access, are
+    The step loop records the states time-major, one contiguous row per
+    step, and logs each step's reflection increment ``dk`` on the rows it
+    corrects: ``dk_log[k]`` is ``(rows, dk[rows])`` for the sorted ``int32``
+    indices of the rows whose ``dk`` has a bit set (so ``-0.0`` and NaN
+    count); every other row of ``dk`` is ``+0.0``.  ``dk`` and the arrays
+    derived from it are worked out on each access.  All the path arrays are
     particle-major views of time-major arrays (so ``reshape`` copies them).
     """
 
     grid: TimeGrid
     states: np.ndarray        # (N, steps+1, m)
-    dk: np.ndarray            # (N, steps, m), reflection increment of each step
+    dk_log: list              # per step (rows, dk[rows]): the rows with a bit set
     increments: np.ndarray    # (N, steps, d)
     system: "System"
     eps: float | None = None
@@ -210,16 +215,29 @@ class PathEnsemble:
         return "projected" if self.eps is None else "penalized"
 
     @property
+    def dk(self):                 # (N, steps, m), reflection increment of each step
+        return self._from_log().transpose(1, 0, 2)
+
+    @property
     def reflection(self):         # (N, steps+1, m), cumulative k
-        return _running_sum(self.dk.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return _running_sum(self._from_log()).transpose(1, 0, 2)
 
     @property
     def variation(self):          # (N, steps+1), cumulative total variation
-        return _running_sum(np.sqrt(sq_norms(self.dk.transpose(1, 0, 2)))).T
+        return _running_sum(np.sqrt(sq_norms(self._from_log()))).T
 
     @property
     def density(self):            # (N, steps, m), dk / h
-        return (self.dk.transpose(1, 0, 2) / self.grid.h).transpose(1, 0, 2)
+        return (self._from_log() / self.grid.h).transpose(1, 0, 2)
+
+    def _from_log(self, fn=None, particle_major=False):
+        """``dk`` time-major ``(steps, N, m)``, or particle-major and C-ordered,
+        built in one zero buffer with each logged row's ``dk``, or ``fn`` of it."""
+        N, _, m = self.states.shape
+        out = np.zeros((N, self.grid.steps, m) if particle_major else (self.grid.steps, N, m))
+        for k, (rows, values) in enumerate(self.dk_log):
+            out[(rows, k) if particle_major else (k, rows)] = values if fn is None else fn(values)
+        return out
 
     def feasibility_gap(self):
         """Largest distance of any recorded state to the constraint set."""
@@ -364,7 +382,8 @@ def _increment_rows(increments, groups):
 
 
 class _PathRecorder:
-    """The default step observer: stores the states and each step's ``dk`` time-major."""
+    """The default step observer: stores the states time-major and logs each
+    step's ``dk`` on the rows where a bit of it is set (``PathEnsemble.dk_log``)."""
 
     def __init__(self, grid):
         self.steps = grid.steps
@@ -372,11 +391,28 @@ class _PathRecorder:
     def start(self, X):
         self.states = np.empty((self.steps + 1,) + X.shape)
         self.states[0] = X
-        self.dk = np.empty((self.steps,) + X.shape)
+        self.log = []
 
     def step(self, k, X, dk_step):
         self.states[k + 1] = X
-        self.dk[k] = dk_step
+        # the columns' bits OR'd one column at a time, along the long axis
+        rows = reduce(np.bitwise_or, dk_step.view(np.uint64).T).nonzero()[0]
+        self.log.append((rows.astype(np.int32), dk_step.take(rows, axis=0)))
+
+
+def _group_logs(log, N, G):
+    """Each group's entries of a batch's ``dk`` log, rows relative to the group."""
+    if G == 1:
+        return [log]
+    cuts = [np.searchsorted(rows, N * np.arange(G + 1)) for rows, _ in log]
+    return [[(rows[c[g]:c[g + 1]] - g * N, values[c[g]:c[g + 1]])
+             for (rows, values), c in zip(log, cuts)] for g in range(G)]
+
+
+def _constraint_name(c):
+    """The geometry's class and any smooth part: ``Ball``, ``Ball + smooth``, ``smooth``."""
+    parts = [type(c.geometry).__name__] * c.has_indicator() + ["smooth"] * (c.kind != "indicator")
+    return " + ".join(parts)
 
 
 def _simulate(system, grid, particles, noise, *, eps=None, control=None,
@@ -405,7 +441,8 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
 
     Every step is handed to ``observer`` (``start(X)``, then ``step(k, X,
     dk)``), which is returned.  Without one the paths are recorded and
-    returned as a list of one ``PathEnsemble`` per group.
+    returned as a list of one ``PathEnsemble`` per group, each with its
+    rows of the batch's ``dk`` log, indexed within the group.
     """
     d = system.noise_dim
     steps, h, times = grid.steps, grid.h, grid.times
@@ -445,21 +482,21 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     for k in range(steps):
         fk, gk, Hk, constraint = inputs(k, X, _control_value(control, k))
         gdB = _gdb(gk, increment_rows(k))
-        if eps is not None:
-            if constraint.kind == "indicator":
-                U = (X - convexcore.project(constraint, X)) / eps_rows
+        try:
+            if eps is not None:
+                if constraint.kind == "indicator":
+                    U = (X - convexcore.project(constraint, X)) / eps_rows
+                else:
+                    U = convexcore.yosida_gradient(constraint, eps_rows, X)
+                X = X + h * (fk - _hu(Hk, U, system.oblique.diagonal)) + gdB
+                dk_step = U * h
             else:
-                U = convexcore.yosida_gradient(constraint, eps_rows, X)
-            X = X + h * (fk - _hu(Hk, U, system.oblique.diagonal)) + gdB
-            dk_step = U * h
-        else:
-            Y = X + h * fk + gdB
-            try:
+                Y = X + h * fk + gdB
                 X, dk_step = constraint.geometry.oblique_step(Hk, Y, system.oblique.diagonal)
-            except StepError as err:
-                g, i = divmod(err.row, N)
-                raise StepError(f"step {k}: {type(constraint.geometry).__name__}, group {g}, "
-                                f"particle {i}: {err}", residual=err.residual, row=err.row) from err
+        except StepError as err:
+            g, i = divmod(err.row, N)
+            raise StepError(f"step {k}: {_constraint_name(constraint)}, group {g}, "
+                            f"particle {i}: {err}", residual=err.residual, row=err.row) from err
 
         if not np.max(np.abs(X)) <= BLOWUP_GUARD:      # also true for NaN
             g, i = divmod(int(np.argmin(np.all(np.abs(X) <= BLOWUP_GUARD, axis=1))), N)
@@ -472,11 +509,10 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     if observer is not None:
         return observer
     ensembles = []
-    for g in range(G):
+    for g, log in enumerate(_group_logs(watch.log, N, G)):
         rows = slice(g * N, (g + 1) * N)
         ensembles.append(PathEnsemble(
-            grid=grid, states=watch.states[:, rows].transpose(1, 0, 2),
-            dk=watch.dk[:, rows].transpose(1, 0, 2),
+            grid=grid, states=watch.states[:, rows].transpose(1, 0, 2), dk_log=log,
             increments=increments if increments.ndim == 3 else increments[g % reps],
             system=system, eps=eps if np.ndim(eps) == 0 else float(eps[g]),
             control=control if control is None or control.ndim < 2 else control[g],
@@ -605,7 +641,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
     times = grid.times
     N, steps = ensemble.particles, grid.steps
     m = system.state_dim
-    dK = np.multiply(ensemble.density, h, order="C")
+    dK = ensemble._from_log(lambda v: v / h * h, particle_major=True)   # density * h
 
     feas = ensemble.feasibility_gap()
     band = max(feas * (1 + 1e-9), convexcore.TOL_GEOM) \
@@ -667,7 +703,7 @@ def interior_reflection_margin(ensemble, cert, constants=None):
     a = np.asarray(cert.anchor, dtype=float)
     h = ensemble.grid.h
     post = ensemble.states[:, 1:, :] - a
-    dK = ensemble.density * h
+    dK = ensemble._from_log(lambda v: v / h * h).transpose(1, 0, 2)     # density * h
     terms = (
         np.einsum("nkm,nkm->nk", post, dK)
         - l1 * np.sqrt(sq_norms(dK))

@@ -62,26 +62,32 @@ class MovingConstraintProblem:
             raise ConfigurationError("initial state lies outside the moving set")
 
 
+def _frames(prob):
+    """``frame(t)``: ``H(t)``, its inverse and ``H'(t)``, once per time ``t`` for every
+    step's matrix, drift and diffusion, correction and grid level that share it."""
+    hf, span, memo = prob.hfield, prob.horizon[1] - prob.horizon[0], {}
+
+    def frame(t):
+        if t not in memo:
+            h = hf(t=t)
+            memo[t] = h, inverse_spd(h), hf.derivative_at(t, span)
+        return memo[t]
+    return frame
+
+
 def reduce_time_dependent(prob, correction="chain-rule"):
     """Build the fixed-set oblique system equivalent to the moving problem."""
+    return _reduce(prob, correction, _frames(prob))
+
+
+def _reduce(prob, correction, frame):      # frame: from _frames(prob)
     if correction not in CORRECTIONS:
         raise ConfigurationError(f"correction must be one of {CORRECTIONS}")
     hf = prob.hfield
     base = prob.coeffs
     t0, _ = prob.horizon
-    span = prob.horizon[1] - prob.horizon[0]
     sign = -1.0 if correction == "chain-rule" else 1.0
     noise_correction = correction == "as-printed"
-
-    frame_cache = [None, None]      # [t, (H(t), H(t)^{-1}, H'(t))]
-
-    def frame(t):
-        """``H(t)``, its inverse and ``H'(t)``, computed once per time ``t``:
-        a step evaluates the matrix, drift and diffusion at the same ``t``."""
-        if frame_cache[0] is None or frame_cache[0] != t:
-            h = hf(t=t)
-            frame_cache[:] = t, (h, inverse_spd(h), hf.derivative_at(t, span))
-        return frame_cache[1]
 
     def matrix(t):
         _, hi, _ = frame(t)
@@ -129,7 +135,7 @@ def reduce_time_dependent(prob, correction="chain-rule"):
         uses_measure=base.uses_measure,
         normalized=False,
     )
-    xbar0 = inverse_spd(hf(t=t0)) @ prob.x0
+    xbar0 = frame(t0)[1] @ prob.x0
     return System(reduced, oblique, prob.base_set, xbar0,
                   label=f"reduced[{correction}]")
 
@@ -229,7 +235,8 @@ def equivalence_check(prob, step_ladder, particles, noise,
     N = int(particles)
     fine_inc = noise.brownian(N, finest, prob.coeffs.noise_dim, (t1 - t0) / finest)
 
-    reduced = {c: reduce_time_dependent(prob, correction=c) for c in corrections}
+    frame = _frames(prob)
+    reduced = {c: _reduce(prob, c, frame) for c in corrections}
     distances = {c: [] for c in corrections}
     feasibility = {c: [] for c in corrections}
     hs = []

@@ -323,6 +323,15 @@ class TestProxConvergence:
             resolvent(c, 1.0, np.array([0.5, 0.3]))
         assert err.value.residual == pytest.approx(2.0)
 
+    def test_stiff_sum_names_the_row(self):
+        # the prox at the origin converges at once, the row after it does not
+        c = ConvexConstraint.sum_of(BALL2, ConvexConstraint.smooth(
+            lambda z: 25.0 * float(z @ z), lambda z: 50.0 * z, 2))
+        with pytest.raises(StepError, match="^sum prox: projected gradient") as err:
+            resolvent(c, np.array([[1.0], [1.0], [1.0]]),
+                      np.array([[0.0, 0.0], [0.5, 0.3], [0.5, 0.3]]))
+        assert err.value.row == 1 and err.value.residual == pytest.approx(2.0)
+
     def test_failed_lbfgs_raises(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kw:
                             scipy.optimize.OptimizeResult(x=x0.copy(), success=False,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -970,6 +971,16 @@ def _particle_major_iteration(system, level, iterations, grid, particles, noise)
 PATH_FIELDS = ("states", "dk", "reflection", "variation", "density")
 
 
+def half_space_system():
+    """A unit drift into the half-space x_1 >= 0 with identity H: its
+    reflected rows carry -0.0 in their tangential dk."""
+    coeffs = CoefficientField(lambda x, mu: np.full_like(x, -1.0),
+                              lambda x, mu: np.eye(2), 1.0, 2, 2,
+                              uses_measure=False, normalized=False)
+    return System(coeffs, ObliqueField.identity(2),
+                  ConvexConstraint.half_space([1.0, 0.0]), [0.1, 0.0])
+
+
 def controlled_planar_system():
     """example31's oblique field and ball with a control- and mean-dependent drift."""
     ex = library.make_system("example31")
@@ -1069,22 +1080,20 @@ class TestTimeMajorStorage:
     def test_reflection_sums_from_a_positive_zero(self):
         # a half-space step leaves -0.0 in the tangential dk; summed from a
         # zero row, k holds +0.0 there, which a plain cumsum would not give
-        coeffs = CoefficientField(lambda x, mu: np.full_like(x, -1.0),
-                                  lambda x, mu: np.eye(2), 1.0, 2, 2,
-                                  uses_measure=False, normalized=False)
-        system = System(coeffs, ObliqueField.identity(2),
-                        ConvexConstraint.half_space([1.0, 0.0]), [0.1, 0.0])
-        ens = simulate_projected(system, TimeGrid(0.0, 1.0, 64), 8, NoiseSource(1))
+        ens = simulate_projected(half_space_system(), TimeGrid(0.0, 1.0, 64), 8, NoiseSource(1))
 
         def negative_zeros(a):
             return int(np.count_nonzero((a == 0) & np.signbit(a)))
 
         assert negative_zeros(ens.dk) == 129
+        # every -0.0 sits in a logged row: the rows off the log are +0.0
+        assert sum(negative_zeros(values) for _, values in ens.dk_log) == 129
         assert negative_zeros(ens.reflection) == 0
         np.testing.assert_array_equal(ens.reflection[:, 1:], np.cumsum(ens.dk, axis=1))
 
     def test_diagnostics_do_not_depend_on_layout(self):
-        # residual_report's sums over time run in one fixed order
+        # residual_report's sums over time run in one fixed order; dk is
+        # built from the log, so only the states have a layout to vary
         ou = library.make_system("ou")
         quadratic = System(ou.coeffs, ou.oblique, ConvexConstraint.sum_of(
             ConvexConstraint.half_line(),
@@ -1097,9 +1106,8 @@ class TestTimeMajorStorage:
              simulate_projected(library.make_system("example31"), grid, 24, NoiseSource(9))),
         ):
             m = system.state_dim
-            copy = mvsolver.PathEnsemble(**{
-                **vars(ens), **{f: np.ascontiguousarray(getattr(ens, f))
-                                for f in ("states", "dk")}})
+            copy = mvsolver.PathEnsemble(**{**vars(ens),
+                                            "states": np.ascontiguousarray(ens.states)})
             kwargs = dict(probes=[np.zeros(m), np.full(m, 0.25)], shifts=[np.full(m, 0.1)])
             a, b = residual_report(ens, system, **kwargs), residual_report(copy, system, **kwargs)
             assert (a.equation_residual, a.feasibility_gap, a.inequality_residual) \
@@ -1148,6 +1156,88 @@ class TestTimeMajorStorage:
             else:
                 simulate_penalized(sys1, 0.1, grid, 3, NoiseSource(0))
         assert err.value.step == 6
+
+
+class _DenseCopy(mvsolver._PathRecorder):
+    """The path recorder that also keeps a copy of every step's dense ``dk``."""
+
+    def start(self, X):
+        super().start(X)
+        self.dense = []
+
+    def step(self, k, X, dk_step):
+        super().step(k, X, dk_step)
+        self.dense.append(dk_step.copy())
+
+
+class TestReflectionLog:
+    """The loop logs ``dk`` only on the rows a step corrects."""
+
+    def test_any_set_bit_is_logged(self):
+        rec = mvsolver._PathRecorder(TimeGrid(0.0, 1.0, 1))
+        dk = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [np.nan, 0.0],
+                       [0.0, 0.0], [5e-324, 0.0], [0.0, 2.0]])
+        for cols in (dk, dk[:, :1], np.asfortranarray(dk)):
+            rec.start(np.zeros(cols.shape))
+            rec.step(0, np.zeros(cols.shape), cols)
+            (rows, values), = rec.log
+            expected = np.flatnonzero(np.any(cols.view(np.uint64) != 0, axis=1))
+            assert rows.dtype == np.int32 and np.array_equal(rows, expected)
+            assert values.tobytes() == np.ascontiguousarray(cols[expected]).tobytes()
+
+    @pytest.mark.parametrize("case", ["half-space", "ball", "penalized"])
+    def test_log_holds_exactly_the_rows_with_a_set_bit(self, case):
+        system = half_space_system() if case == "half-space" else library.make_system("example31")
+        grid = TimeGrid(0.0, 1.0, 64)
+        rec = mvsolver._simulate(system, grid, 48, NoiseSource(2), observer=_DenseCopy(grid),
+                                 eps=0.05 if case == "penalized" else None)
+        assert len(rec.log) == len(rec.dense) == grid.steps
+        for (rows, values), dk in zip(rec.log, rec.dense):
+            expected = np.flatnonzero(np.any(dk.view(np.uint64) != 0, axis=1))
+            assert rows.dtype == np.int32 and np.array_equal(rows, expected)
+            assert values.tobytes() == dk[expected].tobytes()
+        assert 0 < sum(len(rows) for rows, _ in rec.log) < grid.steps * 48
+
+    def test_loop_allocates_no_dense_dk(self):
+        # the loop's traced peak stays below the states plus half of a dense
+        # (steps, N, m) dk buffer
+        ex = library.make_system("example31")
+        grid, N = TimeGrid(0.0, 1.0, 256), 1024
+        inc = NoiseSource(3).brownian(N, grid.steps, 1, grid.h)
+        tracemalloc.start()
+        try:
+            ens = simulate_projected(ex, grid, N, None, increments=inc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = grid.steps * N * ex.state_dim * 8
+        assert ens.states.nbytes < peak < ens.states.nbytes + dense / 2
+
+    def test_groups_log_their_own_rows(self):
+        ex = library.make_system("example31")
+        grid, N = TimeGrid(0.0, 1.0, 64), 24
+        inc = mvsolver._stream_increments([NoiseSource(12).for_replication(r) for r in range(3)],
+                                          N, grid.steps, 1, grid.h)
+        batch = mvsolver._simulate(ex, grid, N, None, increments=inc, groups=3)
+        for g, ens in enumerate(batch):
+            alone, = mvsolver._simulate(ex, grid, N, None, increments=inc[g])
+            assert ens.dk.tobytes() == alone.dk.tobytes()
+            assert len(ens.dk_log) == len(alone.dk_log) == grid.steps
+            for (rows, values), (solo_rows, solo_values) in zip(ens.dk_log, alone.dk_log):
+                assert rows.dtype == np.int32 and np.array_equal(rows, solo_rows)
+                assert values.tobytes() == solo_values.tobytes()
+            assert any(len(rows) for rows, _ in ens.dk_log)
+
+    def test_log_bytes_follow_the_reflected_rows(self):
+        ex = library.make_system("example31")
+        grid, N, m = TimeGrid(0.0, 1.0, 128), 256, 2
+        ens = simulate_projected(ex, grid, N, NoiseSource(7))
+        reflected = np.count_nonzero(np.any(ens.dk.view(np.uint64) != 0, axis=2))
+        assert 0 < reflected < N * grid.steps // 4
+        # int32 indices and float64 rows, plus two array objects per step
+        assert len(ens.dk_log) == grid.steps
+        assert sum(rows.nbytes + values.nbytes for rows, values in ens.dk_log) \
+            == reflected * (4 + 8 * m)
 
 
 def _batch_cases():
@@ -1417,6 +1507,21 @@ class TestErrorsNameTheParticle:
         assert e.row == row
         assert math.isfinite(e.residual) and e.residual > 0
 
+    def test_penalized_prox_failure(self):
+        # a stiff smooth part stalls the sum prox away from the origin: group 0
+        # starts at the origin, where it converges, group 1 does not
+        ex = library.make_system("example31")
+        stiff = ConvexConstraint.sum_of(ConvexConstraint.ball([0.0, 0.0], 1.0),
+                                        ConvexConstraint.smooth(lambda z: 25.0 * float(z @ z),
+                                                                lambda z: 50.0 * z, 2))
+        system = System(ex.coeffs, ex.oblique, stiff, [0.0, 0.0])
+        with pytest.raises(StepError, match=r"^step 0: Ball \+ smooth, group 1, particle 0: "
+                                            r"sum prox: projected gradient") as err:
+            mvsolver._simulate(system, TimeGrid(0.0, 1.0, 8), 2, NoiseSource(3), eps=1.0,
+                               groups=2, x0=np.array([[0.0, 0.0], [0.5, 0.0]]))
+        assert err.value.row == 2
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
+
     def test_triangle_step_failure(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "nnls", lambda A, b: (np.zeros(A.shape[1]), 0.0))
         with pytest.raises(StepError, match=r"^step 0: HalfSpaceIntersection, group 0, "
@@ -1499,7 +1604,7 @@ class TestStreamBatches:
             ou, grid, 4, [NoiseSource(2).for_replication(r) for r in range(3)],
             variants=2, observer=observer)]
         assert runs == built and len({id(r) for r in runs}) == 3
-        assert all(r.states.shape == (17, 8, 1) and r.dk.shape == (16, 8, 1) for r in runs)
+        assert all(r.states.shape == (17, 8, 1) and len(r.log) == 16 for r in runs)
 
 
 def dense_twin(system):

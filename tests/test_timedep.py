@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oblique_mv import library, mvsolver
+from oblique_mv import library, mvsolver, timedep
 from oblique_mv.convexcore import ConvexConstraint
 from oblique_mv.dynamics import (
     CoefficientField,
@@ -251,9 +251,9 @@ class TestEquivalence:
         assert np.any(direct.reflection > 0)
 
     def test_check_records_states_and_dk(self, monkeypatch):
-        # each of its solves allocates the states and the dk rows and no
-        # other path buffer, and its distances equal those of runs through
-        # the public entries
+        # each of its solves allocates the states and no other path buffer
+        # (dk is logged on the rows a step corrects), and its distances equal
+        # those of runs through the public entries
         prob = library.make_moving_problem("moving_interval")
         noise = NoiseSource(8)
 
@@ -267,8 +267,7 @@ class TestEquivalence:
 
         monkeypatch.setattr(mvsolver._PathRecorder, "start", recorded)
         rep = equivalence_check(prob, [32, 64], 16, noise)
-        assert buffers == [{"states": (s + 1, 16, 1), "dk": (s, 16, 1)}
-                           for s in (32, 64) for _ in range(3)]
+        assert buffers == [{"states": (s + 1, 16, 1)} for s in (32, 64) for _ in range(3)]
         monkeypatch.undo()
         grid = TimeGrid(0.0, 1.0, 64)
         inc = noise.brownian(16, 64, 1, grid.h)
@@ -279,6 +278,18 @@ class TestEquivalence:
             lifted = lift_solution(ens.states, prob.hfield, grid.times)
             diff = np.sqrt(np.max(sq_norms(lifted - direct.states), axis=1))
             assert rep.sup_distances[c][-1] == float(np.mean(diff))
+
+    def test_frames_once_per_time(self, monkeypatch):
+        # H(t)^{-1} once for each time the check evaluates: the left nodes
+        # of the finest grid, whose coarse nodes are among them, shared by
+        # both corrections; a second check keeps its own memo
+        prob = library.make_moving_problem("moving_interval")
+        calls = []
+        monkeypatch.setattr(timedep, "inverse_spd", lambda h: calls.append(1) or inverse_spd(h))
+        equivalence_check(prob, [32, 64], 16, NoiseSource(8))
+        assert len(calls) == 64
+        equivalence_check(prob, [32, 64], 16, NoiseSource(8))
+        assert len(calls) == 128
 
     def test_diagonal_matrix_path_rejected(self):
         with pytest.raises(ConfigurationError, match="dense"):

@@ -459,10 +459,7 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         print(f"config error at {path}: {err.message}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except ConfigurationError as err:
+    except (json.JSONDecodeError, FileNotFoundError, ConfigurationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:
@@ -507,13 +504,14 @@ def main(argv=None):
     runp.add_argument("--strict", action="store_true",
                       help="exit 4 when an acceptance-style probe fails")
     runp.add_argument("--out", default=None, help="output directory override")
-    descp = sub.add_parser("describe", help="print a bundled system description")
-    descp.add_argument("name", help="system name")
+    descp = sub.add_parser("describe", help="print a bundled system's or problem's "
+                                            "description (its builder's docstring)")
+    descp.add_argument("name", help="system or problem name")
     args = parser.parse_args(argv)
 
     if args.command == "describe":
         try:
-            print(library.describe(args.name))
+            print(f"{args.name}: {library.describe(args.name)}")
         except ConfigurationError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

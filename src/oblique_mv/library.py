@@ -1,8 +1,12 @@
-"""Named example systems selectable from configs and tests.
+"""Named example systems, problems and constraints selectable from configs.
 
-Each builder returns fully wired objects; declared constants (Lipschitz
-bounds, ellipticity band) are part of the definition and are cross-checked
-by the validators in :mod:`oblique_mv.dynamics`.
+Four tables map a config name to its builder: ``SYSTEMS``,
+``CONTROL_PROBLEMS``, ``MOVING_PROBLEMS`` and ``CONSTRAINTS`` (one builder
+per constraint ``kind``).  ``_build`` is the one path from a name and its
+parameters to an object, and a problem builder's docstring is its
+description (``describe``).  Declared constants (Lipschitz bounds,
+ellipticity band) are part of the definition and are cross-checked by the
+validators in :mod:`oblique_mv.dynamics`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ def _param_error(default, value):
     """Why ``value`` cannot stand in for a builder default, or None if it can.
 
     A number default takes a finite number, a tuple default a non-empty
-    list of finite numbers, a string default a string."""
+    list of finite numbers, a string default a string.  A parameter without
+    a default is checked by its builder."""
+    if default is inspect.Parameter.empty:
+        return None
     if isinstance(default, str):
         return None if isinstance(value, str) else "a string"
     if isinstance(default, tuple):
@@ -40,22 +47,30 @@ def _param_error(default, value):
     return None if _finite_number(value) else "a finite number"
 
 
-def _build(kind, name, builders, params):
-    """Call the builder named ``name`` after checking ``params`` against it.
-
-    Unknown or ill-typed parameters, and values the builder rejects with a
-    ``ValueError``, are configuration errors."""
-    if name not in builders:
+def _lookup(kind, name, builders):
+    if not isinstance(name, str) or name not in builders:
         raise ConfigurationError(
             f"unknown {kind} {name!r}; available: {', '.join(builders)}"
         )
-    accepted = inspect.signature(builders[name]).parameters
+    return builders[name]
+
+
+def _build(kind, name, builders, params):
+    """Call the builder named ``name`` after checking ``params`` against it.
+
+    Unknown, missing or ill-typed parameters, and values the builder rejects
+    with a ``ValueError`` or ``TypeError``, are configuration errors."""
+    builder = _lookup(kind, name, builders)
+    accepted = inspect.signature(builder).parameters
     unknown = [key for key in params if key not in accepted]
     if unknown:
         raise ConfigurationError(
             f"{kind} {name!r}: unknown parameter {unknown[0]!r}; "
             f"accepted: {', '.join(accepted)}"
         )
+    missing = [key for key, p in accepted.items() if p.default is p.empty and key not in params]
+    if missing:
+        raise ConfigurationError(f"{kind} {name!r}: missing parameter {missing[0]!r}")
     for key, value in params.items():
         expected = _param_error(accepted[key].default, value)
         if expected:
@@ -63,26 +78,46 @@ def _build(kind, name, builders, params):
                 f"{kind} {name!r}: parameter {key!r} must be {expected}, got {value!r}"
             )
     try:
-        return builders[name](**params)
-    except ValueError as err:
+        return builder(**params)
+    except (TypeError, ValueError) as err:
         raise ConfigurationError(f"{kind} {name!r}: {err}") from err
 
 
 def make_system(name, **params):
-    return _build("system", name, {"example31": _example31, "ou": _reflected_ou,
-                                   "linear": _linear, "rbm": _reflected_bm}, params)
+    return _build("system", name, SYSTEMS, params)
+
+
+def make_control_problem(name, **params):
+    return _build("control problem", name, CONTROL_PROBLEMS, params)
+
+
+def make_moving_problem(name, **params):
+    return _build("moving problem", name, MOVING_PROBLEMS, params)
+
+
+def constraint_from_config(cfg):
+    """Build a constraint from a config mapping: ``kind`` names its builder
+    in ``CONSTRAINTS`` and every other key is a parameter of that builder."""
+    params = dict(cfg)
+    return _build("constraint", params.pop("kind", None), CONSTRAINTS, params)
+
+
+def describe(name):
+    """The docstring of the system or problem builder named ``name``."""
+    return inspect.getdoc(_lookup("system", name,
+                                  {**SYSTEMS, **CONTROL_PROBLEMS, **MOVING_PROBLEMS}))
 
 
 def _example31(x0=(0.2, 0.0), radius=1.0):
-    """Planar mean-field system with an oscillating diagonal oblique matrix.
+    """Planar mean-field system on a centered ball with a diagonal oblique matrix.
 
     The matrix entries are ``sin(x1) + 5 + cos(w)`` and
     ``exp(cos(x2)) + 4 + min(w, 1)`` with ``w`` the root second moment of
     the ensemble; drift and diffusion are the scalar fields
     ``sqrt(|x|^2 + 5) + w`` and ``exp(min(1, |x|)) + sin(w)`` applied to
-    every coordinate.  Constrained to a centered ball, the outward drift
-    keeps the reflection active.
-    """
+    every coordinate.  The outward drift keeps the reflection active.
+
+    Declared constants: L=5.3, a_H=3, b_H=5+e, L_H=4.5."""
 
     # filled column by column: a broadcast over the short state axis loops per row
     def drift(x, mu):
@@ -117,7 +152,9 @@ def _example31(x0=(0.2, 0.0), radius=1.0):
 
 
 def _reflected_ou(theta=1.0, sigma=1.0, x0=0.5):
-    """One-dimensional mean-reverting diffusion reflected at the origin."""
+    """Mean-reverting diffusion (drift ``-theta x``, volatility ``sigma``) reflected at 0.
+
+    Declared constants: L=theta, a_H=b_H=1."""
     coeffs = CoefficientField(
         lambda x, mu: -theta * x,
         lambda x, mu: np.array([[sigma]]),
@@ -130,7 +167,9 @@ def _reflected_ou(theta=1.0, sigma=1.0, x0=0.5):
 
 
 def _linear(a=-1.0, b=0.5, c=0.5, x0=1.0):
-    """Mean-field linear dynamics: drift couples to the ensemble mean."""
+    """Linear mean-field system reflected at 0: drift ``a x + b mean(mu)``, diffusion ``c x``.
+
+    Declared constants: L=|a|+|b|+|c|, a_H=b_H=1.  The coefficients vanish at (0, delta_0)."""
     coeffs = CoefficientField(
         lambda x, mu: a * x + b * mu.mean(),
         lambda x, mu: c * x[..., None],
@@ -143,7 +182,9 @@ def _linear(a=-1.0, b=0.5, c=0.5, x0=1.0):
 
 
 def _reflected_bm(sigma=1.0, x0=0.0):
-    """Brownian motion reflected at the origin."""
+    """Brownian motion with volatility ``sigma`` reflected at the origin.
+
+    Declared constants: L=1e-12 (zero drift), a_H=b_H=1."""
     coeffs = CoefficientField(
         lambda x, mu: np.zeros_like(x),
         lambda x, mu: np.array([[sigma]]),
@@ -153,10 +194,6 @@ def _reflected_bm(sigma=1.0, x0=0.0):
     oblique = ObliqueField.identity(1)
     constraint = ConvexConstraint.half_line()
     return System(coeffs, oblique, constraint, [x0], label="rbm")
-
-
-def make_control_problem(name, **params):
-    return _build("control problem", name, {"two_control": _two_control}, params)
 
 
 def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
@@ -170,8 +207,11 @@ def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
     boundary-layer displacement.  ``shift`` mode uses the additive drift
     ``-theta x + u`` instead.  Costs are linear (equal to |x| on the
     constraint set) unless ``cost_shape="abs"``.  The minimizing action
-    holds the state near the barrier, keeping the reflection active.
-    """
+    holds the state near the barrier, keeping the reflection active.  The
+    oblique factor is ``1 + ramp (t - t0)`` on the horizon ``[t0, t1]``.
+
+    Declared constants: L=theta+max|u| (scale) or theta (shift), a_H=1,
+    b_H=1+ramp*(t1-t0), cost L=1."""
     if control_mode == "scale":
         drift = lambda x, mu, u: (u - theta) * x
         lip = theta + max(abs(c) for c in controls)
@@ -208,13 +248,14 @@ def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
     return ControlProblem(system, costs, tuple(controls), tuple(horizon))
 
 
-def make_moving_problem(name, **params):
-    return _build("moving problem", name, {"moving_interval": _moving_interval}, params)
-
-
 def _moving_interval(outward=2.0, sigma=0.5, coupling=0.25, x0=0.5,
                      horizon=(0.0, 1.0), growth=1.0):
-    """Outward-drifting diffusion on the widening interval [0, 1 + t]."""
+    """Outward-drifting diffusion on the widening interval [0, 1 + growth (t - t0)].
+
+    The drift is ``outward + coupling w``, with ``w`` the ensemble's root second
+    moment.  It reduces to [0, 1] with oblique factor ``(1 + growth (t - t0))^-2``.
+
+    Declared constants: L=max(coupling, 1e-9), a_H=1, b_H=1+growth*(t1-t0)."""
     coeffs = CoefficientField(
         lambda x, mu: outward + coupling * w2_to_origin(mu) + 0.0 * x,
         lambda x, mu: np.array([[sigma]]),
@@ -232,74 +273,43 @@ def _moving_interval(outward=2.0, sigma=0.5, coupling=0.25, x0=0.5,
     return MovingConstraintProblem(base, hfield, coeffs, [x0], tuple(horizon))
 
 
-def constraint_from_config(cfg):
-    """Build a constraint from a config mapping (see the CLI schema)."""
-    kind = cfg.get("kind")
-
-    def key(name):
-        if name not in cfg:
-            raise ConfigurationError(f"constraint: kind {kind!r} requires key {name!r}")
-        return cfg[name]
-
-    if kind == "half-space":
-        return ConvexConstraint.half_space(key("normal"), cfg.get("offset", 0.0))
-    if kind == "box":
-        lower = [-math.inf if v is None else v for v in key("lower")]
-        upper = [math.inf if v is None else v for v in key("upper")]
-        return ConvexConstraint.box(lower, upper)
-    if kind == "ball":
-        return ConvexConstraint.ball(key("center"), key("radius"))
-    if kind == "intersection":
-        return ConvexConstraint.half_space_intersection(key("normals"), key("offsets"))
-    if kind == "quadratic":
-        weights = np.asarray(cfg.get("weights", [1.0]), dtype=float)
-        return ConvexConstraint.smooth(
-            lambda z: 0.5 * float(np.sum(weights * z * z)),
-            lambda z: weights * z,
-            dim=weights.size,
-            label="quadratic",
-        )
-    raise ConfigurationError(f"unknown constraint kind {kind!r}")
+def _half_space(normal, offset=0.0):
+    """The half-space ``{x : <normal, x> >= offset}``; ``offset <= 0``."""
+    return ConvexConstraint.half_space(normal, offset)
 
 
-_DESCRIPTIONS = {
-    "example31": (
-        "Planar mean-field system on a centered ball.  The oblique matrix is "
-        "diagonal with entries sin(x1)+5+cos(w) and exp(cos(x2))+4+min(w,1), "
-        "where w is the ensemble's root second moment; drift and diffusion "
-        "apply sqrt(|x|^2+5)+w and exp(min(1,|x|))+sin(w) to each coordinate. "
-        "Declared constants: L=5.3, a_H=3, b_H=5+e."
-    ),
-    "ou": (
-        "One-dimensional mean-reverting diffusion (rate theta, volatility "
-        "sigma) reflected at the origin with identity oblique matrix. "
-        "Declared constants: L=theta, a_H=b_H=1."
-    ),
-    "linear": (
-        "One-dimensional linear mean-field system: drift a*x + b*mean(mu), "
-        "diffusion c*x, reflected at the origin.  Coefficients vanish at "
-        "(0, delta_0).  Declared constants: L=|a|+|b|+|c|, a_H=b_H=1."
-    ),
-    "rbm": (
-        "Brownian motion reflected at the origin (zero drift, unit "
-        "volatility, identity matrix)."
-    ),
-    "two_control": (
-        "Two-action control of a reflected 1-d diffusion: drift (u-theta)*x "
-        "with u in {-1, +1}, constant volatility sigma, oblique factor "
-        "1+ramp*t, linear running and terminal costs (|x| on the constraint "
-        "set).  The optimal action rides the reflecting barrier."
-    ),
-    "moving_interval": (
-        "Outward-drifting diffusion constrained to the widening interval "
-        "[0, 1+t]; reduces to a fixed-interval problem with oblique factor "
-        "(1+t)^{-2}."
-    ),
-}
+def _box(lower, upper):
+    """The box ``{lower <= x <= upper}``; a null bound is infinite."""
+    if isinstance(lower, list):
+        lower = [-math.inf if v is None else v for v in lower]
+    if isinstance(upper, list):
+        upper = [math.inf if v is None else v for v in upper]
+    return ConvexConstraint.box(lower, upper)
 
 
-def describe(name):
-    if name not in _DESCRIPTIONS:
-        known = ", ".join(sorted(_DESCRIPTIONS))
-        raise ConfigurationError(f"unknown system {name!r}; available: {known}")
-    return f"{name}: {_DESCRIPTIONS[name]}"
+def _ball(center, radius):
+    """The closed ball of ``radius`` about ``center``; it must contain the origin."""
+    return ConvexConstraint.ball(center, radius)
+
+
+def _intersection(normals, offsets):
+    """The polytope ``{x : <normals[i], x> >= offsets[i] for all i}``; ``offsets <= 0``."""
+    return ConvexConstraint.half_space_intersection(normals, offsets)
+
+
+def _quadratic(weights=(1.0,)):
+    """The smooth function ``sum(weights * z**2) / 2``; ``weights >= 0``."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0):
+        raise ValueError(f"weights must be non-negative, got {list(weights)}")
+    return ConvexConstraint.smooth(
+        lambda z: 0.5 * float(np.sum(w * z * z)), lambda z: w * z, dim=w.size, label="quadratic"
+    )
+
+
+SYSTEMS = {"example31": _example31, "ou": _reflected_ou, "linear": _linear,
+           "rbm": _reflected_bm}
+CONTROL_PROBLEMS = {"two_control": _two_control}
+MOVING_PROBLEMS = {"moving_interval": _moving_interval}
+CONSTRAINTS = {"half-space": _half_space, "box": _box, "ball": _ball,
+               "intersection": _intersection, "quadratic": _quadratic}

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oblique_mv
-from oblique_mv import cli, mvsolver
+from oblique_mv import cli, library, mvsolver
 from oblique_mv.cli import main, run
 from oblique_mv.control import RateReport
-from oblique_mv.errors import ObliqueMVError
+from oblique_mv.errors import ConfigurationError, ObliqueMVError
 from oblique_mv.timedep import ConvergenceReport
 
 
@@ -305,6 +306,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "'radius'" in err
 
+    @pytest.mark.parametrize("constraint,key", [
+        ({"kind": "ball", "center": [0, 0], "radius": "x"}, "radius"),
+        ({"kind": "ball", "center": [0, 0], "radius": None}, "radius"),
+        ({"kind": "ball", "center": [0, 0], "radius": [1]}, "radius"),
+        ({"kind": "box", "lower": [-1], "upper": "a"}, "upper"),
+        ({"kind": "box", "lower": 5, "upper": [1]}, "lower"),
+        ({"kind": "half-space", "normal": "ab"}, "normal"),
+        ({"kind": "half-space", "normal": [[1, 0]]}, "normal"),
+        ({"kind": "quadratic", "weights": "abc"}, "weights"),
+        ({"kind": "ball", "center": [[0]], "radius": 1}, "center"),
+        ({"kind": "ball", "center": [0, 0], "radius": 1, "bogus": 3}, "bogus"),
+        ({"kind": "half-space", "normal": [1, 0], "label": "x"}, "label"),
+        ({"kind": "ball", "center": [0, 0], "radius": math.nan}, "radius"),
+        ({"kind": "quadratic", "weights": [1, -1]}, "weights"),
+    ])
+    def test_malformed_constraint_is_config_error(self, tmp_path, capsys, constraint, key):
+        payload = properties_config(tmp_path / "out")
+        payload["constraint"] = constraint
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert constraint["kind"] in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_quadratic_properties_pass(self, tmp_path):
+        """L-BFGS-B ends ABNORMAL at some of these points, each at the prox."""
+        payload = properties_config(tmp_path / "out")
+        payload.update(seed=0, samples=200, constraint={"kind": "quadratic", "weights": [1, 10]})
+        payload.pop("epsilon_ladder")
+        assert run(write_config(tmp_path, payload), strict=True) == 0
+
     def test_strict_flips_probe_failures(self, tmp_path):
         # an unreflective system makes the converge probe degenerate
         payload = {
@@ -556,6 +588,13 @@ class TestVerdicts:
 
 
 class TestDescribe:
+    @pytest.mark.parametrize("table", [library.SYSTEMS, library.CONTROL_PROBLEMS,
+                                       library.MOVING_PROBLEMS])
+    def test_description_is_the_builders_docstring(self, table):
+        for name, builder in table.items():
+            assert library.describe(name) == inspect.getdoc(builder)
+            assert "Declared constants:" in library.describe(name)
+
     def test_known_system(self, capsys):
         assert main(["describe", "example31"]) == 0
         out = capsys.readouterr().out
@@ -596,26 +635,43 @@ PARAM_VALUES = st.one_of(
     st.lists(st.floats(-2, 2), max_size=3), st.text(max_size=3), st.none(), st.booleans(),
     st.sampled_from(["scale", "shift", "abs", "linear"]),
 )
-CONSTRAINTS = st.one_of(
+# now and then a malformed value in place of a well-formed one: a string,
+# null, a scalar, a list nested one level too deep or too shallow
+MALFORMED = st.one_of(st.text(max_size=3), st.none(), st.floats(-2, 2), st.booleans(),
+                      st.lists(st.lists(st.floats(-1, 1), max_size=2), max_size=2),
+                      st.lists(st.floats(-1, 1), max_size=2))
+
+
+def _or_malformed(values):
+    return st.one_of(values, values, values, MALFORMED)
+
+
+_CONSTRAINTS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("half-space"),
-                           "normal": st.lists(st.floats(-2, 2), min_size=1, max_size=3)},
-                          optional={"offset": st.floats(-1, 1)}),
+                           "normal": _or_malformed(
+                               st.lists(st.floats(-2, 2), min_size=1, max_size=3))},
+                          optional={"offset": _or_malformed(st.floats(-1, 1))}),
     st.fixed_dictionaries({"kind": st.just("box"),
-                           "lower": st.lists(st.one_of(st.none(), st.floats(-2, 0)),
-                                             min_size=1, max_size=2),
-                           "upper": st.lists(st.one_of(st.none(), st.floats(0, 2)),
-                                             min_size=1, max_size=2)}),
+                           "lower": _or_malformed(st.lists(
+                               st.one_of(st.none(), st.floats(-2, 0)), min_size=1, max_size=2)),
+                           "upper": _or_malformed(st.lists(
+                               st.one_of(st.none(), st.floats(0, 2)), min_size=1, max_size=2))}),
     st.fixed_dictionaries({"kind": st.just("ball"),
-                           "center": st.lists(st.floats(-1, 1), min_size=1, max_size=2),
-                           "radius": st.floats(-1, 2)}),
+                           "center": _or_malformed(
+                               st.lists(st.floats(-1, 1), min_size=1, max_size=2)),
+                           "radius": _or_malformed(st.floats(-1, 2))}),
     st.fixed_dictionaries({"kind": st.just("intersection"),
-                           "normals": st.lists(st.lists(st.floats(-1, 1), min_size=2,
-                                                        max_size=2), min_size=1, max_size=3),
-                           "offsets": st.lists(st.floats(-1, 1), min_size=1, max_size=3)}),
+                           "normals": _or_malformed(st.lists(
+                               st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+                               min_size=1, max_size=3)),
+                           "offsets": _or_malformed(
+                               st.lists(st.floats(-1, 1), min_size=1, max_size=3))}),
     st.fixed_dictionaries({"kind": st.sampled_from(["quadratic", "wedge"])},
-                          optional={"weights": st.lists(st.floats(0, 2), min_size=1,
-                                                        max_size=2)}),
+                          optional={"weights": _or_malformed(
+                              st.lists(st.floats(0, 2), min_size=1, max_size=2))}),
 )
+CONSTRAINTS = st.one_of(_CONSTRAINTS, _CONSTRAINTS, _CONSTRAINTS,
+                        _CONSTRAINTS.map(lambda c: {**c, "bogus": 3}))
 OPTIONAL_KEYS = {
     "threads": st.integers(1, 4),
     "grid": st.fixed_dictionaries(
@@ -664,6 +720,17 @@ def fuzz_configs(draw):
 
 
 class TestFuzz:
+    @given(constraint=CONSTRAINTS)
+    @settings(max_examples=200)
+    def test_constraint_configs_build_or_are_config_errors(self, constraint):
+        """A constraint mapping builds a constraint or raises a ConfigurationError,
+        which the CLI maps to exit 2; nothing else escapes."""
+        try:
+            assert isinstance(library.constraint_from_config(constraint),
+                              oblique_mv.ConvexConstraint)
+        except ConfigurationError as err:
+            assert constraint["kind"] in str(err)
+
     @given(cfg=fuzz_configs())
     @settings(max_examples=40)
     def test_schema_configs_exit_cleanly(self, tmp_path_factory, cfg):

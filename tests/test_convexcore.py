@@ -114,6 +114,28 @@ class TestProjection:
         with pytest.raises(InfeasibleSetError):
             ConvexConstraint.half_space_intersection([[1, 0]], [1.0])
 
+    @pytest.mark.parametrize("build,argument", [
+        (lambda: ConvexConstraint.half_space([[1, 0]]), "half-space normal"),
+        (lambda: ConvexConstraint.half_space("ab"), "half-space normal"),
+        (lambda: ConvexConstraint.half_space([1.0, math.inf]), "half-space normal"),
+        (lambda: ConvexConstraint.ball([[0]], 1), "ball center"),
+        (lambda: ConvexConstraint.ball([0.0], [1.0]), "ball radius"),
+        (lambda: ConvexConstraint.ball([0.0], None), "ball radius"),
+        (lambda: ConvexConstraint.ball([0.0], math.nan), "ball radius"),
+        (lambda: ConvexConstraint.ball([0.0], math.inf), "ball radius"),
+        (lambda: ConvexConstraint.ball([0.0], 0.0), "ball radius"),
+        (lambda: ConvexConstraint.box(5, [1.0]), "box lower"),
+        (lambda: ConvexConstraint.box([-1.0], [math.nan]), "box upper"),
+        (lambda: ConvexConstraint.box([-1.0], [1.0, 2.0]), "box lower and upper"),
+        (lambda: ConvexConstraint.half_space_intersection([[1, 0], [1]], [0, 0]),
+         "intersection normals"),
+        (lambda: ConvexConstraint.half_space_intersection([[1, 0]], [0, 0]),
+         "intersection offsets"),
+    ])
+    def test_malformed_arguments_rejected_by_name(self, build, argument):
+        with pytest.raises(ConfigurationError, match=f"^{argument} must"):
+            build()
+
     def test_project_requires_indicator(self):
         with pytest.raises(ConfigurationError):
             project(QUAD, np.zeros(2))
@@ -331,6 +353,15 @@ class TestProxConvergence:
             resolvent(c, np.array([[1.0], [1.0], [1.0]]),
                       np.array([[0.0, 0.0], [0.5, 0.3], [0.5, 0.3]]))
         assert err.value.row == 1 and err.value.residual == pytest.approx(2.0)
+
+    def test_abnormal_stop_at_the_prox_is_accepted(self, monkeypatch):
+        """L-BFGS-B's line search can end ABNORMAL at a converged point; the
+        answer is judged by its distance bound, not by the flag."""
+        exact = quadratic_prox_oracle(1.0, np.array([2.0, -1.0]))
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kw:
+                            scipy.optimize.OptimizeResult(x=exact.copy(), success=False,
+                                                          message="ABNORMAL: "))
+        np.testing.assert_array_equal(resolvent(QUAD, 1.0, np.array([2.0, -1.0])), exact)
 
     def test_failed_lbfgs_raises(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kw:

@@ -17,11 +17,11 @@ solved exactly as the metric projection of ``y`` onto the set in the norm
 induced by ``H^{-1}``: its variational inequality is precisely feasibility,
 the linear relation, and the normal-cone inclusion of ``dk = H^{-1}(y - x)``.
 
-Polyhedral sets have one exact projection, ``polyhedral_step``: the
-projection onto ``{x : N x >= c}`` in the ``H^{-1}`` norm, solved as a
-least-distance program by one NNLS call.  Row by row, it is the Euclidean
-projection onto a half-space intersection (``H = I``) and the oblique step
-of intersections and of boxes with non-diagonal ``H``.
+Polyhedral sets have one exact projection onto ``{x : N x >= c}`` in the
+``H^{-1}`` norm: ``HalfSpaceIntersection.oblique_step`` solves it for all rows
+at once as a least-distance program (``polyhedral_step`` is its one-row call).
+It is the Euclidean projection onto a half-space intersection (``H = I``) and
+the oblique step of intersections and of boxes with non-diagonal ``H``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ TOL_ARITH = 1e-12
 TOL_GEOM = 1e-10
 TOL_COMPOSITE = 1e-8
 TOL_GRID = 1e-5
+EPS = np.finfo(float).eps
 
 BALL_NEWTON_MAX_ITER = 50
+POLYHEDRAL_MAX_ITER = 50
 SUM_PROX_MAX_ITER = 2000
 # A smooth prox is accepted when its distance bound eps |grad Phi| is at most
 # this times 1 + |x|; in 12,000 solves (eps 1e-3 to 1) it stayed under 7e-8.
@@ -117,23 +119,32 @@ class Ball:
     center: np.ndarray
     radius: float
 
+    def _outside(self, x):
+        """Which rows of ``x`` lie outside, the squared distance summed a column at a
+        time: ``x - center`` would broadcast the short center over every row."""
+        c = self.center
+        d2 = (x[..., 0] - c[0]) ** 2
+        for j in range(1, c.size):
+            d2 = d2 + (x[..., j] - c[j]) ** 2
+        return np.sqrt(d2) > self.radius
+
     def project(self, x):
-        rel = x - self.center
-        dist = np.sqrt(sq_norms(rel))
-        scale = np.where(dist > self.radius, self.radius / np.maximum(dist, 1e-300), 1.0)
-        return self.center + rel * scale[..., None]
+        far = self._outside(x)
+        out = x.copy()
+        rel = x[far] - self.center
+        out[far] = self.center + rel * (self.radius / np.sqrt(sq_norms(rel)))[:, None]
+        return out
 
     def margin(self, a):
         return float(self.radius - np.linalg.norm(a - self.center))
 
     def oblique_step(self, H, Y, diagonal=False):
         c, r = self.center, self.radius
-        rel = Y - c
         X, dK = Y.copy(), np.zeros_like(Y)
-        idx = np.flatnonzero(np.sqrt(sq_norms(rel)) > r)
+        idx = np.flatnonzero(self._outside(Y))
         if not idx.size:
             return X, dK
-        relsub = rel[idx]
+        relsub = Y[idx] - c
         Hsub = _rows_of(H, idx, diagonal)
         Hsub = np.broadcast_to(Hsub, idx.shape + Hsub.shape[-1 if diagonal else -2:])
         if not diagonal and _is_diagonal(Hsub):
@@ -165,16 +176,53 @@ class HalfSpaceIntersection:
         return float(np.min(self.normals @ a - self.offsets))
 
     def oblique_step(self, H, Y, diagonal=False):
-        """``polyhedral_step`` on each row of ``Y`` outside the polytope; rows
-        inside get ``dk = 0``."""
-        X, dK = Y.copy(), np.zeros_like(Y)
-        outside = np.flatnonzero(np.min(Y @ self.normals.T - self.offsets, axis=1) < 0)
-        if outside.size:
-            H = _rows_of(H, outside, diagonal)
-            H = H[..., None] * np.eye(Y.shape[1]) if diagonal else H
-        for j, i in enumerate(outside):
-            X[i], dK[i] = polyhedral_step(self.normals, self.offsets,
-                                          H if H.ndim == 2 else H[j], Y[i], int(i))
+        """The step of all rows of ``Y`` outside the polytope at once: Lawson and
+        Hanson's NNLS (1974, ch. 23) on the least-distance system ``E = [(N R)';
+        g']``, ``H = R R'``, ``g = gap / max(gap)``, gives ``dk = -N' lam``, ``lam =
+        max(gap) u / (1 - g'u)``.  Each iteration adds a face to every row not
+        stepping back and solves all rows' ``E'E = N H N' + g g'`` on their passive
+        faces in one call; finished rows are fixed points, and products are stacks
+        of per-row products, so a row's bits do not depend on the batch."""
+        N, X, dK = self.normals, Y.copy(), np.zeros_like(Y)
+        gap = self.offsets - (Y[:, None] @ N.T)[:, 0]
+        rows = np.flatnonzero(np.max(gap, axis=1, initial=0.0) > 0)
+        if not rows.size:
+            return X, dK
+        H = _rows_of(H, rows, diagonal)
+        H = H[..., None] * np.eye(Y.shape[1]) if diagonal else H
+        top = np.max(gap[rows], axis=1)
+        g = gap[rows] / top[:, None]
+        G = N @ H @ N.T + g[..., None] * g[:, None]            # E'E
+        u, P, back = np.zeros_like(g), np.zeros(g.shape, dtype=bool), np.zeros(len(g), dtype=bool)
+        for it in range(POLYHEDRAL_MAX_ITER + 1):
+            w = g - (G @ u[..., None])[..., 0]
+            free = ~P & (w > 64 * len(N) * EPS * (abs(g) + (abs(G) @ u[..., None])[..., 0]))
+            adding = ~back & free.any(axis=1)
+            if not (adding | back).any():
+                break
+            if it == POLYHEDRAL_MAX_ITER:       # name the row of the worst KKT residual
+                kkt = np.where(adding | back, np.max(abs(np.minimum(u, -w)), axis=1), -1.0)
+                raise StepError("polyhedral step: NNLS did not converge in %d iterations" % it,
+                                residual=float(kkt.max()), row=int(rows[kkt.argmax()]))
+            P[adding, np.argmax(np.where(free, w, -np.inf), axis=1)[adding]] = True
+            z = np.linalg.solve(np.where(P[..., None] & P[:, None], G, np.eye(len(N))),
+                                np.where(P, g, 0.0)[..., None])[..., 0]
+            neg = P & ~(z > 0)          # these leave, after a step back to the boundary
+            ratio = np.where(neg, np.divide(u, u - z, out=np.zeros_like(u), where=u > z), np.inf)
+            back = neg.any(axis=1)
+            u = np.where(back[:, None], u + np.min(ratio, axis=1, initial=1.0)[:, None] * (z - u),
+                         np.where(P, z, 0.0))
+            u[back, np.argmin(ratio, axis=1)[back]] = 0.0
+            P &= u > 0
+        lam = u * (top / (1.0 - (g[:, None] @ u[..., None])[:, 0, 0]))[:, None]
+        dK[rows] = -(lam[:, None] @ N)[:, 0]
+        X[rows] = Y[rows] - (H @ dK[rows][..., None])[..., 0]
+        miss = np.max(self.offsets - (X[rows][:, None] @ N.T)[:, 0], axis=1)
+        bad = ~(miss <= TOL_GEOM * (1.0 + np.sqrt(sq_norms(Y[rows]))))
+        if bad.any():
+            k = int(np.argmax(np.where(bad, miss, -np.inf)))
+            raise StepError("polyhedral step missed feasibility by %.3e" % miss[k],
+                            residual=float(miss[k]), row=int(rows[k]))
         return X, dK
 
 
@@ -222,9 +270,12 @@ class ConvexConstraint:
     @staticmethod
     def half_space(normal, offset=0.0, label="half-space"):
         n = _floats("half-space normal", normal, 1)
-        norm = np.linalg.norm(n)
+        with np.errstate(over="ignore"):        # an overflowing norm is rejected below
+            norm = np.linalg.norm(n)
         if norm <= 0:
             raise ConfigurationError("half-space normal must be nonzero")
+        if not np.isfinite(norm):
+            raise ConfigurationError("half-space normal must have a finite norm")
         n = n / norm
         c = float(offset) / norm
         if c > TOL_ARITH:
@@ -268,9 +319,12 @@ class ConvexConstraint:
         cs = _floats("intersection offsets", offsets, 1)
         if cs.shape != (ns.shape[0],):
             raise ConfigurationError("intersection offsets must have one entry per normal")
-        norms = np.linalg.norm(ns, axis=1)
+        with np.errstate(over="ignore"):        # an overflowing norm is rejected below
+            norms = np.linalg.norm(ns, axis=1)
         if np.any(norms <= 0):
             raise ConfigurationError("intersection normals must be nonzero")
+        if not np.all(np.isfinite(norms)):
+            raise ConfigurationError("intersection normals must have finite norms")
         ns = ns / norms[:, None]
         cs = cs / norms
         if np.any(cs > TOL_ARITH):
@@ -396,7 +450,7 @@ def _ball_multiplier(w, d, r, rows=None):
     ``rows``, if given) if it is not met within ``BALL_NEWTON_MAX_ITER``
     steps.  Returns ``lam`` and ``s``.
     """
-    tol = 4 * (d.shape[0] + 1) * np.finfo(float).eps * r
+    tol = 4 * (d.shape[0] + 1) * EPS * r
     lam = np.zeros(w.shape[1])
     for step in range(BALL_NEWTON_MAX_ITER + 1):
         q = 1.0 + lam * d
@@ -415,39 +469,10 @@ def _ball_multiplier(w, d, r, rows=None):
         lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
 
 
-def polyhedral_step(normals, offsets, H, y, row=None):
-    """Projection of ``y`` onto ``{x : normals x >= offsets}`` in the ``H^{-1}`` norm.
-
-    Returns ``(x, dk)`` with ``x + H dk = y`` and ``dk = -normals' lam``,
-    ``lam >= 0``, so ``dk`` lies in the exterior normal cone at ``x``.  With
-    ``H = R R'`` and ``x = y + R z`` this is the least-distance program
-    ``min |z|`` subject to ``(normals R) z >= gap``, ``gap = offsets -
-    normals y``, which one NNLS solve settles exactly (Lawson & Hanson
-    1974, ch. 23); ``gap`` is divided by its largest entry so the NNLS
-    residual is of order one.  ``StepError`` is raised when NNLS hits its
-    iteration cap or its answer misses feasibility by more than
-    ``TOL_GEOM (1 + |y|)``; it names ``row``, the row ``y`` came from.
-    """
-    from scipy.optimize import nnls         # deferred: scipy.optimize is slow to import
-    gap = offsets - normals @ y
-    top = float(np.max(gap))
-    if top <= 0:
-        return y.copy(), np.zeros_like(y)
-    E = np.vstack([(normals @ np.linalg.cholesky(H)).T, gap / top])
-    f = np.zeros(E.shape[0])
-    f[-1] = 1.0
-    try:
-        u, _ = nnls(E, f)
-    except RuntimeError as err:
-        raise StepError(f"polyhedral step: NNLS failed ({err})", row=row) from err
-    lam = u * (top / (1.0 - E[-1] @ u))
-    x = y + H @ (normals.T @ lam)
-    miss = float(np.max(offsets - normals @ x))
-    if not miss <= TOL_GEOM * (1.0 + np.linalg.norm(y)):
-        raise StepError(
-            "polyhedral step missed feasibility by %.3e" % miss, residual=miss, row=row
-        )
-    return x, -(normals.T @ lam)
+def polyhedral_step(normals, offsets, H, y):
+    """``HalfSpaceIntersection.oblique_step`` on the one row ``y``: ``(x, dk)``."""
+    X, dK = HalfSpaceIntersection(normals, offsets).oblique_step(H, y[None])
+    return X[0], dK[0]
 
 
 def project(constraint, x):

@@ -208,16 +208,19 @@ def default_sampler(state_dim, scale=2.0, atoms=8):
 
 
 def validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
-    """Empirical joint Lipschitz estimate against the declared constant."""
+    """Empirical joint Lipschitz estimate against the declared constant.
+
+    The pairs are drawn first, in the order the sampler and ``rng`` have
+    always been called, and their W2 distances solved as one batch."""
     if sampler is None:
         sampler = default_sampler(fld.state_dim)
     rng = np.random.default_rng(seed)
+    draws = [(sampler(rng), sampler(rng)) for _ in range(pairs)]
+    w2 = wasserstein2([mu for (_, mu), _ in draws], [nu for _, (_, nu) in draws])
     worst = 0.0
     violations = []
-    for _ in range(pairs):
-        x, mu = sampler(rng)
-        y, nu = sampler(rng)
-        den = np.linalg.norm(x - y) + wasserstein2(mu, nu)
+    for ((x, mu), (y, nu)), w in zip(draws, w2):
+        den = np.linalg.norm(x - y) + w
         if den < 1e-12:
             continue
         df = np.linalg.norm(fld.drift(x, mu, control, 0.0) - fld.drift(y, nu, control, 0.0))
@@ -240,12 +243,16 @@ def validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
 
 
 def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
-    """Check symmetry, the Rayleigh-quotient band, and Lipschitz continuity."""
+    """Check symmetry, the Rayleigh-quotient band, and Lipschitz continuity.
+
+    The samples are drawn and evaluated first, in the order the sampler,
+    ``rng`` and the field have always been called; the W2 distances of
+    consecutive state samples are then solved as one batch."""
     if sampler is None:
         sampler = default_sampler(fld.dim)
     rng = np.random.default_rng(seed)
-    lo, hi, asym, lip = np.inf, -np.inf, 0.0, 0.0
-    prev = None     # (H, key, inverse of H or None) of the previous sample
+    lo, hi, asym = np.inf, -np.inf, 0.0
+    Hs, keys, symmetric = [], [], []
     for _ in range(samples):
         if fld.time_dependent:
             t0, t1 = horizon if horizon is not None else (0.0, 1.0)
@@ -262,22 +269,26 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
         u /= np.linalg.norm(u)
         q = float(u @ H @ u)
         lo, hi = min(lo, q), max(hi, q)
-        symmetric = asym <= 1e-10 * max(1.0, float(np.max(np.abs(H))))
-        inv = None
-        if prev is not None and symmetric:
-            Hp, keyp, inv_p = prev
-            if fld.time_dependent:
-                den = abs(key - keyp)
-            else:
-                den = np.linalg.norm(key[0] - keyp[0]) + wasserstein2(key[1], keyp[1])
-            if den > 1e-12:
-                inv = inverse_spd(H)
-                if inv_p is None:
-                    inv_p = inverse_spd(Hp)
-                dH = np.linalg.norm(H - Hp)
-                dHinv = np.linalg.norm(inv - inv_p)
-                lip = max(lip, (dH + dHinv) / den)
-        prev = (H, key, inv)
+        Hs.append(H)
+        keys.append(key)
+        symmetric.append(asym <= 1e-10 * max(1.0, float(np.max(np.abs(H)))))
+    # Lipschitz pairs: each sample with the one before it, while all are symmetric
+    later = [k for k in range(1, samples) if symmetric[k]]
+    if fld.time_dependent:
+        dens = [abs(keys[k] - keys[k - 1]) for k in later]
+    else:
+        w2 = wasserstein2([keys[k][1] for k in later], [keys[k - 1][1] for k in later])
+        dens = [np.linalg.norm(keys[k][0] - keys[k - 1][0]) + w for k, w in zip(later, w2)]
+    lip = 0.0
+    inverses = [None] * samples     # each sample's inverse, shared by its two pairs
+    for k, den in zip(later, dens):
+        if den > 1e-12:
+            inverses[k] = inverse_spd(Hs[k])
+            if inverses[k - 1] is None:
+                inverses[k - 1] = inverse_spd(Hs[k - 1])
+            dH = np.linalg.norm(Hs[k] - Hs[k - 1])
+            dHinv = np.linalg.norm(inverses[k] - inverses[k - 1])
+            lip = max(lip, (dH + dHinv) / den)
     passed = (
         asym <= 1e-10
         and lo >= fld.a_h - 1e-9

@@ -21,6 +21,7 @@ measure, identity reflection and the interval at each step's end, and
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,20 @@ class MovingConstraintProblem:
         xbar0 = inverse_spd(self.hfield(t=t0)) @ self.x0
         if self.base_set.distance(xbar0) > 1e-9:
             raise ConfigurationError("initial state lies outside the moving set")
+
+
+def _memoized(hf):
+    """``hf`` with ``H(t)`` read once per time: one check's grid nodes, steps,
+    corrections and levels share the times they meet."""
+    memo = {}
+
+    def matrix(t):
+        if t not in memo:
+            memo[t] = hf(t=t)
+        return memo[t]
+    return ObliqueField(matrix, hf.a_h, hf.b_h, hf.dim, time_dependent=True,
+                        derivative=hf._derivative, lipschitz=hf.lipschitz,
+                        uses_measure=hf.uses_measure)
 
 
 def _frames(prob):
@@ -235,6 +250,10 @@ def equivalence_check(prob, step_ladder, particles, noise,
     N = int(particles)
     fine_inc = noise.brownian(N, finest, prob.coeffs.noise_dim, (t1 - t0) / finest)
 
+    # a copy, not re-validated, whose H(t) the direct reference, the reduced
+    # systems, the lift and the distances all read from one memo
+    prob = copy.copy(prob)
+    prob.hfield = _memoized(prob.hfield)
     frame = _frames(prob)
     reduced = {c: _reduce(prob, c, frame) for c in corrections}
     distances = {c: [] for c in corrections}

@@ -318,6 +318,9 @@ class TestExitCodes:
         ({"kind": "ball", "center": [[0]], "radius": 1}, "center"),
         ({"kind": "ball", "center": [0, 0], "radius": 1, "bogus": 3}, "bogus"),
         ({"kind": "half-space", "normal": [1, 0], "label": "x"}, "label"),
+        ({"kind": "half-space", "normal": [1e308, 1e308]}, "normal"),
+        ({"kind": "intersection", "normals": [[0, 1], [1e308, 1e308]], "offsets": [0, 0]},
+         "normals"),
         ({"kind": "ball", "center": [0, 0], "radius": math.nan}, "radius"),
         ({"kind": "quadratic", "weights": [1, -1]}, "weights"),
     ])
@@ -606,16 +609,34 @@ class TestDescribe:
         assert "available" in err
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     """scipy.optimize is imported only by the calls that use it: it is most
-    of a fresh process's start-up."""
+    of a fresh process's start-up.  Importing the package, a ``validate`` run
+    (the W2 assignments) and a polytope ``properties`` run (the polyhedral
+    step) load none of it."""
     src = str(Path(oblique_mv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, oblique_mv, oblique_mv.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = "import sys, oblique_mv, oblique_mv.cli; " + loaded
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+    triangle = {"kind": "intersection", "normals": [[1, 0], [0, 1], [-1, -1]],
+                "offsets": [-1, -1, -1]}
+    configs = {
+        "validate": {"mode": "validate", "seed": 3, "system": {"name": "example31"},
+                     "samples": 200},
+        "properties": {"mode": "properties", "seed": 3, "constraint": triangle, "samples": 60},
+    }
+    for mode, payload in configs.items():
+        cfg = write_config(tmp_path, payload, f"{mode}.json")
+        code = ("import sys; from oblique_mv import cli; "
+                f"code = cli.main(['run', '--config', {str(cfg)!r}, '--strict', "
+                f"'--out', {str(tmp_path / mode)!r}]); " + loaded + "; sys.exit(code)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "[]", mode
 
 
 # system names each mode accepts; any other name must be a config error

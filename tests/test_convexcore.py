@@ -66,6 +66,19 @@ class TestProjection:
             once = project(c, pts)
             np.testing.assert_allclose(project(c, once), once, atol=1e-12)
 
+    def test_off_center_ball_projects_only_outside_rows(self):
+        ball = ConvexConstraint.ball([0.3, -0.2], 1.0).geometry
+        rng = np.random.default_rng(3)
+        pts = 2 * rng.standard_normal((64, 2))
+        got = ball.project(pts)
+        rel = pts - ball.center
+        dist = np.linalg.norm(rel, axis=1)
+        far = dist > 1.0
+        assert 0 < far.sum() < len(pts)
+        np.testing.assert_array_equal(got[~far], pts[~far])
+        np.testing.assert_array_equal(got[far], ball.center + rel[far] * (1.0 / dist[far, None]))
+        np.testing.assert_array_equal(ball.project(pts[0]), got[0])
+
     def test_intersection_matches_enumeration_oracle(self):
         # triangle x1 >= 0, x2 >= 0, x1 + x2 <= 1.5
         tri = ConvexConstraint.half_space_intersection(
@@ -131,10 +144,23 @@ class TestProjection:
          "intersection normals"),
         (lambda: ConvexConstraint.half_space_intersection([[1, 0]], [0, 0]),
          "intersection offsets"),
+        # finite entries whose norm overflows
+        (lambda: ConvexConstraint.half_space([1e308, 1e308]), "half-space normal"),
+        (lambda: ConvexConstraint.half_space_intersection([[0, 1], [1e200, 0]], [0, 0]),
+         "intersection normals"),
     ])
     def test_malformed_arguments_rejected_by_name(self, build, argument):
         with pytest.raises(ConfigurationError, match=f"^{argument} must"):
             build()
+
+    @pytest.mark.parametrize("normal", [[3.0, 4.0], [1e153, -1e153], [1e-100, 2e-100], [0.1]])
+    def test_finite_norm_normals_keep_their_bits(self, normal):
+        n = np.array(normal)
+        unit = n / np.linalg.norm(n)
+        assert ConvexConstraint.half_space(normal, -1.0).geometry.normal.tobytes() \
+            == unit.tobytes()
+        rows = ConvexConstraint.half_space_intersection([normal, normal], [-1.0, 0.0])
+        assert rows.geometry.normals.tobytes() == np.vstack([unit, unit]).tobytes()
 
     def test_project_requires_indicator(self):
         with pytest.raises(ConfigurationError):

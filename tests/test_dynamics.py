@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from oblique_mv import library
 from oblique_mv.dynamics import (
@@ -16,7 +17,7 @@ from oblique_mv.dynamics import (
     validate_oblique,
 )
 from oblique_mv.errors import ConfigurationError, SpectralError
-from oblique_mv.measures import EmpiricalMeasure, dirac, wasserstein2
+from oblique_mv.measures import EmpiricalMeasure, dirac, sq_norms, wasserstein2
 
 
 def random_spd(rng, n, cond=100.0):
@@ -166,8 +167,40 @@ class TestObliqueField:
             ObliqueField(lambda x, mu: np.eye(1), 2.0, 1.0, 1)
 
 
+def scipy_w2(mu, nu):
+    """One pair's W2 by scipy's assignment (quantiles in 1-d), summed as ``wasserstein2`` sums."""
+    if mu.dim == 1:
+        return wasserstein2(mu, nu)
+    cost = sq_norms(mu.atoms[:, None, :] - nu.atoms[None, :, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
+
+
+def oracle_validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
+    """``validate_lipschitz`` one pair at a time, each W2 from scipy's assignment."""
+    if sampler is None:
+        sampler = default_sampler(fld.state_dim)
+    rng = np.random.default_rng(seed)
+    worst, violations = 0.0, []
+    for _ in range(pairs):
+        x, mu = sampler(rng)
+        y, nu = sampler(rng)
+        den = np.linalg.norm(x - y) + scipy_w2(mu, nu)
+        if den < 1e-12:
+            continue
+        df = np.linalg.norm(fld.drift(x, mu, control, 0.0) - fld.drift(y, nu, control, 0.0))
+        dg = np.linalg.norm(fld.diffusion(x, mu, control, 0.0)
+                            - fld.diffusion(y, nu, control, 0.0))
+        ratio = (df + dg) / den
+        worst = max(worst, ratio)
+        if ratio > fld.lipschitz * (1 + 1e-9):
+            violations.append((ratio, x.copy(), y.copy()))
+    return worst, [v[0] for v in violations[:16]]
+
+
 def oracle_validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
-    """``validate_oblique`` inverting both matrices of every Lipschitz pair afresh."""
+    """``validate_oblique`` one pair at a time, inverting both matrices of every
+    Lipschitz pair afresh, each W2 from scipy's assignment."""
     if sampler is None:
         sampler = default_sampler(fld.dim)
     rng = np.random.default_rng(seed)
@@ -196,7 +229,7 @@ def oracle_validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=Non
             if fld.time_dependent:
                 den = abs(key - keyp)
             else:
-                den = np.linalg.norm(key[0] - keyp[0]) + wasserstein2(key[1], keyp[1])
+                den = np.linalg.norm(key[0] - keyp[0]) + scipy_w2(key[1], keyp[1])
             if den > 1e-12:
                 dH = np.linalg.norm(H - Hp)
                 dHinv = np.linalg.norm(inverse_spd(H) - inverse_spd(Hp))
@@ -249,8 +282,16 @@ def repeating_sampler(period):
     return sample
 
 
+def five_atom_sampler(rng):
+    """A user sampler: a state in the unit square and a 5-atom cloud around it."""
+    x = rng.uniform(-1.0, 1.0, 2)
+    return x, EmpiricalMeasure(x + 0.5 * rng.standard_normal((5, 2)))
+
+
 # case -> fresh (field, validator keywords); fields and samplers keep state
 ORACLE_CASES = {
+    "five_atoms": lambda: (library.make_system("example31").oblique,
+                           {"sampler": five_atom_sampler}),
     "example31": lambda: (library.make_system("example31").oblique, {}),
     "moving_interval": lambda: (library.make_moving_problem("moving_interval").hfield,
                                 {"horizon": (0.0, 1.0)}),
@@ -272,6 +313,25 @@ class TestValidateObliqueInverses:
         ref = oracle_validate_oblique(fld, samples=300, seed=5, **kwargs)
         assert got == ref
         assert ref.estimate > 0
+
+    @pytest.mark.parametrize("sampler", [None, five_atom_sampler])
+    def test_lipschitz_report_equals_per_pair_oracle(self, sampler):
+        coeffs = library.make_system("example31").coeffs
+        got = validate_lipschitz(coeffs, sampler=sampler, pairs=400, seed=6)
+        worst, ratios = oracle_validate_lipschitz(coeffs, sampler=sampler, pairs=400, seed=6)
+        assert got.estimate == worst > 0
+        assert [v[0] for v in got.violations] == ratios
+
+    def test_lipschitz_violations_equal_per_pair_oracle(self):
+        # a declared constant far too small: every pair is a violation
+        ex = library.make_system("example31").coeffs
+        tight = CoefficientField(ex._drift, ex._diffusion, 1e-3, 2, ex.noise_dim,
+                                 controlled=True, time_dependent=True, normalized=False)
+        got = validate_lipschitz(tight, sampler=five_atom_sampler, pairs=50, seed=2)
+        worst, ratios = oracle_validate_lipschitz(tight, sampler=five_atom_sampler,
+                                                  pairs=50, seed=2)
+        assert not got.passed and got.estimate == worst
+        assert len(ratios) == 16 and [v[0] for v in got.violations] == ratios
 
     def test_one_inverse_per_sample(self, monkeypatch):
         from oblique_mv import dynamics

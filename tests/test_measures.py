@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblique_mv.errors import ConfigurationError
 from oblique_mv.measures import (
     EmpiricalMeasure,
+    _assignment,
     dirac,
     second_moment_sup,
     sq_norms,
@@ -140,6 +142,73 @@ class TestWasserstein:
                 EmpiricalMeasure(np.zeros((2, 2)), weights=[0.7, 0.3]),
                 EmpiricalMeasure(np.ones((2, 2))),
             )
+
+
+def scipy_w2(a, b):
+    """W2 of two uniform clouds by scipy's assignment, summed as ``wasserstein2`` sums."""
+    cost = sq_norms(a[:, None, :] - b[None, :, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean())), cols
+
+
+class TestBatchedAssignment:
+    """The batched shortest-augmenting-path solver against scipy and brute force."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 13):
+            for d in (2, 3):
+                for _ in range(8):
+                    a, b = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+                    ref, cols = scipy_w2(a, b)
+                    cost = sq_norms(a[:, None, :] - b[None, :, :])
+                    np.testing.assert_array_equal(_assignment(cost[None])[0], cols)
+                    assert wasserstein2(EmpiricalMeasure(a), EmpiricalMeasure(b)) == ref
+
+    def test_ties_reach_the_optimum(self):
+        # duplicate atoms on both sides: many optimal assignments
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            pool = rng.standard_normal((2, 2))
+            a = pool[rng.integers(0, 2, n)]
+            b = np.vstack([pool[rng.integers(0, 2, n - 1)], pool[:1]])
+            got = wasserstein2(EmpiricalMeasure(a), EmpiricalMeasure(b))
+            assert got == pytest.approx(brute_force_w2(a, b), abs=1e-12)
+        same = np.ones((5, 2))
+        assert wasserstein2(EmpiricalMeasure(same), EmpiricalMeasure(same)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_is_value_error(self, bad):
+        cost = np.ones((2, 3, 3))
+        cost[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            _assignment(cost)
+        a = np.zeros((3, 2))
+        a[1, 0] = bad
+        with pytest.raises(ValueError):
+            wasserstein2(EmpiricalMeasure(a), EmpiricalMeasure(np.ones((3, 2))))
+
+    def test_a_pair_is_the_same_in_a_batch_as_alone(self):
+        rng = np.random.default_rng(13)
+        shapes = [(8, 2)] * 40 + [(5, 3)] * 7 + [(4, 1)] * 3 + [(1, 2)] * 2
+        mus = [EmpiricalMeasure(rng.standard_normal(s)) for s in shapes]
+        nus = [EmpiricalMeasure(rng.standard_normal(s)) for s in shapes]
+        order = rng.permutation(len(shapes))
+        batch = wasserstein2([mus[k] for k in order], [nus[k] for k in order])
+        assert batch.shape == (len(shapes),)
+        for got, k in zip(batch, order):
+            assert got == wasserstein2(mus[k], nus[k])
+            if shapes[k][1] > 1:
+                assert got == scipy_w2(mus[k].atoms, nus[k].atoms)[0]
+        assert wasserstein2([], []).shape == (0,)
+
+    def test_batch_checks_every_pair(self):
+        mu = EmpiricalMeasure(np.zeros((3, 2)))
+        with pytest.raises(ConfigurationError, match="equally many measures"):
+            wasserstein2([mu, mu], [mu])
+        with pytest.raises(ConfigurationError, match="equally many atoms"):
+            wasserstein2([mu, mu], [mu, EmpiricalMeasure(np.ones((4, 2)))])
 
 
 class TestSecondMomentSup:

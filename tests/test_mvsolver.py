@@ -492,6 +492,36 @@ def _enumeration_oracle(normals, offsets, H, y):
     raise AssertionError("no consistent active set")
 
 
+def _nnls_reference(normals, offsets, H, y):
+    """Reference polyhedral step state from scipy's NNLS, one row at a time: the
+    least-distance program ``min |z|``, ``(normals R) z >= gap``, ``H = R R'``."""
+    gap = offsets - normals @ y
+    top = float(np.max(gap))
+    if top <= 0:
+        return y
+    E = np.vstack([(normals @ np.linalg.cholesky(H)).T, gap / top])
+    f = np.zeros(E.shape[0])
+    f[-1] = 1.0
+    u, _ = scipy.optimize.nnls(E, f)
+    return y + H @ (normals.T @ (u * (top / (1.0 - E[-1] @ u))))
+
+
+HEXAGON_ANGLES = np.arange(6) * np.pi / 3
+POLYTOPES = {
+    "triangle": ConvexConstraint.half_space_intersection(
+        [[1, 0], [0, 1], [-1, -1]], [-1, -1, -1]),
+    "hexagon": ConvexConstraint.half_space_intersection(
+        np.column_stack([np.cos(HEXAGON_ANGLES), np.sin(HEXAGON_ANGLES)]), -np.ones(6)),
+    # antiparallel faces
+    "slab": ConvexConstraint.half_space_intersection([[1, 0.3], [-1, -0.3]], [-1.0, -0.5]),
+    # three faces through the vertex (-1, -1)
+    "vertex": ConvexConstraint.half_space_intersection(
+        [[1, 0], [0, 1], [1, 1]], [-1.0, -1.0, -2.0]),
+    "box": ConvexConstraint.box([-1.0, -0.5, -2.0], [1.0, 2.0, 0.5]),
+}
+SIMPLEX = ConvexConstraint.half_space_intersection([[1, 0], [0, 1], [-1, -1]], [0, 0, -1])
+
+
 @st.composite
 def polyhedral_cases(draw):
     """Box (some bounds infinite) or intersection, SPD H (cond <= 1e4), point.
@@ -563,20 +593,54 @@ class TestPolyhedralStep:
             x_ref = _enumeration_oracle(normals, offsets, H, y)
             assert np.linalg.norm(x - x_ref) <= 1e-10 * scale
 
-    def test_nnls_failure_raises_step_error(self, monkeypatch):
-        def capped(A, b):
-            raise RuntimeError("Maximum number of iterations reached.")
+    @pytest.mark.parametrize("name", sorted(POLYTOPES))
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_batched_step_matches_oracles(self, name, per_row):
+        constraint = POLYTOPES[name]
+        normals, offsets = _rows(constraint.geometry)
+        m = constraint.dim
+        rng = np.random.default_rng(len(name))
+        Y = 3 * rng.standard_normal((150, m))
+        A = rng.standard_normal((150, m, m))
+        H = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(m)
+        H = H if per_row else H[0]
+        X, dK = constraint.geometry.oblique_step(H, Y)
+        inside = np.min(Y @ normals.T - offsets, axis=1) >= 0
+        assert 0 < inside.sum() < len(Y)
+        for i, y in enumerate(Y):
+            Hi = H[i] if per_row else H
+            scale = 1.0 + np.linalg.norm(y)
+            assert np.linalg.norm(X[i] + Hi @ dK[i] - y) <= 1e-10 * scale
+            assert np.min(normals @ X[i] - offsets) >= -1e-10 * scale
+            assert np.linalg.norm(X[i] - _enumeration_oracle(normals, offsets, Hi, y)) \
+                <= 1e-10 * scale
+            assert np.linalg.norm(X[i] - _nnls_reference(normals, offsets, Hi, y)) \
+                <= 1e-10 * scale
 
-        monkeypatch.setattr(scipy.optimize, "nnls", capped)
-        with pytest.raises(StepError):
-            oblique_skorohod_step(TRIANGLE, np.eye(2), np.array([-3.0, -2.0]))
-        with pytest.raises(StepError, match=r"^step \d+: "):
+    def test_nnls_failure_raises_step_error(self, monkeypatch):
+        # the NNLS iteration cap: one row inside, one projected onto an edge (one
+        # face, done after one iteration), one onto the vertex (0, 0) (two faces);
+        # a cap of one iteration names the vertex row, a cap of none the first
+        # row outside
+        Y = np.array([[0.1, 0.1], [0.5, -2.0], [-3.0, -2.0]])
+        monkeypatch.setattr(convexcore, "POLYHEDRAL_MAX_ITER", 1)
+        with pytest.raises(StepError, match="did not converge in 1 iterations") as err:
+            SIMPLEX.geometry.oblique_step(np.eye(2), Y)
+        assert err.value.row == 2
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
+        monkeypatch.setattr(convexcore, "POLYHEDRAL_MAX_ITER", 0)
+        with pytest.raises(StepError) as err:
+            SIMPLEX.geometry.oblique_step(np.eye(2), Y)
+        assert err.value.row == 1 and err.value.residual == 1.0
+        with pytest.raises(StepError, match=r"^step \d+: ") as err:
             simulate_projected(triangle_system(), TimeGrid(0.0, 1.0, 8), 4, NoiseSource(0))
+        assert math.isfinite(err.value.residual) and err.value.residual > 0
 
     def test_infeasible_answer_raises_step_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "nnls",
-                            lambda A, b: (np.zeros(A.shape[1]), float(np.linalg.norm(b))))
-        with pytest.raises(StepError) as err:
+        # every passive solve returns half its weights: the step stops short of the set
+        solve = np.linalg.solve
+        monkeypatch.setattr(convexcore.np.linalg, "solve", lambda A, b: 0.5 * solve(A, b))
+        with pytest.raises(StepError, match="missed feasibility") as err:
             oblique_skorohod_step(TRIANGLE, np.eye(2), np.array([-3.0, -2.0]))
         assert math.isfinite(err.value.residual) and err.value.residual > 0
         with pytest.raises(StepError, match=r"^step \d+: ") as err:
@@ -1523,7 +1587,9 @@ class TestErrorsNameTheParticle:
         assert math.isfinite(err.value.residual) and err.value.residual > 0
 
     def test_triangle_step_failure(self, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "nnls", lambda A, b: (np.zeros(A.shape[1]), 0.0))
+        # half the weights from every passive solve: each row stops short of the set
+        solve = np.linalg.solve
+        monkeypatch.setattr(convexcore.np.linalg, "solve", lambda A, b: 0.5 * solve(A, b))
         with pytest.raises(StepError, match=r"^step 0: HalfSpaceIntersection, group 0, "
                                             r"particle 0: polyhedral step") as err:
             simulate_projected(triangle_system(), TimeGrid(0.0, 1.0, 8), 4, NoiseSource(0))

@@ -291,6 +291,15 @@ class TestEquivalence:
         equivalence_check(prob, [32, 64], 16, NoiseSource(8))
         assert len(calls) == 128
 
+    def test_matrix_once_per_time(self):
+        # the transform-demo ladder: H(t) is read once for each of the 1,025
+        # grid times of the finest level, whose coarse nodes are among them
+        prob = library.make_moving_problem("moving_interval")
+        times, real = [], prob.hfield.matrix
+        prob.hfield.matrix = lambda t: times.append(t) or real(t)
+        equivalence_check(prob, [256, 512, 1024], 8, NoiseSource(8))
+        assert len(times) == len(set(times)) == 1025
+
     def test_diagonal_matrix_path_rejected(self):
         with pytest.raises(ConfigurationError, match="dense"):
             MovingConstraintProblem(

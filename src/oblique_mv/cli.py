@@ -111,7 +111,7 @@ def _config_validator():
 
 
 # Rows per formatted block of an array table.
-CSV_CHUNK_ROWS = 1024
+CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(v):
@@ -128,8 +128,7 @@ def _atomic_write(path: Path, chunks):
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)       # each chunk is freed before the next is made
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,11 +141,27 @@ def _array_lines(table):
 
     ``%.17g`` prints a float as ``_fmt`` does, and an integer-valued float up
     to 2**53 as that integer's ``str``, so index columns can be float columns.
+    A column with at most half as many distinct bit patterns as the block has
+    rows (an index or time column, a reflection that rarely moves) has each
+    pattern formatted once and passed as ``%s``; the bytes are the same.
     """
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     for start in range(0, len(table), CSV_CHUNK_ROWS):
-        block = table[start:start + CSV_CHUNK_ROWS]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        yield _block_lines(table[start:start + CSV_CHUNK_ROWS])
+
+
+def _block_lines(block):
+    """One block's text, from a call of its own: its cells are freed before it is written."""
+    cells, formats = np.empty(block.shape, dtype=object), []
+    for j, col in enumerate(block.T):
+        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+        repeated = 2 * len(bits) <= len(block)
+        if repeated:
+            text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+            col = np.array(text, dtype=object)[index]
+        cells[:, j] = col
+        formats.append("%s" if repeated else "%.17g")
+    cells = tuple(cells.ravel().tolist())      # the object array is freed before the ``%``
+    return (",".join(formats) + "\n") * len(block) % cells
 
 
 def write_csv(path, header, rows):

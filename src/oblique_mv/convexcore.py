@@ -272,12 +272,17 @@ class ConvexConstraint:
         n = _floats("half-space normal", normal, 1)
         with np.errstate(over="ignore"):        # an overflowing norm is rejected below
             norm = np.linalg.norm(n)
-        if norm <= 0:
+        if not np.any(n):
             raise ConfigurationError("half-space normal must be nonzero")
         if not np.isfinite(norm):
             raise ConfigurationError("half-space normal must have a finite norm")
+        # first scaled by a power of two (exact), so a tiny normal's norm does not underflow
+        e = -np.frexp(np.max(np.abs(n)))[1]
+        n = np.ldexp(n, e)
+        norm = np.linalg.norm(n)
         n = n / norm
-        c = float(offset) / norm
+        with np.errstate(over="ignore"):        # a large offset over a tiny normal: +-inf
+            c = float(np.ldexp(float(offset), e) / norm)
         if c > TOL_ARITH:
             raise InfeasibleSetError(
                 "half-space excludes the origin (offset %g > 0)" % c
@@ -321,12 +326,16 @@ class ConvexConstraint:
             raise ConfigurationError("intersection offsets must have one entry per normal")
         with np.errstate(over="ignore"):        # an overflowing norm is rejected below
             norms = np.linalg.norm(ns, axis=1)
-        if np.any(norms <= 0):
+        if not np.all(np.any(ns, axis=1)):
             raise ConfigurationError("intersection normals must be nonzero")
         if not np.all(np.isfinite(norms)):
             raise ConfigurationError("intersection normals must have finite norms")
+        e = -np.frexp(np.max(np.abs(ns), axis=1))[1]      # as in half_space
+        ns = np.ldexp(ns, e[:, None])
+        norms = np.linalg.norm(ns, axis=1)
         ns = ns / norms[:, None]
-        cs = cs / norms
+        with np.errstate(over="ignore"):
+            cs = np.ldexp(cs, e) / norms
         if np.any(cs > TOL_ARITH):
             raise InfeasibleSetError("intersection excludes the origin")
         return ConvexConstraint(

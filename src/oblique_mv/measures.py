@@ -83,15 +83,6 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(self.atoms + np.asarray(c, dtype=float),
                                 None if self.uniform else self.weights)
 
-    def to_csv(self, path):
-        """One atom per row: weight, then coordinates."""
-        header = "weight," + ",".join(f"x{i + 1}" for i in range(self.dim))
-        rows = np.column_stack([self.weights, self.atoms])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def dirac(x):
     """Point mass at x."""

@@ -301,8 +301,8 @@ def _control_value(control, k):
 
 
 def _gdb(gk, dB):
-    if gk.ndim == 2:          # shared (m, d)
-        return dB @ gk.T
+    if gk.ndim == 2:          # shared (m, d); one column is one product per entry
+        return dB * gk[:, 0] + 0.0 if gk.shape[1] == 1 else dB @ gk.T
     if gk.ndim != 3:          # else per particle (N, m, d), summed column by column
         raise ConfigurationError(f"diffusion returned unexpected shape {gk.shape}")
     out = np.empty(gk.shape[:2])

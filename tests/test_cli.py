@@ -509,10 +509,40 @@ class TestArrayWriter:
             assert_writer_matches_oracle(tmp_path_factory.mktemp("w"), values, reps,
                                          particles, steps1, m)
 
+    @given(
+        m=st.sampled_from([1, 2, 3]),
+        reps=st.sampled_from([1, 3]),
+        particles=st.integers(1, 3),
+        steps1=st.integers(1, 4),
+        chunk=st.integers(1, 12),
+        values=st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
+                        min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)),
+    )
+    @settings(max_examples=100)
+    def test_few_distinct_values_match_tuple_oracle(self, tmp_path_factory, m, reps,
+                                                    particles, steps1, chunk, values):
+        # a 3-value pool: most columns of most blocks are formatted once per value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+            assert_writer_matches_oracle(tmp_path_factory.mktemp("w"), values, reps,
+                                         particles, steps1, m)
+
     @pytest.mark.parametrize("chunk", [1, 11, 12, 13, 1024])
     def test_special_values_match_oracle(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
         assert_writer_matches_oracle(tmp_path, SPECIAL_VALUES, 3, 2, 2, 2)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_repeated_and_distinct_columns_match_per_cell_format(self, offset):
+        # a column of seven bit patterns (signed zeros, two NaN payloads, +-inf,
+        # the smallest subnormal) beside an all-distinct one, across a block edge
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(np.float64)
+        pool = np.array([0.0, -0.0, *nans, math.inf, -math.inf, 5e-324])
+        rows = cli.CSV_CHUNK_ROWS + offset
+        table = np.column_stack([np.resize(pool, rows), np.arange(rows) / 7.0 - 1e3])
+        expected = "".join(f"{'%.17g' % a},{'%.17g' % b}\n" for a, b in table.tolist())
+        assert "".join(cli._array_lines(table)) == expected
 
 
 class TestAllOrNothing:

@@ -162,6 +162,37 @@ class TestProjection:
         rows = ConvexConstraint.half_space_intersection([normal, normal], [-1.0, 0.0])
         assert rows.geometry.normals.tobytes() == np.vstack([unit, unit]).tobytes()
 
+    def test_tiny_normals_are_scaled_before_the_norm(self):
+        # unscaled, the squares underflow: the first norm is 0, the second normal 1.0000056 long
+        unit = np.array([1.0, 2.0]) / math.sqrt(5.0)
+        np.testing.assert_allclose(ConvexConstraint.half_space([1e-300, 2e-300]).geometry.normal,
+                                   unit, rtol=1e-15)
+        assert ConvexConstraint.half_space([1e-160, 0.0]).geometry.normal.tolist() == [1.0, 0.0]
+        rows = ConvexConstraint.half_space_intersection([[0.0, 1.0], [1e-300, 2e-300]],
+                                                        [-1.0, -1e-300]).geometry
+        np.testing.assert_allclose(rows.normals, [[0.0, 1.0], unit], rtol=1e-15)
+        np.testing.assert_allclose(rows.offsets, [-1.0, -1.0 / math.sqrt(5.0)], rtol=1e-15)
+        # the scaled offset overflows to +inf: the set excludes the origin, with no warning
+        with pytest.raises(InfeasibleSetError, match="offset inf"):
+            ConvexConstraint.half_space([2.225073858507203e-309], 0.4375)
+        with pytest.raises(InfeasibleSetError):
+            ConvexConstraint.half_space_intersection([[1.0, 0.0], [0.0, 1e-320]], [0.0, 1.0])
+
+    def test_drawn_ordinary_normals_keep_their_bits(self):
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 3, 5):
+            ns = rng.standard_normal((300, m)) * 10.0 ** rng.uniform(-100, 100, (300, m))
+            cs = -np.abs(rng.standard_normal(300)) * 10.0 ** rng.uniform(-100, 100, 300)
+            norms = np.linalg.norm(ns, axis=1)
+            rows = ConvexConstraint.half_space_intersection(ns, cs).geometry
+            assert rows.normals.tobytes() == (ns / norms[:, None]).tobytes()
+            assert rows.offsets.tobytes() == (cs / norms).tobytes()
+            for n, c in zip(ns[:50], cs[:50]):
+                one = ConvexConstraint.half_space(n, c).geometry
+                norm = np.linalg.norm(n)
+                assert one.normal.tobytes() == (n / norm).tobytes()
+                assert one.offset == c / norm
+
     def test_project_requires_indicator(self):
         with pytest.raises(ConfigurationError):
             project(QUAD, np.zeros(2))

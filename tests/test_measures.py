@@ -225,14 +225,6 @@ class TestSecondMomentSup:
         with pytest.raises(ValueError):
             second_moment_sup(np.zeros((0, 5, 1)))
 
-    def test_csv_roundtrip(self, tmp_path):
-        m = EmpiricalMeasure([[1.0, 2.0], [3.0, 4.0]])
-        path = tmp_path / "atoms.csv"
-        m.to_csv(path)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "weight,x1,x2"
-        assert len(rows) == 3
-
 
 SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e200, -1e200]
 

@@ -1831,6 +1831,19 @@ class TestDiffusionColumns:
             scale = np.einsum("nmd,nd->nm", np.abs(gk), np.abs(dB))
             assert np.all(np.abs(got - ref) <= 1e-15 * scale)
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 3), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_shared_column_has_the_matrix_product_bits(self, m, n, seed):
+        # a shared (m, 1) diffusion is one product per entry, as in dB @ gk.T
+        rng = np.random.default_rng(seed)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        gk, dB = (np.where(rng.random(shape) < 0.4, rng.choice(special, shape),
+                           rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape))
+                  for shape in ((m, 1), (n, 1)))
+        with np.errstate(invalid="ignore"):       # 0 * inf
+            got, ref = mvsolver._gdb(gk, dB), dB @ gk.T
+        assert got.tobytes() == ref.tobytes()
+
 
 def per_particle_brownian(noise, particles, steps, dim, h):
     """``NoiseSource.brownian`` as one strided write per stream."""

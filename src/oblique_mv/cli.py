@@ -25,7 +25,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__, library
 from .control import SimConfig, dpp_residual, penalization_ladder, penalization_rate_probe, value
@@ -493,7 +492,6 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
             "oblique_mv": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     _atomic_write(outdir / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])

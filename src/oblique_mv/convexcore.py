@@ -19,9 +19,15 @@ the linear relation, and the normal-cone inclusion of ``dk = H^{-1}(y - x)``.
 
 Polyhedral sets have one exact projection onto ``{x : N x >= c}`` in the
 ``H^{-1}`` norm: ``HalfSpaceIntersection.oblique_step`` solves it for all rows
-at once as a least-distance program (``polyhedral_step`` is its one-row call).
-It is the Euclidean projection onto a half-space intersection (``H = I``) and
-the oblique step of intersections and of boxes with non-diagonal ``H``.
+at once as a least-distance program.  It is the Euclidean projection onto a
+half-space intersection (``H = I``) and the oblique step of intersections and
+of boxes with non-diagonal ``H``.
+
+A constraint with a smooth part ``f`` has no closed-form proximal point:
+``resolvent`` runs one accelerated projected gradient on all rows at once,
+over the whole space (``smooth``) or over the set (``sum``), and stops each
+row on a strong-convexity bound on its distance to the answer.  The gradient
+of ``f`` is called on rows ``(n, m)``; its value only on single points.
 """
 
 from __future__ import annotations
@@ -49,10 +55,9 @@ EPS = np.finfo(float).eps
 
 BALL_NEWTON_MAX_ITER = 50
 POLYHEDRAL_MAX_ITER = 50
-SUM_PROX_MAX_ITER = 2000
-# A smooth prox is accepted when its distance bound eps |grad Phi| is at most
-# this times 1 + |x|; in 12,000 solves (eps 1e-3 to 1) it stayed under 7e-8.
-SMOOTH_PROX_RTOL = 1e-6
+PROX_MAX_ITER = 2000
+# A prox row is done when its distance bound 3 eps |G| is at most this times 1 + |x|.
+PROX_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,31 @@ def _floats(what, value, ndim, finite=True):
     return a.astype(float)
 
 
+def _unit_normals(kind, normals, offsets):
+    """``{x : <n, x> >= c}`` with unit normals: one normal ``(m,)`` and its offset, or
+    rows ``(k, m)`` and ``(k,)``.  Each normal is first scaled by a power of two (exact),
+    so a tiny normal's norm does not underflow.  A zero normal, an overflowing norm or
+    an offset that overflows to ``-inf`` over its norm is a ConfigurationError naming
+    the ``kind``; a set without the origin (``+inf`` too) is an InfeasibleSetError."""
+    axis = None if normals.ndim == 1 else 1         # a vector's norm is its dot product
+    with np.errstate(over="ignore"):        # an overflowing norm is rejected below
+        norms = np.linalg.norm(normals, axis=axis)
+    if not (np.all(np.any(normals, axis=-1)) and np.all(np.isfinite(norms))):
+        raise ConfigurationError(f"{kind} normal{'s' * (normals.ndim - 1)} must be nonzero "
+                                 "with a finite norm")
+    e = -np.frexp(np.max(np.abs(normals), axis=-1))[1]
+    normals = np.ldexp(normals, e[..., None])
+    norms = np.linalg.norm(normals, axis=axis)
+    with np.errstate(over="ignore"):
+        offsets = np.ldexp(offsets, e) / norms
+    if np.any(offsets > TOL_ARITH):
+        raise InfeasibleSetError("%s excludes the origin (offset %g > 0)"
+                                 % (kind, np.max(offsets)))
+    if not np.all(np.isfinite(offsets)):
+        raise ConfigurationError(f"{kind} offset over its normal's norm overflows to -inf")
+    return normals / norms[..., None], offsets
+
+
 @dataclass(frozen=True)
 class ConvexConstraint:
     """A convex function with projection/resolvent capability.
@@ -269,26 +299,10 @@ class ConvexConstraint:
 
     @staticmethod
     def half_space(normal, offset=0.0, label="half-space"):
-        n = _floats("half-space normal", normal, 1)
-        with np.errstate(over="ignore"):        # an overflowing norm is rejected below
-            norm = np.linalg.norm(n)
-        if not np.any(n):
-            raise ConfigurationError("half-space normal must be nonzero")
-        if not np.isfinite(norm):
-            raise ConfigurationError("half-space normal must have a finite norm")
-        # first scaled by a power of two (exact), so a tiny normal's norm does not underflow
-        e = -np.frexp(np.max(np.abs(n)))[1]
-        n = np.ldexp(n, e)
-        norm = np.linalg.norm(n)
-        n = n / norm
-        with np.errstate(over="ignore"):        # a large offset over a tiny normal: +-inf
-            c = float(np.ldexp(float(offset), e) / norm)
-        if c > TOL_ARITH:
-            raise InfeasibleSetError(
-                "half-space excludes the origin (offset %g > 0)" % c
-            )
+        n, c = _unit_normals("half-space", _floats("half-space normal", normal, 1),
+                             float(offset))
         return ConvexConstraint(
-            "indicator", n.size, geometry=HalfSpace(n, c), label=label
+            "indicator", n.size, geometry=HalfSpace(n, float(c)), label=label
         )
 
     @staticmethod
@@ -324,20 +338,7 @@ class ConvexConstraint:
         cs = _floats("intersection offsets", offsets, 1)
         if cs.shape != (ns.shape[0],):
             raise ConfigurationError("intersection offsets must have one entry per normal")
-        with np.errstate(over="ignore"):        # an overflowing norm is rejected below
-            norms = np.linalg.norm(ns, axis=1)
-        if not np.all(np.any(ns, axis=1)):
-            raise ConfigurationError("intersection normals must be nonzero")
-        if not np.all(np.isfinite(norms)):
-            raise ConfigurationError("intersection normals must have finite norms")
-        e = -np.frexp(np.max(np.abs(ns), axis=1))[1]      # as in half_space
-        ns = np.ldexp(ns, e[:, None])
-        norms = np.linalg.norm(ns, axis=1)
-        ns = ns / norms[:, None]
-        with np.errstate(over="ignore"):
-            cs = np.ldexp(cs, e) / norms
-        if np.any(cs > TOL_ARITH):
-            raise InfeasibleSetError("intersection excludes the origin")
+        ns, cs = _unit_normals("intersection", ns, cs)
         return ConvexConstraint(
             "indicator", ns.shape[1], geometry=HalfSpaceIntersection(ns, cs), label=label
         )
@@ -346,12 +347,20 @@ class ConvexConstraint:
     def smooth(value, gradient, dim, label="smooth"):
         """Smooth convex function; shifted so it vanishes at the origin.
 
-        The origin must be the minimizer (gradient ~ 0 there), otherwise the
-        standing convention ``value >= value(0) = 0`` cannot hold.
+        ``value`` maps one point ``(m,)`` to a number; ``gradient`` maps rows
+        ``(n, m)`` to rows ``(n, m)``, as the prox runs on all rows at once
+        (checked on two rows).  The origin must be the minimizer (gradient ~ 0
+        there), otherwise the standing convention ``value >= value(0) = 0``
+        cannot hold.
         """
-        zero = np.zeros(dim)
-        shift = float(value(zero))
-        g0 = np.asarray(gradient(zero), dtype=float)
+        shift = float(value(np.zeros(dim)))
+        try:
+            g0 = np.asarray(gradient(np.zeros((2, dim))), dtype=float)
+        except (ValueError, TypeError, IndexError) as err:
+            raise ConfigurationError(f"smooth gradient failed on rows (2, {dim}): {err}") from err
+        if g0.shape != (2, dim):
+            raise ConfigurationError(
+                f"smooth gradient must map rows (2, {dim}) to (2, {dim}), gave {g0.shape}")
         if np.linalg.norm(g0) > 1e-9:
             raise ConfigurationError(
                 "smooth constraint must have vanishing gradient at the origin"
@@ -478,12 +487,6 @@ def _ball_multiplier(w, d, r, rows=None):
         lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
 
 
-def polyhedral_step(normals, offsets, H, y):
-    """``HalfSpaceIntersection.oblique_step`` on the one row ``y``: ``(x, dk)``."""
-    X, dK = HalfSpaceIntersection(normals, offsets).oblique_step(H, y[None])
-    return X[0], dK[0]
-
-
 def project(constraint, x):
     """Metric projection onto the indicator set of the constraint."""
     if not constraint.has_indicator():
@@ -500,66 +503,75 @@ def _check_eps(eps):
         raise ValueError(f"smoothing parameter must be positive, got {eps}")
 
 
-def _smooth_prox(constraint, eps, x):
-    """Minimize |z - x|^2/(2 eps) + value(z), optionally over the set; StepError if unconverged.
+def _prox(constraint, eps, x):
+    """The rows of ``argmin_z |z - x|^2/(2 eps) + f(z)``, over the set for the ``sum`` kind.
 
-    The smooth objective Phi is (1/eps)-strongly convex, so ``eps |grad Phi(z)|``
-    bounds the distance from ``z`` to the exact prox: the answer is judged by
-    that bound, not by the optimizer's own flag (its line search can end
-    ABNORMAL at a converged point)."""
-    x = np.asarray(x, dtype=float)
-    f = constraint.smooth_value
+    One accelerated projected gradient (FISTA, Beck & Teboulle 2009) runs on
+    all rows of ``x`` at once.  With ``L`` the row's estimate of the smooth
+    part's Lipschitz constant, the quadratic term is taken exactly:
+    ``z+ = P((L y - grad f(y) + x/eps) / (L + 1/eps))``, the projected
+    gradient step of ``h = f + |. - x|^2/(2 eps)`` with step ``1/(L + 1/eps)``.
+    ``L`` starts at ``1/eps`` and doubles until ``<grad f(z+) - grad f(y), z+ -
+    y> <= L/2 |z+ - y|^2``, which for convex ``f`` implies the descent lemma.
+    The momentum is ``(1 - sqrt q)/(1 + sqrt q)``, ``q = 1/(1 + L eps)``.
+
+    ``h`` is (1/eps)-strongly convex, so with ``G = (L + 1/eps)(y - z+)``,
+    ``|y - J x| <= 2 eps |G|`` and ``|z+ - J x| <= 3 eps |G|``; a row is done
+    when that bound is at most ``PROX_RTOL (1 + |x|)``.  Done rows leave the
+    loop and every operation is row-wise, so a row's bits do not depend on the
+    batch if the gradient's and the projection's do not (``HalfSpace.project``
+    rounds by its BLAS call).  ``StepError`` names the worst row if a bound is
+    not finite or the cap ``PROX_MAX_ITER`` is reached."""
+    project = (lambda z: z) if constraint.geometry is None else constraint.geometry.project
     grad = constraint.smooth_gradient
-    shift = constraint._smooth_shift
-
-    if constraint.kind == "smooth":
-        from scipy import optimize          # deferred: scipy.optimize is slow to import
-
-        def obj(z):
-            d = z - x
-            return d @ d / (2 * eps) + float(f(z)) - shift
-
-        def jac(z):
-            return (z - x) / eps + np.asarray(grad(z), dtype=float)
-
-        res = optimize.minimize(
-            obj, x, jac=jac, method="L-BFGS-B",
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500},
-        )
-        bound = eps * float(np.linalg.norm(jac(res.x)))
-        if not bound <= SMOOTH_PROX_RTOL * (1.0 + float(np.linalg.norm(x))):
-            raise StepError(f"smooth prox: L-BFGS-B failed ({res.message})", residual=bound)
-        return res.x
-
-    # sum kind: projected gradient on the strongly convex objective
-    z = project(constraint, x)
-    step = eps / 2.0
-    for _ in range(SUM_PROX_MAX_ITER):
-        g = (z - x) / eps + np.asarray(grad(z), dtype=float)
-        z, z_old = constraint.geometry.project(z - step * g), z
-        if np.linalg.norm(z - z_old) <= 1e-13:
-            return z
-    raise StepError("sum prox: projected gradient did not converge in %d iterations"
-                    % SUM_PROX_MAX_ITER, residual=float(np.linalg.norm(z - z_old)))
+    open_rows = np.arange(len(x))
+    tol = PROX_RTOL * (1.0 + np.sqrt(sq_norms(x)))
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(x), 1))
+    L = 1.0 / eps
+    z = z_old = project(x)
+    out = np.empty_like(x)
+    for it in range(1, PROX_MAX_ITER + 1):
+        root = np.sqrt(1.0 / (1.0 + L * eps))
+        y = z + (1.0 - root) / (1.0 + root) * (z - z_old)
+        gy = np.asarray(grad(y), dtype=float)
+        z_new, todo = np.empty_like(y), np.arange(len(y))
+        while todo.size:                                # backtrack the rows that fail
+            Lt = L[todo]
+            z_new[todo] = project((Lt * y[todo] - gy[todo] + x[todo] / eps[todo])
+                                  / (Lt + 1.0 / eps[todo]))
+            d = z_new[todo] - y[todo]
+            curv = np.add.reduce((np.asarray(grad(z_new[todo]), dtype=float) - gy[todo]) * d,
+                                 axis=1)
+            steep = curv > Lt[:, 0] / 2 * sq_norms(d)
+            L[todo[steep]] *= 2.0
+            todo = todo[steep]
+        bound = 3 * (1.0 + L * eps)[:, 0] * np.sqrt(sq_norms(y - z_new))      # 3 eps |G|
+        done = bound <= tol
+        failed = ~np.isfinite(bound) if it < PROX_MAX_ITER else ~done
+        if failed.any():
+            k = int(np.argmax(np.where(failed, np.nan_to_num(bound, nan=np.inf), -np.inf)))
+            raise StepError("%s prox: distance bound %.3e at iteration %d of at most %d"
+                            % (constraint.kind, bound[k], it, PROX_MAX_ITER),
+                            residual=float(bound[k]), row=int(open_rows[k]))
+        out[open_rows[done]] = z_new[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        open_rows, x, eps, L, tol = open_rows[keep], x[keep], eps[keep], L[keep], tol[keep]
+        z, z_old = z_new[keep], z[keep]
 
 
 def resolvent(constraint, eps, x):
     """The proximal point J_eps x = x - eps * yosida_gradient(x); for rows ``x``,
-    ``eps`` may be a ``(rows, 1)`` column of one level per row, and ``StepError`` names the row."""
+    ``eps`` may be a ``(rows, 1)`` column of one level per row.  With a smooth part
+    it is ``_prox`` on all rows at once: each row is within ``PROX_RTOL (1 + |x|)``
+    of the exact point, its bits the same in a batch as alone, and ``StepError``
+    names the row that does not converge."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
     if constraint.kind == "indicator":
         return project(constraint, x)
-    if x.ndim == 1:
-        return _smooth_prox(constraint, eps, x)
-    levels = np.broadcast_to(eps, (x.shape[0], 1))[:, 0]
-    out = np.empty_like(x)
-    for i, (e, p) in enumerate(zip(levels, x)):
-        try:
-            out[i] = _smooth_prox(constraint, e, p)
-        except StepError as err:
-            raise StepError(str(err), residual=err.residual, row=i) from err
-    return out
+    return _prox(constraint, eps, x[None])[0] if x.ndim == 1 else _prox(constraint, eps, x)
 
 
 def yosida_gradient(constraint, eps, x):

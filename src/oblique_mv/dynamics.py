@@ -33,15 +33,6 @@ def _require_symmetric(A):
     return A
 
 
-def sqrt_spd(A):
-    """Symmetric square root of a symmetric positive-definite matrix."""
-    A = _require_symmetric(A)
-    vals, vecs = np.linalg.eigh(A)
-    if vals[0] <= 0:
-        raise SpectralError(f"matrix is not positive definite (eigenvalue {vals[0]:.3e})")
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 def inverse_spd(A):
     """Inverse of a symmetric positive-definite matrix."""
     A = _require_symmetric(A)

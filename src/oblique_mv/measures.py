@@ -79,10 +79,6 @@ class EmpiricalMeasure:
         """Weighted barycenter of the atoms."""
         return self.weights @ self.atoms
 
-    def translated(self, c):
-        return EmpiricalMeasure(self.atoms + np.asarray(c, dtype=float),
-                                None if self.uniform else self.weights)
-
 
 def dirac(x):
     """Point mass at x."""

@@ -639,15 +639,15 @@ class TestDescribe:
         assert "available" in err
 
 
-def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    """scipy.optimize is imported only by the calls that use it: it is most
-    of a fresh process's start-up.  Importing the package, a ``validate`` run
-    (the W2 assignments) and a polytope ``properties`` run (the polyhedral
-    step) load none of it."""
+def test_no_mode_loads_scipy(tmp_path):
+    """Nothing at run time imports scipy, which only the tests use as an oracle:
+    importing the CLI, a ``validate`` run (the W2 assignments), a polytope
+    ``properties`` run (the polyhedral step) and a quadratic ``properties`` run
+    (the smooth prox) each leave every ``scipy`` module unloaded."""
     src = str(Path(oblique_mv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    code = "import sys, oblique_mv, oblique_mv.cli; " + loaded
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, oblique_mv.cli; " + loaded
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -656,17 +656,19 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     configs = {
         "validate": {"mode": "validate", "seed": 3, "system": {"name": "example31"},
                      "samples": 200},
-        "properties": {"mode": "properties", "seed": 3, "constraint": triangle, "samples": 60},
+        "triangle": {"mode": "properties", "seed": 3, "constraint": triangle, "samples": 60},
+        "quadratic": {"mode": "properties", "seed": 3, "samples": 60,
+                      "constraint": {"kind": "quadratic", "weights": [1, 4]}},
     }
-    for mode, payload in configs.items():
-        cfg = write_config(tmp_path, payload, f"{mode}.json")
+    for name, payload in configs.items():
+        cfg = write_config(tmp_path, payload, f"{name}.json")
         code = ("import sys; from oblique_mv import cli; "
                 f"code = cli.main(['run', '--config', {str(cfg)!r}, '--strict', "
-                f"'--out', {str(tmp_path / mode)!r}]); " + loaded + "; sys.exit(code)")
+                f"'--out', {str(tmp_path / name)!r}]); " + loaded + "; sys.exit(code)")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip().splitlines()[-1] == "[]", mode
+        assert out.stdout.strip().splitlines()[-1] == "[]", name
 
 
 # system names each mode accepts; any other name must be a config error

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 
+from oblique_mv import convexcore, library
 from oblique_mv.convexcore import (
     ConvexConstraint,
     InteriorCertificate,
@@ -11,7 +11,6 @@ from oblique_mv.convexcore import (
     interior_constants,
     interior_margin,
     normal_cone_residual,
-    polyhedral_step,
     project,
     resolvent,
     yosida_gradient,
@@ -113,8 +112,8 @@ class TestProjection:
         inside = np.min(Y @ tri.normals.T - tri.offsets, axis=1) >= 0
         assert 0 < inside.sum() < len(Y)
         for i, y in enumerate(Y):
-            x, dk = (y, np.zeros(2)) if inside[i] else \
-                polyhedral_step(tri.normals, tri.offsets, H[i] if per_row else H, y)
+            x, dk = (y[None], np.zeros((1, 2))) if inside[i] else \
+                tri.oblique_step(H[i] if per_row else H, y[None])
             assert X[i].tobytes() == x.tobytes() and dK[i].tobytes() == dk.tobytes()
 
     def test_origin_excluding_geometries_rejected(self):
@@ -177,6 +176,13 @@ class TestProjection:
             ConvexConstraint.half_space([2.225073858507203e-309], 0.4375)
         with pytest.raises(InfeasibleSetError):
             ConvexConstraint.half_space_intersection([[1.0, 0.0], [0.0, 1e-320]], [0.0, 1.0])
+
+    def test_offsets_overflowing_to_minus_inf_rejected(self):
+        # -1e300 over a normal of norm 1e-10 is -inf: a half-space that excludes nothing
+        with pytest.raises(ConfigurationError, match="^half-space offset over"):
+            ConvexConstraint.half_space([1e-10], -1e300)
+        with pytest.raises(ConfigurationError, match="^intersection offset over"):
+            ConvexConstraint.half_space_intersection([[1.0, 0.0], [0.0, 1e-10]], [0.0, -1e300])
 
     def test_drawn_ordinary_normals_keep_their_bits(self):
         rng = np.random.default_rng(11)
@@ -378,7 +384,7 @@ class TestSmoothConstruction:
 
     def test_nonvanishing_gradient_rejected(self):
         with pytest.raises(ConfigurationError):
-            ConvexConstraint.smooth(lambda z: float(z[0]), lambda z: np.ones(1), 1)
+            ConvexConstraint.smooth(lambda z: float(z[0]), lambda z: np.ones_like(z), 1)
 
     def test_sum_kind_resolvent_feasible(self):
         c = ConvexConstraint.sum_of(HALF_LINE,
@@ -392,39 +398,79 @@ class TestSmoothConstruction:
         np.testing.assert_allclose(r, [0.0], atol=1e-9)
 
 
-class TestProxConvergence:
-    def test_stiff_sum_raises(self):
-        """Fixed-step projected gradient diverges once the smooth part's
-        Lipschitz constant passes 3/eps; the exact answer is x/51."""
-        c = ConvexConstraint.sum_of(BALL2, ConvexConstraint.smooth(
-            lambda z: 25.0 * float(z @ z), lambda z: 50.0 * z, 2))
-        with pytest.raises(StepError, match="did not converge in 2000 iterations") as err:
-            resolvent(c, 1.0, np.array([0.5, 0.3]))
-        assert err.value.residual == pytest.approx(2.0)
+STIFF = ConvexConstraint.sum_of(BALL2, ConvexConstraint.smooth(
+    lambda z: 25.0 * float(z @ z), lambda z: 50.0 * z, 2))
+QUAD14 = library.constraint_from_config({"kind": "quadratic", "weights": [1, 4]})
 
-    def test_stiff_sum_names_the_row(self):
-        # the prox at the origin converges at once, the row after it does not
+
+class TestProxConvergence:
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.001])
+    def test_quadratic_is_exact(self, eps):
+        x = 2 * np.random.default_rng(12).standard_normal((200, 2))
+        exact = x / (1.0 + eps * np.array([1.0, 4.0]))
+        assert np.max(np.abs(resolvent(QUAD14, eps, x) - exact)) <= 1e-10
+
+    def test_stiff_sum_is_exact(self):
+        """Past 3/eps the former fixed-step projected gradient diverged; the
+        backtracking one finds x/51, inside the ball."""
+        x = np.array([0.5, 0.3])
+        np.testing.assert_allclose(resolvent(STIFF, 1.0, x), x / 51, rtol=0, atol=1e-10)
+
+    def test_sum_inside_the_ball_is_the_smooth_prox(self):
+        c = ConvexConstraint.sum_of(BALL2, QUAD14)
+        np.testing.assert_allclose(resolvent(c, 1.0, np.array([0.2, -0.1])), [0.1, -0.02],
+                                   rtol=0, atol=1e-10)
+
+    def test_sum_outside_the_ball_is_on_the_sphere(self):
+        # f = |z|^2/2 is radial: the prox is the projection of x/(1 + eps)
+        c = ConvexConstraint.sum_of(BALL2, QUAD)
+        x = np.array([[3.0, 4.0], [-6.0, 0.5]])
+        np.testing.assert_allclose(resolvent(c, 0.5, x), BALL2.geometry.project(x / 1.5),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("constraint", [QUAD14, ConvexConstraint.sum_of(BALL2, QUAD14), STIFF])
+    def test_rows_are_the_same_in_a_batch_as_alone(self, constraint):
+        rng = np.random.default_rng(13)
+        x = 2 * rng.standard_normal((300, 2))
+        eps = 10.0 ** rng.uniform(-3, 0.5, (300, 1))
+        batch = resolvent(constraint, eps, x)
+        for i in range(len(x)):
+            assert batch[i].tobytes() == resolvent(constraint, eps[i, 0], x[i]).tobytes()
+
+    @pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-9])
+    def test_a_row_stops_once_its_distance_bound_is_met(self, rtol, monkeypatch):
+        """A row is returned as soon as 3 eps |G| <= rtol (1 + |x|), and that
+        bound holds: the answer is within it, and at a loose rtol short of exact."""
+        monkeypatch.setattr(convexcore, "PROX_RTOL", rtol)
+        x = 2 * np.random.default_rng(14).standard_normal((200, 2))
+        err = np.linalg.norm(resolvent(QUAD14, 1.0, x) - x / [2.0, 5.0], axis=1)
+        assert np.all(err <= rtol * (1 + np.linalg.norm(x, axis=1)))
+        assert np.max(err) > 1e-3 * rtol
+
+    def test_the_iteration_cap_names_the_worst_row(self, monkeypatch):
+        # the origin is its own prox at once; the other rows are still open at the cap
+        monkeypatch.setattr(convexcore, "PROX_MAX_ITER", 3)
+        with pytest.raises(StepError, match="^sum prox: distance bound .* at iteration 3 of "
+                                            "at most 3") as err:
+            resolvent(STIFF, 1.0, np.array([[0.0, 0.0], [0.05, 0.03], [0.5, 0.3]]))
+        assert err.value.row == 2
+        assert math.isfinite(err.value.residual) and err.value.residual > 1e-12
+
+    def test_a_non_finite_row_raises_at_once(self):
+        # the gradient is NaN right of 0.4: row 1 cannot converge, row 0 converges at once
         c = ConvexConstraint.sum_of(BALL2, ConvexConstraint.smooth(
-            lambda z: 25.0 * float(z @ z), lambda z: 50.0 * z, 2))
-        with pytest.raises(StepError, match="^sum prox: projected gradient") as err:
+            lambda z: float(z @ z), lambda z: np.where(z[:, :1] > 0.4, np.nan, 2.0 * z), 2))
+        with pytest.raises(StepError, match="^sum prox: distance bound nan at iteration 1 ") \
+                as err:
             resolvent(c, np.array([[1.0], [1.0], [1.0]]),
                       np.array([[0.0, 0.0], [0.5, 0.3], [0.5, 0.3]]))
-        assert err.value.row == 1 and err.value.residual == pytest.approx(2.0)
+        assert err.value.row == 1 and math.isnan(err.value.residual)
 
-    def test_abnormal_stop_at_the_prox_is_accepted(self, monkeypatch):
-        """L-BFGS-B's line search can end ABNORMAL at a converged point; the
-        answer is judged by its distance bound, not by the flag."""
-        exact = quadratic_prox_oracle(1.0, np.array([2.0, -1.0]))
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kw:
-                            scipy.optimize.OptimizeResult(x=exact.copy(), success=False,
-                                                          message="ABNORMAL: "))
-        np.testing.assert_array_equal(resolvent(QUAD, 1.0, np.array([2.0, -1.0])), exact)
-
-    def test_failed_lbfgs_raises(self, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kw:
-                            scipy.optimize.OptimizeResult(x=x0.copy(), success=False,
-                                                          message="stopped"))
-        with pytest.raises(StepError, match=r"L-BFGS-B failed \(stopped\)") as err:
-            resolvent(QUAD, 1.0, np.array([2.0, -1.0]))
-        # the objective's gradient at the returned point x is grad(x) = x
-        assert err.value.residual == pytest.approx(math.sqrt(5.0))
+    @pytest.mark.parametrize("gradient", [
+        lambda z: np.array([z[0], z[1], z[2]]),         # one point: fails on rows
+        lambda z: np.zeros(3),                          # a single row for any input
+        lambda z: z.ravel(),
+    ])
+    def test_a_gradient_must_map_rows_to_rows(self, gradient):
+        with pytest.raises(ConfigurationError, match="^smooth gradient"):
+            ConvexConstraint.smooth(lambda z: float(z @ z), gradient, 3)

@@ -12,7 +12,6 @@ from oblique_mv.dynamics import (
     ValidationReport,
     default_sampler,
     inverse_spd,
-    sqrt_spd,
     validate_lipschitz,
     validate_oblique,
 )
@@ -27,21 +26,6 @@ def random_spd(rng, n, cond=100.0):
 
 
 class TestSpectral:
-    def test_sqrt_identity(self):
-        np.testing.assert_array_equal(sqrt_spd(np.eye(3)), np.eye(3))
-
-    def test_sqrt_diagonal(self):
-        np.testing.assert_allclose(sqrt_spd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
-                                   atol=1e-12)
-
-    def test_sqrt_multiply_back(self):
-        rng = np.random.default_rng(0)
-        for n in (2, 3, 5, 8):
-            A = random_spd(rng, n, cond=1e6)
-            S = sqrt_spd(A)
-            assert np.max(np.abs(S - S.T)) <= 1e-9 * np.max(np.abs(S))
-            assert np.max(np.abs(S @ S - A)) <= 1e-9 * np.max(np.abs(A))
-
     def test_inverse_identity_and_diag(self):
         np.testing.assert_array_equal(inverse_spd(np.eye(2)), np.eye(2))
         np.testing.assert_allclose(inverse_spd(np.diag([2.0, 4.0])),
@@ -55,9 +39,9 @@ class TestSpectral:
 
     def test_non_spd_rejected(self):
         with pytest.raises(SpectralError):
-            sqrt_spd(np.diag([1.0, -2.0]))
-        with pytest.raises(SpectralError):
-            sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            inverse_spd(np.diag([1.0, -2.0]))
+        with pytest.raises(SpectralError, match="not symmetric"):
+            inverse_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(SpectralError):
             inverse_spd(np.zeros((2, 2)))
 

@@ -129,7 +129,7 @@ class TestWasserstein:
         mu = EmpiricalMeasure(rng.standard_normal((6, 2)))
         nu = EmpiricalMeasure(rng.standard_normal((6, 2)))
         c = np.array([3.0, -1.0])
-        shifted = wasserstein2(mu.translated(c), nu.translated(c))
+        shifted = wasserstein2(EmpiricalMeasure(mu.atoms + c), EmpiricalMeasure(nu.atoms + c))
         assert shifted == pytest.approx(wasserstein2(mu, nu), abs=1e-12)
 
     def test_mismatched_sizes_rejected(self):

@@ -1572,19 +1572,20 @@ class TestErrorsNameTheParticle:
         assert math.isfinite(e.residual) and e.residual > 0
 
     def test_penalized_prox_failure(self):
-        # a stiff smooth part stalls the sum prox away from the origin: group 0
-        # starts at the origin, where it converges, group 1 does not
+        # the smooth part's gradient is NaN right of 0.4: group 0 starts at the
+        # origin, where the sum prox converges, group 1 at 0.5, where it cannot
         ex = library.make_system("example31")
-        stiff = ConvexConstraint.sum_of(ConvexConstraint.ball([0.0, 0.0], 1.0),
-                                        ConvexConstraint.smooth(lambda z: 25.0 * float(z @ z),
-                                                                lambda z: 50.0 * z, 2))
-        system = System(ex.coeffs, ex.oblique, stiff, [0.0, 0.0])
+        broken = ConvexConstraint.sum_of(ConvexConstraint.ball([0.0, 0.0], 1.0),
+                                         ConvexConstraint.smooth(
+                                             lambda z: float(z @ z),
+                                             lambda z: np.where(z[:, :1] > 0.4, np.nan, 2 * z), 2))
+        system = System(ex.coeffs, ex.oblique, broken, [0.0, 0.0])
         with pytest.raises(StepError, match=r"^step 0: Ball \+ smooth, group 1, particle 0: "
-                                            r"sum prox: projected gradient") as err:
+                                            r"sum prox: distance bound nan") as err:
             mvsolver._simulate(system, TimeGrid(0.0, 1.0, 8), 2, NoiseSource(3), eps=1.0,
                                groups=2, x0=np.array([[0.0, 0.0], [0.5, 0.0]]))
         assert err.value.row == 2
-        assert math.isfinite(err.value.residual) and err.value.residual > 0
+        assert math.isnan(err.value.residual)
 
     def test_triangle_step_failure(self, monkeypatch):
         # half the weights from every passive solve: each row stops short of the set

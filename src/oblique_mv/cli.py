@@ -27,7 +27,8 @@ import jsonschema
 import numpy as np
 
 from . import __version__, library
-from .control import SimConfig, dpp_residual, penalization_ladder, penalization_rate_probe, value
+from .control import (SimConfig, _value_and_dpp, control_family, penalization_ladder,
+                      penalization_rate_probe)
 from .convexcore import check_yosida_properties
 from .dynamics import validate_lipschitz, validate_oblique
 from .errors import ConfigurationError, DivergenceError, ObliqueMVError
@@ -310,15 +311,15 @@ def _run_control(cfg, seed, out):
         switches=ctl.get("switches", 0), clusters=ctl.get("clusters", 8),
         inner_replications=ctl.get("inner_replications", 8),
     )
-    est = value(prob, sim, noise=NoiseSource(seed).child(1))
+    s, t_end = prob.horizon
+    tau = ctl.get("tau", 0.5 * (s + t_end))
+    est, residual, stderr = _value_and_dpp(prob, tau, sim, noise=NoiseSource(seed),
+                                           family=control_family(prob, sim.switches))
     rows = [(str(k), v) for k, v in est.per_control.items()]
     rows.append(("minimum", est.value))
     rows.append(("mc_stderr", est.mc_stderr))
     out.write_csv("value.csv", ["control", "cost"], rows)
 
-    s, t_end = prob.horizon
-    tau = ctl.get("tau", 0.5 * (s + t_end))
-    residual, stderr = dpp_residual(prob, tau, sim, noise=NoiseSource(seed))
     threshold = max(3 * stderr, 5 * (t_end - s) / g["steps"])
     failures = _failures(_gate("dpp_residual", residual, high=threshold))
     out.write_csv(

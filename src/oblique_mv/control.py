@@ -210,11 +210,12 @@ class _CostStream:
     The rows form ``len(u_nodes)`` equal contiguous blocks; block ``b`` runs
     under the control ``u_nodes[b]`` (one value per grid node), and the
     running cost is called once per block and node.  ``integral`` is the
-    per-row trapezoid of the running cost and ``X`` the latest states.
+    per-row trapezoid of the running cost and ``X`` the latest states; at
+    node ``at``, if given, ``snapshot`` keeps a copy of both.
     """
 
-    def __init__(self, running, u_nodes, h):
-        self.running, self.u_nodes, self.h = running, np.asarray(u_nodes), h
+    def __init__(self, running, u_nodes, h, at=None):
+        self.running, self.u_nodes, self.h, self.at = running, np.asarray(u_nodes), h, at
 
     def _z(self, X, node):
         blocks = len(self.u_nodes)
@@ -232,12 +233,15 @@ class _CostStream:
         z = self._z(X, k + 1)
         self.integral += self.h * (z + self.z) / 2.0
         self.X, self.z = X, z
+        if k + 1 == self.at:
+            self.snapshot = self.integral.copy(), X
 
 
-def _cost_runs(prob, eps, grid, particles, streams, u_nodes, x0=None, draw=None):
+def _cost_runs(prob, eps, grid, particles, streams, u_nodes, x0=None, draw=None, at=None):
     """Running-cost integrals ``(V, F, S, N)`` and end states ``(V, F, S, N, m)``
     of every (variant, control, stream), run by ``_stream_batches`` with
-    (variant, control) as its variants and ``draw`` passed on.
+    (variant, control) as its variants and ``draw`` passed on; given a node
+    ``at``, the integrals and states at that node follow in the same shapes.
 
     The variants are the levels of an array ``eps``, or the first axis of
     ``x0``, one start point per (variant, stream); by default there is one.
@@ -246,17 +250,18 @@ def _cost_runs(prob, eps, grid, particles, streams, u_nodes, x0=None, draw=None)
     m = prob.system.state_dim
     V = len(eps) if np.ndim(eps) else 1 if x0 is None else x0.shape[0]
     blocks = np.tile(u_nodes, (V, 1))                           # (variant, control)
-    integral, ends = np.empty((V, F, S, N)), np.empty((V, F, S, N, m))
+    out = [np.empty(shape) for shape in ((V, F, S, N), (V, F, S, N, m)) * (1 + (at is not None))]
     batches = _stream_batches(
         prob.system, grid, N, streams, variants=V * F,
         eps=np.repeat(eps, F) if np.ndim(eps) else eps, control=blocks,
         x0=None if x0 is None
         else np.broadcast_to(x0[:, None], (V, F, S, m)).reshape(V * F, S, m),
-        observer=lambda: _CostStream(prob.costs.running, blocks, grid.h), draw=draw)
+        observer=lambda: _CostStream(prob.costs.running, blocks, grid.h, at), draw=draw)
     for chunk, run in batches:
-        integral[:, :, chunk] = run.integral.reshape(V, F, -1, N)
-        ends[:, :, chunk] = run.X.reshape(V, F, -1, N, m)
-    return integral, ends
+        found = (run.integral, run.X) + (() if at is None else run.snapshot)
+        for whole, part in zip(out, found):
+            whole[:, :, chunk] = part.reshape(V, F, -1, *whole.shape[3:])
+    return out
 
 
 def _mean_costs(prob, integral, ends):
@@ -295,7 +300,11 @@ def value(prob, cfg, eps=None, noise=None, family=None):
         noise = NoiseSource(cfg.seed).child(1)
     if family is None:
         family = control_family(prob, cfg.switches)
-    table = _value_costs(prob, eps, cfg, noise, family)[0][0]
+    return _estimate(family, _value_costs(prob, eps, cfg, noise, family)[0][0])
+
+
+def _estimate(family, table):
+    """The value estimate of ``family`` from its ``(replications, controls)`` cost table."""
     means, best, stderr = _best_control(table)
     return ValueEstimate(
         value=float(means[best]),
@@ -371,6 +380,20 @@ def dpp_residual(prob, tau, cfg, eps=None, noise=None):
     representatives (centers are within-cluster means, so the first-order
     lookup error cancels).  Returns ``(residual, combined stderr)``.
     """
+    return _value_and_dpp(prob, tau, cfg, eps, noise)[1:]
+
+
+def _value_and_dpp(prob, tau, cfg, eps=None, noise=None, family=()):
+    """``value``'s estimate over ``family`` (None if it is empty) and the DPP
+    residual and its stderr, from one batch of paths on the replications
+    of ``noise.child(1)``.
+
+    The batch runs each control of ``family`` and of the left side once;
+    controls with the same nodes run once for both.  It keeps every run's
+    running cost and state at ``tau``.  The head leg of a first control
+    ``u1`` is the constant pair ``(u1, u1)`` read there, as its control is
+    ``u1`` at every node up to and including ``tau``.
+    """
     if noise is None:
         noise = NoiseSource(cfg.seed)
     s, t_end = prob.horizon
@@ -392,23 +415,26 @@ def dpp_residual(prob, tau, cfg, eps=None, noise=None):
             f"nested budget exceeded: {inner_sims} inner runs > {cfg.nested_budget}"
         )
 
-    if tau_idx == 0:
-        lhs = value(prob, cfg, eps, noise=noise.child(1))
-        return 0.0, lhs.mc_stderr
-
-    # left side: allow a switch exactly at tau
-    pair_family = [
+    # left side: allow a switch exactly at tau; at tau = s it is the value
+    lhs_family = [
         ControlPath(values=(u1, u2), switch_times=(tau_snap,))
         for u1 in controls for u2 in controls
-    ]
-    lhs = value(prob, cfg, eps, noise=noise.child(1), family=pair_family)
-
-    # first leg per initial control, all controls and replications batched
-    head_grid = TimeGrid(s, tau_snap, tau_idx)
-    u_nodes = np.repeat(np.asarray(controls, dtype=float)[:, None], tau_idx + 1, axis=1)
+    ] if tau_idx else control_family(prob, cfg.switches)
+    F = len(family)
+    u_nodes, col = np.unique([c.per_step(grid) for c in [*family, *lhs_family]],
+                             axis=0, return_inverse=True)
+    col = col.reshape(-1)               # numpy 2.0.0 returns it as a column
     streams = [noise.child(1).for_replication(r) for r in range(cfg.replications)]
-    running_all, ends_all = (a[0] for a in _cost_runs(prob, eps, head_grid, cfg.particles,
-                                                      streams, u_nodes))
+    integral, ends, *head = _cost_runs(prob, eps, grid, cfg.particles, streams, u_nodes,
+                                       at=tau_idx or None)
+    costs = _mean_costs(prob, integral, ends)[0]                # (control, replication)
+    est = _estimate(family, costs[col[:F]].T) if F else None
+    lhs = _estimate(lhs_family, costs[col[F:]].T)
+    if tau_idx == 0:
+        return est, 0.0, lhs.mc_stderr
+
+    # first leg per initial control: the constant pairs at tau
+    running_all, ends_all = (a[0, col[F::len(controls) + 1]] for a in head)
     pooled_all = ends_all.reshape(len(controls), -1, prob.system.state_dim)
     centers = [_kmeans(pooled, cfg.clusters)[0] for pooled in pooled_all]
     tail_grid = TimeGrid(tau_snap, t_end, cfg.steps - tau_idx)
@@ -427,7 +453,7 @@ def dpp_residual(prob, tau, cfg, eps=None, noise=None):
             best_rhs, best_se = rhs_u1, se_u1
 
     residual = abs(lhs.value - best_rhs)
-    return residual, math.sqrt(lhs.mc_stderr**2 + best_se**2)
+    return est, residual, math.sqrt(lhs.mc_stderr**2 + best_se**2)
 
 
 # ---------------------------------------------------------------------------

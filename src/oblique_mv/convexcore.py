@@ -60,6 +60,12 @@ PROX_MAX_ITER = 2000
 PROX_RTOL = 1e-12
 
 
+def _row_dots(x, v):
+    """``x @ v``, with a lone row of ``x`` taken as the first of two: numpy's dot
+    for one row rounds unlike the gemv of more, so a row keeps its batch bits."""
+    return (np.repeat(x, 2, axis=0) @ v)[:1] if x.ndim == 2 and len(x) == 1 else x @ v
+
+
 @dataclass(frozen=True)
 class HalfSpace:
     """Set {x : <normal, x> >= offset} with a unit normal."""
@@ -68,7 +74,7 @@ class HalfSpace:
     offset: float
 
     def project(self, x):
-        gap = self.offset - x @ self.normal
+        gap = self.offset - _row_dots(x, self.normal)
         return x + np.maximum(gap, 0.0)[..., None] * self.normal
 
     def margin(self, a):
@@ -76,15 +82,14 @@ class HalfSpace:
 
     def oblique_step(self, H, Y, diagonal=False):
         n, c = self.normal, self.offset
-        gap = c - Y @ n
+        gap = c - _row_dots(Y, n)
         mask = gap > 0
         X, dK = Y.copy(), np.zeros_like(Y)
         if not np.any(mask):
             return X, dK
         Hm = _rows_of(H, mask, diagonal)                # shared, or rows outside
         Hn = Hm * n + 0.0 if diagonal else Hm @ n     # + 0.0: a zero is +0.0, as from H @ n
-        lone = Hn.ndim == 2 and len(Hn) == 1     # numpy's dot: rounds unlike gemv on more rows
-        t = gap[mask] / ((np.repeat(Hn, 2, axis=0) @ n)[:1] if lone else Hn @ n)
+        t = gap[mask] / _row_dots(Hn, n)
         X[mask] = Y[mask] + t[:, None] * Hn
         dK[mask] = -t[:, None] * n
         return X, dK

@@ -19,27 +19,29 @@ import numpy as np
 from .errors import ConfigurationError, SpectralError
 from .measures import EmpiricalMeasure, dirac, wasserstein2
 
-_SPD_TOL = 1e-9
-
-
-def _require_symmetric(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise SpectralError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > 1e-10 * scale:
-        raise SpectralError(f"matrix is not symmetric (residual {asym:.3e})")
-    return A
-
 
 def inverse_spd(A):
     """Inverse of a symmetric positive-definite matrix."""
-    A = _require_symmetric(A)
-    vals, vecs = np.linalg.eigh(A)
-    if vals[0] <= 1e-14 * max(abs(vals[-1]), 1.0):
-        raise SpectralError(f"matrix is numerically singular (eigenvalue {vals[0]:.3e})")
-    return (vecs / vals) @ vecs.T
+    return _inverses_spd(np.asarray(A, dtype=float)[None])[0]
+
+
+def _inverses_spd(As):
+    """Inverses of a stack of symmetric positive-definite matrices, by one
+    batched ``eigh``; the first matrix that is not one raises ``SpectralError``."""
+    if As.ndim != 3 or As.shape[1] != As.shape[2]:
+        raise SpectralError(f"expected a square matrix, got shape {As.shape[1:]}")
+    scale = np.maximum(1.0, np.max(np.abs(As), axis=(1, 2)))
+    asym = np.max(np.abs(As - As.transpose(0, 2, 1)), axis=(1, 2))
+    vals, vecs = np.linalg.eigh(As)
+    tol = 1e-14 * np.maximum(np.abs(vals[:, -1]), 1.0)
+    bad = (asym > 1e-10 * scale) | (vals[:, 0] <= tol)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if asym[i] > 1e-10 * scale[i]:
+            raise SpectralError(f"matrix is not symmetric (residual {asym[i]:.3e})")
+        kind = "not positive definite" if vals[i, 0] < -tol[i] else "numerically singular"
+        raise SpectralError(f"matrix is {kind} (eigenvalue {vals[i, 0]:.3e})")
+    return (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
 def _canonical(fn, controlled, time_dependent):
@@ -270,16 +272,16 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
     else:
         w2 = wasserstein2([keys[k][1] for k in later], [keys[k - 1][1] for k in later])
         dens = [np.linalg.norm(keys[k][0] - keys[k - 1][0]) + w for k, w in zip(later, w2)]
+    pairs = [(k, den) for k, den in zip(later, dens) if den > 1e-12]
+    # each sample of a pair once, in the order a loop over the pairs meets them
+    order = list(dict.fromkeys(j for k, _ in pairs for j in (k, k - 1)))
+    stack = np.array([Hs[j] for j in order]).reshape(-1, fld.dim, fld.dim)
+    inverses = dict(zip(order, _inverses_spd(stack)))
     lip = 0.0
-    inverses = [None] * samples     # each sample's inverse, shared by its two pairs
-    for k, den in zip(later, dens):
-        if den > 1e-12:
-            inverses[k] = inverse_spd(Hs[k])
-            if inverses[k - 1] is None:
-                inverses[k - 1] = inverse_spd(Hs[k - 1])
-            dH = np.linalg.norm(Hs[k] - Hs[k - 1])
-            dHinv = np.linalg.norm(inverses[k] - inverses[k - 1])
-            lip = max(lip, (dH + dHinv) / den)
+    for k, den in pairs:
+        dH = np.linalg.norm(Hs[k] - Hs[k - 1])
+        dHinv = np.linalg.norm(inverses[k] - inverses[k - 1])
+        lip = max(lip, (dH + dHinv) / den)
     passed = (
         asym <= 1e-10
         and lo >= fld.a_h - 1e-9

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oblique_mv
-from oblique_mv import cli, library, mvsolver
+from oblique_mv import cli, control, library, mvsolver
 from oblique_mv.cli import main, run
 from oblique_mv.control import RateReport
 from oblique_mv.errors import ConfigurationError, ObliqueMVError
@@ -587,13 +587,17 @@ def fake_equivalence(*args, **kwargs):
                              feasibility={"chain-rule": [0.0, 0.0]})
 
 
+def fake_value_and_dpp(prob, tau, cfg, noise, family):
+    return control.value(prob, cfg, noise=noise.child(1), family=family), 1.0, 0.01
+
+
 class TestVerdicts:
     @pytest.mark.parametrize("mode,patch,payload,verdict", [
         ("converge", {"penalization_rate_probe": fake_rate_report},
          {"system": {"name": "ou"}, "grid": {"start": 0.0, "end": 1.0, "steps": 64},
           "epsilon_ladder": [0.5, 0.25, 0.125]},
          "slope 0.41 outside [0.7, 1.3]"),
-        ("control", {"dpp_residual": lambda *a, **k: (1.0, 0.01)},
+        ("control", {"_value_and_dpp": fake_value_and_dpp},
          {"system": {"name": "two_control"}, "grid": {"start": 0.0, "end": 1.0, "steps": 8},
           "particles": 4, "replications": 2,
           "control": {"clusters": 1, "inner_replications": 2}},

@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oblique_mv import control, library, mvsolver
+from oblique_mv import cli, control, library, mvsolver
 from oblique_mv.control import (
     ControlPath,
     ControlProblem,
@@ -342,7 +343,7 @@ class TestNestedBatch:
         monkeypatch.setattr(control, "value", counted_value)
         monkeypatch.setattr(control, "_kmeans", recorded_kmeans)
         batched = dpp_residual(prob, 0.5, cfg, eps=eps)
-        assert len(calls) == 1                  # the left side only
+        assert not calls                # the left side is read from the one batch
         if counts is not None:
             assert found == counts
         monkeypatch.undo()
@@ -370,9 +371,9 @@ class TestNestedBatch:
         monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 3 * slot_bytes)
         chunks = recorded_chunks(monkeypatch)
         batched = dpp_residual(prob, 0.5, cfg)
-        # the left side's 64-step draws go one per batch, the head leg's two
-        # replications in one, the nested leg's 6 slots in two
-        assert chunks == [1, 1, 2, 3, 3]
+        # the left side's 64-step draws go one per batch (the head leg is read
+        # from them), the nested leg's 6 slots in two
+        assert chunks == [1, 1, 3, 3]
         assert batched == oracle_dpp_residual(prob, 0.5, cfg)
         monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 32 * 2**20)
         assert dpp_residual(prob, 0.5, cfg) == batched
@@ -535,26 +536,27 @@ class TestStreamingObservers:
                                                     rel=1e-12, abs=0)
 
     def test_dpp_head_matches_recorded_paths(self):
+        # the head leg is the constant controls' running cost and state at tau
         prob = library.make_control_problem("two_control")
-        grid = TimeGrid(0.0, 0.5, 64)
+        grid = TimeGrid(0.0, 1.0, 128)
         controls = prob.control_set
-        u_nodes = np.repeat(np.asarray(controls)[:, None], 65, axis=1)
+        u_nodes = np.repeat(np.asarray(controls)[:, None], 129, axis=1)
         noise = NoiseSource(9).child(1)
-        integral, end_states = _cost_runs(prob, None, grid, 16,
-                                          [noise.for_replication(r) for r in range(3)],
-                                          u_nodes)
+        *_, integral, end_states = _cost_runs(prob, None, grid, 16,
+                                              [noise.for_replication(r) for r in range(3)],
+                                              u_nodes, at=64)
         running, ends = integral[0], end_states[0]
         for i, u1 in enumerate(controls):
             for r in range(3):
                 rep_noise = noise.for_replication(r)
                 ens = simulate_projected(prob.system, grid, 16, rep_noise,
-                                         control=np.full(65, float(u1)),
-                                         increments=rep_noise.brownian(16, 64, 1, grid.h))
+                                         control=np.full(129, float(u1)),
+                                         increments=rep_noise.brownian(16, 128, 1, grid.h))
                 z = np.stack([prob.costs.running(ens.states[:, k, :], u1)
                               for k in range(65)], axis=1)
                 np.testing.assert_allclose(running[i, r], np.trapezoid(z, dx=grid.h, axis=1),
                                            rtol=1e-12, atol=0)
-                np.testing.assert_array_equal(ends[i, r], ens.states[:, -1, :])
+                np.testing.assert_array_equal(ends[i, r], ens.states[:, 64, :])
 
     def test_replication_chunks_do_not_change_results(self, monkeypatch):
         # every estimate is per replication, so splitting the replications
@@ -580,3 +582,81 @@ class TestStreamingObservers:
             assert estimates(cfg) == whole
             assert len(chunks) > replications and set(chunks) == {1}
             monkeypatch.undo()
+
+
+def run_control(tmp_path, steps=64, **control):
+    """A CLI control run of ``two_control`` at seed 3: 8 particles, 3
+    replications, 2 clusters of 2 inner replications; returns the exit code."""
+    payload = {"mode": "control", "seed": 3, "output_dir": str(tmp_path / "out"),
+               "system": {"name": "two_control"}, "particles": 8, "replications": 3,
+               "grid": {"start": 0.0, "end": 1.0, "steps": steps},
+               "control": {"clusters": 2, "inner_replications": 2, **control}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return cli.run(path)
+
+
+class TestOneBatch:
+    """A control run simulates the value, the DPP left side and its head leg
+    as one batch of paths, with the same numbers as separate estimates."""
+
+    @pytest.mark.parametrize("switches, tau", [(0, 0.5), (1, 0.5), (1, 0.25)])
+    def test_a_cli_run_makes_two_passes(self, tmp_path, monkeypatch, switches, tau):
+        drawn, real = [], mvsolver._stream_increments
+        monkeypatch.setattr(mvsolver, "_stream_increments",
+                            lambda sources, *a: drawn.extend(s.path for s in sources)
+                            or real(sources, *a))
+        chunks = recorded_chunks(monkeypatch)
+        assert run_control(tmp_path, switches=switches, tau=tau) == 0
+        # one pass per batch at the default budget: the 3 replications of
+        # the union, then the nested values' 2 clusters x 2 replications
+        assert chunks == [3, 4]
+        assert drawn == [(1, r) for r in range(3)] + [(2, j, r) for j in range(2)
+                                                      for r in range(2)]
+
+    @pytest.mark.parametrize("switches, tau", [(0, 0.5), (1, 0.5), (1, 0.25)])
+    def test_value_csv_equals_a_value_call(self, tmp_path, switches, tau):
+        assert run_control(tmp_path, switches=switches, tau=tau) == 0
+        lines = (tmp_path / "out" / "value.csv").read_text().splitlines()[1:]
+        rows = [(name, float(cost)) for name, cost in (ln.rsplit(",", 1) for ln in lines)]
+        cfg = SimConfig(steps=64, particles=8, replications=3, seed=3, switches=switches)
+        est = value(library.make_control_problem("two_control"), cfg,
+                    noise=NoiseSource(3).child(1))
+        assert len(est.per_control) == 2 ** (switches + 1)
+        assert rows == [(str(k), v) for k, v in est.per_control.items()] \
+            + [("minimum", est.value), ("mc_stderr", est.mc_stderr)]
+
+    @pytest.mark.parametrize("priced", [False, True])
+    def test_value_and_dpp_equal_separate_calls(self, priced):
+        prob = library.make_control_problem("two_control", controls=(1.0, -1.0))
+        if priced:      # a running cost that depends on the control, at tau too
+            costs = CostField(lambda x, u: x[..., 0] * (1.5 + u), prob.costs.terminal, 2.5,
+                              control_probe=-1.0)
+            prob = ControlProblem(prob.system, costs, prob.control_set, prob.horizon)
+        cfg = SimConfig(steps=64, particles=8, replications=3, seed=21, switches=1,
+                        clusters=3, inner_replications=2)
+        family = control_family(prob, 1)
+        est, *dpp = control._value_and_dpp(prob, 0.25, cfg, family=family)
+        ref = value(prob, cfg, noise=NoiseSource(21).child(1))
+        assert (est.value, est.mc_stderr, est.minimizer, est.per_control) \
+            == (ref.value, ref.mc_stderr, ref.minimizer, ref.per_control)
+        assert est.rep_costs.tobytes() == ref.rep_costs.tobytes()
+        assert tuple(dpp) == dpp_residual(prob, 0.25, cfg) == oracle_dpp_residual(prob, 0.25, cfg)
+
+    def test_off_the_dyadic_lattice(self):
+        # 300 steps and tau = 0.3: the separate head leg stepped with
+        # (tau - s) / 90, one bit off the grid's h; the batch steps with h
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=300, particles=8, replications=3, seed=7,
+                        clusters=2, inner_replications=2)
+        grid = TimeGrid(0.0, 1.0, 300)
+        assert TimeGrid(0.0, grid.times[90], 90).h != grid.h
+        got = dpp_residual(prob, 0.3, cfg)
+        ref = oracle_dpp_residual(prob, 0.3, cfg)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_off_lattice_tau_fails_before_any_path(self, tmp_path, monkeypatch):
+        chunks = recorded_chunks(monkeypatch)
+        assert run_control(tmp_path, steps=8, tau=0.3) == 2
+        assert chunks == []
+        assert not (tmp_path / "out" / "value.csv").exists()

@@ -401,6 +401,7 @@ class TestSmoothConstruction:
 STIFF = ConvexConstraint.sum_of(BALL2, ConvexConstraint.smooth(
     lambda z: 25.0 * float(z @ z), lambda z: 50.0 * z, 2))
 QUAD14 = library.constraint_from_config({"kind": "quadratic", "weights": [1, 4]})
+HALF_SUM = ConvexConstraint.sum_of(ConvexConstraint.half_space([1.0, -0.7], -0.2), QUAD14)
 
 
 class TestProxConvergence:
@@ -428,7 +429,8 @@ class TestProxConvergence:
         np.testing.assert_allclose(resolvent(c, 0.5, x), BALL2.geometry.project(x / 1.5),
                                    rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("constraint", [QUAD14, ConvexConstraint.sum_of(BALL2, QUAD14), STIFF])
+    @pytest.mark.parametrize("constraint", [QUAD14, ConvexConstraint.sum_of(BALL2, QUAD14), STIFF,
+                                            HALF_SUM])
     def test_rows_are_the_same_in_a_batch_as_alone(self, constraint):
         rng = np.random.default_rng(13)
         x = 2 * rng.standard_normal((300, 2))
@@ -436,6 +438,18 @@ class TestProxConvergence:
         batch = resolvent(constraint, eps, x)
         for i in range(len(x)):
             assert batch[i].tobytes() == resolvent(constraint, eps[i, 0], x[i]).tobytes()
+
+    def test_half_space_rows_are_the_same_in_a_batch_as_alone(self):
+        # a lone row's x @ normal rounds as a batch row's, not as numpy's dot
+        half = HALF_SUM.geometry
+        rng = np.random.default_rng(13)
+        x = 2 * rng.standard_normal((300, 2))
+        H = np.array([[2.0, 0.3], [0.3, 1.0]])
+        batch, (X, dK) = half.project(x), half.oblique_step(H, x)
+        for i in range(len(x)):
+            assert batch[i].tobytes() == half.project(x[i:i + 1])[0].tobytes()
+            Xi, dKi = half.oblique_step(H, x[i:i + 1])
+            assert (Xi.tobytes(), dKi.tobytes()) == (X[i:i + 1].tobytes(), dK[i:i + 1].tobytes())
 
     @pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-9])
     def test_a_row_stops_once_its_distance_bound_is_met(self, rtol, monkeypatch):

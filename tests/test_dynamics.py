@@ -38,12 +38,15 @@ class TestSpectral:
             assert np.max(np.abs(inverse_spd(A) @ A - np.eye(n))) <= 1e-9 * 1e6
 
     def test_non_spd_rejected(self):
-        with pytest.raises(SpectralError):
+        with pytest.raises(SpectralError,
+                           match=r"^matrix is not positive definite \(eigenvalue -2\.000e\+00\)$"):
             inverse_spd(np.diag([1.0, -2.0]))
         with pytest.raises(SpectralError, match="not symmetric"):
             inverse_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(SpectralError):
+        with pytest.raises(SpectralError, match=r"^matrix is numerically singular \(eigenvalue"):
             inverse_spd(np.zeros((2, 2)))
+        with pytest.raises(SpectralError, match=r"^matrix is numerically singular \(eigenvalue"):
+            inverse_spd(np.diag([1.0, -1e-20]))
 
 
 class TestCoefficientField:
@@ -319,8 +322,22 @@ class TestValidateObliqueInverses:
 
     def test_one_inverse_per_sample(self, monkeypatch):
         from oblique_mv import dynamics
-        calls = []
-        real = dynamics.inverse_spd
-        monkeypatch.setattr(dynamics, "inverse_spd", lambda A: calls.append(1) or real(A))
+        stacks = []
+        real = dynamics._inverses_spd
+        monkeypatch.setattr(dynamics, "_inverses_spd",
+                            lambda As: stacks.append(As.shape) or real(As))
         validate_oblique(library.make_system("example31").oblique, samples=200, seed=1)
-        assert len(calls) == 200
+        assert stacks == [(200, 2, 2)]
+
+    @pytest.mark.parametrize("period", [2, 3, 1000])
+    def test_a_non_spd_sample_raises_as_the_loop_would(self, period):
+        # every sample has its own negative eigenvalue; where a repeated draw
+        # leaves a pair out, the loop meets sample k before sample k - 1
+        def field():
+            return ObliqueField(lambda x, mu: np.diag([1.0, -1.0 - x[0] ** 2]), 0.5, 10.0, 2)
+
+        with pytest.raises(SpectralError, match="not positive definite") as got:
+            validate_oblique(field(), repeating_sampler(period), samples=50, seed=3)
+        with pytest.raises(SpectralError) as ref:
+            oracle_validate_oblique(field(), repeating_sampler(period), samples=50, seed=3)
+        assert str(got.value) == str(ref.value)

@@ -61,8 +61,8 @@ PROX_RTOL = 1e-12
 
 
 def _row_dots(x, v):
-    """``x @ v``, with a lone row of ``x`` taken as the first of two: numpy's dot
-    for one row rounds unlike the gemv of more, so a row keeps its batch bits."""
+    """``x @ v``, with a lone row of ``x`` taken as the first of two: numpy's
+    product of one row rounds unlike that of more, so a row keeps its batch bits."""
     return (np.repeat(x, 2, axis=0) @ v)[:1] if x.ndim == 2 and len(x) == 1 else x @ v
 
 

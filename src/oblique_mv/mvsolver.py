@@ -318,8 +318,8 @@ def _hu(Hk, U, diagonal=False):
     Hk = Hk(slice(None)) if callable(Hk) else Hk      # a function of rows: all of them
     if diagonal:
         return U * Hk + 0.0   # + 0.0: a zero is +0.0, as from the dense product
-    if Hk.ndim == 2:
-        return U @ Hk.T
+    if Hk.ndim == 2:          # a lone row as a pair: the bits it has in a taller batch
+        return convexcore._row_dots(U, Hk.T)
     return np.einsum("nij,nj->ni", Hk, U)
 
 

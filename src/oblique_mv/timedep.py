@@ -17,17 +17,19 @@ The direct reference, ``simulate_moving_interval``, is no loop of its own:
 it hands the step loop of :mod:`oblique_mv.mvsolver` the pulled-back
 measure, identity reflection and the interval at each step's end, and
 ``equivalence_check`` compares its states with the lifted reduced ones.
+A check computes its frames ``(H, H^{-1}, H')`` once, as one stack over its
+grid times; the lift and the feasibility gaps are array passes over it.
 """
 
 from __future__ import annotations
 
-import copy
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convexcore import Box, ConvexConstraint
-from .dynamics import CoefficientField, ObliqueField, inverse_spd, validate_oblique
+from .dynamics import CoefficientField, ObliqueField, _inverses_spd, inverse_spd, validate_oblique
 from .errors import ConfigurationError, ReductionError
 from .measures import EmpiricalMeasure, sq_norms
 from .mvsolver import System, TimeGrid, _simulate
@@ -63,29 +65,16 @@ class MovingConstraintProblem:
             raise ConfigurationError("initial state lies outside the moving set")
 
 
-def _memoized(hf):
-    """``hf`` with ``H(t)`` read once per time: one check's grid nodes, steps,
-    corrections and levels share the times they meet."""
-    memo = {}
-
-    def matrix(t):
-        if t not in memo:
-            memo[t] = hf(t=t)
-        return memo[t]
-    return ObliqueField(matrix, hf.a_h, hf.b_h, hf.dim, time_dependent=True,
-                        derivative=hf._derivative, lipschitz=hf.lipschitz,
-                        uses_measure=hf.uses_measure)
-
-
-def _frames(prob):
+def _frames(prob, known=None):
     """``frame(t)``: ``H(t)``, its inverse and ``H'(t)``, once per time ``t`` for every
-    step's matrix, drift and diffusion, correction and grid level that share it."""
-    hf, span, memo = prob.hfield, prob.horizon[1] - prob.horizon[0], {}
+    step's matrix, drift and diffusion, correction and grid level that share it;
+    ``known`` maps times to ``(H, H^{-1})`` already computed."""
+    hf, span, memo, known = prob.hfield, prob.horizon[1] - prob.horizon[0], {}, known or {}
 
     def frame(t):
         if t not in memo:
-            h = hf(t=t)
-            memo[t] = h, inverse_spd(h), hf.derivative_at(t, span)
+            h, hi = known[t] if t in known else (hf(t=t), None)
+            memo[t] = h, inverse_spd(h) if hi is None else hi, hf.derivative_at(t, span)
         return memo[t]
     return frame
 
@@ -156,33 +145,49 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
 
 
 def lift_solution(states, hfield, times):
-    """Map fixed-set paths back to the moving set, node by node."""
+    """Map fixed-set paths back to the moving set: ``H(t_j)`` read once per node,
+    all nodes lifted by one stacked product (``equivalence_check`` lifts from
+    the stack of frames it computes once per check)."""
     states = np.asarray(states, dtype=float)
     times = np.asarray(times, dtype=float)
     if states.shape[-2] != times.size:
         raise ConfigurationError(
             f"grid mismatch: {states.shape[-2]} nodes vs {times.size} times"
         )
-    out = np.empty_like(states)
-    for j, t in enumerate(times):
-        out[..., j, :] = states[..., j, :] @ hfield(t=t).T
-    return out
+    m = states.shape[-1]
+    return _lift(states, np.array([hfield(t=t) for t in times]).reshape(-1, m, m))
+
+
+def _lift(states, hs):
+    """``states[..., j, :] @ hs[j].T`` for every node ``j`` as one stacked product:
+    each node's block takes the matrix kernel of its own product, so its bits."""
+    nodes = np.moveaxis(states, -2, 0)
+    if nodes.ndim == 2:         # one path: node j is one row
+        return (nodes[:, None] @ hs.transpose(0, 2, 1))[:, 0]
+    ht = hs.transpose(0, 2, 1).reshape(len(hs), *(1,) * (nodes.ndim - 3), *hs.shape[1:])
+    return np.moveaxis(nodes @ ht, 0, -2)
 
 
 def moving_set_distance(x, hfield, t, base_set):
     """Distance to the moving set at time t (exact for 1-d intervals)."""
-    geom = base_set.geometry
     h = hfield(t=t)
+    x = np.asarray(x, dtype=float)[..., None, :]
+    return _moving_gaps(x, h[None], inverse_spd(h)[None], base_set, hfield.b_h)[..., 0]
+
+
+def _moving_gaps(x, hs, his, base_set, b_h):
+    """Distance of ``x[..., j, :]`` to the set ``hs[j] * base_set`` at every node
+    ``j``, in one array pass: exact for 1-d intervals, else the fixed-set distance
+    of ``his[j] x`` scaled by ``b_h``, an upper bound."""
+    geom = base_set.geometry
     if isinstance(geom, Box) and base_set.dim == 1:
-        lo = geom.lower[0] * h[0, 0]
-        hi = geom.upper[0] * h[0, 0]
+        lo = geom.lower[0] * hs[:, 0, 0]
+        hi = geom.upper[0] * hs[:, 0, 0]
         return np.maximum(np.maximum(lo - x[..., 0], x[..., 0] - hi), 0.0)
-    # upper bound via the fixed set, scaled by the matrix norm
-    xbar = x @ inverse_spd(h).T
-    return base_set.distance(xbar) * hfield.b_h
+    return base_set.distance(_lift(x, his)) * b_h
 
 
-def simulate_moving_interval(prob, grid, particles, noise, increments=None):
+def simulate_moving_interval(prob, grid, particles, noise, increments=None, hs=None):
     """Direct projected Euler on a 1-d moving interval [H(t) lo, H(t) hi].
 
     The reference dynamics for the equivalence check, a discrete
@@ -193,14 +198,15 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None):
     scaled to ``t_{k+1}``, i.e. a clip.  Runs through the step loop of
     :mod:`oblique_mv.mvsolver` and returns its ``PathEnsemble``; that
     ensemble's system carries the base interval, so measure feasibility
-    with ``moving_set_distance``, not ``feasibility_gap()``.
+    with ``moving_set_distance``, not ``feasibility_gap()``.  ``hs`` holds
+    ``H(t)`` at the grid's times, read from ``prob.hfield`` when not given.
     """
     geom = prob.base_set.geometry
     if prob.coeffs.state_dim != 1 or not isinstance(geom, Box):
         raise ConfigurationError("direct moving-set simulation supports 1-d intervals")
     coeffs = prob.coeffs
     times = grid.times
-    scales = [prob.hfield(t=t)[0, 0] for t in times]
+    scales = [prob.hfield(t=t)[0, 0] for t in times] if hs is None else hs[:, 0, 0]
     # H(t) > 0 scales the validated base interval to another valid one
     intervals = [ConvexConstraint("indicator", 1, geometry=Box(geom.lower * s, geom.upper * s))
                  for s in scales]
@@ -237,7 +243,15 @@ def equivalence_check(prob, step_ladder, particles, noise,
 
     Increments are drawn on the finest grid and block-summed for coarser
     levels, so distances across the ladder reflect discretization alone.
+    The frames are computed once per check, as one stack over the times of
+    all levels: ``H(t)`` read once per time and every inverse from one
+    batched call.  The reduced systems, the direct reference, the lift and
+    the feasibility gaps all read from that stack.
     """
+    bad = [s for s in step_ladder
+           if not (isinstance(s, numbers.Real) and float(s).is_integer() and s >= 1)]
+    if bad:
+        raise ConfigurationError(f"step ladder levels must be integers of at least 1: {bad}")
     steps_list = sorted(int(s) for s in step_ladder)
     repeats = [a for a, b in zip(steps_list, steps_list[1:]) if a == b]
     if repeats:
@@ -250,37 +264,30 @@ def equivalence_check(prob, step_ladder, particles, noise,
     N = int(particles)
     fine_inc = noise.brownian(N, finest, prob.coeffs.noise_dim, (t1 - t0) / finest)
 
-    # a copy, not re-validated, whose H(t) the direct reference, the reduced
-    # systems, the lift and the distances all read from one memo
-    prob = copy.copy(prob)
-    prob.hfield = _memoized(prob.hfield)
-    frame = _frames(prob)
+    grids = [TimeGrid(t0, t1, steps) for steps in steps_list]
+    times = np.unique(np.concatenate([grid.times for grid in grids]))
+    hs = np.array([prob.hfield(t=t) for t in times])
+    his = _inverses_spd(hs)
+    frame = _frames(prob, dict(zip(times, zip(hs, his))))
     reduced = {c: _reduce(prob, c, frame) for c in corrections}
     distances = {c: [] for c in corrections}
     feasibility = {c: [] for c in corrections}
-    hs = []
     direct_one_d = prob.coeffs.state_dim == 1 and isinstance(prob.base_set.geometry, Box)
-    for steps in steps_list:
-        grid = TimeGrid(t0, t1, steps)
-        factor = finest // steps
-        inc = fine_inc.reshape(N, steps, factor, -1).sum(axis=2)
-        hs.append(grid.h)
+    for grid in grids:
+        at = np.searchsorted(times, grid.times)     # each level's nodes in the stack
+        inc = fine_inc.reshape(N, grid.steps, finest // grid.steps, -1).sum(axis=2)
         if direct_one_d:
-            direct = simulate_moving_interval(prob, grid, N, noise, inc)
+            direct = simulate_moving_interval(prob, grid, N, noise, inc, hs[at])
         for c in corrections:
             run = _simulate(reduced[c], grid, N, noise, increments=inc)[0]
-            lifted = lift_solution(run.states, prob.hfield, grid.times)
-            gaps = [
-                float(np.max(moving_set_distance(
-                    lifted[:, j, :], prob.hfield, t, prob.base_set)))
-                for j, t in enumerate(grid.times)
-            ]
-            feasibility[c].append(max(gaps))
+            lifted = _lift(run.states, hs[at])
+            gaps = _moving_gaps(lifted, hs[at], his[at], prob.base_set, prob.hfield.b_h)
+            feasibility[c].append(float(np.max(gaps)))
             if direct_one_d:
                 diff = np.sqrt(np.max(sq_norms(lifted - direct.states), axis=1))
                 distances[c].append(float(np.mean(diff)))
     return ConvergenceReport(
-        step_sizes=hs,
+        step_sizes=[grid.h for grid in grids],
         sup_distances=distances,
         feasibility=feasibility,
         details={"particles": N, "direct_reference": direct_one_d},

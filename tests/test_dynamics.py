@@ -103,6 +103,13 @@ class TestObliqueField:
         assert not report.passed
         assert report.details["symmetry_residual"] >= 0.5
 
+    def test_a_nan_matrix_fails(self):
+        # a NaN residual poisons the running maximum, so it cannot read as symmetric
+        fld = ObliqueField(lambda t: np.array([[np.nan if 0.4 < t < 0.6 else 1.0 + t]]),
+                           1.0, 2.0, 1, time_dependent=True)
+        report = validate_oblique(fld, samples=50, seed=3)
+        assert not report.passed and np.isnan(report.details["symmetry_residual"])
+
     def test_time_derivative_analytic_and_fallback(self):
         fld = ObliqueField(lambda t: np.array([[1.0 + t * t]]), 1.0, 2.0, 1,
                            time_dependent=True,

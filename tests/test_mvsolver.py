@@ -1446,18 +1446,16 @@ def loop_cases(draw):
     constant matrix scaled per row by a function of the state and the
     group's measure, so a batch reads it group by group; it is dense and
     non-diagonal for the box, so its polytope fallback runs in the loop,
-    and dense or declared diagonal for the other sets.  Groups have at
-    least two particles: a one-row matrix product takes another BLAS kernel
-    than a taller one, so a one-particle run alone can differ in the last
-    bits from its group in a batch (the half-space step's ``Y @ n`` and the
-    dense penalized term).
+    and dense or declared diagonal for the other sets.  A group may have a
+    single particle: a one-row matrix product takes another BLAS kernel than
+    a taller one, so the loop's row products take a lone row as a pair.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["half-space", "box", "ball", "triangle"]))
     scheme = draw(st.sampled_from(["projected", "penalized"]))
     reps = draw(st.integers(1, 2))
     groups = reps * draw(st.integers(1, 2))
-    particles = draw(st.integers(2, 5))
+    particles = draw(st.integers(1, 5))
     push = rng.standard_normal(2)
     push *= 3.0 / np.linalg.norm(push)
     constraint = {

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from oblique_mv import library, mvsolver, timedep
-from oblique_mv.convexcore import ConvexConstraint
+from oblique_mv.convexcore import Box, ConvexConstraint
 from oblique_mv.dynamics import (
     CoefficientField,
     ObliqueField,
+    _inverses_spd,
     inverse_spd,
     validate_lipschitz,
     validate_oblique,
@@ -215,6 +216,101 @@ class TestLift:
             lift_solution(np.zeros((1, 5, 1)), hfield, np.linspace(0, 1, 4))
 
 
+def rotating_hfield(m):
+    """A dense, exactly symmetric ``H(t)`` in ``m`` dimensions, eigenvalues
+    ``1 + t + i`` on axes turning with ``t``; its bounds hold on [0, 2]."""
+    def matrix(t):
+        q = np.eye(m)
+        for i in range(m - 1):
+            c, s = np.cos((i + 1) * t), np.sin((i + 1) * t)
+            turn = np.eye(m)
+            turn[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
+            q = q @ turn
+        a = (q * (1.0 + t + np.arange(m))) @ q.T
+        return (a + a.T) / 2
+    return ObliqueField(matrix, 1.0, m + 2.0, m, time_dependent=True)
+
+
+def signed_zero_states(rng, shape):
+    """Normal draws with about a fifth of the entries +0.0 and a fifth -0.0."""
+    x = rng.standard_normal(shape)
+    draw = rng.random(shape)
+    x[draw < 0.2] = 0.0
+    x[draw > 0.8] = -0.0
+    return x
+
+
+def per_node_gaps(states, hfield, times, base_set):
+    """The moving-set distance of every node's states, one node at a time."""
+    out = []
+    for j, t in enumerate(times):
+        h, x = hfield(t=t), states[..., j, :]
+        if base_set.dim == 1 and isinstance(base_set.geometry, Box):
+            lo, hi = base_set.geometry.lower[0] * h[0, 0], base_set.geometry.upper[0] * h[0, 0]
+            out.append(np.maximum(np.maximum(lo - x[..., 0], x[..., 0] - hi), 0.0))
+        else:
+            out.append(base_set.distance(x @ inverse_spd(h).T) * hfield.b_h)
+    return np.stack(out, axis=-1)
+
+
+class TestArrayPasses:
+    """The check's stacked frames, lift and gaps equal the per-node loops, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("particles", [1, 5])
+    def test_lift_equals_per_node_products(self, m, particles):
+        hfield, times = rotating_hfield(m), np.linspace(0.0, 2.0, 9)
+        rng = np.random.default_rng(10 * m + particles)
+        recorded = signed_zero_states(rng, (times.size, particles, m))   # node-major
+        for states in (recorded.transpose(1, 0, 2), recorded.transpose(1, 0, 2).copy(),
+                       recorded[:, 0], signed_zero_states(rng, (2, particles, times.size, m))):
+            want = np.empty_like(states)
+            for j, t in enumerate(times):
+                want[..., j, :] = states[..., j, :] @ hfield(t=t).T
+            got = lift_solution(states, hfield, times)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacked_frames_equal_inverses_one_at_a_time(self, m):
+        hfield = rotating_hfield(m)
+        hs = np.array([hfield(t=t) for t in TimeGrid(0.0, 2.0, 64).times])
+        for h, hi in zip(hs, _inverses_spd(hs)):
+            assert hi.tobytes() == inverse_spd(h).tobytes()
+
+    @pytest.mark.parametrize("prob", [library.make_moving_problem("moving_interval"),
+                                      tilted_problem(True)], ids=["interval", "tilted"])
+    def test_gaps_equal_per_node_distances(self, prob):
+        times, m = TimeGrid(0.0, 1.0, 32).times, prob.hfield.dim
+        states = 1.5 * signed_zero_states(np.random.default_rng(m), (16, times.size, m))
+        states[0] = prob.hfield(t=0.0)[0, 0]      # on the moving boundary and beyond
+        hs = np.array([prob.hfield(t=t) for t in times])
+        got = timedep._moving_gaps(states, hs, _inverses_spd(hs), prob.base_set,
+                                   prob.hfield.b_h)
+        want = per_node_gaps(states, prob.hfield, times, prob.base_set)
+        assert got.tobytes() == want.tobytes() and np.any(want > 0) and np.any(want == 0)
+        for j, t in enumerate(times):
+            one = timedep.moving_set_distance(states[:, j], prob.hfield, t, prob.base_set)
+            assert one.tobytes() == want[:, j].tobytes()
+
+    def test_two_d_check_equals_per_node_oracle(self):
+        # the general bound: each level's gap is the largest per-node distance
+        # of runs through the public entries
+        prob = tilted_problem(True)
+        noise = NoiseSource(4)
+        rep = equivalence_check(prob, [16, 32], 8, noise)
+        assert rep.sup_distances == {"chain-rule": [], "as-printed": []}
+        fine = noise.brownian(8, 32, 1, 1 / 32)
+        for i, steps in enumerate([16, 32]):
+            grid = TimeGrid(0.0, 1.0, steps)
+            inc = fine.reshape(8, steps, 32 // steps, 1).sum(axis=2)
+            for c in ("chain-rule", "as-printed"):
+                ens = simulate_projected(reduce_time_dependent(prob, c), grid, 8, noise,
+                                         increments=inc)
+                want = per_node_gaps(lift_solution(ens.states, prob.hfield, grid.times),
+                                     prob.hfield, grid.times, prob.base_set)
+                assert rep.feasibility[c][i] == float(np.max(want))
+
+
 class TestEquivalence:
     def test_identity_matrix_bitwise_equality(self):
         # fixed interval: reduce -> simulate -> lift must equal the direct
@@ -280,16 +376,20 @@ class TestEquivalence:
             assert rep.sup_distances[c][-1] == float(np.mean(diff))
 
     def test_frames_once_per_time(self, monkeypatch):
-        # H(t)^{-1} once for each time the check evaluates: the left nodes
-        # of the finest grid, whose coarse nodes are among them, shared by
-        # both corrections; a second check keeps its own memo
+        # one stack of frames per check: the ladder's times (the finest
+        # grid's 65 nodes, the coarse nodes among them) inverted by one
+        # batched call that both corrections, the direct reference, the lift
+        # and the gaps share, and no inverse one at a time; a second check
+        # builds its own stack
         prob = library.make_moving_problem("moving_interval")
-        calls = []
-        monkeypatch.setattr(timedep, "inverse_spd", lambda h: calls.append(1) or inverse_spd(h))
+        stacks, singles = [], []
+        monkeypatch.setattr(timedep, "_inverses_spd",
+                            lambda hs: stacks.append(hs.shape) or _inverses_spd(hs))
+        monkeypatch.setattr(timedep, "inverse_spd", lambda h: singles.append(1) or inverse_spd(h))
         equivalence_check(prob, [32, 64], 16, NoiseSource(8))
-        assert len(calls) == 64
+        assert stacks == [(65, 1, 1)] and not singles
         equivalence_check(prob, [32, 64], 16, NoiseSource(8))
-        assert len(calls) == 128
+        assert stacks == [(65, 1, 1)] * 2 and not singles
 
     def test_matrix_once_per_time(self):
         # the transform-demo ladder: H(t) is read once for each of the 1,025
@@ -327,3 +427,16 @@ class TestEquivalence:
         prob = library.make_moving_problem("moving_interval")
         with pytest.raises(ConfigurationError):
             equivalence_check(prob, [100, 256], 8, NoiseSource(0))
+
+    @pytest.mark.parametrize("ladder, bad", [
+        ([4, 8.5], "8.5"), ([0, 8], "0"), ([8, -4], "-4"), ([4, "8"], "'8'"),
+        ([4, float("nan")], "nan"), ([4, float("inf")], "inf")])
+    def test_ladder_levels_must_be_integers(self, ladder, bad):
+        prob = library.make_moving_problem("moving_interval")
+        with pytest.raises(ConfigurationError, match=rf"integers of at least 1: \[{bad}\]"):
+            equivalence_check(prob, ladder, 8, NoiseSource(0))
+
+    def test_integral_float_levels_run_as_integers(self):
+        prob = library.make_moving_problem("moving_interval")
+        got = equivalence_check(prob, [16.0, np.int64(32)], 8, NoiseSource(0))
+        assert got == equivalence_check(prob, [16, 32], 8, NoiseSource(0))

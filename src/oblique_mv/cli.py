@@ -196,17 +196,6 @@ def _failures(*gates):
     return [g for g in gates if g is not None]
 
 
-def _stability_check(cfg, eps_values, system):
-    grid = cfg["grid"]
-    h = (grid["end"] - grid["start"]) / grid["steps"]
-    bound = min(eps_values) / (2.0 * system.oblique.b_h)
-    if h > bound:
-        raise ConfigurationError(
-            f"grid.steps: step size {h:.3g} violates the penalized stability rule "
-            f"h <= eps/(2 b_H) = {bound:.3g}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Mode runners: each writes its CSVs through ``out`` and returns its failed
 # probe gates (none means pass)
@@ -232,8 +221,6 @@ def _run_simulate(cfg, seed, out):
     g = cfg["grid"]
     grid = TimeGrid(g["start"], g["end"], g["steps"])
     eps = cfg.get("epsilon")        # given exactly for the penalized scheme
-    if eps is not None:
-        _stability_check(cfg, [eps], system)
     particles = cfg.get("particles", 256)
     streams = [NoiseSource(seed).for_replication(r) for r in range(cfg.get("replications", 1))]
     ensembles = [ens for _, run in _stream_batches(system, grid, particles, streams, eps=eps)
@@ -264,7 +251,6 @@ def _run_simulate(cfg, seed, out):
 def _run_converge(cfg, seed, out):
     system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
     ladder = penalization_ladder(cfg["epsilon_ladder"])
-    _stability_check(cfg, ladder, system)
     g = cfg["grid"]
     sim = SimConfig(
         steps=g["steps"], particles=cfg.get("particles", 256),

@@ -2,12 +2,14 @@
 
 Two discretizations of the same constrained dynamics are provided:
 
-* ``simulate_penalized``: explicit Euler-Maruyama on the smoothed equation,
-  where the set-valued term is replaced by ``H * grad`` of the Moreau
-  envelope at smoothing level ``eps``.
 * ``simulate_projected``: a free Euler increment followed by a one-step
   discrete Skorohod correction ``x + H dk = y`` with ``dk`` in the exterior
   normal cone at ``x`` and ``H`` frozen at the step's left endpoint.
+* ``simulate_penalized``: Euler on the equation smoothed at level ``eps``.
+  On an indicator constraint the step is backward: the projected step's
+  correction with ``H`` shifted to ``(eps/h) I + H`` gives ``z = J_eps x``
+  and ``dk``, and ``x = z + (eps/h) dk = y - H dk``.  A smooth part takes
+  the explicit step ``x + h (f - H grad) + g dB``.
 
 ``euler_iteration`` repeats the projected scheme with coefficients frozen at
 the previous iterate's states, sampled on a dyadic lattice.
@@ -70,7 +72,7 @@ class TimeGrid:
 
     @property
     def times(self):
-        return self.start + self.h * np.arange(self.steps + 1)
+        return np.linspace(self.start, self.end, self.steps + 1)
 
     def dyadic_snap(self, t, level):
         """Largest lattice point 2^-level * k not exceeding t."""
@@ -323,6 +325,15 @@ def _hu(Hk, U, diagonal=False):
     return np.einsum("nij,nj->ni", Hk, U)
 
 
+def _shifted(Hk, shift, diagonal=False):
+    """``H + shift I`` as a function of rows; ``shift`` shared or a per-row column."""
+    def matrix(rows):
+        H = convexcore._rows_of(Hk, rows, diagonal)
+        s = shift if np.ndim(shift) == 0 else shift[rows]
+        return H + s if diagonal else H + np.asarray(s)[..., None] * np.eye(H.shape[-1])
+    return matrix
+
+
 def _per_row(values, rows):
     """A per-group scalar or ``(G,)`` array as a ``(G * rows, 1)`` column."""
     if values is None or np.ndim(values) == 0:
@@ -465,6 +476,7 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
         )
     increment_rows = _increment_rows(increments, G)
     eps_rows = _per_row(eps, N)
+    shift = None if eps is None else eps_rows / h
     control = None if control is None else np.asarray(control)
 
     if x0 is None:
@@ -483,16 +495,16 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
         fk, gk, Hk, constraint = inputs(k, X, _control_value(control, k))
         gdB = _gdb(gk, increment_rows(k))
         try:
-            if eps is not None:
-                if constraint.kind == "indicator":
-                    U = (X - convexcore.project(constraint, X)) / eps_rows
-                else:
-                    U = convexcore.yosida_gradient(constraint, eps_rows, X)
+            if eps is not None and constraint.kind != "indicator":    # explicit smooth step
+                U = convexcore.yosida_gradient(constraint, eps_rows, X)
                 X = X + h * (fk - _hu(Hk, U, system.oblique.diagonal)) + gdB
                 dk_step = U * h
-            else:
+            else:       # projected, or the backward Moreau-Yosida step: H + (eps/h) I
                 Y = X + h * fk + gdB
-                X, dk_step = constraint.geometry.oblique_step(Hk, Y, system.oblique.diagonal)
+                Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
+                X, dk_step = constraint.geometry.oblique_step(Hs, Y, system.oblique.diagonal)
+                if eps is not None:
+                    X = X + shift * dk_step     # J_eps X + (eps/h) dk = Y - H dk
         except StepError as err:
             g, i = divmod(err.row, N)
             raise StepError(f"step {k}: {_constraint_name(constraint)}, group {g}, "
@@ -550,7 +562,7 @@ def _stream_batches(system, grid, particles, streams, *, observer=None,
 
 def simulate_penalized(system, eps, grid, particles, noise, control=None,
                        increments=None):
-    """Explicit Euler on the smoothed equation at penalization level eps."""
+    """Penalized Euler at level eps: backward on an indicator, explicit on a smooth part."""
     if eps is None:
         raise ValueError("penalization parameter must be positive, got None")
     return _simulate(system, grid, particles, noise, eps=eps, control=control,

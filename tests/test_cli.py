@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -274,12 +275,19 @@ class TestExitCodes:
         payload = simulate_config(tmp_path / "out", scheme="penalized")
         assert run(write_config(tmp_path, payload)) == 2
 
-    def test_stability_rule_enforced(self, tmp_path):
+    def test_coarse_penalized_step_runs(self, tmp_path):
+        # h/eps = 15.6: the backward penalized step needs no bound on h/eps
+        out = tmp_path / "out"
         payload = simulate_config(
-            tmp_path / "out", scheme="penalized", epsilon=0.001,
+            out, scheme="penalized", epsilon=0.001, system={"name": "example31"},
             grid={"start": 0.0, "end": 1.0, "steps": 64},
         )
-        assert run(write_config(tmp_path, payload)) == 2
+        assert run(write_config(tmp_path, payload), strict=True) == 0
+        rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()))
+        gates = {"equation_residual": 1e-8, "inequality_residual": 1e-8}
+        checked = [r for r in rows if r["check"] in gates]
+        assert len(checked) == 2 * payload["replications"]
+        assert all(float(r["value"]) <= gates[r["check"]] for r in checked)
 
     def test_penalized_simulate_with_stable_step(self, tmp_path):
         out = tmp_path / "out"

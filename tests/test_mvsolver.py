@@ -62,6 +62,19 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.times, [0.5, 0.75, 1.0, 1.25, 1.5])
         assert grid.h == pytest.approx(0.25)
 
+    def test_last_node_is_end(self):
+        # the last node is end, which start + h * k can miss by an ulp; the
+        # interior keeps the bits of start + h * k
+        missed = 0
+        for start, end, steps in [(0.0, 0.9, 100), (0.25, 1.7, 7), (-1.0, 3.3, 1000),
+                                  (0.0, 1.0, 2048), (0.1, 0.5, 3)]:
+            grid = TimeGrid(start, end, steps)
+            old = start + grid.h * np.arange(steps + 1)
+            assert grid.times[-1] == end and grid.times.shape == (steps + 1,)
+            assert grid.times[:-1].tobytes() == old[:-1].tobytes()
+            missed += old[-1] != end
+        assert missed
+
     def test_invalid_grids(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(1.0, 0.0, 4)
@@ -144,8 +157,15 @@ class TestSkorohodStep:
 
     @pytest.mark.parametrize("geometry", ["half-space", "box", "ball", "intersection"])
     def test_postconditions_random(self, geometry):
+        # the step on H + s I, as the penalized scheme takes it with s = eps/h
+        # (s = 0: the projected step), shared or one shift per row, for H
+        # dense or diagonal, shared or one per row: z is feasible, Y - z =
+        # (s I + H) dk with dk in the normal cone at z, and z + s dk is Y - H dk
         rng = np.random.default_rng(5)
-        for _ in range(120):
+        cases = itertools.product(["dense", "dense-rows", "diagonal", "diagonal-rows"],
+                                  [0.0, 0.1, 30.0], range(40))   # about 140 rows each
+        for form, shift, _ in cases:
+            diagonal = form.startswith("diagonal")
             m = int(rng.integers(2, 4))
             if geometry == "half-space":
                 n = rng.standard_normal(m)
@@ -161,14 +181,28 @@ class TestSkorohodStep:
                 c = ConvexConstraint.half_space_intersection(
                     rng.standard_normal((k, m)), -rng.uniform(0.1, 1.0, k)
                 )
-            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            H = (q * np.exp(rng.uniform(0, np.log(100), m))) @ q.T
-            y = 3 * rng.standard_normal(m)
-            x, dk = oblique_skorohod_step(c, H, y)
-            assert float(c.distance(x)) <= 1e-10
-            assert np.linalg.norm(x + H @ dk - y) <= 1e-10 * max(1, np.linalg.norm(y))
-            probes = project(c, rng.standard_normal((64, m)))
-            assert normal_cone_residual(c, x, dk, probes) <= 1e-8
+            rows = int(rng.integers(1, 7))
+            Y = 3 * rng.standard_normal((rows, m))
+            eigs = np.exp(rng.uniform(0, np.log(100), (rows, m)))
+            if diagonal:
+                H = eigs
+            else:
+                q = np.linalg.qr(rng.standard_normal((rows, m, m)))[0]
+                H = (q * eigs[:, None]) @ q.transpose(0, 2, 1)
+            H = H if form.endswith("rows") else H[0]
+            s = shift * rng.uniform(0.5, 2.0, (rows, 1)) if rng.random() < 0.5 else shift
+            Hs = H if shift == 0 else mvsolver._shifted(H, s, diagonal)
+            Z, dK = c.geometry.oblique_step(Hs, Y, diagonal)
+            Hd = as_dense(H) if diagonal else H
+            for i, (z, dk, y) in enumerate(zip(Z, dK, Y)):
+                Hi = np.broadcast_to(Hd, (rows, m, m))[i]
+                si = float(np.broadcast_to(s, (rows, 1))[i, 0])
+                scale = max(1, np.linalg.norm(y))
+                assert float(c.distance(z)) <= 1e-10
+                assert np.linalg.norm(z + (si * np.eye(m) + Hi) @ dk - y) <= 1e-10 * scale
+                probes = project(c, rng.standard_normal((64, m)))
+                assert normal_cone_residual(c, z, dk, probes) <= 1e-8
+                assert np.linalg.norm(z + si * dk - (y - Hi @ dk)) <= 1e-10 * scale
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_is_diagonal_keeps_nan_and_inf_semantics(self):
@@ -830,6 +864,26 @@ class TestSimulators:
             gaps.append(np.mean(np.max(sq, axis=1)))
         assert gaps[2] < gaps[1] < gaps[0]
 
+    @pytest.mark.parametrize("name", sorted(library.SYSTEMS))
+    def test_penalized_step_tends_to_projected_step(self, name):
+        # eps -> 0 shifts H by eps/h -> 0: the projected step is the end of
+        # the penalized family (linear stays positive and never reflects)
+        system = library.make_system(name)
+        grid = TimeGrid(0.0, 1.0, 64)
+        ref = simulate_projected(system, grid, 32, NoiseSource(19))
+        ens = simulate_penalized(system, 1e-12 * grid.h, grid, 32, NoiseSource(19))
+        assert name == "linear" or np.any(ref.variation > 0)
+        for field_name in ("states", "reflection"):
+            assert np.max(np.abs(getattr(ens, field_name) - getattr(ref, field_name))) <= 1e-9
+
+    def test_penalized_step_on_a_coarse_grid(self):
+        # h/eps = 15.6: the backward step needs no bound on h/eps
+        ex = library.make_system("example31")
+        ens = simulate_penalized(ex, 0.001, TimeGrid(0.0, 1.0, 64), 64, NoiseSource(23))
+        assert np.any(ens.variation > 0)
+        rep = residual_report(ens, ex, probes=[np.zeros(2)])
+        assert rep.equation_residual <= 1e-8 and rep.inequality_residual <= 1e-8
+
     def test_penalized_approaches_projected(self):
         ou = library.make_system("ou")
         grid = TimeGrid(0.0, 1.0, 2048)
@@ -995,12 +1049,15 @@ def _particle_major_simulate(system, grid, particles, noise, *, eps=None, contro
             gk = coeffs.diffusion(X, mu, uk, tk)
             Hk = oblique(t=tk) if oblique.time_dependent else oblique(X, mu)
         gdB = mvsolver._gdb(gk, increments[:, k, :])
-        if eps is not None:
-            U = (X - convexcore.project(system.constraint, X)) / eps \
-                if system.constraint.kind == "indicator" \
-                else convexcore.yosida_gradient(system.constraint, eps, X)
+        if eps is not None and system.constraint.kind != "indicator":
+            U = convexcore.yosida_gradient(system.constraint, eps, X)
             X = X + h * (fk - mvsolver._hu(Hk, U, oblique.diagonal)) + gdB
             dk_step = U * h
+        elif eps is not None:   # the backward step: the oblique step on (eps/h) I + H
+            Y = X + h * fk + gdB
+            Hs = Hk + eps / h if oblique.diagonal else Hk + eps / h * np.eye(m)
+            Z, dk_step = system.constraint.geometry.oblique_step(Hs, Y, oblique.diagonal)
+            X = Z + eps / h * dk_step
         else:
             Y = X + h * fk + gdB
             X, dk_step = system.constraint.geometry.oblique_step(Hk, Y, oblique.diagonal)

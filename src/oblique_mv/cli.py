@@ -235,11 +235,10 @@ def _run_simulate(cfg, seed, out):
     )
     out.write_csv("trajectories.csv", header, _trajectory_table(ensembles, grid.times))
 
-    # every supported geometry contains the origin, so it is a valid probe
-    probe = [np.zeros(m)] if system.constraint.has_indicator() else []
     diag_rows = []
     for r, ens in enumerate(ensembles):
-        rep = residual_report(ens, system, probes=probe)
+        # every constraint vanishes at the origin, so it is a valid probe
+        rep = residual_report(ens, system, probes=[np.zeros(m)])
         diag_rows.append((r, "equation_residual", rep.equation_residual))
         diag_rows.append((r, "feasibility_gap", rep.feasibility_gap))
         diag_rows.append((r, "inequality_residual", rep.inequality_residual))

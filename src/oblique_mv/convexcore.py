@@ -23,11 +23,11 @@ at once as a least-distance program.  It is the Euclidean projection onto a
 half-space intersection (``H = I``) and the oblique step of intersections and
 of boxes with non-diagonal ``H``.
 
-A constraint with a smooth part ``f`` has no closed-form proximal point:
-``resolvent`` runs one accelerated projected gradient on all rows at once,
-over the whole space (``smooth``) or over the set (``sum``), and stops each
-row on a strong-convexity bound on its distance to the answer.  The gradient
-of ``f`` is called on rows ``(n, m)``; its value only on single points.
+``backward_step`` is the step of both schemes: ``z = argmin s phi(z) + |Y -
+z|^2_{H^-1} / 2``, ``dk = H^-1 (Y - z)``; the ``oblique_step`` on an indicator,
+else one accelerated projected gradient in the ``H^-1`` metric on all rows at
+once, and ``resolvent`` in the identity metric.  A smooth part's gradient is
+called on rows ``(n, m)``, its value only on single points.
 """
 
 from __future__ import annotations
@@ -508,49 +508,67 @@ def _check_eps(eps):
         raise ValueError(f"smoothing parameter must be positive, got {eps}")
 
 
-def _prox(constraint, eps, x):
-    """The rows of ``argmin_z |z - x|^2/(2 eps) + f(z)``, over the set for the ``sum`` kind.
+def _times(H, U, diagonal=False):
+    """``H`` times each row of ``U``, ``H`` in any form ``oblique_step`` takes."""
+    H = _rows_of(H, slice(None), diagonal)
+    if diagonal:
+        return U * H + 0.0    # + 0.0: a zero is +0.0, as from the dense product
+    if H.ndim == 2:           # a lone row as a pair: the bits it has in a taller batch
+        return _row_dots(U, H.T)
+    return np.einsum("nij,nj->ni", H, U)
 
-    One accelerated projected gradient (FISTA, Beck & Teboulle 2009) runs on
-    all rows of ``x`` at once.  With ``L`` the row's estimate of the smooth
-    part's Lipschitz constant, the quadratic term is taken exactly:
-    ``z+ = P((L y - grad f(y) + x/eps) / (L + 1/eps))``, the projected
-    gradient step of ``h = f + |. - x|^2/(2 eps)`` with step ``1/(L + 1/eps)``.
-    ``L`` starts at ``1/eps`` and doubles until ``<grad f(z+) - grad f(y), z+ -
-    y> <= L/2 |z+ - y|^2``, which for convex ``f`` implies the descent lemma.
-    The momentum is ``(1 - sqrt q)/(1 + sqrt q)``, ``q = 1/(1 + L eps)``.
 
-    ``h`` is (1/eps)-strongly convex, so with ``G = (L + 1/eps)(y - z+)``,
-    ``|y - J x| <= 2 eps |G|`` and ``|z+ - J x| <= 3 eps |G|``; a row is done
-    when that bound is at most ``PROX_RTOL (1 + |x|)``.  Done rows leave the
-    loop and every operation is row-wise, so a row's bits do not depend on the
-    batch if the gradient's and the projection's do not (``HalfSpace.project``
-    rounds by its BLAS call).  ``StepError`` names the worst row if a bound is
-    not finite or the cap ``PROX_MAX_ITER`` is reached."""
-    project = (lambda z: z) if constraint.geometry is None else constraint.geometry.project
-    grad = constraint.smooth_gradient
-    open_rows = np.arange(len(x))
-    tol = PROX_RTOL * (1.0 + np.sqrt(sq_norms(x)))
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(x), 1))
-    L = 1.0 / eps
-    z = z_old = project(x)
-    out = np.empty_like(x)
+def backward_step(constraint, s, H, Y, diagonal=False):
+    """``z = argmin s phi(z) + |Y - z|^2_{H^-1} / 2`` and ``dk = H^-1 (Y - z)`` for the
+    rows of ``Y``, so ``z + H dk = Y`` with ``dk`` in ``s`` times the subdifferential at
+    ``z``; ``H`` as ``oblique_step`` takes it, ``s`` shared or a ``(rows, 1)`` column.
+
+    An indicator is its geometry's ``oblique_step``.  A smooth part ``f`` takes FISTA
+    (Beck & Teboulle 2009) in the ``H^-1`` inner product on all rows at once, ``P``
+    the geometry's ``oblique_step(H, .)`` for ``sum``: ``z+ = P((L y + Y - s H grad
+    f(y)) / (L + 1))``, ``L`` from 1 doubled until ``s <grad f(z+) - grad f(y), z+ -
+    y> <= L/2 |z+ - y|^2_{H^-1}``, momentum ``(1 - sqrt q)/(1 + sqrt q)``, ``q = 1/(1
+    + L)``.  Carried as ``u = H^-1 (Y - z)``, it never solves with ``H``, and ``z+ - y
+    = -H du`` keeps the rounding of ``z`` out of the test.  A row is done when its
+    strong-convexity bound ``3 (L + 1) |y - z+|`` on ``|z+ - z*|`` is at most
+    ``PROX_RTOL (1 + |Y|)``.  ``H`` is copied out to one per row, so a row's bits do
+    not depend on the batch if the gradient's do not.  ``StepError`` names the worst
+    row if a bound is not finite or ``PROX_MAX_ITER`` is reached."""
+    geometry, grad = constraint.geometry, constraint.smooth_gradient
+    if constraint.kind == "indicator":
+        return geometry.oblique_step(H, Y, diagonal)
+    H = _rows_of(H, slice(None), diagonal)
+    H = np.array(np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:]))
+    open_rows = np.arange(len(Y))
+    tol = PROX_RTOL * (1.0 + np.sqrt(sq_norms(Y)))
+    s = np.broadcast_to(np.asarray(s, dtype=float), (len(Y), 1))
+    L = np.ones((len(Y), 1))
+    u = u_old = np.zeros_like(Y)
+    out = np.empty_like(Y), np.empty_like(Y)
     for it in range(1, PROX_MAX_ITER + 1):
-        root = np.sqrt(1.0 / (1.0 + L * eps))
-        y = z + (1.0 - root) / (1.0 + root) * (z - z_old)
+        root = np.sqrt(1.0 / (1.0 + L))
+        u_y = u + (1.0 - root) / (1.0 + root) * (u - u_old)
+        y = Y - _times(H, u_y, diagonal)
         gy = np.asarray(grad(y), dtype=float)
-        z_new, todo = np.empty_like(y), np.arange(len(y))
+        z_new, u_new, d2 = np.empty_like(y), np.empty_like(y), np.empty(len(y))
+        todo = np.arange(len(y))
         while todo.size:                                # backtrack the rows that fail
-            Lt = L[todo]
-            z_new[todo] = project((Lt * y[todo] - gy[todo] + x[todo] / eps[todo])
-                                  / (Lt + 1.0 / eps[todo]))
-            d = z_new[todo] - y[todo]
-            curv = np.add.reduce((np.asarray(grad(z_new[todo]), dtype=float) - gy[todo]) * d,
-                                 axis=1)
-            steep = curv > Lt[:, 0] / 2 * sq_norms(d)
+            Lt, Ht = L[todo], H[todo]
+            v = (Lt * u_y[todo] + s[todo] * gy[todo]) / (Lt + 1.0)
+            z = Y[todo] - _times(Ht, v, diagonal)
+            if geometry is not None:                    # z = P(z), u += its dk
+                z, dv = geometry.oblique_step(Ht, z, diagonal)
+                v = v + dv
+            z_new[todo], u_new[todo] = z, v
+            du = v - u_y[todo]
+            Hdu = _times(Ht, du, diagonal)              # y - z+
+            d2[todo] = np.add.reduce(du * Hdu, axis=1)
+            curv = s[todo, 0] * np.add.reduce(
+                (gy[todo] - np.asarray(grad(z), dtype=float)) * Hdu, axis=1)
+            steep = curv > Lt[:, 0] / 2 * d2[todo]
             L[todo[steep]] *= 2.0
             todo = todo[steep]
-        bound = 3 * (1.0 + L * eps)[:, 0] * np.sqrt(sq_norms(y - z_new))      # 3 eps |G|
+        bound = 3 * (1.0 + L[:, 0]) * np.sqrt(d2)
         done = bound <= tol
         failed = ~np.isfinite(bound) if it < PROX_MAX_ITER else ~done
         if failed.any():
@@ -558,25 +576,26 @@ def _prox(constraint, eps, x):
             raise StepError("%s prox: distance bound %.3e at iteration %d of at most %d"
                             % (constraint.kind, bound[k], it, PROX_MAX_ITER),
                             residual=float(bound[k]), row=int(open_rows[k]))
-        out[open_rows[done]] = z_new[done]
+        out[0][open_rows[done]], out[1][open_rows[done]] = z_new[done], u_new[done]
         keep = ~done
         if not keep.any():
             return out
-        open_rows, x, eps, L, tol = open_rows[keep], x[keep], eps[keep], L[keep], tol[keep]
-        z, z_old = z_new[keep], z[keep]
+        open_rows, Y, H, s, L, tol = (a[keep] for a in (open_rows, Y, H, s, L, tol))
+        u, u_old = u_new[keep], u[keep]
 
 
 def resolvent(constraint, eps, x):
     """The proximal point J_eps x = x - eps * yosida_gradient(x); for rows ``x``,
     ``eps`` may be a ``(rows, 1)`` column of one level per row.  With a smooth part
-    it is ``_prox`` on all rows at once: each row is within ``PROX_RTOL (1 + |x|)``
-    of the exact point, its bits the same in a batch as alone, and ``StepError``
-    names the row that does not converge."""
+    it is ``backward_step`` in the identity metric on all rows at once: each row is
+    within ``PROX_RTOL (1 + |x|)`` of the exact point, its bits the same in a batch as
+    alone, and ``StepError`` names the row that does not converge."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
     if constraint.kind == "indicator":
         return project(constraint, x)
-    return _prox(constraint, eps, x[None])[0] if x.ndim == 1 else _prox(constraint, eps, x)
+    rows = np.atleast_2d(x)
+    return backward_step(constraint, eps, np.ones(x.shape[-1]), rows, True)[0].reshape(x.shape)
 
 
 def yosida_gradient(constraint, eps, x):
@@ -734,11 +753,11 @@ def interior_margin(constraint, a):
 def interior_constants(constraint, cert):
     """Constants (l1, l2, l3) for the interior lower bound on reflection work.
 
-    For indicator constraints the certificate ball gives (radius, 0, 0); the
-    smooth case has no computable constants here and is rejected rather than
-    guessed.
+    For indicator constraints the certificate ball gives (radius, 0, 0).  It
+    does not bound the share of ``dk`` that a smooth part adds, so ``smooth``
+    and ``sum`` constraints are rejected rather than guessed.
     """
-    if constraint.kind == "smooth":
+    if constraint.kind != "indicator":
         raise ConfigurationError(
             "interior constants are only certified for indicator constraints"
         )

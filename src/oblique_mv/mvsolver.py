@@ -1,15 +1,13 @@
 """Particle schemes for mean-field SDEs with obliquely reflected constraints.
 
-Two discretizations of the same constrained dynamics are provided:
+Two discretizations of ``f dt + g dB in dx + H dphi(x) dt`` for any convex
+``phi`` take one backward step from ``y = x + h f + g dB`` in the metric ``W``
+(``convexcore.backward_step``), ``H`` frozen at the step's left endpoint:
 
-* ``simulate_projected``: a free Euler increment followed by a one-step
-  discrete Skorohod correction ``x + H dk = y`` with ``dk`` in the exterior
-  normal cone at ``x`` and ``H`` frozen at the step's left endpoint.
-* ``simulate_penalized``: Euler on the equation smoothed at level ``eps``.
-  On an indicator constraint the step is backward: the projected step's
-  correction with ``H`` shifted to ``(eps/h) I + H`` gives ``z = J_eps x``
-  and ``dk``, and ``x = z + (eps/h) dk = y - H dk``.  A smooth part takes
-  the explicit step ``x + h (f - H grad) + g dB``.
+* ``simulate_projected``: ``W = H``, ``x = z``: on an indicator, the one-step
+  discrete Skorohod correction ``x + H dk = y``, ``dk`` in the normal cone.
+* ``simulate_penalized``: Euler on the equation smoothed at level ``eps``,
+  backward: ``W = (eps/h) I + H`` gives ``z = J_eps x``, ``x = z + (eps/h) dk``.
 
 ``euler_iteration`` repeats the projected scheme with coefficients frozen at
 the previous iterate's states, sampled on a dyadic lattice.
@@ -19,8 +17,8 @@ names the scheme (``None``: projected, positive: penalized).  It asks an
 ``inputs(k, X, u)`` callable for each step's coefficients and the set the
 step ends in: by default the coefficients at the current states and the
 fixed constraint, the frozen ones in ``euler_iteration``, and a moving
-interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  The
-one-step Skorohod correction is the ``oblique_step`` of the set's geometry
+interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  On an
+indicator the backward step is the ``oblique_step`` of the set's geometry
 (:mod:`oblique_mv.convexcore`).  The loop records the states and logs each
 step's reflection increment ``dk`` on the rows it corrects, the rows where
 a bit of ``dk`` is set; ``PathEnsemble`` derives ``dk`` and the rest.
@@ -316,15 +314,6 @@ def _gdb(gk, dB):
     return out
 
 
-def _hu(Hk, U, diagonal=False):
-    Hk = Hk(slice(None)) if callable(Hk) else Hk      # a function of rows: all of them
-    if diagonal:
-        return U * Hk + 0.0   # + 0.0: a zero is +0.0, as from the dense product
-    if Hk.ndim == 2:          # a lone row as a pair: the bits it has in a taller batch
-        return convexcore._row_dots(U, Hk.T)
-    return np.einsum("nij,nj->ni", Hk, U)
-
-
 def _shifted(Hk, shift, diagonal=False):
     """``H + shift I`` as a function of rows; ``shift`` shared or a per-row column."""
     def matrix(rows):
@@ -460,8 +449,6 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     N, G = int(particles), int(groups)
     if eps is not None and not np.all(np.asarray(eps) > 0):
         raise ValueError(f"penalization parameter must be positive, got {eps}")
-    if eps is None and not system.constraint.has_indicator():
-        raise ConfigurationError("projected scheme requires an indicator constraint")
     if inputs is None:
         def inputs(k, X, u):
             return (*_coefficients(system, X, u, times[k], G), system.constraint)
@@ -475,8 +462,7 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
             f"for {G} groups"
         )
     increment_rows = _increment_rows(increments, G)
-    eps_rows = _per_row(eps, N)
-    shift = None if eps is None else eps_rows / h
+    shift = None if eps is None else _per_row(eps, N) / h
     control = None if control is None else np.asarray(control)
 
     if x0 is None:
@@ -493,22 +479,16 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     watch.start(X)
     for k in range(steps):
         fk, gk, Hk, constraint = inputs(k, X, _control_value(control, k))
-        gdB = _gdb(gk, increment_rows(k))
+        Y = X + h * fk + _gdb(gk, increment_rows(k))
+        Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
         try:
-            if eps is not None and constraint.kind != "indicator":    # explicit smooth step
-                U = convexcore.yosida_gradient(constraint, eps_rows, X)
-                X = X + h * (fk - _hu(Hk, U, system.oblique.diagonal)) + gdB
-                dk_step = U * h
-            else:       # projected, or the backward Moreau-Yosida step: H + (eps/h) I
-                Y = X + h * fk + gdB
-                Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
-                X, dk_step = constraint.geometry.oblique_step(Hs, Y, system.oblique.diagonal)
-                if eps is not None:
-                    X = X + shift * dk_step     # J_eps X + (eps/h) dk = Y - H dk
+            X, dk_step = convexcore.backward_step(constraint, h, Hs, Y, system.oblique.diagonal)
         except StepError as err:
             g, i = divmod(err.row, N)
             raise StepError(f"step {k}: {_constraint_name(constraint)}, group {g}, "
                             f"particle {i}: {err}", residual=err.residual, row=err.row) from err
+        if eps is not None:
+            X = X + shift * dk_step     # x = J_eps x + (eps/h) dk = Y - H dk
 
         if not np.max(np.abs(X)) <= BLOWUP_GUARD:      # also true for NaN
             g, i = divmod(int(np.argmin(np.all(np.abs(X) <= BLOWUP_GUARD, axis=1))), N)
@@ -562,7 +542,7 @@ def _stream_batches(system, grid, particles, streams, *, observer=None,
 
 def simulate_penalized(system, eps, grid, particles, noise, control=None,
                        increments=None):
-    """Penalized Euler at level eps: backward on an indicator, explicit on a smooth part."""
+    """Penalized Euler at level eps: the backward step in the metric ``(eps/h) I + H``."""
     if eps is None:
         raise ValueError("penalization parameter must be positive, got None")
     return _simulate(system, grid, particles, noise, eps=eps, control=control,
@@ -571,7 +551,7 @@ def simulate_penalized(system, eps, grid, particles, noise, control=None,
 
 def simulate_projected(system, grid, particles, noise, control=None,
                        increments=None):
-    """Projected Euler with per-step oblique Skorohod corrections."""
+    """Projected Euler: the backward step in the metric ``H`` (on a set, the Skorohod step)."""
     return _simulate(system, grid, particles, noise, control=control,
                      increments=increments)[0]
 
@@ -665,7 +645,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         tk = times[k]
         fk, gk, Hk = _coefficients(system, ensemble.states[:, k, :],
                                    _control_value(ensemble.control, k), tk)
-        Hdk = _hu(Hk, dK[:, k, :], system.oblique.diagonal)
+        Hdk = convexcore._times(Hk, dK[:, k, :], system.oblique.diagonal)
         residual = residual + Hdk - h * np.broadcast_to(np.asarray(fk), (N, m)) \
             - _gdb(gk, ensemble.increments[:, k, :])
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual

@@ -376,6 +376,15 @@ class TestInteriorConstants:
         with pytest.raises(ConfigurationError):
             interior_constants(QUAD, InteriorCertificate([0.0, 0.0], 0.5))
 
+    def test_sum_rejected(self):
+        # the certificate's (r, 0, 0) do not bound the smooth part's share of dk:
+        # with them, penalized ou runs on this sum (256 steps, 64 particles, eps
+        # 0.1 to 0.01) gave interior margins of -2.3 to -4.1
+        c = ConvexConstraint.sum_of(HALF_LINE, ConvexConstraint.smooth(
+            lambda z: 25.0 * float(z @ z), lambda z: 50.0 * z, 1))
+        with pytest.raises(ConfigurationError, match="only certified for indicator"):
+            interior_constants(c, InteriorCertificate([1.0], 0.5))
+
 
 class TestSmoothConstruction:
     def test_shifted_to_zero(self):

@@ -1048,19 +1048,11 @@ def _particle_major_simulate(system, grid, particles, noise, *, eps=None, contro
             fk = coeffs.drift(X, mu, uk, tk)
             gk = coeffs.diffusion(X, mu, uk, tk)
             Hk = oblique(t=tk) if oblique.time_dependent else oblique(X, mu)
-        gdB = mvsolver._gdb(gk, increments[:, k, :])
-        if eps is not None and system.constraint.kind != "indicator":
-            U = convexcore.yosida_gradient(system.constraint, eps, X)
-            X = X + h * (fk - mvsolver._hu(Hk, U, oblique.diagonal)) + gdB
-            dk_step = U * h
-        elif eps is not None:   # the backward step: the oblique step on (eps/h) I + H
-            Y = X + h * fk + gdB
-            Hs = Hk + eps / h if oblique.diagonal else Hk + eps / h * np.eye(m)
-            Z, dk_step = system.constraint.geometry.oblique_step(Hs, Y, oblique.diagonal)
-            X = Z + eps / h * dk_step
-        else:
-            Y = X + h * fk + gdB
-            X, dk_step = system.constraint.geometry.oblique_step(Hk, Y, oblique.diagonal)
+        Y = X + h * fk + mvsolver._gdb(gk, increments[:, k, :])
+        # penalized: the backward step in (eps/h) I + H, then x = z + (eps/h) dk
+        Hs = Hk if eps is None else Hk + eps / h * (1.0 if oblique.diagonal else np.eye(m))
+        Z, dk_step = convexcore.backward_step(system.constraint, h, Hs, Y, oblique.diagonal)
+        X = Z if eps is None else Z + eps / h * dk_step
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > mvsolver.BLOWUP_GUARD:
             raise DivergenceError("oracle diverged", step=k)
         states[:, k + 1] = X
@@ -1233,8 +1225,11 @@ class TestTimeMajorStorage:
             a, b = residual_report(ens, system, **kwargs), residual_report(copy, system, **kwargs)
             assert (a.equation_residual, a.feasibility_gap, a.inequality_residual) \
                 == (b.equation_residual, b.feasibility_gap, b.inequality_residual)
+            # the sum constraint has no certified constants: the certificate's are given
             cert = InteriorCertificate(np.full(m, 1.0 if m == 1 else 0.0), 0.5)
-            assert interior_reflection_margin(ens, cert) == interior_reflection_margin(copy, cert)
+            constants = (cert.radius, 0.0, 0.0)
+            assert interior_reflection_margin(ens, cert, constants) \
+                == interior_reflection_margin(copy, cert, constants)
             assert second_moment_sup(ens) == second_moment_sup(copy)
 
     def test_rate_probe_matches_particle_major_oracle(self):
@@ -1495,11 +1490,12 @@ class TestBatchedEngine:
 
 @st.composite
 def loop_cases(draw):
-    """A planar set, a scheme and a split of one ``_simulate`` batch into groups.
+    """A planar constraint, a scheme and a split of one ``_simulate`` batch into groups.
 
-    The drift ``u (x - mean) + v``, with ``|v| = 3``, pushes every group
-    out of its set, and each group has its own start point, control row
-    and, for the penalized scheme, ``eps``.  ``H`` is constant, or a
+    The constraint is a set, a set plus ``quadratic(1, 4)`` or that quadratic
+    alone.  The drift ``u (x - mean) + v``, with ``|v| = 3``, pushes every
+    group out of its set, and each group has its own start point, control
+    row and, for the penalized scheme, ``eps``.  ``H`` is constant, or a
     constant matrix scaled per row by a function of the state and the
     group's measure, so a batch reads it group by group; it is dense and
     non-diagonal for the box, so its polytope fallback runs in the loop,
@@ -1508,20 +1504,29 @@ def loop_cases(draw):
     a taller one, so the loop's row products take a lone row as a pair.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["half-space", "box", "ball", "triangle"]))
+    kind = draw(st.sampled_from(["half-space", "box", "ball", "triangle", "ball + quadratic",
+                                 "triangle + quadratic", "quadratic"]))
     scheme = draw(st.sampled_from(["projected", "penalized"]))
     reps = draw(st.integers(1, 2))
     groups = reps * draw(st.integers(1, 2))
     particles = draw(st.integers(1, 5))
     push = rng.standard_normal(2)
     push *= 3.0 / np.linalg.norm(push)
-    constraint = {
+    sets = {
         "half-space": lambda: ConvexConstraint.half_space(-push, -0.3),
         "box": lambda: ConvexConstraint.box([-0.5, -0.4], [0.6, np.inf]),
         "ball": lambda: ConvexConstraint.ball([0.1, -0.1], 0.8),
         "triangle": lambda: ConvexConstraint.half_space_intersection(
             [[1, 0], [0, 1], [-1, -1]], [-0.5, -0.5, -0.5]),
-    }[kind]()
+    }
+    quadratic = library.constraint_from_config({"kind": "quadratic", "weights": [1, 4]})
+    set_kind = kind.split(" + ")[0]
+    if kind == "quadratic":
+        constraint = quadratic
+    elif set_kind == kind:
+        constraint = sets[kind]()
+    else:
+        constraint = ConvexConstraint.sum_of(sets[set_kind](), quadratic)
     H = np.array([[2.0, 0.7], [0.7, 1.0]])
     dense = kind == "box" or draw(st.booleans())
     if draw(st.booleans()):
@@ -1536,7 +1541,8 @@ def loop_cases(draw):
     coeffs = CoefficientField(lambda x, mu, u: u * (x - mu.mean()) + push,
                               lambda x, mu, u: np.array([[0.5], [0.3]]),
                               3.0, 2, 1, controlled=True, normalized=False)
-    x0 = project(constraint, 0.6 * rng.standard_normal((groups, 2)))
+    x0 = 0.6 * rng.standard_normal((groups, 2))
+    x0 = project(constraint, x0) if constraint.has_indicator() else x0
     system = System(coeffs, oblique, constraint, x0[0])
     eps = rng.uniform(0.2, 0.5, groups) if scheme == "penalized" else None
     return system, scheme, particles, reps, eps, rng.uniform(-1.0, 1.0, (groups, 24)), x0
@@ -1562,9 +1568,80 @@ class TestEngineProperties:
                                         control=control[g], increments=inc[g % reps])
             for name in PATH_FIELDS:
                 assert getattr(ens, name).tobytes() == getattr(alone, name).tobytes(), name
+            rep = residual_report(ens, system, probes=[np.zeros(2)])
+            assert rep.equation_residual <= 1e-8
             if scheme == "projected":
-                rep = residual_report(ens, system, probes=[np.zeros(2)])
-                assert rep.equation_residual <= 1e-8 and rep.feasibility_gap <= 1e-10
+                assert rep.feasibility_gap <= 1e-10 and rep.inequality_residual <= 1e-8
+
+
+def ou_with(constraint):
+    ou = library.make_system("ou")
+    return System(ou.coeffs, ou.oblique, constraint, ou.x0)
+
+
+def half_line_plus(value, gradient):
+    """The half-line plus the smooth function ``value`` with its ``gradient``."""
+    return ConvexConstraint.sum_of(ConvexConstraint.half_line(),
+                                   ConvexConstraint.smooth(value, gradient, 1))
+
+
+class TestBackwardStep:
+    """One backward step for every constraint kind, in both schemes."""
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("eps", [None, 0.05])
+    def test_quadratic_closed_form(self, eps, diagonal):
+        # phi = quadratic(w): z = (I + h Hs diag(w))^-1 y, dk = Hs^-1 (y - z), and
+        # the penalized state is z + (eps/h) dk, with Hs = H + (eps/h) I
+        w, H = np.array([1.0, 4.0]), np.array([[2.0, 0.7], [0.7, 1.0]])
+        if diagonal:
+            H = np.diag(np.diag(H))
+        coeffs = CoefficientField(lambda x, mu: -x, lambda x, mu: np.array([[0.5], [0.3]]),
+                                  1.0, 2, 1, uses_measure=False, normalized=False)
+        oblique = ObliqueField(lambda x, mu: np.diag(H) if diagonal else H, 0.5, 2.5, 2,
+                               uses_measure=False, diagonal=diagonal)
+        quadratic = library.constraint_from_config({"kind": "quadratic", "weights": list(w)})
+        system = System(coeffs, oblique, quadratic, [0.8, -0.6])
+        grid = TimeGrid(0.0, 0.5, 16)
+        h, shift = grid.h, 0.0 if eps is None else eps / grid.h
+        ens = mvsolver._simulate(system, grid, 6, NoiseSource(2), eps=eps)[0]
+        X, dk = ens.states, ens.dk
+        Y = X[:, :-1] * (1.0 - h) + ens.increments * [0.5, 0.3]
+        Hs = H + shift * np.eye(2)
+        z = np.linalg.solve(np.eye(2) + h * Hs * w, Y[..., None])[..., 0]
+        np.testing.assert_allclose(X[:, 1:] - shift * dk, z, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dk, np.linalg.solve(Hs, (Y - z)[..., None])[..., 0],
+                                   rtol=0, atol=1e-10)
+        assert np.all(np.abs(dk) > 0)
+
+    def test_penalized_smooth_step_stays_bounded(self):
+        # at h/eps = 15.6 the explicit step this replaced reached max |x| = 4.28
+        system = ou_with(half_line_plus(lambda z: float(z @ z), lambda z: 2.0 * z))
+        grid = TimeGrid(0.0, 1.0, 64)
+        ens = simulate_penalized(system, 0.001, grid, 16, NoiseSource(1))
+        assert np.max(np.abs(ens.states)) <= 1.25
+        assert residual_report(ens, system, probes=[np.zeros(1)]).equation_residual <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["smooth", "sum"])
+    def test_penalized_tends_to_projected(self, kind):
+        value, gradient = (lambda z: 12.5 * float(z @ z)), (lambda z: 25.0 * z)
+        system = ou_with(ConvexConstraint.smooth(value, gradient, 1) if kind == "smooth"
+                         else half_line_plus(value, gradient))
+        grid = TimeGrid(0.0, 1.0, 64)
+        projected = simulate_projected(system, grid, 16, NoiseSource(5))
+        penalized = simulate_penalized(system, 1e-12 * grid.h, grid, 16, NoiseSource(5))
+        assert np.max(np.abs(penalized.states - projected.states)) <= 1e-9
+        assert np.max(np.abs(penalized.dk - projected.dk)) <= 1e-9
+
+    def test_projected_sum_keeps_its_smooth_part(self):
+        system = ou_with(half_line_plus(lambda z: 12.5 * float(z @ z), lambda z: 25.0 * z))
+        grid = TimeGrid(0.0, 1.0, 64)
+        ens = simulate_projected(system, grid, 16, NoiseSource(5))
+        alone = simulate_projected(library.make_system("ou"), grid, 16, NoiseSource(5))
+        assert np.max(np.abs(ens.states - alone.states)) > 0.1
+        rep = residual_report(ens, system, probes=[np.zeros(1)], shifts=[np.full(1, 0.1)])
+        assert rep.equation_residual <= 1e-8 and rep.feasibility_gap <= 1e-10
+        assert rep.inequality_residual <= 1e-8
 
 
 class TestRowsTheStepCorrects:
@@ -1627,8 +1704,10 @@ class TestErrorsNameTheParticle:
         assert math.isfinite(e.residual) and e.residual > 0
 
     def test_penalized_prox_failure(self):
-        # the smooth part's gradient is NaN right of 0.4: group 0 starts at the
-        # origin, where the sum prox converges, group 1 at 0.5, where it cannot
+        # the smooth part's gradient is NaN right of 0.4, and the prox reads it near
+        # y = x + h f + g dB: group 0 starts at (-2.5, 0), outside the ball, and its
+        # first y stays left of 0.4, so the sum prox converges; group 1 starts at
+        # 0.5, where it cannot
         ex = library.make_system("example31")
         broken = ConvexConstraint.sum_of(ConvexConstraint.ball([0.0, 0.0], 1.0),
                                          ConvexConstraint.smooth(
@@ -1638,7 +1717,7 @@ class TestErrorsNameTheParticle:
         with pytest.raises(StepError, match=r"^step 0: Ball \+ smooth, group 1, particle 0: "
                                             r"sum prox: distance bound nan") as err:
             mvsolver._simulate(system, TimeGrid(0.0, 1.0, 8), 2, NoiseSource(3), eps=1.0,
-                               groups=2, x0=np.array([[0.0, 0.0], [0.5, 0.0]]))
+                               groups=2, x0=np.array([[-2.5, 0.0], [0.5, 0.0]]))
         assert err.value.row == 2
         assert math.isnan(err.value.residual)
 
@@ -1805,7 +1884,7 @@ class TestDeclaredDiagonal:
                              head_ball_oblique_step(ball, dense, Y))
         U = signed_zeros(rng, rng.standard_normal(Y.shape), share=0.5)
         U[rng.random(U.shape) < 0.2] = 5e-324        # d * U may round to zero
-        assert same_bits([mvsolver._hu(d, U, diagonal=True)], [mvsolver._hu(dense, U)])
+        assert same_bits([convexcore._times(d, U, diagonal=True)], [convexcore._times(dense, U)])
 
     @pytest.mark.parametrize("run", [
         lambda s: simulate_projected(s, TimeGrid(0.0, 1.0, 96), 40, NoiseSource(31)),

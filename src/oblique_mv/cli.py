@@ -12,7 +12,6 @@ batches of one step loop.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -23,7 +22,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, library
@@ -43,71 +41,80 @@ from .timedep import equivalence_check
 
 MODES = ("simulate", "converge", "control", "validate", "transform-demo", "properties")
 
+# A draft-07 JSON Schema, one entry per key; ``_checked`` walks it, and the
+# tests check the walk against jsonschema.
 CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mode", "seed"],
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object", "additionalProperties": False, "required": ["mode", "seed"],
     "properties": {
         "mode": {"enum": list(MODES)},
         "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string"},
         "threads": {"type": "integer", "minimum": 1},
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["start", "end", "steps"],
-            "properties": {
-                "start": {"type": "number"},
-                "end": {"type": "number"},
-                "steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "grid_ladder": {
-            "type": "array", "items": {"type": "integer", "minimum": 2},
-            "minItems": 2,
-        },
+        "system": {"type": "object", "additionalProperties": False, "required": ["name"],
+                   "properties": {"name": {"type": "string"}, "params": {"type": "object"}}},
+        "grid": {"type": "object", "additionalProperties": False,
+                 "required": ["start", "end", "steps"],
+                 "properties": {"start": {"type": "number"}, "end": {"type": "number"},
+                                "steps": {"type": "integer", "minimum": 1}}},
+        "grid_ladder": {"type": "array", "items": {"type": "integer", "minimum": 2},
+                        "minItems": 2},
         "particles": {"type": "integer", "minimum": 1},
         "replications": {"type": "integer", "minimum": 1},
         "scheme": {"enum": ["projected", "penalized"]},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        "epsilon_ladder": {
-            "type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-        },
+        "epsilon_ladder": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
         "constraint": {"type": "object"},
         "samples": {"type": "integer", "minimum": 1},
-        "control": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau": {"type": "number"},
-                "switches": {"type": "integer", "minimum": 0},
-                "clusters": {"type": "integer", "minimum": 1},
-                "inner_replications": {"type": "integer", "minimum": 1},
-            },
-        },
+        "control": {"type": "object", "additionalProperties": False,
+                    "properties": {"tau": {"type": "number"},
+                                   "switches": {"type": "integer", "minimum": 0},
+                                   "clusters": {"type": "integer", "minimum": 1},
+                                   "inner_replications": {"type": "integer", "minimum": 1}}},
     },
 }
 
+# CONFIG_SCHEMA's types: the Python types of each, and how an error names it
+_TYPES = {"object": (dict, "an object"), "array": (list, "a list"), "string": (str, "a string"),
+          "number": ((int, float), "a number"), "integer": (int, "an integer")}
 
-@functools.cache
-def _config_validator():
-    """The validator of ``CONFIG_SCHEMA``, checked and built once per process.
 
-    Built on first use, not at import, so importing the module stays cheap;
-    ``jsonschema.validate`` would re-check the constant schema on every call.
+def _checked(value, schema, path=()):
+    """``value`` checked against ``schema``, which uses only CONFIG_SCHEMA's keywords;
+    returned with every integral float on an integer key made an ``int``.
+
+    As under JSON Schema, a bool is never a number and ``2.0`` is an integer; a
+    number key also rejects NaN and infinity.  A ConfigurationError names the key
+    path, such as ``grid/steps``.
     """
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+    kind, need = schema.get("type"), None
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind][0])):
+        need = _TYPES[kind][1]
+    elif "enum" in schema and value not in schema["enum"]:
+        need = f"one of {schema['enum']}"
+    elif isinstance(value, float) and not math.isfinite(value):
+        need = "a finite number"
+    elif "minimum" in schema and value < schema["minimum"]:
+        need = f"at least {schema['minimum']}"
+    elif "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        need = f"greater than {schema['exclusiveMinimum']}"
+    elif kind == "array" and len(value) < schema.get("minItems", 0):
+        need = f"a list of at least {schema['minItems']} items"
+    if need:
+        raise ConfigurationError(f"{'/'.join(path) or 'the config'} must be {need}, got {value!r}")
+    if kind == "array":
+        return [_checked(v, schema["items"], path + (str(i),)) for i, v in enumerate(value)]
+    if kind != "object":
+        return value
+    props, closed = schema.get("properties", {}), schema.get("additionalProperties") is False
+    missing = [key for key in schema.get("required", ()) if key not in value]
+    stray = [key for key in value if closed and key not in props]
+    if missing or stray:
+        raise ConfigurationError("/".join(path + ((missing + stray)[0],))
+                                 + (" is required" if missing else " is not a config key"))
+    return {k: _checked(v, props[k], path + (k,)) if k in props else v for k, v in value.items()}
 
 
 # Rows per formatted block of an array table.
@@ -405,8 +412,9 @@ _MODE_KEYS = {
 _COMMON_KEYS = ("mode", "seed", "output_dir", "threads")
 
 
-def _check_keys(cfg):
-    """Every key the mode (and scheme) needs is in ``cfg``, and no key it does not read."""
+def _check_config(cfg):
+    """``_checked(cfg, CONFIG_SCHEMA)``, if it has the keys its mode (and scheme) reads."""
+    cfg = _checked(cfg, CONFIG_SCHEMA)
     mode = cfg["mode"]
     scheme = cfg.get("scheme", "projected") if mode == "simulate" else None
     required, optional = _MODE_KEYS[mode, scheme]
@@ -417,6 +425,7 @@ def _check_keys(cfg):
     for key in cfg:
         if key not in required + optional + _COMMON_KEYS:
             raise ConfigurationError(f"config key {key!r} is not used by {where}")
+    return cfg
 
 
 def _execute(runner, cfg, seed, outdir):
@@ -444,21 +453,12 @@ def run(config_path, seed=None, threads=None, strict=False, out=None):
     """
     try:
         raw = Path(config_path).read_bytes()
-        cfg = json.loads(raw)
-        # the error jsonschema.validate raises, without re-checking the schema
-        error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
-        if error is not None:
-            raise error
-        _check_keys(cfg)
+        cfg = _check_config(json.loads(raw))
         seed = cfg["seed"] if seed is None else int(seed)
         if seed < 0:
             raise ConfigurationError(f"--seed must be a nonnegative integer, got {seed}")
         outdir = Path(out or cfg.get("output_dir", "out"))
         failures, outputs = _execute(_RUNNERS[cfg["mode"]], cfg, seed, outdir)
-    except jsonschema.ValidationError as err:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        print(f"config error at {path}: {err.message}", file=sys.stderr)
-        return 2
     except (json.JSONDecodeError, FileNotFoundError, ConfigurationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

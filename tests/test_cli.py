@@ -234,22 +234,75 @@ class TestExitCodes:
         assert set(required + optional + cli._COMMON_KEYS) <= set(props)
         assert set(cli._COMMON_KEYS) >= set(cli.CONFIG_SCHEMA["required"])
 
-    @pytest.mark.parametrize("payload", [
-        {"mode": "simulate", "seed": -1, "particles": 0, "wibble": 1,
-         "grid": {"start": "a", "steps": 0}},
-        {"mode": "nope", "seed": "x", "system": {"params": 3}},
-        {"seed": 1.5, "epsilon": 0, "control": {"tau": "m", "clusters": 0}},
-        {"mode": "converge", "seed": 1, "epsilon_ladder": [0.1, -1.0, "x"]},
-        [],
-    ])
-    def test_schema_error_line_is_jsonschemas(self, tmp_path, capsys, payload):
-        # the same error, and so the same line, as jsonschema.validate raises
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(payload, cli.CONFIG_SCHEMA)
-        err = expected.value
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+    @pytest.mark.parametrize("payload,message", [
+        ({"mode": "simulate", "seed": -1, "particles": 0, "wibble": 1,
+          "grid": {"start": "a", "steps": 0}}, "wibble is not a config key"),
+        ({"mode": "nope", "seed": "x", "system": {"params": 3}}, "mode must be one of"),
+        ({"seed": 1.5, "epsilon": 0, "control": {"tau": "m", "clusters": 0}},
+         "mode is required"),
+        ({"mode": "converge", "seed": 1, "epsilon_ladder": [0.1, -1.0, "x"]},
+         "epsilon_ladder/1 must be greater than 0, got -1.0"),
+        ([], "the config must be an object, got []"),
+        ({"mode": "simulate", "seed": 1, "grid": {"start": 0, "end": 1, "steps": 0}},
+         "grid/steps must be at least 1, got 0"),
+        ({"mode": "simulate", "seed": 1, "grid": {"start": 0, "end": True, "steps": 4}},
+         "grid/end must be a number, got True"),
+        ({"mode": "simulate", "seed": 1, "grid": {"start": 0, "end": 1}},
+         "grid/steps is required"),
+        ({"mode": "control", "seed": 1, "control": {"tau": 0.5, "wibble": 1}},
+         "control/wibble is not a config key"),
+        ({"mode": "transform-demo", "seed": 1, "grid_ladder": [4, 8.5]},
+         "grid_ladder/1 must be an integer, got 8.5"),
+    ], ids=["stray_key", "mode_enum", "mode_required", "ladder_item_bound", "not_an_object",
+            "steps_minimum", "bool_not_number", "nested_required", "nested_stray",
+            "ladder_item_type"])
+    def test_schema_error_names_the_key_path(self, tmp_path, capsys, payload, message):
         assert run(write_config(tmp_path, payload)) == 2
-        assert capsys.readouterr().err == f"config error at {path}: {err.message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "simulate", "system": {"name": "rbm"}, "particles": 4, "replications": 2,
+         "grid": {"start": 0.0, "end": 0.5, "steps": 8}},
+        {"mode": "validate", "system": {"name": "ou"}, "samples": 20},
+        {"mode": "control", "system": {"name": "two_control"}, "particles": 2,
+         "replications": 2, "grid": {"start": 0.0, "end": 1.0, "steps": 8},
+         "control": {"switches": 1, "clusters": 1, "inner_replications": 2}},
+        {"mode": "transform-demo", "system": {"name": "moving_interval"},
+         "grid_ladder": [4, 8], "particles": 4},
+        {"mode": "properties", "samples": 20,
+         "constraint": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+    ], ids=lambda payload: payload["mode"])
+    def test_integral_floats_run_as_their_integer_twin(self, tmp_path, payload):
+        """``"seed": 1.0`` and ``"steps": 8.0`` are integers under JSON Schema: the
+        run exits 0 with the bytes of its twin that writes them as ``1`` and ``8``."""
+        payload = {**payload, "seed": 1}
+        twin = json.loads(json.dumps(payload), parse_int=float)
+        assert twin["seed"] == 1.0 and isinstance(twin["seed"], float)
+        outputs = []
+        for name, cfg in (("ints", payload), ("floats", twin)):
+            assert run(write_config(tmp_path, cfg, f"{name}.json"), out=tmp_path / name) == 0
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            manifest.pop("config_sha256")
+            outputs.append((files, manifest))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("over,path", [
+        ({"scheme": "penalized", "epsilon": math.inf}, "epsilon"),
+        ({"scheme": "penalized", "epsilon": math.nan}, "epsilon"),
+        ({"grid": {"start": -math.inf, "end": 0.5, "steps": 8}}, "grid/start"),
+        ({"grid": {"start": 0.0, "end": math.nan, "steps": 8}}, "grid/end"),
+        ({"epsilon_ladder": [0.1, math.inf, 0.01]}, "epsilon_ladder/1"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, over, path):
+        # Python's json reads NaN and Infinity; no number key takes them
+        out = tmp_path / "out"
+        base = properties_config(out) if "epsilon_ladder" in over else simulate_config(out)
+        assert run(write_config(tmp_path, {**base, **over})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} must be a finite number, got ")
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulate_config(tmp_path / "out"))
@@ -652,13 +705,14 @@ class TestDescribe:
 
 
 def test_no_mode_loads_scipy(tmp_path):
-    """Nothing at run time imports scipy, which only the tests use as an oracle:
-    importing the CLI, a ``validate`` run (the W2 assignments), a polytope
+    """Nothing at run time imports scipy or jsonschema, which only the tests use as
+    oracles: importing the CLI, a ``validate`` run (the W2 assignments), a polytope
     ``properties`` run (the polyhedral step) and a quadratic ``properties`` run
-    (the smooth prox) each leave every ``scipy`` module unloaded."""
+    (the smooth prox) each leave every ``scipy`` and ``jsonschema`` module unloaded."""
     src = str(Path(oblique_mv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    loaded = ("print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     code = "import sys, oblique_mv.cli; " + loaded
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
@@ -737,23 +791,32 @@ _CONSTRAINTS = st.one_of(
 )
 CONSTRAINTS = st.one_of(_CONSTRAINTS, _CONSTRAINTS, _CONSTRAINTS,
                         _CONSTRAINTS.map(lambda c: {**c, "bogus": 3}))
+
+
+def _or_float(ints):
+    """``ints``, now and then as integral floats (``2.0``), which JSON Schema calls integers."""
+    return st.one_of(ints, ints, ints, ints.map(float))
+
+
 OPTIONAL_KEYS = {
-    "threads": st.integers(1, 4),
+    "threads": _or_float(st.integers(1, 4)),
     "grid": st.fixed_dictionaries(
         {"start": st.one_of(st.sampled_from([0.0, -0.5, 0.25]), st.floats()),
          "end": st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats()),
-         "steps": st.integers(1, 16)}),
-    "grid_ladder": st.lists(st.sampled_from([2, 3, 4, 8, 16]), min_size=2, max_size=3),
-    "particles": st.integers(1, 8),
-    "replications": st.integers(1, 2),
+         "steps": _or_float(st.integers(1, 16))}),
+    "grid_ladder": st.lists(_or_float(st.sampled_from([2, 3, 4, 8, 16])), min_size=2,
+                            max_size=3),
+    "particles": _or_float(st.integers(1, 8)),
+    "replications": _or_float(st.integers(1, 2)),
     "scheme": st.sampled_from(["projected", "penalized"]),
     "epsilon": st.sampled_from([0.01, 0.1, 1.0, 4.0]),
     "epsilon_ladder": st.lists(st.sampled_from([4.0, 2.0, 1.0, 0.5, 0.1]), max_size=4),
     "constraint": CONSTRAINTS,
-    "samples": st.integers(1, 20),
+    "samples": _or_float(st.integers(1, 20)),
     "control": st.fixed_dictionaries({}, optional={
-        "tau": st.one_of(st.floats(-0.5, 1.5), st.floats()), "switches": st.integers(0, 1),
-        "clusters": st.integers(1, 2), "inner_replications": st.integers(1, 2)}),
+        "tau": st.one_of(st.floats(-0.5, 1.5), st.floats()),
+        "switches": _or_float(st.integers(0, 1)), "clusters": _or_float(st.integers(1, 2)),
+        "inner_replications": _or_float(st.integers(1, 2))}),
 }
 
 
@@ -765,7 +828,7 @@ def fuzz_configs(draw):
     mode = draw(st.sampled_from(cli.MODES))
     scheme = draw(OPTIONAL_KEYS["scheme"]) if mode == "simulate" else None
     required, optional = cli._MODE_KEYS[mode, scheme]
-    cfg = {"mode": mode, "seed": draw(st.integers(0, 2**32))}
+    cfg = {"mode": mode, "seed": draw(_or_float(st.integers(0, 2**32)))}
     if scheme == "penalized" or (scheme and draw(st.booleans())):
         cfg["scheme"] = scheme
     for key in required + optional:
@@ -807,3 +870,124 @@ class TestFuzz:
             code = main(["run", "--config", str(path), "--strict", "--out", str(tmp / "out")])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# any JSON value, small; bounded floats are finite
+ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _or_float(st.integers(-2, 3)), st.floats(-2, 3),
+              st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                  max_size=2),
+    max_leaves=4)
+
+
+def _now_and_then(draw):
+    """True for about one draw in eight; the simplest draw, all zeros, is False."""
+    return draw(st.integers(0, 7)) == 7
+
+
+@st.composite
+def schema_values(draw, schema):
+    """A value for the CONFIG_SCHEMA entry ``schema``: mostly of its type and within its
+    bound (integral floats included), now and then just below the bound, non-finite or
+    any JSON value; an object mostly has its required keys, now and then one too few
+    or a stray one."""
+    kind, low = schema.get("type"), schema.get("minimum", schema.get("exclusiveMinimum", 0))
+    if _now_and_then(draw):
+        return draw(st.one_of(ANY_JSON, st.booleans(), st.just("nope"), st.just(low - 1),
+                              st.floats(low - 1, low + 3),
+                              st.sampled_from([math.nan, math.inf, -math.inf])))
+    if "enum" in schema:
+        return draw(st.sampled_from(schema["enum"]))
+    if kind == "integer":
+        return draw(_or_float(st.integers(low, low + 3)))
+    if kind == "number":
+        return draw(st.one_of(_or_float(st.integers(low + 1, low + 3)),
+                              st.floats(low, low + 3)))
+    if kind == "string":
+        return draw(st.text(max_size=3))
+    if kind == "array":
+        return draw(st.lists(schema_values(schema["items"]), max_size=4))
+    if kind != "object":
+        return draw(ANY_JSON)
+    props, required = schema.get("properties", {}), schema.get("required", [])
+    keys = [key for key in props if key in required or draw(st.booleans())]
+    if keys and _now_and_then(draw):
+        keys.remove(draw(st.sampled_from(keys)))
+    if _now_and_then(draw):
+        keys.append(draw(st.sampled_from(["wibble", "name", "steps", "tau"])))
+    return {key: draw(schema_values(props.get(key, {}))) for key in keys}
+
+
+@st.composite
+def key_set_configs(draw):
+    """A config with the key set of a drawn mode and scheme, now and then a key too few
+    or too many, and values of every type (bools, integral floats, strings, objects)."""
+    mode = draw(st.sampled_from(cli.MODES))
+    scheme = draw(st.sampled_from(["projected", "penalized"])) if mode == "simulate" else None
+    required, optional = cli._MODE_KEYS[mode, scheme]
+    props = cli.CONFIG_SCHEMA["properties"]
+    keys = ["seed", *required, *(key for key in optional + ("output_dir", "threads")
+                                 if key != "scheme" and draw(st.booleans()))]
+    if _now_and_then(draw):
+        keys.remove(draw(st.sampled_from(keys)))
+    if _now_and_then(draw):
+        keys.append(draw(st.sampled_from(sorted(props) + ["wibble"])))
+    cfg = {"mode": draw(st.sampled_from(["nope", True, None, *cli.MODES]))
+           if _now_and_then(draw) else mode}
+    if scheme == "penalized" or (scheme and draw(st.booleans())):
+        cfg["scheme"] = scheme
+    cfg.update((key, draw(schema_values(props.get(key, {})))) for key in keys)
+    return draw(ANY_JSON) if _now_and_then(draw) and _now_and_then(draw) else cfg
+
+
+def _draft7_where(kind, means):
+    """A Draft7Validator of CONFIG_SCHEMA whose type ``kind`` is what ``means`` accepts."""
+    checker = jsonschema.Draft7Validator.TYPE_CHECKER.redefine(kind, lambda _, v: means(v))
+    return jsonschema.validators.extend(jsonschema.Draft7Validator,
+                                        type_checker=checker)(cli.CONFIG_SCHEMA)
+
+
+# a config the check returns has Python ints on its integer keys
+INTS_ARE_INTS = _draft7_where("integer", lambda v: type(v) is int)
+# the check's one departure from JSON Schema: a number key takes no NaN or infinity
+FINITE_NUMBERS = _draft7_where("number",
+                               lambda v: type(v) is int or type(v) is float and math.isfinite(v))
+
+
+def jsonschema_and_mode_keys_accept(cfg):
+    """The oracle: ``jsonschema.validate`` against CONFIG_SCHEMA, then the key sets of
+    ``cli._MODE_KEYS``."""
+    try:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    except jsonschema.ValidationError:
+        return False
+    scheme = cfg.get("scheme", "projected") if cfg["mode"] == "simulate" else None
+    required, optional = cli._MODE_KEYS[cfg["mode"], scheme]
+    return set(required) <= set(cfg) <= set(required + optional + cli._COMMON_KEYS)
+
+
+class TestConfigCheck:
+    """``cli._check_config`` accepts exactly the configs that jsonschema and the mode
+    key sets accept, less those with NaN or infinity on a number key, and returns
+    them with integral floats on integer keys made ints."""
+
+    def check_against_the_oracle(self, cfg):
+        try:
+            checked = cli._check_config(cfg)
+        except ConfigurationError:
+            checked = None
+        accepted = jsonschema_and_mode_keys_accept(cfg)
+        assert (checked is not None) == (accepted and FINITE_NUMBERS.is_valid(cfg))
+        if checked is not None:
+            assert checked == cfg and INTS_ARE_INTS.is_valid(checked)
+
+    @given(cfg=key_set_configs())
+    @settings(max_examples=600)
+    def test_accepts_what_jsonschema_and_the_mode_keys_accept(self, cfg):
+        self.check_against_the_oracle(cfg)
+
+    @given(cfg=fuzz_configs())
+    @settings(max_examples=200)
+    def test_fuzz_corpus(self, cfg):
+        self.check_against_the_oracle(cfg)

@@ -117,7 +117,7 @@ def _checked(value, schema, path=()):
     return {k: _checked(v, props[k], path + (k,)) if k in props else v for k, v in value.items()}
 
 
-# Rows per formatted block of an array table.
+# Rows per formatted block of trajectories.csv, in whole particles (one if it has more).
 CSV_CHUNK_ROWS = 4096
 
 
@@ -143,21 +143,29 @@ def _atomic_write(path: Path, chunks):
         raise
 
 
-def _array_lines(table):
-    """CSV text of a 2-D float array, one ``%`` per block of CSV_CHUNK_ROWS rows.
+class _Blocks:
+    """A sized iterable of 2-D float blocks of CSV rows; ``len()`` is their row count."""
+
+    def __init__(self, rows, blocks):
+        self.rows, self.blocks = rows, blocks
+
+    def __len__(self):
+        return self.rows
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def _block_lines(block):
+    """CSV text of a 2-D float block, one ``%`` for the block.
 
     ``%.17g`` prints a float as ``_fmt`` does, and an integer-valued float up
     to 2**53 as that integer's ``str``, so index columns can be float columns.
     A column with at most half as many distinct bit patterns as the block has
     rows (an index or time column, a reflection that rarely moves) has each
-    pattern formatted once and passed as ``%s``; the bytes are the same.
+    pattern formatted once and passed as ``%s``; the bytes are the same.  The
+    block's cells are freed when this call returns, before its text is written.
     """
-    for start in range(0, len(table), CSV_CHUNK_ROWS):
-        yield _block_lines(table[start:start + CSV_CHUNK_ROWS])
-
-
-def _block_lines(block):
-    """One block's text, from a call of its own: its cells are freed before it is written."""
     cells, formats = np.empty(block.shape, dtype=object), []
     for j, col in enumerate(block.T):
         bits, index = np.unique(col.view(np.uint64), return_inverse=True)
@@ -172,9 +180,9 @@ def _block_lines(block):
 
 
 def write_csv(path, header, rows):
-    """Write a CSV atomically; ``rows`` is a list of tuples or a 2-D float array."""
-    if isinstance(rows, np.ndarray):
-        body = _array_lines(rows)
+    """Write a CSV atomically; ``rows`` is a list of tuples or ``_Blocks``."""
+    if isinstance(rows, _Blocks):
+        body = map(_block_lines, rows)
     else:
         body = (",".join(map(_fmt, row)) + "\n" for row in rows)
     _atomic_write(Path(path), itertools.chain([",".join(header) + "\n"], body))
@@ -208,19 +216,23 @@ def _failures(*gates):
 # probe gates (none means pass)
 
 
-def _trajectory_table(ensembles, times):
-    """One row per (replication, particle, time), in that order:
-    replication, particle, t, states, reflection, variation."""
-    particles, steps1, m = ensembles[0].states.shape
-    table = np.empty((len(ensembles), particles, steps1, 2 * m + 4))
-    table[..., 0] = np.arange(len(ensembles))[:, None, None]
-    table[..., 1] = np.arange(particles)[:, None]
-    table[..., 2] = times
-    for r, ens in enumerate(ensembles):
-        table[r, ..., 3:3 + m] = ens.states
-        table[r, ..., 3 + m:3 + 2 * m] = ens.reflection
-        table[r, ..., -1] = ens.variation
-    return table.reshape(-1, 2 * m + 4)
+def _trajectory_blocks(r, ens, times):
+    """Replication ``r``'s rows, one per (particle, time) in that order, as
+    blocks of whole particles, CSV_CHUNK_ROWS rows or fewer unless one particle
+    has more: replication, particle, t, states, reflection, variation."""
+    particles, steps1, m = ens.states.shape
+    per = max(1, CSV_CHUNK_ROWS // steps1)
+    reflection, variation = ens.reflection, ens.variation
+    for start in range(0, particles, per):
+        stop = min(start + per, particles)
+        block = np.empty((stop - start, steps1, 2 * m + 4))
+        block[..., 0] = r
+        block[..., 1] = np.arange(start, stop)[:, None]
+        block[..., 2] = times
+        block[..., 3:3 + m] = ens.states[start:stop]
+        block[..., 3 + m:3 + 2 * m] = reflection[start:stop]
+        block[..., -1] = variation[start:stop]
+        yield block.reshape(-1, 2 * m + 4)
 
 
 def _run_simulate(cfg, seed, out):
@@ -230,26 +242,30 @@ def _run_simulate(cfg, seed, out):
     eps = cfg.get("epsilon")        # given exactly for the penalized scheme
     particles = cfg.get("particles", 256)
     streams = [NoiseSource(seed).for_replication(r) for r in range(cfg.get("replications", 1))]
-    ensembles = [ens for _, run in _stream_batches(system, grid, particles, streams, eps=eps)
-                 for ens in run]
-
     m = system.state_dim
+    diag_rows = []
+
+    def blocks():
+        # the writer pulls the batches: one batch of ensembles is alive at a time
+        for chunk, run in _stream_batches(system, grid, particles, streams, eps=eps):
+            for r, ens in enumerate(run, chunk.start):
+                yield from _trajectory_blocks(r, ens, grid.times)
+                # every constraint vanishes at the origin, so it is a valid probe
+                rep = residual_report(ens, system, probes=[np.zeros(m)])
+                diag_rows.extend([(r, "equation_residual", rep.equation_residual),
+                                  (r, "feasibility_gap", rep.feasibility_gap),
+                                  (r, "inequality_residual", rep.inequality_residual),
+                                  (r, "second_moment_sup", second_moment_sup(ens))])
+            del run, ens                # before the next batch is drawn
+
     header = (
         ["replication", "particle", "t"]
         + [f"x_{j + 1}" for j in range(m)]
         + [f"k_{j + 1}" for j in range(m)]
         + ["variation"]
     )
-    out.write_csv("trajectories.csv", header, _trajectory_table(ensembles, grid.times))
-
-    diag_rows = []
-    for r, ens in enumerate(ensembles):
-        # every constraint vanishes at the origin, so it is a valid probe
-        rep = residual_report(ens, system, probes=[np.zeros(m)])
-        diag_rows.append((r, "equation_residual", rep.equation_residual))
-        diag_rows.append((r, "feasibility_gap", rep.feasibility_gap))
-        diag_rows.append((r, "inequality_residual", rep.inequality_residual))
-        diag_rows.append((r, "second_moment_sup", second_moment_sup(ens)))
+    out.write_csv("trajectories.csv", header,
+                  _Blocks(len(streams) * particles * (grid.steps + 1), blocks()))
     out.write_csv("diagnostics.csv", ["replication", "check", "value"], diag_rows)
     return []
 

@@ -83,15 +83,15 @@ def _build(kind, name, builders, params):
         raise ConfigurationError(f"{kind} {name!r}: {err}") from err
 
 
-def make_system(name, **params):
+def make_system(name, /, **params):
     return _build("system", name, SYSTEMS, params)
 
 
-def make_control_problem(name, **params):
+def make_control_problem(name, /, **params):
     return _build("control problem", name, CONTROL_PROBLEMS, params)
 
 
-def make_moving_problem(name, **params):
+def make_moving_problem(name, /, **params):
     return _build("moving problem", name, MOVING_PROBLEMS, params)
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ import oblique_mv
 from oblique_mv import cli, control, library, mvsolver
 from oblique_mv.cli import main, run
 from oblique_mv.control import RateReport
-from oblique_mv.errors import ConfigurationError, ObliqueMVError
+from oblique_mv.errors import ConfigurationError, DivergenceError, ObliqueMVError
 from oblique_mv.timedep import ConvergenceReport
 
 
@@ -110,6 +111,21 @@ class TestExitCodes:
                    "system": {"name": name, "params": {"sigma": 0.5, "bogus": 1}}, **extra}
         assert run(write_config(tmp_path, payload)) == 2
         assert "unknown parameter 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode,name,extra", [
+        ("validate", "ou", {"samples": 10}),
+        ("control", "two_control", {"grid": {"start": 0.0, "end": 1.0, "steps": 8}}),
+        ("transform-demo", "moving_interval", {"grid_ladder": [4, 8]}),
+    ])
+    def test_system_param_called_name_is_unknown(self, tmp_path, capsys, mode, name, extra):
+        # the builder's own ``name`` is positional-only, so a parameter of
+        # that name reaches the signature check
+        payload = {"mode": mode, "seed": 1, "output_dir": str(tmp_path / "out"),
+                   "system": {"name": name, "params": {"name": 1}}, **extra}
+        assert run(write_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter 'name'" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name,params,message", [
@@ -472,6 +488,26 @@ class TestOutputs:
         for name in ("trajectories.csv", "diagnostics.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_simulate_peak_is_one_batch_not_the_table(self, tmp_path, monkeypatch):
+        # 4 replications as 4 batches: the traced peak of the run stays below
+        # the whole-run (R N (steps+1), 2m+4) float table of the rows
+        R, N, steps, m = 4, 256, 256, 2
+        cfg = write_config(tmp_path, simulate_config(
+            tmp_path / "out", system={"name": "example31"}, particles=N, replications=R,
+            grid={"start": 0.0, "end": 0.5, "steps": steps}))
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 8 * N * steps)
+        calls, real = [], mvsolver._simulate
+        monkeypatch.setattr(mvsolver, "_simulate",
+                            lambda *a, **kw: calls.append(kw["groups"]) or real(*a, **kw))
+        tracemalloc.start()
+        try:
+            assert run(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [1] * R
+        assert peak < R * N * (steps + 1) * (2 * m + 4) * 8
+
     def test_seed_override_changes_output(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg = write_config(tmp_path, simulate_config(out_a))
@@ -510,7 +546,7 @@ class TestOutputs:
 
 def oracle_trajectories(ensembles, times, header):
     """The tuple-per-row, ``_fmt``-per-value trajectory text that the array
-    writer replaced; the byte reference for ``write_csv`` on array tables."""
+    writer replaced; the byte reference for ``write_csv`` on trajectory blocks."""
     rows = []
     for r, ens in enumerate(ensembles):
         for i in range(ens.states.shape[0]):
@@ -545,7 +581,9 @@ def assert_writer_matches_oracle(tmp_path, values, reps, particles, steps1, m):
                                          variation=block[..., 2 * m]))
     header = trajectory_header(m)
     path = tmp_path / "trajectories.csv"
-    cli.write_csv(path, header, cli._trajectory_table(ensembles, times))
+    blocks = (block for r, ens in enumerate(ensembles)
+              for block in cli._trajectory_blocks(r, ens, times))
+    cli.write_csv(path, header, cli._Blocks(reps * particles * steps1, blocks))
     assert path.read_bytes() == oracle_trajectories(ensembles, times, header).encode()
 
 
@@ -594,6 +632,23 @@ class TestArrayWriter:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
         assert_writer_matches_oracle(tmp_path, SPECIAL_VALUES, 3, 2, 2, 2)
 
+    @pytest.mark.parametrize("chunk,particles,steps1,rows", [
+        (3, 2, 5, [5, 5]),          # steps + 1 > CSV_CHUNK_ROWS: one particle a block
+        (4, 3, 4, [4, 4, 4]),
+        (10, 5, 3, [9, 6]),         # 3 particles a block, then the 2 left over
+        (12, 7, 2, [12, 2]),
+    ])
+    def test_blocks_hold_whole_particles(self, tmp_path, monkeypatch, chunk, particles,
+                                         steps1, rows):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        paths = np.zeros((particles, steps1, 2))
+        ens = SimpleNamespace(states=paths, reflection=paths, variation=paths[..., 0])
+        blocks = list(cli._trajectory_blocks(2, ens, np.arange(steps1)))
+        assert [len(b) for b in blocks] == rows
+        assert np.array_equal(np.concatenate(blocks)[:, 1],
+                              np.repeat(np.arange(particles), steps1))
+        assert_writer_matches_oracle(tmp_path, SPECIAL_VALUES, 3, particles, steps1, 2)
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_repeated_and_distinct_columns_match_per_cell_format(self, offset):
         # a column of seven bit patterns (signed zeros, two NaN payloads, +-inf,
@@ -603,7 +658,8 @@ class TestArrayWriter:
         rows = cli.CSV_CHUNK_ROWS + offset
         table = np.column_stack([np.resize(pool, rows), np.arange(rows) / 7.0 - 1e3])
         expected = "".join(f"{'%.17g' % a},{'%.17g' % b}\n" for a, b in table.tolist())
-        assert "".join(cli._array_lines(table)) == expected
+        blocks = np.split(table, [cli.CSV_CHUNK_ROWS])
+        assert "".join(map(cli._block_lines, blocks)) == expected
 
 
 class TestAllOrNothing:
@@ -615,16 +671,42 @@ class TestAllOrNothing:
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         assert {"manifest.json", "trajectories.csv", "diagnostics.csv"} <= set(first)
 
-        def failing_report(*args, **kwargs):
-            raise ObliqueMVError("injected")
+        real = cli.write_csv
 
-        monkeypatch.setattr(cli, "residual_report", failing_report)
+        def failing_diagnostics(path, header, rows):
+            if Path(path).name == "diagnostics.csv":
+                raise ObliqueMVError("injected")
+            return real(path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", failing_diagnostics)
         assert run(cfg, seed=2) == 3
         left = {p.name: p.read_bytes() for p in out.iterdir()}
         # the failed run wrote trajectories.csv before failing: it is gone,
         # and the old manifest no longer vouches for the directory
         assert "manifest.json" not in left and "trajectories.csv" not in left
         assert left == {"diagnostics.csv": first["diagnostics.csv"]}
+
+    def test_divergence_in_a_later_batch_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, simulate_config(out, seed=1, replications=3))
+        assert run(cfg) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(mvsolver, "BATCH_NOISE_BYTES", 1)     # one batch per replication
+        real, batches = mvsolver._simulate, []
+
+        def diverging(*args, **kwargs):
+            batches.append([p.stat().st_size for p in out.glob("trajectories.csv.tmp*")])
+            if len(batches) == 2:
+                raise DivergenceError("injected", step=3, group=0, particle=0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mvsolver, "_simulate", diverging)
+        assert run(cfg, seed=2) == 3
+        # the first batch's rows were in the temp file when the second batch
+        # was drawn; the temp file is gone, and so is the old manifest
+        assert len(batches) == 2 and len(batches[1]) == 1 and batches[1][0] > 0
+        left = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert left == {k: v for k, v in first.items() if k != "manifest.json"}
 
     def test_unexpected_error_also_removes_written_files(self, tmp_path, monkeypatch):
         def broken(cfg, seed, out):

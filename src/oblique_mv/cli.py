@@ -19,7 +19,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +129,10 @@ def _fmt(v):
 
 
 def _atomic_write(path: Path, chunks):
-    """Write the strings ``chunks`` to a temp file, then rename it to ``path``."""
+    """Write ``chunks`` to a temp file (mode 0666 less the umask), then rename it to ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    tmp = path.parent / f"{path.name}.tmp{os.getpid()}-{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)       # each chunk is freed before the next is made

@@ -229,7 +229,7 @@ class _CostStream:
         self.X, self.z = X, self._z(X, 0)
         self.integral = np.zeros(X.shape[0])
 
-    def step(self, k, X, dk_step):
+    def step(self, k, X, dk_step, rows):
         z = self._z(X, k + 1)
         self.integral += self.h * (z + self.z) / 2.0
         self.X, self.z = X, z
@@ -498,7 +498,7 @@ class _LadderGaps:
         shape = (self.levels - 1, X.shape[0] // self.levels)
         self.sq_sum, self.sup = np.zeros(shape), np.zeros(shape)
 
-    def step(self, k, X, dk_step):
+    def step(self, k, X, dk_step, rows):
         Xl = X.reshape(self.levels, -1, X.shape[1])
         gap = np.sqrt(sq_norms(Xl[1:] - Xl[:-1]))
         self.sq_sum += gap**2

@@ -15,7 +15,8 @@ cone at ``x`` and ``H`` dense or, if ``diagonal``, its diagonal: shared,
 one per row, or ``H(rows)``, read on the rows the step corrects.  It is
 solved exactly as the metric projection of ``y`` onto the set in the norm
 induced by ``H^{-1}``: its variational inequality is precisely feasibility,
-the linear relation, and the normal-cone inclusion of ``dk = H^{-1}(y - x)``.
+the linear relation, and the normal-cone inclusion of ``dk = H^{-1}(y - x)``;
+it returns ``x``, ``dk`` and the sorted rows it corrected (``None``: all).
 
 Polyhedral sets have one exact projection onto ``{x : N x >= c}`` in the
 ``H^{-1}`` norm: ``HalfSpaceIntersection.oblique_step`` solves it for all rows
@@ -33,6 +34,7 @@ called on rows ``(n, m)``, its value only on single points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -83,16 +85,16 @@ class HalfSpace:
     def oblique_step(self, H, Y, diagonal=False):
         n, c = self.normal, self.offset
         gap = c - _row_dots(Y, n)
-        mask = gap > 0
+        rows = np.flatnonzero(gap > 0)
         X, dK = Y.copy(), np.zeros_like(Y)
-        if not np.any(mask):
-            return X, dK
-        Hm = _rows_of(H, mask, diagonal)                # shared, or rows outside
+        if not rows.size:
+            return X, dK, rows
+        Hm = _rows_of(H, rows, diagonal)                # shared, or rows outside
         Hn = Hm * n + 0.0 if diagonal else Hm @ n     # + 0.0: a zero is +0.0, as from H @ n
-        t = gap[mask] / _row_dots(Hn, n)
-        X[mask] = Y[mask] + t[:, None] * Hn
-        dK[mask] = -t[:, None] * n
-        return X, dK
+        t = gap[rows] / _row_dots(Hn, n)
+        X[rows] = Y[rows] + t[:, None] * Hn
+        dK[rows] = -t[:, None] * n
+        return X, dK, rows
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class Box:
         if diagonal or _is_diagonal(H):
             dK = (Y - X) / (H if diagonal else np.einsum("...ii->...i", H))
             dK += 0.0       # unclipped rows get +0.0, also where -0.0 met a bound at 0.0
-            return X, dK
+            return X, dK, None
         eye = np.eye(Y.shape[1])
         offsets = np.concatenate([self.lower, -self.upper])
         finite = np.isfinite(offsets)
@@ -153,10 +155,11 @@ class Ball:
         X, dK = Y.copy(), np.zeros_like(Y)
         idx = np.flatnonzero(self._outside(Y))
         if not idx.size:
-            return X, dK
+            return X, dK, idx
         relsub = Y[idx] - c
         Hsub = _rows_of(H, idx, diagonal)
-        Hsub = np.broadcast_to(Hsub, idx.shape + Hsub.shape[-1 if diagonal else -2:])
+        if Hsub.ndim == (1 if diagonal else 2):         # shared: one per row
+            Hsub = np.broadcast_to(Hsub, idx.shape + Hsub.shape)
         if not diagonal and _is_diagonal(Hsub):
             Hsub, diagonal = np.einsum("kii->ki", Hsub), True
         if diagonal:
@@ -168,7 +171,7 @@ class Ball:
         relsol = scaled.T if back is None else np.einsum("kij,kj->ki", back, scaled.T)
         X[idx] = c + relsol
         dK[idx] = lam[:, None] * relsol
-        return X, dK
+        return X, dK, idx
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ class HalfSpaceIntersection:
         gap = self.offsets - (Y[:, None] @ N.T)[:, 0]
         rows = np.flatnonzero(np.max(gap, axis=1, initial=0.0) > 0)
         if not rows.size:
-            return X, dK
+            return X, dK, rows
         H = _rows_of(H, rows, diagonal)
         H = H[..., None] * np.eye(Y.shape[1]) if diagonal else H
         top = np.max(gap[rows], axis=1)
@@ -233,7 +236,7 @@ class HalfSpaceIntersection:
             k = int(np.argmax(np.where(bad, miss, -np.inf)))
             raise StepError("polyhedral step missed feasibility by %.3e" % miss[k],
                             residual=float(miss[k]), row=int(rows[k]))
-        return X, dK
+        return X, dK, rows
 
 
 Geometry = HalfSpace | Box | Ball | HalfSpaceIntersection
@@ -474,22 +477,28 @@ def _ball_multiplier(w, d, r, rows=None):
     steps.  Returns ``lam`` and ``s``.
     """
     tol = 4 * (d.shape[0] + 1) * EPS * r
-    lam = np.zeros(w.shape[1])
+    lam, q, s = np.zeros(w.shape[1]), None, w       # at lam = 0, q = 1 + lam d is 1.0
     for step in range(BALL_NEWTON_MAX_ITER + 1):
-        q = 1.0 + lam * d
-        s = w / q
         norm = np.sqrt(sq_norms(s.T))
         gap = norm - r
         open_pts = np.abs(gap) > tol
-        if not open_pts.any():
-            return lam, s
+        if not open_pts.any():      # w / q at lam = 0: a non-finite d still makes s NaN
+            return lam, s if step else w / (1.0 + lam * d)
         if step == BALL_NEWTON_MAX_ITER:
             worst = int(np.argmax(np.abs(gap)))
             raise StepError("ball Newton solve did not converge in %d iterations"
                             % BALL_NEWTON_MAX_ITER, residual=float(abs(gap[worst])),
                             row=worst if rows is None else int(rows[worst]))
-        slope = np.add.reduce(d * s * (s / q), axis=0)     # np.sum costs more per call
+        slope = np.add.reduce(d * s * (s if q is None else s / q), axis=0)  # np.sum costs more
         lam = np.where(open_pts, lam + gap * norm**2 / (r * slope), lam)
+        q = 1.0 + lam * d
+        s = w / q
+
+
+def _set_rows(dk, rows=None):
+    """Sorted ``int32`` rows with a bit of ``dk`` set (``-0.0``, NaN) among ``rows``, or all."""
+    hit = reduce(np.bitwise_or, (dk if rows is None else dk[rows]).view(np.uint64).T)
+    return (hit.nonzero()[0] if rows is None else rows[hit != 0]).astype(np.int32)
 
 
 def project(constraint, x):
@@ -536,7 +545,8 @@ def backward_step(constraint, s, H, Y, diagonal=False):
     row if a bound is not finite or ``PROX_MAX_ITER`` is reached."""
     geometry, grad = constraint.geometry, constraint.smooth_gradient
     if constraint.kind == "indicator":
-        return geometry.oblique_step(H, Y, diagonal)
+        X, dk, rows = geometry.oblique_step(H, Y, diagonal)
+        return X, dk, _set_rows(dk, rows)
     H = _rows_of(H, slice(None), diagonal)
     H = np.array(np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:]))
     open_rows = np.arange(len(Y))
@@ -557,7 +567,7 @@ def backward_step(constraint, s, H, Y, diagonal=False):
             v = (Lt * u_y[todo] + s[todo] * gy[todo]) / (Lt + 1.0)
             z = Y[todo] - _times(Ht, v, diagonal)
             if geometry is not None:                    # z = P(z), u += its dk
-                z, dv = geometry.oblique_step(Ht, z, diagonal)
+                z, dv, _ = geometry.oblique_step(Ht, z, diagonal)
                 v = v + dv
             z_new[todo], u_new[todo] = z, v
             du = v - u_y[todo]
@@ -579,7 +589,7 @@ def backward_step(constraint, s, H, Y, diagonal=False):
         out[0][open_rows[done]], out[1][open_rows[done]] = z_new[done], u_new[done]
         keep = ~done
         if not keep.any():
-            return out
+            return (*out, _set_rows(out[1]))
         open_rows, Y, H, s, L, tol = (a[keep] for a in (open_rows, Y, H, s, L, tol))
         u, u_old = u_new[keep], u[keep]
 

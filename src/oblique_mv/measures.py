@@ -8,7 +8,7 @@ weighted clouds of equal size in higher dimension.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +33,14 @@ def sq_norms(x):
     return out
 
 
+@lru_cache(maxsize=64)
+def _uniform_weights(n):
+    """``n`` equal weights, one read-only array shared by the measures of ``n`` atoms."""
+    w = np.full(n, 1.0 / n)
+    w.flags.writeable = False
+    return w
+
+
 class EmpiricalMeasure:
     """Weighted point cloud on R^m."""
 
@@ -46,8 +54,9 @@ class EmpiricalMeasure:
         # layout: BLAS rounds a strided view and its copy differently
         self.atoms = np.ascontiguousarray(atoms)
         n = atoms.shape[0]
+        self._m2 = None
         if weights is None:
-            self.weights = np.full(n, 1.0 / n)
+            self.weights = _uniform_weights(n)
             self.uniform = True
         else:
             w = np.asarray(weights, dtype=float)
@@ -67,13 +76,11 @@ class EmpiricalMeasure:
     def size(self):
         return self.atoms.shape[0]
 
-    @cached_property
-    def _second_moment(self):
-        return float(self.weights @ sq_norms(self.atoms))
-
     def second_moment(self):
-        """Weighted mean squared norm of the atoms."""
-        return self._second_moment
+        """Weighted mean squared norm of the atoms, worked out on the first call."""
+        if self._m2 is None:
+            self._m2 = float(self.weights @ sq_norms(self.atoms))
+        return self._m2
 
     def mean(self):
         """Weighted barycenter of the atoms."""

@@ -20,15 +20,14 @@ fixed constraint, the frozen ones in ``euler_iteration``, and a moving
 interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  On an
 indicator the backward step is the ``oblique_step`` of the set's geometry
 (:mod:`oblique_mv.convexcore`).  The loop records the states and logs each
-step's reflection increment ``dk`` on the rows it corrects, the rows where
-a bit of ``dk`` is set; ``PathEnsemble`` derives ``dk`` and the rest.
+step's reflection increment ``dk`` on the rows where a bit of it is set,
+which the step itself finds; ``PathEnsemble`` derives ``dk`` and the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -281,8 +280,8 @@ def oblique_skorohod_step(constraint, H, y):
     """Solve x + H dk = y with x in the set and dk in the normal cone at x."""
     if not constraint.has_indicator():
         raise ConfigurationError("Skorohod steps require an indicator constraint")
-    X, dK = constraint.geometry.oblique_step(np.asarray(H, dtype=float),
-                                             np.asarray(y, dtype=float)[None, :])
+    X, dK, _ = constraint.geometry.oblique_step(np.asarray(H, dtype=float),
+                                                np.asarray(y, dtype=float)[None, :])
     return X[0], dK[0]
 
 
@@ -301,11 +300,11 @@ def _control_value(control, k):
 
 
 def _gdb(gk, dB):
-    if gk.ndim == 2:          # shared (m, d); one column is one product per entry
-        return dB * gk[:, 0] + 0.0 if gk.shape[1] == 1 else dB @ gk.T
-    if gk.ndim != 3:          # else per particle (N, m, d), summed column by column
+    if gk.ndim not in (2, 3):   # shared (m, d) or per particle (N, m, d)
         raise ConfigurationError(f"diffusion returned unexpected shape {gk.shape}")
-    out = np.empty(gk.shape[:2])
+    if gk.shape[-1] == 1 or gk.ndim == 2:     # one column: one product per entry
+        return dB * gk[..., 0] + 0.0 if gk.shape[-1] == 1 else dB @ gk.T
+    out = np.empty(gk.shape[:2])            # per particle, summed column by column
     for j, col in enumerate(out.T):
         np.multiply(gk[:, j, 0], dB[:, 0], out=col)
         for gl, dBl in zip(gk[:, j, 1:].T, dB[:, 1:].T):
@@ -383,7 +382,7 @@ def _increment_rows(increments, groups):
 
 class _PathRecorder:
     """The default step observer: stores the states time-major and logs each
-    step's ``dk`` on the rows where a bit of it is set (``PathEnsemble.dk_log``)."""
+    step's ``dk`` on the rows the step reports (``PathEnsemble.dk_log``)."""
 
     def __init__(self, grid):
         self.steps = grid.steps
@@ -393,11 +392,9 @@ class _PathRecorder:
         self.states[0] = X
         self.log = []
 
-    def step(self, k, X, dk_step):
+    def step(self, k, X, dk_step, rows):
         self.states[k + 1] = X
-        # the columns' bits OR'd one column at a time, along the long axis
-        rows = reduce(np.bitwise_or, dk_step.view(np.uint64).T).nonzero()[0]
-        self.log.append((rows.astype(np.int32), dk_step.take(rows, axis=0)))
+        self.log.append((rows, dk_step.take(rows, axis=0)))
 
 
 def _group_logs(log, N, G):
@@ -439,10 +436,11 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     coefficients (``euler_iteration``) and moving sets
     (``timedep.simulate_moving_interval``) are other ``inputs``.
 
-    Every step is handed to ``observer`` (``start(X)``, then ``step(k, X,
-    dk)``), which is returned.  Without one the paths are recorded and
-    returned as a list of one ``PathEnsemble`` per group, each with its
-    rows of the batch's ``dk`` log, indexed within the group.
+    Every step is handed to ``observer`` (``start(X)``, then ``step(k, X, dk,
+    rows)``, ``rows`` the sorted ``int32`` rows where a bit of ``dk`` is set),
+    which is returned.  Without one the paths are recorded and returned as a
+    list of one ``PathEnsemble`` per group, each with its rows of the batch's
+    ``dk`` log, indexed within the group.
     """
     d = system.noise_dim
     steps, h, times = grid.steps, grid.h, grid.times
@@ -482,21 +480,21 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
         Y = X + h * fk + _gdb(gk, increment_rows(k))
         Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
         try:
-            X, dk_step = convexcore.backward_step(constraint, h, Hs, Y, system.oblique.diagonal)
+            X, dk, rows = convexcore.backward_step(constraint, h, Hs, Y, system.oblique.diagonal)
         except StepError as err:
             g, i = divmod(err.row, N)
             raise StepError(f"step {k}: {_constraint_name(constraint)}, group {g}, "
                             f"particle {i}: {err}", residual=err.residual, row=err.row) from err
         if eps is not None:
-            X = X + shift * dk_step     # x = J_eps x + (eps/h) dk = Y - H dk
+            X = X + shift * dk          # x = J_eps x + (eps/h) dk = Y - H dk
 
-        if not np.max(np.abs(X)) <= BLOWUP_GUARD:      # also true for NaN
+        if not (X.max() <= BLOWUP_GUARD and X.min() >= -BLOWUP_GUARD):    # also for NaN
             g, i = divmod(int(np.argmin(np.all(np.abs(X) <= BLOWUP_GUARD, axis=1))), N)
             raise DivergenceError(
                 f"state magnitude exceeded {BLOWUP_GUARD:g} or is not finite "
                 f"at step {k}, group {g}, particle {i}", step=k, group=g, particle=i
             )
-        watch.step(k, X, dk_step)
+        watch.step(k, X, dk, rows)
 
     if observer is not None:
         return observer

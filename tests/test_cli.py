@@ -461,6 +461,19 @@ class TestOutputs:
         assert header == "replication,particle,t,x_1,k_1,variation"
         assert not list(out.glob("*.tmp*"))
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_honour_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, simulate_config(out))
+        old = os.umask(umask)
+        try:
+            assert run(cfg) == 0
+        finally:
+            os.umask(old)
+        files = sorted(out.iterdir())
+        assert [p.name for p in files] == ["diagnostics.csv", "manifest.json", "trajectories.csv"]
+        assert [p.stat().st_mode & 0o777 for p in files] == [mode] * 3
+
     def test_reruns_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg = write_config(tmp_path, simulate_config(out_a))

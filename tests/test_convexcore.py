@@ -108,12 +108,12 @@ class TestProjection:
         A = rng.standard_normal((40, 2, 2))
         H = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(2)
         H = H if per_row else H[0]
-        X, dK = tri.oblique_step(H, Y)
+        X, dK, _ = tri.oblique_step(H, Y)
         inside = np.min(Y @ tri.normals.T - tri.offsets, axis=1) >= 0
         assert 0 < inside.sum() < len(Y)
         for i, y in enumerate(Y):
             x, dk = (y[None], np.zeros((1, 2))) if inside[i] else \
-                tri.oblique_step(H[i] if per_row else H, y[None])
+                tri.oblique_step(H[i] if per_row else H, y[None])[:2]
             assert X[i].tobytes() == x.tobytes() and dK[i].tobytes() == dk.tobytes()
 
     def test_origin_excluding_geometries_rejected(self):
@@ -454,10 +454,10 @@ class TestProxConvergence:
         rng = np.random.default_rng(13)
         x = 2 * rng.standard_normal((300, 2))
         H = np.array([[2.0, 0.3], [0.3, 1.0]])
-        batch, (X, dK) = half.project(x), half.oblique_step(H, x)
+        batch, (X, dK, _) = half.project(x), half.oblique_step(H, x)
         for i in range(len(x)):
             assert batch[i].tobytes() == half.project(x[i:i + 1])[0].tobytes()
-            Xi, dKi = half.oblique_step(H, x[i:i + 1])
+            Xi, dKi, _ = half.oblique_step(H, x[i:i + 1])
             assert (Xi.tobytes(), dKi.tobytes()) == (X[i:i + 1].tobytes(), dK[i:i + 1].tobytes())
 
     @pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-9])

@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oblique_mv import measures
 from oblique_mv.errors import ConfigurationError
 from oblique_mv.measures import (
     EmpiricalMeasure,
@@ -209,6 +210,33 @@ class TestBatchedAssignment:
             wasserstein2([mu, mu], [mu])
         with pytest.raises(ConfigurationError, match="equally many atoms"):
             wasserstein2([mu, mu], [mu, EmpiricalMeasure(np.ones((4, 2)))])
+
+
+class TestSharedWeights:
+    def test_uniform_weights_are_shared_and_read_only(self):
+        a, b = EmpiricalMeasure(np.zeros((5, 2))), EmpiricalMeasure(np.ones((5, 3)))
+        assert a.weights is b.weights and a.uniform
+        with pytest.raises(ValueError, match="read-only"):
+            a.weights[0] = 1.0
+        assert b.weights.tobytes() == np.full(5, 1.0 / 5).tobytes()
+
+    def test_second_moment_is_the_weighted_sum_worked_out_once(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return sq_norms(x)
+
+        monkeypatch.setattr(measures, "sq_norms", counted)
+        rng = np.random.default_rng(8)
+        for weights in (None, rng.dirichlet(np.ones(9))):
+            mu = EmpiricalMeasure(rng.standard_normal((9, 3)), weights)
+            calls.clear()
+            first, again = mu.second_moment(), mu.second_moment()
+            ref = float(mu.weights @ sq_norms(mu.atoms))
+            assert np.float64(first).tobytes() == np.float64(ref).tobytes() and again == first
+            assert calls == [9]
+            assert w2_to_origin(mu) == np.sqrt(first) and calls == [9]
 
 
 class TestSecondMomentSup:

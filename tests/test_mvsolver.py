@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,7 +193,7 @@ class TestSkorohodStep:
             H = H if form.endswith("rows") else H[0]
             s = shift * rng.uniform(0.5, 2.0, (rows, 1)) if rng.random() < 0.5 else shift
             Hs = H if shift == 0 else mvsolver._shifted(H, s, diagonal)
-            Z, dK = c.geometry.oblique_step(Hs, Y, diagonal)
+            Z, dK, _ = c.geometry.oblique_step(Hs, Y, diagonal)
             Hd = as_dense(H) if diagonal else H
             for i, (z, dk, y) in enumerate(zip(Z, dK, Y)):
                 Hi = np.broadcast_to(Hd, (rows, m, m))[i]
@@ -224,7 +225,7 @@ class TestSkorohodStep:
         box = ConvexConstraint.box([0.0, -1.0], [1.0, 1.0]).geometry
         Y = np.array([[-0.0, 0.5], [0.3, -0.0], [2.0, 0.5], [-0.5, 3.0]])
         for H in (np.diag([2.0, 3.0]), np.stack([np.diag([2.0, 3.0 + i]) for i in range(4)])):
-            X, dK = box.oblique_step(H, Y)
+            X, dK, _ = box.oblique_step(H, Y)
             np.testing.assert_array_equal(X, [[-0.0, 0.5], [0.3, -0.0], [1.0, 0.5], [0.0, 1.0]])
             assert not np.any(np.signbit(dK[:2]))
             np.testing.assert_array_equal(dK[:2], 0.0)
@@ -370,9 +371,9 @@ def head_ball_oblique_step(geom, H, Y, diagonal=False):
     X = Y.copy()
     dK = np.zeros_like(Y)
     mask = dist > r
-    if not np.any(mask):
-        return X, dK
     idx = np.flatnonzero(mask)
+    if not np.any(mask):
+        return X, dK, idx
     if diagonal:
         H = H[..., None] * np.eye(Y.shape[1])
     Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:]) if H.ndim == 2 else H
@@ -387,7 +388,7 @@ def head_ball_oblique_step(geom, H, Y, diagonal=False):
     relsol = scaled if back is None else np.einsum("kij,kj->ki", back, scaled)
     X[idx] = c + relsol
     dK[idx] = lam[:, None] * relsol
-    return X, dK
+    return X, dK, idx
 
 
 @st.composite
@@ -431,7 +432,7 @@ class TestBallMultiplier:
 SQ_NORM_MODULES = (control, convexcore, library, measures, mvsolver, timedep)
 
 
-def head_ladder_step(self, k, X, dk_step):
+def head_ladder_step(self, k, X, dk_step, rows):
     """``control._LadderGaps.step`` with numpy's row norm."""
     Xl = X.reshape(self.levels, -1, X.shape[1])
     gap = np.linalg.norm(Xl[1:] - Xl[:-1], axis=2)
@@ -638,7 +639,7 @@ class TestPolyhedralStep:
         A = rng.standard_normal((150, m, m))
         H = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(m)
         H = H if per_row else H[0]
-        X, dK = constraint.geometry.oblique_step(H, Y)
+        X, dK, _ = constraint.geometry.oblique_step(H, Y)
         inside = np.min(Y @ normals.T - offsets, axis=1) >= 0
         assert 0 < inside.sum() < len(Y)
         for i, y in enumerate(Y):
@@ -720,7 +721,7 @@ class TestHalfSpaceStep:
     def test_contract(self, case):
         constraint, H, Y = case
         n, c = constraint.geometry.normal, constraint.geometry.offset
-        X, dK = constraint.geometry.oblique_step(H, Y)
+        X, dK, _ = constraint.geometry.oblique_step(H, Y)
         Hs = np.broadcast_to(H, (Y.shape[0],) + H.shape[-2:])
         for x, dk, y, h in zip(X, dK, Y, Hs):
             scale = 1.0 + np.linalg.norm(y) + np.linalg.norm(x)
@@ -1051,7 +1052,7 @@ def _particle_major_simulate(system, grid, particles, noise, *, eps=None, contro
         Y = X + h * fk + mvsolver._gdb(gk, increments[:, k, :])
         # penalized: the backward step in (eps/h) I + H, then x = z + (eps/h) dk
         Hs = Hk if eps is None else Hk + eps / h * (1.0 if oblique.diagonal else np.eye(m))
-        Z, dk_step = convexcore.backward_step(system.constraint, h, Hs, Y, oblique.diagonal)
+        Z, dk_step, _ = convexcore.backward_step(system.constraint, h, Hs, Y, oblique.diagonal)
         X = Z if eps is None else Z + eps / h * dk_step
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > mvsolver.BLOWUP_GUARD:
             raise DivergenceError("oracle diverged", step=k)
@@ -1281,8 +1282,8 @@ class _DenseCopy(mvsolver._PathRecorder):
         super().start(X)
         self.dense = []
 
-    def step(self, k, X, dk_step):
-        super().step(k, X, dk_step)
+    def step(self, k, X, dk_step, rows):
+        super().step(k, X, dk_step, rows)
         self.dense.append(dk_step.copy())
 
 
@@ -1290,15 +1291,22 @@ class TestReflectionLog:
     """The loop logs ``dk`` only on the rows a step corrects."""
 
     def test_any_set_bit_is_logged(self):
+        # the step's rows: those with a set bit among the rows it touched
         rec = mvsolver._PathRecorder(TimeGrid(0.0, 1.0, 1))
         dk = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [np.nan, 0.0],
                        [0.0, 0.0], [5e-324, 0.0], [0.0, 2.0]])
         for cols in (dk, dk[:, :1], np.asfortranarray(dk)):
-            rec.start(np.zeros(cols.shape))
-            rec.step(0, np.zeros(cols.shape), cols)
-            (rows, values), = rec.log
             expected = np.flatnonzero(np.any(cols.view(np.uint64) != 0, axis=1))
+            for touched in (np.arange(len(cols)), np.array([0, 1, 4, 5]), np.arange(0)):
+                rows = convexcore._set_rows(cols, touched)
+                assert rows.dtype == np.int32
+                assert np.array_equal(rows, np.intersect1d(expected, touched))
+            rows = convexcore._set_rows(cols)
             assert rows.dtype == np.int32 and np.array_equal(rows, expected)
+            rec.start(np.zeros(cols.shape))
+            rec.step(0, np.zeros(cols.shape), cols, rows)
+            (logged, values), = rec.log
+            assert logged is rows
             assert values.tobytes() == np.ascontiguousarray(cols[expected]).tobytes()
 
     @pytest.mark.parametrize("case", ["half-space", "ball", "penalized"])
@@ -1354,6 +1362,154 @@ class TestReflectionLog:
         assert len(ens.dk_log) == grid.steps
         assert sum(rows.nbytes + values.nbytes for rows, values in ens.dk_log) \
             == reflected * (4 + 8 * m)
+
+
+def whole_width_scan(dk):
+    """The rows of a dense ``dk`` with a bit set, found by OR-ing the bits of every
+    row: how the path recorder found them before the step reported them."""
+    return reduce(np.bitwise_or, dk.view(np.uint64).T).nonzero()[0]
+
+
+@st.composite
+def reported_rows_cases(draw):
+    """A planar set or a ``sum``, a scheme, one or three groups, and ``H`` dense or
+    declared diagonal, per row, of the state and the group's measure.  The drift
+    pushes every group out of its set; an axis-aligned face leaves ``-0.0`` in
+    the tangential ``dk``, and a box with a dense ``H`` takes the polytope step."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ball", "half-space", "triangle", "box", "ball + quadratic"]))
+    dense = draw(st.booleans())
+    push = rng.standard_normal(2)
+    push *= 2.5 / np.linalg.norm(push)
+    face = [0.0, -np.sign(push[1])] if rng.random() < 0.5 else -push
+    constraint = {
+        "ball": lambda: ConvexConstraint.ball([0.1, -0.1], 0.8),
+        "half-space": lambda: ConvexConstraint.half_space(face, -0.3),
+        "triangle": lambda: ConvexConstraint.half_space_intersection(
+            [[1, 0], [0, 1], [-1, -1]], [-0.5, -0.5, -0.5]),
+        "box": lambda: ConvexConstraint.box([-0.5, -0.4], [0.6, 0.5]),
+        "ball + quadratic": lambda: ConvexConstraint.sum_of(
+            ConvexConstraint.ball([0.1, -0.1], 0.8),
+            library.constraint_from_config({"kind": "quadratic", "weights": [1, 4]})),
+    }[kind]()
+    H = np.array([[2.0, 0.7], [0.7, 1.0]]) if dense else np.array([2.0, 1.0])
+
+    def matrix(x, mu):          # H times a factor in [1, 2] for each row
+        scale = 1.5 + 0.5 * np.sin(x[:, :1] - 2.0 * x[:, 1:] + mu.mean()[0])
+        return scale[..., None] * H if dense else scale * H
+
+    coeffs = CoefficientField(lambda x, mu: push + 0.0 * x,
+                              lambda x, mu: np.array([[0.5], [0.3]]),
+                              3.0, 2, 1, uses_measure=False, normalized=False)
+    groups = draw(st.sampled_from([1, 3]))
+    x0 = project(ConvexConstraint.ball([0.1, -0.1], 0.3), 0.5 * rng.standard_normal((groups, 2)))
+    system = System(coeffs, ObliqueField(matrix, 0.5, 5.0, 2, diagonal=not dense),
+                    constraint, x0[0])
+    eps = rng.uniform(0.05, 0.5, groups) if draw(st.booleans()) else None
+    return system, eps, draw(st.integers(1, 6)), x0
+
+
+def nan_right_of(bad, poison):
+    """A ball system drifting right whose drift (``bad`` = ``"state"``) or diagonal H
+    (``"H"``) is NaN on the rows right of ``x_1 = 0.6``, if ``poison``."""
+    def drift(x, mu):
+        out = np.zeros_like(x)
+        out[:, 0] = 2.0
+        return np.where(poison and bad == "state" and x[:, :1] > 0.6, np.nan, out)
+
+    def matrix(x, mu):
+        H = np.tile([2.0, 1.0], (len(x), 1))
+        return np.where(poison and bad == "H" and x[:, :1] > 0.6, np.nan, H)
+
+    coeffs = CoefficientField(drift, lambda x, mu: 0.3 * np.eye(2), 2.0, 2, 2,
+                              uses_measure=False, normalized=False)
+    return System(coeffs, ObliqueField(matrix, 1.0, 2.0, 2, uses_measure=False, diagonal=True),
+                  ConvexConstraint.ball([0.0, 0.0], 1.0), [0.0, 0.0])
+
+
+class TestReportedRows:
+    """The rows a step reports are the rows of its ``dk`` with a bit set, as the
+    whole-width scan finds them."""
+
+    @settings(max_examples=80)
+    @given(reported_rows_cases())
+    def test_rows_match_the_whole_width_scan(self, case):
+        system, eps, particles, x0 = case
+        grid = TimeGrid(0.0, 0.5, 12)
+        rec = mvsolver._simulate(system, grid, particles, NoiseSource(3), eps=eps,
+                                 groups=len(x0), x0=x0, observer=_DenseCopy(grid))
+        for (rows, values), dk in zip(rec.log, rec.dense):
+            expected = whole_width_scan(dk)
+            assert rows.dtype == np.int32 and np.array_equal(rows, expected)
+            assert values.tobytes() == dk[expected].tobytes()
+        assert any(len(rows) for rows, _ in rec.log)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_ball_rows_inside_the_newton_tolerance(self, diagonal, shift):
+        # outside by an ulp: lam = 0 and dk = 0 (x - c), so (-0.0, 0.0) is logged
+        # and (0.0, 0.0) is not; the outside rows unfiltered would log both
+        ball = ConvexConstraint.ball([0.0, 0.0], 1.0)
+        u = np.nextafter(1.0, 2.0)
+        Y = np.array([[u, 0.0], [-u, 0.0], [0.5, 0.0], [3.0, 0.0], [0.0, -u]])
+        H = np.array([2.0, 1.0]) if diagonal else np.array([[2.0, 0.3], [0.3, 1.0]])
+        Hs = mvsolver._shifted(H, shift, diagonal) if shift else H
+        X, dk, rows = convexcore.backward_step(ball, 0.1, Hs, Y, diagonal)
+        assert rows.dtype == np.int32 and np.array_equal(rows, whole_width_scan(dk))
+        assert rows.tolist() == [1, 3, 4]
+        assert dk[0].tobytes() == np.zeros(2).tobytes()
+        assert dk[1].tobytes() == np.array([-0.0, 0.0]).tobytes()
+        assert np.abs(X[:2] - Y[:2]).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_nan_rows(self, diagonal):
+        # a NaN row is not outside the ball: dk = 0, not logged.  An outside row
+        # whose H holds a NaN gets a NaN state and dk, and is logged, also when it
+        # is outside by less than the Newton tolerance
+        ball = ConvexConstraint.ball([0.0, 0.0], 1.0)
+        u = np.nextafter(1.0, 2.0)
+        Y = np.array([[np.nan, 0.0], [u, 0.0], [3.0, 0.0], [0.0, 2.0], [0.2, 0.1]])
+        H = np.array([[2.0, 1.0]] * 5) if diagonal else np.array([[[2.0, 0.3], [0.3, 1.0]]] * 5)
+        H[1:3] = np.nan
+        X, dk, rows = convexcore.backward_step(ball, 0.1, H, Y, diagonal)
+        assert rows.tolist() == whole_width_scan(dk).tolist() == [1, 2, 3]
+        assert np.isnan(X[:3]).any(axis=1).all() and np.isnan(dk[1:3]).all()
+        assert dk[0].tobytes() == np.zeros(2).tobytes() and not np.isnan(X[3:]).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["state", "H"])
+    def test_a_nan_row_stops_the_run_at_its_step(self, bad):
+        # the first row right of 0.6 (for H: the first corrected one) turns NaN, and
+        # the DivergenceError names its step, group and particle; every step before
+        # reports the rows of the whole-width scan
+        grid, N = TimeGrid(0.0, 1.0, 32), 8
+        x0 = np.array([[-0.5, 0.0], [0.0, 0.3]])
+        clean = mvsolver._simulate(nan_right_of(bad, False), grid, N, NoiseSource(6),
+                                   groups=2, x0=x0)
+        states = np.concatenate([e.states for e in clean])
+        hit = states[:, :-1, 0] > 0.6                       # (G N, steps), before each step
+        if bad == "H":
+            hit &= np.any(np.concatenate([e.dk for e in clean]) != 0, axis=2)
+        k = int(np.flatnonzero(hit.any(axis=0))[0])
+        group, particle = divmod(int(np.flatnonzero(hit[:, k])[0]), N)
+        rec = _DenseCopy(grid)
+        with pytest.raises(DivergenceError) as err:
+            mvsolver._simulate(nan_right_of(bad, True), grid, N, NoiseSource(6),
+                               groups=2, x0=x0, observer=rec)
+        assert (err.value.step, err.value.group, err.value.particle) == (k, group, particle)
+        assert len(rec.log) == k > 0
+        for (rows, _), dk in zip(rec.log, rec.dense):
+            assert np.array_equal(rows, whole_width_scan(dk))
+
+    def test_box_row_outside_by_a_subnormal_is_not_logged(self):
+        # (y - x) / 2 = -2^-1075 rounds to -0.0, and the step's + 0.0 makes it +0.0
+        box = ConvexConstraint.box([0.0, -1.0], [1.0, 1.0])
+        Y = np.array([[-5e-324, 0.5], [-0.5, 0.5], [0.5, 0.5]])
+        for H, diagonal in ((np.array([2.0, 3.0]), True), (np.diag([2.0, 3.0]), False)):
+            X, dk, rows = convexcore.backward_step(box, 0.1, H, Y, diagonal)
+            assert rows.tolist() == whole_width_scan(dk).tolist() == [1]
+            assert X[0].tolist() == [0.0, 0.5] and dk[0].tobytes() == np.zeros(2).tobytes()
 
 
 def _batch_cases():
@@ -1742,7 +1898,7 @@ class TestErrorsNameTheParticle:
         grid, N = TimeGrid(0.0, 1.0, 8), 8
         last = SimpleNamespace()
         last.start = lambda X: setattr(last, "X", X)
-        last.step = lambda k, X, dk: last.start(X)
+        last.step = lambda k, X, dk, rows: last.start(X)
         with pytest.raises(DivergenceError) as err:
             mvsolver._simulate(system, grid, N, NoiseSource(7), groups=2, observer=last,
                                x0=np.array([[0.0], [1.0]]))
@@ -1875,8 +2031,8 @@ class TestDeclaredDiagonal:
                                                      np.full(2 * m, -1.0)),
         ]
         for constraint in geoms:
-            got = constraint.geometry.oblique_step(d, Y, diagonal=True)
-            assert same_bits(got, constraint.geometry.oblique_step(dense, Y)), \
+            got = constraint.geometry.oblique_step(d, Y, diagonal=True)[:2]
+            assert same_bits(got, constraint.geometry.oblique_step(dense, Y)[:2]), \
                 type(constraint.geometry).__name__
         if m <= 2:      # and the row-major ball step it replaced, on the dense matrices
             ball = geoms[0].geometry

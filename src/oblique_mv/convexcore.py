@@ -531,6 +531,7 @@ def backward_step(constraint, s, H, Y, diagonal=False):
     """``z = argmin s phi(z) + |Y - z|^2_{H^-1} / 2`` and ``dk = H^-1 (Y - z)`` for the
     rows of ``Y``, so ``z + H dk = Y`` with ``dk`` in ``s`` times the subdifferential at
     ``z``; ``H`` as ``oblique_step`` takes it, ``s`` shared or a ``(rows, 1)`` column.
+    The third return holds every row whose ``dk`` may have a bit set, or is ``None``.
 
     An indicator is its geometry's ``oblique_step``.  A smooth part ``f`` takes FISTA
     (Beck & Teboulle 2009) in the ``H^-1`` inner product on all rows at once, ``P``
@@ -545,8 +546,7 @@ def backward_step(constraint, s, H, Y, diagonal=False):
     row if a bound is not finite or ``PROX_MAX_ITER`` is reached."""
     geometry, grad = constraint.geometry, constraint.smooth_gradient
     if constraint.kind == "indicator":
-        X, dk, rows = geometry.oblique_step(H, Y, diagonal)
-        return X, dk, _set_rows(dk, rows)
+        return geometry.oblique_step(H, Y, diagonal)
     H = _rows_of(H, slice(None), diagonal)
     H = np.array(np.broadcast_to(H, Y.shape[:1] + H.shape[-1 if diagonal else -2:]))
     open_rows = np.arange(len(Y))
@@ -589,7 +589,7 @@ def backward_step(constraint, s, H, Y, diagonal=False):
         out[0][open_rows[done]], out[1][open_rows[done]] = z_new[done], u_new[done]
         keep = ~done
         if not keep.any():
-            return (*out, _set_rows(out[1]))
+            return (*out, None)
         open_rows, Y, H, s, L, tol = (a[keep] for a in (open_rows, Y, H, s, L, tol))
         u, u_old = u_new[keep], u[keep]
 

@@ -115,19 +115,26 @@ class ObliqueField:
     at the origin, so a dense ``(m, m)`` return cannot pass for ``m`` rows.
     A projected step calls it only on the rows it corrects, with the whole
     ensemble's measure: a row's matrix may depend only on that row and the measure.
+    An array ``matrix`` is ``constant``: read-only, as every step shares it.
     """
 
     def __init__(self, matrix, a_h, b_h, dim, time_dependent=False,
                  derivative=None, lipschitz=None, uses_measure=True, diagonal=False):
-        self.matrix = matrix
         self.a_h = float(a_h)
         self.b_h = float(b_h)
         self.dim = int(dim)
+        self.constant = not callable(matrix)
+        if self.constant:
+            matrix = np.array(matrix, dtype=float)
+            matrix.flags.writeable = False
+            if matrix.shape != (self.dim,) * (2 - diagonal):
+                raise ConfigurationError(f"constant oblique matrix of shape {matrix.shape}")
+        self.matrix = matrix
         self.time_dependent = time_dependent
         self._derivative = derivative
         self.derivative_is_analytic = derivative is not None
         self.lipschitz = lipschitz
-        self.uses_measure = uses_measure
+        self.uses_measure = uses_measure and not self.constant
         self.diagonal = diagonal
         if self.a_h <= 0 or self.b_h < self.a_h:
             raise ConfigurationError("need 0 < a_h <= b_h")
@@ -137,12 +144,11 @@ class ObliqueField:
 
     @staticmethod
     def identity(dim):
-        return ObliqueField(lambda x, mu, ones=np.ones(dim): ones, 1.0, 1.0, dim,
-                            uses_measure=False, diagonal=True)
+        return ObliqueField(np.ones(dim), 1.0, 1.0, dim, diagonal=True)
 
     def __call__(self, x=None, mu=None, t=None):
-        H = np.asarray(self.matrix(t) if self.time_dependent else self.matrix(x, mu),
-                       dtype=float)
+        H = np.asarray(self.matrix if self.constant else self.matrix(t) if self.time_dependent
+                       else self.matrix(x, mu), dtype=float)
         if self.diagonal and H.shape not in ((self.dim,), np.shape(x)[:-1] + (self.dim,)):
             raise ConfigurationError(f"diagonal oblique field returned shape {H.shape}, "
                                      f"not ({self.dim},) or (rows, {self.dim})")

@@ -228,10 +228,10 @@ def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
     )
     t0, t1 = horizon
     oblique = ObliqueField(
-        lambda t: np.array([[1.0 + ramp * (t - t0)]]),
+        lambda t: np.array([1.0 + ramp * (t - t0)]),
         a_h=1.0, b_h=1.0 + ramp * (t1 - t0), dim=1,
-        time_dependent=True,
-        derivative=lambda t: np.array([[ramp]]),
+        time_dependent=True, diagonal=True,
+        derivative=lambda t: np.array([ramp]),
     )
     constraint = ConvexConstraint.half_line()
     system = System(coeffs, oblique, constraint, [x0], label="two_control")

@@ -20,8 +20,8 @@ fixed constraint, the frozen ones in ``euler_iteration``, and a moving
 interval in :func:`oblique_mv.timedep.simulate_moving_interval`.  On an
 indicator the backward step is the ``oblique_step`` of the set's geometry
 (:mod:`oblique_mv.convexcore`).  The loop records the states and logs each
-step's reflection increment ``dk`` on the rows where a bit of it is set,
-which the step itself finds; ``PathEnsemble`` derives ``dk`` and the rest.
+step's reflection increment ``dk`` on the rows with a bit set, among
+those the step touched; ``PathEnsemble`` derives ``dk`` and the rest.
 """
 
 from __future__ import annotations
@@ -302,24 +302,24 @@ def _control_value(control, k):
 def _gdb(gk, dB):
     if gk.ndim not in (2, 3):   # shared (m, d) or per particle (N, m, d)
         raise ConfigurationError(f"diffusion returned unexpected shape {gk.shape}")
-    if gk.shape[-1] == 1 or gk.ndim == 2:     # one column: one product per entry
+    if gk.shape[-2:] == (1, 1) or gk.ndim == 2 and gk.shape[-1] > 1:   # one entry, or shared
         return dB * gk[..., 0] + 0.0 if gk.shape[-1] == 1 else dB @ gk.T
-    out = np.empty(gk.shape[:2])            # per particle, summed column by column
+    out = np.empty((len(dB), gk.shape[-2]))     # column by column, each summed in order
     for j, col in enumerate(out.T):
-        np.multiply(gk[:, j, 0], dB[:, 0], out=col)
-        for gl, dBl in zip(gk[:, j, 1:].T, dB[:, 1:].T):
-            col += gl * dBl
+        np.multiply(dB[:, 0], gk[..., j, 0], out=col)       # a shared column, or per particle
+        for l in range(1, gk.shape[-1]):
+            col += gk[:, j, l] * dB[:, l]
     out += 0.0                # a zero sum is +0.0, as from a matrix product
     return out
 
 
 def _shifted(Hk, shift, diagonal=False):
-    """``H + shift I`` as a function of rows; ``shift`` shared or a per-row column."""
+    """``H + shift I``, a function of rows for ``H(rows)``; ``shift`` shared or per row."""
     def matrix(rows):
         H = convexcore._rows_of(Hk, rows, diagonal)
         s = shift if np.ndim(shift) == 0 else shift[rows]
         return H + s if diagonal else H + np.asarray(s)[..., None] * np.eye(H.shape[-1])
-    return matrix
+    return matrix if callable(Hk) else matrix(slice(None))
 
 
 def _per_row(values, rows):
@@ -345,18 +345,19 @@ def _coefficients(system, X, u, t, groups=1):
     evaluated once on the whole batch (a per-group control reaches them as
     a ``(rows, 1)`` column).  Otherwise every group is evaluated on its own
     rows with its own empirical measure and scalar control, exactly as a
-    run of that group alone.  A time-only oblique matrix is an array, any
-    other the function ``H(rows)`` of row indices (array, mask or slice):
-    the field on ``X[rows]`` under their group's measure, in row order.
+    run of that group alone.  A constant or time-only oblique matrix is an
+    array, any other the function ``H(rows)`` of row indices (array, mask or
+    slice): the field on ``X[rows]`` under their group's measure, in order.
     """
     coeffs, oblique = system.coeffs, system.oblique
     need_mu = coeffs.uses_measure or (not oblique.time_dependent and oblique.uses_measure)
+    H = oblique.matrix if oblique.constant else oblique(t=t) if oblique.time_dependent else None
     N = X.shape[0] // groups
     if groups == 1 or not need_mu:
         mu = EmpiricalMeasure(X) if need_mu else None
         u = _per_row(u, N)
         return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
-                oblique(t=t) if oblique.time_dependent else lambda rows: oblique(X[rows], mu))
+                H if H is not None else lambda rows: oblique(X[rows], mu))
     blocks = [(Xg, EmpiricalMeasure(Xg), u if np.ndim(u) == 0 else u[g], t)
               for g, Xg in enumerate(np.split(X, groups))]
 
@@ -367,7 +368,7 @@ def _coefficients(system, X, u, t, groups=1):
                              [p.size for p in parts], 1 if oblique.diagonal else 2)
     return (np.concatenate([np.broadcast_to(coeffs.drift(*b), (N, X.shape[1])) for b in blocks]),
             _stack_groups([coeffs.diffusion(*b) for b in blocks], [N] * groups),
-            oblique(t=t) if oblique.time_dependent else matrix)
+            H if H is not None else matrix)
 
 
 def _increment_rows(increments, groups):
@@ -382,7 +383,7 @@ def _increment_rows(increments, groups):
 
 class _PathRecorder:
     """The default step observer: stores the states time-major and logs each
-    step's ``dk`` on the rows the step reports (``PathEnsemble.dk_log``)."""
+    step's ``dk`` on the rows with a bit set (``PathEnsemble.dk_log``)."""
 
     def __init__(self, grid):
         self.steps = grid.steps
@@ -394,6 +395,7 @@ class _PathRecorder:
 
     def step(self, k, X, dk_step, rows):
         self.states[k + 1] = X
+        rows = convexcore._set_rows(dk_step, rows)
         self.log.append((rows, dk_step.take(rows, axis=0)))
 
 
@@ -436,11 +438,14 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     coefficients (``euler_iteration``) and moving sets
     (``timedep.simulate_moving_interval``) are other ``inputs``.
 
-    Every step is handed to ``observer`` (``start(X)``, then ``step(k, X, dk,
-    rows)``, ``rows`` the sorted ``int32`` rows where a bit of ``dk`` is set),
-    which is returned.  Without one the paths are recorded and returned as a
-    list of one ``PathEnsemble`` per group, each with its rows of the batch's
-    ``dk`` log, indexed within the group.
+    A penalized run forms ``H + (eps/h) I`` anew only when ``H`` is not the
+    previous step's object: once per run for a constant field.  Every step
+    is handed to ``observer`` (``start(X)``, then ``step(k, X, dk, rows)``,
+    ``rows`` the sorted rows the step touched, a superset of those where a
+    bit of ``dk`` is set, or ``None`` for all), which is returned.  Without
+    one the paths are recorded and returned as a list of one
+    ``PathEnsemble`` per group, each with its rows of the batch's ``dk``
+    log, indexed within the group.
     """
     d = system.noise_dim
     steps, h, times = grid.steps, grid.h, grid.times
@@ -475,10 +480,12 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
         X = np.repeat(x0, N, axis=0)
     watch = _PathRecorder(grid) if observer is None else observer
     watch.start(X)
+    Hk = None
     for k in range(steps):
-        fk, gk, Hk, constraint = inputs(k, X, _control_value(control, k))
+        H_last, (fk, gk, Hk, constraint) = Hk, inputs(k, X, _control_value(control, k))
         Y = X + h * fk + _gdb(gk, increment_rows(k))
-        Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
+        if Hk is not H_last:
+            Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
         try:
             X, dk, rows = convexcore.backward_step(constraint, h, Hs, Y, system.oblique.diagonal)
         except StepError as err:

@@ -92,15 +92,16 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
     t0, _ = prob.horizon
     sign = -1.0 if correction == "chain-rule" else 1.0
     noise_correction = correction == "as-printed"
+    shape = (hf.dim,) * (1 + (hf.dim > 1))        # a 1x1 matrix declared as its diagonal
 
     def matrix(t):
         _, hi, _ = frame(t)
-        return hi @ hi
+        return (hi @ hi).reshape(shape)
 
     def matrix_derivative(t):
         _, hi, hp = frame(t)
         hih = hi @ hp @ hi
-        return -(hih @ hi + hi @ hih)
+        return -(hih @ hi + hi @ hih).reshape(shape)
 
     oblique = ObliqueField(
         matrix,
@@ -109,6 +110,7 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
         dim=hf.dim,
         time_dependent=True,
         derivative=matrix_derivative if hf.derivative_is_analytic else None,
+        diagonal=hf.dim == 1,
     )
 
     def drift(xbar, mu, u, t):
@@ -210,15 +212,14 @@ def simulate_moving_interval(prob, grid, particles, noise, increments=None, hs=N
     # H(t) > 0 scales the validated base interval to another valid one
     intervals = [ConvexConstraint("indicator", 1, geometry=Box(geom.lower * s, geom.upper * s))
                  for s in scales]
-    identity = np.ones(1)       # the declared diagonal of ObliqueField.identity(1)
+    system = System(coeffs, ObliqueField.identity(1), prob.base_set, prob.x0,
+                    label="moving-direct")
 
     def moving(k, X, u):
         mu = EmpiricalMeasure(X / scales[k]) if coeffs.uses_measure else None
         return (coeffs.drift(X, mu, None, times[k]), coeffs.diffusion(X, mu, None, times[k]),
-                identity, intervals[k + 1])
+                system.oblique.matrix, intervals[k + 1])
 
-    system = System(coeffs, ObliqueField.identity(1), prob.base_set, prob.x0,
-                    label="moving-direct")
     return _simulate(system, grid, particles, noise, increments=increments, inputs=moving)[0]
 
 

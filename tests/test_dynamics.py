@@ -89,6 +89,19 @@ class TestObliqueField:
         assert report.details["rayleigh_min"] == pytest.approx(1.0, abs=1e-12)
         assert report.details["rayleigh_max"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_constant_matrix_is_read_only(self):
+        fld = ObliqueField.identity(2)
+        H = fld(np.zeros((3, 2)), None)
+        assert fld.constant and not fld.uses_measure and H is fld.matrix
+        with pytest.raises(ValueError):
+            H[0] = 2.0
+
+    @pytest.mark.parametrize("matrix, diagonal", [
+        (np.ones(3), True), (np.ones(2), False), (np.eye(2), True), (np.eye(3), False)])
+    def test_constant_matrix_of_the_wrong_shape_is_rejected(self, matrix, diagonal):
+        with pytest.raises(ConfigurationError, match="constant oblique matrix"):
+            ObliqueField(matrix, 1.0, 1.0, 2, diagonal=diagonal)
+
     def test_example31_band(self):
         sys_ = library.make_system("example31")
         report = validate_oblique(sys_.oblique, samples=2000, seed=2)

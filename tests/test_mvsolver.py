@@ -1276,13 +1276,15 @@ class TestTimeMajorStorage:
 
 
 class _DenseCopy(mvsolver._PathRecorder):
-    """The path recorder that also keeps a copy of every step's dense ``dk``."""
+    """The path recorder that also keeps a copy of every step's dense ``dk``, and
+    checks that the rows the step reports hold every row with a bit set."""
 
     def start(self, X):
         super().start(X)
         self.dense = []
 
     def step(self, k, X, dk_step, rows):
+        assert rows is None or np.isin(whole_width_scan(dk_step), rows).all()
         super().step(k, X, dk_step, rows)
         self.dense.append(dk_step.copy())
 
@@ -1291,23 +1293,21 @@ class TestReflectionLog:
     """The loop logs ``dk`` only on the rows a step corrects."""
 
     def test_any_set_bit_is_logged(self):
-        # the step's rows: those with a set bit among the rows it touched
+        # the recorder logs the rows with a set bit among the rows the step touched
         rec = mvsolver._PathRecorder(TimeGrid(0.0, 1.0, 1))
         dk = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [np.nan, 0.0],
                        [0.0, 0.0], [5e-324, 0.0], [0.0, 2.0]])
         for cols in (dk, dk[:, :1], np.asfortranarray(dk)):
             expected = np.flatnonzero(np.any(cols.view(np.uint64) != 0, axis=1))
-            for touched in (np.arange(len(cols)), np.array([0, 1, 4, 5]), np.arange(0)):
+            for touched in (np.arange(len(cols)), np.array([0, 1, 4, 5]), np.arange(0), None):
+                want = expected if touched is None else np.intersect1d(expected, touched)
                 rows = convexcore._set_rows(cols, touched)
-                assert rows.dtype == np.int32
-                assert np.array_equal(rows, np.intersect1d(expected, touched))
-            rows = convexcore._set_rows(cols)
-            assert rows.dtype == np.int32 and np.array_equal(rows, expected)
-            rec.start(np.zeros(cols.shape))
-            rec.step(0, np.zeros(cols.shape), cols, rows)
-            (logged, values), = rec.log
-            assert logged is rows
-            assert values.tobytes() == np.ascontiguousarray(cols[expected]).tobytes()
+                assert rows.dtype == np.int32 and np.array_equal(rows, want)
+                rec.start(np.zeros(cols.shape))
+                rec.step(0, np.zeros(cols.shape), cols, touched)
+                (logged, values), = rec.log
+                assert logged.dtype == np.int32 and np.array_equal(logged, want)
+                assert values.tobytes() == np.ascontiguousarray(cols[want]).tobytes()
 
     @pytest.mark.parametrize("case", ["half-space", "ball", "penalized"])
     def test_log_holds_exactly_the_rows_with_a_set_bit(self, case):
@@ -1370,6 +1370,18 @@ def whole_width_scan(dk):
     return reduce(np.bitwise_or, dk.view(np.uint64).T).nonzero()[0]
 
 
+def recorded_rows(dk, touched):
+    """The rows the path recorder logs for a step's ``dk`` and the rows the step
+    touched, which hold every row of the whole-width scan or are ``None``."""
+    assert touched is None or np.isin(whole_width_scan(dk), touched).all()
+    rec = mvsolver._PathRecorder(TimeGrid(0.0, 1.0, 1))
+    rec.start(np.zeros(dk.shape))
+    rec.step(0, np.zeros(dk.shape), dk, touched)
+    (rows, values), = rec.log
+    assert values.tobytes() == dk[rows].tobytes()
+    return rows
+
+
 @st.composite
 def reported_rows_cases(draw):
     """A planar set or a ``sum``, a scheme, one or three groups, and ``H`` dense or
@@ -1428,8 +1440,8 @@ def nan_right_of(bad, poison):
 
 
 class TestReportedRows:
-    """The rows a step reports are the rows of its ``dk`` with a bit set, as the
-    whole-width scan finds them."""
+    """The rows a step reports hold every row of its ``dk`` with a bit set, and the
+    recorder logs exactly those, as the whole-width scan finds them."""
 
     @settings(max_examples=80)
     @given(reported_rows_cases())
@@ -1454,7 +1466,8 @@ class TestReportedRows:
         Y = np.array([[u, 0.0], [-u, 0.0], [0.5, 0.0], [3.0, 0.0], [0.0, -u]])
         H = np.array([2.0, 1.0]) if diagonal else np.array([[2.0, 0.3], [0.3, 1.0]])
         Hs = mvsolver._shifted(H, shift, diagonal) if shift else H
-        X, dk, rows = convexcore.backward_step(ball, 0.1, Hs, Y, diagonal)
+        X, dk, touched = convexcore.backward_step(ball, 0.1, Hs, Y, diagonal)
+        rows = recorded_rows(dk, touched)
         assert rows.dtype == np.int32 and np.array_equal(rows, whole_width_scan(dk))
         assert rows.tolist() == [1, 3, 4]
         assert dk[0].tobytes() == np.zeros(2).tobytes()
@@ -1472,8 +1485,8 @@ class TestReportedRows:
         Y = np.array([[np.nan, 0.0], [u, 0.0], [3.0, 0.0], [0.0, 2.0], [0.2, 0.1]])
         H = np.array([[2.0, 1.0]] * 5) if diagonal else np.array([[[2.0, 0.3], [0.3, 1.0]]] * 5)
         H[1:3] = np.nan
-        X, dk, rows = convexcore.backward_step(ball, 0.1, H, Y, diagonal)
-        assert rows.tolist() == whole_width_scan(dk).tolist() == [1, 2, 3]
+        X, dk, touched = convexcore.backward_step(ball, 0.1, H, Y, diagonal)
+        assert recorded_rows(dk, touched).tolist() == whole_width_scan(dk).tolist() == [1, 2, 3]
         assert np.isnan(X[:3]).any(axis=1).all() and np.isnan(dk[1:3]).all()
         assert dk[0].tobytes() == np.zeros(2).tobytes() and not np.isnan(X[3:]).any()
 
@@ -1507,7 +1520,8 @@ class TestReportedRows:
         box = ConvexConstraint.box([0.0, -1.0], [1.0, 1.0])
         Y = np.array([[-5e-324, 0.5], [-0.5, 0.5], [0.5, 0.5]])
         for H, diagonal in ((np.array([2.0, 3.0]), True), (np.diag([2.0, 3.0]), False)):
-            X, dk, rows = convexcore.backward_step(box, 0.1, H, Y, diagonal)
+            X, dk, touched = convexcore.backward_step(box, 0.1, H, Y, diagonal)
+            rows = recorded_rows(dk, touched)
             assert rows.tolist() == whole_width_scan(dk).tolist() == [1]
             assert X[0].tolist() == [0.0, 0.5] and dk[0].tobytes() == np.zeros(2).tobytes()
 
@@ -1970,7 +1984,7 @@ def dense_twin(system):
     fld = system.oblique
 
     def matrix(*args):
-        diag = fld.matrix(*args)
+        diag = fld.matrix if fld.constant else fld.matrix(*args)
         out = np.zeros(np.shape(diag) + (fld.dim,))
         np.einsum("...ii->...i", out)[...] = diag
         return out
@@ -2134,6 +2148,83 @@ class TestDiffusionColumns:
         with np.errstate(invalid="ignore"):       # 0 * inf
             got, ref = mvsolver._gdb(gk, dB), dB @ gk.T
         assert got.tobytes() == ref.tobytes()
+
+
+class TestLoopSetup:
+    """What is the same at every step is set up once per run, every bit kept."""
+
+    def test_rows_are_scanned_only_where_paths_are_recorded(self, monkeypatch):
+        scan, calls = convexcore._set_rows, []
+        monkeypatch.setattr(convexcore, "_set_rows",
+                            lambda dk, rows=None: calls.append(rows) or scan(dk, rows))
+        ou, prob = library.make_system("ou"), library.make_control_problem("two_control")
+        grid = TimeGrid(0.0, 1.0, 32)
+        penalization_rate_probe(ou, None, [0.25, 0.125, 0.0625],
+                                SimConfig(steps=32, particles=8, replications=2, seed=5),
+                                horizon=(0.0, 1.0))
+        control._cost_runs(prob, [0.1, 0.05], grid, 8,
+                           [NoiseSource(4).for_replication(r) for r in range(2)],
+                           np.full((2, grid.steps + 1), 1.0))
+        assert calls == []
+        simulate_penalized(ou, 0.1, grid, 8, NoiseSource(4))
+        simulate_projected(library.make_system("example31"), grid, 8, NoiseSource(4))
+        assert len(calls) == 2 * grid.steps
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_constant_field_is_shifted_once_and_never_called(self, monkeypatch, groups):
+        ou = library.make_system("ou")
+        twin = System(ou.coeffs, ObliqueField(lambda x, mu: np.ones(1), 1.0, 1.0, 1,
+                                              uses_measure=False, diagonal=True),
+                      ou.constraint, ou.x0)
+        grid, N = TimeGrid(0.0, 1.0, 48), 6
+        streams = [NoiseSource(8).for_replication(r) for r in range(groups)]
+        inc = mvsolver._stream_increments(streams, N, grid.steps, 1, grid.h)
+        eps = [0.1, 0.05, 0.02][:groups]
+
+        def run(system):
+            return mvsolver._simulate(system, grid, N, None, eps=eps if groups > 1 else eps[0],
+                                      increments=inc, groups=groups)
+        ref = run(twin)
+        calls, shifted = [], mvsolver._shifted
+        monkeypatch.setattr(ObliqueField, "__call__", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(mvsolver, "_shifted", lambda *a: calls.append(a[0]) or shifted(*a))
+        got = run(ou)
+        assert len(calls) == 1 and calls[0] is ou.oblique.matrix
+        for ens, ens_ref in zip(got, ref):
+            assert ens.states.tobytes() == ens_ref.states.tobytes()
+            assert ens.dk.tobytes() == ens_ref.dk.tobytes()
+        assert any(len(rows) for ens in got for rows, _ in ens.dk_log)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_one_column_noise_has_the_broadcast_bits(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        dB = signed_zeros(rng, rng.standard_normal((n, 1)))
+        for g in (rng.standard_normal((m, 1)), rng.standard_normal((n, m, 1))):
+            g = signed_zeros(rng, g)
+            assert mvsolver._gdb(g, dB).tobytes() == (dB * g[..., 0] + 0.0).tobytes()
+
+    @pytest.mark.parametrize("eps", [None, 0.05, [0.1, 0.02]], ids=["projected", "penalized",
+                                                                    "levels"])
+    @pytest.mark.parametrize("name", ["two_control", "moving_interval"])
+    def test_one_d_time_fields_match_a_dense_copy(self, name, eps):
+        # the declared diagonal of H(t) against the 1 x 1 matrices it replaced
+        if name == "two_control":
+            system = library.make_control_problem(name).system
+        else:
+            system = timedep.reduce_time_dependent(library.make_moving_problem(name))
+        grid = TimeGrid(0.0, 1.0, 64)
+        u = np.where(np.arange(grid.steps + 1) < 30, -1.0, 1.0) if name == "two_control" else None
+        got, ref = (mvsolver._simulate(s, grid, 16, NoiseSource(21), eps=eps, control=u,
+                                       groups=np.size(eps))
+                    for s in (system, dense_twin(system)))
+        for ens, ens_ref in zip(got, ref):
+            assert ens.states.tobytes() == ens_ref.states.tobytes()
+            assert len(ens.dk_log) == len(ens_ref.dk_log) == grid.steps
+            for (rows, values), (ref_rows, ref_values) in zip(ens.dk_log, ens_ref.dk_log):
+                assert rows.tobytes() == ref_rows.tobytes()
+                assert values.tobytes() == ref_values.tobytes()
+        assert any(len(rows) for ens in got for rows, _ in ens.dk_log)
 
 
 def per_particle_brownian(noise, particles, steps, dim, h):

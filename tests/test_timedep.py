@@ -44,7 +44,7 @@ class TestReduction:
         x = np.array([[0.4]])
         np.testing.assert_allclose(reduced.coeffs.drift(x, mu, None, 0.3),
                                    [[-0.2]], atol=1e-14)
-        np.testing.assert_allclose(reduced.oblique(t=0.3), np.eye(1), atol=1e-14)
+        np.testing.assert_allclose(reduced.oblique(t=0.3), [1.0], atol=1e-14)
         np.testing.assert_allclose(reduced.x0, [0.5])
 
     def test_growing_ball_hand_reduction(self):

@@ -111,7 +111,7 @@ class Box:
         return float(min(np.min(a - self.lower), np.min(self.upper - a)))
 
     def oblique_step(self, H, Y, diagonal=False):
-        X = np.clip(Y, self.lower, self.upper)
+        X = np._core.umath.clip(Y, self.lower, self.upper)     # np.clip less its wrappers
         H = _rows_of(H, slice(None), diagonal)
         if diagonal or _is_diagonal(H):
             dK = (Y - X) / (H if diagonal else np.einsum("...ii->...i", H))

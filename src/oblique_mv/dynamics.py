@@ -51,8 +51,19 @@ def _norm(a):
     return math.sqrt(v @ v)
 
 
-def _canonical(fn, controlled, time_dependent):
-    """Wrap a user callable into the uniform (x, mu, u, t) signature."""
+def _constant(a, shape, what):
+    """``a`` as a read-only float array of ``shape``, as every step of a run shares it."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    if a.shape != shape:
+        raise ConfigurationError(f"constant {what} of shape {a.shape}, not {shape}")
+    return a
+
+
+def _canonical(fn, controlled, time_dependent, shape):
+    """Wrap a user callable into the uniform (x, mu, u, t) signature; keep an array."""
+    if not callable(fn):
+        return _constant(fn, shape, "coefficient")
     if controlled and time_dependent:
         return fn
     if controlled:
@@ -66,6 +77,7 @@ class CoefficientField:
     """Drift/diffusion pair with a declared joint Lipschitz constant.
 
     ``drift`` maps states (n, m) to (n, m); ``diffusion`` maps to (n, m, d).
+    Either may be a constant array, ``(m,)`` or ``(m, d)``, read-only and returned as is.
     Normalized fields vanish at (0, delta_0); this is asserted once at
     construction and can be switched off for fields that break the
     convention (several bundled examples do).
@@ -79,10 +91,11 @@ class CoefficientField:
         self.noise_dim = int(noise_dim)
         self.controlled = controlled
         self.time_dependent = time_dependent
-        self.uses_measure = uses_measure
         self.normalized = normalized
-        self._drift = _canonical(drift, controlled, time_dependent)
-        self._diffusion = _canonical(diffusion, controlled, time_dependent)
+        self._drift = _canonical(drift, controlled, time_dependent, (self.state_dim,))
+        self._diffusion = _canonical(diffusion, controlled, time_dependent,
+                                     (self.state_dim, self.noise_dim))
+        self.uses_measure = uses_measure and (callable(drift) or callable(diffusion))
         if normalized:
             zero = np.zeros(state_dim)
             mu0 = dirac(zero)
@@ -96,10 +109,12 @@ class CoefficientField:
                 )
 
     def drift(self, x, mu, u=None, t=None):
-        return np.asarray(self._drift(x, mu, u, t), dtype=float)
+        f = self._drift
+        return f if isinstance(f, np.ndarray) else np.asarray(f(x, mu, u, t), dtype=float)
 
     def diffusion(self, x, mu, u=None, t=None):
-        return np.asarray(self._diffusion(x, mu, u, t), dtype=float)
+        g = self._diffusion
+        return g if isinstance(g, np.ndarray) else np.asarray(g(x, mu, u, t), dtype=float)
 
 
 class ObliqueField:
@@ -125,10 +140,7 @@ class ObliqueField:
         self.dim = int(dim)
         self.constant = not callable(matrix)
         if self.constant:
-            matrix = np.array(matrix, dtype=float)
-            matrix.flags.writeable = False
-            if matrix.shape != (self.dim,) * (2 - diagonal):
-                raise ConfigurationError(f"constant oblique matrix of shape {matrix.shape}")
+            matrix = _constant(matrix, (self.dim,) * (2 - diagonal), "oblique matrix")
         self.matrix = matrix
         self.time_dependent = time_dependent
         self._derivative = derivative
@@ -149,7 +161,7 @@ class ObliqueField:
     def __call__(self, x=None, mu=None, t=None):
         H = np.asarray(self.matrix if self.constant else self.matrix(t) if self.time_dependent
                        else self.matrix(x, mu), dtype=float)
-        if self.diagonal and H.shape not in ((self.dim,), np.shape(x)[:-1] + (self.dim,)):
+        if self.diagonal and H.shape != (self.dim,) and H.shape != np.shape(x)[:-1] + (self.dim,):
             raise ConfigurationError(f"diagonal oblique field returned shape {H.shape}, "
                                      f"not ({self.dim},) or (rows, {self.dim})")
         return H
@@ -268,7 +280,7 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
             H = fld(x, mu)
             key = (x, mu)
         u = rng.standard_normal(fld.dim)
-        u /= np.linalg.norm(u)
+        u /= _norm(u)
         q = float((u * H if fld.diagonal else u @ H) @ u)   # u @ diag(H): the same bits
         lo, hi = min(lo, q), max(hi, q)
         Hs.append(H)

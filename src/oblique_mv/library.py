@@ -156,9 +156,7 @@ def _reflected_ou(theta=1.0, sigma=1.0, x0=0.5):
 
     Declared constants: L=theta, a_H=b_H=1."""
     coeffs = CoefficientField(
-        lambda x, mu: -theta * x,
-        lambda x, mu: np.array([[sigma]]),
-        lipschitz=theta, state_dim=1, noise_dim=1,
+        lambda x, mu: -theta * x, [[sigma]], lipschitz=theta, state_dim=1, noise_dim=1,
         uses_measure=False, normalized=False,
     )
     oblique = ObliqueField.identity(1)
@@ -185,12 +183,8 @@ def _reflected_bm(sigma=1.0, x0=0.0):
     """Brownian motion with volatility ``sigma`` reflected at the origin.
 
     Declared constants: L=1e-12 (zero drift), a_H=b_H=1."""
-    coeffs = CoefficientField(
-        lambda x, mu: np.zeros_like(x),
-        lambda x, mu: np.array([[sigma]]),
-        lipschitz=1e-12, state_dim=1, noise_dim=1,
-        uses_measure=False, normalized=False,
-    )
+    coeffs = CoefficientField([0.0], [[sigma]], lipschitz=1e-12, state_dim=1, noise_dim=1,
+                              normalized=False)
     oblique = ObliqueField.identity(1)
     constraint = ConvexConstraint.half_line()
     return System(coeffs, oblique, constraint, [x0], label="rbm")
@@ -221,9 +215,7 @@ def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
     else:
         raise ConfigurationError(f"unknown control_mode {control_mode!r}")
     coeffs = CoefficientField(
-        drift,
-        lambda x, mu, u: np.array([[sigma]]),
-        lipschitz=lip, state_dim=1, noise_dim=1,
+        drift, [[sigma]], lipschitz=lip, state_dim=1, noise_dim=1,
         controlled=True, uses_measure=False, normalized=False,
     )
     t0, t1 = horizon
@@ -257,8 +249,7 @@ def _moving_interval(outward=2.0, sigma=0.5, coupling=0.25, x0=0.5,
 
     Declared constants: L=max(coupling, 1e-9), a_H=1, b_H=1+growth*(t1-t0)."""
     coeffs = CoefficientField(
-        lambda x, mu: outward + coupling * w2_to_origin(mu) + 0.0 * x,
-        lambda x, mu: np.array([[sigma]]),
+        lambda x, mu: outward + coupling * w2_to_origin(mu) + 0.0 * x, [[sigma]],
         lipschitz=max(coupling, 1e-9), state_dim=1, noise_dim=1,
         uses_measure=True, normalized=False,
     )

@@ -337,38 +337,42 @@ def _stack_groups(parts, counts, core=2):
                            for p, n in zip(parts, counts)])
 
 
-def _coefficients(system, X, u, t, groups=1):
-    """Drift, diffusion and oblique matrix at time ``t`` for a batch of groups.
+def _coefficients(system, groups=1):
+    """``evaluate(X, u, t)``, planned once per run from what ``system`` declares: the
+    drift, diffusion and oblique matrix at time ``t`` for a batch of groups.
 
-    ``X`` holds ``groups`` contiguous blocks of rows and ``u`` is the
-    control, shared or one value per group.  Measure-free fields are
-    evaluated once on the whole batch (a per-group control reaches them as
-    a ``(rows, 1)`` column).  Otherwise every group is evaluated on its own
-    rows with its own empirical measure and scalar control, exactly as a
-    run of that group alone.  A constant or time-only oblique matrix is an
-    array, any other the function ``H(rows)`` of row indices (array, mask or
-    slice): the field on ``X[rows]`` under their group's measure, in order.
+    ``X`` holds ``groups`` contiguous blocks of rows and ``u`` is the control,
+    shared or one value per group.  Measure-free fields are evaluated once on
+    the whole batch (a per-group control reaches them as a ``(rows, 1)``
+    column).  Otherwise every group is evaluated on its own rows with its own
+    empirical measure and scalar control, exactly as a run of that group alone.
+    Array coefficients are handed on as they are; a constant or time-only oblique
+    matrix is an array, any other the function ``H(rows)`` of row indices (array,
+    mask or slice): the field on ``X[rows]`` under their group's measure, in order.
     """
     coeffs, oblique = system.coeffs, system.oblique
     need_mu = coeffs.uses_measure or (not oblique.time_dependent and oblique.uses_measure)
-    H = oblique.matrix if oblique.constant else oblique(t=t) if oblique.time_dependent else None
-    N = X.shape[0] // groups
-    if groups == 1 or not need_mu:
-        mu = EmpiricalMeasure(X) if need_mu else None
-        u = _per_row(u, N)
-        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
-                H if H is not None else lambda rows: oblique(X[rows], mu))
-    blocks = [(Xg, EmpiricalMeasure(Xg), u if np.ndim(u) == 0 else u[g], t)
-              for g, Xg in enumerate(np.split(X, groups))]
 
-    def matrix(rows):
-        idx = np.arange(X.shape[0])[rows]
-        parts = [p for p in np.split(idx, np.searchsorted(idx, N * np.arange(1, groups))) if p.size]
-        return _stack_groups([oblique(X[p], blocks[p[0] // N][1]) for p in parts],
-                             [p.size for p in parts], 1 if oblique.diagonal else 2)
-    return (np.concatenate([np.broadcast_to(coeffs.drift(*b), (N, X.shape[1])) for b in blocks]),
-            _stack_groups([coeffs.diffusion(*b) for b in blocks], [N] * groups),
-            H if H is not None else matrix)
+    def evaluate(X, u, t):
+        H = oblique.matrix if oblique.constant else oblique(t=t) if oblique.time_dependent else None
+        N = X.shape[0] // groups
+        if groups == 1 or not need_mu:
+            mu = EmpiricalMeasure(X) if need_mu else None
+            u = _per_row(u, N)
+            return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
+                    H if H is not None else lambda rows: oblique(X[rows], mu))
+        blocks = [(Xg, EmpiricalMeasure(Xg), u if np.ndim(u) == 0 else u[g], t)
+                  for g, Xg in enumerate(np.split(X, groups))]
+
+        def matrix(rows):
+            i = np.arange(X.shape[0])[rows]
+            parts = [p for p in np.split(i, np.searchsorted(i, N * np.arange(1, groups))) if p.size]
+            return _stack_groups([oblique(X[p], blocks[p[0] // N][1]) for p in parts],
+                                 [p.size for p in parts], 1 if oblique.diagonal else 2)
+        return (np.concatenate([np.broadcast_to(coeffs.drift(*b), b[0].shape) for b in blocks]),
+                _stack_groups([coeffs.diffusion(*b) for b in blocks], [N] * groups),
+                H if H is not None else matrix)
+    return evaluate
 
 
 def _increment_rows(increments, groups):
@@ -377,8 +381,9 @@ def _increment_rows(increments, groups):
     reps, N, _, d = inc.shape
     if groups == 1:
         return lambda k: inc[0, :, k, :]
-    shape = (groups // reps, reps, N, d)
-    return lambda k: np.broadcast_to(inc[:, :, k, :], shape).reshape(-1, d)
+    buf = np.empty((groups // reps, reps, N, d))        # one buffer, refilled at every step
+    rows = buf.reshape(-1, d)
+    return lambda k: np.copyto(buf, inc[:, :, k, :]) or rows
 
 
 class _PathRecorder:
@@ -453,8 +458,10 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     if eps is not None and not np.all(np.asarray(eps) > 0):
         raise ValueError(f"penalization parameter must be positive, got {eps}")
     if inputs is None:
+        evaluate = _coefficients(system, G)
+
         def inputs(k, X, u):
-            return (*_coefficients(system, X, u, times[k], G), system.constraint)
+            return (*evaluate(X, u, times[k]), system.constraint)
 
     if increments is None:
         increments = noise.brownian(N, steps, d, h)
@@ -587,13 +594,13 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
     reuse = control is None and not (system.coeffs.time_dependent
                                      or system.oblique.time_dependent)
     prev = np.broadcast_to(system.x0, (N, grid.steps + 1, system.state_dim))
+    evaluate = _coefficients(system)
 
     def frozen(k, X, u):
         nonlocal cache
         j = snaps[k]
         if not (reuse and cache[0] == j):
-            cache = (j, (*_coefficients(system, prev[:, j, :], u, times[k]),
-                         system.constraint))
+            cache = (j, (*evaluate(prev[:, j, :], u, times[k]), system.constraint))
         return cache[1]
 
     iterates = []
@@ -646,13 +653,12 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
 
     residual = np.zeros((N, m))
     eq_worst = 0.0
+    evaluate = _coefficients(system)
     for k in range(steps):
-        tk = times[k]
-        fk, gk, Hk = _coefficients(system, ensemble.states[:, k, :],
-                                   _control_value(ensemble.control, k), tk)
+        fk, gk, Hk = evaluate(ensemble.states[:, k, :], _control_value(ensemble.control, k),
+                              times[k])
         Hdk = convexcore._times(Hk, dK[:, k, :], system.oblique.diagonal)
-        residual = residual + Hdk - h * np.broadcast_to(np.asarray(fk), (N, m)) \
-            - _gdb(gk, ensemble.increments[:, k, :])
+        residual = residual + Hdk - h * fk - _gdb(gk, ensemble.increments[:, k, :])
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual
         eq_worst = max(eq_worst, float(np.max(np.sqrt(sq_norms(node_res)))))
 

@@ -92,16 +92,19 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
     t0, _ = prob.horizon
     sign = -1.0 if correction == "chain-rule" else 1.0
     noise_correction = correction == "as-printed"
-    shape = (hf.dim,) * (1 + (hf.dim > 1))        # a 1x1 matrix declared as its diagonal
+    one_d = hf.dim == 1                     # a 1x1 matrix is declared as its diagonal
+
+    def apply(c, v):        # c times each row of v; in 1-d + 0.0 gives a zero the product's +0.0
+        return v * c[0, 0] + 0.0 if one_d else v @ c.T
 
     def matrix(t):
         _, hi, _ = frame(t)
-        return (hi @ hi).reshape(shape)
+        return hi[0] * hi[0] if one_d else hi @ hi
 
     def matrix_derivative(t):
         _, hi, hp = frame(t)
         hih = hi @ hp @ hi
-        return -(hih @ hi + hi @ hih).reshape(shape)
+        return -(hih @ hi + hi @ hih).reshape((hf.dim,) * (2 - one_d))
 
     oblique = ObliqueField(
         matrix,
@@ -110,24 +113,22 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
         dim=hf.dim,
         time_dependent=True,
         derivative=matrix_derivative if hf.derivative_is_analytic else None,
-        diagonal=hf.dim == 1,
+        diagonal=one_d,
     )
 
     def drift(xbar, mu, u, t):
         h, hi, hp = frame(t)
-        x = xbar @ h.T
-        inner = base.drift(x, mu, u, t) + sign * (xbar @ hp.T)
-        return inner @ hi.T
+        inner = base.drift(apply(h, xbar), mu, u, t) + sign * apply(hp, xbar)
+        return apply(hi, inner)
 
     def diffusion(xbar, mu, u, t):
         h, hi, hp = frame(t)
-        x = xbar @ h.T
-        g = base.diffusion(x, mu, u, t)
+        g = base.diffusion(apply(h, xbar), mu, u, t)
         if noise_correction:
-            g = g + (xbar @ hp.T)[..., None]
-        if g.ndim == 2:
-            return hi @ g
-        return np.einsum("ij,njd->nid", hi, g)
+            g = g + apply(hp, xbar)[..., None]
+        if one_d:
+            return g * hi[0, 0] + 0.0
+        return hi @ g if g.ndim == 2 else np.einsum("ij,njd->nid", hi, g)
 
     reduced = CoefficientField(
         drift,

@@ -210,6 +210,42 @@ class TestProjection:
             ConvexConstraint("indicator", 2, geometry=object())
 
 
+class TestBoxClip:
+    """``Box.oblique_step`` clips through numpy's ``clip`` ufunc directly: the
+    bytes of the ``np.clip`` step it replaced, signed zeros at a bound of 0, NaN
+    rows, infinite bounds and subnormals included.  A numpy release that changes
+    the ufunc fails here."""
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_same_bytes_as_the_np_clip_step(self, diagonal, per_row):
+        box = convexcore.Box(np.array([0.0, -np.inf, -1.0]), np.array([np.inf, 0.0, 5e-324]))
+        rng = np.random.default_rng(21)
+        Y = rng.standard_normal((64, 3)) * 10.0 ** rng.integers(-320, 3, (64, 3))
+        hit = rng.random(Y.shape) < 0.3
+        Y[hit] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310],
+                            size=int(hit.sum()))
+        Y[:3] = [[-0.0, -0.0, -0.0], [np.nan] * 3, [-5e-324, 5e-324, 1e-310]]
+        d = rng.uniform(0.5, 2.0, (64, 3)) if per_row else np.array([2.0, 0.5, 3.0])
+        H = d if diagonal else d[..., None] * np.eye(3)
+        with np.errstate(invalid="ignore"):
+            X, dK, rows = box.oblique_step(H, Y, diagonal)
+            want = np.clip(Y, box.lower, box.upper)
+            dk_want = (Y - want) / d
+        dk_want += 0.0
+        assert rows is None
+        assert X.tobytes() == want.tobytes() and dK.tobytes() == dk_want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    def test_half_line_keeps_a_negative_zero(self, rows):
+        # the loop's one bound: np.maximum(-0.0, 0.0) would give +0.0
+        half_line = convexcore.Box(np.array([0.0]), np.array([np.inf]))
+        X, dK, _ = half_line.oblique_step(np.ones(1), np.full((rows, 1), -0.0), True)
+        assert np.signbit(X).all() and not np.signbit(np.maximum(-0.0, 0.0))
+        assert X.tobytes() == np.clip(np.full((rows, 1), -0.0), 0.0, np.inf).tobytes()
+        assert dK.tobytes() == np.zeros((rows, 1)).tobytes()
+
+
 class TestMoreauEnvelope:
     def test_half_line_value_frozen(self):
         # dist^2 / (2 eps) at x=-1, eps=0.5 is exactly 1.0

@@ -80,6 +80,40 @@ class TestCoefficientField:
         report = validate_lipschitz(sys_.coeffs, pairs=3000, seed=1)
         assert report.passed, (report.estimate, report.declared)
 
+    def test_array_coefficients_are_read_only_copies_returned_by_every_call(self):
+        drift, diffusion = np.array([0.0, 0.7]), [[0.5], [0.3]]
+        fld = CoefficientField(drift, diffusion, 1.0, 2, 1, normalized=False)
+        drift[1] = 9.0                      # the field holds its own copy
+        x = np.ones((4, 2))
+        f, g = fld.drift(x, None), fld.diffusion(x, EmpiricalMeasure(x), 1.0, 0.5)
+        assert f is fld.drift(x[:1], dirac(np.zeros(2)), -1.0, 0.0)
+        assert g is fld.diffusion(x[:2], None)
+        assert f.tolist() == [0.0, 0.7] and g.tolist() == diffusion
+        assert not fld.uses_measure
+        for arr in (f, g):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_one_array_coefficient_keeps_the_declared_measure_use(self):
+        fld = CoefficientField(lambda x, mu: x - mu.mean(), [[0.5]], 1.0, 1, 1,
+                               normalized=False)
+        assert fld.uses_measure
+
+    @pytest.mark.parametrize("drift, diffusion", [
+        ([0.0], [[0.5], [0.3]]),                # drift (1,) for m = 2
+        ([0.0, 0.0], [0.5, 0.3]),               # diffusion (2,), not (2, 1)
+        (np.zeros((3, 2)), [[0.5], [0.3]]),     # one row per particle
+        ([0.0, 0.0], [[0.5, 0.1], [0.3, 0.2]]),     # d = 2 for noise_dim 1
+    ])
+    def test_array_of_the_wrong_shape_raises_at_construction(self, drift, diffusion):
+        with pytest.raises(ConfigurationError, match="constant coefficient of shape"):
+            CoefficientField(drift, diffusion, 1.0, 2, 1, normalized=False)
+
+    def test_array_coefficients_are_normalization_checked(self):
+        with pytest.raises(ConfigurationError, match="do not vanish"):
+            CoefficientField([0.0], [[0.5]], 1.0, 1, 1, normalized=True)
+        CoefficientField([0.0], [[0.0]], 1.0, 1, 1, normalized=True)
+
 
 class TestObliqueField:
     def test_identity_band(self):
@@ -311,6 +345,19 @@ ORACLE_CASES = {
 
 class TestValidateObliqueInverses:
     """Each sample's inverse is reused as the next pair's ``H^{-1}``, same numbers."""
+
+    @pytest.mark.parametrize("case", ["example31", "moving_interval", "rotating"])
+    def test_norm_equals_linalg_norm_on_every_drawn_direction(self, case, monkeypatch):
+        # the probe directions (and the pair distances) are normalized by
+        # dynamics._norm, which must give np.linalg.norm's bits
+        from oblique_mv import dynamics
+        seen, norm = [], dynamics._norm
+        monkeypatch.setattr(dynamics, "_norm", lambda a: seen.append(a.copy()) or norm(a))
+        fld, kwargs = ORACLE_CASES[case]()
+        validate_oblique(fld, samples=300, seed=5, **kwargs)
+        directions = [a for a in seen if a.shape == (fld.dim,)]
+        assert len(directions) >= 300
+        assert all(norm(a) == np.linalg.norm(a) for a in seen)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_report_equals_fresh_inverse_loop(self, case):

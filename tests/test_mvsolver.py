@@ -1387,13 +1387,20 @@ def reported_rows_cases(draw):
     """A planar set or a ``sum``, a scheme, one or three groups, and ``H`` dense or
     declared diagonal, per row, of the state and the group's measure.  The drift
     pushes every group out of its set; an axis-aligned face leaves ``-0.0`` in
-    the tangential ``dk``, and a box with a dense ``H`` takes the polytope step."""
+    the tangential ``dk``, and a box with a dense ``H`` takes the polytope step.
+
+    Every case leaves its set: over ``T = 0.5`` the drift's component along its
+    largest axis, whose cosine with a face's outward normal is at least 1/sqrt(2),
+    carries a particle across the widest set (the triangle, 2.13 across; the
+    half-space face is at most 0.74 from any start) and three standard deviations
+    of the noise ``[0.5, 0.3] W_T`` further, so the free path ends outside."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["ball", "half-space", "triangle", "box", "ball + quadratic"]))
     dense = draw(st.booleans())
     push = rng.standard_normal(2)
-    push *= 2.5 / np.linalg.norm(push)
-    face = [0.0, -np.sign(push[1])] if rng.random() < 0.5 else -push
+    axis = np.argmax(np.abs(push))
+    push *= (2.2 + 3 * math.hypot(0.5, 0.3) * math.sqrt(0.5)) / 0.5 / abs(push[axis])
+    face = -np.sign(push[axis]) * np.eye(2)[axis] if rng.random() < 0.5 else -push
     constraint = {
         "ball": lambda: ConvexConstraint.ball([0.1, -0.1], 0.8),
         "half-space": lambda: ConvexConstraint.half_space(face, -0.3),
@@ -1410,9 +1417,7 @@ def reported_rows_cases(draw):
         scale = 1.5 + 0.5 * np.sin(x[:, :1] - 2.0 * x[:, 1:] + mu.mean()[0])
         return scale[..., None] * H if dense else scale * H
 
-    coeffs = CoefficientField(lambda x, mu: push + 0.0 * x,
-                              lambda x, mu: np.array([[0.5], [0.3]]),
-                              3.0, 2, 1, uses_measure=False, normalized=False)
+    coeffs = CoefficientField(push, [[0.5], [0.3]], 3.0, 2, 1, normalized=False)
     groups = draw(st.sampled_from([1, 3]))
     x0 = project(ConvexConstraint.ball([0.1, -0.1], 0.3), 0.5 * rng.standard_normal((groups, 2)))
     system = System(coeffs, ObliqueField(matrix, 0.5, 5.0, 2, diagonal=not dense),
@@ -1526,6 +1531,55 @@ class TestReportedRows:
             assert X[0].tolist() == [0.0, 0.5] and dk[0].tobytes() == np.zeros(2).tobytes()
 
 
+def array_or_lambda_system(name, arrays):
+    """``rbm``, or a planar ball system with a constant drift and a two-row diffusion,
+    declared as arrays or as callables that build them anew on every call (the
+    zero drift as ``np.zeros_like(x)``), as the bundled systems did; the callables
+    leave the measure use at its default, so groups go through the per-group path."""
+    drift, diffusion = ([0.0], [[1.0]]) if name == "rbm" else ([0.7, -0.4], [[0.5], [0.3]])
+    if not arrays:
+        drift = (lambda x, mu: np.zeros_like(x)) if name == "rbm" \
+            else (lambda x, mu, f=np.array(drift): np.tile(f, (len(x), 1)))
+        diffusion = lambda x, mu, g=np.array(diffusion): np.array(g)
+    m = 1 if name == "rbm" else 2
+    coeffs = CoefficientField(drift, diffusion, 1.0, m, 1, normalized=False)
+    assert coeffs.uses_measure is not arrays
+    if name == "rbm":
+        return System(coeffs, ObliqueField.identity(1), ConvexConstraint.half_line(), [0.0])
+    return System(coeffs, ObliqueField(np.array([2.0, 1.0]), 1.0, 2.0, 2, diagonal=True),
+                  ConvexConstraint.ball([0.0, 0.0], 0.6), [0.1, 0.0])
+
+
+class TestStepPlan:
+    """The step inputs planned once per run: array coefficients, one increments buffer."""
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("eps", [None, 0.05])
+    @pytest.mark.parametrize("name", ["rbm", "planar"])
+    def test_array_coefficients_run_as_the_callables_did(self, name, eps, groups):
+        grid, N = TimeGrid(0.0, 1.0, 64), 9
+        x0 = np.linspace(0.0, 0.4, groups)[:, None] * ([1.0] if name == "rbm" else [1.0, -0.5])
+        runs = [mvsolver._simulate(array_or_lambda_system(name, arrays), grid, N,
+                                   NoiseSource(17), eps=eps, groups=groups, x0=x0)
+                for arrays in (True, False)]
+        for got, want in zip(*runs):
+            assert got.states.tobytes() == want.states.tobytes()
+            assert [(r.tobytes(), v.tobytes()) for r, v in got.dk_log] \
+                == [(r.tobytes(), v.tobytes()) for r, v in want.dk_log]
+            assert any(len(r) for r, _ in got.dk_log)
+
+    @pytest.mark.parametrize("reps", [1, 2, 4])
+    def test_increment_rows_equal_the_broadcast_form(self, reps):
+        rng = np.random.default_rng(23)
+        inc = signed_zeros(rng, rng.standard_normal((reps, 5, 7, 2)))
+        for groups, given in [(g, inc) for g in (reps, 2 * reps, 3 * reps)] + \
+                [(g, inc[0]) for g in (1, 3) if reps == 1]:
+            at = mvsolver._increment_rows(given, groups)
+            for k in (0, 3, 6, 3, 1):
+                want = np.broadcast_to(inc[:, :, k, :], (groups // reps, reps, 5, 2))
+                assert at(k).tobytes() == want.reshape(-1, 2).tobytes()
+
+
 def _batch_cases():
     """name -> (system, batch keywords, keywords of each variant run alone).
 
@@ -1591,11 +1645,13 @@ class TestBatchedEngine:
                                       "planar-penalized-per-group-measure-and-control"])
     def test_one_measure_over_the_batch_is_caught(self, name, monkeypatch):
         # mutation: every group sees the empirical measure of the whole batch
-        def one_measure(system, X, u, t, groups=1):
-            mu = EmpiricalMeasure(X)
-            u = mvsolver._per_row(u, X.shape[0] // groups)
-            return (system.coeffs.drift(X, mu, u, t), system.coeffs.diffusion(X, mu, u, t),
-                    system.oblique(X, mu))
+        def one_measure(system, groups=1):
+            def evaluate(X, u, t):
+                mu = EmpiricalMeasure(X)
+                u = mvsolver._per_row(u, X.shape[0] // groups)
+                return (system.coeffs.drift(X, mu, u, t), system.coeffs.diffusion(X, mu, u, t),
+                        system.oblique(X, mu))
+            return evaluate
 
         monkeypatch.setattr(mvsolver, "_coefficients", one_measure)
         with pytest.raises(AssertionError):

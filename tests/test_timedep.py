@@ -189,6 +189,33 @@ class TestFrame:
         assert not np.allclose(fields["drift"][0](0.3), fields["drift"][0](0.7))
 
 
+    @pytest.mark.parametrize("correction", ["chain-rule", "as-printed"])
+    @pytest.mark.parametrize("name", ["moving_interval", "negated state"])
+    def test_one_d_products_match_the_matmul_form(self, name, correction):
+        # in 1-d the reduction scales by H(t)[0, 0] and adds 0.0 in place of the
+        # 1x1 matrix products and the einsum: the same bytes, signed zeros,
+        # subnormals and infinities included.  The negated state (drift -x, a
+        # per-particle diffusion -x) carries a zero's sign through to the output,
+        # so a product without the + 0.0 leaves -0.0 where the matmul gives +0.0
+        prob = library.make_moving_problem("moving_interval") if name == "moving_interval" \
+            else make_problem(lambda t: np.array([[1.0 + t]]), lambda t: np.array([[1.0]]),
+                              1.0, 2.0, lambda x, mu: -x, lambda x, mu: -x[..., None], [0.5])
+        reduced = reduce_time_dependent(prob, correction=correction)
+        matrix, _, drift, diffusion = formula_reduction(prob, correction)
+        rng = np.random.default_rng(31)
+        xbar = rng.standard_normal((128, 1)) * 10.0 ** rng.integers(-310, 2, (128, 1))
+        xbar[:6, 0] = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]
+        mu = EmpiricalMeasure(xbar[6:])
+        for t in (0.0, 0.3, 1.0):
+            with np.errstate(invalid="ignore"):         # inf * 0.0
+                got = [reduced.oblique(t=t), reduced.coeffs.drift(xbar, mu, None, t),
+                       reduced.coeffs.diffusion(xbar, mu, None, t)]
+                want = [matrix(t).reshape(1), drift(xbar, mu, None, t),
+                        diffusion(xbar, mu, None, t)]
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 class TestLift:
     def test_identity(self):
         hfield = ObliqueField(lambda t: np.eye(1), 1.0, 1.0, 1, time_dependent=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -29,6 +30,7 @@ from .control import (SimConfig, _value_and_dpp, control_family, penalization_la
 from .convexcore import check_yosida_properties
 from .dynamics import validate_lipschitz, validate_oblique
 from .errors import ConfigurationError, DivergenceError, ObliqueMVError
+from .library import _checked
 from .measures import second_moment_sup
 from .mvsolver import (
     NoiseSource,
@@ -40,8 +42,8 @@ from .timedep import equivalence_check
 
 MODES = ("simulate", "converge", "control", "validate", "transform-demo", "properties")
 
-# A draft-07 JSON Schema, one entry per key; ``_checked`` walks it, and the
-# tests check the walk against jsonschema.
+# A draft-07 JSON Schema, one entry per key; ``library._checked`` walks it, and
+# the tests check the walk against jsonschema.
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object", "additionalProperties": False, "required": ["mode", "seed"],
@@ -72,49 +74,6 @@ CONFIG_SCHEMA = {
                                    "inner_replications": {"type": "integer", "minimum": 1}}},
     },
 }
-
-# CONFIG_SCHEMA's types: the Python types of each, and how an error names it
-_TYPES = {"object": (dict, "an object"), "array": (list, "a list"), "string": (str, "a string"),
-          "number": ((int, float), "a number"), "integer": (int, "an integer")}
-
-
-def _checked(value, schema, path=()):
-    """``value`` checked against ``schema``, which uses only CONFIG_SCHEMA's keywords;
-    returned with every integral float on an integer key made an ``int``.
-
-    As under JSON Schema, a bool is never a number and ``2.0`` is an integer; a
-    number key also rejects NaN and infinity.  A ConfigurationError names the key
-    path, such as ``grid/steps``.
-    """
-    kind, need = schema.get("type"), None
-    if kind == "integer" and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind][0])):
-        need = _TYPES[kind][1]
-    elif "enum" in schema and value not in schema["enum"]:
-        need = f"one of {schema['enum']}"
-    elif isinstance(value, float) and not math.isfinite(value):
-        need = "a finite number"
-    elif "minimum" in schema and value < schema["minimum"]:
-        need = f"at least {schema['minimum']}"
-    elif "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        need = f"greater than {schema['exclusiveMinimum']}"
-    elif kind == "array" and len(value) < schema.get("minItems", 0):
-        need = f"a list of at least {schema['minItems']} items"
-    if need:
-        raise ConfigurationError(f"{'/'.join(path) or 'the config'} must be {need}, got {value!r}")
-    if kind == "array":
-        return [_checked(v, schema["items"], path + (str(i),)) for i, v in enumerate(value)]
-    if kind != "object":
-        return value
-    props, closed = schema.get("properties", {}), schema.get("additionalProperties") is False
-    missing = [key for key in schema.get("required", ()) if key not in value]
-    stray = [key for key in value if closed and key not in props]
-    if missing or stray:
-        raise ConfigurationError("/".join(path + ((missing + stray)[0],))
-                                 + (" is required" if missing else " is not a config key"))
-    return {k: _checked(v, props[k], path + (k,)) if k in props else v for k, v in value.items()}
-
 
 # Rows per formatted block of trajectories.csv, in whole particles (one if it has more).
 CSV_CHUNK_ROWS = 4096
@@ -212,8 +171,8 @@ def _failures(*gates):
 
 
 # ---------------------------------------------------------------------------
-# Mode runners: each writes its CSVs through ``out`` and returns its failed
-# probe gates (none means pass)
+# Mode runners, ``_run_<mode>(out, seed, *, <config keys, optional ones with defaults>)``:
+# each writes its CSVs through ``out`` and returns its failed probe gates (none means pass)
 
 
 def _trajectory_blocks(r, ens, times):
@@ -235,13 +194,12 @@ def _trajectory_blocks(r, ens, times):
         yield block.reshape(-1, 2 * m + 4)
 
 
-def _run_simulate(cfg, seed, out):
-    system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
-    g = cfg["grid"]
-    grid = TimeGrid(g["start"], g["end"], g["steps"])
-    eps = cfg.get("epsilon")        # given exactly for the penalized scheme
-    particles = cfg.get("particles", 256)
-    streams = [NoiseSource(seed).for_replication(r) for r in range(cfg.get("replications", 1))]
+def _run_simulate(out, seed, *, system, grid, scheme="projected", epsilon=None,
+                  particles=256, replications=1):
+    system = library.make_system(system["name"], **system.get("params", {}))
+    grid = TimeGrid(grid["start"], grid["end"], grid["steps"])
+    eps = epsilon if scheme == "penalized" else None
+    streams = [NoiseSource(seed).for_replication(r) for r in range(replications)]
     m = system.state_dim
     diag_rows = []
 
@@ -270,18 +228,13 @@ def _run_simulate(cfg, seed, out):
     return []
 
 
-def _run_converge(cfg, seed, out):
-    system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
-    ladder = penalization_ladder(cfg["epsilon_ladder"])
-    g = cfg["grid"]
-    sim = SimConfig(
-        steps=g["steps"], particles=cfg.get("particles", 256),
-        replications=cfg.get("replications", 16), seed=seed,
-    )
-    report = penalization_rate_probe(
-        system, None, ladder, sim, noise=NoiseSource(seed).child(3),
-        horizon=(g["start"], g["end"]),
-    )
+def _run_converge(out, seed, *, system, grid, epsilon_ladder, particles=256, replications=16):
+    system = library.make_system(system["name"], **system.get("params", {}))
+    ladder = penalization_ladder(epsilon_ladder)
+    sim = SimConfig(steps=grid["steps"], particles=particles, replications=replications,
+                    seed=seed)
+    report = penalization_rate_probe(system, None, ladder, sim, noise=NoiseSource(seed).child(3),
+                                     horizon=(grid["start"], grid["end"]))
     out.write_csv(
         "rate_table.csv",
         ["eps_pair_sum", "distance", "stderr", "sup_distance"],
@@ -302,23 +255,17 @@ def _run_converge(cfg, seed, out):
     )
 
 
-def _run_control(cfg, seed, out):
-    prob = library.make_control_problem(
-        cfg["system"]["name"], **cfg["system"].get("params", {})
-    )
-    g = cfg["grid"]
-    if (g["start"], g["end"]) != tuple(prob.horizon):
+def _run_control(out, seed, *, system, grid, particles=128, replications=16, control=None):
+    prob = library.make_control_problem(system["name"], **system.get("params", {}))
+    if (grid["start"], grid["end"]) != tuple(prob.horizon):
         raise ConfigurationError(
-            f"grid: [start, end] = [{g['start']}, {g['end']}] does not match the "
+            f"grid: [start, end] = [{grid['start']}, {grid['end']}] does not match the "
             f"problem horizon [{prob.horizon[0]}, {prob.horizon[1]}]"
         )
-    ctl = cfg.get("control", {})
-    sim = SimConfig(
-        steps=g["steps"], particles=cfg.get("particles", 128),
-        replications=cfg.get("replications", 16), seed=seed,
-        switches=ctl.get("switches", 0), clusters=ctl.get("clusters", 8),
-        inner_replications=ctl.get("inner_replications", 8),
-    )
+    ctl = control or {}
+    sim = SimConfig(steps=grid["steps"], particles=particles, replications=replications,
+                    seed=seed, switches=ctl.get("switches", 0), clusters=ctl.get("clusters", 8),
+                    inner_replications=ctl.get("inner_replications", 8))
     s, t_end = prob.horizon
     tau = ctl.get("tau", 0.5 * (s + t_end))
     est, residual, stderr = _value_and_dpp(prob, tau, sim, noise=NoiseSource(seed),
@@ -328,7 +275,7 @@ def _run_control(cfg, seed, out):
     rows.append(("mc_stderr", est.mc_stderr))
     out.write_csv("value.csv", ["control", "cost"], rows)
 
-    threshold = max(3 * stderr, 5 * (t_end - s) / g["steps"])
+    threshold = max(3 * stderr, 5 * (t_end - s) / grid["steps"])
     failures = _failures(_gate("dpp_residual", residual, high=threshold))
     out.write_csv(
         "dpp.csv",
@@ -338,11 +285,10 @@ def _run_control(cfg, seed, out):
     return failures
 
 
-def _run_validate(cfg, seed, out):
-    system = library.make_system(cfg["system"]["name"], **cfg["system"].get("params", {}))
-    pairs = cfg.get("samples", 2000)
-    lip = validate_lipschitz(system.coeffs, pairs=pairs, seed=seed)
-    obl = validate_oblique(system.oblique, samples=pairs, seed=seed)
+def _run_validate(out, seed, *, system, samples=2000):
+    system = library.make_system(system["name"], **system.get("params", {}))
+    lip = validate_lipschitz(system.coeffs, pairs=samples, seed=seed)
+    obl = validate_oblique(system.oblique, samples=samples, seed=seed)
     d = obl.details
     checks = [  # (check, failure or None, estimate, declared)
         ("lipschitz", None if lip.passed else
@@ -363,13 +309,9 @@ def _run_validate(cfg, seed, out):
     return _failures(*(c[1] for c in checks))
 
 
-def _run_transform(cfg, seed, out):
-    prob = library.make_moving_problem(
-        cfg["system"]["name"], **cfg["system"].get("params", {})
-    )
-    report = equivalence_check(
-        prob, cfg["grid_ladder"], cfg.get("particles", 128), NoiseSource(seed).child(6)
-    )
+def _run_transform(out, seed, *, system, grid_ladder, particles=128):
+    prob = library.make_moving_problem(system["name"], **system.get("params", {}))
+    report = equivalence_check(prob, grid_ladder, particles, NoiseSource(seed).child(6))
     rows = []
     for i, h in enumerate(report.step_sizes):
         for c in report.sup_distances:
@@ -388,13 +330,11 @@ def _run_transform(cfg, seed, out):
     )
 
 
-def _run_properties(cfg, seed, out):
-    constraint = library.constraint_from_config(cfg["constraint"])
-    ladder = cfg.get("epsilon_ladder", [0.1, 0.01, 0.001])
-    samples = cfg.get("samples", 200)
+def _run_properties(out, seed, *, constraint, epsilon_ladder=(0.1, 0.01, 0.001), samples=200):
+    constraint = library.constraint_from_config(constraint)
     rng = np.random.default_rng(seed)
     pts = 2.0 * rng.standard_normal((samples, constraint.dim))
-    report = check_yosida_properties(constraint, ladder, pts)
+    report = check_yosida_properties(constraint, epsilon_ladder, pts)
     checks = [
         (name, viol, _gate(f"property {name}", viol, high=report.tolerance))
         for name, viol in sorted(report.violations.items())
@@ -413,33 +353,32 @@ _RUNNERS = {
     "properties": _run_properties,
 }
 
-# (mode, scheme) -> (keys a config must have, further keys it may have); only
-# simulate takes a scheme.  Every config may also have the _COMMON_KEYS.
-_MODE_KEYS = {
-    ("simulate", "projected"): (("system", "grid"), ("scheme", "particles", "replications")),
-    ("simulate", "penalized"): (("system", "grid", "epsilon"),
-                                ("scheme", "particles", "replications")),
-    ("converge", None): (("system", "grid", "epsilon_ladder"), ("particles", "replications")),
-    ("control", None): (("system", "grid"), ("particles", "replications", "control")),
-    ("validate", None): (("system",), ("samples",)),
-    ("transform-demo", None): (("system", "grid_ladder"), ("particles",)),
-    ("properties", None): (("constraint",), ("epsilon_ladder", "samples")),
-}
+# Keys every config may have; the runner reads all the others.
 _COMMON_KEYS = ("mode", "seed", "output_dir", "threads")
 
 
 def _check_config(cfg):
-    """``_checked(cfg, CONFIG_SCHEMA)``, if it has the keys its mode (and scheme) reads."""
+    """``_checked(cfg, CONFIG_SCHEMA)``, if its keys are its mode's runner's keyword-only
+    parameters (those without a default at least) or common; ``epsilon`` is the
+    penalized scheme's."""
     cfg = _checked(cfg, CONFIG_SCHEMA)
     mode = cfg["mode"]
-    scheme = cfg.get("scheme", "projected") if mode == "simulate" else None
-    required, optional = _MODE_KEYS[mode, scheme]
-    where = f"mode {mode!r}" + (f" where scheme is {scheme!r}" if scheme else "")
+    keys = inspect.signature(_RUNNERS[mode]).parameters.values()
+    required = [p.name for p in keys if p.kind is p.KEYWORD_ONLY and p.default is p.empty]
+    accepted = [p.name for p in keys if p.kind is p.KEYWORD_ONLY] + list(_COMMON_KEYS)
+    where = f"mode {mode!r}"
+    if mode == "simulate":
+        scheme = cfg.get("scheme", "projected")
+        where += f" where scheme is {scheme!r}"
+        if scheme == "penalized":
+            required.append("epsilon")
+        else:
+            accepted.remove("epsilon")
     for key in required:
         if key not in cfg:
             raise ConfigurationError(f"{where} requires config key {key!r}")
     for key in cfg:
-        if key not in required + optional + _COMMON_KEYS:
+        if key not in accepted:
             raise ConfigurationError(f"config key {key!r} is not used by {where}")
     return cfg
 
@@ -455,7 +394,8 @@ def _execute(runner, cfg, seed, outdir):
     out = _Outputs(outdir)
     (outdir / "manifest.json").unlink(missing_ok=True)
     try:
-        return runner(cfg, seed, out), out.written
+        keys = {k: v for k, v in cfg.items() if k not in _COMMON_KEYS}
+        return runner(out, seed, **keys), out.written
     except BaseException:
         for name in out.written:
             (outdir / name).unlink(missing_ok=True)

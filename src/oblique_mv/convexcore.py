@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    BudgetError,
     CertificateError,
     ConfigurationError,
     InfeasibleSetError,
@@ -58,6 +59,8 @@ EPS = np.finfo(float).eps
 BALL_NEWTON_MAX_ITER = 50
 POLYHEDRAL_MAX_ITER = 50
 PROX_MAX_ITER = 2000
+# Bytes of the (n, n) and (n, n, m) arrays check_yosida_properties may hold on n points
+PROPERTY_PAIR_BYTES = 2**30
 # A prox row is done when its distance bound 3 eps |G| is at most this times 1 + |x|.
 PROX_RTOL = 1e-12
 
@@ -670,7 +673,12 @@ def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None)
     if tolerance is None:
         tolerance = TOL_COMPOSITE if constraint.kind == "indicator" else TOL_GRID
 
-    n = pts.shape[0]
+    n, m = pts.shape
+    need = 8 * n * n * (3 * m + 8)      # at most three (n, n, m) and eight (n, n) arrays at once
+    if need > PROPERTY_PAIR_BYTES:
+        raise BudgetError(f"the properties check on {n} points in dimension {m} needs about "
+                          f"{need} bytes of pair arrays, above PROPERTY_PAIR_BYTES = "
+                          f"{PROPERTY_PAIR_BYTES}; use fewer samples")
     grads, vals, resos = {}, {}, {}
     for e in eps_list:
         resos[e] = resolvent(constraint, e, pts)

@@ -3,10 +3,11 @@
 Four tables map a config name to its builder: ``SYSTEMS``,
 ``CONTROL_PROBLEMS``, ``MOVING_PROBLEMS`` and ``CONSTRAINTS`` (one builder
 per constraint ``kind``).  ``_build`` is the one path from a name and its
-parameters to an object, and a problem builder's docstring is its
-description (``describe``).  Declared constants (Lipschitz bounds,
-ellipticity band) are part of the definition and are cross-checked by the
-validators in :mod:`oblique_mv.dynamics`.
+parameters to an object; ``_checked``, which walks the CLI config too, checks
+them.  A problem builder's docstring is its description (``describe``).
+Declared constants (Lipschitz bounds, ellipticity band) are part of the
+definition and are cross-checked by the validators in
+:mod:`oblique_mv.dynamics`.
 """
 
 from __future__ import annotations
@@ -25,26 +26,67 @@ from .measures import sq_norms, w2_to_origin
 from .mvsolver import System
 from .timedep import MovingConstraintProblem
 
+# The schema's types: their Python types, and how an error names each.  From Python,
+# a tuple or a numpy array (not 0-d) is a list too, and a numpy number a number.
+_TYPES = {"object": (dict, "an object"), "array": ((list, tuple, np.ndarray), "a list"),
+          "string": (str, "a string"), "number": (numbers.Real, "a number"),
+          "integer": (numbers.Integral, "an integer")}
 
-def _finite_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+def _checked(value, schema, path=()):
+    """``value`` checked against ``schema``, a JSON Schema with the keywords of
+    ``cli.CONFIG_SCHEMA``; returned with every integral float on an integer key
+    made an ``int``.
+
+    As under JSON Schema, a bool is never a number and ``2.0`` is an integer; a
+    number key also rejects NaN and infinity.  A ConfigurationError names the key
+    path, such as ``grid/steps``, and a stray key's lists the keys accepted there.
+    """
+    kind, need = schema.get("type"), None
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind][0])
+                 or isinstance(value, np.ndarray) and value.ndim == 0):
+        need = _TYPES[kind][1]
+    elif "enum" in schema and value not in schema["enum"]:
+        need = f"one of {schema['enum']}"
+    elif kind == "number" and not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        need = "a finite number"
+    elif "minimum" in schema and value < schema["minimum"]:
+        need = f"at least {schema['minimum']}"
+    elif "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        need = f"greater than {schema['exclusiveMinimum']}"
+    elif kind == "array" and len(value) < schema.get("minItems", 0):
+        need = f"a list of {schema['minItems']} or more items"
+    if need:
+        raise ConfigurationError(f"{'/'.join(path) or 'the config'} must be {need}, got {value!r}")
+    if kind == "array":
+        return [_checked(v, schema["items"], path + (str(i),)) for i, v in enumerate(value)]
+    if kind != "object":
+        return value
+    props, closed = schema.get("properties", {}), schema.get("additionalProperties") is False
+    missing = [key for key in schema.get("required", ()) if key not in value]
+    stray = [key for key in value if closed and key not in props]
+    if missing or stray:
+        why = "is required" if missing else f"is not an accepted key; accepted: {', '.join(props)}"
+        raise ConfigurationError(f"{'/'.join(path + ((missing + stray)[0],))} {why}")
+    return {k: _checked(v, props[k], path + (k,)) if k in props else v for k, v in value.items()}
 
 
-def _param_error(default, value):
-    """Why ``value`` cannot stand in for a builder default, or None if it can.
+# A builder parameter's schema by the type of its default; any other default is a number.
+_PARAM_TYPES = {str: {"type": "string"},
+                tuple: {"type": "array", "minItems": 1, "items": {"type": "number"}}}
 
-    A number default takes a finite number, a tuple default a non-empty
-    list of finite numbers, a string default a string.  A parameter without
-    a default is checked by its builder."""
-    if default is inspect.Parameter.empty:
-        return None
-    if isinstance(default, str):
-        return None if isinstance(value, str) else "a string"
-    if isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) > 0 \
-            and all(_finite_number(v) for v in value)
-        return None if ok else "a non-empty list of finite numbers"
-    return None if _finite_number(value) else "a finite number"
+
+def _param_schema(builder):
+    """The schema of ``builder``'s parameters, read off its defaults; a parameter
+    without a default is required, and its builder checks its value."""
+    params = inspect.signature(builder).parameters
+    return {"type": "object", "additionalProperties": False,
+            "required": [k for k, p in params.items() if p.default is p.empty],
+            "properties": {k: {} if p.default is p.empty else
+                           _PARAM_TYPES.get(type(p.default), {"type": "number"})
+                           for k, p in params.items()}}
 
 
 def _lookup(kind, name, builders):
@@ -61,22 +103,10 @@ def _build(kind, name, builders, params):
     Unknown, missing or ill-typed parameters, and values the builder rejects
     with a ``ValueError`` or ``TypeError``, are configuration errors."""
     builder = _lookup(kind, name, builders)
-    accepted = inspect.signature(builder).parameters
-    unknown = [key for key in params if key not in accepted]
-    if unknown:
-        raise ConfigurationError(
-            f"{kind} {name!r}: unknown parameter {unknown[0]!r}; "
-            f"accepted: {', '.join(accepted)}"
-        )
-    missing = [key for key, p in accepted.items() if p.default is p.empty and key not in params]
-    if missing:
-        raise ConfigurationError(f"{kind} {name!r}: missing parameter {missing[0]!r}")
-    for key, value in params.items():
-        expected = _param_error(accepted[key].default, value)
-        if expected:
-            raise ConfigurationError(
-                f"{kind} {name!r}: parameter {key!r} must be {expected}, got {value!r}"
-            )
+    try:
+        _checked(params, _param_schema(builder))
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{kind} {name!r}: {err}") from None
     try:
         return builder(**params)
     except (TypeError, ValueError) as err:

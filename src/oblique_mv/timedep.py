@@ -121,9 +121,11 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
         inner = base.drift(apply(h, xbar), mu, u, t) + sign * apply(hp, xbar)
         return apply(hi, inner)
 
+    fixed = base._diffusion if isinstance(base._diffusion, np.ndarray) else None  # reads no x
+
     def diffusion(xbar, mu, u, t):
         h, hi, hp = frame(t)
-        g = base.diffusion(apply(h, xbar), mu, u, t)
+        g = fixed if fixed is not None else base.diffusion(apply(h, xbar), mu, u, t)
         if noise_correction:
             g = g + apply(hp, xbar)[..., None]
         if one_d:

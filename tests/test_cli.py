@@ -1,10 +1,13 @@
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
 import math
+import numbers
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oblique_mv
-from oblique_mv import cli, control, library, mvsolver
+from oblique_mv import cli, control, convexcore, library, mvsolver
 from oblique_mv.cli import main, run
 from oblique_mv.control import RateReport
 from oblique_mv.errors import ConfigurationError, DivergenceError, ObliqueMVError
@@ -110,7 +113,9 @@ class TestExitCodes:
         payload = {"mode": mode, "seed": 1, "output_dir": str(tmp_path / "out"),
                    "system": {"name": name, "params": {"sigma": 0.5, "bogus": 1}}, **extra}
         assert run(write_config(tmp_path, payload)) == 2
-        assert "unknown parameter 'bogus'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the message names the builder, the parameter and the accepted ones
+        assert f"{name!r}: bogus is not an accepted key; accepted: " in err and "sigma" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode,name,extra", [
@@ -125,19 +130,20 @@ class TestExitCodes:
                    "system": {"name": name, "params": {"name": 1}}, **extra}
         assert run(write_config(tmp_path, payload)) == 2
         err = capsys.readouterr().err
-        assert "unknown parameter 'name'" in err and "Traceback" not in err
+        assert "name is not an accepted key" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name,params,message", [
-        ("ou", {"x0": "abc"}, "parameter 'x0' must be a finite number, got 'abc'"),
-        ("linear", {"c": []}, "parameter 'c' must be a finite number"),
-        ("ou", {"sigma": True}, "parameter 'sigma' must be a finite number"),
-        ("example31", {"x0": [0.1, None]}, "must be a non-empty list of finite numbers"),
-        ("two_control", {"controls": True}, "must be a non-empty list of finite numbers"),
-        ("two_control", {"ramp": None}, "parameter 'ramp' must be a finite number"),
-        ("two_control", {"cost_shape": 1.0}, "parameter 'cost_shape' must be a string"),
+        ("ou", {"x0": "abc"}, "system 'ou': x0 must be a number, got 'abc'"),
+        ("linear", {"c": []}, "system 'linear': c must be a number, got []"),
+        ("ou", {"sigma": True}, "system 'ou': sigma must be a number, got True"),
+        ("example31", {"x0": [0.1, None]}, "system 'example31': x0/1 must be a number"),
+        ("two_control", {"controls": True}, "'two_control': controls must be a list"),
+        ("two_control", {"controls": []}, "controls must be a list of 1 or more items"),
+        ("two_control", {"ramp": None}, "'two_control': ramp must be a number, got None"),
+        ("two_control", {"cost_shape": 1.0}, "cost_shape must be a string"),
         ("two_control", {"horizon": [0.5]}, "not enough values to unpack"),
-        ("moving_interval", {"outward": ""}, "parameter 'outward' must be a finite number"),
+        ("moving_interval", {"outward": ""}, "'moving_interval': outward must be a number"),
     ])
     def test_ill_typed_system_param_is_config_error(self, tmp_path, capsys, name, params,
                                                      message):
@@ -242,17 +248,20 @@ class TestExitCodes:
         assert f"config key {stray!r} is not used by mode {mode!r}" in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("mode", list(cli.MODES) + ["penalized"])
+    @pytest.mark.parametrize("mode", cli.MODES)
     def test_every_mode_key_has_a_schema_entry(self, mode):
-        scheme = {"simulate": "projected", "penalized": "penalized"}.get(mode)
-        required, optional = cli._MODE_KEYS["simulate" if scheme else mode, scheme]
+        # the runner's keyword-only parameters are the mode's keys
+        params = inspect.signature(cli._RUNNERS[mode]).parameters.values()
+        assert [p.name for p in params if p.kind is not p.KEYWORD_ONLY] == ["out", "seed"]
+        keys = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
         props = cli.CONFIG_SCHEMA["properties"]
-        assert set(required + optional + cli._COMMON_KEYS) <= set(props)
+        assert keys and set(keys + list(cli._COMMON_KEYS)) <= set(props)
+        assert not set(keys) & set(cli._COMMON_KEYS)
         assert set(cli._COMMON_KEYS) >= set(cli.CONFIG_SCHEMA["required"])
 
     @pytest.mark.parametrize("payload,message", [
         ({"mode": "simulate", "seed": -1, "particles": 0, "wibble": 1,
-          "grid": {"start": "a", "steps": 0}}, "wibble is not a config key"),
+          "grid": {"start": "a", "steps": 0}}, "wibble is not an accepted key; accepted: mode, "),
         ({"mode": "nope", "seed": "x", "system": {"params": 3}}, "mode must be one of"),
         ({"seed": 1.5, "epsilon": 0, "control": {"tau": "m", "clusters": 0}},
          "mode is required"),
@@ -266,7 +275,7 @@ class TestExitCodes:
         ({"mode": "simulate", "seed": 1, "grid": {"start": 0, "end": 1}},
          "grid/steps is required"),
         ({"mode": "control", "seed": 1, "control": {"tau": 0.5, "wibble": 1}},
-         "control/wibble is not a config key"),
+         "control/wibble is not an accepted key; accepted: tau, switches, clusters, "),
         ({"mode": "transform-demo", "seed": 1, "grid_ladder": [4, 8.5]},
          "grid_ladder/1 must be an integer, got 8.5"),
     ], ids=["stray_key", "mode_enum", "mode_required", "ladder_item_bound", "not_an_object",
@@ -368,7 +377,8 @@ class TestExitCodes:
         assert run(tmp_path / "absent.json") == 2
 
     def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
-        def broken(cfg, seed, outdir):
+        @functools.wraps(cli._run_properties)       # the mode's keys are its runner's
+        def broken(out, seed, **keys):
             raise KeyError("internal")
 
         monkeypatch.setitem(cli._RUNNERS, "properties", broken)
@@ -381,7 +391,7 @@ class TestExitCodes:
         payload["constraint"] = {"kind": "ball", "center": [0.0, 0.0]}
         assert run(write_config(tmp_path, payload)) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "'radius'" in err
+        assert "config error: constraint 'ball': radius is required" in err
 
     @pytest.mark.parametrize("constraint,key", [
         ({"kind": "ball", "center": [0, 0], "radius": "x"}, "radius"),
@@ -409,6 +419,19 @@ class TestExitCodes:
         assert err.startswith("config error") and "Traceback" not in err
         assert constraint["kind"] in err and key in err
         assert not (tmp_path / "out").exists()
+
+    def test_properties_over_the_pair_budget_is_config_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 50 points in the plane need 8 * 50**2 * (3 * 2 + 8) bytes of pair arrays
+        cfg = write_config(tmp_path, properties_config(tmp_path / "out"))
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 14 - 1)
+        assert run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the properties check on 50 points")
+        assert "PROPERTY_PAIR_BYTES" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 14)
+        assert run(cfg) == 0
 
     def test_quadratic_properties_pass(self, tmp_path):
         """L-BFGS-B ends ABNORMAL at some of these points, each at the prox."""
@@ -699,6 +722,21 @@ class TestAllOrNothing:
         assert "manifest.json" not in left and "trajectories.csv" not in left
         assert left == {"diagnostics.csv": first["diagnostics.csv"]}
 
+    @pytest.mark.parametrize("over", [
+        {"samples": 10}, {"epsilon": 0.1}, {"scheme": "penalized"}, {"grid": None},
+        {"mode": "properties"},
+    ], ids=["stray", "epsilon_projected", "penalized_without_epsilon", "missing", "mode"])
+    def test_key_set_error_leaves_the_previous_run_in_place(self, tmp_path, capsys, over):
+        out = tmp_path / "out"
+        cfg = simulate_config(out, seed=1)
+        assert run(write_config(tmp_path, cfg)) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in first
+        bad = {k: v for k, v in {**cfg, **over}.items() if v is not None}
+        assert run(write_config(tmp_path, bad, "bad.json")) == 2
+        assert "config key" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_divergence_in_a_later_batch_leaves_no_temp_file(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, simulate_config(out, seed=1, replications=3))
@@ -722,7 +760,8 @@ class TestAllOrNothing:
         assert left == {k: v for k, v in first.items() if k != "manifest.json"}
 
     def test_unexpected_error_also_removes_written_files(self, tmp_path, monkeypatch):
-        def broken(cfg, seed, out):
+        @functools.wraps(cli._run_properties)       # the mode's keys are its runner's
+        def broken(out, seed, **keys):
             out.write_csv("partial.csv", ["a"], [(1,)])
             raise KeyError("internal")
 
@@ -915,6 +954,23 @@ OPTIONAL_KEYS = {
 }
 
 
+# The mode key sets written out as a table, an oracle apart from the runners'
+# signatures that the CLI reads them from: (mode, scheme) -> (keys a config must
+# have, further keys it may have); only simulate takes a scheme.  Every config
+# may also have the COMMON_KEYS.
+MODE_KEYS = {
+    ("simulate", "projected"): (("system", "grid"), ("scheme", "particles", "replications")),
+    ("simulate", "penalized"): (("system", "grid", "epsilon"),
+                                ("scheme", "particles", "replications")),
+    ("converge", None): (("system", "grid", "epsilon_ladder"), ("particles", "replications")),
+    ("control", None): (("system", "grid"), ("particles", "replications", "control")),
+    ("validate", None): (("system",), ("samples",)),
+    ("transform-demo", None): (("system", "grid_ladder"), ("particles",)),
+    ("properties", None): (("constraint",), ("epsilon_ladder", "samples")),
+}
+COMMON_KEYS = ("mode", "seed", "output_dir", "threads")
+
+
 @st.composite
 def fuzz_configs(draw):
     """A config valid under CONFIG_SCHEMA, mostly carrying only keys its mode reads.
@@ -922,7 +978,7 @@ def fuzz_configs(draw):
     Sizes stay small: at most 16 steps, 8 particles, 2 replications."""
     mode = draw(st.sampled_from(cli.MODES))
     scheme = draw(OPTIONAL_KEYS["scheme"]) if mode == "simulate" else None
-    required, optional = cli._MODE_KEYS[mode, scheme]
+    required, optional = MODE_KEYS[mode, scheme]
     cfg = {"mode": mode, "seed": draw(_or_float(st.integers(0, 2**32)))}
     if scheme == "penalized" or (scheme and draw(st.booleans())):
         cfg["scheme"] = scheme
@@ -1020,7 +1076,7 @@ def key_set_configs(draw):
     or too many, and values of every type (bools, integral floats, strings, objects)."""
     mode = draw(st.sampled_from(cli.MODES))
     scheme = draw(st.sampled_from(["projected", "penalized"])) if mode == "simulate" else None
-    required, optional = cli._MODE_KEYS[mode, scheme]
+    required, optional = MODE_KEYS[mode, scheme]
     props = cli.CONFIG_SCHEMA["properties"]
     keys = ["seed", *required, *(key for key in optional + ("output_dir", "threads")
                                  if key != "scheme" and draw(st.booleans()))]
@@ -1052,14 +1108,14 @@ FINITE_NUMBERS = _draft7_where("number",
 
 def jsonschema_and_mode_keys_accept(cfg):
     """The oracle: ``jsonschema.validate`` against CONFIG_SCHEMA, then the key sets of
-    ``cli._MODE_KEYS``."""
+    ``MODE_KEYS``."""
     try:
         jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
     except jsonschema.ValidationError:
         return False
     scheme = cfg.get("scheme", "projected") if cfg["mode"] == "simulate" else None
-    required, optional = cli._MODE_KEYS[cfg["mode"], scheme]
-    return set(required) <= set(cfg) <= set(required + optional + cli._COMMON_KEYS)
+    required, optional = MODE_KEYS[cfg["mode"], scheme]
+    return set(required) <= set(cfg) <= set(required + optional + COMMON_KEYS)
 
 
 class TestConfigCheck:
@@ -1086,3 +1142,94 @@ class TestConfigCheck:
     @settings(max_examples=200)
     def test_fuzz_corpus(self, cfg):
         self.check_against_the_oracle(cfg)
+
+
+def _finite_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def param_error(default, value):
+    """The builder check as it was before builder parameters went through the schema
+    walk, kept as an oracle: why ``value`` cannot stand in for ``default``, or None."""
+    if default is inspect.Parameter.empty:
+        return None
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) > 0 \
+            and all(_finite_number(v) for v in value)
+        return None if ok else "a non-empty list of finite numbers"
+    return None if _finite_number(value) else "a finite number"
+
+
+def param_error_accepts(builder, params):
+    accepted = inspect.signature(builder).parameters
+    return (all(key in accepted for key in params)
+            and all(key in params for key, p in accepted.items() if p.default is p.empty)
+            and all(param_error(accepted[key].default, v) is None for key, v in params.items()))
+
+
+BUILDERS = {**library.SYSTEMS, **library.CONTROL_PROBLEMS, **library.MOVING_PROBLEMS,
+            **library.CONSTRAINTS}
+# what the Python API may pass besides JSON values: numpy scalars (bools, NaN and
+# infinity among them), tuples and numpy arrays of one or two axes
+NUMPY_SCALARS = st.sampled_from([np.float64(1.5), np.float32(-2.0), np.int64(3), np.bool_(True),
+                                 np.float64(math.nan), np.float32(math.inf), np.int8(-1)])
+NUMPY_ARRAYS = st.one_of(
+    st.lists(st.floats(-2, 2), max_size=3).map(np.array),
+    st.lists(st.floats(), min_size=1, max_size=3).map(np.array),
+    st.lists(st.one_of(st.floats(-2, 2), st.none()), min_size=1, max_size=2)
+    .map(lambda v: np.array(v, dtype=object)),
+    st.integers(1, 2).map(lambda n: np.ones((n, 2))))
+API_VALUES = st.recursive(
+    st.one_of(ANY_JSON, PARAM_VALUES, NUMPY_SCALARS, NUMPY_ARRAYS,
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=5)
+
+
+@st.composite
+def builder_params(draw):
+    name = draw(st.sampled_from(sorted(BUILDERS)))
+    keys = list(inspect.signature(BUILDERS[name]).parameters) + ["bogus", "name"]
+    return name, draw(st.fixed_dictionaries({}, optional={key: API_VALUES for key in keys}))
+
+
+class TestBuilderCheck:
+    @given(drawn=builder_params())
+    @settings(max_examples=600)
+    def test_accepts_what_the_param_error_oracle_accepts(self, drawn):
+        """The schema walk of a builder's parameters accepts exactly what the old
+        signature check accepted, JSON and Python-API values alike, and a rejection
+        names a parameter."""
+        name, params = drawn
+        builder = BUILDERS[name]
+        try:
+            library._checked(params, library._param_schema(builder))
+            accepted = True
+        except ConfigurationError as err:
+            accepted = False
+            named = str(err).split(" ", 1)[0].split("/", 1)[0]
+            assert named in set(params) | set(inspect.signature(builder).parameters)
+        assert accepted == param_error_accepts(builder, params)
+
+    @pytest.mark.parametrize("make,name,params", [
+        (library.make_control_problem, "two_control", {"controls": np.array([-1.0, 1.0])}),
+        (library.make_control_problem, "two_control", {"horizon": (0.0, 2.0), "ramp": 0.5}),
+        (library.make_system, "example31", {"x0": np.float32([0.1, 0.0]),
+                                            "radius": np.int64(2)}),
+        (library.make_system, "ou", {"theta": np.float64(0.5), "sigma": 1}),
+    ])
+    def test_python_api_values_build(self, make, name, params):
+        make(name, **params)
+
+    @pytest.mark.parametrize("params,message", [
+        ({"controls": np.array(1.0)}, "controls must be a list, got array(1.)"),
+        ({"ramp": np.bool_(True)}, "ramp must be a number, got "),
+        ({"ramp": np.float64(math.nan)}, "ramp must be a finite number, got "),
+        ({"controls": (1.0, math.inf)}, "controls/1 must be a finite number, got inf"),
+    ])
+    def test_python_api_values_rejected(self, params, message):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"control problem 'two_control': {message}")):
+            library.make_control_problem("two_control", **params)

@@ -16,7 +16,8 @@ from oblique_mv.convexcore import (
     yosida_gradient,
     yosida_value,
 )
-from oblique_mv.errors import CertificateError, ConfigurationError, InfeasibleSetError, StepError
+from oblique_mv.errors import (BudgetError, CertificateError, ConfigurationError,
+                               InfeasibleSetError, StepError)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -332,6 +333,20 @@ class TestYosidaProperties:
         pts = 2.0 * np.random.default_rng(0).standard_normal((200, 2))
         report = check_yosida_properties(tri, [0.1, 0.01, 0.001], pts)
         assert report.passed, report.failing()
+
+    def test_pair_arrays_over_the_budget_raise_before_any_exists(self, monkeypatch):
+        # 30 points in the plane: 8 * 30**2 * (3 * 2 + 8) bytes of pair arrays
+        pts = 2.0 * np.random.default_rng(1).standard_normal((30, 2))
+        need = 8 * 30 * 30 * 14
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", need - 1)
+        # a resolvent that fails would show the check ran past the estimate
+        monkeypatch.setattr(convexcore, "resolvent", None)
+        with pytest.raises(BudgetError, match=f"30 points in dimension 2 needs about {need} "
+                                              f"bytes .* PROPERTY_PAIR_BYTES = {need - 1}"):
+            check_yosida_properties(HALF_SPACE, [0.1, 0.01], pts)
+        monkeypatch.undo()
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", need)
+        assert check_yosida_properties(HALF_SPACE, [0.1, 0.01], pts).passed
 
     def test_exact_trivial_cases(self):
         # monotonicity on an identical pair and the sandwich at the origin

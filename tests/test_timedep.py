@@ -215,6 +215,17 @@ class TestFrame:
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("correction", ["chain-rule", "as-printed"])
+    def test_an_array_diffusion_is_handed_on_without_a_call(self, monkeypatch, correction):
+        # moving_interval's diffusion is an array, which reads no state: the
+        # reduction neither forms H(t) xbar for it nor calls the base field
+        prob = library.make_moving_problem("moving_interval")
+        reduced = reduce_time_dependent(prob, correction=correction)
+        xbar = np.linspace(0.0, 1.0, 4)[:, None]
+        want = reduced.coeffs.diffusion(xbar, None, None, 0.5)
+        monkeypatch.setattr(prob.coeffs, "diffusion", None)
+        assert reduced.coeffs.diffusion(xbar, None, None, 0.5).tobytes() == want.tobytes()
+
 
 class TestLift:
     def test_identity(self):

@@ -231,9 +231,8 @@ def _run_simulate(out, seed, *, system, grid, scheme="projected", epsilon=None,
 def _run_converge(out, seed, *, system, grid, epsilon_ladder, particles=256, replications=16):
     system = library.make_system(system["name"], **system.get("params", {}))
     ladder = penalization_ladder(epsilon_ladder)
-    sim = SimConfig(steps=grid["steps"], particles=particles, replications=replications,
-                    seed=seed)
-    report = penalization_rate_probe(system, None, ladder, sim, noise=NoiseSource(seed).child(3),
+    sim = SimConfig(steps=grid["steps"], particles=particles, replications=replications, seed=seed)
+    report = penalization_rate_probe(system, None, ladder, sim,
                                      horizon=(grid["start"], grid["end"]))
     out.write_csv(
         "rate_table.csv",
@@ -268,7 +267,7 @@ def _run_control(out, seed, *, system, grid, particles=128, replications=16, con
                     inner_replications=ctl.get("inner_replications", 8))
     s, t_end = prob.horizon
     tau = ctl.get("tau", 0.5 * (s + t_end))
-    est, residual, stderr = _value_and_dpp(prob, tau, sim, noise=NoiseSource(seed),
+    est, residual, stderr = _value_and_dpp(prob, tau, sim,
                                            family=control_family(prob, sim.switches))
     rows = [(str(k), v) for k, v in est.per_control.items()]
     rows.append(("minimum", est.value))

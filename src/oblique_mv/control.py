@@ -155,20 +155,13 @@ class RegularityReport:
 def cost(ensemble, control, costs):
     """Trapezoidal running cost plus terminal cost, averaged over particles.
 
-    ``control`` is a ControlPath or a per-node value array matching the
-    ensemble grid.
+    ``control`` is None (no control) or one value per node of the ensemble grid.
     """
     grid = ensemble.grid
-    if isinstance(control, ControlPath):
-        u_nodes = control.per_step(grid)
-    elif control is None:
-        u_nodes = np.zeros(grid.steps + 1)
-    else:
-        u_nodes = np.asarray(control, dtype=float)
-        if u_nodes.ndim == 0:
-            u_nodes = np.full(grid.steps + 1, float(u_nodes))
-        elif u_nodes.size == grid.steps:
-            u_nodes = np.append(u_nodes, u_nodes[-1])
+    u_nodes = np.zeros(grid.steps + 1) if control is None else np.asarray(control, dtype=float)
+    if u_nodes.shape != (grid.steps + 1,):
+        raise ConfigurationError(f"control has shape {u_nodes.shape}, not one value per "
+                                 f"grid node ({grid.steps + 1},)")
     states = ensemble.states
     z = np.empty(states.shape[:2])
     for k in range(states.shape[1]):
@@ -505,36 +498,27 @@ class _LadderGaps:
         np.maximum(self.sup, gap, out=self.sup)
 
 
-def penalization_rate_probe(prob, control, eps_ladder, cfg, noise=None,
-                            horizon=None):
+def penalization_rate_probe(system, control, eps_ladder, cfg, noise=None, *, horizon):
     """Fit the decay of the coupled distance between smoothing levels.
 
     Consecutive ladder pairs are coupled through shared increments, so the
     measured distance isolates the smoothing error.  The primary fit is on
     the time-integrated squared distance ``E int |x^eps - x^eps'|^2 dt``
     (the norm in which the family is Cauchy); the pathwise-sup variant is
-    reported in ``extras``.  ``prob`` may be a control problem (with
-    ``control`` fixed) or a bare system plus an explicit horizon.
+    reported in ``extras``.  The run is on ``horizon = (s, T)`` in
+    ``cfg.steps`` steps; ``control`` is None or one value per grid node.
     """
     ladder = penalization_ladder(eps_ladder)
     if noise is None:
         noise = NoiseSource(cfg.seed).child(3)
-    if isinstance(prob, ControlProblem):
-        system, horizon = prob.system, prob.horizon
-    else:
-        system = prob
-        if horizon is None:
-            raise ConfigurationError("a bare system needs an explicit horizon")
     grid = TimeGrid(horizon[0], horizon[1], cfg.steps)
-    ctrl_steps = control.per_step(grid) if isinstance(control, ControlPath) \
-        else control
 
     L, R, N = len(ladder), cfg.replications, cfg.particles
     # (replications, len - 1, N), C order as the means below expect
     per_rep, per_rep_sup = np.empty((R, L - 1, N)), np.empty((R, L - 1, N))
     streams = [noise.for_replication(r) for r in range(R)]
     for chunk, gaps in _stream_batches(system, grid, N, streams, variants=L, eps=ladder,
-                                       control=ctrl_steps, observer=lambda: _LadderGaps(L)):
+                                       control=control, observer=lambda: _LadderGaps(L)):
         per_rep[chunk] = (gaps.sq_sum.reshape(L - 1, -1, N) * grid.h).transpose(1, 0, 2)
         per_rep_sup[chunk] = (gaps.sup.reshape(L - 1, -1, N) ** 2).transpose(1, 0, 2)
     dists = per_rep.mean(axis=(0, 2))

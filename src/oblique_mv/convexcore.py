@@ -647,13 +647,14 @@ class PropertyReport:
 
     @property
     def passed(self):
-        return all(v <= self.tolerance for v in self.violations.values())
+        return not self.failing()
 
     def failing(self):
-        return {k: v for k, v in self.violations.items() if v > self.tolerance}
+        """The violations above the tolerance, and the NaN ones."""
+        return {k: v for k, v in self.violations.items() if not v <= self.tolerance}
 
 
-def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None):
+def check_yosida_properties(constraint, eps_list, sample_points):
     """Evaluate the seven envelope properties on all sample/eps pairs.
 
     Properties checked, with Pi the constraint, G = grad of the envelope and
@@ -665,16 +666,18 @@ def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None)
       e: <G_e x - G_e' y, x - y> >= -(e + e') <G_e x, G_e' y>
       f: envelope(0) = 0 <= envelope(x), J 0 = 0, G 0 = 0
       g: eps/2 |G x|^2 <= envelope(x) <= <G x, x>
+
+    A violation is the largest over the pairs, NaN if any is NaN; the tolerance
+    is TOL_COMPOSITE for an indicator constraint, TOL_GRID otherwise.
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     eps_list = tuple(float(e) for e in eps_list)
     for e in eps_list:
         _check_eps(e)
-    if tolerance is None:
-        tolerance = TOL_COMPOSITE if constraint.kind == "indicator" else TOL_GRID
+    tolerance = TOL_COMPOSITE if constraint.kind == "indicator" else TOL_GRID
 
     n, m = pts.shape
-    need = 8 * n * n * (3 * m + 8)      # at most three (n, n, m) and eight (n, n) arrays at once
+    need = 8 * n * n * (2 * m + 4)      # at most two (n, n, m) and four (n, n) arrays at once
     if need > PROPERTY_PAIR_BYTES:
         raise BudgetError(f"the properties check on {n} points in dimension {m} needs about "
                           f"{need} bytes of pair arrays, above PROPERTY_PAIR_BYTES = "
@@ -694,38 +697,42 @@ def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None)
 
     dx = pts[:, None, :] - pts[None, :, :]
     dist_x = np.linalg.norm(dx, axis=-1)
+    dg = np.empty_like(dx)      # G_i - G_j, reused: (d) reads dg * dx, then (c) dg * dg
 
     viol = {k: 0.0 for k in "abcdefg"}
+
+    def worse(k, *found):       # max(viol[k], *found), but a NaN is kept
+        for v in found:
+            viol[k] = float(np.maximum(v, viol[k]))
+
     zero = np.zeros(constraint.dim)
     for e in eps_list:
         G, V, J = grads[e], vals[e], resos[e]
         pij = np.atleast_1d(constraint.value(J, feasibility_band=TOL_GEOM))
         pij = np.where(np.isfinite(pij), pij, 0.0)
 
-        viol["a"] = max(viol["a"], float(np.max(np.abs(V - 0.5 * e * np.sum(G * G, -1) - pij))))
+        worse("a", np.max(np.abs(V - 0.5 * e * np.sum(G * G, -1) - pij)))
 
         # b: <G_i, v_p - J_i> + Pi(J_i) - Pi(v_p) <= 0
-        cross = probes @ G.T - np.sum(J * G, axis=1)[None, :]
-        slack = cross + pij[None, :] - probe_vals[:, None]
-        viol["b"] = max(viol["b"], float(np.max(np.maximum(slack, 0.0), initial=0.0)))
+        worse("b", np.max(np.maximum(probes @ G.T - np.sum(J * G, axis=1)[None, :]
+                                     + pij[None, :] - probe_vals[:, None], 0.0), initial=0.0))
 
-        dg = G[:, None, :] - G[None, :, :]
-        viol["c"] = max(
-            viol["c"],
-            float(np.max(np.linalg.norm(dg, axis=-1) - dist_x / e)),
-        )
-        mono = np.sum(dg * dx, axis=-1)
-        viol["d"] = max(viol["d"], float(np.max(-mono, initial=0.0)))
+        np.subtract(G[:, None, :], G[None, :, :], out=dg)
+        worse("d", np.max(-np.sum(np.multiply(dg, dx, out=dg), axis=-1), initial=0.0))
+        np.square(np.subtract(G[:, None, :], G[None, :, :], out=dg), out=dg)
+        gap = np.sqrt(np.add.reduce(dg, axis=-1))       # |dg|, as np.linalg.norm sums it
+        worse("c", np.max(np.subtract(gap, dist_x / e, out=gap)))
+        del gap
 
         g0 = np.linalg.norm(yosida_gradient(constraint, e, zero))
         j0 = np.linalg.norm(resolvent(constraint, e, zero))
         v0 = abs(yosida_value(constraint, e, zero))
-        viol["f"] = max(viol["f"], float(g0), float(j0), float(v0),
-                        float(np.max(-V, initial=0.0)))
+        worse("f", g0, j0, v0, np.max(-V, initial=0.0))
 
         lower = 0.5 * e * np.sum(G * G, -1) - V
         upper = V - np.sum(G * pts, -1)
-        viol["g"] = max(viol["g"], float(np.max(lower)), float(np.max(upper)))
+        worse("g", np.max(lower), np.max(upper))
+    del dx, dist_x, dg
 
     for e1 in eps_list:
         for e2 in eps_list:
@@ -733,9 +740,8 @@ def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None)
             a1 = np.sum(G1 * pts, axis=1)
             a2 = np.sum(G2 * pts, axis=1)
             lhs = a1[:, None] - G1 @ pts.T - (G2 @ pts.T).T + a2[None, :]
-            inner = G1 @ G2.T
-            slack = -(lhs + (e1 + e2) * inner)
-            viol["e"] = max(viol["e"], float(np.max(np.maximum(slack, 0.0))))
+            lhs += (e1 + e2) * (G1 @ G2.T)
+            worse("e", np.max(np.maximum(-lhs, 0.0)))
 
     return PropertyReport(viol, tolerance, n, eps_list)
 
@@ -744,17 +750,17 @@ def check_yosida_properties(constraint, eps_list, sample_points, tolerance=None)
 # Normal-cone diagnostics and interior estimates
 
 
-def normal_cone_residual(constraint, x, u, probes, feasibility_tol=TOL_COMPOSITE):
+def normal_cone_residual(constraint, x, u, probes):
     """Residual of the variational inequality <u, v - x> <= 0 over probes.
 
-    Returns +inf when x itself lies outside the set beyond tolerance; probes
+    Returns +inf when x itself lies outside the set beyond TOL_COMPOSITE; probes
     are expected to be feasible points.
     """
     if not constraint.has_indicator():
         raise ConfigurationError("normal cone checks require an indicator constraint")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if constraint.distance(x) > feasibility_tol:
+    if constraint.distance(x) > TOL_COMPOSITE:
         return np.inf
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     raw = float(np.max((probes - x) @ u, initial=0.0))

@@ -652,7 +652,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         if feasibility_band is None else feasibility_band
 
     residual = np.zeros((N, m))
-    eq_worst = 0.0
+    eq_worst = 0.0      # np.maximum(new, old): max(old, new), but a NaN is kept
     evaluate = _coefficients(system)
     for k in range(steps):
         fk, gk, Hk = evaluate(ensemble.states[:, k, :], _control_value(ensemble.control, k),
@@ -660,7 +660,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
         Hdk = convexcore._times(Hk, dK[:, k, :], system.oblique.diagonal)
         residual = residual + Hdk - h * fk - _gdb(gk, ensemble.increments[:, k, :])
         node_res = ensemble.states[:, k + 1, :] - ensemble.states[:, 0, :] + residual
-        eq_worst = max(eq_worst, float(np.max(np.sqrt(sq_norms(node_res)))))
+        eq_worst = float(np.maximum(np.max(np.sqrt(sq_norms(node_res))), eq_worst))
 
     # subdifferential inequality against probe paths.  The sums over time
     # run on C-ordered (N, steps, ...) arrays, so their summation order, and
@@ -682,7 +682,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
             continue
         pairing = np.einsum("nkm,nkm->n", np.subtract(y[None, :, :], post, order="C"), dK)
         value = pairing + x_term - h * np.sum(pi_y)
-        ineq = max(ineq, float(np.max(value)))
+        ineq = float(np.maximum(np.max(value), ineq))
 
     return SolutionDiagnostics(
         equation_residual=eq_worst,

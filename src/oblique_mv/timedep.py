@@ -240,10 +240,9 @@ class ConvergenceReport:
         return all(b < a for a, b in zip(d, d[1:]))
 
 
-def equivalence_check(prob, step_ladder, particles, noise,
-                      corrections=CORRECTIONS):
-    """Solve reduced systems over a grid ladder and compare with the direct
-    moving-interval dynamics under a shared Brownian path.
+def equivalence_check(prob, step_ladder, particles, noise):
+    """Solve the reduced system of each of ``CORRECTIONS`` over a grid ladder and
+    compare with the direct moving-interval dynamics under a shared Brownian path.
 
     Increments are drawn on the finest grid and block-summed for coarser
     levels, so distances across the ladder reflect discretization alone.
@@ -273,16 +272,16 @@ def equivalence_check(prob, step_ladder, particles, noise,
     hs = np.array([prob.hfield(t=t) for t in times])
     his = _inverses_spd(hs)
     frame = _frames(prob, dict(zip(times, zip(hs, his))))
-    reduced = {c: _reduce(prob, c, frame) for c in corrections}
-    distances = {c: [] for c in corrections}
-    feasibility = {c: [] for c in corrections}
+    reduced = {c: _reduce(prob, c, frame) for c in CORRECTIONS}
+    distances = {c: [] for c in CORRECTIONS}
+    feasibility = {c: [] for c in CORRECTIONS}
     direct_one_d = prob.coeffs.state_dim == 1 and isinstance(prob.base_set.geometry, Box)
     for grid in grids:
         at = np.searchsorted(times, grid.times)     # each level's nodes in the stack
         inc = fine_inc.reshape(N, grid.steps, finest // grid.steps, -1).sum(axis=2)
         if direct_one_d:
             direct = simulate_moving_interval(prob, grid, N, noise, inc, hs[at])
-        for c in corrections:
+        for c in CORRECTIONS:
             run = _simulate(reduced[c], grid, N, noise, increments=inc)[0]
             lifted = _lift(run.states, hs[at])
             gaps = _moving_gaps(lifted, hs[at], his[at], prob.base_set, prob.hfield.b_h)

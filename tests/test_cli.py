@@ -24,6 +24,7 @@ import oblique_mv
 from oblique_mv import cli, control, convexcore, library, mvsolver
 from oblique_mv.cli import main, run
 from oblique_mv.control import RateReport
+from oblique_mv.dynamics import ValidationReport
 from oblique_mv.errors import ConfigurationError, DivergenceError, ObliqueMVError
 from oblique_mv.timedep import ConvergenceReport
 
@@ -422,15 +423,15 @@ class TestExitCodes:
 
     def test_properties_over_the_pair_budget_is_config_error(self, tmp_path, capsys,
                                                              monkeypatch):
-        # 50 points in the plane need 8 * 50**2 * (3 * 2 + 8) bytes of pair arrays
+        # 50 points in the plane need 8 * 50**2 * (2 * 2 + 4) bytes of pair arrays
         cfg = write_config(tmp_path, properties_config(tmp_path / "out"))
-        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 14 - 1)
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 8 - 1)
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: the properties check on 50 points")
         assert "PROPERTY_PAIR_BYTES" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
-        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 14)
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 8)
         assert run(cfg) == 0
 
     def test_quadratic_properties_pass(self, tmp_path):
@@ -697,6 +698,22 @@ class TestArrayWriter:
         blocks = np.split(table, [cli.CSV_CHUNK_ROWS])
         assert "".join(map(cli._block_lines, blocks)) == expected
 
+    def test_a_simulate_run_sizes_its_trajectory_rows(self, tmp_path, monkeypatch):
+        # len() of the rows handed to the writer, which a caller may read without
+        # iterating them, is the number of rows written
+        sized, write = {}, cli.write_csv
+
+        def sizing(path, header, rows):
+            sized[Path(path).name] = len(rows)
+            write(path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", sizing)
+        out = tmp_path / "out"
+        cfg = simulate_config(out, grid={"start": 0.0, "end": 0.5, "steps": 4}, particles=3)
+        assert run(write_config(tmp_path, cfg)) == 0
+        written = len((out / "trajectories.csv").read_text().splitlines()) - 1
+        assert sized["trajectories.csv"] == written == 2 * 3 * 5
+
 
 class TestAllOrNothing:
     def test_failed_rerun_leaves_no_manifest_and_none_of_its_files(self, tmp_path,
@@ -782,8 +799,12 @@ def fake_equivalence(*args, **kwargs):
                              feasibility={"chain-rule": [0.0, 0.0]})
 
 
-def fake_value_and_dpp(prob, tau, cfg, noise, family):
-    return control.value(prob, cfg, noise=noise.child(1), family=family), 1.0, 0.01
+def fake_value_and_dpp(prob, tau, cfg, family):
+    return control.value(prob, cfg, family=family), 1.0, 0.01
+
+
+def fake_lipschitz(fld, pairs, seed):
+    return ValidationReport("lipschitz", False, 2.5, fld.lipschitz)
 
 
 class TestVerdicts:
@@ -800,6 +821,8 @@ class TestVerdicts:
         ("transform-demo", {"equivalence_check": fake_equivalence},
          {"system": {"name": "moving_interval"}, "grid_ladder": [4, 8]},
          "chain-rule sup_distance not decreasing along the grid ladder"),
+        ("validate", {"validate_lipschitz": fake_lipschitz},
+         {"system": {"name": "ou"}, "samples": 20}, "lipschitz 2.5 above declared 1"),
     ])
     def test_failed_probe_names_its_gate(self, tmp_path, monkeypatch, capsys, mode, patch,
                                          payload, verdict):
@@ -1082,8 +1105,9 @@ def key_set_configs(draw):
                                  if key != "scheme" and draw(st.booleans()))]
     if _now_and_then(draw):
         keys.remove(draw(st.sampled_from(keys)))
-    if _now_and_then(draw):
-        keys.append(draw(st.sampled_from(sorted(props) + ["wibble"])))
+    if _now_and_then(draw):     # a key the mode and scheme do not take
+        stray = set(props) - {*required, *optional, *COMMON_KEYS}
+        keys.append(draw(st.sampled_from(sorted(stray) + ["wibble"])))
     cfg = {"mode": draw(st.sampled_from(["nope", True, None, *cli.MODES]))
            if _now_and_then(draw) else mode}
     if scheme == "penalized" or (scheme and draw(st.booleans())):
@@ -1137,6 +1161,26 @@ class TestConfigCheck:
     @settings(max_examples=600)
     def test_accepts_what_jsonschema_and_the_mode_keys_accept(self, cfg):
         self.check_against_the_oracle(cfg)
+
+    @pytest.mark.parametrize("mode, scheme", list(MODE_KEYS))
+    def test_each_key_added_or_dropped(self, mode, scheme):
+        """Every mode rule, seen without luck: a valid config of the mode and scheme
+        with each schema key added in turn, and with each required key dropped."""
+        valid = {"seed": 0, "output_dir": "out", "threads": 1, "system": {"name": "ou"},
+                 "grid": {"start": 0.0, "end": 1.0, "steps": 4}, "grid_ladder": [4, 8],
+                 "particles": 4, "replications": 1, "scheme": "projected", "epsilon": 0.1,
+                 "epsilon_ladder": [0.1], "constraint": {"kind": "ball"}, "samples": 4,
+                 "control": {}}
+        assert set(valid) | {"mode"} == set(cli.CONFIG_SCHEMA["properties"])
+        required, _ = MODE_KEYS[mode, scheme]
+        base = {"mode": mode, **{key: valid[key] for key in ("seed", *required)}}
+        if scheme:
+            base["scheme"] = scheme
+        assert jsonschema_and_mode_keys_accept(base)
+        for key in valid:
+            self.check_against_the_oracle({key: valid[key], **base})
+        for key in required:
+            self.check_against_the_oracle({k: v for k, v in base.items() if k != key})
 
     @given(cfg=fuzz_configs())
     @settings(max_examples=200)

@@ -168,6 +168,27 @@ class TestControlPath:
             control_family(big, 4)
 
 
+class TestControlProblemChecks:
+    def test_a_bad_problem_names_its_fault(self):
+        prob = library.make_control_problem("two_control")
+        sys_ = prob.system
+        with pytest.raises(ConfigurationError, match="^the control set must be nonempty$"):
+            ControlProblem(sys_, prob.costs, (), prob.horizon)
+        for horizon in ((1.0, 1.0), (1.0, 0.5)):
+            with pytest.raises(ConfigurationError, match="^horizon must satisfy s < T$"):
+                ControlProblem(sys_, prob.costs, prob.control_set, horizon)
+        uncontrolled = System(CoefficientField(lambda x, mu: -x, [[0.5]], 1.0, 1, 1,
+                                               uses_measure=False, normalized=False),
+                              sys_.oblique, sys_.constraint, sys_.x0)
+        with pytest.raises(ConfigurationError,
+                           match="^coefficients must accept a control argument$"):
+            ControlProblem(uncontrolled, prob.costs, prob.control_set, prob.horizon)
+
+    def test_an_unknown_cost_shape_is_named(self):
+        with pytest.raises(ConfigurationError, match="^unknown cost_shape 'cubic'$"):
+            library.make_control_problem("two_control", cost_shape="cubic")
+
+
 class TestCost:
     def test_zero_costs(self):
         prob = deterministic_problem()
@@ -210,6 +231,20 @@ class TestCost:
         )
         twice, _ = cost(ens, np.full(65, -1.0), doubled)
         assert twice == pytest.approx(2.0 * base, rel=1e-14)
+
+    @pytest.mark.parametrize("control", [-1.0, np.full(64, -1.0), np.full(66, -1.0),
+                                         np.full((1, 65), -1.0)],
+                             ids=["scalar", "steps_long", "too_long", "two_d"])
+    def test_control_other_than_one_value_per_node_rejected(self, control):
+        prob = library.make_control_problem("two_control")
+        grid = TimeGrid(0.0, 1.0, 64)
+        ens = simulate_projected(prob.system, grid, 4, NoiseSource(1),
+                                 control=np.full(65, -1.0))
+        shape = np.shape(control)
+        with pytest.raises(ConfigurationError,
+                           match=rf"control has shape \({', '.join(map(str, shape))},?\), "
+                                 r"not one value per grid node \(65,\)"):
+            cost(ens, control, prob.costs)
 
 
 class TestValue:
@@ -432,8 +467,28 @@ class TestProbes:
     def test_rate_probe_needs_three_levels(self):
         prob = library.make_control_problem("two_control")
         cfg = SimConfig(steps=128, particles=8, replications=2, seed=11)
-        with pytest.raises(ConfigurationError):
-            penalization_rate_probe(prob, ControlPath((-1.0,)), [0.1, 0.05], cfg)
+        with pytest.raises(ConfigurationError, match="at least 3 levels, got 2"):
+            penalization_rate_probe(prob.system, None, [0.1, 0.05], cfg, horizon=prob.horizon)
+
+    def test_rate_probe_horizon_is_a_required_keyword(self):
+        sys_ = library.make_system("ou")
+        cfg = SimConfig(steps=16, particles=4, replications=2, seed=11)
+        with pytest.raises(TypeError, match="horizon"):
+            penalization_rate_probe(sys_, None, [0.1, 0.05, 0.025], cfg)
+        with pytest.raises(TypeError):
+            penalization_rate_probe(sys_, None, [0.1, 0.05, 0.025], cfg, None, (0.0, 1.0))
+
+    def test_rate_probe_under_a_per_node_control(self):
+        # the per-node array of a control path runs as the path itself would
+        prob = library.make_control_problem("two_control")
+        cfg = SimConfig(steps=32, particles=8, replications=2, seed=11)
+        grid = TimeGrid(*prob.horizon, cfg.steps)
+        path = ControlPath((-1.0, 1.0), (0.5,))
+        report = penalization_rate_probe(prob.system, path.per_step(grid), [0.1, 0.05, 0.025],
+                                         cfg, horizon=prob.horizon)
+        flat = penalization_rate_probe(prob.system, np.full(33, -1.0), [0.1, 0.05, 0.025],
+                                       cfg, horizon=prob.horizon)
+        assert report.ys != flat.ys
 
     def test_rate_probe_degenerate_without_reflection(self):
         # start deep inside with reverting drift: the constraint never binds
@@ -460,6 +515,15 @@ class TestProbes:
         report = value_rate_probe(prob, [2**-3, 2**-4, 2**-5], cfg)
         assert report.slope > 0
         assert len(report.ys) == 3
+
+    def test_value_rate_probe_degenerate_without_reflection(self):
+        # no noise, and both controls drive the state up from 5 towards 2u: the
+        # half-line never binds, so every level's value equals the projected one
+        prob = deterministic_problem(x0=5.0, controls=(1.0, 2.0))
+        cfg = SimConfig(steps=32, particles=2, replications=2, seed=14)
+        report = value_rate_probe(prob, [2**-3, 2**-4, 2**-5], cfg)
+        assert report.degenerate and math.isnan(report.slope)
+        assert report.ys == [0.0, 0.0, 0.0] and report.xs == [2**-5, 2**-4, 2**-3]
 
     def test_value_rate_probe_rejects_a_repeated_level(self):
         prob = library.make_control_problem("two_control")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ HALF_SPACE = ConvexConstraint.half_space([1.0, 0.0])
 BOX2 = ConvexConstraint.box([-1.0, -0.5], [1.0, 2.0])
 BALL2 = ConvexConstraint.ball([0.0, 0.0], 1.0)
 QUAD = ConvexConstraint.smooth(lambda z: 0.5 * float(z @ z), lambda z: z.copy(), 2)
+TRIANGLE = ConvexConstraint.half_space_intersection([[1, 0], [0, 1], [-1, -1]], [-1, -1, -1])
 
 
 class TestProjection:
@@ -58,6 +60,15 @@ class TestProjection:
     def test_identity_inside(self):
         x = np.array([0.3, 0.2])
         np.testing.assert_array_equal(project(BALL2, x), x)
+
+    def test_an_empty_box_range_is_infeasible(self):
+        with pytest.raises(InfeasibleSetError, match="^box has empty coordinate range$"):
+            ConvexConstraint.box([-1.0, 0.5], [1.0, -0.5])
+
+    def test_contains_is_within_the_tolerance(self):
+        assert BALL2.contains([0.6, 0.8]) and BALL2.contains([[0.0, 0.0], [0.0, -1.0]])
+        assert not BALL2.contains([[0.0, 0.0], [0.0, 1.0 + 1e-6]])
+        assert BALL2.contains([0.0, 1.0 + 1e-6], tol=1e-5)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -335,9 +346,9 @@ class TestYosidaProperties:
         assert report.passed, report.failing()
 
     def test_pair_arrays_over_the_budget_raise_before_any_exists(self, monkeypatch):
-        # 30 points in the plane: 8 * 30**2 * (3 * 2 + 8) bytes of pair arrays
+        # 30 points in the plane: 8 * 30**2 * (2 * 2 + 4) bytes of pair arrays
         pts = 2.0 * np.random.default_rng(1).standard_normal((30, 2))
-        need = 8 * 30 * 30 * 14
+        need = 8 * 30 * 30 * 8
         monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", need - 1)
         # a resolvent that fails would show the check ran past the estimate
         monkeypatch.setattr(convexcore, "resolvent", None)
@@ -347,6 +358,42 @@ class TestYosidaProperties:
         monkeypatch.undo()
         monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", need)
         assert check_yosida_properties(HALF_SPACE, [0.1, 0.01], pts).passed
+
+    @pytest.mark.parametrize("constraint", [
+        TRIANGLE,
+        ConvexConstraint.ball(np.zeros(3), 1.0),
+        ConvexConstraint.half_space(np.eye(5)[0], 0.0),
+    ], ids=["triangle", "ball_3d", "half_space_5d"])
+    def test_the_pair_estimate_bounds_the_peak(self, constraint):
+        n, m = 150, constraint.dim
+        pts = 2.0 * np.random.default_rng(2).standard_normal((n, m))
+        tracemalloc.start()
+        try:
+            check_yosida_properties(constraint, [0.1, 0.01], pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n * (2 * m + 4)
+
+    def test_a_nan_violation_reads_nan_and_fails(self):
+        # points near 1e200 overflow the pair arrays: (c) is inf - inf there
+        ball = ConvexConstraint.ball(np.zeros(2), 1.0)
+        pts = np.array([[1e200, 0.0], [0.0, 1e200], [0.3, 0.2], [-0.5, 0.1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_yosida_properties(ball, [0.1], pts)
+        assert math.isnan(report.violations["c"])
+        assert not report.passed
+        failing = report.failing()
+        assert "c" in failing and set(failing) == {
+            k for k, v in report.violations.items() if not v <= report.tolerance}
+        assert report.violations["d"] == 0.0 and "d" not in failing
+
+    def test_failing_lists_what_passed_rejects(self):
+        report = convexcore.PropertyReport({"a": 0.0, "b": 2e-8, "c": math.nan, "d": 1e-8},
+                                           1e-8, 4, (0.1,))
+        assert report.failing() == {"b": 2e-8, "c": report.violations["c"]}
+        assert not report.passed
+        assert convexcore.PropertyReport({"a": 1e-8}, 1e-8, 1, (0.1,)).passed
 
     def test_exact_trivial_cases(self):
         # monotonicity on an identical pair and the sandwich at the origin
@@ -392,6 +439,11 @@ class TestNormalCone:
     def test_infeasible_point_reports_infinity(self):
         assert normal_cone_residual(HALF_SPACE, [-1.0, 0.0], [1.0, 0.0], [[0.0, 0.0]]) == np.inf
 
+    def test_smooth_constraint_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^normal cone checks require an indicator constraint$"):
+            normal_cone_residual(QUAD, [0.0, 0.0], [0.0, 0.0], [[0.0, 0.0]])
+
 
 class TestInteriorConstants:
     def test_ball_certificate(self):
@@ -413,7 +465,7 @@ class TestInteriorConstants:
 
     def test_margin_matches_boundary_probing(self):
         rng = np.random.default_rng(7)
-        for c in (BALL2, BOX2, HALF_SPACE):
+        for c in (BALL2, BOX2, HALF_SPACE, TRIANGLE):
             a = project(c, 0.3 * rng.standard_normal(2))
             margin = interior_margin(c, a)
             # probe: the nearest infeasible direction cannot be closer than margin
@@ -422,6 +474,12 @@ class TestInteriorConstants:
             for r in (margin * 0.99,):
                 if r > 0:
                     assert np.all(c.distance(a + r * dirs) <= 1e-9)
+
+    def test_polytope_margin_is_the_nearest_face(self):
+        # unit normals (1, 0), (0, 1), -(1, 1)/sqrt 2, offsets -1, -1, -1/sqrt 2
+        assert interior_margin(TRIANGLE, [0.0, 0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert interior_margin(TRIANGLE, [0.25, -0.5]) == pytest.approx(0.5, abs=1e-15)
+        assert interior_margin(TRIANGLE, [0.0, -2.0]) == pytest.approx(-1.0, abs=1e-15)
 
     def test_smooth_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -438,6 +496,12 @@ class TestInteriorConstants:
 
 
 class TestSmoothConstruction:
+    def test_sum_of_needs_an_indicator_and_a_smooth_part_on_one_space(self):
+        with pytest.raises(ConfigurationError, match=r"^sum_of expects \(indicator, smooth\)$"):
+            ConvexConstraint.sum_of(QUAD, BALL2)
+        with pytest.raises(ConfigurationError, match="^dimension mismatch in sum constraint$"):
+            ConvexConstraint.sum_of(HALF_LINE, QUAD)
+
     def test_shifted_to_zero(self):
         c = ConvexConstraint.smooth(lambda z: 0.5 * float(z @ z) + 3.0, lambda z: z.copy(), 1)
         assert c.value(np.zeros(1)) == 0.0

@@ -8,8 +8,10 @@ from scipy.optimize import linear_sum_assignment
 from oblique_mv import library
 from oblique_mv.dynamics import (
     CoefficientField,
+    CostField,
     ObliqueField,
     ValidationReport,
+    _inverses_spd,
     default_sampler,
     inverse_spd,
     validate_lipschitz,
@@ -48,6 +50,22 @@ class TestSpectral:
         with pytest.raises(SpectralError, match=r"^matrix is numerically singular \(eigenvalue"):
             inverse_spd(np.diag([1.0, -1e-20]))
 
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(SpectralError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            _inverses_spd(np.zeros((4, 2, 3)))
+        with pytest.raises(SpectralError, match=r"^expected a square matrix, got shape \(2,\)$"):
+            _inverses_spd(np.eye(2))
+
+
+class TestCostField:
+    def test_costs_must_vanish_at_the_origin(self):
+        with pytest.raises(ConfigurationError, match=r"^costs do not vanish at the origin: "
+                                                     r"b=0\.000e\+00, alpha=2\.500e-01$"):
+            CostField(lambda x, u: x[..., 0], lambda x: x[..., 0] + 0.25, 1.0)
+        with pytest.raises(ConfigurationError, match=r"b=1\.000e\+00, alpha=0\.000e\+00$"):
+            CostField(lambda x, u: x[..., 0] + u, lambda x: x[..., 0], 1.0, control_probe=-1.0)
+        CostField(lambda x, u: x[..., 0] + 1.0, lambda x: x[..., 0], 1.0, normalized=False)
+
 
 class TestCoefficientField:
     def test_normalization_asserted(self):
@@ -74,6 +92,26 @@ class TestCoefficientField:
         assert not report.passed
         assert report.estimate > 1.0
         assert report.violations
+
+    def test_a_nan_drift_fails(self):
+        # NaN where |x| > 3: a NaN ratio compares false with any bound, so the
+        # check must see the NaN itself
+        fld = CoefficientField(lambda x, mu: np.where(np.abs(x) > 3, np.nan, 0.5 * x),
+                               lambda x, mu: np.zeros(x.shape + (1,)), 1.0, 1, 1)
+        report = validate_lipschitz(fld, pairs=500, seed=0)
+        assert not report.passed and math.isnan(report.estimate)
+        assert report.violations and all(math.isnan(r) for r, _, _ in report.violations)
+        finite = CoefficientField(lambda x, mu: 0.5 * x, lambda x, mu: np.zeros(x.shape + (1,)),
+                                  1.0, 1, 1)
+        assert validate_lipschitz(finite, pairs=500, seed=0).passed
+
+    def test_coincident_pairs_are_skipped(self):
+        # every draw is the same state and measure: no pair has a distance to divide by
+        fld = CoefficientField(lambda x, mu: 0.5 * x, lambda x, mu: np.zeros(x.shape + (1,)),
+                               1.0, 1, 1)
+        report = validate_lipschitz(fld, sampler=lambda rng: (np.ones(1), dirac([1.0])),
+                                    pairs=20)
+        assert report.passed and report.estimate == 0.0 and not report.violations
 
     def test_example31_passes_declared_constants(self):
         sys_ = library.make_system("example31")
@@ -156,6 +194,20 @@ class TestObliqueField:
                            1.0, 2.0, 1, time_dependent=True)
         report = validate_oblique(fld, samples=50, seed=3)
         assert not report.passed and np.isnan(report.details["symmetry_residual"])
+
+    def test_a_nan_matrix_reads_nan_in_the_band(self):
+        # min and max skip a NaN met after a number; the band reads it
+        fld = ObliqueField(lambda x, mu: np.where(abs(x[0]) > 3, np.nan, 1.5) * np.eye(2),
+                           1.0, 2.0, 2)
+        report = validate_oblique(fld, samples=200, seed=0)
+        assert not report.passed
+        assert math.isnan(report.details["rayleigh_min"])
+        assert math.isnan(report.details["rayleigh_max"])
+
+    def test_time_derivative_of_a_state_field_rejected(self):
+        fld = ObliqueField(lambda x, mu: np.eye(1), 1.0, 1.0, 1)
+        with pytest.raises(ConfigurationError, match=r"^time derivative only defined for H\(t\)$"):
+            fld.derivative_at(0.5)
 
     def test_time_derivative_analytic_and_fallback(self):
         fld = ObliqueField(lambda t: np.array([[1.0 + t * t]]), 1.0, 2.0, 1,

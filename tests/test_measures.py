@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -63,12 +64,36 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             EmpiricalMeasure(np.zeros((0, 1)))
 
+    def test_weights_must_be_nonnegative_one_per_atom(self):
+        for weights in ([1.5, -0.5], [1.0], [0.5, 0.25, 0.25]):
+            with pytest.raises(ConfigurationError,
+                               match="^weights must be nonnegative, one per atom$"):
+                EmpiricalMeasure([[0.0], [1.0]], weights=weights)
+
+    def test_a_flat_array_is_atoms_on_the_line(self):
+        m = EmpiricalMeasure([0.0, 1.0, 5.0])
+        assert m.atoms.shape == (3, 1) and m.dim == 1
+        np.testing.assert_array_equal(m.mean(), [2.0])
+
     def test_mean(self):
         m = EmpiricalMeasure([[0.0, 1.0], [2.0, 3.0]])
         np.testing.assert_allclose(m.mean(), [1.0, 2.0])
 
 
 class TestWasserstein:
+    def test_measures_on_different_spaces_rejected(self):
+        with pytest.raises(ConfigurationError, match="^measures live on different spaces$"):
+            wasserstein2(dirac([0.0]), dirac([0.0, 0.0]))
+
+    def test_either_measure_may_run_out_first(self):
+        # weights need only sum to 1 within 1e-12: here the second measure's
+        # mass is spent while 1e-13 of the first is left, and the coupling
+        # stops there
+        mu = EmpiricalMeasure([[0.0]], weights=[1.0])
+        nu = EmpiricalMeasure([[1.0], [2.0]], weights=[0.5, 0.5 - 1e-13])
+        want = math.sqrt(0.5 * 1.0 + (0.5 - 1e-13) * 4.0)
+        assert wasserstein2(mu, nu) == wasserstein2(nu, mu) == want
+
     def test_two_atom_frozen_case(self):
         mu = EmpiricalMeasure([[0.0], [2.0]])
         nu = EmpiricalMeasure([[1.0], [3.0]])

@@ -136,7 +136,24 @@ class TestNoiseSource:
             mvsolver._philox_keys(0, (), np.array([0, index]))
 
 
+class TestSystemChecks:
+    def test_every_part_must_have_the_state_dimension(self):
+        ou = library.make_system("ou")
+        with pytest.raises(ConfigurationError, match="^initial state has the wrong dimension$"):
+            System(ou.coeffs, ou.oblique, ou.constraint, [0.0, 0.0])
+        with pytest.raises(ConfigurationError, match="^constraint dimension mismatch$"):
+            System(ou.coeffs, ou.oblique, ConvexConstraint.ball(np.zeros(2), 1.0), [0.0])
+        with pytest.raises(ConfigurationError, match="^oblique field dimension mismatch$"):
+            System(ou.coeffs, ObliqueField.identity(2), ou.constraint, [0.0])
+
+
 class TestSkorohodStep:
+    def test_a_smooth_constraint_has_no_skorohod_step(self):
+        quad = ConvexConstraint.smooth(lambda z: 0.5 * float(z @ z), lambda z: z.copy(), 2)
+        with pytest.raises(ConfigurationError,
+                           match="^Skorohod steps require an indicator constraint$"):
+            oblique_skorohod_step(quad, np.eye(2), np.array([1.0, 0.0]))
+
     def test_identity_matrix_reduces_to_projection(self):
         hs = ConvexConstraint.half_space([1.0, 0.0])
         x, dk = oblique_skorohod_step(hs, np.eye(2), np.array([-2.0, 3.0]))
@@ -780,6 +797,27 @@ class TestSimulators:
             assert np.all(ens.reflection == 0.0)
             assert np.all(ens.variation == 0.0)
 
+    def test_a_scalar_control_is_the_constant_per_node_control(self):
+        prob = library.make_control_problem("two_control")
+        grid = TimeGrid(0.0, 1.0, 16)
+        run = simulate_projected(prob.system, grid, 4, NoiseSource(2), control=-1.0)
+        nodes = simulate_projected(prob.system, grid, 4, NoiseSource(2),
+                                   control=np.full(17, -1.0))
+        assert run.scheme == "projected" and run.control == -1.0
+        np.testing.assert_array_equal(run.states, nodes.states)
+        # residual_report reads the scalar at every step as the array's entry
+        assert residual_report(run, prob.system) == residual_report(nodes, prob.system)
+        assert simulate_penalized(prob.system, 0.1, grid, 4, NoiseSource(2),
+                                  control=-1.0).scheme == "penalized"
+
+    def test_a_diffusion_of_the_wrong_shape_is_named(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^diffusion returned unexpected shape \(3,\)$"):
+            mvsolver._gdb(np.ones(3), np.ones((4, 1)))
+        with pytest.raises(ConfigurationError,
+                           match=r"^diffusion returned unexpected shape \(1, 4, 1, 1\)$"):
+            mvsolver._gdb(np.ones((1, 4, 1, 1)), np.ones((4, 1)))
+
     def test_penalized_scheme_needs_a_level(self):
         # None names the projected scheme in the step loop; here it is an error
         with pytest.raises(ValueError, match="must be positive, got None"):
@@ -900,6 +938,11 @@ class TestSimulators:
 
 
 class TestEulerIteration:
+    def test_needs_an_iteration(self):
+        with pytest.raises(ConfigurationError, match="^need at least one iteration$"):
+            euler_iteration(free_system([0.5]), 3, 0, TimeGrid(0.0, 1.0, 8), 2,
+                            NoiseSource(19))
+
     def test_constant_coefficients_converge_immediately(self):
         coeffs = CoefficientField(
             lambda x, mu: np.full_like(x, -0.5), lambda x, mu: np.array([[0.3]]),
@@ -971,6 +1014,26 @@ class TestDiagnostics:
         # the inequality can overshoot by at most eps times the gradient energy
         energy = np.mean(np.sum(ens.density**2, axis=(1, 2))) * ens.grid.h
         assert rep.inequality_residual <= eps * energy * 2 + 1e-9
+
+    def test_a_nan_residual_reads_nan(self):
+        # a running max by Python's max would drop the NaN and report a pass
+        ou = library.make_system("ou")
+        ens = simulate_projected(ou, TimeGrid(0.0, 1.0, 16), 4, NoiseSource(0))
+        nan_drift = CoefficientField(lambda x, mu: np.full(x.shape, np.nan),
+                                     lambda x, mu: np.zeros(x.shape + (1,)), 1.0, 1, 1,
+                                     uses_measure=False, normalized=False)
+        nan_value = ConvexConstraint.sum_of(
+            ou.constraint,
+            ConvexConstraint.smooth(lambda z: np.nan if z.any() else 0.0, lambda z: 0.0 * z, 1))
+        for system, nan_key in ((System(nan_drift, ou.oblique, ou.constraint, ou.x0),
+                                 "equation_residual"),
+                                (System(ou.coeffs, ou.oblique, nan_value, ou.x0),
+                                 "inequality_residual")):
+            rep = residual_report(ens, system, probes=[np.zeros(1)])
+            assert math.isnan(getattr(rep, nan_key))
+            finite = ({"equation_residual", "inequality_residual"} - {nan_key}).pop()
+            assert getattr(rep, finite) == getattr(residual_report(ens, ou, probes=[np.zeros(1)]),
+                                                   finite)
 
     def test_interior_margin_zero_reflection(self):
         sys1 = free_system([0.5])

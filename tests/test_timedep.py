@@ -11,7 +11,7 @@ from oblique_mv.dynamics import (
     validate_lipschitz,
     validate_oblique,
 )
-from oblique_mv.errors import ConfigurationError
+from oblique_mv.errors import ConfigurationError, ReductionError
 from oblique_mv.measures import EmpiricalMeasure, dirac, sq_norms
 from oblique_mv.mvsolver import NoiseSource, TimeGrid, simulate_projected
 from oblique_mv.timedep import (
@@ -100,6 +100,35 @@ class TestReduction:
                 lambda t: np.eye(1), lambda t: np.zeros((1, 1)), 1.0, 1.0,
                 lambda x, mu: 0.0 * x, lambda x, mu: np.zeros((1, 1)), [3.0],
             )
+
+    def test_a_smooth_base_set_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^the base set must be an indicator constraint$"):
+            make_problem(
+                lambda t: np.eye(1), lambda t: np.zeros((1, 1)), 1.0, 1.0,
+                lambda x, mu: 0.0 * x, lambda x, mu: np.zeros((1, 1)), [0.5],
+                base=ConvexConstraint.smooth(lambda z: 0.5 * float(z @ z), lambda z: z.copy(), 1),
+            )
+
+    def test_a_matrix_path_outside_its_band_is_a_reduction_error(self):
+        # H(t) = 1 + 2t nears 3 at the sampled times, above the declared b_H = 1.5
+        with pytest.raises(ReductionError,
+                           match=r"^matrix path violates the ellipticity/symmetry assumptions: "
+                                 r"\{.*'rayleigh_max': 2\.99.*'b_h': 1\.5\}$"):
+            make_problem(
+                lambda t: (1.0 + 2.0 * t) * np.eye(1), lambda t: 2.0 * np.eye(1), 1.0, 1.5,
+                lambda x, mu: 0.0 * x, lambda x, mu: np.zeros((1, 1)), [0.5],
+            )
+
+    def test_direct_simulation_only_on_an_interval(self):
+        prob = make_problem(
+            lambda t: (1.0 + t) * np.eye(2), lambda t: np.eye(2), 1.0, 2.0,
+            lambda x, mu: 0.0 * x, lambda x, mu: np.zeros((2, 1)),
+            [0.3, 0.0], base=ConvexConstraint.ball([0.0, 0.0], 1.0), dim=2,
+        )
+        with pytest.raises(ConfigurationError,
+                           match="^direct moving-set simulation supports 1-d intervals$"):
+            simulate_moving_interval(prob, TimeGrid(0.0, 1.0, 4), 2, NoiseSource(0))
 
     def test_unknown_correction_rejected(self):
         prob = library.make_moving_problem("moving_interval")

@@ -81,7 +81,7 @@ class ControlProblem:
             raise ConfigurationError("coefficients must accept a control argument")
         s, t = self.horizon
         if not t > s:
-            raise ConfigurationError("horizon must satisfy s < T")
+            raise ConfigurationError(f"horizon must satisfy s < T, got s={s!r}, T={t!r}")
 
     def restarted(self, start, x0):
         """Same problem from a later start time and a new initial state."""

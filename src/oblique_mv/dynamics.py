@@ -4,8 +4,8 @@ Coefficients are callables over (state, measure[, control][, time]) and are
 expected to be numpy-vectorized over a leading particle axis.  The control
 is a scalar, or a ``(n, 1)`` column with one value per state row when the
 simulation engine runs groups under different controls through one
-measure-free evaluation; the bundled controlled fields and the reduced
-field of :mod:`oblique_mv.timedep` broadcast either.  Validators
+evaluation; the bundled controlled fields and the reduced field of
+:mod:`oblique_mv.timedep` broadcast either.  Validators
 probe declared Lipschitz constants and ellipticity bounds statistically;
 declared constants are user inputs that are cross-checked, never inferred.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SpectralError
-from .measures import EmpiricalMeasure, dirac, wasserstein2
+from .measures import EmpiricalMeasure, MeasureBatch, dirac, wasserstein2
 
 
 def inverse_spd(A):
@@ -45,10 +45,10 @@ def _inverses_spd(As):
     return (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
-def _norm(a):
-    """``np.linalg.norm(a)``, bit for bit: the root of the raveled array's dot with itself."""
-    v = a.ravel()
-    return math.sqrt(v @ v)
+def _norms(a):
+    """``np.linalg.norm`` of each row of ``a``, bit for bit: ``math.sqrt(v @ v)`` of each."""
+    v = a.reshape(len(a), math.prod(a.shape[1:]))
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _constant(a, shape, what):
@@ -58,6 +58,26 @@ def _constant(a, shape, what):
     if a.shape != shape:
         raise ConfigurationError(f"constant {what} of shape {a.shape}, not {shape}")
     return a
+
+
+def _evaluate(fn, batched, core, x, mu, u=None, t=None):
+    """``fn(x, mu, u, t)`` as an array.  A field not declared ``batched`` takes a
+    ``MeasureBatch`` (any field an object array of measures) once per cloud, in order, as
+    a run of that cloud alone would; the results are shared (``core`` axes) if all agree."""
+    batch = isinstance(mu, MeasureBatch)
+    if batch and batched or not (batch or isinstance(mu, np.ndarray)):
+        return np.asarray(fn(x, mu, u, t), dtype=float)
+    lone = not batch or mu.cloud is None
+    clouds = mu.clouds() if batch else mu
+    ends = np.arange(len(clouds) + 1)
+    ends = ends if lone else np.searchsorted(mu.cloud, ends)
+    column = np.ndim(u) > 0
+    parts = [(b - a, np.asarray(fn(x[a] if lone else x[a:b], cloud, u[a, 0] if column else u, t),
+                                dtype=float)) for cloud, a, b in zip(clouds, ends, ends[1:]) if b > a]
+    if all(p.ndim == core and np.array_equal(p, parts[0][1]) for _, p in parts):
+        return parts[0][1]
+    return np.concatenate([p if p.shape[:-core] == (n,) else
+                           np.broadcast_to(p, (n,) + p.shape[-core:]) for n, p in parts])
 
 
 def _canonical(fn, controlled, time_dependent, shape):
@@ -80,13 +100,14 @@ class CoefficientField:
     Either may be a constant array, ``(m,)`` or ``(m, d)``, read-only and returned as is.
     Normalized fields vanish at (0, delta_0); this is asserted once at
     construction and can be switched off for fields that break the
-    convention (several bundled examples do).
+    convention (several bundled examples do).  ``batched`` as in ``ObliqueField``.
     """
 
     def __init__(self, drift, diffusion, lipschitz, state_dim, noise_dim,
                  controlled=False, time_dependent=False, uses_measure=True,
-                 normalized=True, control_probe=None):
+                 normalized=True, control_probe=None, batched=False):
         self.lipschitz = float(lipschitz)
+        self.batched = batched
         self.state_dim = int(state_dim)
         self.noise_dim = int(noise_dim)
         self.controlled = controlled
@@ -110,11 +131,11 @@ class CoefficientField:
 
     def drift(self, x, mu, u=None, t=None):
         f = self._drift
-        return f if isinstance(f, np.ndarray) else np.asarray(f(x, mu, u, t), dtype=float)
+        return f if isinstance(f, np.ndarray) else _evaluate(f, self.batched, 1, x, mu, u, t)
 
     def diffusion(self, x, mu, u=None, t=None):
         g = self._diffusion
-        return g if isinstance(g, np.ndarray) else np.asarray(g(x, mu, u, t), dtype=float)
+        return g if isinstance(g, np.ndarray) else _evaluate(g, self.batched, 2, x, mu, u, t)
 
 
 class ObliqueField:
@@ -131,10 +152,14 @@ class ObliqueField:
     A projected step calls it only on the rows it corrects, with the whole
     ensemble's measure: a row's matrix may depend only on that row and the measure.
     An array ``matrix`` is ``constant``: read-only, as every step shares it.
+
+    A ``batched`` field takes a ``MeasureBatch`` for ``mu`` with the rows of all its
+    clouds: it reads the measure only by its per-row statistics, and a scalar function
+    of one by ``mu.each``.  Any other is called once per cloud (``_evaluate``).
     """
 
-    def __init__(self, matrix, a_h, b_h, dim, time_dependent=False,
-                 derivative=None, lipschitz=None, uses_measure=True, diagonal=False):
+    def __init__(self, matrix, a_h, b_h, dim, time_dependent=False, derivative=None,
+                 lipschitz=None, uses_measure=True, diagonal=False, batched=False):
         self.a_h = float(a_h)
         self.b_h = float(b_h)
         self.dim = int(dim)
@@ -148,6 +173,7 @@ class ObliqueField:
         self.lipschitz = lipschitz
         self.uses_measure = uses_measure and not self.constant
         self.diagonal = diagonal
+        self.batched = batched
         if self.a_h <= 0 or self.b_h < self.a_h:
             raise ConfigurationError("need 0 < a_h <= b_h")
         if diagonal and not time_dependent:
@@ -160,7 +186,8 @@ class ObliqueField:
 
     def __call__(self, x=None, mu=None, t=None):
         H = np.asarray(self.matrix if self.constant else self.matrix(t) if self.time_dependent
-                       else self.matrix(x, mu), dtype=float)
+                       else _evaluate(lambda x, mu, u, t: self.matrix(x, mu), self.batched,
+                                      2 - self.diagonal, x, mu), dtype=float)
         if self.diagonal and H.shape != (self.dim,) and H.shape != np.shape(x)[:-1] + (self.dim,):
             raise ConfigurationError(f"diagonal oblique field returned shape {H.shape}, "
                                      f"not ({self.dim},) or (rows, {self.dim})")
@@ -225,33 +252,39 @@ def default_sampler(state_dim):
     return sample
 
 
+def _samples(sampler, m, count, rng, probe=False):
+    """``count`` samples, with ``probe`` each followed by a direction, in the validators'
+    order: states, measures (a ``MeasureBatch`` if all are uniform of one shape, else an
+    object array) and directions.  ``default_sampler``'s draws are one call."""
+    if sampler is None:         # per sample: x, 8 atoms and the direction
+        z = rng.standard_normal((count, 9 + probe, m))
+        return 2.0 * z[:, 0], MeasureBatch(2.0 * z[:, 1:9]), z[:, 9:].reshape(count, m * probe)
+    draws = [(*sampler(rng), rng.standard_normal(m * probe)) for _ in range(count)]
+    mus = np.array([d[1] for d in draws], dtype=object)
+    if count and all(mu.uniform and mu.atoms.shape == mus[0].atoms.shape for mu in mus):
+        mus = MeasureBatch([mu.atoms for mu in mus])
+    return (np.reshape([d[0] for d in draws], (count, m)), mus,
+            np.reshape([d[2] for d in draws], (count, m * probe)))
+
+
 def validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
     """Empirical joint Lipschitz estimate against the declared constant.
 
-    The pairs are drawn first, in the order the sampler and ``rng`` have
-    always been called, and their W2 distances solved as one batch."""
-    if sampler is None:
-        sampler = default_sampler(fld.state_dim)
-    rng = np.random.default_rng(seed)
-    draws = [(sampler(rng), sampler(rng)) for _ in range(pairs)]
-    w2 = wasserstein2([mu for (_, mu), _ in draws], [nu for _, (_, nu) in draws])
-    worst = 0.0
-    violations = []
-    for ((x, mu), (y, nu)), w in zip(draws, w2):
-        den = _norm(x - y) + w
-        if den < 1e-12:
-            continue
-        df = _norm(fld.drift(x, mu, control, 0.0) - fld.drift(y, nu, control, 0.0))
-        dg = _norm(fld.diffusion(x, mu, control, 0.0) - fld.diffusion(y, nu, control, 0.0))
-        ratio = (df + dg) / den
-        if ratio > worst or math.isnan(ratio):      # a NaN estimate stays NaN, and fails
-            worst = ratio
-        if not ratio <= fld.lipschitz * (1 + 1e-9):
-            violations.append((ratio, x.copy(), y.copy()))
+    The pairs are drawn first (``_samples``), then each field is called once on
+    all states and the W2 distances are solved as one batch."""
+    X, mus, _ = _samples(sampler, fld.state_dim, 2 * pairs, np.random.default_rng(seed))
+    den = _norms(X[0::2] - X[1::2]) + wasserstein2(mus[0::2], mus[1::2])
+    df, dg = (_norms(F[0::2] - F[1::2]) for F in (
+        np.broadcast_to(fld.drift(X, mus, control, 0.0), X.shape),
+        np.broadcast_to(fld.diffusion(X, mus, control, 0.0), X.shape + (fld.noise_dim,))))
+    ks = np.flatnonzero(~(den < 1e-12))
+    ratios = (df[ks] + dg[ks]) / den[ks]
+    violations = [(r, X[2 * k].copy(), X[2 * k + 1].copy()) for k, r in zip(ks, ratios)
+                  if not r <= fld.lipschitz * (1 + 1e-9)]
     return ValidationReport(
         name="lipschitz",
         passed=not violations,
-        estimate=worst,
+        estimate=np.max(ratios, initial=0.0),       # a NaN estimate stays NaN, and fails
         declared=fld.lipschitz,
         details={"pairs": pairs},
         violations=violations[:16],
@@ -261,53 +294,42 @@ def validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
 def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
     """Check symmetry, the Rayleigh-quotient band, and Lipschitz continuity.
 
-    The samples are drawn and evaluated first, in the order the sampler,
-    ``rng`` and the field have always been called; the W2 distances of
-    consecutive state samples are then solved as one batch."""
-    if sampler is None:
-        sampler = default_sampler(fld.dim)
+    The samples are drawn first (``_samples``), then a state field is called once
+    on all of them; the W2 distances of consecutive samples are solved as one batch."""
+    m, shape = fld.dim, (samples,) + (fld.dim,) * (2 - fld.diagonal)
     rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    Hs, keys = [], []
-    for _ in range(samples):
-        if fld.time_dependent:
-            t0, t1 = horizon if horizon is not None else (0.0, 1.0)
-            t = rng.uniform(t0, t1)
-            H = fld(t=t)
-            key = t
-        else:
-            x, mu = sampler(rng)
-            H = fld(x, mu)
-            key = (x, mu)
-        u = rng.standard_normal(fld.dim)
-        u /= _norm(u)
-        q = float((u * H if fld.diagonal else u @ H) @ u)   # u @ diag(H): the same bits
-        lo, hi = float(np.minimum(q, lo)), float(np.maximum(q, hi))    # min and max, but NaN stays
-        Hs.append(H)
-        keys.append(key)
+    if fld.time_dependent:
+        t0, t1 = horizon if horizon is not None else (0.0, 1.0)
+        draws = [(rng.uniform(t0, t1), rng.standard_normal(m)) for _ in range(samples)]
+        keys, U = np.array([t for t, _ in draws]), [u for _, u in draws]
+        Hs = np.reshape([fld(t=t) for t in keys.tolist()], shape)
+    else:
+        X, mus, U = _samples(sampler, m, samples, rng, probe=True)
+        Hs = np.broadcast_to(fld(X, mus), shape)
+    U = np.reshape(U, (samples, m))
+    U = U / _norms(U)[:, None]
+    # u @ diag(H) @ u and u @ H @ u, each the bits of its own product
+    q = np.vecdot(U * Hs if fld.diagonal else (U[:, None] @ Hs)[:, 0], U)
+    lo, hi = float(np.min(q, initial=np.inf)), float(np.max(q, initial=-np.inf))  # NaN stays
     if fld.diagonal:            # np.diag of each, all at once (+ 0.0: no -0.0 off the diagonal)
-        Hs = np.reshape(Hs, (samples, 1, fld.dim)) * np.eye(fld.dim) + 0.0
-    Hs = np.reshape(Hs, (samples, fld.dim, fld.dim))
+        Hs = Hs[:, None] * np.eye(m) + 0.0
     # the symmetry residual so far, as each sample met it
     so_far = np.maximum.accumulate(np.max(np.abs(Hs - Hs.transpose(0, 2, 1)), axis=(1, 2)))
     asym = float(so_far[-1]) if samples else 0.0
     symmetric = so_far <= 1e-10 * np.maximum(1.0, np.max(np.abs(Hs), axis=(1, 2)))
     # Lipschitz pairs: each sample with the one before it, while all are symmetric
-    later = [k for k in range(1, samples) if symmetric[k]]
+    later = np.flatnonzero(symmetric[1:]) + 1
     if fld.time_dependent:
-        dens = [abs(keys[k] - keys[k - 1]) for k in later]
+        dens = np.abs(keys[later] - keys[later - 1])
     else:
-        w2 = wasserstein2([keys[k][1] for k in later], [keys[k - 1][1] for k in later])
-        dens = [_norm(keys[k][0] - keys[k - 1][0]) + w for k, w in zip(later, w2)]
-    pairs = [(k, den) for k, den in zip(later, dens) if den > 1e-12]
+        dens = _norms(X[later] - X[later - 1]) + wasserstein2(mus[later], mus[later - 1])
+    ks, dens = later[dens > 1e-12], dens[dens > 1e-12]
     # each sample of a pair once, in the order a loop over the pairs meets them
-    order = list(dict.fromkeys(j for k, _ in pairs for j in (k, k - 1)))
-    inverses = dict(zip(order, _inverses_spd(Hs[order])))
-    lip = 0.0
-    for k, den in pairs:
-        dH = _norm(Hs[k] - Hs[k - 1])
-        dHinv = _norm(inverses[k] - inverses[k - 1])
-        lip = float(np.maximum((dH + dHinv) / den, lip))
+    order = list(dict.fromkeys(j for k in ks.tolist() for j in (k, k - 1)))
+    inverses = np.empty_like(Hs)
+    inverses[order] = _inverses_spd(Hs[order])
+    ratios = (_norms(Hs[ks] - Hs[ks - 1]) + _norms(inverses[ks] - inverses[ks - 1])) / dens
+    lip = float(np.max(ratios, initial=0.0))
     passed = (
         asym <= 1e-10
         and lo >= fld.a_h - 1e-9

@@ -157,25 +157,23 @@ def _example31(x0=(0.2, 0.0), radius=1.0):
         return out
 
     def diffusion(x, mu):
-        w = w2_to_origin(mu)
-        c = np.exp(np.minimum(1.0, np.sqrt(sq_norms(x)))) + math.sin(w)
+        c = np.exp(np.minimum(1.0, np.sqrt(sq_norms(x)))) + mu.each(math.sin, w2_to_origin)
         out = np.empty(x.shape + (1,))
         out[..., 0, 0] = out[..., 1, 0] = c
         return out
 
     def matrix(x, mu):
-        w = w2_to_origin(mu)
         out = np.empty(x.shape)
-        out[..., 0] = np.sin(x[..., 0]) + 5.0 + math.cos(w)
-        out[..., 1] = np.exp(np.cos(x[..., 1])) + 4.0 + min(w, 1.0)
+        out[..., 0] = np.sin(x[..., 0]) + 5.0 + mu.each(math.cos, w2_to_origin)
+        out[..., 1] = np.exp(np.cos(x[..., 1])) + 4.0 + mu.each(lambda w: min(w, 1.0), w2_to_origin)
         return out
 
     coeffs = CoefficientField(
         drift, diffusion, lipschitz=5.3, state_dim=2, noise_dim=1,
-        uses_measure=True, normalized=False,
+        uses_measure=True, normalized=False, batched=True,
     )
     oblique = ObliqueField(matrix, a_h=3.0, b_h=5.0 + math.e, dim=2,
-                           lipschitz=4.5, diagonal=True)
+                           lipschitz=4.5, diagonal=True, batched=True)
     constraint = ConvexConstraint.ball(np.zeros(2), radius)
     return System(coeffs, oblique, constraint, np.asarray(x0, dtype=float),
                   label="example31")
@@ -202,7 +200,7 @@ def _linear(a=-1.0, b=0.5, c=0.5, x0=1.0):
         lambda x, mu: a * x + b * mu.mean(),
         lambda x, mu: c * x[..., None],
         lipschitz=abs(a) + abs(b) + abs(c), state_dim=1, noise_dim=1,
-        uses_measure=True, normalized=True,
+        uses_measure=True, normalized=True, batched=True,
     )
     oblique = ObliqueField.identity(1)
     constraint = ConvexConstraint.half_line()
@@ -279,9 +277,9 @@ def _moving_interval(outward=2.0, sigma=0.5, coupling=0.25, x0=0.5,
 
     Declared constants: L=max(coupling, 1e-9), a_H=1, b_H=1+growth*(t1-t0)."""
     coeffs = CoefficientField(
-        lambda x, mu: outward + coupling * w2_to_origin(mu) + 0.0 * x, [[sigma]],
-        lipschitz=max(coupling, 1e-9), state_dim=1, noise_dim=1,
-        uses_measure=True, normalized=False,
+        lambda x, mu: (outward + coupling * w2_to_origin(mu) + 0.0 * x[..., 0])[..., None],
+        [[sigma]], lipschitz=max(coupling, 1e-9), state_dim=1, noise_dim=1,
+        uses_measure=True, normalized=False, batched=True,
     )
     t0, t1 = horizon
     hfield = ObliqueField(

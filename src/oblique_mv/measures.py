@@ -86,6 +86,51 @@ class EmpiricalMeasure:
         """Weighted barycenter of the atoms."""
         return self.weights @ self.atoms
 
+    def each(self, fn, stat):
+        """``fn(stat(self))``: a scalar function of a statistic, as ``MeasureBatch.each``."""
+        return fn(stat(self))
+
+
+class MeasureBatch:
+    """``G`` uniform clouds of ``n`` atoms as one ``(G, n, m)`` array, each the law of the
+    next ``counts`` state rows (one count, or one per cloud), or of one lone state.  Each
+    statistic is that of the cloud's ``EmpiricalMeasure``, bit for bit, once per state row:
+    ``mean()`` is ``(rows, m)``, ``second_moment()`` and ``w2_to_origin`` ``(rows,)``."""
+
+    def __init__(self, atoms, counts=None, *, cloud=None, stats=None):
+        self.atoms = np.ascontiguousarray(atoms, dtype=float)
+        self.cloud = cloud if counts is None else np.repeat(np.arange(len(atoms)), counts)
+        self._stats = {} if stats is None else stats     # per cloud, shared by row selections
+
+    def __getitem__(self, clouds):
+        return MeasureBatch(self.atoms[clouds])
+
+    def rows(self, rows):
+        """The batch for the state ``rows`` (index array, mask or slice), in order."""
+        return MeasureBatch(self.atoms, cloud=self.cloud[rows], stats=self._stats)
+
+    def clouds(self):
+        """Each cloud as a lone ``EmpiricalMeasure``, made once for all row selections."""
+        if "clouds" not in self._stats:
+            self._stats["clouds"] = [EmpiricalMeasure(a) for a in self.atoms]
+        return self._stats["clouds"]
+
+    def _per_row(self, key, per_cloud):
+        if key not in self._stats:
+            self._stats[key] = per_cloud(_uniform_weights(self.atoms.shape[1]))
+        return self._stats[key] if self.cloud is None else self._stats[key][self.cloud]
+
+    def second_moment(self):
+        return self._per_row("m2", lambda w: np.vecdot(sq_norms(self.atoms), w))
+
+    def mean(self):
+        return self._per_row("mean", lambda w: w @ self.atoms)
+
+    def each(self, fn, stat):
+        """``fn`` of ``stat`` of each cloud, by ``fn`` itself: ``math.sin`` keeps its bits."""
+        clouds = MeasureBatch(self.atoms, stats=self._stats)
+        return self._per_row((fn, stat), lambda w: np.array([fn(v) for v in stat(clouds).tolist()]))
+
 
 def dirac(x):
     """Point mass at x."""
@@ -94,8 +139,9 @@ def dirac(x):
 
 
 def w2_to_origin(mu):
-    """W2 distance to the point mass at the origin (root second moment)."""
-    return float(np.sqrt(mu.second_moment()))
+    """W2 distance to the point mass at the origin (root second moment), per row of a batch."""
+    w = np.sqrt(mu.second_moment())
+    return w if isinstance(mu, MeasureBatch) else float(w)
 
 
 def _w2_1d(xa, wa, xb, wb):
@@ -129,8 +175,8 @@ W2_BATCH_ENTRIES = 1 << 22
 
 
 def wasserstein2(mu, nu):
-    """Exact W2 between empirical measures, or between the pairs of two
-    equal-length sequences of them: then an array, one distance per pair.
+    """Exact W2 between empirical measures, or between the pairs of two equal-length
+    sequences of them or batches of one shape: then an array, one distance per pair.
 
     One-dimensional inputs may carry arbitrary weights and use the sorted
     quantile coupling; in higher dimension both measures must be uniform with
@@ -142,6 +188,21 @@ def wasserstein2(mu, nu):
     """
     if isinstance(mu, EmpiricalMeasure):
         return float(wasserstein2([mu], [nu])[0])
+    if isinstance(mu, MeasureBatch):
+        (pairs, n, m), A, B = mu.atoms.shape, mu.atoms, nu.atoms
+        if A.shape != B.shape:
+            raise ConfigurationError("W2 batches need clouds of one shape on both sides")
+        if m == 1:
+            w = _uniform_weights(n)
+            return np.array([_w2_1d(a[:, 0], w, b[:, 0], w) for a, b in zip(A, B)])
+        out = np.empty(pairs)
+        chunk = max(1, W2_BATCH_ENTRIES // (n * n * m))
+        for s in range(0, pairs, chunk):
+            cost = sq_norms(A[s:s + chunk, :, None, :] - B[s:s + chunk, None, :, :])
+            matched = np.take_along_axis(cost, _assignment(cost)[..., None], 2)[..., 0]
+            # C order: each pair's mean sums its row as one 1-d mean would
+            out[s:s + chunk] = np.sqrt(np.ascontiguousarray(matched).mean(axis=1))
+        return out
     if len(mu) != len(nu):
         raise ConfigurationError("W2 pairs need equally many measures on both sides")
     out = np.empty(len(mu))
@@ -160,16 +221,9 @@ def wasserstein2(mu, nu):
             raise ConfigurationError(
                 "multi-dimensional W2 needs equally many atoms on both sides"
             )
-    for (n, m), ks in stacks.items():
-        chunk = max(1, W2_BATCH_ENTRIES // (n * n * m))
-        for s in range(0, len(ks), chunk):
-            part = ks[s:s + chunk]
-            A = np.stack([mu[k].atoms for k in part])
-            B = np.stack([nu[k].atoms for k in part])
-            cost = sq_norms(A[:, :, None, :] - B[:, None, :, :])
-            matched = np.take_along_axis(cost, _assignment(cost)[..., None], 2)[..., 0]
-            # C order: each pair's mean sums its row as one 1-d mean would
-            out[part] = np.sqrt(np.ascontiguousarray(matched).mean(axis=1))
+    for ks in stacks.values():
+        out[ks] = wasserstein2(MeasureBatch([mu[k].atoms for k in ks]),
+                               MeasureBatch([nu[k].atoms for k in ks]))
     return out
 
 

@@ -35,7 +35,7 @@ from . import convexcore
 from .convexcore import ConvexConstraint, interior_constants
 from .dynamics import CoefficientField, ObliqueField
 from .errors import ConfigurationError, DivergenceError, StepError
-from .measures import EmpiricalMeasure, sq_norms
+from .measures import EmpiricalMeasure, MeasureBatch, sq_norms
 
 BLOWUP_GUARD = 1e8
 BATCH_NOISE_BYTES = 32 * 2**20      # increments one batch of replications holds
@@ -256,12 +256,13 @@ class System:
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if self.x0.shape != (self.coeffs.state_dim,):
-            raise ConfigurationError("initial state has the wrong dimension")
-        if self.constraint.dim != self.coeffs.state_dim:
-            raise ConfigurationError("constraint dimension mismatch")
-        if self.oblique.dim != self.coeffs.state_dim:
-            raise ConfigurationError("oblique field dimension mismatch")
+        m = self.coeffs.state_dim
+        if self.x0.shape != (m,):
+            raise ConfigurationError(f"initial state of shape {self.x0.shape}, not ({m},)")
+        if self.constraint.dim != m:
+            raise ConfigurationError(f"constraint of dimension {self.constraint.dim}, not {m}")
+        if self.oblique.dim != m:
+            raise ConfigurationError(f"oblique field of dimension {self.oblique.dim}, not {m}")
 
     @property
     def state_dim(self):
@@ -329,26 +330,18 @@ def _per_row(values, rows):
     return np.repeat(values, rows)[:, None]
 
 
-def _stack_groups(parts, counts, core=2):
-    """Per-group values as one batch array: shared (``core`` axes) if all agree, else per row."""
-    if all(p.ndim == core and np.array_equal(p, parts[0]) for p in parts):
-        return parts[0]
-    return np.concatenate([np.broadcast_to(p, (n,) + p.shape[-core:])
-                           for p, n in zip(parts, counts)])
-
-
 def _coefficients(system, groups=1):
     """``evaluate(X, u, t)``, planned once per run from what ``system`` declares: the
     drift, diffusion and oblique matrix at time ``t`` for a batch of groups.
 
     ``X`` holds ``groups`` contiguous blocks of rows and ``u`` is the control,
-    shared or one value per group.  Measure-free fields are evaluated once on
-    the whole batch (a per-group control reaches them as a ``(rows, 1)``
-    column).  Otherwise every group is evaluated on its own rows with its own
-    empirical measure and scalar control, exactly as a run of that group alone.
-    Array coefficients are handed on as they are; a constant or time-only oblique
-    matrix is an array, any other the function ``H(rows)`` of row indices (array,
-    mask or slice): the field on ``X[rows]`` under their group's measure, in order.
+    shared or one value per group (then a ``(rows, 1)`` column).  Each field is called
+    once on the batch, with the ``EmpiricalMeasure`` of ``X`` or a ``MeasureBatch`` of
+    its groups, which a field not declared ``batched`` takes once per group, exactly
+    as a run of that group alone.  Array coefficients are handed on as they are; a
+    constant or time-only oblique matrix is an array, any other the function
+    ``H(rows)`` of row indices (array, mask or slice): the field on ``X[rows]`` under
+    their group's measure, in order.
     """
     coeffs, oblique = system.coeffs, system.oblique
     need_mu = coeffs.uses_measure or (not oblique.time_dependent and oblique.uses_measure)
@@ -356,22 +349,11 @@ def _coefficients(system, groups=1):
     def evaluate(X, u, t):
         H = oblique.matrix if oblique.constant else oblique(t=t) if oblique.time_dependent else None
         N = X.shape[0] // groups
-        if groups == 1 or not need_mu:
-            mu = EmpiricalMeasure(X) if need_mu else None
-            u = _per_row(u, N)
-            return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t),
-                    H if H is not None else lambda rows: oblique(X[rows], mu))
-        blocks = [(Xg, EmpiricalMeasure(Xg), u if np.ndim(u) == 0 else u[g], t)
-                  for g, Xg in enumerate(np.split(X, groups))]
-
-        def matrix(rows):
-            i = np.arange(X.shape[0])[rows]
-            parts = [p for p in np.split(i, np.searchsorted(i, N * np.arange(1, groups))) if p.size]
-            return _stack_groups([oblique(X[p], blocks[p[0] // N][1]) for p in parts],
-                                 [p.size for p in parts], 1 if oblique.diagonal else 2)
-        return (np.concatenate([np.broadcast_to(coeffs.drift(*b), b[0].shape) for b in blocks]),
-                _stack_groups([coeffs.diffusion(*b) for b in blocks], [N] * groups),
-                H if H is not None else matrix)
+        mu = None if not need_mu else EmpiricalMeasure(X) if groups == 1 else \
+            MeasureBatch(X.reshape(groups, N, -1), N)
+        u = _per_row(u, N)
+        return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t), H if H is not None else
+                lambda rows: oblique(X[rows], mu.rows(rows) if isinstance(mu, MeasureBatch) else mu))
     return evaluate
 
 

@@ -143,6 +143,7 @@ def _reduce(prob, correction, frame):      # frame: from _frames(prob)
         time_dependent=True,
         uses_measure=base.uses_measure,
         normalized=False,
+        batched=base.batched,
     )
     xbar0 = frame(t0)[1] @ prob.x0
     return System(reduced, oblique, prob.base_set, xbar0,

@@ -174,8 +174,9 @@ class TestControlProblemChecks:
         sys_ = prob.system
         with pytest.raises(ConfigurationError, match="^the control set must be nonempty$"):
             ControlProblem(sys_, prob.costs, (), prob.horizon)
-        for horizon in ((1.0, 1.0), (1.0, 0.5)):
-            with pytest.raises(ConfigurationError, match="^horizon must satisfy s < T$"):
+        for horizon, named in (((1.0, 1.0), "s=1.0, T=1.0"), ((1.0, 0.5), "s=1.0, T=0.5")):
+            with pytest.raises(ConfigurationError,
+                               match=f"^horizon must satisfy s < T, got {named}$"):
                 ControlProblem(sys_, prob.costs, prob.control_set, horizon)
         uncontrolled = System(CoefficientField(lambda x, mu: -x, [[0.5]], 1.0, 1, 1,
                                                uses_measure=False, normalized=False),

@@ -18,7 +18,8 @@ from oblique_mv.dynamics import (
     validate_oblique,
 )
 from oblique_mv.errors import ConfigurationError, SpectralError
-from oblique_mv.measures import EmpiricalMeasure, dirac, sq_norms, wasserstein2
+from oblique_mv.measures import EmpiricalMeasure, MeasureBatch, dirac, sq_norms, wasserstein2
+from oblique_mv.timedep import CORRECTIONS, reduce_time_dependent
 
 
 def random_spd(rng, n, cond=100.0):
@@ -401,15 +402,14 @@ class TestValidateObliqueInverses:
     @pytest.mark.parametrize("case", ["example31", "moving_interval", "rotating"])
     def test_norm_equals_linalg_norm_on_every_drawn_direction(self, case, monkeypatch):
         # the probe directions (and the pair distances) are normalized by
-        # dynamics._norm, which must give np.linalg.norm's bits
+        # dynamics._norms, which must give np.linalg.norm's bits on every row
         from oblique_mv import dynamics
-        seen, norm = [], dynamics._norm
-        monkeypatch.setattr(dynamics, "_norm", lambda a: seen.append(a.copy()) or norm(a))
+        seen, norms = [], dynamics._norms
+        monkeypatch.setattr(dynamics, "_norms", lambda a: seen.append(a.copy()) or norms(a))
         fld, kwargs = ORACLE_CASES[case]()
         validate_oblique(fld, samples=300, seed=5, **kwargs)
-        directions = [a for a in seen if a.shape == (fld.dim,)]
-        assert len(directions) >= 300
-        assert all(norm(a) == np.linalg.norm(a) for a in seen)
+        assert [a.shape for a in seen].count((300, fld.dim)) == 1      # the directions
+        assert all(np.array_equal(norms(a), [np.linalg.norm(row) for row in a]) for a in seen)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_report_equals_fresh_inverse_loop(self, case):
@@ -460,3 +460,115 @@ class TestValidateObliqueInverses:
         with pytest.raises(SpectralError) as ref:
             oracle_validate_oblique(field(), repeating_sampler(period), samples=50, seed=3)
         assert str(got.value) == str(ref.value)
+
+
+def ragged_sampler(rng):
+    """A user sampler whose clouds do not stack: a 1-d state and 3 to 6 atoms."""
+    return rng.uniform(-1.0, 1.0, 1), EmpiricalMeasure(rng.standard_normal((rng.integers(3, 7), 1)))
+
+
+def measure_fields():
+    """Every bundled measure-dependent field as ``f(x, mu)``, by name."""
+    ex, lin = library.make_system("example31"), library.make_system("linear")
+    prob = library.make_moving_problem("moving_interval")
+    fields = {"example31.drift": ex.coeffs.drift, "example31.diffusion": ex.coeffs.diffusion,
+              "example31.matrix": ex.oblique, "linear.drift": lin.coeffs.drift,
+              "moving_interval.drift": prob.coeffs.drift}
+    for c in CORRECTIONS:
+        reduced = reduce_time_dependent(prob, c).coeffs
+        assert reduced.batched
+        fields[f"reduced[{c}].drift"] = lambda x, mu, r=reduced: r.drift(x, mu, None, 0.3)
+    return fields
+
+
+class TestMeasureBatchFields:
+    """A bundled field gives the same bits on a batch of measures as on each cloud alone."""
+
+    @pytest.mark.parametrize("name", sorted(measure_fields()))
+    @pytest.mark.parametrize("groups, N", [(1, 64), (2, 48), (32, 16)])
+    def test_groups_of_rows_equal_each_group_alone(self, name, groups, N):
+        f = measure_fields()[name]
+        m = 1 if name.startswith(("linear", "moving", "reduced")) else 2
+        rng = np.random.default_rng(groups)
+        X = 0.6 * rng.standard_normal((groups * N, m))
+        batch = MeasureBatch(X.reshape(groups, N, m), N)
+        alone = np.concatenate([f(Xg, EmpiricalMeasure(Xg)) for Xg in np.split(X, groups)])
+        assert np.array_equal(f(X, batch), alone)
+        # the rows a projected step corrects, across group boundaries: indices and a mask
+        rows = np.union1d(np.flatnonzero(rng.random(groups * N) < 0.3), [N - 1, N % (groups * N)])
+        assert np.array_equal(f(X[rows], batch.rows(rows)), alone[rows])
+        mask = np.isin(np.arange(groups * N), rows)
+        assert np.array_equal(f(X[mask], batch.rows(mask)), alone[mask])
+
+    @pytest.mark.parametrize("name", sorted(measure_fields()))
+    def test_one_state_per_8_atom_cloud_equals_each_alone(self, name):
+        # the validators' shape: lone states, or 1-row groups, each with its own cloud
+        f = measure_fields()[name]
+        m = 1 if name.startswith(("linear", "moving", "reduced")) else 2
+        rng = np.random.default_rng(11)
+        X, atoms = 2.0 * rng.standard_normal((40, m)), 2.0 * rng.standard_normal((40, 8, m))
+        lone = [f(x, EmpiricalMeasure(a)) for x, a in zip(X, atoms)]
+        rows = [f(X[k:k + 1], EmpiricalMeasure(a)) for k, a in enumerate(atoms)]
+        assert np.array_equal(f(X, MeasureBatch(atoms)), lone)
+        assert np.array_equal(f(X, MeasureBatch(atoms, 1)), np.concatenate(rows))
+
+
+class TestBatchedValidators:
+    """Each field is called once on all samples; the reports keep every bit."""
+
+    @pytest.mark.parametrize("name", ["example31", "linear", "moving_interval"])
+    def test_both_validators_equal_their_oracles(self, name):
+        if name == "moving_interval":
+            prob = library.make_moving_problem(name)
+            coeffs, oblique = prob.coeffs, prob.hfield
+        else:
+            system = library.make_system(name)
+            coeffs, oblique = system.coeffs, system.oblique
+        calls = []
+        drift = coeffs._drift
+        coeffs._drift = lambda *args: calls.append(len(args[0])) or drift(*args)
+        got = validate_lipschitz(coeffs, pairs=300, seed=4)
+        assert calls == [600]
+        coeffs._drift = drift
+        worst, ratios = oracle_validate_lipschitz(coeffs, pairs=300, seed=4)
+        assert got.estimate == worst > 0 and [v[0] for v in got.violations] == ratios
+        assert validate_oblique(oblique, samples=300, seed=4) == \
+            oracle_validate_oblique(oblique, samples=300, seed=4)
+
+    def test_clouds_that_do_not_stack_are_called_one_sample_at_a_time(self):
+        lin = library.make_system("linear").coeffs
+        got = validate_lipschitz(lin, sampler=ragged_sampler, pairs=200, seed=8)
+        worst, ratios = oracle_validate_lipschitz(lin, sampler=ragged_sampler, pairs=200, seed=8)
+        assert got.estimate == worst > 0 and [v[0] for v in got.violations] == ratios
+
+        def field():
+            return ObliqueField(lambda x, mu: np.array([[2.0 + math.tanh(x[0])
+                                                         + 0.1 * mu.second_moment()]]),
+                                0.5, 10.0, 1, lipschitz=5.0)
+        assert validate_oblique(field(), ragged_sampler, samples=200, seed=8) == \
+            oracle_validate_oblique(field(), ragged_sampler, samples=200, seed=8)
+
+    def test_a_stateful_field_sees_the_calls_of_the_per_sample_loop(self):
+        def recorded():
+            fld, seen = skew_after(150), []
+            matrix = fld.matrix
+            fld.matrix = lambda x, mu: seen.append((x.tolist(), mu.atoms.tolist())) or matrix(x, mu)
+            return fld, seen
+        fld, got = recorded()
+        validate_oblique(fld, samples=300, seed=5)
+        fld, want = recorded()
+        oracle_validate_oblique(fld, samples=300, seed=5)
+        assert len(got) == 300 and got == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("probe", [False, True], ids=["lipschitz", "oblique"])
+    def test_one_call_draw_equals_the_per_sample_calls(self, m, probe):
+        # the default sampler's states and clouds, each followed by the oblique
+        # validator's probe direction, come from one standard_normal call
+        from oblique_mv import dynamics
+        X, mus, U = dynamics._samples(None, m, 60, np.random.default_rng(9), probe)
+        rng, sample = np.random.default_rng(9), default_sampler(m)
+        for k in range(60):
+            x, mu = sample(rng)
+            assert np.array_equal(X[k], x) and np.array_equal(mus.atoms[k], mu.atoms)
+            assert np.array_equal(U[k], rng.standard_normal(m) if probe else [])

@@ -11,6 +11,7 @@ from oblique_mv import measures
 from oblique_mv.errors import ConfigurationError
 from oblique_mv.measures import (
     EmpiricalMeasure,
+    MeasureBatch,
     _assignment,
     dirac,
     second_moment_sup,
@@ -328,3 +329,40 @@ class TestSqNorms:
         x = np.arange(24.0).reshape(2, 3, 4)
         np.testing.assert_array_equal(sq_norms(x), np.sum(x * x, axis=-1))
         assert sq_norms(np.array([3.0, 4.0])) == 25.0
+
+
+class TestMeasureBatch:
+    """Each cloud's statistics are those of its lone measure, bit for bit, one per row."""
+
+    @pytest.mark.parametrize("n, m", [(8, 1), (8, 2), (256, 2), (7, 3)])
+    def test_statistics_are_the_lone_measures_per_row(self, n, m):
+        atoms = 2.0 * np.random.default_rng(n * m).standard_normal((5, n, m))
+        counts = [3, 0, 1, 4, 2]
+        batch = MeasureBatch(atoms, counts)
+        alone = [EmpiricalMeasure(a) for a in atoms]
+        per_row = lambda f: np.array([f(mu) for mu, c in zip(alone, counts) for _ in range(c)])
+        assert np.array_equal(batch.second_moment(), per_row(EmpiricalMeasure.second_moment))
+        assert np.array_equal(batch.mean(), per_row(EmpiricalMeasure.mean))
+        assert np.array_equal(w2_to_origin(batch), per_row(w2_to_origin))
+        assert np.array_equal(batch.each(math.sin, w2_to_origin),
+                              per_row(lambda mu: mu.each(math.sin, w2_to_origin)))
+        rows = [0, 3, 4, 9]
+        assert np.array_equal(batch.rows(rows).mean(), per_row(EmpiricalMeasure.mean)[rows])
+        assert np.array_equal(MeasureBatch(atoms)[1:4].second_moment(),
+                              [mu.second_moment() for mu in alone[1:4]])
+
+    def test_each_calls_the_scalar_function_once_per_cloud(self):
+        batch = MeasureBatch(np.ones((3, 4, 2)), 5)
+        seen = []
+        batch.each(lambda w: seen.append(w) or w, w2_to_origin)
+        assert seen == [math.sqrt(2.0)] * 3
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_w2_of_batches_equals_the_pairs(self, m):
+        A, B = np.random.default_rng(m).standard_normal((2, 40, 6, m))
+        want = wasserstein2([EmpiricalMeasure(a) for a in A], [EmpiricalMeasure(b) for b in B])
+        assert np.array_equal(wasserstein2(MeasureBatch(A), MeasureBatch(B)), want)
+
+    def test_w2_of_batches_of_two_shapes_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="clouds of one shape"):
+            wasserstein2(MeasureBatch(np.zeros((3, 4, 2))), MeasureBatch(np.zeros((3, 5, 2))))

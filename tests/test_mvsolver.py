@@ -139,12 +139,14 @@ class TestNoiseSource:
 class TestSystemChecks:
     def test_every_part_must_have_the_state_dimension(self):
         ou = library.make_system("ou")
-        with pytest.raises(ConfigurationError, match="^initial state has the wrong dimension$"):
+        # each error names what it compared: the part's shape or dimension, and the state's
+        with pytest.raises(ConfigurationError,
+                           match=r"^initial state of shape \(2,\), not \(1,\)$"):
             System(ou.coeffs, ou.oblique, ou.constraint, [0.0, 0.0])
-        with pytest.raises(ConfigurationError, match="^constraint dimension mismatch$"):
+        with pytest.raises(ConfigurationError, match="^constraint of dimension 2, not 1$"):
             System(ou.coeffs, ou.oblique, ConvexConstraint.ball(np.zeros(2), 1.0), [0.0])
-        with pytest.raises(ConfigurationError, match="^oblique field dimension mismatch$"):
-            System(ou.coeffs, ObliqueField.identity(2), ou.constraint, [0.0])
+        with pytest.raises(ConfigurationError, match="^oblique field of dimension 3, not 1$"):
+            System(ou.coeffs, ObliqueField.identity(3), ou.constraint, [0.0])
 
 
 class TestSkorohodStep:
@@ -1937,8 +1939,10 @@ class TestRowsTheStepCorrects:
     """A state- and measure-dependent ``H`` is read only on the rows the
     Skorohod step corrects."""
 
-    @pytest.mark.parametrize("groups", [1, 2])
-    def test_example31_matrix_sees_only_reflected_rows(self, groups):
+    @staticmethod
+    def run_recording(groups, batched):
+        """example31 on ``groups`` groups with its matrix declared ``batched`` or not:
+        the row count of every matrix call, and the reflected rows ``(G N, steps)``."""
         ex = library.make_system("example31")
         field, seen = ex.oblique.matrix, []
 
@@ -1946,17 +1950,25 @@ class TestRowsTheStepCorrects:
             seen.append(len(x))
             return field(x, mu)
 
-        ex.oblique.matrix = recording
+        ex.oblique.matrix, ex.oblique.batched = recording, batched
         grid = TimeGrid(0.0, 1.0, 128)
         inc = mvsolver._stream_increments([NoiseSource(21).for_replication(r)
                                            for r in range(groups)], 64, grid.steps, 1, grid.h)
         runs = mvsolver._simulate(ex, grid, 64, None, increments=inc, groups=groups)
         reflected = np.concatenate([np.any(e.dk != 0, axis=2) for e in runs])  # (G N, steps)
-        per_step = np.count_nonzero(reflected, axis=0)
-        # one call per reflecting group and step: no call on a step without a reflection
-        calls = sum(np.count_nonzero(np.any(block, axis=0))
-                    for block in np.split(reflected, groups))
-        assert 0 < np.count_nonzero(per_step) < grid.steps
+        assert 0 < np.count_nonzero(np.count_nonzero(reflected, axis=0)) < grid.steps
+        return seen, reflected
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_example31_matrix_sees_only_reflected_rows(self, groups):
+        seen, reflected = self.run_recording(groups, batched=True)
+        # one call per step with a reflection in any group: none on a step without one
+        assert sum(seen) == reflected.sum()
+        assert len(seen) == np.count_nonzero(np.any(reflected, axis=0))
+
+    def test_a_matrix_not_batched_is_called_once_per_reflecting_group(self):
+        seen, reflected = self.run_recording(2, batched=False)
+        calls = sum(np.count_nonzero(np.any(block, axis=0)) for block in np.split(reflected, 2))
         assert sum(seen) == reflected.sum() and len(seen) == calls
 
 

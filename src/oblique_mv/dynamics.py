@@ -60,10 +60,10 @@ def _constant(a, shape, what):
     return a
 
 
-def _evaluate(fn, batched, core, x, mu, u=None, t=None):
-    """``fn(x, mu, u, t)`` as an array.  A field not declared ``batched`` takes a
-    ``MeasureBatch`` (any field an object array of measures) once per cloud, in order, as
-    a run of that cloud alone would; the results are shared (``core`` axes) if all agree."""
+def _evaluate(fn, batched, shape, x, mu, u=None, t=None):
+    """``fn(x, mu, u, t)`` as an array, ``shape`` per row.  A field not declared ``batched``
+    takes a ``MeasureBatch`` (any field an object array of measures) once per cloud, in
+    order, as a run of that cloud alone would; the results are shared if all agree."""
     batch = isinstance(mu, MeasureBatch)
     if batch and batched or not (batch or isinstance(mu, np.ndarray)):
         return np.asarray(fn(x, mu, u, t), dtype=float)
@@ -74,10 +74,11 @@ def _evaluate(fn, batched, core, x, mu, u=None, t=None):
     column = np.ndim(u) > 0
     parts = [(b - a, np.asarray(fn(x[a] if lone else x[a:b], cloud, u[a, 0] if column else u, t),
                                 dtype=float)) for cloud, a, b in zip(clouds, ends, ends[1:]) if b > a]
-    if all(p.ndim == core and np.array_equal(p, parts[0][1]) for _, p in parts):
+    if not parts:               # no clouds, no rows
+        return np.empty((0,) + shape)
+    if all(p.shape == shape and np.array_equal(p, parts[0][1]) for _, p in parts):
         return parts[0][1]
-    return np.concatenate([p if p.shape[:-core] == (n,) else
-                           np.broadcast_to(p, (n,) + p.shape[-core:]) for n, p in parts])
+    return np.concatenate([np.broadcast_to(p, (n,) + shape) for n, p in parts])
 
 
 def _canonical(fn, controlled, time_dependent, shape):
@@ -130,12 +131,12 @@ class CoefficientField:
                 )
 
     def drift(self, x, mu, u=None, t=None):
-        f = self._drift
-        return f if isinstance(f, np.ndarray) else _evaluate(f, self.batched, 1, x, mu, u, t)
+        f, shape = self._drift, (self.state_dim,)
+        return f if isinstance(f, np.ndarray) else _evaluate(f, self.batched, shape, x, mu, u, t)
 
     def diffusion(self, x, mu, u=None, t=None):
-        g = self._diffusion
-        return g if isinstance(g, np.ndarray) else _evaluate(g, self.batched, 2, x, mu, u, t)
+        g, shape = self._diffusion, (self.state_dim, self.noise_dim)
+        return g if isinstance(g, np.ndarray) else _evaluate(g, self.batched, shape, x, mu, u, t)
 
 
 class ObliqueField:
@@ -151,11 +152,10 @@ class ObliqueField:
     at the origin, so a dense ``(m, m)`` return cannot pass for ``m`` rows.
     A projected step calls it only on the rows it corrects, with the whole
     ensemble's measure: a row's matrix may depend only on that row and the measure.
-    An array ``matrix`` is ``constant``: read-only, as every step shares it.
-
-    A ``batched`` field takes a ``MeasureBatch`` for ``mu`` with the rows of all its
-    clouds: it reads the measure only by its per-row statistics, and a scalar function
-    of one by ``mu.each``.  Any other is called once per cloud (``_evaluate``).
+    An array ``matrix`` is ``constant``: read-only, as every step shares it.  A ``batched``
+    field takes a ``MeasureBatch`` with the rows of all its clouds and reads it only by
+    per-row statistics, a scalar function of one by ``mu.each``; any other is called once
+    per cloud (``_evaluate``).
     """
 
     def __init__(self, matrix, a_h, b_h, dim, time_dependent=False, derivative=None,
@@ -187,7 +187,7 @@ class ObliqueField:
     def __call__(self, x=None, mu=None, t=None):
         H = np.asarray(self.matrix if self.constant else self.matrix(t) if self.time_dependent
                        else _evaluate(lambda x, mu, u, t: self.matrix(x, mu), self.batched,
-                                      2 - self.diagonal, x, mu), dtype=float)
+                                      (self.dim,) * (2 - self.diagonal), x, mu), dtype=float)
         if self.diagonal and H.shape != (self.dim,) and H.shape != np.shape(x)[:-1] + (self.dim,):
             raise ConfigurationError(f"diagonal oblique field returned shape {H.shape}, "
                                      f"not ({self.dim},) or (rows, {self.dim})")
@@ -241,12 +241,15 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
 
+SAMPLER_SCALE, SAMPLER_ATOMS = 2.0, 8        # default_sampler's, and its draw in _samples
+
+
 def default_sampler(state_dim):
-    """Random (state, measure) pairs for validator probing: 8 atoms, normal, scale 2."""
+    """Random (state, measure) pairs for validator probing: normal, times ``SAMPLER_SCALE``."""
 
     def sample(rng):
-        x = 2.0 * rng.standard_normal(state_dim)
-        mu = EmpiricalMeasure(2.0 * rng.standard_normal((8, state_dim)))
+        x = SAMPLER_SCALE * rng.standard_normal(state_dim)
+        mu = EmpiricalMeasure(SAMPLER_SCALE * rng.standard_normal((SAMPLER_ATOMS, state_dim)))
         return x, mu
 
     return sample
@@ -254,15 +257,14 @@ def default_sampler(state_dim):
 
 def _samples(sampler, m, count, rng, probe=False):
     """``count`` samples, with ``probe`` each followed by a direction, in the validators'
-    order: states, measures (a ``MeasureBatch`` if all are uniform of one shape, else an
-    object array) and directions.  ``default_sampler``'s draws are one call."""
-    if sampler is None:         # per sample: x, 8 atoms and the direction
-        z = rng.standard_normal((count, 9 + probe, m))
-        return 2.0 * z[:, 0], MeasureBatch(2.0 * z[:, 1:9]), z[:, 9:].reshape(count, m * probe)
+    order: states, measures and directions.  ``default_sampler``'s draws are one call and
+    its clouds one ``MeasureBatch``; a user sampler's measures are its own, an object array."""
+    if sampler is None:         # per sample: the state, the atoms and the direction
+        z = rng.standard_normal((count, 1 + SAMPLER_ATOMS + probe, m))
+        x, mus = SAMPLER_SCALE * z[:, 0], MeasureBatch(SAMPLER_SCALE * z[:, 1:1 + SAMPLER_ATOMS])
+        return x, mus, z[:, 1 + SAMPLER_ATOMS:].reshape(count, m * probe)
     draws = [(*sampler(rng), rng.standard_normal(m * probe)) for _ in range(count)]
     mus = np.array([d[1] for d in draws], dtype=object)
-    if count and all(mu.uniform and mu.atoms.shape == mus[0].atoms.shape for mu in mus):
-        mus = MeasureBatch([mu.atoms for mu in mus])
     return (np.reshape([d[0] for d in draws], (count, m)), mus,
             np.reshape([d[2] for d in draws], (count, m * probe)))
 

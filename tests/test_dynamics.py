@@ -467,6 +467,18 @@ def ragged_sampler(rng):
     return rng.uniform(-1.0, 1.0, 1), EmpiricalMeasure(rng.standard_normal((rng.integers(3, 7), 1)))
 
 
+def near_uniform_sampler(rng):
+    """A user sampler of 1-d 3-atom clouds whose weights are uniform only to within 2e-7."""
+    atoms = 2.0 * rng.standard_normal((3, 1))
+    return rng.uniform(-1.0, 1.0, 1), EmpiricalMeasure(atoms, [0.3333334, 0.3333333, 0.3333333])
+
+
+def second_moment_field():
+    """A 1-d measure-dependent ``H`` not declared batched."""
+    return ObliqueField(lambda x, mu: np.array([[2.0 + math.tanh(x[0]) + 0.1 * mu.second_moment()]]),
+                        0.5, 10.0, 1, lipschitz=5.0)
+
+
 def measure_fields():
     """Every bundled measure-dependent field as ``f(x, mu)``, by name."""
     ex, lin = library.make_system("example31"), library.make_system("linear")
@@ -535,18 +547,45 @@ class TestBatchedValidators:
         assert validate_oblique(oblique, samples=300, seed=4) == \
             oracle_validate_oblique(oblique, samples=300, seed=4)
 
-    def test_clouds_that_do_not_stack_are_called_one_sample_at_a_time(self):
+    def test_a_ragged_sampler_is_called_one_sample_at_a_time(self):
         lin = library.make_system("linear").coeffs
         got = validate_lipschitz(lin, sampler=ragged_sampler, pairs=200, seed=8)
         worst, ratios = oracle_validate_lipschitz(lin, sampler=ragged_sampler, pairs=200, seed=8)
         assert got.estimate == worst > 0 and [v[0] for v in got.violations] == ratios
 
-        def field():
-            return ObliqueField(lambda x, mu: np.array([[2.0 + math.tanh(x[0])
-                                                         + 0.1 * mu.second_moment()]]),
-                                0.5, 10.0, 1, lipschitz=5.0)
-        assert validate_oblique(field(), ragged_sampler, samples=200, seed=8) == \
-            oracle_validate_oblique(field(), ragged_sampler, samples=200, seed=8)
+        assert validate_oblique(second_moment_field(), ragged_sampler, samples=200, seed=8) == \
+            oracle_validate_oblique(second_moment_field(), ragged_sampler, samples=200, seed=8)
+
+    def test_a_user_samplers_own_measures_reach_the_field_and_w2(self):
+        # weights within 1e-5 of uniform are the sampler's own, not equal weights
+        lin = library.make_system("linear").coeffs
+        drawn, seen, drift = [], [], lin._drift
+
+        def sampler(rng):
+            drawn.append(near_uniform_sampler(rng)[1])
+            return rng.uniform(-1.0, 1.0, 1), drawn[-1]
+        lin._drift = lambda x, mu, u, t: seen.append(mu) or drift(x, mu, u, t)
+        validate_lipschitz(lin, sampler=sampler, pairs=200, seed=8)
+        assert len(seen) == 400 and all(a is b for a, b in zip(seen, drawn))
+        lin._drift = drift
+        worst, ratios = oracle_validate_lipschitz(lin, sampler=near_uniform_sampler,
+                                                  pairs=200, seed=8)
+        got = validate_lipschitz(lin, sampler=near_uniform_sampler, pairs=200, seed=8)
+        assert got.estimate == worst > 0 and [v[0] for v in got.violations] == ratios
+        assert validate_oblique(second_moment_field(), near_uniform_sampler, samples=200,
+                                seed=8) == \
+            oracle_validate_oblique(second_moment_field(), near_uniform_sampler, samples=200,
+                                    seed=8)
+
+    @pytest.mark.parametrize("sampler", [None, ragged_sampler])
+    def test_no_samples_is_an_empty_passing_report(self, sampler):
+        # fields not declared batched, called on no clouds at all
+        ou = library.make_system("ou").coeffs
+        got = validate_lipschitz(ou, sampler=sampler, pairs=0)
+        assert got.passed and got.estimate == 0.0 and not got.violations
+        got = validate_oblique(second_moment_field(), sampler, samples=0)
+        assert got.passed and got == oracle_validate_oblique(second_moment_field(), sampler,
+                                                             samples=0)
 
     def test_a_stateful_field_sees_the_calls_of_the_per_sample_loop(self):
         def recorded():

@@ -63,7 +63,9 @@ class ControlPath:
 
 @dataclass
 class ControlProblem:
-    """Controlled dynamics plus running/terminal costs over a horizon."""
+    """Controlled dynamics plus running/terminal costs over a horizon.  It checks that,
+    under each control of its set, normalized costs vanish at ``np.zeros((1, m))`` and
+    normalized coefficients at (0, delta_0)."""
 
     system: System
     costs: CostField
@@ -82,6 +84,17 @@ class ControlProblem:
         s, t = self.horizon
         if not t > s:
             raise ConfigurationError(f"horizon must satisfy s < T, got s={s!r}, T={t!r}")
+        coeffs, costs = self.system.coeffs, self.costs
+        zero = np.zeros((1, self.system.state_dim))
+        for u in self.control_set:
+            if coeffs.normalized:
+                coeffs.vanishes(u)
+            if costs.normalized:
+                b0, a0 = (float(np.max(np.abs(c)))
+                          for c in (costs.running(zero, u), costs.terminal(zero)))
+                if not (b0 <= 1e-12 and a0 <= 1e-12):       # a NaN fails too
+                    raise ConfigurationError(f"costs do not vanish at the origin under control "
+                                             f"{u!r}: b={b0:.3e}, alpha={a0:.3e}")
 
     def restarted(self, start, x0):
         """Same problem from a later start time and a new initial state."""

@@ -99,14 +99,15 @@ class CoefficientField:
 
     ``drift`` maps states (n, m) to (n, m); ``diffusion`` maps to (n, m, d).
     Either may be a constant array, ``(m,)`` or ``(m, d)``, read-only and returned as is.
-    Normalized fields vanish at (0, delta_0); this is asserted once at
-    construction and can be switched off for fields that break the
-    convention (several bundled examples do).  ``batched`` as in ``ObliqueField``.
+    Normalized fields vanish at (0, delta_0) (``vanishes``): checked at construction,
+    or if ``controlled`` by its ``ControlProblem`` under each control; switched off
+    for fields that break the convention (several bundled examples do).  ``batched``
+    as in ``ObliqueField``.
     """
 
     def __init__(self, drift, diffusion, lipschitz, state_dim, noise_dim,
                  controlled=False, time_dependent=False, uses_measure=True,
-                 normalized=True, control_probe=None, batched=False):
+                 normalized=True, batched=False):
         self.lipschitz = float(lipschitz)
         self.batched = batched
         self.state_dim = int(state_dim)
@@ -118,17 +119,19 @@ class CoefficientField:
         self._diffusion = _canonical(diffusion, controlled, time_dependent,
                                      (self.state_dim, self.noise_dim))
         self.uses_measure = uses_measure and (callable(drift) or callable(diffusion))
-        if normalized:
-            zero = np.zeros(state_dim)
-            mu0 = dirac(zero)
-            u = control_probe
-            t = 0.0
-            f0 = np.linalg.norm(np.asarray(self.drift(zero, mu0, u, t)))
-            g0 = np.linalg.norm(np.asarray(self.diffusion(zero, mu0, u, t)))
-            if f0 > 1e-12 or g0 > 1e-12:
-                raise ConfigurationError(
-                    f"coefficients do not vanish at (0, delta_0): |f|={f0:.3e}, |g|={g0:.3e}"
-                )
+        if normalized and not controlled:
+            self.vanishes()
+
+    def vanishes(self, u=None):
+        """Raise ``ConfigurationError`` unless drift and diffusion vanish at (0, delta_0)
+        under the control ``u`` at time 0; the message names a control given."""
+        zero = np.zeros(self.state_dim)
+        f0, g0 = (np.linalg.norm(np.asarray(c(zero, dirac(zero), u, 0.0)))
+                  for c in (self.drift, self.diffusion))
+        if not (f0 <= 1e-12 and g0 <= 1e-12):     # a NaN fails too
+            under = "" if u is None else f" under control {u!r}"
+            raise ConfigurationError(f"coefficients do not vanish at (0, delta_0){under}: "
+                                     f"|f|={f0:.3e}, |g|={g0:.3e}")
 
     def drift(self, x, mu, u=None, t=None):
         f, shape = self._drift, (self.state_dim,)
@@ -209,20 +212,14 @@ class ObliqueField:
 
 
 class CostField:
-    """Running and terminal costs with a declared Lipschitz constant."""
+    """Running and terminal costs with a declared Lipschitz constant.  Normalized
+    costs vanish at the origin; their ``ControlProblem`` checks it under each control."""
 
-    def __init__(self, running, terminal, lipschitz, control_probe=None,
-                 normalized=True):
+    def __init__(self, running, terminal, lipschitz, normalized=True):
         self.running = running
         self.terminal = terminal
         self.lipschitz = float(lipschitz)
-        if normalized:
-            b0 = abs(float(np.max(np.atleast_1d(running(np.zeros(1), control_probe)))))
-            a0 = abs(float(np.max(np.atleast_1d(terminal(np.zeros(1))))))
-            if b0 > 1e-12 or a0 > 1e-12:
-                raise ConfigurationError(
-                    f"costs do not vanish at the origin: b={b0:.3e}, alpha={a0:.3e}"
-                )
+        self.normalized = normalized
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +239,8 @@ class ValidationReport:
 
 
 SAMPLER_SCALE, SAMPLER_ATOMS = 2.0, 8        # default_sampler's, and its draw in _samples
+# the slack on symmetry, on the Rayleigh band and (relative) on a declared Lipschitz constant
+SYMMETRY_TOL, BAND_TOL, LIPSCHITZ_RTOL = 1e-10, 1e-9, 1e-9
 
 
 def default_sampler(state_dim):
@@ -282,7 +281,7 @@ def validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
     ks = np.flatnonzero(~(den < 1e-12))
     ratios = (df[ks] + dg[ks]) / den[ks]
     violations = [(r, X[2 * k].copy(), X[2 * k + 1].copy()) for k, r in zip(ks, ratios)
-                  if not r <= fld.lipschitz * (1 + 1e-9)]
+                  if not r <= fld.lipschitz * (1 + LIPSCHITZ_RTOL)]
     return ValidationReport(
         name="lipschitz",
         passed=not violations,
@@ -294,7 +293,8 @@ def validate_lipschitz(fld, sampler=None, pairs=10_000, seed=0, control=None):
 
 
 def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
-    """Check symmetry, the Rayleigh-quotient band, and Lipschitz continuity.
+    """Check symmetry, the Rayleigh-quotient band, and Lipschitz continuity; each
+    verdict is in ``details["checks"]`` under the name of its ``validate`` mode row.
 
     The samples are drawn first (``_samples``), then a state field is called once
     on all of them; the W2 distances of consecutive samples are solved as one batch."""
@@ -318,7 +318,7 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
     # the symmetry residual so far, as each sample met it
     so_far = np.maximum.accumulate(np.max(np.abs(Hs - Hs.transpose(0, 2, 1)), axis=(1, 2)))
     asym = float(so_far[-1]) if samples else 0.0
-    symmetric = so_far <= 1e-10 * np.maximum(1.0, np.max(np.abs(Hs), axis=(1, 2)))
+    symmetric = so_far <= SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(Hs), axis=(1, 2)))
     # Lipschitz pairs: each sample with the one before it, while all are symmetric
     later = np.flatnonzero(symmetric[1:]) + 1
     if fld.time_dependent:
@@ -332,18 +332,18 @@ def validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=None):
     inverses[order] = _inverses_spd(Hs[order])
     ratios = (_norms(Hs[ks] - Hs[ks - 1]) + _norms(inverses[ks] - inverses[ks - 1])) / dens
     lip = float(np.max(ratios, initial=0.0))
-    passed = (
-        asym <= 1e-10
-        and lo >= fld.a_h - 1e-9
-        and hi <= fld.b_h + 1e-9
-        and (fld.lipschitz is None or lip <= fld.lipschitz * (1 + 1e-9))
-    )
+    checks = {"oblique_symmetry": asym <= SYMMETRY_TOL,
+              "oblique_band_low": lo >= fld.a_h - BAND_TOL,
+              "oblique_band_high": hi <= fld.b_h + BAND_TOL,
+              "oblique_lipschitz": (fld.lipschitz is None
+                                    or lip <= fld.lipschitz * (1 + LIPSCHITZ_RTOL))}
     return ValidationReport(
         name="oblique",
-        passed=passed,
+        passed=all(checks.values()),
         estimate=lip,
         declared=fld.lipschitz,
         details={
+            "checks": checks,
             "rayleigh_min": lo,
             "rayleigh_max": hi,
             "symmetry_residual": asym,

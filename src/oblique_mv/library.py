@@ -263,8 +263,7 @@ def _two_control(theta=0.5, sigma=0.6, x0=0.4, horizon=(0.0, 1.0),
         terminal = lambda x: np.abs(x[..., 0])
     else:
         raise ConfigurationError(f"unknown cost_shape {cost_shape!r}")
-    costs = CostField(running, terminal, lipschitz=1.0,
-                      control_probe=controls[0])
+    costs = CostField(running, terminal, lipschitz=1.0)
     return ControlProblem(system, costs, tuple(controls), tuple(horizon))
 
 

@@ -66,7 +66,7 @@ class EmpiricalMeasure:
             if abs(total - 1.0) > 1e-12:
                 raise ConfigurationError("weights must sum to 1")
             self.weights = w
-            self.uniform = bool(np.allclose(w, 1.0 / n, atol=1e-15))
+            self.uniform = bool(np.array_equal(w, _uniform_weights(n)))     # exact
 
     @property
     def dim(self):

@@ -559,10 +559,7 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
     (level ``level``) of each step's left endpoint.  The zeroth iterate is
     the constant path at the start point, so the first pass freezes
     coefficients at the initial state and its point mass.  All passes share
-    one set of Brownian increments.  Steps in one snap window reuse their
-    coefficients when nothing but the snapped states feeds them: no
-    control, and neither the coefficients nor the oblique matrix depend on
-    time.
+    one set of Brownian increments.
 
     Returns the list of iterates and the root-mean-square sup-distances
     between consecutive iterates.
@@ -573,22 +570,15 @@ def euler_iteration(system, level, iterations, grid, particles, noise,
     increments = noise.brownian(N, grid.steps, system.noise_dim, grid.h)
     times = grid.times
     snaps = [grid.snap_index(t, level) for t in times[:-1]]
-    reuse = control is None and not (system.coeffs.time_dependent
-                                     or system.oblique.time_dependent)
     prev = np.broadcast_to(system.x0, (N, grid.steps + 1, system.state_dim))
     evaluate = _coefficients(system)
 
     def frozen(k, X, u):
-        nonlocal cache
-        j = snaps[k]
-        if not (reuse and cache[0] == j):
-            cache = (j, (*evaluate(prev[:, j, :], u, times[k]), system.constraint))
-        return cache[1]
+        return (*evaluate(prev[:, snaps[k], :], u, times[k]), system.constraint)
 
     iterates = []
     distances = []
     for _ in range(iterations):
-        cache = (None, None)    # (snap index, step inputs)
         ens = _simulate(system, grid, N, noise, control=control, increments=increments,
                         inputs=frozen)[0]
         if iterates:
@@ -613,14 +603,15 @@ class SolutionDiagnostics:
     details: dict = field(default_factory=dict)
 
 
-def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=None):
+def residual_report(ensemble, system, probes=(), shifts=()):
     """Check a simulated ensemble against the solution clauses.
 
     Reports (1) the worst subdifferential-inequality residual over constant
     probe paths and shifted copies of the path itself, (2) the worst
     distance of any state to the constraint domain, and (3) the worst
     equation residual obtained by re-integrating drift, noise, and oblique
-    reflection from the recorded path.
+    reflection from the recorded path.  (1) reads the constraint within
+    ``max((2) * (1 + 1e-9), TOL_GEOM)`` of the set.
     """
     grid = ensemble.grid
     h = grid.h
@@ -630,8 +621,7 @@ def residual_report(ensemble, system, probes=(), shifts=(), feasibility_band=Non
     dK = ensemble._from_log(lambda v: v / h * h, particle_major=True)   # density * h
 
     feas = ensemble.feasibility_gap()
-    band = max(feas * (1 + 1e-9), convexcore.TOL_GEOM) \
-        if feasibility_band is None else feasibility_band
+    band = max(feas * (1 + 1e-9), convexcore.TOL_GEOM)
 
     residual = np.zeros((N, m))
     eq_worst = 0.0      # np.maximum(new, old): max(old, new), but a NaN is kept

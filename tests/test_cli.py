@@ -563,8 +563,39 @@ class TestOutputs:
             "samples": 300,
         }
         assert run(write_config(tmp_path, payload)) == 0
-        body = (out / "validation.csv").read_text()
-        assert "lipschitz,true" in body
+        rows = list(csv.reader((out / "validation.csv").read_text().splitlines()))[1:]
+        assert [r[:2] for r in rows] == [[check, "true"] for check in (
+            "lipschitz", "oblique_symmetry", "oblique_band_low", "oblique_band_high",
+            "oblique_lipschitz")]
+        assert rows[-1][3] == "4.5"
+
+    def test_validate_mode_without_an_oblique_constant_declares_nan(self, tmp_path):
+        out = tmp_path / "out"
+        payload = {"mode": "validate", "seed": 3, "output_dir": str(out),
+                   "system": {"name": "ou"}, "samples": 50}
+        assert run(write_config(tmp_path, payload), strict=True) == 0
+        last = (out / "validation.csv").read_text().splitlines()[-1]
+        assert last == "oblique_lipschitz,true,0,nan"
+
+    def test_validate_mode_gates_the_oblique_lipschitz_constant(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        @functools.wraps(library._example31)
+        def tight(**params):        # example31 with a declared L_H below its estimate
+            system = library._example31(**params)
+            system.oblique.lipschitz = 0.1
+            return system
+
+        monkeypatch.setitem(library.SYSTEMS, "example31", tight)
+        out = tmp_path / "out"
+        payload = {"mode": "validate", "seed": 3, "output_dir": str(out),
+                   "system": {"name": "example31"}, "samples": 300}
+        assert run(write_config(tmp_path, payload), strict=True) == 4
+        assert re.search(r"probe failed: oblique_lipschitz [0-9.]+ above declared 0\.1;",
+                         capsys.readouterr().out)
+        check, passed, estimate, declared = (out / "validation.csv").read_text() \
+            .splitlines()[-1].split(",")
+        assert (check, passed, float(declared)) == ("oblique_lipschitz", "false", 0.1)
+        assert float(estimate) > 0.1
 
     def test_transform_demo_mode(self, tmp_path):
         out = tmp_path / "out"

@@ -22,7 +22,8 @@ from oblique_mv.control import (
     _kmeans,
     _value_costs,
 )
-from oblique_mv.dynamics import CoefficientField, CostField
+from oblique_mv.convexcore import ConvexConstraint
+from oblique_mv.dynamics import CoefficientField, CostField, ObliqueField
 from oblique_mv.errors import BudgetError, ConfigurationError
 from oblique_mv.mvsolver import (
     NoiseSource,
@@ -39,6 +40,21 @@ def deterministic_problem(x0=0.5, controls=(-1.0, 1.0), cost_shape="abs"):
         "two_control", theta=0.5, sigma=0.0, x0=x0, controls=controls,
         control_mode="shift", cost_shape=cost_shape,
     )
+
+
+def normalized_problem(m, running=None, terminal=None, drift=None, controls=(-1.0, 1.0),
+                       normalized=True):
+    """A controlled problem on the unit ball of R^m whose coefficients and, by default,
+    costs vanish at the origin; the oblique matrix is ``(1 + t / 4) I``."""
+    coeffs = CoefficientField(drift or (lambda x, mu, u: u * x),
+                              lambda x, mu, u: 0.3 * x[..., None], 1.0, m, 1,
+                              controlled=True, uses_measure=False)
+    oblique = ObliqueField(lambda t: np.full(m, 1.0 + t / 4), 1.0, 1.25, m,
+                           time_dependent=True, diagonal=True)
+    system = System(coeffs, oblique, ConvexConstraint.ball(np.zeros(m), 1.0), np.full(m, 0.3))
+    costs = CostField(running or (lambda x, u: x @ np.ones(m)),
+                      terminal or (lambda x: np.sum(x * x, axis=-1)), 1.0, normalized=normalized)
+    return ControlProblem(system, costs, controls, (0.0, 1.0))
 
 
 def ode_cost_oracle(x0, u, theta=0.5, T=1.0, n=200_000):
@@ -189,6 +205,42 @@ class TestControlProblemChecks:
         with pytest.raises(ConfigurationError, match="^unknown cost_shape 'cubic'$"):
             library.make_control_problem("two_control", cost_shape="cubic")
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_normalized_problem_builds_and_runs_in_any_dimension(self, m):
+        # the costs are checked at np.zeros((1, m)), not at a 1-d state
+        prob = normalized_problem(m)
+        cfg = SimConfig(steps=16, particles=8, replications=3, seed=1, clusters=2,
+                        inner_replications=2)
+        est = value(prob, cfg)
+        assert est.minimizer.values in ((-1.0,), (1.0,)) and math.isfinite(est.value)
+        residual, se = dpp_residual(prob, 0.5, cfg)
+        assert math.isfinite(residual) and math.isfinite(se)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_costs_must_vanish_under_every_control(self, m):
+        # the running cost depends on the control; the terminal cost fails under the first
+        with pytest.raises(ConfigurationError, match=r"^costs do not vanish at the origin under "
+                           r"control 1\.0: b=1\.000e\+00, alpha=0\.000e\+00$"):
+            normalized_problem(m, running=lambda x, u: np.sum(x, axis=-1) + max(u, 0.0))
+        with pytest.raises(ConfigurationError, match=r"^costs do not vanish at the origin under "
+                           r"control -1\.0: b=0\.000e\+00, alpha=2\.500e-01$"):
+            normalized_problem(m, terminal=lambda x: np.sum(x, axis=-1) + 0.25)
+        with pytest.raises(ConfigurationError, match=r"under control -1\.0: b=nan"):
+            normalized_problem(m, running=lambda x, u: np.sum(x, axis=-1) + math.nan)
+        prob = normalized_problem(m, running=lambda x, u: np.sum(x, axis=-1) + 1.0,
+                                  normalized=False)
+        assert prob.costs.normalized is False
+
+    def test_controlled_coefficients_must_vanish_under_every_control(self):
+        drift = lambda x, mu, u: x + max(u, 0.0)
+        # a controlled field is checked by its problem, which holds the control set
+        CoefficientField(drift, np.zeros((2, 1)), 1.0, 2, 1, controlled=True)
+        with pytest.raises(ConfigurationError,
+                           match=r"^coefficients do not vanish at \(0, delta_0\) under control "
+                                 r"1\.0: \|f\|=1\.414e\+00, \|g\|=0\.000e\+00$"):
+            normalized_problem(2, drift=drift)
+        normalized_problem(2, drift=drift, controls=(-1.0, 0.0))
+
 
 class TestCost:
     def test_zero_costs(self):
@@ -197,7 +249,7 @@ class TestCost:
         ens = simulate_projected(prob.system, grid, 4, NoiseSource(0),
                                  control=np.full(33, 1.0))
         zero = CostField(lambda x, u: 0.0 * x[..., 0], lambda x: 0.0 * x[..., 0],
-                         1.0, control_probe=1.0)
+                         1.0)
         est, se = cost(ens, np.full(33, 1.0), zero)
         assert est == 0.0 and se == 0.0
 
@@ -227,9 +279,7 @@ class TestCost:
                                  control=np.full(65, -1.0))
         base, _ = cost(ens, np.full(65, -1.0), prob.costs)
         doubled = CostField(
-            lambda x, u: 2.0 * x[..., 0], lambda x: 2.0 * x[..., 0], 2.0,
-            control_probe=-1.0,
-        )
+            lambda x, u: 2.0 * x[..., 0], lambda x: 2.0 * x[..., 0], 2.0)
         twice, _ = cost(ens, np.full(65, -1.0), doubled)
         assert twice == pytest.approx(2.0 * base, rel=1e-14)
 
@@ -275,8 +325,7 @@ class TestValue:
     def test_argmin_invariant_under_cost_scaling(self):
         prob = library.make_control_problem("two_control")
         scaled_costs = CostField(lambda x, u: 7.0 * x[..., 0],
-                                 lambda x: 7.0 * x[..., 0], 7.0,
-                                 control_probe=-1.0)
+                                 lambda x: 7.0 * x[..., 0], 7.0)
         scaled = ControlProblem(prob.system, scaled_costs, prob.control_set,
                                 prob.horizon)
         cfg = SimConfig(steps=256, particles=64, replications=6, seed=5)
@@ -297,8 +346,7 @@ class TestValue:
                                   1.0, 1, 1, controlled=True, uses_measure=False,
                                   normalized=False)
         bad = System(coeffs, sys_.oblique, sys_.constraint, [0.5])
-        costs = CostField(lambda x, u: x[..., 0], lambda x: x[..., 0], 1.0,
-                          control_probe=0.0)
+        costs = CostField(lambda x, u: x[..., 0], lambda x: x[..., 0], 1.0)
         with pytest.raises(ConfigurationError):
             ControlProblem(bad, costs, (0.0,), (0.0, 1.0))
 
@@ -307,7 +355,7 @@ class TestDPP:
     def test_singleton_zero_running_cost(self):
         prob = library.make_control_problem("two_control", controls=(-1.0,))
         terminal_only = CostField(lambda x, u: 0.0 * x[..., 0],
-                                  lambda x: x[..., 0], 1.0, control_probe=-1.0)
+                                  lambda x: x[..., 0], 1.0)
         prob = ControlProblem(prob.system, terminal_only, prob.control_set,
                               prob.horizon)
         cfg = SimConfig(steps=256, particles=64, replications=12, seed=6,
@@ -695,8 +743,7 @@ class TestOneBatch:
     def test_value_and_dpp_equal_separate_calls(self, priced):
         prob = library.make_control_problem("two_control", controls=(1.0, -1.0))
         if priced:      # a running cost that depends on the control, at tau too
-            costs = CostField(lambda x, u: x[..., 0] * (1.5 + u), prob.costs.terminal, 2.5,
-                              control_probe=-1.0)
+            costs = CostField(lambda x, u: x[..., 0] * (1.5 + u), prob.costs.terminal, 2.5)
             prob = ControlProblem(prob.system, costs, prob.control_set, prob.horizon)
         cfg = SimConfig(steps=64, particles=8, replications=3, seed=21, switches=1,
                         clusters=3, inner_replications=2)

@@ -8,7 +8,6 @@ from scipy.optimize import linear_sum_assignment
 from oblique_mv import library
 from oblique_mv.dynamics import (
     CoefficientField,
-    CostField,
     ObliqueField,
     ValidationReport,
     _inverses_spd,
@@ -56,16 +55,6 @@ class TestSpectral:
             _inverses_spd(np.zeros((4, 2, 3)))
         with pytest.raises(SpectralError, match=r"^expected a square matrix, got shape \(2,\)$"):
             _inverses_spd(np.eye(2))
-
-
-class TestCostField:
-    def test_costs_must_vanish_at_the_origin(self):
-        with pytest.raises(ConfigurationError, match=r"^costs do not vanish at the origin: "
-                                                     r"b=0\.000e\+00, alpha=2\.500e-01$"):
-            CostField(lambda x, u: x[..., 0], lambda x: x[..., 0] + 0.25, 1.0)
-        with pytest.raises(ConfigurationError, match=r"b=1\.000e\+00, alpha=0\.000e\+00$"):
-            CostField(lambda x, u: x[..., 0] + u, lambda x: x[..., 0], 1.0, control_probe=-1.0)
-        CostField(lambda x, u: x[..., 0] + 1.0, lambda x: x[..., 0], 1.0, normalized=False)
 
 
 class TestCoefficientField:
@@ -188,6 +177,8 @@ class TestObliqueField:
         report = validate_oblique(fld, samples=50, seed=3)
         assert not report.passed
         assert report.details["symmetry_residual"] >= 0.5
+        assert report.details["checks"] == {"oblique_symmetry": False, "oblique_band_low": True,
+                                            "oblique_band_high": True, "oblique_lipschitz": True}
 
     def test_a_nan_matrix_fails(self):
         # a NaN residual poisons the running maximum, so it cannot read as symmetric
@@ -204,6 +195,8 @@ class TestObliqueField:
         assert not report.passed
         assert math.isnan(report.details["rayleigh_min"])
         assert math.isnan(report.details["rayleigh_max"])
+        checks = report.details["checks"]
+        assert not checks["oblique_band_low"] and not checks["oblique_band_high"]
 
     def test_time_derivative_of_a_state_field_rejected(self):
         fld = ObliqueField(lambda x, mu: np.eye(1), 1.0, 1.0, 1)
@@ -329,16 +322,16 @@ def oracle_validate_oblique(fld, sampler=None, samples=2000, seed=0, horizon=Non
                 dHinv = np.linalg.norm(inverse_spd(H) - inverse_spd(Hp))
                 lip = max(lip, (dH + dHinv) / den)
         prev = (H, key)
-    passed = (
-        asym <= 1e-10
-        and lo >= fld.a_h - 1e-9
-        and hi <= fld.b_h + 1e-9
-        and (fld.lipschitz is None or lip <= fld.lipschitz * (1 + 1e-9))
-    )
+    checks = {
+        "oblique_symmetry": asym <= 1e-10,
+        "oblique_band_low": lo >= fld.a_h - 1e-9,
+        "oblique_band_high": hi <= fld.b_h + 1e-9,
+        "oblique_lipschitz": fld.lipschitz is None or lip <= fld.lipschitz * (1 + 1e-9),
+    }
     return ValidationReport(
-        name="oblique", passed=passed, estimate=lip, declared=fld.lipschitz,
-        details={"rayleigh_min": lo, "rayleigh_max": hi, "symmetry_residual": asym,
-                 "a_h": fld.a_h, "b_h": fld.b_h},
+        name="oblique", passed=all(checks.values()), estimate=lip, declared=fld.lipschitz,
+        details={"checks": checks, "rayleigh_min": lo, "rayleigh_max": hi,
+                 "symmetry_residual": asym, "a_h": fld.a_h, "b_h": fld.b_h},
     )
 
 

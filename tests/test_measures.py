@@ -246,6 +246,18 @@ class TestSharedWeights:
             a.weights[0] = 1.0
         assert b.weights.tobytes() == np.full(5, 1.0 / 5).tobytes()
 
+    def test_uniform_is_exact(self):
+        atoms = np.random.default_rng(0).standard_normal((2, 3, 2))
+        for w in (np.full(3, 1 / 3), np.ones(3) / 3, [1 / 3] * 3):
+            assert EmpiricalMeasure(atoms[0], w).uniform
+        for w in ([0.3333334, 0.3333333, 0.3333333], [0.4, 0.3, 0.3]):
+            mu, nu = (EmpiricalMeasure(a, w) for a in atoms)
+            assert not mu.uniform
+            with pytest.raises(ConfigurationError, match="only supported in 1-d"):
+                wasserstein2(mu, nu)
+        equal = [EmpiricalMeasure(a, np.full(3, 1 / 3)) for a in atoms]
+        assert wasserstein2(*equal) == wasserstein2(*map(EmpiricalMeasure, atoms))
+
     def test_second_moment_is_the_weighted_sum_worked_out_once(self, monkeypatch):
         calls = []
 

@@ -965,11 +965,13 @@ class TestEulerIteration:
         for a, b in zip(dists[1:], dists[2:]):
             assert b <= a + 1e-12
 
-    def test_window_reuse_needs_time_independent_coefficients(self):
-        # drift t changes inside every snap window, so no window may reuse
-        # the coefficients of its first step, whether H is I or I(t)
+    def test_time_dependent_coefficients_are_read_at_every_step(self):
+        # drift t changes inside every snap window, so each step reads it at its
+        # own time, whether H is I or I(t)
+        seen = []
         coeffs = CoefficientField(
-            lambda x, mu, t: np.full_like(x, t), lambda x, mu, t: np.array([[0.3]]),
+            lambda x, mu, t: seen.append(t) or np.full_like(x, t),
+            lambda x, mu, t: np.array([[0.3]]),
             1.0, 1, 1, time_dependent=True, uses_measure=False, normalized=False,
         )
         grid = TimeGrid(0.0, 1.0, 16)
@@ -978,6 +980,7 @@ class TestEulerIteration:
                 for oblique in (ObliqueField.identity(1),
                                 ObliqueField(lambda t: np.eye(1), 1.0, 1.0, 1,
                                              time_dependent=True))]
+        assert seen == grid.times[:-1].tolist() * 4         # 2 passes of 2 runs
         for a, b in zip(*runs):
             for name in PATH_FIELDS:
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -1093,27 +1096,16 @@ def _particle_major_simulate(system, grid, particles, noise, *, eps=None, contro
     variation = np.zeros((N, steps + 1))
     density = np.empty((N, steps, m))
     states[:, 0] = X
-    frozen_cache = (None, None)
     for k in range(steps):
         tk = times[k]
         uk = mvsolver._control_value(control, k)
-        if frozen_from is not None:
-            j = grid.snap_index(tk, frozen_level)
-            if frozen_cache[0] == j and control is None \
-                    and not (coeffs.time_dependent or oblique.time_dependent):
-                fk, gk, Hk = frozen_cache[1]
-            else:
-                Xe = frozen_from.states[:, j, :]
-                mu = EmpiricalMeasure(Xe) if need_mu else None
-                fk = coeffs.drift(Xe, mu, uk, tk)
-                gk = coeffs.diffusion(Xe, mu, uk, tk)
-                Hk = oblique(t=tk) if oblique.time_dependent else oblique(Xe, mu)
-                frozen_cache = (j, (fk, gk, Hk))
-        else:
-            mu = EmpiricalMeasure(X) if need_mu else None
-            fk = coeffs.drift(X, mu, uk, tk)
-            gk = coeffs.diffusion(X, mu, uk, tk)
-            Hk = oblique(t=tk) if oblique.time_dependent else oblique(X, mu)
+        # frozen: the coefficients read at the previous iterate's snapped states
+        Xe = X if frozen_from is None else \
+            frozen_from.states[:, grid.snap_index(tk, frozen_level), :]
+        mu = EmpiricalMeasure(Xe) if need_mu else None
+        fk = coeffs.drift(Xe, mu, uk, tk)
+        gk = coeffs.diffusion(Xe, mu, uk, tk)
+        Hk = oblique(t=tk) if oblique.time_dependent else oblique(Xe, mu)
         Y = X + h * fk + mvsolver._gdb(gk, increments[:, k, :])
         # penalized: the backward step in (eps/h) I + H, then x = z + (eps/h) dk
         Hs = Hk if eps is None else Hk + eps / h * (1.0 if oblique.diagonal else np.eye(m))

@@ -103,7 +103,7 @@ def _atomic_write(path: Path, chunks):
 
 
 class _Blocks:
-    """A sized iterable of 2-D float blocks of CSV rows; ``len()`` is their row count."""
+    """A sized iterable of blocks of CSV text; ``len()`` is their row count."""
 
     def __init__(self, rows, blocks):
         self.rows, self.blocks = rows, blocks
@@ -115,36 +115,11 @@ class _Blocks:
         return iter(self.blocks)
 
 
-def _block_lines(block):
-    """CSV text of a 2-D float block, one ``%`` for the block.
-
-    ``%.17g`` prints a float as ``_fmt`` does, and an integer-valued float up
-    to 2**53 as that integer's ``str``, so index columns can be float columns.
-    A column with at most half as many distinct bit patterns as the block has
-    rows (an index or time column, a reflection that rarely moves) has each
-    pattern formatted once and passed as ``%s``; the bytes are the same.  The
-    block's cells are freed when this call returns, before its text is written.
-    """
-    cells, formats = np.empty(block.shape, dtype=object), []
-    for j, col in enumerate(block.T):
-        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
-        repeated = 2 * len(bits) <= len(block)
-        if repeated:
-            text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-            col = np.array(text, dtype=object)[index]
-        cells[:, j] = col
-        formats.append("%s" if repeated else "%.17g")
-    cells = tuple(cells.ravel().tolist())      # the object array is freed before the ``%``
-    return (",".join(formats) + "\n") * len(block) % cells
-
-
 def write_csv(path, header, rows):
     """Write a CSV atomically; ``rows`` is a list of tuples or ``_Blocks``."""
-    if isinstance(rows, _Blocks):
-        body = map(_block_lines, rows)
-    else:
-        body = (",".join(map(_fmt, row)) + "\n" for row in rows)
-    _atomic_write(Path(path), itertools.chain([",".join(header) + "\n"], body))
+    if not isinstance(rows, _Blocks):
+        rows = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    _atomic_write(Path(path), itertools.chain([",".join(header) + "\n"], rows))
 
 
 class _Outputs:
@@ -175,23 +150,34 @@ def _failures(*gates):
 # each writes its CSVs through ``out`` and returns its failed probe gates (none means pass)
 
 
-def _trajectory_blocks(r, ens, times):
-    """Replication ``r``'s rows, one per (particle, time) in that order, as
-    blocks of whole particles, CSV_CHUNK_ROWS rows or fewer unless one particle
-    has more: replication, particle, t, states, reflection, variation."""
+def _trajectory_text(r, ens, times):
+    """Replication ``r``'s rows, one per (particle, time) in that order, as CSV
+    text in blocks of whole particles, CSV_CHUNK_ROWS rows or fewer unless one
+    particle has more: replication, particle, t, states, reflection, variation.
+    A block is one ``%`` of ``m + 3`` cells a row: ``replication,particle`` and
+    ``t`` formatted once, the tail ``k_1..k_m,variation`` once per run of rows
+    of equal bits (``-0.0`` and ``0.0`` apart), each ``x_j`` as ``%.17g``."""
     particles, steps1, m = ens.states.shape
     per = max(1, CSV_CHUNK_ROWS // steps1)
+    line = "%s,%s," + "%.17g," * m + "%s\n"
+    tail_format = ",".join(["%.17g"] * (m + 1))
+    t_text = np.array(["%.17g" % t for t in np.asarray(times, dtype=float).tolist()], object)
     reflection, variation = ens.reflection, ens.variation
     for start in range(0, particles, per):
         stop = min(start + per, particles)
-        block = np.empty((stop - start, steps1, 2 * m + 4))
-        block[..., 0] = r
-        block[..., 1] = np.arange(start, stop)[:, None]
-        block[..., 2] = times
-        block[..., 3:3 + m] = ens.states[start:stop]
-        block[..., 3 + m:3 + 2 * m] = reflection[start:stop]
-        block[..., -1] = variation[start:stop]
-        yield block.reshape(-1, 2 * m + 4)
+        n = (stop - start) * steps1
+        tail = np.concatenate([reflection[start:stop], variation[start:stop, :, None]], axis=2)
+        bits = tail.reshape(n, m + 1).view(np.uint64)
+        heads = np.flatnonzero(np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)])
+        cells = np.empty((n, m + 3), dtype=object)
+        cells[:, 0] = np.repeat(np.array([f"{r},{i}" for i in range(start, stop)], object), steps1)
+        cells[:, 1] = np.tile(t_text, stop - start)
+        cells[:, 2:-1] = ens.states[start:stop].reshape(n, m)
+        cells[:, -1] = np.repeat(np.array([tail_format % tuple(v) for v in
+                                           bits[heads].view(np.float64).tolist()], object),
+                                 np.diff(np.r_[heads, n]))
+        cells = tuple(cells.ravel().tolist())      # the object array is freed before the ``%``
+        yield line * n % cells
 
 
 def _run_simulate(out, seed, *, system, grid, scheme="projected", epsilon=None,
@@ -207,7 +193,7 @@ def _run_simulate(out, seed, *, system, grid, scheme="projected", epsilon=None,
         # the writer pulls the batches: one batch of ensembles is alive at a time
         for chunk, run in _stream_batches(system, grid, particles, streams, eps=eps):
             for r, ens in enumerate(run, chunk.start):
-                yield from _trajectory_blocks(r, ens, grid.times)
+                yield from _trajectory_text(r, ens, grid.times)
                 # every constraint vanishes at the origin, so it is a valid probe
                 rep = residual_report(ens, system, probes=[np.zeros(m)])
                 diag_rows.extend([(r, "equation_residual", rep.equation_residual),

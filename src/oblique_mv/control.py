@@ -493,8 +493,9 @@ class _LadderGaps:
 
     The rows are ``levels`` equal blocks, one per level, each holding the
     same replications in the same order; ``sq_sum`` accumulates
-    ``|x^(l+1) - x^l|^2`` over the grid nodes and ``sup`` keeps the pathwise
-    maximum of ``|x^(l+1) - x^l|``, both ``(levels - 1, rows per level)``.
+    ``|x^(l+1) - x^l|^2`` over the grid nodes and ``sup`` keeps its pathwise
+    maximum, both ``(levels - 1, rows per level)``.  The squares are never
+    rooted: in 1-d ``sqrt(x*x)**2`` is ``x*x`` in every bit.
     """
 
     def __init__(self, levels):
@@ -506,9 +507,9 @@ class _LadderGaps:
 
     def step(self, k, X, dk_step, rows):
         Xl = X.reshape(self.levels, -1, X.shape[1])
-        gap = np.sqrt(sq_norms(Xl[1:] - Xl[:-1]))
-        self.sq_sum += gap**2
-        np.maximum(self.sup, gap, out=self.sup)
+        sq = sq_norms(Xl[1:] - Xl[:-1])
+        self.sq_sum += sq
+        np.maximum(self.sup, sq, out=self.sup)
 
 
 def penalization_rate_probe(system, control, eps_ladder, cfg, noise=None, *, horizon):
@@ -533,7 +534,7 @@ def penalization_rate_probe(system, control, eps_ladder, cfg, noise=None, *, hor
     for chunk, gaps in _stream_batches(system, grid, N, streams, variants=L, eps=ladder,
                                        control=control, observer=lambda: _LadderGaps(L)):
         per_rep[chunk] = (gaps.sq_sum.reshape(L - 1, -1, N) * grid.h).transpose(1, 0, 2)
-        per_rep_sup[chunk] = (gaps.sup.reshape(L - 1, -1, N) ** 2).transpose(1, 0, 2)
+        per_rep_sup[chunk] = gaps.sup.reshape(L - 1, -1, N).transpose(1, 0, 2)
     dists = per_rep.mean(axis=(0, 2))
     sup_dists = per_rep_sup.mean(axis=(0, 2))
     stderrs = _stderr(per_rep.mean(axis=2))

@@ -59,7 +59,7 @@ EPS = np.finfo(float).eps
 BALL_NEWTON_MAX_ITER = 50
 POLYHEDRAL_MAX_ITER = 50
 PROX_MAX_ITER = 2000
-# Bytes of the (n, n) and (n, n, m) arrays check_yosida_properties may hold on n points
+# Bytes of the pair arrays (i < j) and (n, n) arrays check_yosida_properties may hold
 PROPERTY_PAIR_BYTES = 2**30
 # A prox row is done when its distance bound 3 eps |G| is at most this times 1 + |x|.
 PROX_RTOL = 1e-12
@@ -677,7 +677,8 @@ def check_yosida_properties(constraint, eps_list, sample_points):
     tolerance = TOL_COMPOSITE if constraint.kind == "indicator" else TOL_GRID
 
     n, m = pts.shape
-    need = 8 * n * n * (2 * m + 4)      # at most two (n, n, m) and four (n, n) arrays at once
+    # at most two pair indices, three (pairs, m) and two (pairs,) arrays, or three (n, n)
+    need = 8 * max(n * (n - 1) // 2 * (3 * m + 5), 3 * n * n)
     if need > PROPERTY_PAIR_BYTES:
         raise BudgetError(f"the properties check on {n} points in dimension {m} needs about "
                           f"{need} bytes of pair arrays, above PROPERTY_PAIR_BYTES = "
@@ -694,10 +695,6 @@ def check_yosida_properties(constraint, eps_list, sample_points):
     else:
         probes = pts
     probe_vals = np.atleast_1d(constraint.value(probes, feasibility_band=TOL_GEOM))
-
-    dx = pts[:, None, :] - pts[None, :, :]
-    dist_x = np.linalg.norm(dx, axis=-1)
-    dg = np.empty_like(dx)      # G_i - G_j, reused: (d) reads dg * dx, then (c) dg * dg
 
     viol = {k: 0.0 for k in "abcdefg"}
 
@@ -717,13 +714,6 @@ def check_yosida_properties(constraint, eps_list, sample_points):
         worse("b", np.max(np.maximum(probes @ G.T - np.sum(J * G, axis=1)[None, :]
                                      + pij[None, :] - probe_vals[:, None], 0.0), initial=0.0))
 
-        np.subtract(G[:, None, :], G[None, :, :], out=dg)
-        worse("d", np.max(-np.sum(np.multiply(dg, dx, out=dg), axis=-1), initial=0.0))
-        np.square(np.subtract(G[:, None, :], G[None, :, :], out=dg), out=dg)
-        gap = np.sqrt(np.add.reduce(dg, axis=-1))       # |dg|, as np.linalg.norm sums it
-        worse("c", np.max(np.subtract(gap, dist_x / e, out=gap)))
-        del gap
-
         g0 = np.linalg.norm(yosida_gradient(constraint, e, zero))
         j0 = np.linalg.norm(resolvent(constraint, e, zero))
         v0 = abs(yosida_value(constraint, e, zero))
@@ -732,7 +722,20 @@ def check_yosida_properties(constraint, eps_list, sample_points):
         lower = 0.5 * e * np.sum(G * G, -1) - V
         upper = V - np.sum(G * pts, -1)
         worse("g", np.max(lower), np.max(upper))
-    del dx, dist_x, dg
+
+    # c and d on the pairs i < j: both are symmetric in (i, j) and zero on i == j
+    i, j = np.triu_indices(n, 1)
+    dx = pts[i] - pts[j]
+    dist_x = np.linalg.norm(dx, axis=-1)
+    dg = np.empty_like(dx)      # G_i - G_j, reused: (d) reads dg * dx, then (c) dg * dg
+    for e, G in grads.items():
+        np.subtract(np.take(G, i, axis=0, out=dg), G[j], out=dg)
+        worse("d", np.max(-np.sum(np.multiply(dg, dx, out=dg), axis=-1), initial=0.0))
+        np.subtract(np.take(G, i, axis=0, out=dg), G[j], out=dg)
+        gap = np.sqrt(np.add.reduce(np.square(dg, out=dg), axis=-1))   # as np.linalg.norm
+        worse("c", np.max(np.subtract(gap, dist_x / e, out=gap), initial=0.0))
+        del gap
+    del i, j, dx, dist_x, dg
 
     for e1 in eps_list:
         for e2 in eps_list:

@@ -181,8 +181,8 @@ def wasserstein2(mu, nu):
     One-dimensional inputs may carry arbitrary weights and use the sorted
     quantile coupling; in higher dimension both measures must be uniform with
     the same number of atoms, and the optimal coupling is an exact assignment
-    on squared distances.  Pairs of equal shape are solved as one stack by
-    ``_assignment``, so a pair's distance is the same, bit for bit, in a
+    on squared distances.  Uniform pairs of one shape are one stack (``_assignment``,
+    in 1-d a column loop), so a pair's distance is the same, bit for bit, in a
     batch as alone.  A batch of thousands of small clouds costs about what
     as many scipy calls did; a batch of one costs much more.
     """
@@ -192,9 +192,12 @@ def wasserstein2(mu, nu):
         (pairs, n, m), A, B = mu.atoms.shape, mu.atoms, nu.atoms
         if A.shape != B.shape:
             raise ConfigurationError("W2 batches need clouds of one shape on both sides")
-        if m == 1:
-            w = _uniform_weights(n)
-            return np.array([_w2_1d(a[:, 0], w, b[:, 0], w) for a, b in zip(A, B)])
+        if m == 1:      # _w2_1d of each pair, bit for bit, one column of sorted atoms a step:
+            # float_power squares by the C pow, as ** 2 on a float64 does (np.power multiplies)
+            A, B, cost = np.sort(A[..., 0], axis=1), np.sort(B[..., 0], axis=1), np.zeros(pairs)
+            for a, b in zip(A.T, B.T):
+                cost += (1.0 / n) * np.float_power(a - b, 2.0)
+            return np.sqrt(np.maximum(cost, 0.0))
         out = np.empty(pairs)
         chunk = max(1, W2_BATCH_ENTRIES // (n * n * m))
         for s in range(0, pairs, chunk):
@@ -209,7 +212,7 @@ def wasserstein2(mu, nu):
     stacks = {}         # atoms shape -> indices of the pairs solved as one stack
     for k, (a, b) in enumerate(zip(mu, nu)):
         shape = a.atoms.shape
-        if shape[1] > 1 and shape == b.atoms.shape and a.uniform and b.uniform:
+        if shape == b.atoms.shape and a.uniform and b.uniform:
             stacks.setdefault(shape, []).append(k)
         elif a.dim != b.dim:
             raise ConfigurationError("measures live on different spaces")

@@ -300,16 +300,24 @@ def _control_value(control, k):
     return arr[k] if arr.ndim == 1 else arr[:, k]
 
 
-def _gdb(gk, dB):
-    if gk.ndim not in (2, 3):   # shared (m, d) or per particle (N, m, d)
+def _gdb(gk, dB, copies=1):
+    """``g dB`` on ``copies`` stacked copies of the ``(n, d)`` rows ``dB``: an entrywise
+    term on the ``n`` rows, ``(n, m)`` or per row ``(copies, n, m)``; a shared ``(m, d > 1)``
+    matrix on all rows, as a product's bits may depend on its row count (one is a gemv)."""
+    if gk.ndim not in (2, 3):   # shared (m, d) or per row (copies n, m, d)
         raise ConfigurationError(f"diffusion returned unexpected shape {gk.shape}")
+    if gk.ndim == 3 and copies > 1:
+        gk = gk.reshape(copies, len(dB), *gk.shape[1:])
+    elif gk.shape[-1] > 1 and copies > 1:
+        return (np.tile(dB, (copies, 1)) @ gk.T).reshape(copies, len(dB), -1)
     if gk.shape[-2:] == (1, 1) or gk.ndim == 2 and gk.shape[-1] > 1:   # one entry, or shared
         return dB * gk[..., 0] + 0.0 if gk.shape[-1] == 1 else dB @ gk.T
-    out = np.empty((len(dB), gk.shape[-2]))     # column by column, each summed in order
-    for j, col in enumerate(out.T):
-        np.multiply(dB[:, 0], gk[..., j, 0], out=col)       # a shared column, or per particle
+    out = np.empty(gk.shape[:-3] + (len(dB), gk.shape[-2]))   # column by column, in order
+    for j in range(gk.shape[-2]):
+        col = out[..., j]
+        np.multiply(dB[:, 0], gk[..., j, 0], out=col)       # a shared column, or per row
         for l in range(1, gk.shape[-1]):
-            col += gk[:, j, l] * dB[:, l]
+            col += gk[..., j, l] * dB[:, l]
     out += 0.0                # a zero sum is +0.0, as from a matrix product
     return out
 
@@ -328,6 +336,23 @@ def _per_row(values, rows):
     if values is None or np.ndim(values) == 0:
         return values
     return np.repeat(values, rows)[:, None]
+
+
+def _control_rows(control, rows):
+    """``at(k)``, step ``k``'s control, asked in step order: one value per group is a
+    ``_per_row`` column, built anew only where some group's control changes a bit."""
+    if control is None or control.ndim < 2:
+        return lambda k: _control_value(control, k)
+    raw = np.ascontiguousarray(control).view(np.uint8).reshape(*control.shape, -1)
+    changed = np.r_[True, np.any(raw[:, 1:] != raw[:, :-1], axis=(0, 2))].tolist()
+    column = None
+
+    def at(k):
+        nonlocal column
+        if changed[k]:
+            column = _per_row(control[:, k], rows)
+        return column
+    return at
 
 
 def _coefficients(system, groups=1):
@@ -351,26 +376,13 @@ def _coefficients(system, groups=1):
         N = X.shape[0] // groups
         mu = None if not need_mu else EmpiricalMeasure(X) if groups == 1 else \
             MeasureBatch(X.reshape(groups, N, -1), N)
-        u = _per_row(u, N)
         return (coeffs.drift(X, mu, u, t), coeffs.diffusion(X, mu, u, t), H if H is not None else
                 lambda rows: oblique(X[rows], mu.rows(rows) if isinstance(mu, MeasureBatch) else mu))
     return evaluate
 
 
-def _increment_rows(increments, groups):
-    """Step ``k``'s increments as ``(G N, d)`` rows; group g uses replication g % R."""
-    inc = increments if increments.ndim == 4 else increments[None]
-    reps, N, _, d = inc.shape
-    if groups == 1:
-        return lambda k: inc[0, :, k, :]
-    buf = np.empty((groups // reps, reps, N, d))        # one buffer, refilled at every step
-    rows = buf.reshape(-1, d)
-    return lambda k: np.copyto(buf, inc[:, :, k, :]) or rows
-
-
-class _PathRecorder:
-    """The default step observer: stores the states time-major and logs each
-    step's ``dk`` on the rows with a bit set (``PathEnsemble.dk_log``)."""
+class _StateRecorder:
+    """A step observer that stores the states time-major, ``(steps + 1, rows, m)``."""
 
     def __init__(self, grid):
         self.steps = grid.steps
@@ -378,10 +390,21 @@ class _PathRecorder:
     def start(self, X):
         self.states = np.empty((self.steps + 1,) + X.shape)
         self.states[0] = X
-        self.log = []
 
     def step(self, k, X, dk_step, rows):
         self.states[k + 1] = X
+
+
+class _PathRecorder(_StateRecorder):
+    """The default step observer: the states, and each step's ``dk`` logged on
+    the rows with a bit set (``PathEnsemble.dk_log``)."""
+
+    def start(self, X):
+        super().start(X)
+        self.log = []
+
+    def step(self, k, X, dk_step, rows):
+        super().step(k, X, dk_step, rows)
         rows = convexcore._set_rows(dk_step, rows)
         self.log.append((rows, dk_step.take(rows, axis=0)))
 
@@ -411,7 +434,8 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     its own control (``None``, a scalar, one value per step, or one row of
     such values per group) and its own empirical measure.
     ``increments`` is ``(N, steps, d)``, shared by all groups, or
-    ``(R, N, steps, d)`` with group g driven by replication ``g % R``.
+    ``(R, N, steps, d)`` with group g driven by replication ``g % R`` (a state-free
+    noise term is formed once, on the ``R N`` rows, for the ``G / R`` variants).
     Every group starts at ``system.x0``, or at its own row of a ``(groups,
     m)`` array ``x0``.
 
@@ -453,9 +477,10 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
             f"increments shape {increments.shape} does not match (N, steps, d) "
             f"for {G} groups"
         )
-    increment_rows = _increment_rows(increments, G)
+    inc, variants = increments if increments.ndim == 4 else increments[None], G // reps
     shift = None if eps is None else _per_row(eps, N) / h
     control = None if control is None else np.asarray(control)
+    control_at = _control_rows(control, N)
 
     if x0 is None:
         X = np.tile(system.x0, (N * G, 1))
@@ -471,8 +496,9 @@ def _simulate(system, grid, particles, noise, *, eps=None, control=None,
     watch.start(X)
     Hk = None
     for k in range(steps):
-        H_last, (fk, gk, Hk, constraint) = Hk, inputs(k, X, _control_value(control, k))
-        Y = X + h * fk + _gdb(gk, increment_rows(k))
+        H_last, (fk, gk, Hk, constraint) = Hk, inputs(k, X, control_at(k))
+        gdb = _gdb(gk, inc[:, :, k, :].reshape(-1, d), variants)    # (R N, m) or (G/R, R N, m)
+        Y = ((X + h * fk).reshape(variants, -1, X.shape[1]) + gdb).reshape(X.shape)
         if Hk is not H_last:
             Hs = Hk if eps is None else _shifted(Hk, shift, system.oblique.diagonal)
         try:

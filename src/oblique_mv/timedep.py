@@ -32,7 +32,7 @@ from .convexcore import Box, ConvexConstraint
 from .dynamics import CoefficientField, ObliqueField, _inverses_spd, inverse_spd, validate_oblique
 from .errors import ConfigurationError, ReductionError
 from .measures import EmpiricalMeasure, sq_norms
-from .mvsolver import System, TimeGrid, _simulate
+from .mvsolver import System, TimeGrid, _simulate, _StateRecorder
 
 CORRECTIONS = ("chain-rule", "as-printed")
 
@@ -283,8 +283,9 @@ def equivalence_check(prob, step_ladder, particles, noise):
         if direct_one_d:
             direct = simulate_moving_interval(prob, grid, N, noise, inc, hs[at])
         for c in CORRECTIONS:
-            run = _simulate(reduced[c], grid, N, noise, increments=inc)[0]
-            lifted = _lift(run.states, hs[at])
+            run = _simulate(reduced[c], grid, N, noise, increments=inc,
+                            observer=_StateRecorder(grid))     # no dk: only states are read
+            lifted = _lift(run.states.transpose(1, 0, 2), hs[at])
             gaps = _moving_gaps(lifted, hs[at], his[at], prob.base_set, prob.hfield.b_h)
             feasibility[c].append(float(np.max(gaps)))
             if direct_one_d:

@@ -423,15 +423,15 @@ class TestExitCodes:
 
     def test_properties_over_the_pair_budget_is_config_error(self, tmp_path, capsys,
                                                              monkeypatch):
-        # 50 points in the plane need 8 * 50**2 * (2 * 2 + 4) bytes of pair arrays
+        # 50 points in the plane need 8 * 1225 * (3 * 2 + 5) bytes of pair arrays
         cfg = write_config(tmp_path, properties_config(tmp_path / "out"))
-        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 8 - 1)
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 1225 * 11 - 1)
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: the properties check on 50 points")
         assert "PROPERTY_PAIR_BYTES" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
-        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 50 * 50 * 8)
+        monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", 8 * 1225 * 11)
         assert run(cfg) == 0
 
     def test_quadratic_properties_pass(self, tmp_path):
@@ -650,7 +650,7 @@ def assert_writer_matches_oracle(tmp_path, values, reps, particles, steps1, m):
     header = trajectory_header(m)
     path = tmp_path / "trajectories.csv"
     blocks = (block for r, ens in enumerate(ensembles)
-              for block in cli._trajectory_blocks(r, ens, times))
+              for block in cli._trajectory_text(r, ens, times))
     cli.write_csv(path, header, cli._Blocks(reps * particles * steps1, blocks))
     assert path.read_bytes() == oracle_trajectories(ensembles, times, header).encode()
 
@@ -689,7 +689,7 @@ class TestArrayWriter:
     @settings(max_examples=100)
     def test_few_distinct_values_match_tuple_oracle(self, tmp_path_factory, m, reps,
                                                     particles, steps1, chunk, values):
-        # a 3-value pool: most columns of most blocks are formatted once per value
+        # a 3-value pool: long tail runs, each formatted once
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "CSV_CHUNK_ROWS", chunk)
             assert_writer_matches_oracle(tmp_path_factory.mktemp("w"), values, reps,
@@ -711,23 +711,44 @@ class TestArrayWriter:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
         paths = np.zeros((particles, steps1, 2))
         ens = SimpleNamespace(states=paths, reflection=paths, variation=paths[..., 0])
-        blocks = list(cli._trajectory_blocks(2, ens, np.arange(steps1)))
+        blocks = [b.splitlines() for b in cli._trajectory_text(2, ens, np.arange(steps1))]
         assert [len(b) for b in blocks] == rows
-        assert np.array_equal(np.concatenate(blocks)[:, 1],
-                              np.repeat(np.arange(particles), steps1))
+        assert [line.split(",")[1] for b in blocks for line in b] \
+            == [str(i) for i in range(particles) for _ in range(steps1)]
         assert_writer_matches_oracle(tmp_path, SPECIAL_VALUES, 3, particles, steps1, 2)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_repeated_and_distinct_columns_match_per_cell_format(self, offset):
-        # a column of seven bit patterns (signed zeros, two NaN payloads, +-inf,
-        # the smallest subnormal) beside an all-distinct one, across a block edge
+    def test_tail_runs_keep_signed_zeros_and_nan_payloads_apart(self, offset, m):
+        # tail runs of rows that differ only by -0.0 and 0.0 or by a NaN payload, some
+        # crossing a particle boundary, beside all-distinct states, across a block edge
         nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(np.float64)
         pool = np.array([0.0, -0.0, *nans, math.inf, -math.inf, 5e-324])
-        rows = cli.CSV_CHUNK_ROWS + offset
-        table = np.column_stack([np.resize(pool, rows), np.arange(rows) / 7.0 - 1e3])
-        expected = "".join(f"{'%.17g' % a},{'%.17g' % b}\n" for a, b in table.tolist())
-        blocks = np.split(table, [cli.CSV_CHUNK_ROWS])
-        assert "".join(map(cli._block_lines, blocks)) == expected
+        steps1 = 5
+        rows = steps1 * (cli.CSV_CHUNK_ROWS // steps1 + offset)
+        runs = np.repeat(np.resize(pool, rows // 3 + 1), 3)[:rows]     # runs of three rows
+        tail = np.column_stack([runs] * (m + 1))
+        tail[1::4, 0] = -tail[1::4, 0]            # runs that differ in one column's sign bit
+        states = np.arange(rows * m).reshape(rows, m) / 7.0 - 1e3
+        times = np.linspace(0.0, 0.5, steps1)
+        ens = SimpleNamespace(states=states.reshape(-1, steps1, m),
+                              reflection=tail[:, :m].reshape(-1, steps1, m),
+                              variation=tail[:, m].reshape(-1, steps1))
+        expected = [",".join(["%.17g" % v for v in (0, i // steps1, times[i % steps1],
+                                                    *states[i], *tail[i])]) for i in range(rows)]
+        assert "".join(cli._trajectory_text(0, ens, times)).splitlines() == expected
+
+    def test_a_particle_longer_than_a_block(self, tmp_path, monkeypatch):
+        # steps + 1 > CSV_CHUNK_ROWS: one particle a block, its tail runs whole
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        paths = np.zeros((3, 9, 1))
+        paths[1, 4:] = -0.0
+        ens = SimpleNamespace(states=np.arange(27.0).reshape(3, 9, 1), reflection=paths,
+                              variation=paths[..., 0])
+        blocks = list(cli._trajectory_text(1, ens, np.arange(9) / 8))
+        assert [b.count("\n") for b in blocks] == [9, 9, 9]
+        assert blocks[1].splitlines()[4:6] == ["1,1,0.5,13,-0,-0", "1,1,0.625,14,-0,-0"]
+        assert_writer_matches_oracle(tmp_path, SPECIAL_VALUES, 2, 3, 9, 2)
 
     def test_a_simulate_run_sizes_its_trajectory_rows(self, tmp_path, monkeypatch):
         # len() of the rows handed to the writer, which a caller may read without

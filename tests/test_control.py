@@ -547,6 +547,33 @@ class TestProbes:
                                          horizon=(0.0, 1.0))
         assert report.degenerate
 
+    def test_one_d_ladder_gaps_equal_the_root_and_square_form(self, monkeypatch):
+        # in 1-d sqrt(fl(x*x)) is |x|, so the squared gaps the ladder keeps are the
+        # squares of their roots in every bit: over magnitudes 1e-130 to 1e130 and
+        # where the squares are subnormal, and in a whole probe on reflected ou
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-130, 130, 200_000)
+        x = np.concatenate([x, rng.uniform(-1, 1, 100_000) * 2.0**-512, [0.0, -0.0, 5e-324]])
+        sq = x * x
+        assert (np.sqrt(sq) ** 2).tobytes() == sq.tobytes() and np.any(sq < 2.0**-1022)
+
+        def rooted(self, k, X, dk_step, rows):      # roots, squared back
+            Xl = X.reshape(self.levels, -1, X.shape[1])
+            gap = np.sqrt(control.sq_norms(Xl[1:] - Xl[:-1]))
+            self.sq_sum += gap**2
+            self.root_sup = np.maximum(getattr(self, "root_sup", 0.0), gap)
+            self.sup = self.root_sup**2
+
+        def probe():
+            cfg = SimConfig(steps=256, particles=16, replications=3, seed=14)
+            r = penalization_rate_probe(library.make_system("ou"), None, [0.1, 0.05, 0.025],
+                                        cfg, horizon=(0.0, 1.0))
+            return repr((r.xs, r.ys, r.stderrs, r.slope, r.r_squared, r.extras))
+
+        squared = probe()
+        monkeypatch.setattr(control._LadderGaps, "step", rooted)
+        assert squared == probe()
+
     def test_rate_probe_on_reflected_ou(self):
         sys_ = library.make_system("ou")
         cfg = SimConfig(steps=1024, particles=64, replications=6, seed=13)

@@ -37,6 +37,12 @@ def grid_moreau_value(constraint, eps, x, lo=-3.0, hi=3.0, step=1e-4):
     return float(np.min(vals))
 
 
+def pair_bytes(n, m):
+    """``check_yosida_properties``' estimate: the pairs i < j of ``n`` points in
+    ``R^m`` hold 3 m + 5 words each at most, and three (n, n) arrays."""
+    return 8 * max(n * (n - 1) // 2 * (3 * m + 5), 3 * n * n)
+
+
 def quadratic_prox_oracle(eps, x):
     # minimizer of |z-x|^2/(2 eps) + |z|^2/2 is x/(1+eps)
     return np.asarray(x) / (1.0 + eps)
@@ -346,9 +352,10 @@ class TestYosidaProperties:
         assert report.passed, report.failing()
 
     def test_pair_arrays_over_the_budget_raise_before_any_exists(self, monkeypatch):
-        # 30 points in the plane: 8 * 30**2 * (2 * 2 + 4) bytes of pair arrays
+        # 30 points in the plane: 8 * 435 * (3 * 2 + 5) bytes of pair arrays
         pts = 2.0 * np.random.default_rng(1).standard_normal((30, 2))
-        need = 8 * 30 * 30 * 8
+        need = pair_bytes(30, 2)
+        assert need == 8 * 435 * 11
         monkeypatch.setattr(convexcore, "PROPERTY_PAIR_BYTES", need - 1)
         # a resolvent that fails would show the check ran past the estimate
         monkeypatch.setattr(convexcore, "resolvent", None)
@@ -373,7 +380,28 @@ class TestYosidaProperties:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * n * (2 * m + 4)
+        assert peak <= pair_bytes(n, m)
+
+    @pytest.mark.parametrize("name", ["triangle", "ball", "quadratic"])
+    def test_pairs_i_below_j_give_the_full_square_bits(self, name):
+        # (c) and (d) on the pairs i < j equal their maxima over every ordered pair,
+        # the zero diagonal included, by repr; some points lie inside the set, where
+        # the gradients vanish and the products are signed zeros
+        constraint = {"triangle": TRIANGLE, "ball": ConvexConstraint.ball(np.zeros(2), 1.0),
+                      "quadratic": QUAD14}[name]
+        pts = np.random.default_rng(4).standard_normal((80, 2)) * np.repeat([0.2, 2.0], 40)[:, None]
+        eps_list = [0.1, 0.01, 0.001]
+        got = check_yosida_properties(constraint, eps_list, pts).violations
+        dx = pts[:, None, :] - pts[None, :, :]
+        dist_x = np.linalg.norm(dx, axis=-1)
+        want = {"c": 0.0, "d": 0.0}
+        for e in eps_list:
+            G = (pts - convexcore.resolvent(constraint, e, pts)) / e
+            dg = G[:, None, :] - G[None, :, :]
+            d = np.max(-np.sum(dg * dx, axis=-1), initial=0.0)
+            c = np.max(np.sqrt(np.add.reduce(dg * dg, axis=-1)) - dist_x / e)
+            want = {"c": float(np.maximum(c, want["c"])), "d": float(np.maximum(d, want["d"]))}
+        assert {k: repr(got[k]) for k in "cd"} == {k: repr(v) for k, v in want.items()}
 
     def test_a_nan_violation_reads_nan_and_fails(self):
         # points near 1e200 overflow the pair arrays: (c) is inf - inf there

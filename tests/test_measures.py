@@ -375,6 +375,25 @@ class TestMeasureBatch:
         want = wasserstein2([EmpiricalMeasure(a) for a in A], [EmpiricalMeasure(b) for b in B])
         assert np.array_equal(wasserstein2(MeasureBatch(A), MeasureBatch(B)), want)
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_1d_column_loop_has_the_pair_loop_bits(self, n, pairs, seed):
+        # ties, signed zeros, equal atoms, equal clouds and magnitudes from 1e-160 to
+        # 1e150 (some squares subnormal): each pair's distance is _w2_1d's, bit for bit
+        rng = np.random.default_rng(seed)
+        A, B = (rng.standard_normal((pairs, n)) * 10.0 ** rng.uniform(-160, 150, (pairs, n))
+                for _ in range(2))
+        pool = np.array([0.0, -0.0, 1.5, -2.25, 1e-200])
+        for X in (A, B):
+            X[rng.random(X.shape) < 0.4] = rng.choice(pool)
+        B[0] = A[0]
+        w = measures._uniform_weights(n)
+        want = np.array([measures._w2_1d(a, w, b, w) for a, b in zip(A, B)])
+        got = wasserstein2(MeasureBatch(A[..., None]), MeasureBatch(B[..., None]))
+        assert got.tobytes() == want.tobytes()
+        pairs_alone = [wasserstein2(EmpiricalMeasure(a), EmpiricalMeasure(b)) for a, b in zip(A, B)]
+        assert np.array(pairs_alone).tobytes() == want.tobytes()
+
     def test_w2_of_batches_of_two_shapes_is_rejected(self):
         with pytest.raises(ConfigurationError, match="clouds of one shape"):
             wasserstein2(MeasureBatch(np.zeros((3, 4, 2))), MeasureBatch(np.zeros((3, 5, 2))))

@@ -451,20 +451,11 @@ class TestBallMultiplier:
 SQ_NORM_MODULES = (control, convexcore, library, measures, mvsolver, timedep)
 
 
-def head_ladder_step(self, k, X, dk_step, rows):
-    """``control._LadderGaps.step`` with numpy's row norm."""
-    Xl = X.reshape(self.levels, -1, X.shape[1])
-    gap = np.linalg.norm(Xl[1:] - Xl[:-1], axis=2)
-    self.sq_sum += gap**2
-    np.maximum(self.sup, gap, out=self.sup)
-
-
 def patch_row_reductions(monkeypatch):
-    """Put numpy's per-row reductions, the step observer that used them and
-    the row-major ball step back in."""
+    """Put numpy's per-row reductions (the ladder's squared gaps among them)
+    and the row-major ball step back in."""
     for module in SQ_NORM_MODULES:
         monkeypatch.setattr(module, "sq_norms", lambda x: np.sum(x * x, axis=-1))
-    monkeypatch.setattr(control._LadderGaps, "step", head_ladder_step)
     monkeypatch.setattr(convexcore.Ball, "oblique_step", head_ball_oblique_step)
 
 
@@ -1625,16 +1616,23 @@ class TestStepPlan:
                 == [(r.tobytes(), v.tobytes()) for r, v in want.dk_log]
             assert any(len(r) for r, _ in got.dk_log)
 
-    @pytest.mark.parametrize("reps", [1, 2, 4])
-    def test_increment_rows_equal_the_broadcast_form(self, reps):
-        rng = np.random.default_rng(23)
-        inc = signed_zeros(rng, rng.standard_normal((reps, 5, 7, 2)))
-        for groups, given in [(g, inc) for g in (reps, 2 * reps, 3 * reps)] + \
-                [(g, inc[0]) for g in (1, 3) if reps == 1]:
-            at = mvsolver._increment_rows(given, groups)
-            for k in (0, 3, 6, 3, 1):
-                want = np.broadcast_to(inc[:, :, k, :], (groups // reps, reps, 5, 2))
-                assert at(k).tobytes() == want.reshape(-1, 2).tobytes()
+    @pytest.mark.parametrize("copies", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("m,d,per_row", [(1, 1, False), (2, 1, False), (2, 2, False),
+                                             (3, 2, False), (1, 1, True), (2, 2, True)])
+    def test_noise_term_of_the_replication_rows_has_the_stacked_bits(self, m, d, per_row, n,
+                                                                     copies):
+        # g dB formed on the n replication rows and broadcast over the copies equals
+        # the term on the copies' stacked rows, bit for bit; a shared (m, d > 1)
+        # matrix is one product on the stacked rows (on one row numpy calls gemv,
+        # whose bits differ from a gemm row's in about half of these draws)
+        rng = np.random.default_rng([m, d, per_row, n, copies])
+        for _ in range(20):
+            dB = signed_zeros(rng, rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 4, (n, d)))
+            gk = signed_zeros(rng, rng.standard_normal((copies * n, m, d) if per_row else (m, d)))
+            got = np.broadcast_to(mvsolver._gdb(gk, dB, copies), (copies, n, m))
+            want = mvsolver._gdb(gk, np.tile(dB, (copies, 1)))
+            assert got.tobytes() == want.tobytes()
 
 
 def _batch_cases():
@@ -1690,8 +1688,47 @@ def _assert_batch_matches(name, particles=17, seed=11):
         assert ens.eps == alone.eps
 
 
+def noise_system(name):
+    """A system whose diffusion is a shared (1, 1) array, a user field's shared
+    (2, 2) matrix, or a (rows, 2, 2) matrix per row."""
+    if name == "shared (1, 1)":
+        return library.make_system("ou")
+    ex = library.make_system("example31")
+
+    def per_row(x, mu):
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 1, 1] = 0.3 + 0.1 * np.sin(x[..., 0]), 0.4
+        out[..., 0, 1], out[..., 1, 0] = -0.1 * x[..., 1], 0.05
+        return out
+
+    shared = lambda x, mu: np.array([[0.3, -0.1], [0.05, 0.4]])
+    coeffs = CoefficientField(lambda x, mu: 0.8 * (mu.mean() - x) + 1.0,
+                              shared if name == "shared (2, 2)" else per_row, 3.0, 2, 2,
+                              normalized=False)
+    return System(coeffs, ex.oblique, ex.constraint, ex.x0)
+
+
 class TestBatchedEngine:
     """Groups of one batched step loop against separate runs, bit for bit."""
+
+    @pytest.mark.parametrize("variants", [1, 2, 6])
+    @pytest.mark.parametrize("name", ["shared (1, 1)", "shared (2, 2)", "per-row (2, 2)"])
+    def test_variants_share_their_replication_noise_term(self, name, variants):
+        # G / R variants of R replications, each its own level: the noise term is
+        # formed on the R N replication rows, every group's run is its run alone
+        system, grid, N, reps = noise_system(name), TimeGrid(0.0, 1.0, 48), 5, 2
+        streams = [NoiseSource(31).for_replication(r) for r in range(reps)]
+        inc = mvsolver._stream_increments(streams, N, grid.steps, system.noise_dim, grid.h)
+        eps = np.repeat(np.linspace(0.02, 0.2, variants), reps)
+        batch = mvsolver._simulate(system, grid, N, None, eps=eps, increments=inc,
+                                   groups=variants * reps)
+        for g, ens in enumerate(batch):
+            alone = mvsolver._simulate(system, grid, N, None, eps=float(eps[g]),
+                                       increments=inc[g % reps])[0]
+            assert ens.states.tobytes() == alone.states.tobytes()
+            assert [(r.tobytes(), v.tobytes()) for r, v in ens.dk_log] \
+                == [(r.tobytes(), v.tobytes()) for r, v in alone.dk_log]
+        assert any(len(r) for ens in batch for r, _ in ens.dk_log)
 
     @pytest.mark.parametrize("name", sorted(_batch_cases()[2]))
     def test_groups_match_separate_runs(self, name):
@@ -1705,7 +1742,6 @@ class TestBatchedEngine:
         def one_measure(system, groups=1):
             def evaluate(X, u, t):
                 mu = EmpiricalMeasure(X)
-                u = mvsolver._per_row(u, X.shape[0] // groups)
                 return (system.coeffs.drift(X, mu, u, t), system.coeffs.diffusion(X, mu, u, t),
                         system.oblique(X, mu))
             return evaluate

@@ -413,24 +413,28 @@ class TestEquivalence:
             np.testing.assert_array_equal(direct.reflection[:, k + 1], k_total)
         assert np.any(direct.reflection > 0)
 
-    def test_check_records_states_and_dk(self, monkeypatch):
-        # each of its solves allocates the states and no other path buffer
-        # (dk is logged on the rows a step corrects), and its distances equal
+    def test_reduced_runs_record_states_only(self, monkeypatch):
+        # each of its solves allocates the states and no other path buffer; the
+        # direct reference logs dk on the rows a step corrects, the reduced runs,
+        # of which only the states are read, log none; and the distances equal
         # those of runs through the public entries
         prob = library.make_moving_problem("moving_interval")
         noise = NoiseSource(8)
 
-        start = mvsolver._PathRecorder.start
-        buffers = []
+        start = mvsolver._StateRecorder.start
+        recorders = []
 
         def recorded(self, X):
             start(self, X)
-            buffers.append({name: arr.shape for name, arr in vars(self).items()
-                            if isinstance(arr, np.ndarray)})
+            recorders.append(self)
 
-        monkeypatch.setattr(mvsolver._PathRecorder, "start", recorded)
+        monkeypatch.setattr(mvsolver._StateRecorder, "start", recorded)
         rep = equivalence_check(prob, [32, 64], 16, noise)
-        assert buffers == [{"states": (s + 1, 16, 1)} for s in (32, 64) for _ in range(3)]
+        assert [(type(r).__name__, {name: arr.shape for name, arr in vars(r).items()
+                                    if isinstance(arr, np.ndarray)}) for r in recorders] \
+            == [(kind, {"states": (s + 1, 16, 1)}) for s in (32, 64)
+                for kind in ("_PathRecorder", "_StateRecorder", "_StateRecorder")]
+        assert all(hasattr(r, "log") == (type(r) is mvsolver._PathRecorder) for r in recorders)
         monkeypatch.undo()
         grid = TimeGrid(0.0, 1.0, 64)
         inc = noise.brownian(16, 64, 1, grid.h)
